@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
+.PHONY: all build test race vet lint bench blast blast-compare detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
 
 all: build
 
@@ -47,6 +47,17 @@ BENCHFILTER ?= Benchmark(Table2|Table3|EchoValidation|CaseStudy|ResourceAnalysis
 bench:
 	$(GO) test -run=^$$ -bench '$(BENCHFILTER)' -benchmem -count=$(BENCHCOUNT) . | tee bench_latest.txt
 	$(GO) run ./cmd/stat4-bench $(if $(BASELINE),-baseline $(BASELINE)) -o BENCH_$(BENCHN).json bench_latest.txt
+
+# blast runs the repository benchmark (bench/README.md): every workload of
+# BENCHMARK.json through stat4d's datapath over a unix socket, end-to-end
+# metrics plus the per-layer budget, written to bench/out/. blast-compare
+# prints run B against run A and exits non-zero when an end-to-end metric is
+# worse by more than its bound: make blast-compare A=a/blast.json B=b/blast.json
+blast:
+	$(GO) run ./bench/blast
+
+blast-compare:
+	$(GO) run ./bench/blast -compare $(A) $(B)
 
 # detect regenerates DETECT_$(DETECTN).json: the detection-quality matrix —
 # every scenario of the traffic registry replayed against every detector

@@ -4,7 +4,7 @@
 // division-free, loop-free, bounded, allocation-free straight-line code, and
 // variables under sync/atomic discipline must stay under it module-wide. On
 // top of the source analyzers, the program-level passes gate every
-// registered Stat4 program: stagebudget places its compiled plan onto a PISA
+// registered Stat4 program: stagebudget places its control flow onto a PISA
 // target model's stages, and mergelaw checks the cross-replica merge
 // discipline of its registers. See internal/lint for the analyzers.
 //

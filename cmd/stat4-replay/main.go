@@ -188,7 +188,7 @@ type replayMetrics struct {
 // lazily by attach once the switch exists.
 func newReplayMetrics() *replayMetrics {
 	rm := &replayMetrics{sw: telemetry.NewSwitchMetrics(0), reg: telemetry.NewRegistry("stat4_replay")}
-	rm.reg.RegisterHist("packet_cost_ns", "per-packet processing cost (parse+execute+deparse)", rm.sw.Cost)
+	rm.reg.RegisterHist("packet_cost_ns", "per-packet processing cost (parse+execute+deparse), sampled 1-in-64", rm.sw.Cost)
 	rm.reg.RegisterHist("digest_latency_ns", "digest emit-to-drain wall-clock latency", rm.sw.DigestWait)
 	rm.reg.RegisterCounter("digests_emitted", "digests accepted by the channel", rm.sw.Emitted)
 	rm.reg.RegisterCounter("digests_dropped", "digests lost to a full channel", rm.sw.Dropped)

@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"stat4/internal/packet"
 	"stat4/internal/telemetry"
@@ -217,8 +219,19 @@ func playFlows(t *testing.T, d *daemon, count int) {
 		}
 	}
 	f.Close()
-	if _, err := d.engine.PlaySource(path, 1, true); err != nil {
+	before := d.engine.Frames()
+	n, err := d.engine.PlaySource(path, 1, true)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// PlaySource returns once the frames are pushed, not consumed, and the
+	// engine serves Do (every HTTP read) ahead of pushed batches.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.engine.Frames() < before+n {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine consumed %d of %d played frames", d.engine.Frames()-before, n)
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -257,8 +257,11 @@ func (e *Engine) Stop() {
 // Do runs f on the consumer goroutine, between batches, and waits for it.
 // This is the control-plane gateway: telemetry scrapes, snapshot reads and
 // binding updates all pass through here so they never overlap a batch in
-// flight. After Stop, f runs on the caller (the datapath is quiesced, which
-// is just as exclusive).
+// flight. The consumer serves control operations ahead of batch descriptors,
+// so f may run before batches that were already pushed when Do was called: a
+// caller that needs its own frames reflected waits for Frames() to cover
+// them first. After Stop, f runs on the caller (the datapath is quiesced,
+// which is just as exclusive).
 func (e *Engine) Do(f func()) {
 	var claimed atomic.Bool
 	done := make(chan struct{})

@@ -32,7 +32,7 @@
 // (ProgramAnalyzers / RunPrograms; no //stat4: directive applies to them —
 // their exemptions live on the p4.Program API):
 //
-//   - stagebudget: p4.AllocateStages must place the compiled execution plan
+//   - stagebudget: p4.AllocateStages must place the program's control flow
 //     within the stage budget of the target model (stages × ALUs, hash
 //     units, register actions, tables, SRAM)
 //   - mergelaw:    every register declares its MergeKind; MergeSum cells

@@ -8,7 +8,7 @@ import (
 )
 
 // The program-level passes: unlike the AST analyzers, these run over
-// compiled execution plans, not Go source. Positions are pseudo-files named
+// emitted p4.Programs, not Go source. Positions are pseudo-files named
 // program:<case>, since a finding belongs to an emitted program as a whole.
 //
 // StageBudget and MergeLaw are not part of Analyzers(): there is no
@@ -16,7 +16,7 @@ import (
 // itself, via ExemptMergeWrite and SetMergeWhy), so admitting their names in
 // comment directives would create directives nothing honors.
 
-// StageBudget verifies that a program's execution plan places into the
+// StageBudget verifies that a program's control flow places into the
 // per-stage budgets of a PISA target model (p4.AllocateStages). A program
 // that doesn't fit is one the paper's in-switch deployment claim does not
 // cover, however clean its Go rendering is.

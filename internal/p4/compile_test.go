@@ -2,9 +2,11 @@ package p4
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"stat4/internal/packet"
 )
@@ -268,38 +270,57 @@ func TestRestoreRebindsCompiledActions(t *testing.T) {
 	}
 }
 
-// TestLowerStmtsTargets pins the lowering shape: forward-only targets,
-// branch-to-else, jump-over-else.
+// TestLowerStmtsTargets pins the lowering shape: forward-only targets inside
+// the stream, bound bodies ending in opRet, both passes ending in opHalt, and
+// every apply and register op carrying its resolved operand.
 func TestLowerStmtsTargets(t *testing.T) {
-	prog, std := buildKitchenSink()
-	sw := mustSwitch(t, prog, std)
-	code := sw.plan.code
-	if len(code) == 0 {
-		t.Fatal("empty plan")
-	}
-	for pc, in := range code {
-		switch in.kind {
-		case instBranch, instJump:
-			if in.target <= pc {
-				t.Fatalf("inst %d: backward or self target %d", pc, in.target)
+	for _, build := range []func() (*Program, StdFields){buildKitchenSink, buildLoweringProgram} {
+		prog, std := build()
+		sw := mustSwitch(t, prog, std)
+		code := sw.code
+		if sw.mainPC == 0 || sw.recircPC <= sw.mainPC || int(sw.recircPC) >= len(code) {
+			t.Fatalf("%s: entry points main=%d recirc=%d in a %d-op stream", prog.Name, sw.mainPC, sw.recircPC, len(code))
+		}
+		if code[sw.mainPC-1].code != opRet || code[sw.recircPC-1].code != opHalt || code[len(code)-1].code != opHalt {
+			t.Fatalf("%s: stream sections are not terminated by opRet / opHalt / opHalt", prog.Name)
+		}
+		for pc, op := range code {
+			switch op.code {
+			case opBrEq, opBrNe, opBrLt, opBrLe, opBrGt, opBrGe, opJmp:
+				// A target stays inside its own pass, at most on its opHalt.
+				end := len(code)
+				if pc < int(sw.recircPC) {
+					end = int(sw.recircPC)
+				}
+				if pc < int(sw.mainPC) {
+					t.Fatalf("%s op %d: control flow inside an action body", prog.Name, pc)
+				}
+				if int(op.dst) <= pc || int(op.dst) >= end {
+					t.Fatalf("%s op %d: target %d outside (%d, %d)", prog.Name, pc, op.dst, pc, end)
+				}
+			case opApply:
+				x := op.aux
+				if x == nil || x.tbl == nil {
+					t.Fatalf("%s op %d: apply without table", prog.Name, pc)
+				}
+				def := x.tbl.def.DefaultAction
+				if (def != "") != x.hasDef || x.hasDef && x.defBody != x.tbl.bodies[def] {
+					t.Fatalf("%s op %d: default action %q not resolved", prog.Name, pc, def)
+				}
+			case OpRegRead, OpRegWrite:
+				if op.reg == nil {
+					t.Fatalf("%s op %d: register op without resolved register", prog.Name, pc)
+				}
+			case OpSetEgress, OpDrop:
+				t.Fatalf("%s op %d: %s must lower to mov", prog.Name, pc, op.code)
 			}
-			if in.target > len(code) {
-				t.Fatalf("inst %d: target %d beyond plan end %d", pc, in.target, len(code))
-			}
-		case instApply:
-			if in.tbl == nil {
-				t.Fatalf("inst %d: apply without table", pc)
-			}
-			if in.tbl.def.DefaultAction != "" && in.act == nil {
-				t.Fatalf("inst %d: default action not resolved", pc)
-			}
-		case instCall:
-			if in.act == nil {
-				t.Fatalf("inst %d: call without resolved action", pc)
+		}
+		for name, body := range sw.tables["bind"].bodies {
+			if body >= sw.mainPC {
+				t.Fatalf("%s: body of %q at %d, inside the control flow (main starts at %d)", prog.Name, name, body, sw.mainPC)
 			}
 		}
 	}
-	_ = std
 }
 
 // TestProcessBatch drives the batch entry point and checks it observes every
@@ -330,5 +351,277 @@ func TestProcessBatch(t *testing.T) {
 	sw.ProcessBatch(batch[:1], nil)
 	if got := sw.Stats().PktsOut; got != 3 {
 		t.Fatalf("PktsOut = %d after nil-emit batch, want 3", got)
+	}
+}
+
+// TestUopSize pins the micro-op's footprint. Several switch instances of a
+// ~1400-op program are resident at once (engine shards plus references), so
+// a wider op shows up directly in peak RSS: at 216 bytes the two-shard
+// daemon gained 1.8 MB. Rare operands belong behind uop.aux.
+func TestUopSize(t *testing.T) {
+	if got := unsafe.Sizeof(uop{}); got > 48 {
+		t.Fatalf("uop is %d bytes, budget 48", got)
+	}
+}
+
+// buildLoweringProgram exercises what the lowering must get right beyond
+// control-flow shape: one action (count_at) reached from a table entry, from
+// the table's default with its own args, and from call sites with different
+// constant args; a two-parameter action; constants repeated across ops,
+// conditions and call args; and a branching recirculation pass.
+func buildLoweringProgram() (*Program, StdFields) {
+	p := NewProgram("lowering")
+	std := DeclareStdFields(p)
+	idx := p.AddField("meta.idx", 32)
+	tmp := p.AddField("meta.tmp", 64)
+	flag := p.AddField("meta.recirc", 1)
+
+	p.AddRegister("counters", 64, 64)
+
+	p.AddAction(NewAction("count_at", 1,
+		Mov(idx, P(0)),
+		RegRead(tmp, "counters", F(idx)),
+		Add(tmp, F(tmp), C(1)),
+		RegWrite("counters", F(idx), F(tmp)),
+	))
+	p.AddAction(NewAction("add_at", 2,
+		Mov(idx, P(0)),
+		RegRead(tmp, "counters", F(idx)),
+		Add(tmp, F(tmp), P(1)),
+		RegWrite("counters", F(idx), F(tmp)),
+	))
+	p.AddAction(NewAction("mark", 0, Mov(flag, C(1))))
+	p.AddAction(NewAction("noop", 0))
+	p.AddAction(NewAction("reflect", 0, SetEgress(F(std.InPort))))
+
+	p.AddTable(&TableDef{
+		Name:          "bind",
+		Keys:          []KeySpec{{Field: std.IPv4Dst, Kind: MatchLPM}},
+		ActionNames:   []string{"count_at", "add_at", "noop"},
+		DefaultAction: "count_at",
+		DefaultArgs:   []uint64{11},
+		MaxEntries:    8,
+	})
+	p.Control = []Stmt{
+		If(Cond{A: F(std.IPv4Valid), Op: CmpEq, B: C(1)},
+			Apply("bind"),
+			Call("count_at", 2),
+			Call("add_at", 3, 7),
+			If(Cond{A: F(std.UDPDport), Op: CmpEq, B: C(7)}, Call("mark")),
+		),
+		Call("reflect"),
+	}
+	p.SetRecirc(flag, []Stmt{
+		If(Cond{A: F(std.IPv4Proto), Op: CmpEq, B: C(17)},
+			Call("count_at", 20),
+		).WithElse(
+			Call("count_at", 21),
+		),
+	})
+	return p, std
+}
+
+// lowerRig drives one switch of the lowering program in one exec mode and
+// logs everything observable per frame.
+type lowerRig struct {
+	t    *testing.T
+	mode ExecMode
+	sw   *Switch
+	ts   uint64
+	log  []string
+}
+
+func newLowerRig(t *testing.T, mode ExecMode) *lowerRig {
+	r := &lowerRig{t: t, mode: mode}
+	r.sw = r.fresh()
+	return r
+}
+
+// fresh builds another switch instance of the same program and mode.
+func (r *lowerRig) fresh() *Switch {
+	prog, std := buildLoweringProgram()
+	sw := mustSwitch(r.t, prog, std)
+	sw.SetExecMode(r.mode)
+	return sw
+}
+
+// send processes one UDP frame to dst:dport on the rig's current switch.
+func (r *lowerRig) send(dst packet.IP4, dport uint16) {
+	frame := packet.NewUDPFrame(packet.ParseIP4(192, 0, 2, 1), dst, 1000, dport, 8).Serialize()
+	outs := r.sw.ProcessFrame(r.ts, 3, frame)
+	r.ts++
+	line := fmt.Sprintf("outs=%d digests=%v", len(outs), drainDigests(r.sw))
+	for _, o := range outs {
+		line += fmt.Sprintf(" port=%d data=%x", o.Port, o.Data)
+	}
+	r.log = append(r.log, line)
+}
+
+func (r *lowerRig) insert(dst packet.IP4, prefix int, action string, args ...uint64) EntryID {
+	r.t.Helper()
+	id, err := r.sw.InsertEntry("bind", []MatchValue{{Value: uint64(dst), PrefixLen: prefix}}, 0, action, args)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return id
+}
+
+func (r *lowerRig) cells() []uint64 {
+	reg, err := r.sw.Register("counters")
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return reg.Snapshot()
+}
+
+// TestLoweringCases replays scenarios that stress the lowering — argument
+// binding by every route, rebinding between packets, recirculation, restore
+// across instances — through the micro-op stream and the tree walker, and
+// demands identical frames, digests, counters and state, plus the cell values
+// each scenario must produce.
+func TestLoweringCases(t *testing.T) {
+	hit := packet.ParseIP4(10, 0, 5, 1)    // under 10.0.5.0/24
+	miss := packet.ParseIP4(172, 16, 0, 1) // no entry: the default action
+	cases := []struct {
+		name  string
+		drive func(r *lowerRig)
+		want  map[int]uint64 // counters cell → value (others zero)
+	}{
+		{
+			// Every call site folds its own args: the same body increments
+			// cell 2 via count_at(2) and adds 7 to cell 3 via add_at(3, 7).
+			name:  "call-site arg folding",
+			drive: func(r *lowerRig) { r.send(miss, 80); r.send(miss, 80) },
+			want:  map[int]uint64{11: 2, 2: 2, 3: 14},
+		},
+		{
+			// count_at runs from an entry (arg 9) and from a call site
+			// (arg 2) in the same packet; the inlined copy must not read the
+			// argument window the entry just filled.
+			name: "action bound by entry and by call",
+			drive: func(r *lowerRig) {
+				r.insert(packet.ParseIP4(10, 0, 5, 0), 24, "count_at", 9)
+				r.send(hit, 80)
+			},
+			want: map[int]uint64{9: 1, 2: 1, 3: 7},
+		},
+		{
+			name: "default-action args on a miss, entry args on a hit",
+			drive: func(r *lowerRig) {
+				r.insert(packet.ParseIP4(10, 0, 5, 0), 24, "add_at", 30, 5)
+				r.send(miss, 80)
+				r.send(hit, 80)
+				r.send(miss, 80)
+			},
+			want: map[int]uint64{11: 2, 30: 5, 2: 3, 3: 21},
+		},
+		{
+			// Args, then the action itself, change between packets; a stale
+			// argument window or body pc would hit the old cell.
+			name: "ModifyEntry between packets",
+			drive: func(r *lowerRig) {
+				id := r.insert(packet.ParseIP4(10, 0, 5, 0), 24, "count_at", 40)
+				r.send(hit, 80)
+				if err := r.sw.ModifyEntry("bind", id, "count_at", []uint64{41}); err != nil {
+					r.t.Fatal(err)
+				}
+				r.send(hit, 80)
+				if err := r.sw.ModifyEntry("bind", id, "add_at", []uint64{42, 100}); err != nil {
+					r.t.Fatal(err)
+				}
+				r.send(hit, 80)
+				if err := r.sw.DeleteEntry("bind", id); err != nil {
+					r.t.Fatal(err)
+				}
+				r.send(hit, 80)
+			},
+			want: map[int]uint64{40: 1, 41: 1, 42: 100, 11: 1, 2: 4, 3: 28},
+		},
+		{
+			// dport 7 raises the flag; the recirculation pass branches on
+			// the protocol (UDP → cell 20) with targets of its own.
+			name: "recirculation pass",
+			drive: func(r *lowerRig) {
+				r.send(miss, 7)
+				r.send(miss, 80)
+				r.send(miss, 7)
+			},
+			want: map[int]uint64{20: 2, 11: 3, 2: 3, 3: 21},
+		},
+		{
+			// A snapshot restored into another instance must run against
+			// that instance's registers and stream.
+			name: "Restore across switch instances",
+			drive: func(r *lowerRig) {
+				r.insert(packet.ParseIP4(10, 0, 5, 0), 24, "add_at", 50, 3)
+				r.send(hit, 80)
+				snap := r.sw.Snapshot()
+				src := r.sw
+				r.sw = r.fresh()
+				if err := r.sw.Restore(snap); err != nil {
+					r.t.Fatal(err)
+				}
+				r.send(hit, 80)
+				if v, _ := src.regs["counters"].Read(50); v != 3 {
+					r.t.Fatalf("source switch cell 50 = %d after the restored instance ran, want 3", v)
+				}
+			},
+			want: map[int]uint64{50: 6, 2: 2, 3: 14},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			compiled, tree := newLowerRig(t, ExecCompiled), newLowerRig(t, ExecTree)
+			tc.drive(compiled)
+			tc.drive(tree)
+			if !reflect.DeepEqual(compiled.log, tree.log) {
+				t.Fatalf("per-frame behaviour differs:\ncompiled %q\ntree     %q", compiled.log, tree.log)
+			}
+			if sc, st := compiled.sw.Stats(), tree.sw.Stats(); sc != st {
+				t.Fatalf("stats differ: compiled %+v, tree %+v", sc, st)
+			}
+			if sc, st := compiled.sw.Snapshot(), tree.sw.Snapshot(); !reflect.DeepEqual(sc, st) {
+				t.Fatalf("state differs:\ncompiled %+v\ntree     %+v", sc, st)
+			}
+			for i, v := range compiled.cells() {
+				if v != tc.want[i] {
+					t.Fatalf("cell %d = %d, want %d", i, v, tc.want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestConstPoolDedup pins the frame layout: fields, then an argument window
+// as wide as the widest action signature, then each distinct constant once —
+// whether it came from an op, a condition or a call-site argument.
+func TestConstPoolDedup(t *testing.T) {
+	prog, std := buildLoweringProgram()
+	sw := mustSwitch(t, prog, std)
+	nF := len(prog.Fields)
+	if int(sw.argBase) != nF {
+		t.Fatalf("argument window at %d, want %d (right after the fields)", sw.argBase, nF)
+	}
+	pool := sw.frame[nF+2:] // add_at takes two parameters
+	want := []uint64{1, 2, 3, 7, 17, 20, 21}
+	got := append([]uint64(nil), pool...)
+	for _, w := range want {
+		n := 0
+		for _, g := range got {
+			if g == w {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("constant %d appears %d times in the pool %v, want once", w, n, got)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("pool %v, want exactly the constants %v", got, want)
+	}
+	// Processing never writes the pool: a packet leaves it as compiled.
+	sw.ProcessFrame(0, 1, udpTo(packet.ParseIP4(10, 0, 0, 1)))
+	if !reflect.DeepEqual(got, append([]uint64(nil), sw.frame[nF+2:]...)) {
+		t.Fatalf("constant pool changed by a packet: %v → %v", got, sw.frame[nF+2:])
 	}
 }

@@ -76,7 +76,7 @@ func DeclareStdFields(p *Program) StdFields {
 
 // extract fills the standard fields from a decoded packet, the simulator's
 // fixed parse graph.
-func (s StdFields) extract(ctx *Ctx, tsNs uint64, inPort uint16, pkt *packet.Packet) {
+func (s *StdFields) extract(ctx *Ctx, tsNs uint64, inPort uint16, pkt *packet.Packet) {
 	ctx.Set(s.InPort, uint64(inPort))
 	ctx.Set(s.TsNs, tsNs)
 	ctx.Set(s.WireLen, uint64(pkt.WireLen))

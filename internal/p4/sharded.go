@@ -205,8 +205,10 @@ func (ss *ShardedSwitch) Digests() <-chan Digest { return ss.digests }
 // mailbox, with no channel operations or capacity drops on the forwarding
 // side. The sink runs on whichever goroutine forwards — the caller's for
 // every Process* entry point, since forwarding happens in the reduce phase,
-// never on a shard worker. Install it before processing traffic; nil
-// detaches and restores the mailbox path.
+// never on a shard worker, and after the shard has released its pipeline
+// lock (unlike Switch.SetDigestSink's receiver, it may call control-plane
+// methods). Install it before processing traffic; nil detaches and restores
+// the mailbox path.
 func (ss *ShardedSwitch) SetDigestSink(sink func(Digest)) { ss.sink = sink }
 
 // ShardOf returns the shard index the dispatcher steers a raw frame to.
@@ -413,22 +415,24 @@ func (ss *ShardedSwitch) Stats() Stats {
 func (ss *ShardedSwitch) MergedSnapshot() *Snapshot {
 	snap := ss.shards[0].Snapshot()
 	for name, cells := range snap.Registers {
-		def, _ := ss.prog.register(name)
-		if def.Merge == MergeDerived {
-			for i := range cells {
-				cells[i] = 0
-			}
-			continue
+		if ss.shards[0].regs[name].def.Merge == MergeDerived {
+			clear(cells)
 		}
-		mask := widthMask(def.Width)
-		for _, sw := range ss.shards[1:] {
+	}
+	// One pipeline-lock acquisition per further shard: each shard's
+	// contribution is a cut between two of its batches.
+	for _, sw := range ss.shards[1:] {
+		sw.mu.Lock()
+		for name, cells := range snap.Registers {
 			other := sw.regs[name]
-			other.mu.RLock()
-			for i := range cells {
-				cells[i] = (cells[i] + other.cells[i]) & mask
+			if other.def.Merge == MergeDerived {
+				continue
 			}
-			other.mu.RUnlock()
+			for i := range cells {
+				cells[i] = (cells[i] + other.cells[i]) & other.mask
+			}
 		}
+		sw.mu.Unlock()
 	}
 	return snap
 }

@@ -12,30 +12,36 @@ type Snapshot struct {
 }
 
 // Snapshot captures the switch's current state. It is safe to call while the
-// data plane runs; each register and table is copied atomically (the whole
-// snapshot is not a single atomic cut, like any control-plane bulk read).
+// data plane runs: it takes the pipeline lock, so the whole snapshot is one
+// cut between two packets (or two batches, under ProcessBatch).
 func (sw *Switch) Snapshot() *Snapshot {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	s := &Snapshot{
 		Registers: make(map[string][]uint64, len(sw.regs)),
 		Entries:   make(map[string][]Entry, len(sw.tables)),
 	}
 	for name, r := range sw.regs {
-		s.Registers[name] = r.Snapshot()
+		s.Registers[name] = append([]uint64(nil), r.cells...)
 	}
 	for name, t := range sw.tables {
-		t.mu.RLock()
-		es := make([]Entry, 0, len(t.entries))
-		for _, e := range t.entries {
-			c := *e
-			c.Match = append([]MatchValue(nil), e.Match...)
-			c.Args = append([]uint64(nil), e.Args...)
-			c.act = nil // snapshots are inert data; Restore rebinds
-			es = append(es, c)
-		}
-		t.mu.RUnlock()
-		s.Entries[name] = es
+		s.Entries[name] = t.copyEntries()
 	}
 	return s
+}
+
+// copyEntries returns inert deep copies of the installed entries: no
+// execution state, so they compare equal across switch instances.
+func (t *table) copyEntries() []Entry {
+	out := make([]Entry, 0, len(t.entries))
+	for _, e := range t.entries {
+		c := *e
+		c.Match = append([]MatchValue(nil), e.Match...)
+		c.Args = append([]uint64(nil), e.Args...)
+		c.body = 0
+		out = append(out, c)
+	}
+	return out
 }
 
 // Restore loads a snapshot into the switch. The snapshot must come from a
@@ -43,6 +49,8 @@ func (sw *Switch) Snapshot() *Snapshot {
 // shapes are rejected before any state is touched. Entry IDs are preserved,
 // so handles held by a controller stay valid.
 func (sw *Switch) Restore(s *Snapshot) error {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	// Validate first: all-or-nothing.
 	for name, cells := range s.Registers {
 		r, ok := sw.regs[name]
@@ -71,24 +79,19 @@ func (sw *Switch) Restore(s *Snapshot) error {
 	}
 
 	for name, cells := range s.Registers {
-		r := sw.regs[name]
-		r.mu.Lock()
-		copy(r.cells, cells)
-		r.mu.Unlock()
+		copy(sw.regs[name].cells, cells)
 	}
 	for name, entries := range s.Entries {
 		t := sw.tables[name]
-		t.mu.Lock()
 		t.entries = t.entries[:0]
 		maxID := EntryID(0)
 		for _, e := range entries {
 			c := e
 			c.Match = append([]MatchValue(nil), e.Match...)
 			c.Args = append([]uint64(nil), e.Args...)
-			// Rebind against this switch's compiled actions: the snapshot
-			// may come from another instance whose resolved pointers target
-			// that instance's registers.
-			c.act = t.acts[c.Action]
+			// Rebind against this switch's micro-op stream: the snapshot
+			// may come from another instance.
+			c.body = t.bodies[c.Action]
 			t.entries = append(t.entries, &c)
 			if c.ID > maxID {
 				maxID = c.ID
@@ -97,7 +100,6 @@ func (sw *Switch) Restore(s *Snapshot) error {
 		if t.nextID <= maxID {
 			t.nextID = maxID + 1
 		}
-		t.mu.Unlock()
 	}
 	return nil
 }
@@ -109,15 +111,7 @@ func (sw *Switch) TableEntries(tbl string) ([]Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		c := *e
-		c.Match = append([]MatchValue(nil), e.Match...)
-		c.Args = append([]uint64(nil), e.Args...)
-		c.act = nil // introspection copies carry no execution state
-		out = append(out, c)
-	}
-	return out, nil
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return t.copyEntries(), nil
 }

@@ -1,8 +1,9 @@
 package p4
 
 // This file is the stage-budget analysis: a greedy allocator that places a
-// compiled execution plan (compile.go's []inst) onto the stages of a PISA
-// target model and reports whether the program fits. It is the whole-program
+// validated program's control flow (the Stmt tree the interpreters execute)
+// onto the stages of a PISA target model and reports whether the program
+// fits. It is the whole-program
 // counterpart of AnalyzeProgram's dependency figures — instead of reporting
 // the longest def-use chain, it actually performs the allocation the chain
 // bounds, against per-stage resource budgets, and says *which* stage every
@@ -165,23 +166,19 @@ type StageReport struct {
 	Violations []string
 }
 
-// AllocateStages compiles the program (validating it on the way) and places
-// the execution plan onto the target model's stages. The error is only for
-// invalid programs or models; an over-budget program returns Fit=false with
-// the violations listed in the report.
+// AllocateStages validates the program and places its control flow onto the
+// target model's stages. The error is only for invalid programs or models;
+// an over-budget program returns Fit=false with the violations listed in the
+// report.
 func AllocateStages(prog *Program, tm TargetModel) (*StageReport, error) {
 	if err := tm.Validate(); err != nil {
 		return nil, err
 	}
-	// A throwaway switch instance compiles the plan; std fields are not
-	// needed because the plan is analyzed, never executed.
-	sw, err := NewSwitch(prog, StdFields{}, 1)
-	if err != nil {
+	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
 	a := &stageAlloc{
-		sw:   sw,
-		code: sw.plan.code,
+		prog: prog,
 		tm:   tm,
 		st: &allocState{
 			avail:   make([]int, len(prog.Fields)),
@@ -192,18 +189,17 @@ func AllocateStages(prog *Program, tm TargetModel) (*StageReport, error) {
 		led:  &stageLedger{},
 		seen: make(map[string]bool),
 	}
-	a.walkRegion(0, len(sw.plan.code), 0)
+	a.walkStmts(prog.Control, 0)
 
 	recircFloor := 0
-	if len(sw.plan.recirc) > 0 {
+	if len(prog.RecircControl) > 0 {
 		// The recirculation pass re-enters the pipeline after the main pass
 		// has run to completion, so nothing in it may place before the stages
 		// the main placement consumed: its control floor is the main pass's
 		// depth. Metadata (PHV) values and register-access ordering carry
 		// across the trip, so the dataflow state threads through unchanged.
 		recircFloor = len(a.led.stages)
-		a.code = sw.plan.recirc
-		a.walkRegion(0, len(sw.plan.recirc), recircFloor)
+		a.walkStmts(prog.RecircControl, recircFloor)
 	}
 
 	rep := &StageReport{
@@ -405,8 +401,7 @@ type need struct {
 
 // stageAlloc drives the placement walk.
 type stageAlloc struct {
-	sw         *Switch
-	code       []inst // the instruction region being walked (main or recirc)
+	prog       *Program
 	tm         TargetModel
 	st         *allocState
 	led        *stageLedger
@@ -497,51 +492,27 @@ func (a *stageAlloc) refAvail(r Ref) int {
 	return 0 // constants and control-plane-installed parameters
 }
 
-// walkRegion places the plan instructions in [lo, hi). ctrl is the gateway
-// floor: no op in the region may run before the stage its guarding
-// conditions' operands become available. The lowering in compile.go emits
-// strictly structured branch/jump pairs, so the region structure of the
-// flattened code is recovered exactly (see lowerStmts).
-func (a *stageAlloc) walkRegion(lo, hi, ctrl int) {
-	code := a.code
-	pc := lo
-	for pc < hi {
-		in := &code[pc]
-		switch in.kind {
-		case instApply:
-			a.placeApply(in, ctrl)
-			pc++
-		case instCall:
-			a.placeAction(in.act, ctrl)
-			pc++
-		case instBranch:
-			cond := ctrl
-			if v := a.refAvail(in.cond.A); v > cond {
-				cond = v
-			}
-			if v := a.refAvail(in.cond.B); v > cond {
-				cond = v
-			}
-			thenEnd, elseEnd, join := pc+1, in.target, in.target
-			if j := in.target - 1; j > pc && code[j].kind == instJump {
-				// An else arm exists: the jump before the branch target is
-				// this if's then→join jump (the last instruction of a
-				// lowered statement list is never a jump, so the position
-				// identifies it unambiguously).
-				thenEnd, elseEnd, join = j, code[j].target, code[j].target
-			} else {
-				thenEnd = in.target
-			}
-			a.walkAlternatives(cond, func(arm int) {
+// walkStmts places a statement list. ctrl is the gateway floor: no op in the
+// list may run before the stage its guarding conditions' operands become
+// available.
+func (a *stageAlloc) walkStmts(stmts []Stmt, ctrl int) {
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case ApplyStmt:
+			t, _ := a.prog.table(st.Table)
+			a.placeApply(t, ctrl)
+		case CallStmt:
+			act, _ := a.prog.action(st.Action)
+			a.placeAction(act, ctrl)
+		case IfStmt:
+			cond := max(ctrl, a.refAvail(st.Cond.A), a.refAvail(st.Cond.B))
+			a.walkAlternatives(func(arm int) {
 				if arm == 0 {
-					a.walkRegion(pc+1, thenEnd, cond)
+					a.walkStmts(st.Then, cond)
 				} else {
-					a.walkRegion(in.target, elseEnd, cond)
+					a.walkStmts(st.Else, cond)
 				}
 			})
-			pc = join
-		default: // instJump: consumed by the branch handling above
-			pc = in.target
 		}
 	}
 }
@@ -549,7 +520,7 @@ func (a *stageAlloc) walkRegion(lo, hi, ctrl int) {
 // walkAlternatives runs the two arms of a branch against cloned state and
 // cloned ledgers, then merges: dataflow pointwise max, resources max/union —
 // exclusive arms share stage budgets.
-func (a *stageAlloc) walkAlternatives(ctrl int, run func(arm int)) {
+func (a *stageAlloc) walkAlternatives(run func(arm int)) {
 	baseSt, baseLed := a.st, a.led
 	var sts []*allocState
 	var leds []*stageLedger
@@ -568,29 +539,23 @@ func (a *stageAlloc) walkAlternatives(ctrl int, run func(arm int)) {
 // placeApply places one table match and the candidate actions its entries
 // can bind (all declared actions plus the default), which are mutually
 // exclusive per packet and therefore share stage resources.
-func (a *stageAlloc) placeApply(in *inst, ctrl int) {
-	t := in.tbl
+func (a *stageAlloc) placeApply(t *TableDef, ctrl int) {
 	earliest := ctrl
-	for _, f := range in.keyFields {
-		if a.st.avail[f] > earliest {
-			earliest = a.st.avail[f]
-		}
+	for _, k := range t.Keys {
+		earliest = max(earliest, a.st.avail[k.Field])
 	}
-	bytes := t.def.MaxEntries * entryBytes(a.sw.prog, t.def)
-	s := a.place(earliest, need{table: t.def.Name, sram: bytes}, fmt.Sprintf("table %q", t.def.Name))
+	bytes := t.MaxEntries * entryBytes(a.prog, t)
+	s := a.place(earliest, need{table: t.Name, sram: bytes}, fmt.Sprintf("table %q", t.Name))
 
 	// Candidate actions: every action an entry may bind, plus the default.
-	names := append([]string(nil), t.def.ActionNames...)
-	if t.def.DefaultAction != "" {
-		names = append(names, t.def.DefaultAction)
+	names := append([]string(nil), t.ActionNames...)
+	if t.DefaultAction != "" {
+		names = append(names, t.DefaultAction)
 	}
-	if len(names) == 0 {
-		return
-	}
-	acts := make([]*compiledAction, 0, len(names))
+	acts := make([]*Action, 0, len(names))
 	for _, n := range names {
-		if ca, ok := a.sw.plan.actions[n]; ok {
-			acts = append(acts, ca)
+		if act, ok := a.prog.action(n); ok {
+			acts = append(acts, act)
 		}
 	}
 	a.placeExclusive(acts, s)
@@ -598,7 +563,7 @@ func (a *stageAlloc) placeApply(in *inst, ctrl int) {
 
 // placeExclusive places a set of mutually exclusive actions, merging their
 // state and resource use like branch arms.
-func (a *stageAlloc) placeExclusive(acts []*compiledAction, ctrl int) {
+func (a *stageAlloc) placeExclusive(acts []*Action, ctrl int) {
 	if len(acts) == 0 {
 		return
 	}
@@ -627,30 +592,30 @@ func (a *stageAlloc) placeExclusive(acts []*compiledAction, ctrl int) {
 // cell (textually identical index ref), and the written value either
 // derives from that read through stateful-ALU-expressible ops or is an
 // external PHV value already available at the read's stage.
-func (a *stageAlloc) fusesWith(rs readSite, op *cop, regName string) bool {
-	if !rs.open || rs.idx != op.a {
+func (a *stageAlloc) fusesWith(rs readSite, op *Op) bool {
+	if !rs.open || rs.idx != op.A {
 		return false
 	}
-	if op.b.Kind == RefField {
-		t := a.st.tag[op.b.Field]
-		if t.ok && t.reg == regName && t.idx == op.a {
+	if op.B.Kind == RefField {
+		t := a.st.tag[op.B.Field]
+		if t.ok && t.reg == op.Reg && t.idx == op.A {
 			return true
 		}
 	}
-	return a.refAvail(op.b) <= rs.stage
+	return a.refAvail(op.B) <= rs.stage
 }
 
 // tagOf computes the register tag an op's destination inherits: the value
 // keeps its read's tag through the ops a stateful ALU can apply, as long as
 // exactly one tagged source flows in (two distinct reads can't both live in
 // one stateful op, and multiplies leave the stateful ALU's vocabulary).
-func (a *stageAlloc) tagOf(op *cop) fieldTag {
-	switch op.code {
+func (a *stageAlloc) tagOf(op *Op) fieldTag {
+	switch op.Code {
 	case OpMul, OpHash:
 		return fieldTag{}
 	}
 	var t fieldTag
-	for _, r := range [2]Ref{op.a, op.b} {
+	for _, r := range [2]Ref{op.A, op.B} {
 		if r.Kind != RefField {
 			continue
 		}
@@ -669,31 +634,28 @@ func (a *stageAlloc) tagOf(op *cop) fieldTag {
 // placeAction places one action's ops in order. ctrl is the stage of the
 // matching table (actions run in the match stage or later) or the gateway
 // floor for direct calls.
-func (a *stageAlloc) placeAction(ca *compiledAction, ctrl int) {
-	for i := range ca.ops {
-		op := &ca.ops[i]
+func (a *stageAlloc) placeAction(act *Action, ctrl int) {
+	for i := range act.Ops {
+		op := &act.Ops[i]
 		earliest := ctrl
 		bump := func(v int) {
 			if v > earliest {
 				earliest = v
 			}
 		}
-		regName := ""
-		if op.reg != nil {
-			regName = op.reg.def.Name
-		}
+		regName := op.Reg
 		n := need{alu: 1}
-		what := fmt.Sprintf("action %q op %d (%s)", ca.name, i, op.code)
-		switch op.code {
+		what := fmt.Sprintf("action %q op %d (%s)", act.Name, i, op.Code)
+		switch op.Code {
 		case OpHash:
-			bump(a.refAvail(op.a))
+			bump(a.refAvail(op.A))
 			n = need{hash: 1}
 		case OpRegRead:
-			bump(a.refAvail(op.a))
+			bump(a.refAvail(op.A))
 			bump(a.st.regNext[regName])
 			n = need{reg: regName}
 		case OpRegWrite:
-			if rs, ok := a.st.reads[regName]; ok && a.fusesWith(rs, op, regName) {
+			if rs, ok := a.st.reads[regName]; ok && a.fusesWith(rs, op) {
 				// The write-back half of the read's stateful op: no stage,
 				// no extra access. The next access still orders after the
 				// read's stage, which this write shares.
@@ -701,41 +663,41 @@ func (a *stageAlloc) placeAction(ca *compiledAction, ctrl int) {
 				a.st.reads[regName] = rs
 				continue
 			}
-			bump(a.refAvail(op.a))
-			bump(a.refAvail(op.b))
+			bump(a.refAvail(op.A))
+			bump(a.refAvail(op.B))
 			bump(a.st.regNext[regName])
 			n = need{reg: regName}
 		case OpDigest:
-			for _, f := range op.fields {
+			for _, f := range op.Fields {
 				bump(a.st.avail[f])
 			}
 		case OpMov, OpNot, OpSetEgress, OpDrop:
-			bump(a.refAvail(op.a))
+			bump(a.refAvail(op.A))
 		default: // two-operand ALU ops
-			bump(a.refAvail(op.a))
-			bump(a.refAvail(op.b))
+			bump(a.refAvail(op.A))
+			bump(a.refAvail(op.B))
 		}
 		if n.reg != "" && !a.regHomed(n.reg) {
-			if def, ok := a.sw.prog.register(n.reg); ok {
+			if def, ok := a.prog.register(n.reg); ok {
 				n.sram = def.Bytes()
 			}
 		}
 		s := a.place(earliest, n, what)
-		switch op.code {
+		switch op.Code {
 		case OpRegWrite, OpDigest, OpSetEgress, OpDrop:
 			// No tracked destination field.
-			if op.code == OpRegWrite {
+			if op.Code == OpRegWrite {
 				// An unfused write is a fresh access; the pending read is
 				// spent either way.
 				delete(a.st.reads, regName)
 			}
 		case OpRegRead:
-			a.st.avail[op.dst] = s + 1
-			a.st.reads[regName] = readSite{stage: s, idx: op.a, open: true}
-			a.st.tag[op.dst] = fieldTag{ok: true, reg: regName, idx: op.a}
+			a.st.avail[op.Dst.Field] = s + 1
+			a.st.reads[regName] = readSite{stage: s, idx: op.A, open: true}
+			a.st.tag[op.Dst.Field] = fieldTag{ok: true, reg: regName, idx: op.A}
 		default:
-			a.st.avail[op.dst] = s + 1
-			a.st.tag[op.dst] = a.tagOf(op)
+			a.st.avail[op.Dst.Field] = s + 1
+			a.st.tag[op.Dst.Field] = a.tagOf(op)
 		}
 		if n.reg != "" {
 			a.st.regNext[regName] = s + 1

@@ -2,7 +2,7 @@ package p4
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"stat4/internal/packet"
@@ -60,7 +60,9 @@ type FrameIn struct {
 // with length zero; implementations append the frame to it and return the
 // result, so steady-state deparsing allocates nothing. The default deparser
 // forwards the original frame unchanged; applications that synthesise
-// replies (like the echo validation app) install their own.
+// replies (like the echo validation app) install their own. Deparse runs
+// under the pipeline lock and must not call control-plane methods on the
+// same switch.
 type Deparser interface {
 	Deparse(ctx *Ctx, orig *packet.Packet, buf []byte) []byte
 }
@@ -71,12 +73,13 @@ func (forwardDeparser) Deparse(_ *Ctx, orig *packet.Packet, buf []byte) []byte {
 	return orig.AppendSerialize(buf)
 }
 
-// Ctx is the per-packet execution context: the metadata field values. It is
-// handed to deparsers so they can read what the program computed.
+// Ctx is the per-packet execution context: the metadata field values (the
+// head of the switch's frame, see compile.go). It is handed to deparsers so
+// they can read what the program computed.
 type Ctx struct {
 	fields []uint64
 	sw     *Switch
-	args   []uint64 // current action parameters
+	args   []uint64 // current action parameters, ExecTree only
 }
 
 // Get returns a field's current value.
@@ -110,27 +113,17 @@ type Stats struct {
 	Recirculated uint64
 }
 
-// switchCounters consolidates the global counters in one place. Every field
-// is atomic so a control-plane Stats() snapshot is race-free against the
-// single-goroutine data plane, and the data plane pays one uncontended
-// atomic add per event.
-type switchCounters struct {
-	pktsIn      atomic.Uint64
-	pktsOut     atomic.Uint64
-	dropped     atomic.Uint64
-	parseErrs   atomic.Uint64
-	runtimeErrs atomic.Uint64
-	digestDrops atomic.Uint64
-	recircs     atomic.Uint64
-}
-
 // Observer receives data-plane instrumentation events. Implementations must
-// be allocation-free and cheap — they run on the per-packet hot path — and
-// are called from the data-plane goroutine only. telemetry.SwitchMetrics is
-// the canonical implementation; its recording path is integer-only and
-// passes the same stat4-lint gate as the datapath it measures.
+// be allocation-free and cheap — they run on the per-packet hot path, under
+// the pipeline lock — and are called from the data-plane goroutine only.
+// telemetry.SwitchMetrics is the canonical implementation; its recording path
+// is integer-only and passes the same stat4-lint gate as the datapath it
+// measures.
 type Observer interface {
-	// PacketCost reports one Process* call's wall-clock cost in nanoseconds.
+	// PacketCost reports one packet's wall-clock cost in nanoseconds. The
+	// cost is sampled, not taxed: the first packet after the observer is
+	// attached and every costSampleEvery-th after it are timed, so the two
+	// clock reads are paid by 1 packet in 64. Digest events are exact.
 	PacketCost(ns uint64)
 	// DigestEmitted reports a digest accepted by the channel.
 	DigestEmitted()
@@ -138,12 +131,15 @@ type Observer interface {
 	DigestDropped()
 }
 
+// costSampleEvery is the PacketCost sampling period (a power of two).
+const costSampleEvery = 64
+
 // ExecMode selects which interpreter the data plane runs.
 type ExecMode uint8
 
 const (
-	// ExecCompiled (the default) dispatches over the flattened plan built by
-	// compile(): pre-resolved pointers, no per-packet name lookups.
+	// ExecCompiled (the default) dispatches over the micro-op stream built by
+	// compile(): pre-resolved frame slots, no per-packet name lookups.
 	ExecCompiled ExecMode = iota
 	// ExecTree walks the program's statement tree, resolving tables and
 	// actions by name per packet — the reference semantics the compiled plan
@@ -151,10 +147,21 @@ const (
 	ExecTree
 )
 
-// Switch interprets a validated Program. ProcessFrame must be called from a
-// single goroutine (the data plane); table and register control-plane
+// Switch interprets a validated Program. The Process* methods must be called
+// from a single goroutine (the data plane); table and register control-plane
 // methods may be called concurrently with it. Output frames alias internal
 // scratch buffers — see FrameOut.
+//
+// One mutex, the pipeline lock, guards all mutable state: registers, table
+// entries and counters. The data plane takes it once per ProcessFrame or
+// ProcessPacket and once per batch in ProcessBatch; every control-plane
+// accessor (Register.Read/Snapshot/WriteCell, the entry methods, Stats,
+// Snapshot, Restore, TableEntries) takes it too, so a control-plane call
+// lands between two packets or two batches. Nothing the data plane touches
+// per register access or table match is atomic or locked. The price is that
+// code the data plane calls back — a digest sink, an Observer, a Deparser,
+// ProcessBatch's emit — runs with the lock held and must not call those
+// control-plane methods on the same switch.
 type Switch struct {
 	prog     *Program
 	std      StdFields
@@ -164,20 +171,28 @@ type Switch struct {
 	sink     func(Digest)
 	deparser Deparser
 
-	// plan is the compiled execution plan; mode picks it or the reference
-	// tree walker. fieldMask caches widthMask(Fields[i].Width) so the hot
-	// path masks with one index instead of a struct load and shift.
-	plan      *plan
-	mode      ExecMode
-	fieldMask []uint64
+	mu sync.Mutex // the pipeline lock
 
-	ctr switchCounters
-	obs Observer
+	// The compiled program (see compile.go): the micro-op stream with its
+	// two entry points, and the frame its operands index. mode picks the
+	// stream or the reference tree walker. fieldMask caches
+	// widthMask(Fields[i].Width) for Ctx.Set and the tree walker.
+	code             []uop
+	mainPC, recircPC uint32
+	frame            []uint64
+	argBase          uint32
+	mode             ExecMode
+	fieldMask        []uint64
+
+	ctr     Stats // guarded by mu
+	obs     Observer
+	obsTick uint64 // packets seen since the observer was attached
 
 	// Per-packet scratch, reused across packets since the data plane is
-	// single-threaded (like a pipeline's PHV): the execution context, the
-	// decoded packet, table-key extraction (sized at compile time from the
-	// max key arity), the deparse buffer, and the one-element output slice.
+	// single-threaded (like a pipeline's PHV): the execution context (its
+	// fields are the head of frame), the decoded packet, table-key
+	// extraction (sized at compile time from the max key arity), the deparse
+	// buffer, and the one-element output slice.
 	scratch    Ctx
 	pktScratch packet.Packet
 	keyScratch []uint64
@@ -186,7 +201,7 @@ type Switch struct {
 }
 
 // NewSwitch validates the program, instantiates its state and compiles the
-// execution plan. The digest channel is buffered with the given capacity (a
+// micro-op stream. The digest channel is buffered with the given capacity (a
 // bounded mailbox to the controller; 0 picks a default of 1024).
 func NewSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
 	if err := prog.Validate(); err != nil {
@@ -204,7 +219,7 @@ func NewSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
 		deparser: forwardDeparser{},
 	}
 	for _, rd := range prog.Registers {
-		sw.regs[rd.Name] = newRegister(rd)
+		sw.regs[rd.Name] = newRegister(rd, &sw.mu)
 	}
 	for _, td := range prog.Tables {
 		sw.tables[td.Name] = newTable(td, prog)
@@ -223,8 +238,9 @@ func (sw *Switch) SetExecMode(m ExecMode) { sw.mode = m }
 // SetObserver attaches data-plane instrumentation (nil detaches). Like
 // SetExecMode it must be called before processing traffic; it is not
 // synchronised with the data plane. With no observer attached the hot path
-// pays exactly one nil check per packet.
-func (sw *Switch) SetObserver(o Observer) { sw.obs = o }
+// pays exactly one nil check per packet. The observer's methods run under
+// the pipeline lock and must not call control-plane methods on this switch.
+func (sw *Switch) SetObserver(o Observer) { sw.obs, sw.obsTick = o, 0 }
 
 // Digests returns the channel carrying data-plane alerts.
 func (sw *Switch) Digests() <-chan Digest { return sw.digests }
@@ -237,7 +253,9 @@ func (sw *Switch) Digests() <-chan Digest { return sw.digests }
 // semantics belong to the channel, which a sink replaces. Like SetObserver it
 // must be installed before processing traffic; digests emitted before the
 // sink was attached stay in the channel and must be drained from there. nil
-// detaches and restores the channel path.
+// detaches and restores the channel path. The sink runs under the pipeline
+// lock: it must not call control-plane methods on this switch (buffer the
+// digest and act on it after the Process* call returns).
 func (sw *Switch) SetDigestSink(sink func(Digest)) { sw.sink = sink }
 
 // Program returns the interpreted program.
@@ -258,6 +276,8 @@ func (sw *Switch) InsertEntry(tbl string, match []MatchValue, prio int, action s
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	return t.insert(match, prio, action, args)
 }
 
@@ -269,6 +289,8 @@ func (sw *Switch) ModifyEntry(tbl string, id EntryID, action string, args []uint
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	return t.modify(id, action, args)
 }
 
@@ -278,6 +300,8 @@ func (sw *Switch) DeleteEntry(tbl string, id EntryID) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	return t.remove(id)
 }
 
@@ -287,20 +311,16 @@ func (sw *Switch) EntryCount(tbl string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
-	return t.entryCount(), nil
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return len(t.entries), nil
 }
 
 // Stats returns a snapshot of the switch counters.
 func (sw *Switch) Stats() Stats {
-	return Stats{
-		PktsIn:        sw.ctr.pktsIn.Load(),
-		PktsOut:       sw.ctr.pktsOut.Load(),
-		Dropped:       sw.ctr.dropped.Load(),
-		ParseErrors:   sw.ctr.parseErrs.Load(),
-		RuntimeErrors: sw.ctr.runtimeErrs.Load(),
-		DigestDrops:   sw.ctr.digestDrops.Load(),
-		Recirculated:  sw.ctr.recircs.Load(),
-	}
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.ctr
 }
 
 // ProcessFrame runs one frame through the pipeline: parse, execute the
@@ -309,54 +329,38 @@ func (sw *Switch) Stats() Stats {
 // like a real parser's reject state. The returned frames alias switch
 // scratch and stay valid until the next Process* call.
 func (sw *Switch) ProcessFrame(tsNs uint64, inPort uint16, data []byte) []FrameOut {
-	sw.ctr.pktsIn.Add(1)
-	var start time.Time
-	if sw.obs != nil {
-		start = time.Now()
-	}
-	outs := sw.parseAndProcess(tsNs, inPort, data)
-	if sw.obs != nil {
-		sw.obs.PacketCost(uint64(time.Since(start)))
-	}
-	return outs
-}
-
-// parseAndProcess is ProcessFrame's body, split out so the observer timing
-// wraps parse + execute + deparse in one span.
-func (sw *Switch) parseAndProcess(tsNs uint64, inPort uint16, data []byte) []FrameOut {
-	if err := packet.ParseInto(&sw.pktScratch, data); err != nil {
-		sw.ctr.parseErrs.Add(1)
-		sw.ctr.dropped.Add(1)
-		return nil
-	}
-	return sw.processPacket(tsNs, inPort, &sw.pktScratch)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.processFrame(tsNs, inPort, data)
 }
 
 // ProcessPacket is ProcessFrame for callers that already hold a decoded
 // packet; it avoids the serialize/parse round trip in tight simulation
 // loops. The packet must not be mutated while the call runs.
 func (sw *Switch) ProcessPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) []FrameOut {
-	sw.ctr.pktsIn.Add(1)
-	var start time.Time
-	if sw.obs != nil {
-		start = time.Now()
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if !sw.admit() {
+		return sw.processPacket(tsNs, inPort, pkt)
 	}
+	start := time.Now()
 	outs := sw.processPacket(tsNs, inPort, pkt)
-	if sw.obs != nil {
-		sw.obs.PacketCost(uint64(time.Since(start)))
-	}
+	sw.obs.PacketCost(uint64(time.Since(start)))
 	return outs
 }
 
 // ProcessBatch runs a batch of frames through the pipeline in order, calling
 // emit for every output frame — the entry point replay and benchmark loops
-// drive. emit may be nil to process for side effects only. Each emitted
-// frame's Data is valid only during its emit call (the buffer is reused for
-// the next frame in the batch).
+// drive. The pipeline lock is taken once for the whole batch, so emit runs
+// under it (see Switch). emit may be nil to process for side effects only.
+// Each emitted frame's Data is valid only during its emit call (the buffer
+// is reused for the next frame in the batch).
 func (sw *Switch) ProcessBatch(batch []FrameIn, emit func(FrameOut)) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	for i := range batch {
 		f := &batch[i]
-		outs := sw.ProcessFrame(f.TsNs, f.Port, f.Data)
+		outs := sw.processFrame(f.TsNs, f.Port, f.Data)
 		if emit != nil {
 			for _, o := range outs {
 				emit(o)
@@ -365,17 +369,48 @@ func (sw *Switch) ProcessBatch(batch []FrameIn, emit func(FrameOut)) {
 	}
 }
 
+// admit counts one packet in and reports whether the observer times it: the
+// first packet after SetObserver and every costSampleEvery-th after it.
+func (sw *Switch) admit() (timed bool) {
+	sw.ctr.PktsIn++
+	if sw.obs == nil {
+		return false
+	}
+	tick := sw.obsTick
+	sw.obsTick++
+	return tick&(costSampleEvery-1) == 0
+}
+
+// processFrame is ProcessFrame with the pipeline lock held; a sampled
+// packet's span covers parse + execute + deparse.
+func (sw *Switch) processFrame(tsNs uint64, inPort uint16, data []byte) []FrameOut {
+	if !sw.admit() {
+		return sw.parseAndProcess(tsNs, inPort, data)
+	}
+	start := time.Now()
+	outs := sw.parseAndProcess(tsNs, inPort, data)
+	sw.obs.PacketCost(uint64(time.Since(start)))
+	return outs
+}
+
+func (sw *Switch) parseAndProcess(tsNs uint64, inPort uint16, data []byte) []FrameOut {
+	if err := packet.ParseInto(&sw.pktScratch, data); err != nil {
+		sw.ctr.ParseErrors++
+		sw.ctr.Dropped++
+		return nil
+	}
+	return sw.processPacket(tsNs, inPort, &sw.pktScratch)
+}
+
 func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) []FrameOut {
 	ctx := &sw.scratch
 	fields := ctx.fields
-	for i := range fields {
-		fields[i] = 0
-	}
+	clear(fields)
 	sw.std.extract(ctx, tsNs, inPort, pkt)
 	if sw.mode == ExecTree {
 		sw.execStmts(ctx, sw.prog.Control)
 	} else {
-		sw.execPlan(ctx)
+		sw.run(sw.mainPC)
 	}
 	// Recirculation: when the main pass raised the flag, the packet makes
 	// exactly one extra trip. The flag clears before the pass runs, so the
@@ -383,20 +418,20 @@ func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) 
 	// deployment that budgets one recirculation (the pisa-3pass model).
 	if sw.prog.hasRecirc && fields[sw.prog.RecircField] != 0 {
 		fields[sw.prog.RecircField] = 0
-		sw.ctr.recircs.Add(1)
+		sw.ctr.Recirculated++
 		if sw.mode == ExecTree {
 			sw.execStmts(ctx, sw.prog.RecircControl)
 		} else {
-			sw.execCode(ctx, sw.plan.recirc)
+			sw.run(sw.recircPC)
 		}
 	}
 	if fields[sw.std.Drop] != 0 {
-		sw.ctr.dropped.Add(1)
+		sw.ctr.Dropped++
 		return nil
 	}
 	out := sw.deparser.Deparse(ctx, pkt, sw.deparseBuf[:0])
 	sw.deparseBuf = out[:0]
-	sw.ctr.pktsOut.Add(1)
+	sw.ctr.PktsOut++
 	sw.outScratch[0] = FrameOut{Port: uint16(fields[sw.std.Egress]), Data: out}
 	return sw.outScratch[:]
 }
@@ -414,13 +449,8 @@ func (sw *Switch) execStmts(ctx *Ctx, stmts []Stmt) {
 		switch st := s.(type) {
 		case ApplyStmt:
 			t := sw.tables[st.Table]
-			// Key extraction: one fixed field copy per declared key. The
-			// scratch is pre-sized at compile time; the guard only fires for
-			// hand-built switches that bypassed compile.
-			if cap(sw.keyScratch) < len(t.def.Keys) {
-				//stat4:exempt:allocfree cold guard for hand-built switches; NewSwitch pre-sizes the scratch so this never runs per packet
-				sw.keyScratch = make([]uint64, len(t.def.Keys))
-			}
+			// Key extraction: one fixed field copy per declared key, into
+			// the scratch compile() sized.
 			keys := sw.keyScratch[:len(t.def.Keys)]
 			for i, k := range t.def.Keys {
 				keys[i] = ctx.fields[k.Field]
@@ -446,8 +476,8 @@ func (sw *Switch) execStmts(ctx *Ctx, stmts []Stmt) {
 	}
 }
 
-// resolve reads an operand: a constant, a metadata field, or an action
-// parameter.
+// resolve reads an operand for the tree walker: a constant, a metadata field,
+// or an action parameter.
 //
 //stat4:datapath
 func (sw *Switch) resolve(ctx *Ctx, r Ref) uint64 {
@@ -545,13 +575,13 @@ func (sw *Switch) execOp(ctx *Ctx, op Op) {
 		r := sw.regs[op.Reg]
 		v, ok := r.read(sw.resolve(ctx, op.A))
 		if !ok {
-			sw.ctr.runtimeErrs.Add(1)
+			sw.ctr.RuntimeErrors++
 		}
 		sw.setField(ctx, op.Dst.Field, v)
 	case OpRegWrite:
 		r := sw.regs[op.Reg]
 		if !r.write(sw.resolve(ctx, op.A), sw.resolve(ctx, op.B)) {
-			sw.ctr.runtimeErrs.Add(1)
+			sw.ctr.RuntimeErrors++
 		}
 	case OpHash:
 		sw.setField(ctx, op.Dst.Field, HashValue(op.HashID, sw.resolve(ctx, op.A))&op.B.Const)
@@ -590,7 +620,7 @@ func (sw *Switch) sendDigest(d Digest) {
 			sw.obs.DigestEmitted()
 		}
 	default:
-		sw.ctr.digestDrops.Add(1)
+		sw.ctr.DigestDrops++
 		if sw.obs != nil {
 			sw.obs.DigestDropped()
 		}

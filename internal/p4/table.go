@@ -3,8 +3,6 @@ package p4
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // MatchKind selects how a table key field is matched.
@@ -67,11 +65,12 @@ type Entry struct {
 	Action   string
 	Args     []uint64
 
-	// act is the action resolved against the owning switch's compiled plan,
-	// bound when the entry is installed or modified — the rule-install-time
-	// resolution a real driver does, so the per-packet path never looks the
-	// name up. Restore rebinds it: a snapshot may cross switch instances.
-	act *compiledAction
+	// body is the pc of the action's lowered body in the owning switch's
+	// micro-op stream, bound when the entry is installed or modified — the
+	// rule-install-time resolution a real driver does, so the per-packet path
+	// never looks the name up. Restore rebinds it; copies handed out by
+	// Snapshot and TableEntries carry zero.
+	body uint32
 }
 
 // Errors returned by runtime table operations.
@@ -83,11 +82,11 @@ var (
 	ErrNoSuchAction = errors.New("p4: no such action")
 )
 
-// table is the runtime state of a TableDef inside a Switch.
+// table is the runtime state of a TableDef inside a Switch. It has no lock of
+// its own: every method runs with the owning switch's pipeline lock held.
 type table struct {
 	def    *TableDef
 	prog   *Program
-	mu     sync.RWMutex
 	nextID EntryID
 	// entries in insertion order; lookup scans and picks the best match
 	// (longest prefix for LPM, highest priority for ternary, first for
@@ -95,15 +94,24 @@ type table struct {
 	// scan is faithful to TCAM semantics and fast enough.
 	entries []*Entry
 
-	// acts is the switch's compiled action set, installed by compile();
-	// insert/modify/Restore resolve entry actions against it.
-	acts map[string]*compiledAction
+	// bodies maps each bindable action to the pc of its lowered body,
+	// installed by compile(); insert/modify/Restore bind entries against it.
+	bodies map[string]uint32
 
-	hits, misses atomic.Uint64
+	// keyWidth and keyMask cache each key field's declared width and its
+	// all-ones mask, so a match never chases the program's field table.
+	keyWidth []Width
+	keyMask  []uint64
 }
 
 func newTable(def *TableDef, prog *Program) *table {
-	return &table{def: def, prog: prog, nextID: 1}
+	t := &table{def: def, prog: prog, nextID: 1}
+	for _, k := range def.Keys {
+		w := prog.Fields[k.Field].Width
+		t.keyWidth = append(t.keyWidth, w)
+		t.keyMask = append(t.keyMask, widthMask(w))
+	}
+	return t
 }
 
 func (t *table) validateEntry(match []MatchValue, action string, args []uint64, prio int) error {
@@ -144,8 +152,6 @@ func (t *table) insert(match []MatchValue, prio int, action string, args []uint6
 	if err := t.validateEntry(match, action, args, prio); err != nil {
 		return 0, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(t.entries) >= t.def.MaxEntries {
 		return 0, fmt.Errorf("%w: %q at capacity %d", ErrTableFull, t.def.Name, t.def.MaxEntries)
 	}
@@ -155,7 +161,7 @@ func (t *table) insert(match []MatchValue, prio int, action string, args []uint6
 		Priority: prio,
 		Action:   action,
 		Args:     append([]uint64(nil), args...),
-		act:      t.acts[action],
+		body:     t.bodies[action],
 	}
 	t.nextID++
 	t.entries = append(t.entries, e)
@@ -163,8 +169,6 @@ func (t *table) insert(match []MatchValue, prio int, action string, args []uint6
 }
 
 func (t *table) modify(id EntryID, action string, args []uint64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, e := range t.entries {
 		if e.ID == id {
 			if err := t.validateEntry(e.Match, action, args, e.Priority); err != nil {
@@ -172,7 +176,7 @@ func (t *table) modify(id EntryID, action string, args []uint64) error {
 			}
 			e.Action = action
 			e.Args = append([]uint64(nil), args...)
-			e.act = t.acts[action]
+			e.body = t.bodies[action]
 			return nil
 		}
 	}
@@ -180,8 +184,6 @@ func (t *table) modify(id EntryID, action string, args []uint64) error {
 }
 
 func (t *table) remove(id EntryID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i, e := range t.entries {
 		if e.ID == id {
 			t.entries = append(t.entries[:i], t.entries[i+1:]...)
@@ -191,12 +193,6 @@ func (t *table) remove(id EntryID) error {
 	return fmt.Errorf("%w: id %d in %q", ErrNoSuchEntry, id, t.def.Name)
 }
 
-func (t *table) entryCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries)
-}
-
 // lookup returns the best-matching entry for the key values, or nil on miss.
 // The scan over installed entries simulates what a TCAM does in one parallel
 // match cycle; entry counts in the Stat4 programs are tens, set by the
@@ -204,9 +200,6 @@ func (t *table) entryCount() int {
 //
 //stat4:datapath
 func (t *table) lookup(keys []uint64) *Entry {
-	// Explicit unlock at the single exit below: a defer frame per lookup
-	// allocates in the per-packet hot path (allocfree).
-	t.mu.RLock()
 	var best *Entry
 	bestRank := -1
 	//stat4:exempt:boundedloop simulates the TCAM's single-cycle parallel match over installed entries
@@ -229,12 +222,6 @@ func (t *table) lookup(keys []uint64) *Entry {
 			best, bestRank = e, rank
 		}
 	}
-	if best != nil {
-		t.hits.Add(1)
-	} else {
-		t.misses.Add(1)
-	}
-	t.mu.RUnlock()
 	return best
 }
 
@@ -244,20 +231,20 @@ func (t *table) lookup(keys []uint64) *Entry {
 func (t *table) matches(e *Entry, keys []uint64) bool {
 	//stat4:exempt:boundedloop a table's key list is fixed when the program is emitted
 	for i, k := range t.def.Keys {
-		w := t.prog.Fields[k.Field].Width
-		v := keys[i] & widthMask(w)
-		mv := e.Match[i]
+		m := t.keyMask[i]
+		v := keys[i] & m
+		mv := &e.Match[i]
 		switch k.Kind {
 		case MatchExact:
-			if v != mv.Value&widthMask(w) {
+			if v != mv.Value&m {
 				return false
 			}
 		case MatchLPM:
-			shift := uint(w) - uint(mv.PrefixLen)
+			shift := uint(t.keyWidth[i]) - uint(mv.PrefixLen)
 			if mv.PrefixLen == 0 {
 				continue
 			}
-			if v>>shift != (mv.Value&widthMask(w))>>shift { //stat4:exempt:shiftconst simulates the TCAM prefix mask; the prefix length is entry data, not packet data
+			if v>>shift != (mv.Value&m)>>shift { //stat4:exempt:shiftconst simulates the TCAM prefix mask; the prefix length is entry data, not packet data
 				return false
 			}
 		case MatchTernary:
