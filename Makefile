@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench blast blast-compare detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
+.PHONY: all build test race vet lint bench blast blast-compare blast-pairs detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
 
 all: build
 
@@ -17,8 +17,13 @@ test:
 # experiment sweeps past the test timeout, and they are single-threaded
 # anyway — the concurrency surface (controller, registers, tables, netem)
 # is fully exercised by the short suite.
+# The second line repeats the lock-and-fork-join contract tests: control
+# plane against a data plane that runs shard 0 on ProcessBatch's caller, and
+# the worker join. A race there is a matter of interleaving, so one pass
+# proves little.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 -run 'Concurren|ShardedClose' ./internal/p4
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +64,47 @@ blast:
 blast-compare:
 	$(GO) run ./bench/blast -compare $(A) $(B)
 
+# blast-pairs is the paired protocol a performance claim is measured with on
+# a host whose speed drifts (bench/README.md "Why best-of"): bench/blast built
+# once from a temporary checkout of REV (git archive — nothing is left in
+# .git) and once from the tree, then N pairs of runs on workload W, same seed
+# within a pair, alternating which side goes first. Prints every run, then
+# per end-to-end metric each side's median and quartiles and how many pairs
+# the tree won. A run with failed operations fails the target.
+#   make blast-pairs REV=HEAD~1 W=bulk-dst24-1s N=10
+REV ?= HEAD
+W ?= bulk-dst24-1s
+N ?= 10
+BLASTSECONDS ?= 26
+BLASTMETRICS = pps cpu_ns_per_pkt burst_p10_us peak_rss_mb setup_s
+blast-pairs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; git archive $(REV) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/parent" ./bench/blast); \
+	$(GO) build -o "$$tmp/change" ./bench/blast; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			"$$tmp/$$side" -workload $(W) -seed $$i -seconds $(BLASTSECONDS) -trace 0 -out "$$tmp/out" | tail -n 1 > "$$tmp/last"; \
+			echo "pair $$i $$side $$(cat "$$tmp/last")"; \
+			grep -q '"correct":true.*"failed":0,' "$$tmp/last" || { echo "blast-pairs: $$side failed operations in pair $$i"; exit 1; }; \
+			for m in $(BLASTMETRICS); do \
+				sed -n "s/.*\"$$m\":{\"value\":\([^,}]*\).*/\1/p" "$$tmp/last" >> "$$tmp/$$side.$$m"; \
+			done; \
+		done; \
+	done; \
+	echo; echo "$(W): parent $(REV) against the tree, $(N) pairs of $(BLASTSECONDS) s"; \
+	for m in $(BLASTMETRICS); do \
+		for side in parent change; do \
+			sort -g "$$tmp/$$side.$$m" | awk -v m=$$m -v side=$$side '{ v[NR] = $$1 } END { \
+				printf "%-15s %-7s median %-12.6g quartiles %.6g .. %.6g\n", m, side, \
+				(v[int((NR+1)/2)] + v[int((NR+2)/2)]) / 2, v[int((NR+3)/4)], v[int((3*NR+3)/4)] }'; \
+		done; \
+		paste "$$tmp/parent.$$m" "$$tmp/change.$$m" | awk -v m=$$m '{ \
+			if (m == "pps" ? $$2 > $$1 : $$2 < $$1) won++; else if ($$2 == $$1) tied++ } END { \
+			printf "%-15s the tree won %d of %d pairs (%d tied)\n", m, won, NR, tied }'; \
+	done
+
 # detect regenerates DETECT_$(DETECTN).json: the detection-quality matrix —
 # every scenario of the traffic registry replayed against every detector
 # config (healthy and pathological) at 1 and 4 shards, scored for
@@ -84,11 +130,12 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSqrtApprox -fuzztime=$(FUZZTIME) ./internal/intstat/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/packet/
-	$(GO) test -run=^$$ -fuzz=FuzzDifferential -fuzztime=$(FUZZTIME) ./internal/stat4p4/
+	$(GO) test -run=^$$ -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) ./internal/stat4p4/
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/netem/
 	$(GO) test -run=^$$ -fuzz=FuzzRingFIFO -fuzztime=$(FUZZTIME) ./internal/ring/
 	$(GO) test -run=^$$ -fuzz=FuzzFlowDeterminism -fuzztime=$(FUZZTIME) ./internal/flowtable/
+	$(GO) test -run=^$$ -fuzz=FuzzServeConn -fuzztime=$(FUZZTIME) ./internal/ingest/
 
 # metrics-smoke replays a small synthetic capture with telemetry attached and
 # asserts the Prometheus-style exposition parses (integer-only, quantiles from

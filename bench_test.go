@@ -552,10 +552,11 @@ func newShardedBench(b *testing.B, shards int) *stat4p4.ShardedRuntime {
 	return sr
 }
 
-// BenchmarkShardedProcessBatch measures the dispatcher's concurrent fan-out:
-// partition by flow hash, run every shard's partition on its worker, reduce
-// outputs in shard order. On a single-core host the shards time-slice, so
-// this bench shows the dispatch overhead rather than a speedup — see
+// BenchmarkShardedProcessBatch measures the dispatcher's fork-join with no
+// output taken (the daemon's call): partition by flow hash, run shard 0 on
+// the caller and the other partitions on their workers, reduce in shard
+// order. With fewer idle cores than shards the shards time-slice, so this
+// bench then shows the dispatch overhead rather than a speedup — see
 // BenchmarkShardedCriticalPath for the multi-pipeline wall-clock model.
 func BenchmarkShardedProcessBatch(b *testing.B) {
 	batch := shardedBenchBatch(4096)

@@ -125,7 +125,7 @@ func main() {
 }
 
 // shardedMetrics is the telemetry wiring of a sharded replay: one switch
-// observer per shard (single-writer on its shard's worker goroutine), the
+// observer per shard (single-writer: whichever goroutine runs the shard), the
 // merged fleet view, and the fleet counters — the per-shard + merged split
 // in one registry.
 type shardedMetrics struct {
@@ -188,7 +188,7 @@ type replayMetrics struct {
 // lazily by attach once the switch exists.
 func newReplayMetrics() *replayMetrics {
 	rm := &replayMetrics{sw: telemetry.NewSwitchMetrics(0), reg: telemetry.NewRegistry("stat4_replay")}
-	rm.reg.RegisterHist("packet_cost_ns", "per-packet processing cost (parse+execute+deparse), sampled 1-in-64", rm.sw.Cost)
+	rm.reg.RegisterHist("packet_cost_ns", "per-packet processing cost (parse+execute; the replay takes no output, so no deparse), sampled 1-in-64", rm.sw.Cost)
 	rm.reg.RegisterHist("digest_latency_ns", "digest emit-to-drain wall-clock latency", rm.sw.DigestWait)
 	rm.reg.RegisterCounter("digests_emitted", "digests accepted by the channel", rm.sw.Emitted)
 	rm.reg.RegisterCounter("digests_dropped", "digests lost to a full channel", rm.sw.Dropped)
@@ -422,7 +422,10 @@ func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) 
 		fmt.Printf("  shard %d: %d frames\n", i, in)
 	}
 	if maxShard > 0 {
-		fmt.Printf("modeled multi-pipeline speedup: %.2fx (total/busiest shard)\n",
+		// A model of one pipeline per shard, not a measurement of this run:
+		// here shard 0 ran on this goroutine and shards 1…n−1 on workers,
+		// over however many cores the host had idle.
+		fmt.Printf("modeled multi-pipeline speedup: %.2fx (total/busiest shard, one pipeline per shard; not this run's wall clock)\n",
 			float64(st.PktsIn)/float64(maxShard))
 	}
 	if err := reportMerged(sr, tc, shards); err != nil {

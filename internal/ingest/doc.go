@@ -1,7 +1,9 @@
 // Package ingest is the live ingest plane of the stat4d daemon: any number
 // of stream producers (pcap players, socket readers) batch frames into
 // pooled slab blocks and hand the batch descriptors through one bounded MPSC
-// ring to a single consumer goroutine, which drives the sharded datapath.
+// ring to a single consumer goroutine, which drives the sharded datapath and
+// is itself shard 0's data plane (p4.ShardedSwitch.ProcessBatch runs shard 0
+// on its caller; only shards 1…n−1 have worker goroutines).
 //
 // The plane inherits the backpressure contract of internal/ring: producers
 // never block the datapath — when the ring is full or the slab exhausted
@@ -16,6 +18,6 @@
 //
 // The wire protocol of Engine.ServeConn is exactly the slab's frame record
 // layout ([8]ts_ns [2]port [4]len, little-endian, then the frame bytes), so
-// a socket reader validates a header and copies the payload straight into a
-// block.
+// a socket reader validates a header and copies the payload straight from
+// its read buffer into a block.
 package ingest

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"stat4/internal/packet"
+	"stat4/internal/ring"
 	"stat4/internal/stat4p4"
 	"stat4/internal/telemetry"
 )
@@ -132,6 +133,20 @@ func TestEngineServeConn(t *testing.T) {
 	st := e.Stats()
 	if st.Switch.PktsIn != uint64(len(frames)) {
 		t.Fatalf("datapath saw %d frames, want %d", st.Switch.PktsIn, len(frames))
+	}
+
+	// The largest legal record fits the reader whole (and is shed: no block
+	// holds it), wherever the reads cut it, and the stream carries on.
+	var jumbo bytes.Buffer
+	_ = WriteRecord(&jumbo, 1, 1, frames[0])
+	_ = WriteRecord(&jumbo, 2, 1, make([]byte, ring.MaxFrameLen))
+	_ = WriteRecord(&jumbo, 3, 1, frames[1])
+	_, shedBefore := e.Shed()
+	if n, err := e.ServeConn(&chunkReader{b: jumbo.Bytes(), n: 4099}); n != 3 || err != nil {
+		t.Fatalf("jumbo stream: served %d records, error %v; want 3, nil", n, err)
+	}
+	if _, shed := e.Shed(); shed != shedBefore+1 {
+		t.Fatalf("jumbo frame: %d frames shed, want 1", shed-shedBefore)
 	}
 
 	// A record with an impossible length is a protocol error.

@@ -91,25 +91,30 @@ func (e *Engine) PlaySource(path string, port uint16, wait bool) (uint64, error)
 	return e.PlayPcap(path, port, wait)
 }
 
+// serveBuf sizes ServeConn's reader so that every legal record — header plus
+// up to ring.MaxFrameLen frame bytes — fits it whole.
+const serveBuf = ring.FrameHdrLen + ring.MaxFrameLen
+
 // ServeConn reads one length-prefixed frame stream (the slab record layout:
 // [8]ts_ns [2]port [4]len little-endian, then len frame bytes) into its own
-// producer until EOF, and returns how many records it read. Batches flush at
-// read-idle points, so interactive clients see their frames reach the
-// datapath without filling a full batch. Frames shed under pressure are
-// counted, not reported per frame — the stream protocol has no backchannel.
+// producer until EOF, and returns how many records it read. Each record is
+// peeked whole in the reader's buffer and copied once, from there into the
+// slab block. Batches flush at read-idle points, so interactive clients see
+// their frames reach the datapath without filling a full batch. Frames shed
+// under pressure are counted, not reported per frame — the stream protocol
+// has no backchannel.
 func (e *Engine) ServeConn(conn io.Reader) (uint64, error) {
 	p := e.NewProducer()
 	defer p.Close()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	var hdr [ring.FrameHdrLen]byte
-	frame := make([]byte, 0, 2048)
+	br := bufio.NewReaderSize(conn, serveBuf)
 	var n uint64
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
+		hdr, err := br.Peek(ring.FrameHdrLen)
+		if err != nil {
+			if len(hdr) == 0 && errors.Is(err, io.EOF) {
 				return n, nil
 			}
-			return n, err
+			return n, fmt.Errorf("record %d: truncated header: %w", n, noEOF(err))
 		}
 		ts := binary.LittleEndian.Uint64(hdr[0:8])
 		port := binary.LittleEndian.Uint16(hdr[8:10])
@@ -117,19 +122,25 @@ func (e *Engine) ServeConn(conn io.Reader) (uint64, error) {
 		if ln > ring.MaxFrameLen {
 			return n, fmt.Errorf("record %d: frame length %d exceeds %d", n, ln, ring.MaxFrameLen)
 		}
-		if cap(frame) < int(ln) {
-			frame = make([]byte, ln)
+		rec, err := br.Peek(ring.FrameHdrLen + int(ln))
+		if err != nil {
+			return n, fmt.Errorf("record %d: truncated frame: %w", n, noEOF(err))
 		}
-		frame = frame[:ln]
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return n, fmt.Errorf("record %d: truncated frame: %w", n, err)
-		}
-		p.Add(ts, port, frame)
+		p.Add(ts, port, rec[ring.FrameHdrLen:])
+		_, _ = br.Discard(len(rec)) // cannot fail: rec is buffered
 		n++
 		if br.Buffered() == 0 {
 			p.Flush()
 		}
 	}
+}
+
+// noEOF reports an end of stream inside a record as what it is.
+func noEOF(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // WriteRecord appends one wire/slab frame record to w — the client half of

@@ -50,30 +50,26 @@ func contractBatch(n int) []FrameIn {
 	return batch
 }
 
-// TestControlPlaneConcurrentWithDataPlane is the documented contract under
-// the single pipeline lock: every control-plane accessor may run while
-// another goroutine sits in ProcessBatch. Run with -race.
-func TestControlPlaneConcurrentWithDataPlane(t *testing.T) {
-	prog, std := buildCounterProgram()
-	sw := mustSwitch(t, prog, std)
-	reg, err := sw.Register("counters")
-	if err != nil {
-		t.Fatal(err)
-	}
+// bindSlash8 installs the counter program's standing entry: 10/8 → cell 1.
+func bindSlash8(t *testing.T, sw *Switch) {
+	t.Helper()
 	if _, err := sw.InsertEntry("bind",
 		[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 0, 0)), PrefixLen: 8}}, 0, "count_at", []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	const batches, perBatch = 200, 64
-	batch := contractBatch(perBatch)
-	var emitted uint64
-	hammer(t,
-		func() {
-			for i := 0; i < batches; i++ {
-				sw.ProcessBatch(batch, func(FrameOut) { emitted++ })
-			}
-		},
+// controlPlane is every control-plane accessor of one counter-program
+// switch, one hammer loop each. The entry churn moves 10.0.3/24 between
+// cells 2 and 3, so whatever was installed when a frame matched, it counted
+// in exactly one of cells 1..3; WriteCell stays away from them.
+func controlPlane(t *testing.T, sw *Switch) []func() {
+	t.Helper()
+	reg, err := sw.Register("counters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []func(){
 		func() { sw.Snapshot() },
 		func() { sw.Stats() },
 		func() {
@@ -107,24 +103,90 @@ func TestControlPlaneConcurrentWithDataPlane(t *testing.T) {
 				t.Error(err)
 			}
 		},
-	)
+	}
+}
 
-	st := sw.Stats()
+// checkContractLedger asserts what `batches` contractBatches leave behind,
+// whatever the control plane did meanwhile: exact packet counters, and every
+// parsed frame counted in exactly one of cells 1..3.
+func checkContractLedger(t *testing.T, st Stats, counters []uint64, batches, perBatch uint64) {
+	t.Helper()
 	if st.PktsIn != batches*perBatch || st.ParseErrors != batches {
 		t.Fatalf("stats %+v, want PktsIn %d and ParseErrors %d", st, batches*perBatch, batches)
 	}
-	if st.PktsOut+st.Dropped != st.PktsIn || emitted != st.PktsOut {
-		t.Fatalf("ledger broken: %+v, emitted %d", st, emitted)
+	if st.PktsOut+st.Dropped != st.PktsIn || st.Dropped != st.ParseErrors {
+		t.Fatalf("ledger broken: %+v", st)
 	}
-	// Every parsed frame counted in exactly one of cells 1, 2, 3 (whichever
-	// entry was installed when it matched); WriteCell never touched them.
-	var counted uint64
-	for i := 1; i <= 3; i++ {
-		v, _ := reg.Read(i)
-		counted += v
-	}
-	if counted != st.PktsOut {
+	if counted := counters[1] + counters[2] + counters[3]; counted != st.PktsOut {
 		t.Fatalf("cells 1..3 sum to %d, want %d", counted, st.PktsOut)
+	}
+}
+
+// TestControlPlaneConcurrentWithDataPlane is the documented contract under
+// the single pipeline lock: every control-plane accessor may run while
+// another goroutine sits in ProcessBatch. Run with -race.
+func TestControlPlaneConcurrentWithDataPlane(t *testing.T) {
+	prog, std := buildCounterProgram()
+	sw := mustSwitch(t, prog, std)
+	bindSlash8(t, sw)
+
+	const batches, perBatch = 200, 64
+	batch := contractBatch(perBatch)
+	var emitted uint64
+	hammer(t,
+		func() {
+			for i := 0; i < batches; i++ {
+				sw.ProcessBatch(batch, func(FrameOut) { emitted++ })
+			}
+		},
+		controlPlane(t, sw)...,
+	)
+
+	st := sw.Stats()
+	checkContractLedger(t, st, sw.Snapshot().Registers["counters"], batches, perBatch)
+	if emitted != st.PktsOut {
+		t.Fatalf("emitted %d frames, PktsOut %d", emitted, st.PktsOut)
+	}
+}
+
+// TestControlPlaneConcurrentWithCallerShard is that contract for the shard
+// that has no goroutine of its own: ShardedSwitch.ProcessBatch runs shard 0
+// on its caller, and the control plane may hammer shard 0 — and take merged
+// snapshots across all shards — while it does, with the output taken on
+// every other batch. At one shard the caller is the whole data plane.
+func TestControlPlaneConcurrentWithCallerShard(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		prog, std := buildCounterProgram()
+		ss, err := NewShardedSwitch(prog, std, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		for i := 0; i < n; i++ {
+			bindSlash8(t, ss.Shard(i))
+		}
+
+		const batches, perBatch = 200, 64
+		batch := contractBatch(perBatch)
+		var emitted uint64
+		hammer(t,
+			func() {
+				for i := 0; i < batches; i++ {
+					if i&1 == 0 {
+						ss.ProcessBatch(batch, nil)
+					} else {
+						ss.ProcessBatch(batch, func(FrameOut) { emitted++ })
+					}
+				}
+			},
+			append(controlPlane(t, ss.Shard(0)), func() { ss.MergedSnapshot() })...,
+		)
+
+		st := ss.Stats()
+		checkContractLedger(t, st, ss.MergedSnapshot().Registers["counters"], batches, perBatch)
+		if emitted != st.PktsOut/2 {
+			t.Fatalf("%d shards: emitted %d frames from half the batches, PktsOut %d", n, emitted, st.PktsOut)
+		}
 	}
 }
 

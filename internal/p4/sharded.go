@@ -18,13 +18,14 @@ import (
 // register state never races; each shard keeps the single-goroutine
 // data-plane contract of Switch.
 //
-// ProcessBatch partitions a batch by shard and runs the shards concurrently,
-// then reduces outputs in shard-index order: for shard 0, 1, … its digests
-// are forwarded to the merged mailbox and its frames handed to emit. Given
-// the same batch the reduction order is deterministic, which is what the
-// differential tests pin — outputs are grouped by shard rather than
-// interleaved in arrival order, the one observable difference from a single
-// switch.
+// ProcessBatch is a fork-join in which the caller takes part: it partitions
+// the batch by shard, hands shards 1…n−1 to their worker goroutines, runs
+// shard 0 itself, waits for the workers, then reduces outputs in shard-index
+// order: for shard 0, 1, … its digests are forwarded to the merged mailbox
+// and its frames handed to emit. Given the same batch the reduction order is
+// deterministic, which is what the differential tests pin — outputs are
+// grouped by shard rather than interleaved in arrival order, the one
+// observable difference from a single switch.
 //
 // Register state stays sharded; MergedSnapshot combines it on demand the way
 // a controller combines reports from independent switches: MergeSum
@@ -35,14 +36,18 @@ type ShardedSwitch struct {
 	shards  []*Switch
 	digests chan Digest
 
-	parts [][]FrameIn    // per-shard batch partitions, reused
-	outs  []*shardOutBuf // per-shard buffered outputs, reused
-	emits []func(FrameOut)
+	// Per-batch state, written by ProcessBatch before it publishes the batch
+	// to the workers and read by them after the pop.
+	parts   [][]FrameIn    // per-shard batch partitions, reused
+	outs    []*shardOutBuf // per-shard buffered outputs, reused
+	emits   []func(FrameOut)
+	wantOut bool // the batch has an emit: shards buffer their frames
 
-	// The batch handoff: one SPSC descriptor ring plus a parker per shard.
-	// ProcessBatch (the single producer) pushes one descriptor per non-empty
-	// shard; the shard worker (the single consumer) spins briefly, then parks.
-	// At steady state a handoff costs ring ops only — no channel send/recv.
+	// The batch handoff to shard i+1: one SPSC descriptor ring plus a parker.
+	// Shard 0 has neither — it runs on ProcessBatch's goroutine. ProcessBatch
+	// (the single producer) pushes one descriptor per non-empty partition;
+	// the worker (the single consumer) spins briefly, then parks. At steady
+	// state a handoff costs ring ops only — no channel send/recv.
 	rings   []*ring.SPSC
 	parkers []*ring.Parker
 	done    sync.WaitGroup // batch completion, Done'd by workers per descriptor
@@ -51,13 +56,12 @@ type ShardedSwitch struct {
 	sink func(Digest) // direct fleet-level receiver, replaces the merged mailbox
 
 	digestDrops atomic.Uint64 // lost forwarding to the merged mailbox
-	batchSeq    uint64        // producer-owned batch sequence (debug aid in descriptors)
 	closed      bool
 }
 
 // closeSeq is the poison descriptor sequence Close pushes to stop a worker.
-// Batch descriptors carry a monotonically increasing sequence, so the
-// all-ones value can never collide.
+// A batch descriptor is the zero Desc: it only says "go", the batch itself
+// is in the per-batch fields.
 const closeSeq = ^uint64(0)
 
 // workerSpins is how many TryPop polls (each yielding the processor) a shard
@@ -87,8 +91,9 @@ type shardOutBuf struct {
 
 // NewShardedSwitch builds n replicas of the program, each with its own
 // registers, tables and digest channel of the given capacity, plus a merged
-// digest mailbox of the same capacity, and starts one worker goroutine per
-// shard. Call Close to stop the workers.
+// digest mailbox of the same capacity, and starts one worker goroutine for
+// each shard but the first (shard 0 runs on ProcessBatch's caller, so a
+// 1-shard switch has no goroutines at all). Call Close to stop the workers.
 func NewShardedSwitch(prog *Program, std StdFields, n, digestBuf int) (*ShardedSwitch, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("p4: sharded switch with %d shards", n)
@@ -103,8 +108,8 @@ func NewShardedSwitch(prog *Program, std StdFields, n, digestBuf int) (*ShardedS
 		parts:   make([][]FrameIn, n),
 		outs:    make([]*shardOutBuf, n),
 		emits:   make([]func(FrameOut), n),
-		rings:   make([]*ring.SPSC, n),
-		parkers: make([]*ring.Parker, n),
+		rings:   make([]*ring.SPSC, n-1),
+		parkers: make([]*ring.Parker, n-1),
 	}
 	for i := range ss.shards {
 		sw, err := NewSwitch(prog, std, digestBuf)
@@ -119,66 +124,70 @@ func NewShardedSwitch(prog *Program, std StdFields, n, digestBuf int) (*ShardedS
 			buf.bytes = append(buf.bytes, o.Data...)
 			buf.refs = append(buf.refs, outRef{port: o.Port, off: off, end: len(buf.bytes)})
 		}
+	}
+	for w := range ss.rings {
 		// Capacity 2: one in-flight batch descriptor plus the close token.
 		// ProcessBatch waits for completion before the next push, so the ring
 		// can never fill from batch traffic alone.
-		ss.rings[i] = ring.NewSPSC(2)
-		ss.parkers[i] = ring.NewParker()
+		ss.rings[w] = ring.NewSPSC(2)
+		ss.parkers[w] = ring.NewParker()
 		ss.workers.Add(1)
-		go ss.worker(i)
+		go ss.worker(w)
 	}
 	return ss, nil
 }
 
-// worker is shard i's data-plane goroutine: it owns the shard exclusively,
-// popping one descriptor per batch from its ring. The atomic ring publish in
-// ProcessBatch orders the partition writes before the pop; done.Done orders
-// the outputs back. The worker spins (yielding between polls, so co-scheduled
-// shards and producers keep the processor) and parks only after the spin
-// budget misses, exiting when it pops the close token.
-func (ss *ShardedSwitch) worker(i int) {
+// worker is shard w+1's data-plane goroutine: it owns the shard exclusively
+// while a batch is in flight, popping one descriptor per batch from its ring.
+// The atomic ring publish in ProcessBatch orders the partition writes before
+// the pop; done.Done orders the outputs back. The worker spins (yielding
+// between polls, so co-scheduled shards and producers keep the processor)
+// and parks only after the spin budget misses, exiting when it pops the
+// close token.
+func (ss *ShardedSwitch) worker(w int) {
 	defer ss.workers.Done()
-	sw := ss.shards[i]
-	r := ss.rings[i]
-	p := ss.parkers[i]
+	r, p := ss.rings[w], ss.parkers[w]
 	var d ring.Desc
+	pop := func() bool { return r.TryPop(&d) }
 	for {
-		if !r.TryPop(&d) {
-			hit := false
-			for s := 0; s < workerSpins; s++ {
-				runtime.Gosched()
-				if r.TryPop(&d) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				p.Park(func() bool { return r.Len() > 0 })
-				continue // Park may return spuriously; re-poll
-			}
+		if !ring.SpinPops(workerSpins, pop) {
+			p.Park(func() bool { return r.Len() > 0 })
+			continue // Park may return spuriously; re-poll
 		}
 		if d.Seq == closeSeq {
 			return
 		}
-		sw.ProcessBatch(ss.parts[i], ss.emits[i])
+		ss.runShard(w+1, ss.parts[w+1])
 		ss.done.Done()
 	}
 }
 
+// runShard runs shard i over its partition of the batch in flight. Output is
+// on demand: only a batch with an emit makes the shards deparse and buffer.
+func (ss *ShardedSwitch) runShard(i int, part []FrameIn) {
+	var emit func(FrameOut)
+	if ss.wantOut {
+		emit = ss.emits[i]
+	}
+	ss.shards[i].ProcessBatch(part, emit)
+}
+
 // Close stops and joins the shard workers: it pushes a close token through
-// every shard ring, wakes any parked worker, and returns once all worker
+// every worker's ring, wakes any parked worker, and returns once all worker
 // goroutines have exited. The switch must be idle (no ProcessBatch in
-// flight); further Process* calls panic. Close is idempotent.
+// flight). After Close, ProcessBatch panics; ProcessFrame, ProcessPacket and
+// the control-plane accessors never involved a worker and stay usable. Close
+// is idempotent.
 func (ss *ShardedSwitch) Close() {
 	if ss.closed {
 		return
 	}
 	ss.closed = true
-	for i := range ss.rings {
-		for !ss.rings[i].TryPush(ring.Desc{Seq: closeSeq}) {
+	for w := range ss.rings {
+		for !ss.rings[w].TryPush(ring.Desc{Seq: closeSeq}) {
 			runtime.Gosched() // ring holds at most one stale descriptor
 		}
-		ss.parkers[i].Unpark()
+		ss.parkers[w].Unpark()
 	}
 	ss.workers.Wait()
 }
@@ -324,38 +333,49 @@ func (ss *ShardedSwitch) ProcessPacket(tsNs uint64, inPort uint16, pkt *packet.P
 }
 
 // ProcessBatch partitions the batch by flow hash, runs all shards
-// concurrently, and reduces the results in shard-index order — digests
-// forwarded first, then output frames handed to emit (which therefore runs
-// on the caller's goroutine only). Each emitted frame's Data is valid only
-// during its emit call. emit may be nil to process for side effects only.
+// concurrently — shard 0 on the calling goroutine, the rest on their workers
+// — and reduces the results in shard-index order: digests forwarded first,
+// then output frames handed to emit (which therefore runs on the caller's
+// goroutine only, outside every pipeline lock). Each emitted frame's Data is
+// valid only during its emit call. emit may be nil to process for side
+// effects only; the shards then skip deparsing altogether. A 1-shard switch
+// has nothing to partition and hands the batch to shard 0 as it is.
 func (ss *ShardedSwitch) ProcessBatch(batch []FrameIn, emit func(FrameOut)) {
 	if ss.closed {
 		panic("p4: ProcessBatch on a closed ShardedSwitch")
 	}
 	n := len(ss.shards)
-	for i := 0; i < n; i++ {
-		ss.parts[i] = ss.parts[i][:0]
-		ss.outs[i].refs = ss.outs[i].refs[:0]
-		ss.outs[i].bytes = ss.outs[i].bytes[:0]
-	}
-	for i := range batch {
-		s := shardIndex(FlowKey(batch[i].Data), n)
-		ss.parts[s] = append(ss.parts[s], batch[i])
-	}
-	ss.batchSeq++
-	for i := 0; i < n; i++ {
-		if len(ss.parts[i]) == 0 {
-			continue
+	ss.wantOut = emit != nil
+	if ss.wantOut {
+		for _, buf := range ss.outs {
+			buf.refs, buf.bytes = buf.refs[:0], buf.bytes[:0]
 		}
-		ss.done.Add(1)
-		for !ss.rings[i].TryPush(ring.Desc{Seq: ss.batchSeq, N: uint32(len(ss.parts[i]))}) {
-			runtime.Gosched() // unreachable under the one-batch-in-flight contract
-		}
-		ss.parkers[i].Unpark()
 	}
+	part0 := batch
+	if n > 1 {
+		for i := range ss.parts {
+			ss.parts[i] = ss.parts[i][:0]
+		}
+		for i := range batch {
+			s := shardIndex(FlowKey(batch[i].Data), n)
+			ss.parts[s] = append(ss.parts[s], batch[i])
+		}
+		for w, r := range ss.rings {
+			if len(ss.parts[w+1]) == 0 {
+				continue
+			}
+			ss.done.Add(1)
+			for !r.TryPush(ring.Desc{}) {
+				runtime.Gosched() // unreachable under the one-batch-in-flight contract
+			}
+			ss.parkers[w].Unpark()
+		}
+		part0 = ss.parts[0]
+	}
+	ss.runShard(0, part0)
 	ss.done.Wait()
-	for i := 0; i < n; i++ {
-		ss.forwardDigests(ss.shards[i])
+	for i, sw := range ss.shards {
+		ss.forwardDigests(sw)
 		if emit != nil {
 			buf := ss.outs[i]
 			for _, r := range buf.refs {

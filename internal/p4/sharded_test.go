@@ -340,42 +340,63 @@ func TestNewShardedSwitchRejectsBadCount(t *testing.T) {
 	}
 }
 
-// TestShardedCloseJoinsWorkers pins that Close parks and joins the shard
-// worker goroutines: after Close returns, the goroutine count is back to its
-// pre-construction level (a regression test for worker leaks), Close is
-// idempotent, and a late ProcessBatch fails fast instead of hanging on
-// workers that no longer exist.
+// TestShardedCloseJoinsWorkers pins the goroutine ledger of the fork-join:
+// n shards run on n−1 workers (shard 0 is the caller's, so a 1-shard switch
+// starts none), and Close parks and joins them — after Close returns the
+// goroutine count is back to its pre-construction level (a regression test
+// for worker leaks). Close is idempotent, the entry points that never
+// involved a worker stay usable, and a late ProcessBatch fails fast instead
+// of hanging on workers that no longer exist.
 func TestShardedCloseJoinsWorkers(t *testing.T) {
-	prog, std := buildShardableProgram()
-	baseline := runtime.NumGoroutine()
-	ss, err := NewShardedSwitch(prog, std, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := runtime.NumGoroutine(); g < baseline+8 {
-		t.Fatalf("expected %d+8 goroutines with workers running, have %d", baseline, g)
-	}
-	// Run a batch so some workers have cycled through the pop/park loop, and
-	// give them time to park — Close must wake parked workers too.
-	ss.ProcessBatch(framesFromBytes(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 32)), nil)
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-	}
-	ss.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not return to baseline %d after Close: %d",
-				baseline, runtime.NumGoroutine())
+	for _, n := range []int{1, 2, 8} {
+		prog, std := buildShardableProgram()
+		// Let goroutines of earlier tests finish exiting, so the exact
+		// count below is not taken against a baseline that is still falling.
+		baseline := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			runtime.Gosched()
+			if g := runtime.NumGoroutine(); g < baseline {
+				baseline, i = g, 0
+			}
 		}
-		runtime.Gosched()
-	}
-	ss.Close() // idempotent
+		ss, err := NewShardedSwitch(prog, std, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := runtime.NumGoroutine(); g != baseline+n-1 {
+			t.Fatalf("%d shards: expected %d+%d goroutines with workers running, have %d", n, baseline, n-1, g)
+		}
+		// Run a batch so some workers have cycled through the pop/park loop,
+		// and give them time to park — Close must wake parked workers too.
+		frames := framesFromBytes(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 32))
+		ss.ProcessBatch(frames, nil)
+		for i := 0; i < 100; i++ {
+			runtime.Gosched()
+		}
+		ss.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d shards: goroutines did not return to baseline %d after Close: %d",
+					n, baseline, runtime.NumGoroutine())
+			}
+			runtime.Gosched()
+		}
+		ss.Close() // idempotent
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ProcessBatch after Close did not panic")
+		if outs := ss.ProcessFrame(0, 1, frames[0].Data); len(outs) != 1 {
+			t.Fatalf("%d shards: ProcessFrame after Close emitted %d frames, want 1", n, len(outs))
 		}
-	}()
-	ss.ProcessBatch(framesFromBytes([]byte{1, 2, 3, 4, 5, 6, 7}), nil)
+		if st := ss.Stats(); st.PktsIn != uint64(len(frames))+1 {
+			t.Fatalf("%d shards: PktsIn %d after Close, want %d", n, st.PktsIn, len(frames)+1)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d shards: ProcessBatch after Close did not panic", n)
+				}
+			}()
+			ss.ProcessBatch(frames[:1], nil)
+		}()
+	}
 }

@@ -62,7 +62,10 @@ type FrameIn struct {
 // forwards the original frame unchanged; applications that synthesise
 // replies (like the echo validation app) install their own. Deparse runs
 // under the pipeline lock and must not call control-plane methods on the
-// same switch.
+// same switch. It runs only when the output is taken — ProcessBatch with a
+// nil emit forwards and counts packets without deparsing them — so it must
+// be free of side effects: everything observable about a packet (registers,
+// counters, digests) is settled before Deparse is called.
 type Deparser interface {
 	Deparse(ctx *Ctx, orig *packet.Packet, buf []byte) []byte
 }
@@ -123,7 +126,9 @@ type Observer interface {
 	// PacketCost reports one packet's wall-clock cost in nanoseconds. The
 	// cost is sampled, not taxed: the first packet after the observer is
 	// attached and every costSampleEvery-th after it are timed, so the two
-	// clock reads are paid by 1 packet in 64. Digest events are exact.
+	// clock reads are paid by 1 packet in 64. A sampled span covers parse +
+	// execute, and deparse only when the frame is emitted (not under
+	// ProcessBatch with a nil emit). Digest events are exact.
 	PacketCost(ns uint64)
 	// DigestEmitted reports a digest accepted by the channel.
 	DigestEmitted()
@@ -331,7 +336,7 @@ func (sw *Switch) Stats() Stats {
 func (sw *Switch) ProcessFrame(tsNs uint64, inPort uint16, data []byte) []FrameOut {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	return sw.processFrame(tsNs, inPort, data)
+	return sw.processFrame(tsNs, inPort, data, true)
 }
 
 // ProcessPacket is ProcessFrame for callers that already hold a decoded
@@ -341,10 +346,10 @@ func (sw *Switch) ProcessPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) 
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if !sw.admit() {
-		return sw.processPacket(tsNs, inPort, pkt)
+		return sw.processPacket(tsNs, inPort, pkt, true)
 	}
 	start := time.Now()
-	outs := sw.processPacket(tsNs, inPort, pkt)
+	outs := sw.processPacket(tsNs, inPort, pkt, true)
 	sw.obs.PacketCost(uint64(time.Since(start)))
 	return outs
 }
@@ -352,19 +357,19 @@ func (sw *Switch) ProcessPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) 
 // ProcessBatch runs a batch of frames through the pipeline in order, calling
 // emit for every output frame — the entry point replay and benchmark loops
 // drive. The pipeline lock is taken once for the whole batch, so emit runs
-// under it (see Switch). emit may be nil to process for side effects only.
-// Each emitted frame's Data is valid only during its emit call (the buffer
-// is reused for the next frame in the batch).
+// under it (see Switch). emit may be nil to process for side effects only:
+// output is on demand, so packets are then forwarded and counted exactly as
+// with an emit, but never deparsed. Each emitted frame's Data is valid only
+// during its emit call (the buffer is reused for the next frame in the
+// batch).
 func (sw *Switch) ProcessBatch(batch []FrameIn, emit func(FrameOut)) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	out := emit != nil
 	for i := range batch {
 		f := &batch[i]
-		outs := sw.processFrame(f.TsNs, f.Port, f.Data)
-		if emit != nil {
-			for _, o := range outs {
-				emit(o)
-			}
+		for _, o := range sw.processFrame(f.TsNs, f.Port, f.Data, out) {
+			emit(o)
 		}
 	}
 }
@@ -382,27 +387,30 @@ func (sw *Switch) admit() (timed bool) {
 }
 
 // processFrame is ProcessFrame with the pipeline lock held; a sampled
-// packet's span covers parse + execute + deparse.
-func (sw *Switch) processFrame(tsNs uint64, inPort uint16, data []byte) []FrameOut {
+// packet's span covers parse + execute, and deparse when out is set.
+func (sw *Switch) processFrame(tsNs uint64, inPort uint16, data []byte, out bool) []FrameOut {
 	if !sw.admit() {
-		return sw.parseAndProcess(tsNs, inPort, data)
+		return sw.parseAndProcess(tsNs, inPort, data, out)
 	}
 	start := time.Now()
-	outs := sw.parseAndProcess(tsNs, inPort, data)
+	outs := sw.parseAndProcess(tsNs, inPort, data, out)
 	sw.obs.PacketCost(uint64(time.Since(start)))
 	return outs
 }
 
-func (sw *Switch) parseAndProcess(tsNs uint64, inPort uint16, data []byte) []FrameOut {
+func (sw *Switch) parseAndProcess(tsNs uint64, inPort uint16, data []byte, out bool) []FrameOut {
 	if err := packet.ParseInto(&sw.pktScratch, data); err != nil {
 		sw.ctr.ParseErrors++
 		sw.ctr.Dropped++
 		return nil
 	}
-	return sw.processPacket(tsNs, inPort, &sw.pktScratch)
+	return sw.processPacket(tsNs, inPort, &sw.pktScratch, out)
 }
 
-func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) []FrameOut {
+// processPacket executes the program over one decoded packet and settles its
+// counters; a forwarded packet is deparsed only when the caller takes the
+// output (out), otherwise nil is returned for it as for a dropped one.
+func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet, out bool) []FrameOut {
 	ctx := &sw.scratch
 	fields := ctx.fields
 	clear(fields)
@@ -429,10 +437,13 @@ func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) 
 		sw.ctr.Dropped++
 		return nil
 	}
-	out := sw.deparser.Deparse(ctx, pkt, sw.deparseBuf[:0])
-	sw.deparseBuf = out[:0]
 	sw.ctr.PktsOut++
-	sw.outScratch[0] = FrameOut{Port: uint16(fields[sw.std.Egress]), Data: out}
+	if !out {
+		return nil
+	}
+	frame := sw.deparser.Deparse(ctx, pkt, sw.deparseBuf[:0])
+	sw.deparseBuf = frame[:0]
+	sw.outScratch[0] = FrameOut{Port: uint16(fields[sw.std.Egress]), Data: frame}
 	return sw.outScratch[:]
 }
 

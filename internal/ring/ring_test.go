@@ -229,6 +229,13 @@ func TestSlabAcquireRelease(t *testing.T) {
 			t.Fatal("blocks share storage")
 		}
 	}
+	// ... for appends too: a frame larger than a block is refused, not
+	// spilled into the neighbouring blocks.
+	for _, idx := range held {
+		if _, ok := AppendFrame(s.Bytes(idx)[:0], 1, 1, bytes.Repeat([]byte{0xbb}, 64)); ok {
+			t.Fatalf("a %d-byte record fit block %d of %d bytes", FrameHdrLen+64, idx, s.BlockSize())
+		}
+	}
 }
 
 // TestSlabConcurrent races acquires and releases across goroutines; every

@@ -77,7 +77,7 @@ func (t *Timeline) Reset() {
 // is FIFO like the channel itself and recording never allocates.
 type SwitchMetrics struct {
 	// Cost is the per-packet processing cost in nanoseconds (parse,
-	// execute, deparse — whatever the Process* call spans).
+	// execute, and deparse when the Process* call emits frames).
 	Cost *Hist
 	// DigestWait is the emit→drain wall-clock wait in nanoseconds.
 	DigestWait *Hist
@@ -228,7 +228,7 @@ func NewPipeline() *Pipeline {
 
 // Register adds every recorder of the bundle to reg under standard names.
 func (p *Pipeline) Register(reg *Registry) {
-	reg.RegisterHist("packet_cost_ns", "per-packet processing cost, sampled 1-in-64", p.Switch.Cost)
+	reg.RegisterHist("packet_cost_ns", "per-packet processing cost (deparse only when frames are emitted), sampled 1-in-64", p.Switch.Cost)
 	reg.RegisterHist("digest_wait_ns", "digest emit-to-drain wall-clock wait", p.Switch.DigestWait)
 	reg.RegisterCounter("digests_emitted", "digests accepted by the channel", p.Switch.Emitted)
 	reg.RegisterCounter("digests_dropped", "digests lost to a full channel", p.Switch.Dropped)
@@ -369,7 +369,7 @@ func (sp *ShardedPipeline) shardSum(read func(*SwitchMetrics) uint64) func() uin
 // the chassis totals and the per-shard split. Merged histograms render
 // whatever the last Refresh built; counters render live sums.
 func (sp *ShardedPipeline) Register(reg *Registry) {
-	reg.RegisterHist("packet_cost_ns", "per-packet processing cost, all shards, sampled 1-in-64", sp.Merged.Cost)
+	reg.RegisterHist("packet_cost_ns", "per-packet processing cost (deparse only when frames are emitted), all shards, sampled 1-in-64", sp.Merged.Cost)
 	reg.RegisterHist("digest_wait_ns", "digest emit-to-drain wall-clock wait, all shards", sp.Merged.DigestWait)
 	reg.RegisterCounter("digests_emitted", "digests accepted by the channels, all shards",
 		sp.shardSum((*SwitchMetrics).Emitted))
@@ -393,7 +393,7 @@ func (sp *ShardedPipeline) Register(reg *Registry) {
 	}
 	for i, s := range sp.Shards {
 		prefix := fmt.Sprintf("shard%d_", i)
-		reg.RegisterHist(prefix+"packet_cost_ns", fmt.Sprintf("shard %d per-packet processing cost, sampled 1-in-64", i), s.Cost)
+		reg.RegisterHist(prefix+"packet_cost_ns", fmt.Sprintf("shard %d per-packet processing cost (deparse only when frames are emitted), sampled 1-in-64", i), s.Cost)
 		reg.RegisterCounter(prefix+"digests_emitted", fmt.Sprintf("shard %d digests accepted by the channel", i), s.Emitted)
 		reg.RegisterCounter(prefix+"digests_dropped", fmt.Sprintf("shard %d digests lost to a full channel", i), s.Dropped)
 	}

@@ -224,47 +224,65 @@ func TestNetemInjectZeroAllocEcho(t *testing.T) {
 
 // TestShardedProcessBatchZeroAlloc pins the sharded hot path: once the
 // per-shard partition, output and digest buffers reach steady state, a batch
-// through the dispatcher — partition, concurrent shard runs, ordered
-// reduction — must not allocate, per shard or in the fan-out itself.
+// through the dispatcher — partition, the fork-join with shard 0 on the
+// caller, ordered reduction — must not allocate, per shard or in the fan-out
+// itself. The nil-emit rows are the daemon's call (ingest.Engine.consume):
+// no output taken, so no deparse and no output buffering either.
 func TestShardedProcessBatchZeroAlloc(t *testing.T) {
-	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1})
-	sr, err := stat4p4.NewShardedRuntime(lib, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Close()
-	if _, err := sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	ss := sr.Sharded()
-	obs := make([]*telemetry.SwitchMetrics, ss.NumShards())
-	for i := range obs {
-		obs[i] = attachTelemetry(ss.Shard(i))
-	}
-	batch := make([]p4.FrameIn, 64)
-	for i := range batch {
-		// Spread flows so every shard owns a partition.
-		frame := packet.NewUDPFrame(packet.IP4(uint32(i)), packet.IP4(200+uint32(i%8)), uint16(5+i), 80, 10).Serialize()
-		batch[i] = p4.FrameIn{TsNs: uint64(i), Port: 1, Data: frame}
-	}
-	var seen int
-	emit := func(p4.FrameOut) { seen++ }
-	for i := 0; i < warmupPackets/len(batch); i++ {
-		ss.ProcessBatch(batch, emit)
-	}
-	assertZeroAllocs(t, "sharded-batch", func() {
-		ss.ProcessBatch(batch, emit)
-	})
-	if seen == 0 {
-		t.Fatal("emit never called")
-	}
-	var shardsHit int
-	for _, o := range obs {
-		if o.Cost.Count() > 0 {
-			shardsHit++
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		emitted bool
+	}{
+		{"sharded-batch", 4, true},
+		{"sharded-batch-nil-1s", 1, false},
+		{"sharded-batch-nil-2s", 2, false},
+	} {
+		lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1})
+		sr, err := stat4p4.NewShardedRuntime(lib, tc.shards)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if shardsHit < 2 {
-		t.Fatalf("traffic reached %d shards, want at least 2", shardsHit)
+		defer sr.Close()
+		if _, err := sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		ss := sr.Sharded()
+		obs := make([]*telemetry.SwitchMetrics, ss.NumShards())
+		for i := range obs {
+			obs[i] = attachTelemetry(ss.Shard(i))
+		}
+		batch := make([]p4.FrameIn, 64)
+		for i := range batch {
+			// Spread flows so every shard owns a partition.
+			frame := packet.NewUDPFrame(packet.IP4(uint32(i)), packet.IP4(200+uint32(i%8)), uint16(5+i), 80, 10).Serialize()
+			batch[i] = p4.FrameIn{TsNs: uint64(i), Port: 1, Data: frame}
+		}
+		var seen int
+		var emit func(p4.FrameOut)
+		if tc.emitted {
+			emit = func(p4.FrameOut) { seen++ }
+		}
+		for i := 0; i < warmupPackets/len(batch); i++ {
+			ss.ProcessBatch(batch, emit)
+		}
+		assertZeroAllocs(t, tc.name, func() {
+			ss.ProcessBatch(batch, emit)
+		})
+		if tc.emitted && seen == 0 {
+			t.Fatalf("%s: emit never called", tc.name)
+		}
+		if st := ss.Stats(); st.PktsOut != st.PktsIn || st.PktsIn == 0 {
+			t.Fatalf("%s: stats %+v, want every frame forwarded", tc.name, st)
+		}
+		var shardsHit int
+		for _, o := range obs {
+			if o.Cost.Count() > 0 {
+				shardsHit++
+			}
+		}
+		if shardsHit < min(tc.shards, 2) {
+			t.Fatalf("%s: traffic reached %d shards, want at least %d", tc.name, shardsHit, min(tc.shards, 2))
+		}
 	}
 }
