@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench blast blast-compare blast-pairs detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
+.PHONY: all build test loc race vet lint bench blast blast-compare blast-pairs detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
 
 all: build
 
@@ -12,6 +12,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# loc prints non-test Go lines per package and in total, bench/ excluded —
+# the arithmetic ROADMAP.md's code-diet acceptance is stated in.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | \
+		xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = (n > 1) ? substr($$2, 1, length($$2) - length(p[n]) - 1) : "."; l[d] += $$1; t += $$1 } \
+		END { for (d in l) printf "%6d %s\n", l[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # race uses -short: instrumentation slows the minutes-long virtual-time
 # experiment sweeps past the test timeout, and they are single-threaded
@@ -124,8 +131,8 @@ detect-smoke:
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
 # regressions in the parser round-trip, sqrt invariants, the compiled-plan
-# vs tree-walker equivalence, and the wheel-vs-heap scheduler equivalence
-# without stalling CI.
+# vs tree-walker equivalence, the wheel-vs-heap scheduler equivalence and the
+# binding-lowering boundary without stalling CI.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSqrtApprox -fuzztime=$(FUZZTIME) ./internal/intstat/
@@ -136,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRingFIFO -fuzztime=$(FUZZTIME) ./internal/ring/
 	$(GO) test -run=^$$ -fuzz=FuzzFlowDeterminism -fuzztime=$(FUZZTIME) ./internal/flowtable/
 	$(GO) test -run=^$$ -fuzz=FuzzServeConn -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run=^$$ -fuzz=FuzzBinding -fuzztime=$(FUZZTIME) ./internal/stat4p4/
 
 # metrics-smoke replays a small synthetic capture with telemetry attached and
 # asserts the Prometheus-style exposition parses (integer-only, quantiles from

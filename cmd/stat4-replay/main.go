@@ -19,6 +19,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"strings"
 
 	"stat4/internal/ingest"
 	"stat4/internal/p4"
@@ -33,13 +34,14 @@ func main() {
 	log.SetPrefix("stat4-replay: ")
 	record := flag.String("record", "", "write a synthetic case-study capture to this file and exit")
 	seconds := flag.Float64("seconds", 2, "capture length for -record")
-	track := flag.String("track", "window", "statistic to bind: window | dst24 | proto | len | entropy | hh")
-	shift := flag.Uint("interval-shift", 23, "window interval exponent (2^shift ns)")
-	window := flag.Int("window", 100, "window length in intervals")
-	k := flag.Uint64("k", 2, "sigma multiplier for the anomaly check (0 disables for freq modes)")
-	basePrefix := flag.String("base-prefix", "10.0.0.0", "dst24/entropy modes: /16 whose /24 subnets are indexed")
-	h0 := flag.Float64("h0", 0, "entropy mode: alert when the mix drops below this many bits (0 disables)")
-	checkEvery := flag.Uint64("check-every", 1024, "entropy mode: check cadence in observations (power of two)")
+	tc := trackConfig{TrackParams: stat4p4.TrackDefaults}
+	flag.StringVar(&tc.Track, "track", "window", "statistic to bind: "+strings.Join(stat4p4.Tracks(), " | "))
+	flag.UintVar(&tc.IntervalShift, "interval-shift", tc.IntervalShift, "window interval exponent (2^shift ns)")
+	flag.IntVar(&tc.Window, "window", tc.Window, "window length in intervals")
+	flag.Uint64Var(&tc.K, "k", 2, "sigma multiplier for the anomaly check (0 disables for freq modes)")
+	flag.StringVar(&tc.Base, "base-prefix", tc.Base, "dst24/entropy modes: /16 whose /24 subnets are indexed")
+	flag.Float64Var(&tc.H0Bits, "h0", 0, "entropy mode: alert when the mix drops below this many bits (0 disables)")
+	flag.Uint64Var(&tc.CheckEvery, "check-every", 1024, "entropy mode: check cadence in observations (power of two)")
 	sampleShift := flag.Uint("sample-shift", 6, "hh mode: recirculation probability 2^-shift")
 	configPath := flag.String("config", "", "JSON app config (overrides -track and friends)")
 	shards := flag.Int("shards", 1, "replicate the datapath over N flow-hash shards (RSS-style dispatch)")
@@ -69,58 +71,44 @@ func main() {
 	if *shards < 1 {
 		log.Fatal("-shards must be at least 1")
 	}
-	tc := trackConfig{
-		Track: *track, Shift: *shift, Window: *window, K: *k,
-		H0Bits: *h0, CheckEvery: *checkEvery, SampleShift: *sampleShift,
+	if tc.Track == "hh" {
+		// -sample-shift is the hh coin; the flow track admits every flow.
+		tc.SampleShift = *sampleShift
 	}
-	if *shards > 1 || *ringFeed {
-		if *configPath != "" {
-			log.Fatal("-shards is not supported with -config (bindings come from the track flags)")
-		}
-		base, err := parseAddr(*basePrefix)
+	if *configPath != "" {
+		cf, err := os.Open(*configPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tc.Base = uint64(base) >> 8
-		if *ringFeed {
-			if err := replayRing(flag.Arg(0), tc, *shards, *metrics, *metricsOut); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		sm := newShardedMetrics(*shards, *metrics || *metricsOut != "")
-		if err := replaySharded(flag.Arg(0), tc, *shards, sm); err != nil {
+		tc.App, err = stat4p4.LoadAppConfig(cf)
+		cf.Close()
+		if err != nil {
 			log.Fatal(err)
 		}
-		if sm != nil {
-			if err := sm.emit(*metrics, *metricsOut); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
+		tc.Track = "config"
+		fmt.Printf("applying %s: %d bindings, %d routes\n", *configPath, len(tc.App.Bindings), len(tc.App.Routes))
 	}
-	var rm *replayMetrics
-	if *metrics || *metricsOut != "" {
-		rm = newReplayMetrics()
-	}
-	run := func() error {
-		if *configPath != "" {
-			return replayWithConfig(flag.Arg(0), *configPath, rm)
+	wantMetrics := *metrics || *metricsOut != ""
+	var err error
+	switch {
+	case *ringFeed:
+		err = replayRing(flag.Arg(0), tc, *shards, *metrics, *metricsOut)
+	case *shards > 1:
+		sm := newShardedMetrics(*shards, wantMetrics)
+		if err = replaySharded(flag.Arg(0), tc, *shards, sm); err == nil && sm != nil {
+			err = sm.emit(*metrics, *metricsOut)
 		}
-		base, err := parseAddr(*basePrefix)
-		if err != nil {
-			return err
+	default:
+		var rm *replayMetrics
+		if wantMetrics {
+			rm = newReplayMetrics()
 		}
-		tc.Base = uint64(base) >> 8
-		return replay(flag.Arg(0), tc, rm)
+		if err = replay(flag.Arg(0), tc, rm); err == nil && rm != nil {
+			err = writeMetrics(rm.reg, *metrics, *metricsOut)
+		}
 	}
-	if err := run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
-	}
-	if rm != nil {
-		if err := rm.emit(*metrics, *metricsOut); err != nil {
-			log.Fatal(err)
-		}
 	}
 }
 
@@ -158,23 +146,36 @@ func (sm *shardedMetrics) attach(ss *p4.ShardedSwitch) {
 // emit refreshes the merged view and renders as requested.
 func (sm *shardedMetrics) emit(prom bool, jsonPath string) error {
 	sm.sp.Refresh()
+	return writeMetrics(sm.reg, prom, jsonPath)
+}
+
+// exposition is what a metrics source renders: a telemetry registry, or the
+// ingest engine's.
+type exposition interface {
+	WriteProm(io.Writer) error
+	WriteJSON(io.Writer) error
+}
+
+// writeMetrics prints the Prometheus exposition and/or writes the JSON
+// snapshot, as requested.
+func writeMetrics(src exposition, prom bool, jsonPath string) error {
 	if prom {
-		if err := sm.reg.WriteProm(os.Stdout); err != nil {
+		if err := src.WriteProm(os.Stdout); err != nil {
 			return err
 		}
 	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := sm.reg.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+	if jsonPath == "" {
+		return nil
 	}
-	return nil
+	f, err := os.Create(jsonPath)
+	if err != nil {
+		return err
+	}
+	if err := src.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // replayMetrics is the telemetry wiring of one replay: the switch observer
@@ -202,27 +203,6 @@ func (rm *replayMetrics) attach(sw *p4.Switch) {
 	rm.reg.RegisterCounter("pkts_in", "frames handed to the pipeline", func() uint64 { return sw.Stats().PktsIn })
 	rm.reg.RegisterCounter("pkts_out", "frames emitted by the pipeline", func() uint64 { return sw.Stats().PktsOut })
 	rm.reg.RegisterCounter("parse_errors", "frames rejected by the parser", func() uint64 { return sw.Stats().ParseErrors })
-}
-
-// emit renders the exposition and/or JSON snapshot as requested.
-func (rm *replayMetrics) emit(prom bool, jsonPath string) error {
-	if prom {
-		if err := rm.reg.WriteProm(os.Stdout); err != nil {
-			return err
-		}
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := rm.reg.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	return nil
 }
 
 func recordTrace(path string, seconds float64) error {
@@ -254,141 +234,79 @@ func recordTrace(path string, seconds float64) error {
 	return nil
 }
 
-// parseAddr parses a dotted-quad IPv4 address.
-func parseAddr(s string) (packet.IP4, error) {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("bad address %q: %v", s, err)
-	}
-	return packet.ParseIP4(a, b, c, d), nil
-}
-
-// replayWithConfig instantiates a declarative app and replays through it.
-func replayWithConfig(tracePath, configPath string, rm *replayMetrics) error {
-	cf, err := os.Open(configPath)
-	if err != nil {
-		return err
-	}
-	cfg, err := stat4p4.LoadAppConfig(cf)
-	cf.Close()
-	if err != nil {
-		return err
-	}
-	rt, ids, err := cfg.Apply()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("applied %s: %d bindings, %d routes\n", configPath, len(ids), len(cfg.Routes))
-	return replayThrough(tracePath, rt, trackConfig{Track: "config"}, rm)
-}
-
-// trackConfig bundles the -track family of flags so every replay flavor
-// (serial, sharded, ring-fed) binds and reports the same statistic.
+// trackConfig is what every replay flavor (serial, sharded, ring-fed) binds
+// and reports: a -track with its parameters, or an app config.
 type trackConfig struct {
-	Track       string
-	Shift       uint   // window interval exponent
-	Window      int    // window length in intervals
-	K           uint64 // sigma multiplier
-	Base        uint64 // dst24/entropy: /16 base, pre-shifted
-	H0Bits      float64
-	CheckEvery  uint64
-	SampleShift uint
+	Track string // "config" when App is set
+	stat4p4.TrackParams
+	App *stat4p4.AppConfig
 }
 
-// options sizes the program for the track: entropy and heavy hitters carry
-// extra registers and recirculation plumbing, so they are compiled in only
-// when asked for.
-func (tc trackConfig) options() stat4p4.Options {
-	return stat4p4.Options{
-		Slots: 1, Size: 256, Stages: 1,
-		Entropy:     tc.Track == "entropy",
-		HeavyHitter: tc.Track == "hh",
+// options sizes the program: the app config's own sizing, or one slot with
+// only the measure the track needs compiled in.
+func (tc trackConfig) options() (stat4p4.Options, error) {
+	if tc.App != nil {
+		return tc.App.Options, nil
 	}
+	return stat4p4.TrackOptions(tc.Track, stat4p4.Options{Slots: 1, Size: 256, Stages: 1})
 }
 
-// entropyH0 converts the -h0 threshold in bits to the library's fixed point.
-func entropyH0(lib *stat4p4.Library, bits float64) uint64 {
-	if bits <= 0 {
-		return 0
+// install applies the app config or the track's binding to a runtime.
+func (tc trackConfig) install(t stat4p4.Target) (err error) {
+	if tc.App != nil {
+		_, err = tc.App.Install(t)
+	} else {
+		_, err = stat4p4.BindTrack(t, tc.Track, tc.TrackParams)
 	}
-	return uint64(bits * float64(uint64(1)<<lib.Opts.EntropyFrac))
+	return err
 }
 
 func replay(path string, tc trackConfig, rm *replayMetrics) error {
-	lib := stat4p4.Build(tc.options())
-	rt, err := stat4p4.NewRuntime(lib)
+	opts, err := tc.options()
 	if err != nil {
 		return err
 	}
-	switch tc.Track {
-	case "window":
-		_, err = rt.BindWindow(0, 0, stat4p4.AllIPv4(), tc.Shift, tc.Window, tc.K)
-	case "dst24":
-		_, err = rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 8, tc.Base, 256, 1, 1, tc.K)
-	case "proto":
-		_, err = rt.BindFreqProto(0, 0, stat4p4.AllIPv4(), 0, 256, 1, 1, tc.K)
-	case "len":
-		_, err = rt.BindFreqLen(0, 0, stat4p4.AllIPv4(), 6, 0, 256, 1, 1, tc.K)
-	case "entropy":
-		_, err = rt.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 8, tc.Base, 256, entropyH0(lib, tc.H0Bits), tc.CheckEvery)
-	case "hh":
-		_, err = rt.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, tc.SampleShift)
-	default:
-		return fmt.Errorf("unknown -track %q", tc.Track)
-	}
+	rt, err := stat4p4.NewRuntime(stat4p4.Build(opts))
 	if err != nil {
+		return err
+	}
+	if err := tc.install(rt); err != nil {
 		return err
 	}
 	return replayThrough(path, rt, tc, rm)
 }
 
-// replaySharded replays the capture through an N-shard deployment: the
-// flow-hash dispatcher partitions each batch, shards run concurrently, and
-// the end-of-run measures are read from the merged canonical view — the same
-// numbers a serial replay of the capture prints.
-func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) error {
-	lib := stat4p4.Build(tc.options())
-	sr, err := stat4p4.NewShardedRuntime(lib, shards)
-	if err != nil {
-		return err
-	}
-	defer sr.Close()
-	if err := bindSharded(sr, tc); err != nil {
-		return err
-	}
+// dataplane is what a replay feeds: a serial switch or the sharded one.
+type dataplane interface {
+	ProcessBatch(batch []p4.FrameIn, emit func(p4.FrameOut))
+	Digests() <-chan p4.Digest
+}
 
+// feed streams the capture through the data plane in replayBatchSize
+// batches, draining the digest channel between batches so it never backs up
+// on alert-heavy traces. It returns the frame count and the capture's span in
+// seconds.
+func feed(path string, dp dataplane, onDigest func(p4.Digest)) (frames int, seconds float64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	defer f.Close()
-
-	ss := sr.Sharded()
-	if sm != nil {
-		sm.attach(ss)
-	}
 	r := packet.NewPcapReader(f)
-	frames := 0
 	var firstTs, lastTs uint64
-	var alerts []p4.Digest
-	drain := func() {
+	batch := make([]p4.FrameIn, 0, replayBatchSize)
+	flush := func() {
+		dp.ProcessBatch(batch, nil)
+		batch = batch[:0]
 		for {
 			select {
-			case d := <-ss.Digests():
-				alerts = append(alerts, d)
+			case d := <-dp.Digests():
+				onDigest(d)
 				continue
 			default:
 			}
-			break
+			return
 		}
-	}
-	// The batch buffer is copied per frame: the pcap reader reuses its frame
-	// buffer, while the shards consume the batch concurrently at flush.
-	batch := make([]p4.FrameIn, 0, replayBatchSize)
-	flush := func() {
-		ss.ProcessBatch(batch, nil)
-		drain()
-		batch = batch[:0]
 	}
 	for {
 		ts, frame, err := r.Next()
@@ -396,23 +314,63 @@ func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) 
 			break
 		}
 		if err != nil {
-			return err
+			return frames, 0, err
 		}
 		if frames == 0 {
 			firstTs = ts
 		}
 		lastTs = ts
-		batch = append(batch, p4.FrameIn{TsNs: ts, Port: 1, Data: append([]byte(nil), frame...)})
+		batch = append(batch, p4.FrameIn{TsNs: ts, Port: 1, Data: frame})
 		if len(batch) == replayBatchSize {
 			flush()
 		}
 		frames++
 	}
 	flush()
+	return frames, float64(lastTs-firstTs) / 1e9, nil
+}
+
+// newSharded builds the track's (or config's) program on N shards and
+// installs it.
+func newSharded(tc trackConfig, shards int) (*stat4p4.ShardedRuntime, error) {
+	opts, err := tc.options()
+	if err != nil {
+		return nil, err
+	}
+	sr, err := stat4p4.NewShardedRuntime(stat4p4.Build(opts), shards)
+	if err != nil {
+		return nil, err
+	}
+	if err := tc.install(sr); err != nil {
+		sr.Close()
+		return nil, err
+	}
+	return sr, nil
+}
+
+// replaySharded replays the capture through an N-shard deployment: the
+// flow-hash dispatcher partitions each batch, shards run concurrently, and
+// the end-of-run measures are read from the merged canonical view — the same
+// numbers a serial replay of the capture prints.
+func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) error {
+	sr, err := newSharded(tc, shards)
+	if err != nil {
+		return err
+	}
+	defer sr.Close()
+	ss := sr.Sharded()
+	if sm != nil {
+		sm.attach(ss)
+	}
+	var alerts []p4.Digest
+	frames, seconds, err := feed(path, ss, func(d p4.Digest) { alerts = append(alerts, d) })
+	if err != nil {
+		return err
+	}
 
 	st := ss.Stats()
 	fmt.Printf("replayed %d frames spanning %.3fs (%d parse errors) over %d shards\n",
-		frames, float64(lastTs-firstTs)/1e9, st.ParseErrors, shards)
+		frames, seconds, st.ParseErrors, shards)
 	var maxShard uint64
 	for i := 0; i < shards; i++ {
 		in := ss.Shard(i).Stats().PktsIn
@@ -428,70 +386,86 @@ func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) 
 		fmt.Printf("modeled multi-pipeline speedup: %.2fx (total/busiest shard, one pipeline per shard; not this run's wall clock)\n",
 			float64(st.PktsIn)/float64(maxShard))
 	}
-	if err := reportMerged(sr, tc, shards); err != nil {
+	if err := reportMerged(sr, tc); err != nil {
 		return err
 	}
 	printDigests(alerts)
 	return nil
 }
 
-// reportMerged prints the end-of-run measure of a sharded replay from the
-// merged canonical view — the same numbers a serial replay prints.
-func reportMerged(sr *stat4p4.ShardedRuntime, tc trackConfig, shards int) error {
+// measures is the read-back surface a report prints from: one switch's
+// registers, or the merged view of a sharded deployment.
+type measures struct {
+	label      string
+	moments    func(slot int) (stat4p4.Moments, error)
+	entropy    func(slot int) (stat4p4.EntropySnapshot, error)
+	hh         func(slot int) ([]stat4p4.HHEntry, error)
+	hhRejected func(slot int) (uint64, error)
+	flows      func(slot int) (stat4p4.FlowStats, error)
+}
+
+// report prints slot 0's end-of-run measure for the track.
+func (m measures) report(tc trackConfig) error {
 	switch tc.Track {
-	case "window":
-		// Windows are clock-driven per shard; the merged scalar view applies
-		// to frequency modes, so report the per-shard moments instead.
-		for i := 0; i < shards; i++ {
-			m, _ := sr.ShardRuntime(i).ReadMoments(0)
-			fmt.Printf("  shard %d window: N=%d Xsum=%d var=%d sd=%d\n", i, m.N, m.Xsum, m.Var, m.SD)
-		}
 	case "entropy":
-		es, err := sr.MergedEntropy(0)
+		es, err := m.entropy(0)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("tracked \"entropy\" (merged): T=%d S=%d → %.4f bits\n", es.Total, es.Sum, es.Bits)
+		fmt.Printf("tracked \"entropy\"%s: T=%d S=%d → %.4f bits\n", m.label, es.Total, es.Sum, es.Bits)
 	case "hh":
-		entries, err := sr.MergedHeavyHitters(0)
+		entries, err := m.hh(0)
 		if err != nil {
 			return err
 		}
-		var rejected uint64
-		for i := 0; i < shards; i++ {
-			rej, err := sr.ShardRuntime(i).HHRejected(0)
-			if err != nil {
-				return err
+		rejected, err := m.hhRejected(0)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("tracked \"hh\"%s: %d candidates promoted, %d recirculations rejected (table full)\n",
+			m.label, len(entries), rejected)
+		for i, e := range entries {
+			if i == 10 {
+				fmt.Printf("  ... %d more\n", len(entries)-10)
+				break
 			}
-			rejected += rej
+			fmt.Printf("  %v: %d promotions (≈%d packets at 2^-%d sampling)\n",
+				packet.IP4(e.Key), e.Count, e.Count<<tc.SampleShift, tc.SampleShift)
 		}
-		printHeavyHitters(entries, rejected, tc.SampleShift)
-	default:
-		m, err := sr.MergedMoments(0)
+	case "flow":
+		st, err := m.flows(0)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("tracked %q (merged): N=%d Xsum=%d Xsumsq=%d var=%d sd=%d median-marker=%d\n",
-			tc.Track, m.N, m.Xsum, m.Xsumsq, m.Var, m.SD, m.Median)
+		fmt.Printf("tracked \"flow\"%s: %d of %d buckets occupied; %d admitted, %d evicted, %d rejected, %d shed\n",
+			m.label, st.Occupied, st.Capacity, st.Admitted, st.Evicted, st.Rejected, st.Shed)
+	default:
+		mo, err := m.moments(0)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("tracked %q%s: N=%d Xsum=%d Xsumsq=%d var=%d sd=%d median-marker=%d\n",
+			tc.Track, m.label, mo.N, mo.Xsum, mo.Xsumsq, mo.Var, mo.SD, mo.Median)
 	}
 	return nil
 }
 
-// printHeavyHitters renders the candidate table, heaviest first.
-func printHeavyHitters(entries []stat4p4.HHEntry, rejected uint64, sampleShift uint) {
-	fmt.Printf("tracked \"hh\": %d candidates promoted, %d recirculations rejected (table full)\n",
-		len(entries), rejected)
-	for i, e := range entries {
-		if i == 10 {
-			fmt.Printf("  ... %d more\n", len(entries)-10)
-			break
+// reportMerged prints the end-of-run measure of a sharded replay from the
+// merged canonical view — the same numbers a serial replay prints.
+func reportMerged(sr *stat4p4.ShardedRuntime, tc trackConfig) error {
+	if tc.Track == "window" {
+		// Windows are clock-driven per shard; the merged scalar view applies
+		// to frequency modes, so report the per-shard moments instead.
+		for i := 0; i < sr.NumShards(); i++ {
+			m, _ := sr.ShardRuntime(i).ReadMoments(0)
+			fmt.Printf("  shard %d window: N=%d Xsum=%d var=%d sd=%d\n", i, m.N, m.Xsum, m.Var, m.SD)
 		}
-		fmt.Printf("  %v: %d promotions (≈%d packets at 2^-%d sampling)\n",
-			packet.IP4(e.Key), e.Count, e.Count<<sampleShift, sampleShift)
+		return nil
 	}
+	return measures{" (merged)", sr.MergedMoments, sr.MergedEntropy, sr.MergedHeavyHitters, sr.MergedHHRejected, sr.MergedFlowStats}.report(tc)
 }
 
-// printDigests renders the drained digests, decoding each ID's layout.
+// printDigests renders the drained digests by their decoded layout.
 func printDigests(alerts []p4.Digest) {
 	fmt.Printf("%d alert digests\n", len(alerts))
 	for i, d := range alerts {
@@ -499,40 +473,21 @@ func printDigests(alerts []p4.Digest) {
 			fmt.Printf("  ... %d more\n", len(alerts)-10)
 			break
 		}
-		switch d.ID {
-		case stat4p4.DigestEntropy:
-			fmt.Printf("  [%0.3fs] entropy collapse: slot=%d T=%d H*T=%d h0*T=%d\n",
-				float64(d.Values[4])/1e9, d.Values[0], d.Values[1], d.Values[2], d.Values[3])
-		case stat4p4.DigestHeavyHitter:
-			fmt.Printf("  [%0.3fs] heavy hitter promoted: slot=%d key=%v\n",
-				float64(d.Values[2])/1e9, d.Values[0], packet.IP4(d.Values[1]))
-		default:
-			fmt.Printf("  [%0.3fs] slot=%d value=%d N*x=%d threshold=%d\n",
-				float64(d.Values[4])/1e9, d.Values[0], d.Values[1], d.Values[2], d.Values[3])
+		a, err := stat4p4.DecodeDigest(d)
+		if err != nil {
+			fmt.Printf("  %v\n", err)
+			continue
 		}
+		fmt.Printf("  [%0.3fs] %s: slot=%d", float64(a.TsNs)/1e9, a.Kind, a.Slot)
+		for j, name := range a.Fields {
+			if name == "key" {
+				fmt.Printf(" key=%v", packet.IP4(a.Values[j]))
+			} else {
+				fmt.Printf(" %s=%d", name, a.Values[j])
+			}
+		}
+		fmt.Println()
 	}
-}
-
-// bindSharded applies one -track binding to a sharded runtime.
-func bindSharded(sr *stat4p4.ShardedRuntime, tc trackConfig) error {
-	var err error
-	switch tc.Track {
-	case "window":
-		_, err = sr.BindWindow(0, 0, stat4p4.AllIPv4(), tc.Shift, tc.Window, tc.K)
-	case "dst24":
-		_, err = sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 8, tc.Base, 256, 1, 1, tc.K)
-	case "proto":
-		_, err = sr.BindFreqProto(0, 0, stat4p4.AllIPv4(), 0, 256, 1, 1, tc.K)
-	case "len":
-		_, err = sr.BindFreqLen(0, 0, stat4p4.AllIPv4(), 6, 0, 256, 1, 1, tc.K)
-	case "entropy":
-		_, err = sr.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 8, tc.Base, 256, entropyH0(sr.Library(), tc.H0Bits), tc.CheckEvery)
-	case "hh":
-		_, err = sr.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, tc.SampleShift)
-	default:
-		err = fmt.Errorf("unknown -track %q", tc.Track)
-	}
-	return err
 }
 
 // replayRing replays the capture through the stat4d ingest plane: frames go
@@ -541,23 +496,18 @@ func bindSharded(sr *stat4p4.ShardedRuntime, tc trackConfig) error {
 // reads. The numbers must match what replaySharded prints for the same
 // capture — the ring is invisible to the statistics.
 func replayRing(path string, tc trackConfig, shards int, prom bool, jsonPath string) error {
-	lib := stat4p4.Build(tc.options())
-	sr, err := stat4p4.NewShardedRuntime(lib, shards)
+	sr, err := newSharded(tc, shards)
 	if err != nil {
 		return err
 	}
 	defer sr.Close()
-	if err := bindSharded(sr, tc); err != nil {
-		return err
-	}
 
 	e := ingest.New(sr, ingest.Config{})
 	frames, err := e.PlaySource(path, 1, true)
+	e.Stop() // drains every committed batch before returning
 	if err != nil {
-		e.Stop()
 		return err
 	}
-	e.Stop() // drains every committed batch before returning
 
 	st := sr.Sharded().Stats()
 	fmt.Printf("replayed %d frames through the ingest ring (%d parse errors) over %d shards\n",
@@ -568,118 +518,43 @@ func replayRing(path string, tc trackConfig, shards int, prom bool, jsonPath str
 	if sb, sf := e.Shed(); sb != 0 || sf != 0 {
 		return fmt.Errorf("lossless replay shed %d batches / %d frames", sb, sf)
 	}
-	if err := reportMerged(sr, tc, shards); err != nil {
+	if err := reportMerged(sr, tc); err != nil {
 		return err
 	}
 	alerts, total := e.Alerts()
 	fmt.Printf("%d alerts total, last %d retained:\n", total, len(alerts))
 	printDigests(alerts)
-	if prom {
-		if err := e.WriteProm(os.Stdout); err != nil {
-			return err
-		}
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		if err := e.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	return nil
+	return writeMetrics(e, prom, jsonPath)
 }
 
 // replayBatchSize bounds how many capture frames are handed to the switch
-// per ProcessBatch call; digests are drained between batches so the channel
-// never backs up on alert-heavy traces.
+// per ProcessBatch call.
 const replayBatchSize = 256
 
-// replayThrough streams the capture into a prepared runtime in batches and
+// replayThrough streams the capture into a prepared serial runtime and
 // reports.
 func replayThrough(path string, rt *stat4p4.Runtime, tc trackConfig, rm *replayMetrics) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
 	sw := rt.Switch()
 	if rm != nil {
 		rm.attach(sw)
 	}
-	r := packet.NewPcapReader(f)
-	frames := 0
-	var firstTs, lastTs uint64
 	var alerts []p4.Digest
-	drain := func() {
-		for {
-			select {
-			case d := <-sw.Digests():
-				alerts = append(alerts, d)
-				if rm != nil {
-					rm.sw.DigestDelivered()
-				}
-				continue
-			default:
-			}
-			break
+	frames, seconds, err := feed(path, sw, func(d p4.Digest) {
+		alerts = append(alerts, d)
+		if rm != nil {
+			rm.sw.DigestDelivered()
 		}
+	})
+	if err != nil {
+		return err
 	}
-	batch := make([]p4.FrameIn, 0, replayBatchSize)
-	flush := func() {
-		sw.ProcessBatch(batch, nil)
-		drain()
-		batch = batch[:0]
-	}
-	for {
-		ts, frame, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if frames == 0 {
-			firstTs = ts
-		}
-		lastTs = ts
-		batch = append(batch, p4.FrameIn{TsNs: ts, Port: 1, Data: frame})
-		if len(batch) == replayBatchSize {
-			flush()
-		}
-		frames++
-	}
-	flush()
-
 	st := sw.Stats()
-	fmt.Printf("replayed %d frames spanning %.3fs (%d parse errors)\n",
-		frames, float64(lastTs-firstTs)/1e9, st.ParseErrors)
-	switch tc.Track {
-	case "entropy":
-		es, err := rt.ReadEntropy(0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tracked \"entropy\": T=%d S=%d → %.4f bits\n", es.Total, es.Sum, es.Bits)
-	case "hh":
-		entries, err := rt.ReadHeavyHitters(0)
-		if err != nil {
-			return err
-		}
-		rejected, err := rt.HHRejected(0)
-		if err != nil {
-			return err
-		}
+	fmt.Printf("replayed %d frames spanning %.3fs (%d parse errors)\n", frames, seconds, st.ParseErrors)
+	if tc.Track == "hh" {
 		fmt.Printf("%d recirculations\n", st.Recirculated)
-		printHeavyHitters(entries, rejected, tc.SampleShift)
-	default:
-		m, _ := rt.ReadMoments(0)
-		fmt.Printf("tracked %q: N=%d Xsum=%d Xsumsq=%d var=%d sd=%d median-marker=%d\n",
-			tc.Track, m.N, m.Xsum, m.Xsumsq, m.Var, m.SD, m.Median)
+	}
+	if err := (measures{"", rt.ReadMoments, rt.ReadEntropy, rt.ReadHeavyHitters, rt.HHRejected, rt.ReadFlowStats}).report(tc); err != nil {
+		return err
 	}
 	printDigests(alerts)
 	return nil

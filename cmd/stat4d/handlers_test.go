@@ -205,6 +205,13 @@ func flowDaemon(t *testing.T) *daemon {
 // through the ingest engine, so the flow table holds real state.
 func playFlows(t *testing.T, d *daemon, count int) {
 	t.Helper()
+	playTo(t, d, count, func(int) packet.IP4 { return packet.ParseIP4(10, 0, 0, 1) })
+}
+
+// playTo plays count frames from distinct sources to the destinations dst
+// picks, and waits until the engine has consumed them.
+func playTo(t *testing.T, d *daemon, count int, dst func(i int) packet.IP4) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "flows.pcap")
 	f, err := os.Create(path)
 	if err != nil {
@@ -213,7 +220,7 @@ func playFlows(t *testing.T, d *daemon, count int) {
 	w := packet.NewPcapWriter(f)
 	for i := 0; i < count; i++ {
 		src := packet.ParseIP4(198, 18, byte(i>>8), byte(i))
-		fr := packet.NewUDPFrame(src, packet.ParseIP4(10, 0, 0, 1), uint16(40000+i%1024), 80, 64)
+		fr := packet.NewUDPFrame(src, dst(i), uint16(40000+i%1024), 80, 64)
 		if err := w.WriteFrame(uint64(i+1)*500, fr.Serialize()); err != nil {
 			t.Fatal(err)
 		}
@@ -360,5 +367,69 @@ func TestFlowMetricsExposition(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "flow_occupied") {
 		t.Fatal("flow metrics registered on a daemon without the flow plane")
+	}
+}
+
+// TestAlertsServesEveryDigestKind: /alerts decodes each digest by its own
+// layout. Heavy-hitter digests (three values) used to fail the five-value
+// length check and vanish from "recent" while still counted in "total", and
+// entropy digests were served under the anomaly digest's field names.
+func TestAlertsServesEveryDigestKind(t *testing.T) {
+	one := func(int) packet.IP4 { return packet.ParseIP4(10, 0, 0, 1) }
+	for _, tc := range []struct {
+		cfg    daemonConfig
+		dst    func(i int) packet.IP4
+		kind   string
+		fields []string
+	}{
+		{daemonConfig{Track: "hh", SampleShift: 1}, one, "heavy-hitter", []string{"key"}},
+		{daemonConfig{Track: "entropy", BasePrefix: "10.0.0.0", H0Bits: 1, CheckEvery: 16}, one,
+			"entropy", []string{"total", "scaled_entropy", "scaled_threshold"}},
+		// A trickle over 32 subnets, then everything to one: the imbalance
+		// check fires with the anomaly digest's long-standing keys.
+		{daemonConfig{Track: "dst24", BasePrefix: "10.0.0.0", K: 1}, func(i int) packet.IP4 {
+			if i < 256 {
+				return packet.ParseIP4(10, 0, byte(i%32), 1)
+			}
+			return packet.ParseIP4(10, 0, 40, 1)
+		}, "anomaly", []string{"value", "n_times_x", "threshold"}},
+	} {
+		tc.cfg.Shards = 2
+		tc.cfg.RingCap, tc.cfg.SlabBlocks, tc.cfg.BlockSize, tc.cfg.Batch = 64, 64, 32<<10, 64
+		d, err := newDaemon(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		playTo(t, d, 2048, tc.dst)
+		rec := httptest.NewRecorder()
+		d.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/alerts", nil))
+		d.shutdown()
+		var out struct {
+			Total  uint64           `json:"total"`
+			Recent []map[string]any `json:"recent"`
+		}
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+			t.Fatalf("%s: /alerts body: %v", tc.kind, err)
+		}
+		want := out.Total
+		if want > 128 { // ingest.Config.AlertKeep default
+			want = 128
+		}
+		if out.Total == 0 || uint64(len(out.Recent)) != want {
+			t.Fatalf("%s: total %d, %d recent, want %d", tc.kind, out.Total, len(out.Recent), want)
+		}
+		for _, a := range out.Recent {
+			if a["kind"] != tc.kind {
+				t.Fatalf("%s daemon served a %q alert: %v", tc.kind, a["kind"], a)
+			}
+			for _, f := range append([]string{"slot", "ts_ns"}, tc.fields...) {
+				if _, ok := a[f]; !ok {
+					t.Fatalf("%s alert lacks %q: %v", tc.kind, f, a)
+				}
+			}
+			if len(a) != 3+len(tc.fields) {
+				t.Fatalf("%s alert carries stray fields: %v", tc.kind, a)
+			}
+		}
 	}
 }

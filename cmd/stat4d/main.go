@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 
@@ -42,7 +43,7 @@ func main() {
 	flag.StringVar(&cfg.Unix, "unix", "", "unix socket path accepting frame streams")
 	flag.StringVar(&cfg.HTTP, "http", "", "HTTP control-plane address (/metrics, /snapshot, /bind, ...)")
 	flag.StringVar(&cfg.Pcap, "pcap", "", "pcap file or directory to play at startup (lossless)")
-	flag.StringVar(&cfg.Track, "track", "dst24", "statistic to bind: window | dst24 | proto | len | entropy | hh | flow | none")
+	flag.StringVar(&cfg.Track, "track", "dst24", "statistic to bind: "+strings.Join(stat4p4.Tracks(), " | ")+" | none")
 	flag.UintVar(&cfg.Shift, "interval-shift", 23, "window interval exponent (2^shift ns)")
 	flag.IntVar(&cfg.Window, "window", 100, "window length in intervals")
 	flag.Uint64Var(&cfg.K, "k", 0, "sigma multiplier for the anomaly check (0 disables)")
@@ -87,11 +88,11 @@ func main() {
 // daemonConfig is everything a daemon instance needs, flag-free so the smoke
 // test constructs one in-process.
 type daemonConfig struct {
-	Shards     int
-	Listen     string // TCP frame-stream address, "" to disable
-	Unix       string // unix-socket frame-stream path, "" to disable
-	HTTP       string // control-plane address, "" to disable
-	Pcap       string // startup capture source, "" to skip
+	Shards      int
+	Listen      string // TCP frame-stream address, "" to disable
+	Unix        string // unix-socket frame-stream path, "" to disable
+	HTTP        string // control-plane address, "" to disable
+	Pcap        string // startup capture source, "" to skip
 	Track       string
 	Shift       uint
 	Window      int
@@ -163,48 +164,30 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	return &daemon{cfg: cfg, rt: sr, engine: e}, nil
 }
 
-// bindTrack installs the startup statistic, mirroring stat4-replay's -track
-// family. "none" starts unbound; /bind takes it from there.
-func bindTrack(sr *stat4p4.ShardedRuntime, cfg daemonConfig) error {
-	var err error
-	switch cfg.Track {
-	case "none":
-	case "window":
-		_, err = sr.BindWindow(0, 0, stat4p4.AllIPv4(), cfg.Shift, cfg.Window, cfg.K)
-	case "dst24":
-		var base packet.IP4
-		base, err = parseAddr(cfg.BasePrefix)
-		if err == nil {
-			_, err = sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 8, uint64(base)>>8, 256, 1, 1, cfg.K)
-		}
-	case "proto":
-		_, err = sr.BindFreqProto(0, 0, stat4p4.AllIPv4(), 0, 256, 1, 1, cfg.K)
-	case "len":
-		_, err = sr.BindFreqLen(0, 0, stat4p4.AllIPv4(), 6, 0, 256, 1, 1, cfg.K)
-	case "entropy":
-		var base packet.IP4
-		base, err = parseAddr(cfg.BasePrefix)
-		if err == nil {
-			h0 := entropyH0(sr.Library(), cfg.H0Bits)
-			_, err = sr.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 8, uint64(base)>>8, 256, h0, cfg.CheckEvery)
-		}
-	case "hh":
-		_, err = sr.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, cfg.SampleShift)
-	case "flow":
-		_, err = sr.BindFlowSrc(0, 0, stat4p4.AllIPv4(), 0, cfg.FlowEpochShift, cfg.FlowTTL, 0, cfg.K)
-	default:
-		err = fmt.Errorf("unknown track %q", cfg.Track)
+// trackParams spells the -track flags as track parameters. Flag values are
+// taken as given (the flags carry the defaults); what no flag sets comes from
+// TrackDefaults.
+func (cfg daemonConfig) trackParams() stat4p4.TrackParams {
+	p := stat4p4.TrackDefaults
+	p.IntervalShift, p.Window, p.K = cfg.Shift, cfg.Window, cfg.K
+	p.Base, p.H0Bits, p.CheckEvery = cfg.BasePrefix, cfg.H0Bits, cfg.CheckEvery
+	p.EpochShift, p.TTL = cfg.FlowEpochShift, cfg.FlowTTL
+	if cfg.Track == "hh" {
+		// -sample-shift is the hh coin; a flow track's admission coin is
+		// only set through /bind.
+		p.SampleShift = cfg.SampleShift
 	}
-	return err
+	return p
 }
 
-// entropyH0 converts a threshold in bits to the fixed-point form the
-// collapse check compares against.
-func entropyH0(lib *stat4p4.Library, bits float64) uint64 {
-	if bits <= 0 {
-		return 0
+// bindTrack installs the startup statistic. "none" starts unbound; /bind
+// takes it from there.
+func bindTrack(sr *stat4p4.ShardedRuntime, cfg daemonConfig) error {
+	if cfg.Track == "none" {
+		return nil
 	}
-	return uint64(bits * float64(uint64(1)<<lib.Opts.EntropyFrac))
+	_, err := stat4p4.BindTrack(sr, cfg.Track, cfg.trackParams())
+	return err
 }
 
 // start opens the listeners and plays the startup capture. It returns once
@@ -353,25 +336,21 @@ func (d *daemon) mux() *http.ServeMux {
 	})
 	mux.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
 		recent, total := d.engine.Alerts()
-		type alert struct {
-			Slot      uint64 `json:"slot"`
-			Value     uint64 `json:"value"`
-			Nx        uint64 `json:"n_times_x"`
-			Threshold uint64 `json:"threshold"`
-			TsNs      uint64 `json:"ts_ns"`
-		}
 		out := struct {
-			Total  uint64  `json:"total"`
-			Recent []alert `json:"recent"`
+			Total  uint64           `json:"total"`
+			Recent []map[string]any `json:"recent"`
 		}{Total: total}
 		for _, dg := range recent {
-			if len(dg.Values) < 5 {
+			a, err := stat4p4.DecodeDigest(dg)
+			if err != nil {
+				out.Recent = append(out.Recent, map[string]any{"kind": "undecodable", "error": err.Error()})
 				continue
 			}
-			out.Recent = append(out.Recent, alert{
-				Slot: dg.Values[0], Value: dg.Values[1],
-				Nx: dg.Values[2], Threshold: dg.Values[3], TsNs: dg.Values[4],
-			})
+			rec := map[string]any{"kind": a.Kind, "slot": a.Slot, "ts_ns": a.TsNs}
+			for i, name := range a.Fields {
+				rec[name] = a.Values[i]
+			}
+			out.Recent = append(out.Recent, rec)
 		}
 		writeJSON(w, out)
 	})
@@ -406,14 +385,7 @@ func (d *daemon) mux() *http.ServeMux {
 			sr := d.engine.Runtime()
 			entries, err = sr.MergedHeavyHitters(slot)
 			if err == nil {
-				for i := 0; i < sr.NumShards(); i++ {
-					var rej uint64
-					rej, err = sr.ShardRuntime(i).HHRejected(slot)
-					if err != nil {
-						return
-					}
-					rejected += rej
-				}
+				rejected, err = sr.MergedHHRejected(slot)
 			}
 		})
 		if err != nil {
@@ -500,31 +472,12 @@ func (d *daemon) mux() *http.ServeMux {
 	return mux
 }
 
-// bindRequest is the /bind POST body — the -track family as a wire message,
-// plus unbind and slot reset.
+// bindRequest is the /bind POST body: a track name (or unbind / reset) plus
+// the track's parameters.
 type bindRequest struct {
-	Mode  string `json:"mode"` // window | dst24 | proto | len | entropy | hh | flow | unbind | reset
-	Stage int    `json:"stage"`
-	Slot  int    `json:"slot"`
-	// Window parameters.
-	IntervalShift uint `json:"interval_shift"`
-	Window        int  `json:"window"`
-	// Frequency parameters.
-	Base string `json:"base"` // dst24/entropy: dotted-quad /16 base
-	Size int    `json:"size"`
-	Pa   uint64 `json:"pa"`
-	Pb   uint64 `json:"pb"`
-	K    uint64 `json:"k"`
-	// Entropy parameters.
-	H0Bits     float64 `json:"h0_bits"`     // collapse threshold in bits (0 disables)
-	CheckEvery uint64  `json:"check_every"` // power of two, 0 → every observation
-	// Heavy-hitter parameter.
-	SampleShift uint `json:"sample_shift"` // recirculation probability 2^-shift
-	// Flow-table parameters (sample_shift doubles as the mouse-shedding coin).
-	EpochShift uint   `json:"epoch_shift"` // expiry epoch exponent (2^shift ns)
-	TTL        uint64 `json:"ttl"`         // epochs of silence before reclaim
-	// Unbind target.
-	Entry uint64 `json:"entry"`
+	Mode string `json:"mode"` // one of stat4p4.Tracks() | unbind | reset
+	stat4p4.TrackParams
+	Entry uint64 `json:"entry"` // unbind target
 }
 
 // handleBind applies one control-plane table update on the consumer, exactly
@@ -539,66 +492,17 @@ func (d *daemon) handleBind(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Size <= 0 {
-		req.Size = 256
-	}
-	if req.Pa == 0 && req.Pb == 0 {
-		req.Pa, req.Pb = 1, 1
-	}
-	if req.Window <= 0 {
-		req.Window = 100
-	}
-	if req.IntervalShift == 0 {
-		req.IntervalShift = 23
-	}
 	var id p4.EntryID
 	var err error
 	d.engine.Do(func() {
 		sr := d.engine.Runtime()
 		switch req.Mode {
-		case "window":
-			id, err = sr.BindWindow(req.Stage, req.Slot, stat4p4.AllIPv4(), req.IntervalShift, req.Window, req.K)
-		case "dst24":
-			base := req.Base
-			if base == "" {
-				base = "10.0.0.0"
-			}
-			var ip packet.IP4
-			ip, err = parseAddr(base)
-			if err == nil {
-				id, err = sr.BindFreqDst(req.Stage, req.Slot, stat4p4.AllIPv4(), 8, uint64(ip)>>8, req.Size, req.Pa, req.Pb, req.K)
-			}
-		case "proto":
-			id, err = sr.BindFreqProto(req.Stage, req.Slot, stat4p4.AllIPv4(), 0, req.Size, req.Pa, req.Pb, req.K)
-		case "len":
-			id, err = sr.BindFreqLen(req.Stage, req.Slot, stat4p4.AllIPv4(), 6, 0, req.Size, req.Pa, req.Pb, req.K)
-		case "entropy":
-			base := req.Base
-			if base == "" {
-				base = "10.0.0.0"
-			}
-			var ip packet.IP4
-			ip, err = parseAddr(base)
-			if err == nil {
-				h0 := entropyH0(sr.Library(), req.H0Bits)
-				id, err = sr.BindEntropyDst(req.Stage, req.Slot, stat4p4.AllIPv4(), 8, uint64(ip)>>8, req.Size, h0, req.CheckEvery)
-			}
-		case "hh":
-			id, err = sr.BindHeavyHitterSrc(req.Stage, req.Slot, stat4p4.AllIPv4(), 0, req.SampleShift)
-		case "flow":
-			if req.EpochShift == 0 {
-				req.EpochShift = 23
-			}
-			if req.TTL == 0 {
-				req.TTL = 4
-			}
-			id, err = sr.BindFlowSrc(req.Stage, req.Slot, stat4p4.AllIPv4(), 0, req.EpochShift, req.TTL, req.SampleShift, req.K)
 		case "unbind":
 			err = sr.Unbind(req.Stage, p4.EntryID(req.Entry))
 		case "reset":
 			err = sr.ResetSlot(req.Slot)
 		default:
-			err = fmt.Errorf("unknown mode %q", req.Mode)
+			id, err = stat4p4.BindTrack(sr, req.Mode, req.TrackParams.WithDefaults())
 		}
 	})
 	if err != nil {
@@ -637,15 +541,6 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 		return 0, fmt.Errorf("bad %s: %v", name, err)
 	}
 	return v, nil
-}
-
-// parseAddr parses a dotted-quad IPv4 address.
-func parseAddr(s string) (packet.IP4, error) {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("bad address %q: %v", s, err)
-	}
-	return packet.ParseIP4(a, b, c, d), nil
 }
 
 // pushPcap is the client half: stream a capture to a running daemon over the

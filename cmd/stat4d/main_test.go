@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"stat4/internal/ingest"
 	"stat4/internal/packet"
+	"stat4/internal/stat4p4"
 )
 
 // smokeFrames writes a small capture spread over /24 buckets.
@@ -288,5 +290,47 @@ func TestPushClientRoundTrip(t *testing.T) {
 	}
 	if err := pushPcap(pcapPath, ""); err == nil {
 		t.Fatal("push without -connect accepted")
+	}
+}
+
+// TestTrackFlagsInstallTheSameEntries pins what -track installs under the
+// default flags to literal entries: the action and argument vector each of
+// the seven tracks has always put into bind0, on every shard. The flow
+// track's admission coin stays 0 — -sample-shift belongs to hh.
+func TestTrackFlagsInstallTheSameEntries(t *testing.T) {
+	const base = 10 << 16 // 10.0.0.0 >> 8
+	golden := map[string]struct {
+		action string
+		args   []uint64
+	}{
+		"window":  {"bind_window", []uint64{0, 0, 23, 100, 0}},
+		"dst24":   {"bind_freq_dst", []uint64{0, 0, 8, base, 256, 1, 1, 0}},
+		"proto":   {"bind_freq_proto", []uint64{0, 0, 0, 256, 1, 1, 0}},
+		"len":     {"bind_freq_len", []uint64{0, 0, 6, 0, 256, 1, 1, 0}},
+		"entropy": {"bind_ent_dst", []uint64{0, 0, 8, base, 256, 0, 1023}},
+		"hh":      {"bind_hh_src", []uint64{0, 0, 0, 63}},
+		"flow":    {"bind_flow_src", []uint64{0, 0, 0, 23, 4, 0, 0}},
+	}
+	if got := stat4p4.Tracks(); len(got) != len(golden) {
+		t.Fatalf("tracks %v, golden table has %d", got, len(golden))
+	}
+	for track, want := range golden {
+		d, err := newDaemon(daemonConfig{
+			Shards: 2, Track: track, Shift: 23, Window: 100, BasePrefix: "10.0.0.0",
+			CheckEvery: 1024, SampleShift: 6, FlowTable: 64, FlowEpochShift: 23, FlowTTL: 4,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", track, err)
+		}
+		for s := 0; s < d.rt.NumShards(); s++ {
+			es, err := d.rt.Sharded().Shard(s).TableEntries("bind0")
+			if err != nil || len(es) != 1 {
+				t.Fatalf("%s shard %d: %d entries, err %v", track, s, len(es), err)
+			}
+			if es[0].Action != want.action || !reflect.DeepEqual(es[0].Args, want.args) {
+				t.Errorf("%s shard %d: installed %s%v, want %s%v", track, s, es[0].Action, es[0].Args, want.action, want.args)
+			}
+		}
+		d.shutdown()
 	}
 }

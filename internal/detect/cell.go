@@ -129,20 +129,20 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 	if ctrl == 0 {
 		ctrl = defaultCtrlDelayNs
 	}
-	wantID := stat4p4.DigestAnomaly
-	switch c.Config.Track {
-	case TrackEntropy:
-		wantID = stat4p4.DigestEntropy
-	case TrackHH:
-		wantID = stat4p4.DigestHeavyHitter
-	}
+	want := alertKind[c.Config.Track]
+	var decodeErr error
 	onDigest := func(now uint64, d p4.Digest) {
-		if d.ID != wantID {
+		dec, err := stat4p4.DecodeDigest(d)
+		if err != nil {
+			decodeErr = err
+			return
+		}
+		if dec.Kind != want {
 			return
 		}
 		a := Alert{TsNs: now}
 		if c.Config.Track == TrackHH {
-			a.Key = d.Values[1]
+			a.Key = dec.Values[0]
 		}
 		out.alerts = append(out.alerts, a)
 	}
@@ -158,6 +158,9 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 		node.InjectStream(stream, 1)
 	}
 	sim.Run()
+	if decodeErr != nil {
+		return out, fmt.Errorf("detect: %w", decodeErr)
+	}
 
 	if c.Config.Track == TrackHH {
 		if sr != nil {
@@ -229,7 +232,7 @@ func Run(c Cell) (Result, error) {
 // share threshold, drill-down accuracy over the candidate table, per-attack
 // culprit detection timing, and benign misidentification.
 func scoreHH(res *Result, c Cell, atk, ben replayOut, atkTally map[uint64]uint64, atkTotal uint64, benTally map[uint64]uint64, benTotal uint64) {
-	reported := estimatedHeavy(atk.candidates, c.Config.SampleShift, atkTotal)
+	reported := estimatedHeavy(atk.candidates, c.Config.Binding.SampleShift, atkTotal)
 	truthSet := HeavySet(atkTally, atkTotal, heavyShare)
 	res.Precision, res.Recall, res.F1 = SetPRF(reported, truthSet)
 
@@ -283,7 +286,7 @@ func scoreHH(res *Result, c Cell, atk, ben replayOut, atkTally map[uint64]uint64
 
 	// Benign misidentification: keys reported heavy on the twin that are not
 	// genuinely heavy there.
-	benReported := estimatedHeavy(ben.candidates, c.Config.SampleShift, benTotal)
+	benReported := estimatedHeavy(ben.candidates, c.Config.Binding.SampleShift, benTotal)
 	if len(benReported) > 0 {
 		p, _, _ := SetPRF(benReported, HeavySet(benTally, benTotal, heavyShare))
 		res.BenignFlagged = 1 - p

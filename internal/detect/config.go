@@ -21,14 +21,18 @@ const (
 	TrackWindow Track = "window"
 )
 
-// Binder is the slice of the stat4p4 runtime surface a detector
-// configuration binds through. Both *stat4p4.Runtime and
-// *stat4p4.ShardedRuntime satisfy it, so one Config drives any shard count.
+// alertKind is the stat4p4.DecodeDigest kind each track's detector raises.
+var alertKind = map[Track]string{
+	TrackEntropy: "entropy",
+	TrackHH:      "heavy-hitter",
+	TrackWindow:  "anomaly",
+}
+
+// Binder is the one stat4p4 runtime method a detector configuration binds
+// through. Both *stat4p4.Runtime and *stat4p4.ShardedRuntime satisfy it, so
+// one Config drives any shard count.
 type Binder interface {
-	Library() *stat4p4.Library
-	BindEntropyDst(stage, slot int, m stat4p4.Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error)
-	BindHeavyHitterSrc(stage, slot int, m stat4p4.Match, shift, sampleShift uint) (p4.EntryID, error)
-	BindWindow(stage, slot int, m stat4p4.Match, intervalShift uint, capacity int, k uint64) (p4.EntryID, error)
+	Bind(stat4p4.Binding) (p4.EntryID, error)
 }
 
 // Config is one detector configuration in the quality matrix: program
@@ -47,12 +51,23 @@ type Config struct {
 	Note string
 	// Opts builds the program; taken by value so every cell compiles fresh.
 	Opts stat4p4.Options
-	// SampleShift scales heavy-hitter candidate counts back to packet
-	// estimates (each promotion stands for ~2^SampleShift packets).
-	SampleShift uint
-	// Bind applies the recipe and returns the warmup horizon before which
-	// alerts are unscorable (the detector is still priming).
-	Bind func(b Binder, endNs uint64) (warmupNs uint64, err error)
+	// Binding is the recipe. Its SampleShift also scales heavy-hitter
+	// candidate counts back to packet estimates (each promotion stands for
+	// ~2^SampleShift packets); a window track's interval width is set per
+	// trace by Bind.
+	Binding stat4p4.Binding
+}
+
+// Bind applies the recipe and returns the warmup horizon before which alerts
+// are unscorable (the detector is still priming).
+func (c Config) Bind(b Binder, endNs uint64) (warmupNs uint64, err error) {
+	bd := c.Binding
+	if c.Track == TrackWindow {
+		bd.IntervalShift = windowShift(endNs)
+		warmupNs = windowWarmup(endNs)
+	}
+	_, err = b.Bind(bd)
+	return warmupNs, err
 }
 
 // The shared address plan of the scenario registry: destinations live in
@@ -95,147 +110,62 @@ func windowShift(endNs uint64) uint {
 // enough to fill the 32-interval window and let σ settle.
 func windowWarmup(endNs uint64) uint64 { return 48 << windowShift(endNs) }
 
-func entropyOpts() stat4p4.Options {
-	return stat4p4.Options{Slots: 1, Size: 256, Stages: 1, Entropy: true, DigestBuf: 8192}
-}
-
-func hhOpts() stat4p4.Options {
-	return stat4p4.Options{Slots: 1, Size: 64, Stages: 1, HeavyHitter: true, HHTableSize: 128, DigestBuf: 8192}
-}
-
-func windowOpts() stat4p4.Options {
-	return stat4p4.Options{Slots: 1, Size: 256, Stages: 1, DigestBuf: 8192}
+// broken returns a pathological twin of a healthy config: the same program
+// and recipe with one thing wrong.
+func (c Config) broken(name, note string, breakIt func(*Config)) Config {
+	c.Name, c.HealthyTwin = name, c.Name
+	c.Note, c.Pathological = note, true
+	breakIt(&c)
+	return c
 }
 
 // Configs returns the detector-configuration registry: one healthy config
 // per track plus its pathological degradations.
 func Configs() []Config {
+	entropy := Config{
+		Name: "entropy", Track: TrackEntropy,
+		Note: "destination entropy over the /24 group space, collapse below 4 bits",
+		Opts: stat4p4.Options{Slots: 1, Size: 256, Stages: 1, Entropy: true, DigestBuf: 8192},
+		Binding: stat4p4.Binding{Kind: "entropy-dst", Match: stat4p4.AllIPv4(),
+			Base: detGroupBase, Size: 256, H0: entropyH0, CheckEvery: entropyCheckEvery},
+	}
+	hh := Config{
+		Name: "hh", Track: TrackHH,
+		Note:    "per-source recirculation coin at 2^-8 into a 128-entry candidate table",
+		Opts:    stat4p4.Options{Slots: 1, Size: 64, Stages: 1, HeavyHitter: true, HHTableSize: 128, DigestBuf: 8192},
+		Binding: stat4p4.Binding{Kind: "hh-src", Match: stat4p4.AllIPv4(), SampleShift: hhSampleShift},
+	}
+	window := Config{
+		Name: "window", Track: TrackWindow,
+		Note:    "σ-band packet-rate window over 10.0.0.0/8: 32 intervals, k = 4",
+		Opts:    stat4p4.Options{Slots: 1, Size: 256, Stages: 1, DigestBuf: 8192},
+		Binding: stat4p4.Binding{Kind: "window", Match: stat4p4.DstIn(detVictimNet), Capacity: 32, K: 4},
+	}
 	return []Config{
-		{
-			Name:  "entropy",
-			Track: TrackEntropy,
-			Note:  "destination entropy over the /24 group space, collapse below 4 bits",
-			Opts:  entropyOpts(),
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 0, detGroupBase, 256, entropyH0, entropyCheckEvery)
-				return 0, err
-			},
-		},
-		{
-			Name:         "ent-misbound",
-			Track:        TrackEntropy,
-			Pathological: true,
-			HealthyTwin:  "entropy",
-			Note:         "table bound to 172.16.0.0 — no scenario packet ever lands in the group space",
-			Opts:         entropyOpts(),
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 0, uint64(packet.ParseIP4(172, 16, 0, 0)), 256, entropyH0, entropyCheckEvery)
-				return 0, err
-			},
-		},
-		{
-			Name:         "ent-fracmis",
-			Track:        TrackEntropy,
-			Pathological: true,
-			HealthyTwin:  "entropy",
-			Note:         "frac width 1 with the threshold still scaled 2^16 — effective h0 of 2^17 bits, alarms on everything",
-			Opts: func() stat4p4.Options {
-				o := entropyOpts()
-				o.EntropyFrac = 1
-				return o
-			}(),
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 0, detGroupBase, 256, entropyH0, entropyCheckEvery)
-				return 0, err
-			},
-		},
-		{
-			Name:         "ent-saturated",
-			Track:        TrackEntropy,
-			Pathological: true,
-			HealthyTwin:  "entropy",
-			Note:         "12-bit register cells — counters and the S accumulator wrap within a trace, the check fires on garbage",
-			Opts: func() stat4p4.Options {
-				o := entropyOpts()
-				o.CellWidth = 12
-				return o
-			}(),
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 0, detGroupBase, 256, entropyH0, entropyCheckEvery)
-				return 0, err
-			},
-		},
-		{
-			Name:        "hh",
-			Track:       TrackHH,
-			Note:        "per-source recirculation coin at 2^-8 into a 128-entry candidate table",
-			Opts:        hhOpts(),
-			SampleShift: hhSampleShift,
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, hhSampleShift)
-				return 0, err
-			},
-		},
-		{
-			Name:         "hh-starved",
-			Track:        TrackHH,
-			Pathological: true,
-			HealthyTwin:  "hh",
-			Note:         "coin at 2^-30 — no flow in a sub-second trace ever wins recirculation",
-			Opts:         hhOpts(),
-			SampleShift:  30,
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, 30)
-				return 0, err
-			},
-		},
-		{
-			Name:         "hh-squashed",
-			Track:        TrackHH,
-			Pathological: true,
-			HealthyTwin:  "hh",
-			Note:         "key shift 32 squashes every source to key 0 — the table fills with one meaningless flow",
-			Opts:         hhOpts(),
-			SampleShift:  hhSampleShift,
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 32, hhSampleShift)
-				return 0, err
-			},
-		},
-		{
-			Name:  "window",
-			Track: TrackWindow,
-			Note:  "σ-band packet-rate window over 10.0.0.0/8: 32 intervals, k = 4",
-			Opts:  windowOpts(),
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindWindow(0, 0, stat4p4.DstIn(detVictimNet), windowShift(endNs), 32, 4)
-				return windowWarmup(endNs), err
-			},
-		},
-		{
-			Name:         "win-deaf",
-			Track:        TrackWindow,
-			Pathological: true,
-			HealthyTwin:  "window",
-			Note:         "window bound to 172.16.0.0/12 — matches nothing, never alarms",
-			Opts:         windowOpts(),
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindWindow(0, 0, stat4p4.DstIn(detDeafNet), windowShift(endNs), 32, 4)
-				return windowWarmup(endNs), err
-			},
-		},
-		{
-			Name:         "win-hair",
-			Track:        TrackWindow,
-			Pathological: true,
-			HealthyTwin:  "window",
-			Note:         "k = 0 — alarms on any interval above the running mean, ~half of benign time",
-			Opts:         windowOpts(),
-			Bind: func(b Binder, endNs uint64) (uint64, error) {
-				_, err := b.BindWindow(0, 0, stat4p4.DstIn(detVictimNet), windowShift(endNs), 32, 0)
-				return windowWarmup(endNs), err
-			},
-		},
+		entropy,
+		entropy.broken("ent-misbound",
+			"table bound to 172.16.0.0 — no scenario packet ever lands in the group space",
+			func(c *Config) { c.Binding.Base = uint64(packet.ParseIP4(172, 16, 0, 0)) }),
+		entropy.broken("ent-fracmis",
+			"frac width 1 with the threshold still scaled 2^16 — effective h0 of 2^17 bits, alarms on everything",
+			func(c *Config) { c.Opts.EntropyFrac = 1 }),
+		entropy.broken("ent-saturated",
+			"12-bit register cells — counters and the S accumulator wrap within a trace, the check fires on garbage",
+			func(c *Config) { c.Opts.CellWidth = 12 }),
+		hh,
+		hh.broken("hh-starved",
+			"coin at 2^-30 — no flow in a sub-second trace ever wins recirculation",
+			func(c *Config) { c.Binding.SampleShift = 30 }),
+		hh.broken("hh-squashed",
+			"key shift 32 squashes every source to key 0 — the table fills with one meaningless flow",
+			func(c *Config) { c.Binding.Shift = 32 }),
+		window,
+		window.broken("win-deaf",
+			"window bound to 172.16.0.0/12 — matches nothing, never alarms",
+			func(c *Config) { c.Binding.Match = stat4p4.DstIn(detDeafNet) }),
+		window.broken("win-hair",
+			"k = 0 — alarms on any interval above the running mean, ~half of benign time",
+			func(c *Config) { c.Binding.K = 0 }),
 	}
 }
 

@@ -19,8 +19,8 @@ type AppConfig struct {
 	// defaults.
 	Options Options `json:"options"`
 
-	Routes   []RouteConfig   `json:"routes,omitempty"`
-	Bindings []BindingConfig `json:"bindings"`
+	Routes   []RouteConfig `json:"routes,omitempty"`
+	Bindings []Binding     `json:"bindings"`
 }
 
 // RouteConfig is one forwarding entry.
@@ -28,50 +28,6 @@ type RouteConfig struct {
 	Prefix string `json:"prefix"` // CIDR; bare addresses are /32
 	Port   uint16 `json:"port"`
 	Drop   bool   `json:"drop,omitempty"` // blackhole instead of forwarding
-}
-
-// MatchSpec selects the packets a binding applies to. Empty fields are
-// wildcards.
-type MatchSpec struct {
-	Echo      bool   `json:"echo,omitempty"`       // echo frames only
-	IPv4      bool   `json:"ipv4,omitempty"`       // require IPv4
-	DstPrefix string `json:"dst_prefix,omitempty"` // CIDR on the destination
-	SynOnly   bool   `json:"syn_only,omitempty"`   // connection-attempt SYNs
-	Priority  int    `json:"priority,omitempty"`
-}
-
-// BindingConfig is one binding-table entry in declarative form.
-type BindingConfig struct {
-	// Kind selects the tracked statistic: window, window-bytes, freq-dst,
-	// freq-dport, freq-proto, freq-len, freq-echo, sparse-dst, sparse-src,
-	// entropy-dst, entropy-src, hh-dst, hh-src.
-	Kind  string    `json:"kind"`
-	Stage int       `json:"stage"`
-	Slot  int       `json:"slot"`
-	Match MatchSpec `json:"match"`
-
-	// Window parameters.
-	IntervalShift uint `json:"interval_shift,omitempty"`
-	Capacity      int  `json:"capacity,omitempty"`
-
-	// Frequency/sparse parameters.
-	Shift uint   `json:"shift,omitempty"`
-	Base  uint64 `json:"base,omitempty"`
-	Size  int    `json:"size,omitempty"`
-	PA    uint64 `json:"pa,omitempty"` // percentile weights; 0,0 → median
-	PB    uint64 `json:"pb,omitempty"`
-
-	// K arms the anomaly check at K·σ (0 disables for frequency modes).
-	K uint64 `json:"k,omitempty"`
-
-	// Entropy parameters: H0 arms the collapse check at H0/2^EntropyFrac
-	// bits (0 disables); CheckEvery rate-limits it (power of two, 0 → 1).
-	H0         uint64 `json:"h0,omitempty"`
-	CheckEvery uint64 `json:"check_every,omitempty"`
-
-	// SampleShift is the heavy-hitter recirculation exponent: packets
-	// recirculate with probability 2^-SampleShift.
-	SampleShift uint `json:"sample_shift,omitempty"`
 }
 
 // LoadAppConfig decodes and sanity-checks a JSON application description.
@@ -94,97 +50,58 @@ func LoadAppConfig(r io.Reader) (*AppConfig, error) {
 	return &cfg, nil
 }
 
+// Target is what an app config installs into; *Runtime and *ShardedRuntime
+// both are one.
+type Target interface {
+	Library() *Library
+	Bind(Binding) (p4.EntryID, error)
+	AddRoute(prefix packet.Prefix, port uint16) (p4.EntryID, error)
+	AddDropRoute(prefix packet.Prefix) (p4.EntryID, error)
+}
+
 // Apply builds the library, instantiates a runtime, and installs every route
 // and binding. It returns the runtime and the binding entry IDs in config
 // order.
 func (cfg *AppConfig) Apply() (*Runtime, []p4.EntryID, error) {
-	lib := Build(cfg.Options)
-	rt, err := NewRuntime(lib)
+	rt, err := NewRuntime(Build(cfg.Options))
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, r := range cfg.Routes {
-		pfx, err := packet.ParsePrefix(r.Prefix)
-		if err != nil {
-			return nil, nil, err
-		}
-		if r.Drop {
-			_, err = rt.AddDropRoute(pfx)
-		} else {
-			_, err = rt.AddRoute(pfx, r.Port)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("stat4p4: route %q: %w", r.Prefix, err)
-		}
-	}
-	ids := make([]p4.EntryID, 0, len(cfg.Bindings))
-	for i, b := range cfg.Bindings {
-		m, err := b.Match.toMatch()
-		if err != nil {
-			return nil, nil, fmt.Errorf("stat4p4: binding %d: %w", i, err)
-		}
-		id, err := cfg.applyBinding(rt, b, m)
-		if err != nil {
-			return nil, nil, fmt.Errorf("stat4p4: binding %d (%s): %w", i, b.Kind, err)
-		}
-		ids = append(ids, id)
+	ids, err := cfg.Install(rt)
+	if err != nil {
+		return nil, nil, err
 	}
 	return rt, ids, nil
 }
 
-func (ms MatchSpec) toMatch() (Match, error) {
-	var m Match
-	if ms.Echo {
-		t := packet.EtherTypeEcho
-		m.EthType = &t
-	}
-	m.RequireIPv4 = ms.IPv4
-	if ms.DstPrefix != "" {
-		pfx, err := packet.ParsePrefix(ms.DstPrefix)
+// Install installs every route and binding into a runtime of a library built
+// from cfg.Options, returning the binding entry IDs in config order. A
+// binding with no size covers the whole slot.
+func (cfg *AppConfig) Install(t Target) ([]p4.EntryID, error) {
+	for _, r := range cfg.Routes {
+		pfx, err := packet.ParsePrefix(r.Prefix)
 		if err != nil {
-			return m, err
+			return nil, err
 		}
-		m.RequireIPv4 = true
-		m.DstPrefix = &pfx
+		if r.Drop {
+			_, err = t.AddDropRoute(pfx)
+		} else {
+			_, err = t.AddRoute(pfx, r.Port)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("stat4p4: route %q: %w", r.Prefix, err)
+		}
 	}
-	m.SynOnly = ms.SynOnly
-	m.Priority = ms.Priority
-	return m, nil
-}
-
-func (cfg *AppConfig) applyBinding(rt *Runtime, b BindingConfig, m Match) (p4.EntryID, error) {
-	size := b.Size
-	if size == 0 {
-		size = rt.Library().Opts.Size
+	ids := make([]p4.EntryID, 0, len(cfg.Bindings))
+	for i, b := range cfg.Bindings {
+		if b.Size == 0 {
+			b.Size = t.Library().Opts.Size
+		}
+		id, err := t.Bind(b)
+		if err != nil {
+			return nil, fmt.Errorf("stat4p4: binding %d (%s): %w", i, b.Kind, err)
+		}
+		ids = append(ids, id)
 	}
-	switch b.Kind {
-	case "window":
-		return rt.BindWindow(b.Stage, b.Slot, m, b.IntervalShift, b.Capacity, b.K)
-	case "window-bytes":
-		return rt.BindWindowBytes(b.Stage, b.Slot, m, b.IntervalShift, b.Capacity, b.K)
-	case "freq-dst":
-		return rt.BindFreqDst(b.Stage, b.Slot, m, b.Shift, b.Base, size, b.PA, b.PB, b.K)
-	case "freq-dport":
-		return rt.BindFreqDport(b.Stage, b.Slot, m, b.Shift, b.Base, size, b.PA, b.PB, b.K)
-	case "freq-proto":
-		return rt.BindFreqProto(b.Stage, b.Slot, m, b.Base, size, b.PA, b.PB, b.K)
-	case "freq-len":
-		return rt.BindFreqLen(b.Stage, b.Slot, m, b.Shift, b.Base, size, b.PA, b.PB, b.K)
-	case "freq-echo":
-		return rt.BindFreqEcho(b.Stage, b.Slot, m, b.Base, size, b.PA, b.PB, b.K)
-	case "sparse-dst":
-		return rt.BindSparseDst(b.Stage, b.Slot, m, b.Shift, b.K)
-	case "sparse-src":
-		return rt.BindSparseSrc(b.Stage, b.Slot, m, b.Shift, b.K)
-	case "entropy-dst":
-		return rt.BindEntropyDst(b.Stage, b.Slot, m, b.Shift, b.Base, size, b.H0, b.CheckEvery)
-	case "entropy-src":
-		return rt.BindEntropySrc(b.Stage, b.Slot, m, b.Shift, b.Base, size, b.H0, b.CheckEvery)
-	case "hh-dst":
-		return rt.BindHeavyHitterDst(b.Stage, b.Slot, m, b.Shift, b.SampleShift)
-	case "hh-src":
-		return rt.BindHeavyHitterSrc(b.Stage, b.Slot, m, b.Shift, b.SampleShift)
-	default:
-		return 0, fmt.Errorf("unknown binding kind %q", b.Kind)
-	}
+	return ids, nil
 }

@@ -61,20 +61,6 @@ var ScalarRegisters = []string{
 	RegMedMoves,
 }
 
-// DigestAnomaly is the digest ID of anomaly alerts. Values carried:
-// [slot, interval value, N·x, threshold, timestamp ns].
-const DigestAnomaly = 1
-
-// DigestEntropy is the digest ID of entropy-collapse alerts. Values carried:
-// [slot, total observations, scaled entropy·total, threshold·total,
-// timestamp ns].
-const DigestEntropy = 2
-
-// DigestHeavyHitter is the digest ID emitted when the recirculation pass
-// promotes a new candidate flow into the heavy-hitter table. Values carried:
-// [slot, flow key, timestamp ns].
-const DigestHeavyHitter = 3
-
 // EchoBias re-exports the parser's bias that shifts the signed echo test
 // integer into unsigned counter-index space.
 const EchoBias = p4.EchoBias
@@ -199,9 +185,9 @@ type fields struct {
 	repValid                            p4.FieldID
 
 	// Entropy-mode scratch (entropy.go).
-	lf, lt, ec, ecold, es       p4.FieldID
-	h0, entchk, entg            p4.FieldID
-	enta, entb, ht              p4.FieldID
+	lf, lt, ec, ecold, es p4.FieldID
+	h0, entchk, entg      p4.FieldID
+	enta, entb, ht        p4.FieldID
 	// Heavy-hitter scratch (heavyhitter.go). The hh* fields carry the flow
 	// key and table coordinates across the recirculation trip, so no later
 	// binding stage may reuse them.
@@ -534,24 +520,18 @@ func (l *Library) declareTables() {
 		// their traffic.
 		p4.SetEgress(p4.C(0)),
 	))
-	bindable := []string{
-		"bind_freq_echo", "bind_freq_dst", "bind_freq_dport",
-		"bind_freq_proto", "bind_freq_len", "bind_window", "bind_none",
-	}
-	if !l.Opts.Strict {
-		bindable = append(bindable, "bind_window_bytes")
-	}
-	if l.Opts.Sparse {
-		bindable = append(bindable, "bind_sparse_dst", "bind_sparse_src")
-	}
-	if l.Opts.Entropy {
-		bindable = append(bindable, "bind_ent_dst", "bind_ent_src")
-	}
-	if l.Opts.HeavyHitter {
-		bindable = append(bindable, "bind_hh_dst", "bind_hh_src")
-	}
-	if l.Opts.FlowTable {
-		bindable = append(bindable, "bind_flow_dst", "bind_flow_src", "bind_flow_pair")
+	// Every kind the program carries is bindable in every stage. The order
+	// is part of the emitted program (the BENCH/DETECT artifacts pin it):
+	// kind-table order, with bind_none, the miss default, after the six
+	// kinds every target carries.
+	var bindable []string
+	for i := range kinds {
+		if kinds[i].emitted(&l.Opts) {
+			bindable = append(bindable, kinds[i].action)
+		}
+		if kinds[i].name == "window" {
+			bindable = append(bindable, "bind_none")
+		}
 	}
 	for s := 0; s < l.Opts.Stages; s++ {
 		name := fmt.Sprintf("bind%d", s)

@@ -318,52 +318,6 @@ func (l *Library) flowBlock() []p4.Stmt {
 	return append(resolve, p4.If(eq(f.ok, 1), update...))
 }
 
-// BindFlowDst tracks flows keyed by (ipv4.dst >> shift) in the slot's
-// 2-left flow table: epochShift sets the expiry clock (epoch = ts >>
-// epochShift), ttl how many epochs an entry survives after its last touch,
-// sampleShift the 2^-sampleShift admission coin for new keys (0 admits
-// every flow), and k ≥ 1 arms the mean+kσ hot-flow check whose digest names
-// the key.
-func (rt *Runtime) BindFlowDst(stage, slot int, m Match, shift, epochShift uint, ttl uint64, sampleShift uint, k uint64) (p4.EntryID, error) {
-	return rt.bindFlow(stage, slot, m, "bind_flow_dst", shift, epochShift, ttl, sampleShift, k)
-}
-
-// BindFlowSrc tracks flows keyed by (ipv4.src >> shift) — the per-source
-// view (super-spreaders, DDoS sources).
-func (rt *Runtime) BindFlowSrc(stage, slot int, m Match, shift, epochShift uint, ttl uint64, sampleShift uint, k uint64) (p4.EntryID, error) {
-	return rt.bindFlow(stage, slot, m, "bind_flow_src", shift, epochShift, ttl, sampleShift, k)
-}
-
-// BindFlowPair tracks flows keyed by src<<32|dst, the flow-pair view.
-func (rt *Runtime) BindFlowPair(stage, slot int, m Match, epochShift uint, ttl uint64, sampleShift uint, k uint64) (p4.EntryID, error) {
-	return rt.bindFlow(stage, slot, m, "bind_flow_pair", 0, epochShift, ttl, sampleShift, k)
-}
-
-func (rt *Runtime) bindFlow(stage, slot int, m Match, action string, shift, epochShift uint, ttl uint64, sampleShift uint, k uint64) (p4.EntryID, error) {
-	if !rt.lib.Opts.FlowTable {
-		return 0, fmt.Errorf("stat4p4: library built without Options.FlowTable")
-	}
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if shift > 32 {
-		return 0, fmt.Errorf("stat4p4: flow shift %d out of range", shift)
-	}
-	if epochShift >= 64 {
-		return 0, fmt.Errorf("stat4p4: epoch shift %d out of range", epochShift)
-	}
-	if ttl == 0 {
-		return 0, fmt.Errorf("stat4p4: flow TTL must be ≥ 1 epoch")
-	}
-	if sampleShift > 32 {
-		return 0, fmt.Errorf("stat4p4: sample shift %d out of range", sampleShift)
-	}
-	base := uint64(slot * rt.lib.Opts.FlowTableSize)
-	mask := uint64(1)<<sampleShift - 1
-	return rt.insert(stage, m, action,
-		[]uint64{base, uint64(slot), uint64(shift), uint64(epochShift), ttl, mask, k})
-}
-
 // FlowEntry is one occupied flow bucket as the control plane reads it.
 type FlowEntry struct {
 	Key   uint64
@@ -492,27 +446,6 @@ func (sr *ShardedRuntime) MergedFlowStats(slot int) (FlowStats, error) {
 		m.Capacity += st.Capacity
 	}
 	return m, nil
-}
-
-// BindFlowDst fans Runtime.BindFlowDst out to every shard.
-func (sr *ShardedRuntime) BindFlowDst(stage, slot int, m Match, shift, epochShift uint, ttl uint64, sampleShift uint, k uint64) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFlowDst(stage, slot, m, shift, epochShift, ttl, sampleShift, k)
-	})
-}
-
-// BindFlowSrc fans Runtime.BindFlowSrc out to every shard.
-func (sr *ShardedRuntime) BindFlowSrc(stage, slot int, m Match, shift, epochShift uint, ttl uint64, sampleShift uint, k uint64) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFlowSrc(stage, slot, m, shift, epochShift, ttl, sampleShift, k)
-	})
-}
-
-// BindFlowPair fans Runtime.BindFlowPair out to every shard.
-func (sr *ShardedRuntime) BindFlowPair(stage, slot int, m Match, epochShift uint, ttl uint64, sampleShift uint, k uint64) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFlowPair(stage, slot, m, epochShift, ttl, sampleShift, k)
-	})
 }
 
 // sortFlows orders entries by descending count, then ascending key.

@@ -43,6 +43,14 @@ func TestRegisteredCatalogWellFormed(t *testing.T) {
 		seen[rp.Name] = true
 		if rp.Opts.Slots <= 0 || rp.Opts.Size <= 0 {
 			t.Errorf("catalog entry %q has a non-positive sizing: %+v", rp.Name, rp.Opts)
+			continue
+		}
+		// Runtime.ResetSlot zeroes one stripe of every register; a register
+		// that is not slot-striped would be half-reset.
+		for _, rd := range stat4p4.Build(rp.Opts).Prog.Registers {
+			if rd.Cells%rp.Opts.Slots != 0 {
+				t.Errorf("%s: register %s has %d cells, not a multiple of %d slots", rp.Name, rd.Name, rd.Cells, rp.Opts.Slots)
+			}
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 // tracked distributions out of the registers, and exposes the digest stream.
 // All methods are safe to call while the data plane processes packets.
 type Runtime struct {
+	typedBinds
 	lib *Library
 	sw  *p4.Switch
 }
@@ -24,10 +25,18 @@ func NewRuntime(lib *Library) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newRuntime(lib, sw), nil
+}
+
+// newRuntime wraps one switch (a serial one, or a shard) in its control
+// handle.
+func newRuntime(lib *Library, sw *p4.Switch) *Runtime {
 	if lib.Opts.Echo {
 		sw.SetDeparser(EchoDeparser{lib: lib})
 	}
-	return &Runtime{lib: lib, sw: sw}, nil
+	rt := &Runtime{lib: lib, sw: sw}
+	rt.bind = rt.Bind
+	return rt
 }
 
 // Switch returns the underlying data plane.
@@ -39,49 +48,51 @@ func (rt *Runtime) Library() *Library { return rt.lib }
 // Match selects which packets a binding entry applies to. Zero-value fields
 // are wildcarded.
 type Match struct {
-	EthType     *packet.EtherType // exact ethertype
-	RequireIPv4 bool
-	DstPrefix   *packet.Prefix // IPv4 destination prefix
-	SynOnly     bool           // only connection-attempt SYNs
-	Priority    int            // ternary priority; higher wins
+	Echo      bool   `json:"echo,omitempty"`       // echo frames only
+	IPv4      bool   `json:"ipv4,omitempty"`       // require IPv4
+	DstPrefix string `json:"dst_prefix,omitempty"` // CIDR on the IPv4 destination; implies IPv4
+	SynOnly   bool   `json:"syn_only,omitempty"`   // only connection-attempt SYNs
+	Priority  int    `json:"priority,omitempty"`   // ternary priority; higher wins
 }
 
 // EchoOnly matches echo frames.
-func EchoOnly() Match {
-	t := packet.EtherTypeEcho
-	return Match{EthType: &t}
-}
+func EchoOnly() Match { return Match{Echo: true} }
 
 // AllIPv4 matches every IPv4 packet.
-func AllIPv4() Match { return Match{RequireIPv4: true} }
+func AllIPv4() Match { return Match{IPv4: true} }
 
 // DstIn matches IPv4 packets into a destination prefix.
-func DstIn(p packet.Prefix) Match { return Match{RequireIPv4: true, DstPrefix: &p} }
+func DstIn(p packet.Prefix) Match { return Match{IPv4: true, DstPrefix: p.String()} }
 
 // SynTo matches connection-attempt SYNs into a destination prefix.
-func SynTo(p packet.Prefix) Match { return Match{RequireIPv4: true, DstPrefix: &p, SynOnly: true} }
+func SynTo(p packet.Prefix) Match { return Match{IPv4: true, DstPrefix: p.String(), SynOnly: true} }
 
-// values lowers the match to the binding tables' four ternary keys:
+// keys lowers the match to the binding tables' four ternary keys:
 // [eth.type, ipv4.valid, ipv4.dst, tcp.syn].
-func (m Match) values() []p4.MatchValue {
+func (m Match) keys() ([]p4.MatchValue, error) {
 	mv := make([]p4.MatchValue, 4)
-	if m.EthType != nil {
-		mv[0] = p4.MatchValue{Value: uint64(*m.EthType), Mask: 0xffff}
+	if m.Echo {
+		mv[0] = p4.MatchValue{Value: uint64(packet.EtherTypeEcho), Mask: 0xffff}
 	}
-	if m.RequireIPv4 {
-		mv[1] = p4.MatchValue{Value: 1, Mask: 1}
-	}
-	if m.DstPrefix != nil {
-		mask := uint64(0)
-		if m.DstPrefix.Len > 0 {
-			mask = (^uint64(0) << (32 - uint(m.DstPrefix.Len))) & 0xffffffff
+	if m.DstPrefix != "" {
+		pfx, err := packet.ParsePrefix(m.DstPrefix)
+		if err != nil {
+			return nil, err
 		}
-		mv[2] = p4.MatchValue{Value: uint64(m.DstPrefix.Addr), Mask: mask}
+		m.IPv4 = true
+		mask := uint64(0)
+		if pfx.Len > 0 {
+			mask = (^uint64(0) << (32 - uint(pfx.Len))) & 0xffffffff
+		}
+		mv[2] = p4.MatchValue{Value: uint64(pfx.Addr), Mask: mask}
+	}
+	if m.IPv4 {
+		mv[1] = p4.MatchValue{Value: 1, Mask: 1}
 	}
 	if m.SynOnly {
 		mv[3] = p4.MatchValue{Value: 1, Mask: 1}
 	}
-	return mv
+	return mv, nil
 }
 
 // Errors returned by binding operations.
@@ -92,135 +103,17 @@ var (
 	ErrStrict   = errors.New("stat4p4: parameter not representable in strict mode")
 )
 
-func (rt *Runtime) checkSlotStage(stage, slot int) error {
-	if stage < 0 || stage >= rt.lib.Opts.Stages {
-		return fmt.Errorf("%w: %d of %d", ErrBadStage, stage, rt.lib.Opts.Stages)
+// Bind installs one binding-table entry: Lower, then one table insert.
+func (rt *Runtime) Bind(b Binding) (p4.EntryID, error) {
+	low, err := rt.lib.Lower(b)
+	if err != nil {
+		return 0, err
 	}
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return fmt.Errorf("%w: %d of %d", ErrBadSlot, slot, rt.lib.Opts.Slots)
-	}
-	return nil
+	return rt.insert(low)
 }
 
-func (rt *Runtime) commonArgs(slot int) (slotBase, slotID uint64) {
-	return uint64(slot * rt.lib.Opts.Size), uint64(slot)
-}
-
-func (rt *Runtime) checkFreq(size int, pa, pb, k uint64) error {
-	if size <= 0 || size > rt.lib.Opts.Size {
-		return fmt.Errorf("%w: %d of %d", ErrBadSize, size, rt.lib.Opts.Size)
-	}
-	if pa == 0 || pb == 0 {
-		return fmt.Errorf("stat4p4: percentile weights must be positive")
-	}
-	if rt.lib.Opts.Strict {
-		if pa != 1 || pb != 1 {
-			return fmt.Errorf("%w: percentile weights %d:%d (strict supports the median only)", ErrStrict, pa, pb)
-		}
-		if k != 0 && k != 2 {
-			return fmt.Errorf("%w: k must be 0 or 2", ErrStrict)
-		}
-	}
-	return nil
-}
-
-func (rt *Runtime) insert(stage int, m Match, action string, args []uint64) (p4.EntryID, error) {
-	return rt.sw.InsertEntry(rt.lib.BindTables[stage], m.values(), m.Priority, action, args)
-}
-
-// BindFreqEcho tracks the frequency distribution of the echo test integer on
-// [0, size): observed value = (wire value + EchoBias) − base. pa:pb are the
-// percentile weights (1,1 = median). k ≥ 1 arms the in-switch imbalance
-// check at k standard deviations; k = 0 leaves it off.
-func (rt *Runtime) BindFreqEcho(stage, slot int, m Match, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if err := rt.checkFreq(size, pa, pb, k); err != nil {
-		return 0, err
-	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, "bind_freq_echo", []uint64{sb, id, base, uint64(size), pa, pb, k})
-}
-
-// BindFreqDst tracks packets per destination group: observed value =
-// (ipv4.dst >> shift) − base. shift 8 with a /24-aligned base tracks hosts
-// within a /24; shift 16 tracks /24 subnets within a /16, and so on.
-func (rt *Runtime) BindFreqDst(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if err := rt.checkFreq(size, pa, pb, k); err != nil {
-		return 0, err
-	}
-	if shift > 32 {
-		return 0, fmt.Errorf("stat4p4: dst shift %d out of range", shift)
-	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, "bind_freq_dst", []uint64{sb, id, uint64(shift), base, uint64(size), pa, pb, k})
-}
-
-// BindFreqDport tracks packets per TCP destination port group.
-func (rt *Runtime) BindFreqDport(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if err := rt.checkFreq(size, pa, pb, k); err != nil {
-		return 0, err
-	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, "bind_freq_dport", []uint64{sb, id, uint64(shift), base, uint64(size), pa, pb, k})
-}
-
-// BindFreqProto tracks packets by IP protocol — the traffic-classification
-// use case of Table 1.
-func (rt *Runtime) BindFreqProto(stage, slot int, m Match, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if err := rt.checkFreq(size, pa, pb, k); err != nil {
-		return 0, err
-	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, "bind_freq_proto", []uint64{sb, id, base, uint64(size), pa, pb, k})
-}
-
-// BindFreqLen tracks the frame-size distribution in 2^shift-byte buckets.
-func (rt *Runtime) BindFreqLen(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if err := rt.checkFreq(size, pa, pb, k); err != nil {
-		return 0, err
-	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, "bind_freq_len", []uint64{sb, id, uint64(shift), base, uint64(size), pa, pb, k})
-}
-
-// BindWindow tracks packets per time interval in a circular window of the
-// given capacity, checking each completed interval against mean + k·σ.
-// Interval length is 2^intervalShift nanoseconds (2^23 ≈ 8.4 ms, the
-// case-study default).
-func (rt *Runtime) BindWindow(stage, slot int, m Match, intervalShift uint, capacity int, k uint64) (p4.EntryID, error) {
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if capacity <= 0 || capacity > rt.lib.Opts.Size {
-		return 0, fmt.Errorf("%w: window capacity %d of %d", ErrBadSize, capacity, rt.lib.Opts.Size)
-	}
-	if intervalShift >= 64 {
-		return 0, fmt.Errorf("stat4p4: interval shift %d out of range", intervalShift)
-	}
-	if rt.lib.Opts.Strict {
-		if capacity != 1<<rt.lib.Opts.StrictCapShift {
-			return 0, fmt.Errorf("%w: window capacity must be %d", ErrStrict, 1<<rt.lib.Opts.StrictCapShift)
-		}
-		if k != 2 {
-			return 0, fmt.Errorf("%w: k must be 2", ErrStrict)
-		}
-	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, "bind_window", []uint64{sb, id, uint64(intervalShift), uint64(capacity), k})
+func (rt *Runtime) insert(low Lowered) (p4.EntryID, error) {
+	return rt.sw.InsertEntry(low.Table, low.Keys, low.Priority, low.Action, low.Args)
 }
 
 // AddRoute installs an LPM forwarding route: IPv4 packets into the prefix
@@ -242,27 +135,6 @@ func (rt *Runtime) AddDropRoute(prefix packet.Prefix) (p4.EntryID, error) {
 // DelRoute removes a forwarding entry.
 func (rt *Runtime) DelRoute(id p4.EntryID) error {
 	return rt.sw.DeleteEntry(FwdTable, id)
-}
-
-// BindWindowBytes tracks bytes per time interval ("traffic volumes over
-// time"): each packet adds its wire length to the current interval. Only
-// available on multiply-capable targets (the squared accumulator needs
-// 2·cur·δ + δ²).
-func (rt *Runtime) BindWindowBytes(stage, slot int, m Match, intervalShift uint, capacity int, k uint64) (p4.EntryID, error) {
-	if rt.lib.Opts.Strict {
-		return 0, fmt.Errorf("%w: byte-counting windows need runtime multiplication", ErrStrict)
-	}
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if capacity <= 0 || capacity > rt.lib.Opts.Size {
-		return 0, fmt.Errorf("%w: window capacity %d of %d", ErrBadSize, capacity, rt.lib.Opts.Size)
-	}
-	if intervalShift >= 64 {
-		return 0, fmt.Errorf("stat4p4: interval shift %d out of range", intervalShift)
-	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, "bind_window_bytes", []uint64{sb, id, uint64(intervalShift), uint64(capacity), k})
 }
 
 // Unbind removes a binding entry.
@@ -325,128 +197,24 @@ func (rt *Runtime) ReadCounters(slot, n int) ([]uint64, error) {
 	return out, nil
 }
 
-// ResetSlot zeroes a distribution's counters, squares and metadata so the
-// slot can be rebound to a new value of interest.
+// ResetSlot zeroes everything the program keeps for a slot so it can be
+// rebound to a new value of interest. Every register the emitter declares is
+// slot-striped (Cells == Slots × stride), so the slot's state is one stripe
+// of each.
 func (rt *Runtime) ResetSlot(slot int) error {
 	if slot < 0 || slot >= rt.lib.Opts.Slots {
 		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
 	}
-	counters, err := rt.sw.Register(RegCounters)
-	if err != nil {
-		return err
-	}
-	squares, err := rt.sw.Register(RegSquares)
-	if err != nil {
-		return err
-	}
-	base := slot * rt.lib.Opts.Size
-	for i := 0; i < rt.lib.Opts.Size; i++ {
-		if err := counters.WriteCell(base+i, 0); err != nil {
-			return err
-		}
-		if err := squares.WriteCell(base+i, 0); err != nil {
-			return err
-		}
-	}
-	if rt.lib.Opts.Sparse {
-		keys, err := rt.sw.Register(RegKeys)
+	for _, rd := range rt.lib.Prog.Registers {
+		reg, err := rt.sw.Register(rd.Name)
 		if err != nil {
 			return err
 		}
-		used, err := rt.sw.Register(RegUsedBits)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < rt.lib.Opts.Size; i++ {
-			if err := keys.WriteCell(base+i, 0); err != nil {
+		stride := rd.Cells / rt.lib.Opts.Slots
+		for i := slot * stride; i < (slot+1)*stride; i++ {
+			if err := reg.WriteCell(i, 0); err != nil {
 				return err
 			}
-			if err := used.WriteCell(base+i, 0); err != nil {
-				return err
-			}
-		}
-		rejected, err := rt.sw.Register(RegRejected)
-		if err != nil {
-			return err
-		}
-		if err := rejected.WriteCell(slot, 0); err != nil {
-			return err
-		}
-	}
-	if rt.lib.Opts.Entropy {
-		ecells, err := rt.sw.Register(RegEntCell)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < rt.lib.Opts.Size; i++ {
-			if err := ecells.WriteCell(base+i, 0); err != nil {
-				return err
-			}
-		}
-		esum, err := rt.sw.Register(RegEntSum)
-		if err != nil {
-			return err
-		}
-		if err := esum.WriteCell(slot, 0); err != nil {
-			return err
-		}
-	}
-	if rt.lib.Opts.HeavyHitter {
-		keys, err := rt.sw.Register(RegHHKeys)
-		if err != nil {
-			return err
-		}
-		counts, err := rt.sw.Register(RegHHCounts)
-		if err != nil {
-			return err
-		}
-		hhBase := slot * rt.lib.Opts.HHTableSize
-		for i := 0; i < rt.lib.Opts.HHTableSize; i++ {
-			if err := keys.WriteCell(hhBase+i, 0); err != nil {
-				return err
-			}
-			if err := counts.WriteCell(hhBase+i, 0); err != nil {
-				return err
-			}
-		}
-		rej, err := rt.sw.Register(RegHHRej)
-		if err != nil {
-			return err
-		}
-		if err := rej.WriteCell(slot, 0); err != nil {
-			return err
-		}
-	}
-	if rt.lib.Opts.FlowTable {
-		ftBase := slot * rt.lib.Opts.FlowTableSize
-		for _, name := range []string{RegFTKeys, RegFTStamp, RegFTCnt} {
-			reg, err := rt.sw.Register(name)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < rt.lib.Opts.FlowTableSize; i++ {
-				if err := reg.WriteCell(ftBase+i, 0); err != nil {
-					return err
-				}
-			}
-		}
-		for _, name := range []string{RegFTAdm, RegFTEvt, RegFTRej, RegFTShed} {
-			reg, err := rt.sw.Register(name)
-			if err != nil {
-				return err
-			}
-			if err := reg.WriteCell(slot, 0); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range ScalarRegisters {
-		reg, err := rt.sw.Register(name)
-		if err != nil {
-			return err
-		}
-		if err := reg.WriteCell(slot, 0); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -155,11 +155,13 @@ func (l *Library) CanonicalizeSnapshot(snap *p4.Snapshot, slots []SlotBinding) {
 }
 
 // ShardedRuntime is Runtime for a sharded data plane: one emitted program
-// replicated across N shards behind the flow-hash dispatcher, with every
-// binding and routing operation fanned out to all shards so they stay
-// configured identically — the contract MergedSnapshot's entry view and the
-// dispatcher's correctness both rest on.
+// replicated across N shards behind the flow-hash dispatcher. A binding is
+// lowered once and the same table entry inserted on every shard, and routing
+// operations fan out likewise, so the shards stay configured identically —
+// the contract MergedSnapshot's entry view and the dispatcher's correctness
+// both rest on.
 type ShardedRuntime struct {
+	typedBinds
 	lib  *Library
 	ss   *p4.ShardedSwitch
 	rts  []*Runtime
@@ -173,12 +175,9 @@ func NewShardedRuntime(lib *Library, n int) (*ShardedRuntime, error) {
 		return nil, err
 	}
 	sr := &ShardedRuntime{lib: lib, ss: ss, freq: make(map[int]SlotBinding)}
+	sr.bind = sr.Bind
 	for i := 0; i < n; i++ {
-		sw := ss.Shard(i)
-		if lib.Opts.Echo {
-			sw.SetDeparser(EchoDeparser{lib: lib})
-		}
-		sr.rts = append(sr.rts, &Runtime{lib: lib, sw: sw})
+		sr.rts = append(sr.rts, newRuntime(lib, ss.Shard(i)))
 	}
 	return sr, nil
 }
@@ -229,84 +228,19 @@ func (sr *ShardedRuntime) eachErr(f func(rt *Runtime) error) error {
 	return nil
 }
 
-func (sr *ShardedRuntime) noteFreq(slot int, pa, pb uint64) {
-	sr.freq[slot] = SlotBinding{Slot: slot, PA: pa, PB: pb}
-}
-
-// BindFreqEcho fans Runtime.BindFreqEcho out to every shard.
-func (sr *ShardedRuntime) BindFreqEcho(stage, slot int, m Match, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqEcho(stage, slot, m, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
+// Bind lowers the binding once and inserts the resulting entry on every
+// shard, then records what CanonicalizeSnapshot must remember about the slot.
+func (sr *ShardedRuntime) Bind(b Binding) (p4.EntryID, error) {
+	low, err := sr.lib.Lower(b)
+	if err != nil {
+		return 0, err
 	}
-	return id, err
-}
-
-// BindFreqDst fans Runtime.BindFreqDst out to every shard.
-func (sr *ShardedRuntime) BindFreqDst(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqDst(stage, slot, m, shift, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
+	if low.SerialOnly {
+		return 0, fmt.Errorf("stat4p4: %s keeps replica-local buckets with no merged view; bind it on a serial Runtime", b.Kind)
 	}
-	return id, err
-}
-
-// BindFreqDport fans Runtime.BindFreqDport out to every shard.
-func (sr *ShardedRuntime) BindFreqDport(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqDport(stage, slot, m, shift, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
-	}
-	return id, err
-}
-
-// BindFreqProto fans Runtime.BindFreqProto out to every shard.
-func (sr *ShardedRuntime) BindFreqProto(stage, slot int, m Match, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqProto(stage, slot, m, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
-	}
-	return id, err
-}
-
-// BindFreqLen fans Runtime.BindFreqLen out to every shard.
-func (sr *ShardedRuntime) BindFreqLen(stage, slot int, m Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindFreqLen(stage, slot, m, shift, base, size, pa, pb, k)
-	})
-	if err == nil {
-		sr.noteFreq(slot, pa, pb)
-	}
-	return id, err
-}
-
-// BindEntropyDst fans Runtime.BindEntropyDst out to every shard and records
-// the slot for entropy canonicalisation.
-func (sr *ShardedRuntime) BindEntropyDst(stage, slot int, m Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindEntropyDst(stage, slot, m, shift, base, size, h0, checkEvery)
-	})
-	if err == nil {
-		sr.freq[slot] = SlotBinding{Slot: slot, PA: 1, PB: 1, Entropy: true}
-	}
-	return id, err
-}
-
-// BindEntropySrc fans Runtime.BindEntropySrc out to every shard.
-func (sr *ShardedRuntime) BindEntropySrc(stage, slot int, m Match, shift uint, base uint64, size int, h0, checkEvery uint64) (p4.EntryID, error) {
-	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindEntropySrc(stage, slot, m, shift, base, size, h0, checkEvery)
-	})
-	if err == nil {
-		sr.freq[slot] = SlotBinding{Slot: slot, PA: 1, PB: 1, Entropy: true}
+	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) { return rt.insert(low) })
+	if err == nil && low.Note != nil {
+		sr.freq[b.Slot] = *low.Note
 	}
 	return id, err
 }
@@ -325,23 +259,6 @@ func (sr *ShardedRuntime) MergedEntropy(slot int) (EntropySnapshot, error) {
 		sum += (f * intstat.Log2Fixed(f, sr.lib.Opts.EntropyFrac)) & mask
 	}
 	return sr.lib.entropySnapshot(total&mask, sum&mask), nil
-}
-
-// BindWindow fans Runtime.BindWindow out to every shard. Each shard then
-// maintains its own window over its share of the traffic; per-interval
-// totals combine with the shared-clock core.Window merge, not through
-// CanonicalizeSnapshot.
-func (sr *ShardedRuntime) BindWindow(stage, slot int, m Match, intervalShift uint, capacity int, k uint64) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindWindow(stage, slot, m, intervalShift, capacity, k)
-	})
-}
-
-// BindWindowBytes fans Runtime.BindWindowBytes out to every shard.
-func (sr *ShardedRuntime) BindWindowBytes(stage, slot int, m Match, intervalShift uint, capacity int, k uint64) (p4.EntryID, error) {
-	return sr.each(func(rt *Runtime) (p4.EntryID, error) {
-		return rt.BindWindowBytes(stage, slot, m, intervalShift, capacity, k)
-	})
 }
 
 // AddRoute fans Runtime.AddRoute out to every shard.

@@ -159,37 +159,6 @@ func (l *Library) declareSparseLoad() {
 	))
 }
 
-// BindSparseDst tracks packets per destination key = (ipv4.dst >> shift)
-// in the slot's hash-bucket table. The slot's Size must be a power of two
-// (the probe masks). k ≥ 1 arms the hot-key check; the alert digest names
-// the key itself.
-func (rt *Runtime) BindSparseDst(stage, slot int, m Match, shift uint, k uint64) (p4.EntryID, error) {
-	return rt.bindSparse(stage, slot, m, "bind_sparse_dst", shift, k)
-}
-
-// BindSparseSrc tracks packets per source key — the per-source counting of
-// the DDoS use case.
-func (rt *Runtime) BindSparseSrc(stage, slot int, m Match, shift uint, k uint64) (p4.EntryID, error) {
-	return rt.bindSparse(stage, slot, m, "bind_sparse_src", shift, k)
-}
-
-func (rt *Runtime) bindSparse(stage, slot int, m Match, action string, shift uint, k uint64) (p4.EntryID, error) {
-	if err := rt.checkSlotStage(stage, slot); err != nil {
-		return 0, err
-	}
-	if !rt.lib.Opts.Sparse {
-		return 0, fmt.Errorf("stat4p4: library built without Options.Sparse")
-	}
-	if shift > 32 {
-		return 0, fmt.Errorf("stat4p4: sparse shift %d out of range", shift)
-	}
-	if rt.lib.Opts.Strict && k != 0 && k != 2 {
-		return 0, fmt.Errorf("%w: k must be 0 or 2", ErrStrict)
-	}
-	sb, id := rt.commonArgs(slot)
-	return rt.insert(stage, m, action, []uint64{sb, id, uint64(shift), k})
-}
-
 // SparseEntry is one occupied bucket read back by the control plane.
 type SparseEntry struct {
 	Key   uint64
