@@ -77,15 +77,17 @@ func (l *Library) declareFlowTable() {
 	l.Prog.SetRegisterMerge(RegFTCnt, p4.MergeDerived)
 	l.Prog.SetMergeWhy(RegFTCnt,
 		"per-flow counts keyed by the replica-local bucket table; summed per key by the controller (MergedFlows), never cell-wise")
-	for reg, why := range map[string]string{
-		RegFTAdm:  "admissions follow the replica-local collision path; serial and sharded runs claim different buckets, so the ledger is reported per shard and summed by the controller",
-		RegFTEvt:  "evictions follow the replica-local collision path (see " + RegFTAdm + ")",
-		RegFTRej:  "rejections depend on replica-local occupancy (see " + RegFTAdm + ")",
-		RegFTShed: "coin losses are counted where the packet landed (see " + RegFTAdm + ")",
+	// A slice, not a map: declaration order is register order in the emitted
+	// program, the P4-16 text and the snapshot layout.
+	for _, led := range []struct{ reg, why string }{
+		{RegFTAdm, "admissions follow the replica-local collision path; serial and sharded runs claim different buckets, so the ledger is reported per shard and summed by the controller"},
+		{RegFTEvt, "evictions follow the replica-local collision path (see " + RegFTAdm + ")"},
+		{RegFTRej, "rejections depend on replica-local occupancy (see " + RegFTAdm + ")"},
+		{RegFTShed, "coin losses are counted where the packet landed (see " + RegFTAdm + ")"},
 	} {
-		l.Prog.AddRegister(reg, l.Opts.Slots, w)
-		l.Prog.SetRegisterMerge(reg, p4.MergeDerived)
-		l.Prog.SetMergeWhy(reg, why)
+		l.Prog.AddRegister(led.reg, l.Opts.Slots, w)
+		l.Prog.SetRegisterMerge(led.reg, p4.MergeDerived)
+		l.Prog.SetMergeWhy(led.reg, led.why)
 	}
 
 	// bind_flow_*(ftBase, slot, shift, epochShift, ttl, sampleMask, k):
