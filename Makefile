@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race vet lint bench blast blast-compare blast-pairs detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
+.PHONY: all build test loc race vet lint golden bench blast blast-compare blast-pairs detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
 
 all: build
 
@@ -46,6 +46,12 @@ lint:
 	$(GO) run ./cmd/stat4-lint ./...
 	$(GO) build -o $(CURDIR)/bin/stat4-lint ./cmd/stat4-lint
 	$(GO) vet -vettool=$(CURDIR)/bin/stat4-lint ./...
+
+# golden pins every registered configuration's emitted program (IR listing,
+# P4-16 text, pisa-3pass placement, bindable-action order); -count=2 because
+# map-ordered emission can match by luck once.
+golden:
+	$(GO) test -run 'TestEmittedGolden|TestBuildDeterministic' -count=2 ./internal/stat4p4
 
 # bench regenerates BENCH_$(BENCHN).json: the E1–E6 experiment benchmarks, the
 # per-packet switch benches and the simulation-engine benches (scheduling,
@@ -158,7 +164,7 @@ metrics-smoke:
 stat4d-smoke:
 	$(GO) test -run 'TestDaemonSmoke|TestPushClientRoundTrip' -v ./cmd/stat4d
 
-check: build vet lint race detect-smoke fuzz-smoke metrics-smoke stat4d-smoke
+check: build vet lint golden race detect-smoke fuzz-smoke metrics-smoke stat4d-smoke
 
 clean:
 	rm -rf bin

@@ -14,6 +14,7 @@ import (
 
 	"stat4/internal/core"
 	"stat4/internal/experiments"
+	"stat4/internal/flowtable"
 	"stat4/internal/ingest"
 	"stat4/internal/intstat"
 	"stat4/internal/netem"
@@ -408,18 +409,18 @@ var (
 // --- Section 5 extensions ----------------------------------------------------
 
 // BenchmarkSparseVsDense quantifies the memory extension: per-observation
-// cost of sparse hash-bucket tracking vs a dense counter array, at matched
-// active-key counts.
+// cost of hash-addressed tracking (a never-expiring flow table) vs a dense
+// counter array, at matched active-key counts.
 func BenchmarkSparseVsDense(b *testing.B) {
 	keys := make([]uint64, 1000)
 	rng := rand.New(rand.NewSource(5))
 	for i := range keys {
 		keys[i] = uint64(rng.Uint32())
 	}
-	b.Run("sparse-4k-buckets", func(b *testing.B) {
-		d := core.NewSparseFreqDist(4096, 2)
+	b.Run("flow-4k-buckets", func(b *testing.B) {
+		d := flowtable.New(flowtable.Config{Buckets: 4096, EpochShift: 63, TTL: 1})
 		for i := 0; i < b.N; i++ {
-			_ = d.Observe(keys[i%len(keys)])
+			d.Touch(keys[i%len(keys)], uint64(i))
 		}
 		b.ReportMetric(float64(d.MemoryCells()), "cells")
 	})
@@ -435,15 +436,15 @@ func BenchmarkSparseVsDense(b *testing.B) {
 	})
 }
 
-// BenchmarkSwitchSparseUpdate is the per-packet cost of the emitted sparse
-// path (hash probe + shared accumulation).
-func BenchmarkSwitchSparseUpdate(b *testing.B) {
-	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1, Sparse: true})
+// BenchmarkSwitchFlowUpdate is the per-packet cost of the emitted flow-table
+// path bound never to expire (hash probe + shared accumulation).
+func BenchmarkSwitchFlowUpdate(b *testing.B) {
+	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1, FlowTable: true, FlowTableSize: 256})
 	rt, err := stat4p4.NewRuntime(lib)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rt.BindSparseDst(0, 0, stat4p4.AllIPv4(), 0, 0); err != nil {
+	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 63, 1, 0, 0); err != nil {
 		b.Fatal(err)
 	}
 	sw := rt.Switch()

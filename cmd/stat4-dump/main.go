@@ -26,8 +26,7 @@ func main() {
 	echo := flag.Bool("echo", false, "include the echo application")
 	strict := flag.Bool("strict", false, "emit for the multiplication-free target")
 	reportOnly := flag.Bool("report-only", false, "print only the resource report")
-	sparse := flag.Bool("sparse", false, "include the sparse (hash-bucket) tracking mode")
-	flowTable := flag.Int("flow-table", 0, "include the sparse flow-table mode with this many buckets (power of two >= 4; 0 disables)")
+	flowTable := flag.Int("flow-table", 0, "include the flow-table mode with this many buckets (power of two >= 4; 0 disables)")
 	hh := flag.Bool("hh", false, "include the heavy-hitter promotion mode")
 	noVariance := flag.Bool("no-variance", false, "drop the variance/sqrt/alert logic (counting-only program)")
 	emitP4 := flag.Bool("p416", false, "emit P4-16 source for the v1model architecture instead of the IR listing")
@@ -35,7 +34,7 @@ func main() {
 	target := flag.String("target", "", "target-model JSON for -resources (default: the built-in pisa-3pass model)")
 	flag.Parse()
 
-	opts := stat4p4.Options{Slots: *slots, Size: *size, Stages: *stages, Echo: *echo, Strict: *strict, Sparse: *sparse,
+	opts := stat4p4.Options{Slots: *slots, Size: *size, Stages: *stages, Echo: *echo, Strict: *strict,
 		HeavyHitter: *hh, NoVariance: *noVariance}
 	if *flowTable > 0 {
 		if *flowTable < 4 || *flowTable&(*flowTable-1) != 0 {

@@ -1,8 +1,11 @@
-// Volumetric DDoS with sparse tracking (Table 1, row 2 + the Section 5
+// Volumetric DDoS over a sparse key space (Table 1, row 2 + the Section 5
 // memory extension): the switch tracks per-destination packet counts across
-// the ENTIRE IPv4 space using a 256-bucket hash table — memory proportional
-// to destinations actually seen, not to the 2^32-value domain — and names
-// the attacked address in the alert digest.
+// the ENTIRE IPv4 space in a 256-bucket flow table — memory proportional to
+// destinations actually seen, not to the 2^32-value domain — and names the
+// attacked address in the alert digest. The binding never expires an entry
+// (epoch shift 63, TTL 1: the epoch is ts >> 63, constant, so every stamp
+// has age 0 < TTL), which makes the flow table a plain hash-addressed
+// frequency distribution with the same moments a dense slot would hold.
 package main
 
 import (
@@ -20,13 +23,14 @@ import (
 // then `attackPkts` packets at one victim; main uses the full trace, the
 // smoke test a short one.
 func run(w io.Writer, rounds, attackPkts int) error {
-	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1, Sparse: true, DigestBuf: 4096})
+	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1, FlowTable: true, FlowTableSize: 256, DigestBuf: 4096})
 	rt, err := stat4p4.NewRuntime(lib)
 	if err != nil {
 		return err
 	}
-	// Full /32 keys (shift 0), imbalance check at 2 sigma.
-	if _, err := rt.BindSparseDst(0, 0, stat4p4.AllIPv4(), 0, 2); err != nil {
+	// Full /32 keys (shift 0), no expiry, every key admitted (coin 2^-0),
+	// imbalance check at 2 sigma.
+	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 63, 1, 0, 2); err != nil {
 		return err
 	}
 	sw := rt.Switch()
@@ -62,9 +66,12 @@ func run(w io.Writer, rounds, attackPkts int) error {
 	}
 
 	m, _ := rt.ReadMoments(0)
-	rej, _ := rt.SparseRejected(0)
-	fmt.Fprintf(w, "tracked %d destinations of a 2^32 domain in %d buckets (%d rejected observations)\n",
-		m.N, lib.Opts.Size, rej)
+	st, err := rt.ReadFlowStats(0)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "tracked %d destinations of a 2^32 domain in %d of %d buckets (%d rejected observations)\n",
+		m.N, st.Occupied, st.Capacity, st.Rejected)
 
 	var first *p4.Digest
 	alerts := 0

@@ -12,8 +12,8 @@ import (
 const NumHashFunctions = 4
 
 // hashMuls are the odd multipliers of the multiply-shift hash family. They
-// are shared with core.SparseFreqDist so the reference library and the
-// emitted program place keys in identical buckets.
+// are shared with internal/flowtable (through HashValue) so the reference
+// table and the emitted program place keys in identical buckets.
 var hashMuls = [NumHashFunctions]uint64{
 	0x9e3779b97f4a7c15,
 	0xbf58476d1ce4e5b9,

@@ -71,7 +71,7 @@ func TestAppConfigApply(t *testing.T) {
 
 func TestAppConfigAllKinds(t *testing.T) {
 	const allKinds = `{
-  "options": {"Slots": 11, "Size": 256, "Stages": 2, "Sparse": true, "FlowTable": true, "FlowTableSize": 64},
+  "options": {"Slots": 9, "Size": 256, "Stages": 2, "FlowTable": true, "FlowTableSize": 64},
   "bindings": [
     {"kind": "window", "stage": 0, "slot": 0, "match": {"ipv4": true}, "interval_shift": 20, "capacity": 16, "k": 2},
     {"kind": "window-bytes", "stage": 0, "slot": 1, "match": {"syn_only": true, "ipv4": true, "priority": 5}, "interval_shift": 20, "capacity": 16, "k": 2},
@@ -79,18 +79,16 @@ func TestAppConfigAllKinds(t *testing.T) {
     {"kind": "freq-proto", "stage": 1, "slot": 3, "match": {"ipv4": true, "priority": 1}},
     {"kind": "freq-len", "stage": 1, "slot": 4, "match": {"ipv4": true, "priority": 2}, "shift": 6},
     {"kind": "freq-echo", "stage": 0, "slot": 5, "match": {"echo": true, "priority": 9}, "base": 32768, "size": 256},
-    {"kind": "sparse-dst", "stage": 1, "slot": 6, "match": {"ipv4": true, "priority": 3}, "k": 2},
-    {"kind": "sparse-src", "stage": 1, "slot": 7, "match": {"ipv4": true, "priority": 4}, "shift": 8},
-    {"kind": "flow-dst", "stage": 0, "slot": 8, "match": {"ipv4": true, "priority": 6}, "shift": 8, "epoch_shift": 23, "ttl": 4, "k": 2},
-    {"kind": "flow-src", "stage": 0, "slot": 9, "match": {"ipv4": true, "priority": 7}, "epoch_shift": 20, "ttl": 1, "sample_shift": 3},
-    {"kind": "flow-pair", "stage": 1, "slot": 10, "match": {"ipv4": true, "priority": 8}, "epoch_shift": 23, "ttl": 2}
+    {"kind": "flow-dst", "stage": 0, "slot": 6, "match": {"ipv4": true, "priority": 6}, "shift": 8, "epoch_shift": 23, "ttl": 4, "k": 2},
+    {"kind": "flow-src", "stage": 0, "slot": 7, "match": {"ipv4": true, "priority": 7}, "epoch_shift": 20, "ttl": 1, "sample_shift": 3},
+    {"kind": "flow-pair", "stage": 1, "slot": 8, "match": {"ipv4": true, "priority": 8}, "epoch_shift": 23, "ttl": 2}
   ]
 }`
 	cfg, err := LoadAppConfig(strings.NewReader(allKinds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ids, err := cfg.Apply(); err != nil || len(ids) != 11 {
+	if _, ids, err := cfg.Apply(); err != nil || len(ids) != 9 {
 		t.Fatalf("Apply: %v (ids %v)", err, ids)
 	}
 }

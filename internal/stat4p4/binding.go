@@ -50,7 +50,7 @@ type Binding struct {
 	SampleShift uint `json:"sample_shift,omitempty"`
 
 	// Flow-table parameters: epoch = ts >> EpochShift; an entry survives TTL
-	// epochs after its last touch.
+	// epochs after its last touch. EpochShift 63 with TTL 1 never expires.
 	EpochShift uint   `json:"epoch_shift,omitempty"`
 	TTL        uint64 `json:"ttl,omitempty"`
 }
@@ -63,7 +63,6 @@ type feature struct {
 }
 
 var (
-	featSparse  = &feature{name: "Sparse", on: func(o *Options) *bool { return &o.Sparse }}
 	featEntropy = &feature{name: "Entropy", on: func(o *Options) *bool { return &o.Entropy }}
 	featHH      = &feature{name: "HeavyHitter", on: func(o *Options) *bool { return &o.HeavyHitter },
 		size: func(o *Options) int { return o.HHTableSize }}
@@ -85,9 +84,7 @@ type kind struct {
 	// noStrict marks a kind whose action needs runtime multiplication and
 	// is therefore not emitted for Strict targets.
 	noStrict bool
-	// serialOnly marks a kind with replica-local state and no merged view.
-	serialOnly bool
-	params     []param
+	params   []param
 	// note builds what CanonicalizeSnapshot must remember about the slot;
 	// nil when the kind leaves nothing to recompute.
 	note func(b *Binding) SlotBinding
@@ -117,8 +114,6 @@ var kinds = []kind{
 	{name: "freq-len", action: "bind_freq_len", params: freqShift, note: noteWeights},
 	{name: "window", action: "bind_window", params: winParams},
 	{name: "window-bytes", action: "bind_window_bytes", noStrict: true, params: winParams},
-	{name: "sparse-dst", action: "bind_sparse_dst", needs: featSparse, serialOnly: true, params: []param{pShift, pK}},
-	{name: "sparse-src", action: "bind_sparse_src", needs: featSparse, serialOnly: true, params: []param{pShift, pK}},
 	{name: "entropy-dst", action: "bind_ent_dst", needs: featEntropy, params: entParams, note: noteEntropy},
 	{name: "entropy-src", action: "bind_ent_src", needs: featEntropy, params: entParams, note: noteEntropy},
 	{name: "hh-dst", action: "bind_hh_dst", needs: featHH, params: hhParams},
@@ -270,8 +265,6 @@ type Lowered struct {
 	// Note is what CanonicalizeSnapshot must remember about the slot, nil
 	// when the kind leaves nothing to recompute.
 	Note *SlotBinding
-	// SerialOnly marks an entry only a serial Runtime may install.
-	SerialOnly bool
 }
 
 // Lower checks a binding against the library's sizing and features and
@@ -309,7 +302,7 @@ func (l *Library) Lower(b Binding) (Lowered, error) {
 	}
 	low := Lowered{
 		Table: l.BindTables[b.Stage], Keys: keys, Priority: b.Match.Priority,
-		Action: k.action, Args: args, SerialOnly: k.serialOnly,
+		Action: k.action, Args: args,
 	}
 	if k.note != nil {
 		n := k.note(&b)

@@ -10,7 +10,7 @@ import (
 )
 
 // everything is a sizing that carries every kind's action.
-var everything = Options{Slots: 4, Size: 64, Stages: 2, Sparse: true, Entropy: true,
+var everything = Options{Slots: 4, Size: 64, Stages: 2, Entropy: true,
 	HeavyHitter: true, HHTableSize: 16, FlowTable: true, FlowTableSize: 64}
 
 func actionParams(t *testing.T, lib *Library, name string) int {
@@ -90,10 +90,6 @@ var sugarCases = []struct {
 		Binding{Kind: "window", Stage: 1, Slot: 2, IntervalShift: 20, Capacity: 33, K: 4}},
 	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindWindowBytes(1, 2, m, 20, 33, 4) },
 		Binding{Kind: "window-bytes", Stage: 1, Slot: 2, IntervalShift: 20, Capacity: 33, K: 4}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindSparseDst(1, 2, m, 8, 4) },
-		Binding{Kind: "sparse-dst", Stage: 1, Slot: 2, Shift: 8, K: 4}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindSparseSrc(1, 2, m, 8, 4) },
-		Binding{Kind: "sparse-src", Stage: 1, Slot: 2, Shift: 8, K: 4}},
 	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindEntropyDst(1, 2, m, 8, 7, 33, 99, 16) },
 		Binding{Kind: "entropy-dst", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, H0: 99, CheckEvery: 16}},
 	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindEntropySrc(1, 2, m, 8, 7, 33, 99, 16) },
@@ -155,9 +151,6 @@ func TestSugarIsBind(t *testing.T) {
 		if viaBind := entryByID(t, rt.Switch(), "bind1", id); !same(typed, viaBind) {
 			t.Errorf("%s: typed installed %+v, Bind installed %+v", c.b.Kind, typed, viaBind)
 		}
-		if findKind(c.b.Kind).serialOnly {
-			continue
-		}
 
 		notes := make([][]SlotBinding, 2)
 		for i, install := range []func(sr *ShardedRuntime) (p4.EntryID, error){
@@ -186,32 +179,6 @@ func TestSugarIsBind(t *testing.T) {
 		low, _ := lib.Lower(c.b)
 		if (low.Note != nil) != (len(notes[1]) == 1) || (low.Note != nil && *low.Note != notes[1][0]) {
 			t.Errorf("%s: Lower notes %+v, FreqSlots records %+v", c.b.Kind, low.Note, notes[1])
-		}
-	}
-}
-
-// TestShardedRefusesSerialOnlyKinds: a sparse kind on a sharded runtime is an
-// error that names the kind, and no shard's table is touched.
-func TestShardedRefusesSerialOnlyKinds(t *testing.T) {
-	sr, err := NewShardedRuntime(Build(everything), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Close()
-	for _, kind := range []string{"sparse-dst", "sparse-src"} {
-		_, err := sr.Bind(Binding{Kind: kind, Match: AllIPv4()})
-		if err == nil || !strings.Contains(err.Error(), kind) {
-			t.Fatalf("%s on a sharded runtime: err = %v, want a refusal naming the kind", kind, err)
-		}
-	}
-	if _, err := sr.BindSparseDst(0, 0, AllIPv4(), 0, 0); err == nil {
-		t.Fatal("typed sparse bind accepted on a sharded runtime")
-	}
-	for s := 0; s < sr.NumShards(); s++ {
-		for _, tbl := range sr.Library().BindTables {
-			if es, _ := sr.Sharded().Shard(s).TableEntries(tbl); len(es) != 0 {
-				t.Fatalf("shard %d table %s holds %d entries after refusals", s, tbl, len(es))
-			}
 		}
 	}
 }
@@ -397,6 +364,8 @@ func FuzzBinding(f *testing.F) {
 	f.Add([]byte(`{"kind":"window","match":{"dst_prefix":"10.0.0.0/8"},"interval_shift":23,"capacity":100,"k":2}`))
 	f.Add([]byte(`{"kind":"freq-dst","slot":-1,"match":{"dst_prefix":"bogus"}}`))
 	f.Add([]byte(`{"kind":"flow-src","stage":9,"ttl":0,"sample_shift":99}`))
+	f.Add([]byte(`{"kind":"flow-dst","match":{"ipv4":true},"epoch_shift":63,"ttl":1,"k":2}`)) // never expires
+	f.Add([]byte(`{"kind":"sparse-dst","match":{"ipv4":true},"k":2}`))                        // a retired kind: refused like any unknown one
 	type target struct {
 		lib *Library
 		rt  *Runtime

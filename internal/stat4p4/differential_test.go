@@ -101,24 +101,36 @@ func TestDifferentialEchoWindow(t *testing.T) {
 	compareState(t, compiled, tree)
 }
 
-// TestDifferentialSparse does the same over the sparse (hash-bucketed)
-// program, whose collision-eviction logic is the hairiest emitted code.
-func TestDifferentialSparse(t *testing.T) {
-	opts := Options{Slots: 1, Size: 64, Stages: 1, Sparse: true}
+// TestDifferentialFlow does the same over the flow-table program, whose
+// resolution tree (hit, coin, self-stale reclaim, claim, evict, reject) is the
+// hairiest emitted code: ~1.5× capacity of churning keys over many epochs
+// behind a 2^-2 admission coin, with the hot-flow check armed.
+func TestDifferentialFlow(t *testing.T) {
+	opts := Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 256}
 	compiled, tree := differentialPair(t, opts)
 	for _, rt := range []*Runtime{compiled, tree} {
-		if _, err := rt.BindSparseDst(0, 0, AllIPv4(), 0, 2); err != nil {
+		if _, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, 12, 2, 2, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	rng := rand.New(rand.NewSource(1234))
-	for i := 0; i < 6000; i++ {
-		dst := packet.ParseIP4(10, byte(rng.Intn(2)), byte(rng.Intn(64)), byte(rng.Intn(256)))
+	ts := uint64(0)
+	for i := 0; i < 30000; i++ {
+		ts += uint64(rng.Intn(1 << 9))
+		dst := packet.IP4(rng.Intn(384) + 1)
 		frame := packet.NewUDPFrame(packet.ParseIP4(192, 0, 2, 9), dst, 1000, 80, 0).Serialize()
-		replayBoth(t, compiled, tree, uint64(i)*50, 1, frame)
+		replayBoth(t, compiled, tree, ts, 1, frame)
 	}
 	compareState(t, compiled, tree)
+
+	st, err := compiled.ReadFlowStats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Evicted == 0 || st.Rejected == 0 || st.Shed == 0 {
+		t.Fatalf("test vacuous: ledger %+v lacks an eviction, rejection or shed", st)
+	}
 }
 
 // FuzzDifferential lets the fuzzer script a frame stream (two bytes per

@@ -69,8 +69,9 @@ const EchoBias = p4.EchoBias
 const (
 	kindFreq   = 0
 	kindWindow = 1
-	// kindSparse = 2 lives in sparse.go; kindEntropy = 3 and kindHH = 4 in
-	// entropy.go and heavyhitter.go.
+	// 2 is an unused hole (the retired hash-bucket mode): kindEntropy = 3,
+	// kindHH = 4 and kindFlow = 5, in their own files, keep their values so
+	// the emitted programs stay byte-identical.
 )
 
 // Options sizes the emitted program.
@@ -112,11 +113,6 @@ type Options struct {
 	// for dependency-chain analysis (the paper's 12-step figure covers
 	// only the circular-buffer override), not for deployment.
 	NoVariance bool
-	// Sparse adds the hash-bucket tracking mode (the Section 5 memory
-	// extension): per-slot key/valid registers, the probe logic, and the
-	// bind_sparse_* actions. It roughly doubles the register footprint, so
-	// it is off by default. Requires a power-of-two Size.
-	Sparse bool
 	// Entropy adds the integer-only normalized-entropy measure: a per-cell
 	// contribution register c_i = f_i·log2fix(f_i) maintained alongside the
 	// counters, a per-slot scalar S = Σ c_i, and the bind_ent_* actions with
@@ -138,12 +134,12 @@ type Options struct {
 	// HHTableSize is the candidate-table capacity per slot (default 16,
 	// power of two).
 	HHTableSize int
-	// FlowTable adds the sparse flow-table addressing mode (flowtable.go):
-	// a per-slot 2-left hash table of {key, epoch stamp, count} buckets with
-	// epoch-based lazy expiry and an optional 2^-k admission coin, the
-	// emitted twin of internal/flowtable. Eviction subtracts the dead flow's
-	// squared contribution from the moments, so the mode needs runtime
-	// multiplication and is incompatible with Strict.
+	// FlowTable adds the flow-table addressing mode (flowtable.go), the
+	// Section 5 memory extension: a per-slot 2-left hash table of {key, epoch
+	// stamp, count} buckets with epoch-based lazy expiry and an optional 2^-k
+	// admission coin, the emitted twin of internal/flowtable. Eviction
+	// subtracts the dead flow's squared contribution from the moments, so the
+	// mode needs runtime multiplication and is incompatible with Strict.
 	FlowTable bool
 	// FlowTableSize is the flow-table bucket count per slot (default 1024,
 	// power of two ≥ 4; half probed by each hash).
@@ -196,7 +192,7 @@ type fields struct {
 
 	// Flow-table scratch (flowtable.go): admission-coin gate, the stamp a
 	// touch writes (epoch + 1) and the two candidate-bucket ages. Consumed
-	// within the binding stage, like the sparse scratch.
+	// within the binding stage, like the probe scratch (h1 … ok) above.
 	ftgate, fts, fta1, fta2 p4.FieldID
 }
 
@@ -218,9 +214,6 @@ func Build(opts Options) *Library {
 	}
 	if opts.FwdEntries <= 0 {
 		opts.FwdEntries = 64
-	}
-	if opts.Sparse && opts.Size&(opts.Size-1) != 0 {
-		panic(fmt.Sprintf("stat4p4: Sparse requires a power-of-two Size, have %d", opts.Size))
 	}
 	if opts.Entropy {
 		if opts.Strict {
@@ -262,10 +255,6 @@ func Build(opts Options) *Library {
 	lib.declareRegisters()
 	lib.declareBindActions()
 	lib.declareUpdateActions()
-	if opts.Sparse {
-		lib.declareSparse()
-		lib.declareSparseLoad()
-	}
 	if opts.Entropy {
 		lib.declareEntropy()
 	}
@@ -596,9 +585,6 @@ func (l *Library) updateBlock() []p4.Stmt {
 		),
 		p4.If(eq(f.kind, kindWindow), l.windowBlock()...),
 	)
-	if l.Opts.Sparse {
-		stmts = append(stmts, p4.If(eq(f.kind, kindSparse), l.sparseBlock()...))
-	}
 	if l.Opts.Entropy {
 		stmts = append(stmts, p4.If(eq(f.kind, kindEntropy),
 			p4.If(flt(f.val, f.size), l.entropyBlock()...),
@@ -739,7 +725,7 @@ func (l *Library) sqrtBlock() []p4.Stmt {
 
 // checkBlock fires the anomaly digest when the armed comparison holds. For
 // windows the operands were computed before the fold by the arm action; for
-// frequency-style distributions (dense or sparse) the threshold uses the σ
+// frequency-style distributions (dense or flow-table) the threshold uses the σ
 // the sqrt block just stored, so it is computed here.
 func (l *Library) checkBlock() []p4.Stmt {
 	f := &l.f

@@ -7,14 +7,21 @@ import (
 	"stat4/internal/p4"
 )
 
-// This file emits the sparse flow-table addressing mode, the register-model
-// twin of internal/flowtable: a per-slot 2-left hash table of {key, epoch
-// stamp, count} buckets with epoch-based lazy expiry and an optional
-// 2^-k admission coin for mouse-flow shedding. Where sparse mode (sparse.go)
-// claims buckets forever — high-cardinality churn fills it once and then
-// rejects — the flow table reclaims buckets whose stamp has aged past the
-// binding's TTL, so bounded SRAM tracks an unbounded churning population of
+// This file emits the flow-table addressing mode, the one answer to the
+// paper's Section 5 ("avoid reserving memory for non-observed values (e.g.,
+// using hash-tables)") and the register-model twin of internal/flowtable: a
+// per-slot 2-left hash table of {key, epoch stamp, count} buckets with
+// epoch-based lazy expiry and an optional 2^-k admission coin for mouse-flow
+// shedding. Buckets whose stamp has aged past the binding's TTL are
+// reclaimed, so bounded SRAM tracks an unbounded churning population of
 // flows.
+//
+// A binding that should never expire — a plain hash-addressed frequency
+// distribution over a sparse key space — says so with the two parameters it
+// already carries: EpochShift 63, TTL 1. The epoch is ts >> 63, constant for
+// any timestamp below 2^63 ns, so every stamp has age 0 < TTL; nothing is
+// evicted and the slot's moments equal a dense slot's over the same stream
+// (TestFlowNoExpiryMatchesDense).
 //
 // Hash-family discipline matches internal/flowtable exactly (coin = hash 0,
 // left probe = hash 1, right probe = hash 2, always the product's high word)
@@ -77,8 +84,8 @@ func (l *Library) declareFlowTable() {
 	l.Prog.SetRegisterMerge(RegFTCnt, p4.MergeDerived)
 	l.Prog.SetMergeWhy(RegFTCnt,
 		"per-flow counts keyed by the replica-local bucket table; summed per key by the controller (MergedFlows), never cell-wise")
-	// A slice, not a map: declaration order is register order in the emitted
-	// program, the P4-16 text and the snapshot layout.
+	// Declaration order is register order in the emitted program, the P4-16
+	// text and the snapshot layout — hence a slice, never a map.
 	for _, led := range []struct{ reg, why string }{
 		{RegFTAdm, "admissions follow the replica-local collision path; serial and sharded runs claim different buckets, so the ledger is reported per shard and summed by the controller"},
 		{RegFTEvt, "evictions follow the replica-local collision path (see " + RegFTAdm + ")"},

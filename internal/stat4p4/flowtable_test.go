@@ -126,6 +126,74 @@ func TestFlowHotFlowAlert(t *testing.T) {
 	}
 }
 
+// TestFlowNoExpiryMatchesDense pins the idiom that retired the hash-bucket
+// mode: bound with epoch shift 63 and TTL 1 the epoch is ts >> 63, constant,
+// so every stamp has age 0 < TTL and nothing ever expires — the flow table is
+// then a hash-addressed frequency distribution. One stream into a dense
+// freq-dst slot and a never-expiring flow-dst slot, both armed at 2σ, must
+// leave the same moments and raise the same alerts, over timestamps that span
+// 2^40 ns so "never ages" is exercised, not assumed.
+func TestFlowNoExpiryMatchesDense(t *testing.T) {
+	rt := mustRuntime(t, Options{Slots: 2, Size: 256, Stages: 2, FlowTable: true, FlowTableSize: 1024, DigestBuf: 1 << 16})
+	if _, err := rt.BindFreqDst(0, 0, AllIPv4(), 0, 0, 256, 1, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.BindFlowDst(1, 1, AllIPv4(), 0, 63, 1, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	sw := rt.Switch()
+	rng := rand.New(rand.NewSource(21))
+	const hot = 200
+	var ts uint64
+	for i := 0; i < 20000; i++ {
+		dst := packet.IP4(rng.Intn(40) + 1)
+		if i%5 == 0 {
+			dst = hot
+		}
+		ts = uint64(i) << 26
+		sw.ProcessFrame(ts, 1, packet.NewUDPFrame(1, dst, 5, 80, 10).Serialize())
+	}
+	if ts < 1<<40 {
+		t.Fatalf("timestamps end at %d, short of 2^40", ts)
+	}
+
+	dense, err := rt.ReadMoments(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow, err := rt.ReadMoments(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.N != 41 || dense.SD == 0 {
+		t.Fatalf("test vacuous: dense moments %+v", dense)
+	}
+	if flow.N != dense.N || flow.Xsum != dense.Xsum || flow.Xsumsq != dense.Xsumsq ||
+		flow.Var != dense.Var || flow.SD != dense.SD {
+		t.Fatalf("moments diverge:\nflow  %+v\ndense %+v", flow, dense)
+	}
+	st, err := rt.ReadFlowStats(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Evicted != 0 || st.Rejected != 0 || st.Shed != 0 || st.Occupied != dense.N {
+		t.Fatalf("ledger %+v: want %d admissions and nothing else", st, dense.N)
+	}
+
+	// Same alerts, packet for packet: with base 0 the dense value index is
+	// the flow key, so the payloads agree in full, not just in number.
+	var bySlot [2][][]uint64
+	for _, d := range drainAnomalies(sw) {
+		bySlot[d.Values[0]] = append(bySlot[d.Values[0]], d.Values[1:])
+	}
+	if len(bySlot[0]) == 0 {
+		t.Fatal("test vacuous: the hot key raised no alert")
+	}
+	if !reflect.DeepEqual(bySlot[0], bySlot[1]) {
+		t.Fatalf("dense raised %d alerts, flow %d, or their payloads differ", len(bySlot[0]), len(bySlot[1]))
+	}
+}
+
 // TestFlowShardedCanonicalEquivalence is the acceptance criterion: with a
 // flow-table binding active and evictions occurring on every shard, the
 // sharded deployment's merged snapshot stays byte-identical to the

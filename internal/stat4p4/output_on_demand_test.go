@@ -31,8 +31,10 @@ var onDemandCases = []struct {
 		_, err := rt.BindWindow(0, 0, AllIPv4(), 8, 8, 1)
 		return err
 	}},
-	{"sparse", Options{Slots: 1, Size: 64, Stages: 1, Sparse: true}, false, func(rt *Runtime) error {
-		_, err := rt.BindSparseDst(0, 0, AllIPv4(), 0, 2)
+	// sparse: a hash-addressed frequency distribution — the flow binding
+	// that never expires an entry (epoch shift 63, TTL 1).
+	{"sparse", Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 64}, false, func(rt *Runtime) error {
+		_, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, 63, 1, 0, 2)
 		return err
 	}},
 	{"entropy+hh", Options{Slots: 2, Size: 64, Stages: 1, Entropy: true, HeavyHitter: true}, true, func(rt *Runtime) error {

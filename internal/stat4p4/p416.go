@@ -114,9 +114,9 @@ func sanitize(name string) string {
 
 func (g *p416) emit() string {
 	g.pf("// Generated from the Stat4 IR program %q — do not edit.\n", g.prog.Name)
-	g.pf("// Options: slots=%d size=%d stages=%d echo=%v strict=%v sparse=%v\n\n",
+	g.pf("// Options: slots=%d size=%d stages=%d echo=%v strict=%v\n\n",
 		g.lib.Opts.Slots, g.lib.Opts.Size, g.lib.Opts.Stages,
-		g.lib.Opts.Echo, g.lib.Opts.Strict, g.lib.Opts.Sparse)
+		g.lib.Opts.Echo, g.lib.Opts.Strict)
 	g.pf("#include <core.p4>\n#include <v1model.p4>\n\n")
 	g.pf("#define STAT_COUNTER_NUM  %d\n", g.lib.Opts.Slots)
 	g.pf("#define STAT_COUNTER_SIZE %d\n\n", g.lib.Opts.Size)

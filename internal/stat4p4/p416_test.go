@@ -57,14 +57,14 @@ func TestEmitP416Structure(t *testing.T) {
 	}
 }
 
-func TestEmitP416SparseUsesHashExtern(t *testing.T) {
-	lib := Build(Options{Slots: 1, Size: 64, Stages: 1, Sparse: true})
+func TestEmitP416FlowUsesHashExtern(t *testing.T) {
+	lib := Build(Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 64})
 	src := EmitP416(lib)
 	if !strings.Contains(src, "hash(meta.m_h1, HashAlgorithm.crc32_custom") {
-		t.Error("sparse probe does not use the hash extern")
+		t.Error("flow probe does not use the hash extern")
 	}
-	if !strings.Contains(src, "register<bit<64>>(64) stat_skeys;") {
-		t.Error("sparse key register missing")
+	if !strings.Contains(src, "register<bit<64>>(64) stat_ftkeys;") {
+		t.Error("flow key register missing")
 	}
 }
 

@@ -30,11 +30,9 @@ func Registered() []RegisteredProgram {
 			Note: "deployable 32-bit-cell sizing used by the resource analysis"},
 		{Name: "novariance", Opts: Options{Slots: 8, Size: 256, Stages: 2, NoVariance: true},
 			Note: "circular-buffer override only (the paper's 12-step chain)"},
-		{Name: "sparse", Opts: Options{Slots: 1, Size: 64, Stages: 1, Sparse: true},
-			Note: "Section 5 hash-bucket mode, minimal sizing"},
 		{Name: "casestudy", Opts: Options{Slots: 2, Size: 256, Stages: 2},
 			Note: "configs/casestudy.json"},
-		{Name: "ddos-sparse", Opts: Options{Slots: 1, Size: 256, Stages: 1, Sparse: true},
+		{Name: "ddos-sparse", Opts: Options{Slots: 1, Size: 256, Stages: 1, FlowTable: true, FlowTableSize: 256},
 			Note: "configs/ddos-sparse.json"},
 		{Name: "synflood", Opts: Options{Slots: 1, Size: 64, Stages: 1},
 			Note: "configs/synflood.json"},
@@ -47,7 +45,7 @@ func Registered() []RegisteredProgram {
 		{Name: "entropy-hh", Opts: Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true},
 			Note: "entropy and heavy hitters composed in one program; one binding stage leaves the recirculation pass its stage headroom"},
 		{Name: "flowtable", Opts: Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 1024},
-			Note: "sparse flow-table state plane: 1024 2-left buckets of {key, stamp, count} per slot"},
+			Note: "flow-table state plane: 1024 2-left buckets of {key, stamp, count} per slot"},
 		{Name: "flowtable-hh", Opts: Options{Slots: 2, Size: 256, Stages: 1, FlowTable: true, FlowTableSize: 4096, HeavyHitter: true, NoVariance: true},
 			Note: "flow table composed with heavy hitters (counting only, NoVariance): churn-tolerant per-flow counts plus elephant promotion in one program"},
 	}
@@ -57,8 +55,9 @@ func Registered() []RegisteredProgram {
 // recomputes from the merged counters — the per-slot scalar block of a
 // frequency slot. Every other MergeDerived register must carry a MergeWhy
 // note explaining why zero-after-merge is the whole contract (window state
-// merges through the shared-clock core.Window path; sparse bucket keys are
-// replica-local). The mergelaw analyzer checks exactly this partition.
+// merges through the shared-clock core.Window path; flow-table buckets are
+// replica-local and merged by key). The mergelaw analyzer checks exactly this
+// partition.
 func (l *Library) RecomputedRegisters() []string {
 	out := []string{
 		RegN, RegXsum, RegXsumsq, RegVar, RegSD,

@@ -235,9 +235,6 @@ func (sr *ShardedRuntime) Bind(b Binding) (p4.EntryID, error) {
 	if err != nil {
 		return 0, err
 	}
-	if low.SerialOnly {
-		return 0, fmt.Errorf("stat4p4: %s keeps replica-local buckets with no merged view; bind it on a serial Runtime", b.Kind)
-	}
 	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) { return rt.insert(low) })
 	if err == nil && low.Note != nil {
 		sr.freq[b.Slot] = *low.Note

@@ -66,21 +66,6 @@ func (t typedBinds) BindWindowBytes(stage, slot int, m Match, intervalShift uint
 		IntervalShift: intervalShift, Capacity: capacity, K: k})
 }
 
-// BindSparseDst tracks packets per destination key = (ipv4.dst >> shift)
-// in the slot's hash-bucket table. The slot's Size must be a power of two
-// (the probe masks). k ≥ 1 arms the hot-key check; the alert digest names
-// the key itself. Sparse buckets are replica-local with no merged view, so
-// a sharded runtime refuses the kind.
-func (t typedBinds) BindSparseDst(stage, slot int, m Match, shift uint, k uint64) (p4.EntryID, error) {
-	return t.bind(Binding{Kind: "sparse-dst", Stage: stage, Slot: slot, Match: m, Shift: shift, K: k})
-}
-
-// BindSparseSrc tracks packets per source key — the per-source counting of
-// the DDoS use case.
-func (t typedBinds) BindSparseSrc(stage, slot int, m Match, shift uint, k uint64) (p4.EntryID, error) {
-	return t.bind(Binding{Kind: "sparse-src", Stage: stage, Slot: slot, Match: m, Shift: shift, K: k})
-}
-
 // BindEntropyDst tracks the entropy of the destination-group distribution
 // value = (ipv4.dst >> shift) − base on [0, size). h0 arms the in-switch
 // collapse check at h0/2^EntropyFrac bits of normalized-scale entropy
@@ -115,7 +100,7 @@ func (t typedBinds) BindHeavyHitterDst(stage, slot int, m Match, shift, sampleSh
 // epochShift), ttl how many epochs an entry survives after its last touch,
 // sampleShift the 2^-sampleShift admission coin for new keys (0 admits
 // every flow), and k ≥ 1 arms the mean+kσ hot-flow check whose digest names
-// the key.
+// the key. epochShift 63 with ttl 1 never expires an entry (see flowtable.go).
 func (t typedBinds) BindFlowDst(stage, slot int, m Match, shift, epochShift uint, ttl uint64, sampleShift uint, k uint64) (p4.EntryID, error) {
 	return t.bind(Binding{Kind: "flow-dst", Stage: stage, Slot: slot, Match: m,
 		Shift: shift, EpochShift: epochShift, TTL: ttl, SampleShift: sampleShift, K: k})

@@ -89,26 +89,53 @@ func TestProcessPacketZeroAllocWindow(t *testing.T) {
 	}
 }
 
-func TestProcessPacketZeroAllocSparse(t *testing.T) {
-	rt, err := stat4p4.NewRuntime(stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1, Sparse: true}))
+// TestProcessPacketZeroAllocFlow walks the flow table's four resolutions on
+// a four-bucket table with one-tick epochs: a hit, a claim of a fresh key, a
+// claim over an expired entry (eviction), and — once six keys have been
+// offered within one epoch — a rejection.
+func TestProcessPacketZeroAllocFlow(t *testing.T) {
+	rt, err := stat4p4.NewRuntime(stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1, FlowTable: true, FlowTableSize: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindSparseDst(0, 0, stat4p4.AllIPv4(), 0, 0); err != nil {
+	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 0, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Switch()
 	obs := attachTelemetry(sw)
-	pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.ParseIP4(203, 0, 113, 9), 5, 80, 10).Serialize())
+	pkts := make([]*packet.Packet, 6)
+	for i := range pkts {
+		pkts[i], _ = packet.Parse(packet.NewUDPFrame(1, packet.IP4(i+1), 5, 80, 10).Serialize())
+	}
 	ts := uint64(0)
 	for i := 0; i < warmupPackets; i++ {
 		ts++
-		sw.ProcessPacket(ts, 1, pkt)
+		sw.ProcessPacket(ts, 1, pkts[i%len(pkts)])
 	}
-	assertZeroAllocs(t, "sparse", func() {
+	ledger := func() stat4p4.FlowStats {
+		st, err := rt.ReadFlowStats(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	before := ledger()
+	// Every key expires one tick after its touch: each packet reclaims.
+	assertZeroAllocs(t, "flow evict+claim", func() {
 		ts++
-		sw.ProcessPacket(ts, 1, pkt)
+		sw.ProcessPacket(ts, 1, pkts[int(ts)%len(pkts)])
 	})
+	// Within one epoch: the first touches hit or claim, the rest reject.
+	ts += 2
+	assertZeroAllocs(t, "flow hit+reject", func() {
+		for _, p := range pkts {
+			sw.ProcessPacket(ts, 1, p)
+		}
+	})
+	after := ledger()
+	if after.Admitted == before.Admitted || after.Evicted == before.Evicted || after.Rejected == before.Rejected {
+		t.Fatalf("paths not exercised: ledger %+v → %+v", before, after)
+	}
 	if obs.Cost.Count() == 0 {
 		t.Fatal("telemetry observer recorded nothing")
 	}
