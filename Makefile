@@ -25,12 +25,13 @@ loc:
 # anyway — the concurrency surface (controller, registers, tables, netem)
 # is fully exercised by the short suite.
 # The second line repeats the lock-and-fork-join contract tests: control
-# plane against a data plane that runs shard 0 on ProcessBatch's caller, and
-# the worker join. A race there is a matter of interleaving, so one pass
-# proves little.
+# plane against a data plane that runs shard 0 on ProcessBatch's caller and
+# shards 1…n−1 on the caller or their workers (rows alternating small and
+# forked batches), inline against forked results, and the worker join. A
+# race there is a matter of interleaving, so one pass proves little.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=10 -run 'Concurren|ShardedClose' ./internal/p4
+	$(GO) test -race -count=10 -run 'Concurren|ShardedClose|InlineMatchesFork' ./internal/p4
 
 vet:
 	$(GO) vet ./...

@@ -3,7 +3,9 @@
 // pooled slab blocks and hand the batch descriptors through one bounded MPSC
 // ring to a single consumer goroutine, which drives the sharded datapath and
 // is itself shard 0's data plane (p4.ShardedSwitch.ProcessBatch runs shard 0
-// on its caller; only shards 1…n−1 have worker goroutines).
+// on its caller, every shard for a batch below p4.ForkFrames — up to which
+// the consumer coalesces the waiting ring backlog; only shards 1…n−1 have
+// worker goroutines).
 //
 // The plane inherits the backpressure contract of internal/ring: producers
 // never block the datapath — when the ring is full or the slab exhausted

@@ -43,7 +43,10 @@ func wireRecords(wire []byte) (records uint64, clean bool) {
 // arbitrary read sizes: it never panics, returns exactly the records that
 // lead the stream (with an error unless the stream ends cleanly after them),
 // and after Stop every record is on the books — consumed by the datapath or
-// counted shed. `make fuzz-smoke` gives it a 10s budget.
+// counted shed. Each input runs twice on two shards: once with the consumer
+// keeping up, once with it held inside Do until the stream has been read, so
+// the whole stream reaches it as a backlog to coalesce. `make fuzz-smoke`
+// gives it a 10s budget.
 func FuzzServeConn(f *testing.F) {
 	var good bytes.Buffer
 	for i, fr := range testFrames(5) {
@@ -60,25 +63,34 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(big.Bytes(), uint8(20))
 
 	f.Fuzz(func(t *testing.T, wire []byte, chunk uint8) {
-		sr := newBoundRuntime(t, 2, 0)
-		defer sr.Close()
-		e := New(sr, Config{BlockSize: 2048}) // small blocks put the oversized-frame shed within the fuzzer's reach
-		n, err := e.ServeConn(&chunkReader{b: wire, n: 1 + 37*int(chunk)})
-		e.Stop()
-
 		want, clean := wireRecords(wire)
-		if n != want {
-			t.Fatalf("served %d records, the stream leads with %d", n, want)
-		}
-		if clean != (err == nil) {
-			t.Fatalf("clean end %v, error %v", clean, err)
-		}
-		_, shed := e.Shed()
-		if got := e.Frames() + shed; got != n {
-			t.Fatalf("consumed %d + shed %d != offered %d", e.Frames(), shed, n)
-		}
-		if in := e.Stats().Switch.PktsIn; in != e.Frames() {
-			t.Fatalf("datapath saw %d frames, consumer fed %d", in, e.Frames())
+		for _, hold := range []bool{false, true} {
+			sr := newBoundRuntime(t, 2, 0)
+			defer sr.Close()
+			e := New(sr, Config{BlockSize: 2048}) // small blocks put the oversized-frame shed within the fuzzer's reach
+			gate := make(chan struct{})
+			if hold {
+				holding := make(chan struct{})
+				go e.Do(func() { close(holding); <-gate })
+				<-holding
+			}
+			n, err := e.ServeConn(&chunkReader{b: wire, n: 1 + 37*int(chunk)})
+			close(gate)
+			e.Stop()
+
+			if n != want {
+				t.Fatalf("hold %v: served %d records, the stream leads with %d", hold, n, want)
+			}
+			if clean != (err == nil) {
+				t.Fatalf("hold %v: clean end %v, error %v", hold, clean, err)
+			}
+			_, shed := e.Shed()
+			if got := e.Frames() + shed; got != n {
+				t.Fatalf("hold %v: consumed %d + shed %d != offered %d", hold, e.Frames(), shed, n)
+			}
+			if in := e.Stats().Switch.PktsIn; in != e.Frames() {
+				t.Fatalf("hold %v: datapath saw %d frames, consumer fed %d", hold, in, e.Frames())
+			}
 		}
 	})
 }

@@ -106,13 +106,14 @@ func controlPlane(t *testing.T, sw *Switch) []func() {
 	}
 }
 
-// checkContractLedger asserts what `batches` contractBatches leave behind,
-// whatever the control plane did meanwhile: exact packet counters, and every
-// parsed frame counted in exactly one of cells 1..3.
-func checkContractLedger(t *testing.T, st Stats, counters []uint64, batches, perBatch uint64) {
+// checkContractLedger asserts what `batches` contractBatches of `frames`
+// frames in all leave behind, whatever the control plane did meanwhile: exact
+// packet counters, and every parsed frame counted in exactly one of cells
+// 1..3.
+func checkContractLedger(t *testing.T, st Stats, counters []uint64, batches, frames uint64) {
 	t.Helper()
-	if st.PktsIn != batches*perBatch || st.ParseErrors != batches {
-		t.Fatalf("stats %+v, want PktsIn %d and ParseErrors %d", st, batches*perBatch, batches)
+	if st.PktsIn != frames || st.ParseErrors != batches {
+		t.Fatalf("stats %+v, want PktsIn %d and ParseErrors %d", st, frames, batches)
 	}
 	if st.PktsOut+st.Dropped != st.PktsIn || st.Dropped != st.ParseErrors {
 		t.Fatalf("ledger broken: %+v", st)
@@ -143,71 +144,117 @@ func TestControlPlaneConcurrentWithDataPlane(t *testing.T) {
 	)
 
 	st := sw.Stats()
-	checkContractLedger(t, st, sw.Snapshot().Registers["counters"], batches, perBatch)
+	checkContractLedger(t, st, sw.Snapshot().Registers["counters"], batches, batches*perBatch)
 	if emitted != st.PktsOut {
 		t.Fatalf("emitted %d frames, PktsOut %d", emitted, st.PktsOut)
 	}
 }
 
-// TestControlPlaneConcurrentWithCallerShard is that contract for the shard
-// that has no goroutine of its own: ShardedSwitch.ProcessBatch runs shard 0
-// on its caller, and the control plane may hammer shard 0 — and take merged
-// snapshots across all shards — while it does, with the output taken on
-// every other batch. At one shard the caller is the whole data plane.
+// forkRows are the ways a multi-shard ProcessBatch may run the batches of the
+// concurrency tests, by the switch's fork threshold: its own (the tests'
+// batches are all below ForkFrames, so every partition runs on the caller),
+// 0 (every batch forks to the workers), and one between the two batch sizes
+// the tests alternate, so shards 1…n−1 move between the caller and their
+// workers from one batch to the next.
+var forkRows = []struct {
+	name       string
+	forkFrames int // < 0: the switch's own
+}{
+	{"inline", -1},
+	{"fork", 0},
+	{"alternating", 100},
+}
+
+// TestControlPlaneConcurrentWithCallerShard is that contract for the shards
+// ShardedSwitch.ProcessBatch may run on its caller — shard 0 always, the
+// others for a batch below the fork threshold: the control plane may hammer
+// shard 0 and the last shard — and take merged snapshots across all shards —
+// while it does, with batches of 64 and 128 frames alternating and the output
+// taken on every other batch. At one shard the caller is the whole data plane.
 func TestControlPlaneConcurrentWithCallerShard(t *testing.T) {
-	for _, n := range []int{1, 4} {
-		prog, std := buildCounterProgram()
-		ss, err := NewShardedSwitch(prog, std, n, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ss.Close()
-		for i := 0; i < n; i++ {
-			bindSlash8(t, ss.Shard(i))
-		}
+	type row struct {
+		name       string
+		shards     int
+		forkFrames int
+	}
+	rows := []row{{"1-shard", 1, -1}}
+	for _, r := range forkRows {
+		rows = append(rows, row{"4-shard-" + r.name, 4, r.forkFrames})
+	}
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, std := buildCounterProgram()
+			ss, err := NewShardedSwitch(prog, std, tc.shards, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ss.Close()
+			if tc.forkFrames >= 0 {
+				ss.forkFrames = tc.forkFrames
+			}
+			for i := 0; i < tc.shards; i++ {
+				bindSlash8(t, ss.Shard(i))
+			}
 
-		const batches, perBatch = 200, 64
-		batch := contractBatch(perBatch)
-		var emitted uint64
-		hammer(t,
-			func() {
-				for i := 0; i < batches; i++ {
-					if i&1 == 0 {
-						ss.ProcessBatch(batch, nil)
-					} else {
-						ss.ProcessBatch(batch, func(FrameOut) { emitted++ })
+			const batches, small, large = 200, 64, 128
+			sizes := [2][]FrameIn{contractBatch(small), contractBatch(large)}
+			var emitted uint64
+			control := append(controlPlane(t, ss.Shard(0)), func() { ss.MergedSnapshot() })
+			if tc.shards > 1 {
+				control = append(control, controlPlane(t, ss.Shard(tc.shards-1))...)
+			}
+			hammer(t,
+				func() {
+					for i := 0; i < batches; i++ {
+						batch := sizes[i>>1&1]
+						if i&1 == 0 {
+							ss.ProcessBatch(batch, nil)
+						} else {
+							ss.ProcessBatch(batch, func(FrameOut) { emitted++ })
+						}
 					}
-				}
-			},
-			append(controlPlane(t, ss.Shard(0)), func() { ss.MergedSnapshot() })...,
-		)
+				},
+				control...,
+			)
 
-		st := ss.Stats()
-		checkContractLedger(t, st, ss.MergedSnapshot().Registers["counters"], batches, perBatch)
-		if emitted != st.PktsOut/2 {
-			t.Fatalf("%d shards: emitted %d frames from half the batches, PktsOut %d", n, emitted, st.PktsOut)
-		}
+			st := ss.Stats()
+			checkContractLedger(t, st, ss.MergedSnapshot().Registers["counters"], batches, batches/2*(small+large))
+			if emitted != st.PktsOut/2 {
+				t.Fatalf("emitted %d frames from half the batches, PktsOut %d", emitted, st.PktsOut)
+			}
+		})
 	}
 }
 
 // TestMergedSnapshotConcurrentWithShardedBatch is the same contract one level
 // up: MergedSnapshot and per-shard control-plane reads while the sharded
-// data plane runs.
+// data plane runs, down each of its paths.
 func TestMergedSnapshotConcurrentWithShardedBatch(t *testing.T) {
+	for _, tc := range forkRows {
+		t.Run(tc.name, func(t *testing.T) { mergedSnapshotConcurrent(t, tc.forkFrames) })
+	}
+}
+
+func mergedSnapshotConcurrent(t *testing.T, forkFrames int) {
 	prog, std := buildShardableProgram()
 	ss, err := NewShardedSwitch(prog, std, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ss.Close()
+	if forkFrames >= 0 {
+		ss.forkFrames = forkFrames
+	}
 	ss.SetDigestSink(func(Digest) {})
 
-	const batches, perBatch = 200, 64
-	batch := contractBatch(perBatch)
+	const batches, small, large = 200, 64, 128
+	const frames = batches / 2 * (small + large)
+	const parsed = frames - batches // one parse error per batch
+	sizes := [2][]FrameIn{contractBatch(small), contractBatch(large)}
 	hammer(t,
 		func() {
 			for i := 0; i < batches; i++ {
-				ss.ProcessBatch(batch, nil)
+				ss.ProcessBatch(sizes[i&1], nil)
 			}
 		},
 		func() {
@@ -218,8 +265,8 @@ func TestMergedSnapshotConcurrentWithShardedBatch(t *testing.T) {
 			}
 			// Each shard is cut between two of its batches, so a merged
 			// view never shows more than the data plane has been handed.
-			if sum > batches*(perBatch-1) {
-				t.Errorf("merged counters sum to %d, beyond the %d frames offered", sum, batches*(perBatch-1))
+			if sum > parsed {
+				t.Errorf("merged counters sum to %d, beyond the %d frames offered", sum, parsed)
 			}
 		},
 		func() {
@@ -230,14 +277,14 @@ func TestMergedSnapshotConcurrentWithShardedBatch(t *testing.T) {
 		},
 	)
 
-	if st := ss.Stats(); st.PktsIn != batches*perBatch || st.PktsOut != batches*(perBatch-1) {
-		t.Fatalf("stats %+v, want PktsIn %d PktsOut %d", st, batches*perBatch, batches*(perBatch-1))
+	if st := ss.Stats(); st.PktsIn != frames || st.PktsOut != parsed {
+		t.Fatalf("stats %+v, want PktsIn %d PktsOut %d", st, frames, parsed)
 	}
 	var sum uint64
 	for _, v := range ss.MergedSnapshot().Registers["counters"] {
 		sum += v
 	}
-	if sum != batches*(perBatch-1) {
-		t.Fatalf("merged counters sum to %d, want %d", sum, batches*(perBatch-1))
+	if sum != parsed {
+		t.Fatalf("merged counters sum to %d, want %d", sum, parsed)
 	}
 }

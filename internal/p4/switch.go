@@ -118,7 +118,9 @@ type Stats struct {
 
 // Observer receives data-plane instrumentation events. Implementations must
 // be allocation-free and cheap — they run on the per-packet hot path, under
-// the pipeline lock — and are called from the data-plane goroutine only.
+// the pipeline lock — and are called by the data plane only: one goroutine
+// at a time, ordered by ProcessBatch's synchronisation (a ShardedSwitch shard
+// runs on its worker for a forked batch and on the caller for a small one).
 // telemetry.SwitchMetrics is the canonical implementation; its recording path
 // is integer-only and passes the same stat4-lint gate as the datapath it
 // measures.
@@ -152,10 +154,11 @@ const (
 	ExecTree
 )
 
-// Switch interprets a validated Program. The Process* methods must be called
-// from a single goroutine (the data plane); table and register control-plane
-// methods may be called concurrently with it. Output frames alias internal
-// scratch buffers — see FrameOut.
+// Switch interprets a validated Program. The Process* methods (the data
+// plane) must be called from one goroutine at a time, ordered by the
+// caller's synchronisation — for a shard of a ShardedSwitch, ProcessBatch's;
+// table and register control-plane methods may be called concurrently with
+// them. Output frames alias internal scratch buffers — see FrameOut.
 //
 // One mutex, the pipeline lock, guards all mutable state: registers, table
 // entries and counters. The data plane takes it once per ProcessFrame or

@@ -251,19 +251,23 @@ func TestNetemInjectZeroAllocEcho(t *testing.T) {
 
 // TestShardedProcessBatchZeroAlloc pins the sharded hot path: once the
 // per-shard partition, output and digest buffers reach steady state, a batch
-// through the dispatcher — partition, the fork-join with shard 0 on the
-// caller, ordered reduction — must not allocate, per shard or in the fan-out
+// through the dispatcher — partition, every partition on the caller below
+// p4.ForkFrames frames or the fork-join with shard 0 on the caller from
+// there, ordered reduction — must not allocate, per shard or in the fan-out
 // itself. The nil-emit rows are the daemon's call (ingest.Engine.consume):
 // no output taken, so no deparse and no output buffering either.
 func TestShardedProcessBatchZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		shards  int
+		frames  int
 		emitted bool
 	}{
-		{"sharded-batch", 4, true},
-		{"sharded-batch-nil-1s", 1, false},
-		{"sharded-batch-nil-2s", 2, false},
+		{"sharded-batch", 4, 64, true},
+		{"sharded-batch-fork", 4, p4.ForkFrames, true},
+		{"sharded-batch-nil-1s", 1, 64, false},
+		{"sharded-batch-nil-2s", 2, 64, false},
+		{"sharded-batch-nil-2s-fork", 2, p4.ForkFrames, false},
 	} {
 		lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1})
 		sr, err := stat4p4.NewShardedRuntime(lib, tc.shards)
@@ -279,7 +283,7 @@ func TestShardedProcessBatchZeroAlloc(t *testing.T) {
 		for i := range obs {
 			obs[i] = attachTelemetry(ss.Shard(i))
 		}
-		batch := make([]p4.FrameIn, 64)
+		batch := make([]p4.FrameIn, tc.frames)
 		for i := range batch {
 			// Spread flows so every shard owns a partition.
 			frame := packet.NewUDPFrame(packet.IP4(uint32(i)), packet.IP4(200+uint32(i%8)), uint16(5+i), 80, 10).Serialize()
