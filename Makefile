@@ -161,9 +161,11 @@ metrics-smoke:
 # stat4d-smoke boots the daemon in-process with pcap + TCP + unix-socket
 # sources, streams frames over every listener, exercises the whole HTTP
 # control plane (metrics scrape, snapshot, drill-down, runtime rebinding) and
-# drains — the live-ingest end-to-end gate.
+# drains — the live-ingest end-to-end gate — then runs every view-table path
+# (/moments, /counters, /entropy, /heavyhitters, /flows) and the flow_* scrape
+# gauges by name.
 stat4d-smoke:
-	$(GO) test -run 'TestDaemonSmoke|TestPushClientRoundTrip' -v ./cmd/stat4d
+	$(GO) test -run 'TestDaemonSmoke|TestPushClientRoundTrip|Endpoint|FlowMetricsExposition' -v ./cmd/stat4d
 
 check: build vet lint golden race detect-smoke fuzz-smoke metrics-smoke stat4d-smoke
 

@@ -393,59 +393,45 @@ func replaySharded(path string, tc trackConfig, shards int, sm *shardedMetrics) 
 	return nil
 }
 
-// measures is the read-back surface a report prints from: one switch's
-// registers, or the merged view of a sharded deployment.
-type measures struct {
-	label      string
-	moments    func(slot int) (stat4p4.Moments, error)
-	entropy    func(slot int) (stat4p4.EntropySnapshot, error)
-	hh         func(slot int) ([]stat4p4.HHEntry, error)
-	hhRejected func(slot int) (uint64, error)
-	flows      func(slot int) (stat4p4.FlowStats, error)
-}
-
-// report prints slot 0's end-of-run measure for the track.
-func (m measures) report(tc trackConfig) error {
+// report prints slot 0's end-of-run measure for the track, read from one
+// switch's registers or the merged view of a sharded deployment.
+func report(src stat4p4.Target, tc trackConfig, label string) error {
 	switch tc.Track {
 	case "entropy":
-		es, err := m.entropy(0)
+		es, err := stat4p4.Read(src, stat4p4.Entropy, 0)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("tracked \"entropy\"%s: T=%d S=%d → %.4f bits\n", m.label, es.Total, es.Sum, es.Bits)
+		fmt.Printf("tracked \"entropy\"%s: T=%d S=%d → %.4f bits\n", label, es.Total, es.Sum, es.Bits)
 	case "hh":
-		entries, err := m.hh(0)
-		if err != nil {
-			return err
-		}
-		rejected, err := m.hhRejected(0)
+		hh, err := stat4p4.Read(src, stat4p4.HeavyHitters, 0)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("tracked \"hh\"%s: %d candidates promoted, %d recirculations rejected (table full)\n",
-			m.label, len(entries), rejected)
-		for i, e := range entries {
+			label, len(hh.Entries), hh.Rejected)
+		for i, e := range hh.Entries {
 			if i == 10 {
-				fmt.Printf("  ... %d more\n", len(entries)-10)
+				fmt.Printf("  ... %d more\n", len(hh.Entries)-10)
 				break
 			}
 			fmt.Printf("  %v: %d promotions (≈%d packets at 2^-%d sampling)\n",
 				packet.IP4(e.Key), e.Count, e.Count<<tc.SampleShift, tc.SampleShift)
 		}
 	case "flow":
-		st, err := m.flows(0)
+		st, err := stat4p4.Read(src, stat4p4.FlowLedger, 0)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("tracked \"flow\"%s: %d of %d buckets occupied; %d admitted, %d evicted, %d rejected, %d shed\n",
-			m.label, st.Occupied, st.Capacity, st.Admitted, st.Evicted, st.Rejected, st.Shed)
+			label, st.Occupied, st.Capacity, st.Admitted, st.Evicted, st.Rejected, st.Shed)
 	default:
-		mo, err := m.moments(0)
+		mo, err := stat4p4.Read(src, stat4p4.Moments, 0)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("tracked %q%s: N=%d Xsum=%d Xsumsq=%d var=%d sd=%d median-marker=%d\n",
-			tc.Track, m.label, mo.N, mo.Xsum, mo.Xsumsq, mo.Var, mo.SD, mo.Median)
+			tc.Track, label, mo.N, mo.Xsum, mo.Xsumsq, mo.Var, mo.SD, mo.Median)
 	}
 	return nil
 }
@@ -457,12 +443,12 @@ func reportMerged(sr *stat4p4.ShardedRuntime, tc trackConfig) error {
 		// Windows are clock-driven per shard; the merged scalar view applies
 		// to frequency modes, so report the per-shard moments instead.
 		for i := 0; i < sr.NumShards(); i++ {
-			m, _ := sr.ShardRuntime(i).ReadMoments(0)
+			m, _ := stat4p4.Read(sr.ShardRuntime(i), stat4p4.Moments, 0)
 			fmt.Printf("  shard %d window: N=%d Xsum=%d var=%d sd=%d\n", i, m.N, m.Xsum, m.Var, m.SD)
 		}
 		return nil
 	}
-	return measures{" (merged)", sr.MergedMoments, sr.MergedEntropy, sr.MergedHeavyHitters, sr.MergedHHRejected, sr.MergedFlowStats}.report(tc)
+	return report(sr, tc, " (merged)")
 }
 
 // printDigests renders the drained digests by their decoded layout.
@@ -553,7 +539,7 @@ func replayThrough(path string, rt *stat4p4.Runtime, tc trackConfig, rm *replayM
 	if tc.Track == "hh" {
 		fmt.Printf("%d recirculations\n", st.Recirculated)
 	}
-	if err := (measures{"", rt.ReadMoments, rt.ReadEntropy, rt.ReadHeavyHitters, rt.HHRejected, rt.ReadFlowStats}).report(tc); err != nil {
+	if err := report(rt, tc, ""); err != nil {
 		return err
 	}
 	printDigests(alerts)

@@ -185,8 +185,8 @@ func TestBindEntropyAndHHModes(t *testing.T) {
 	}
 }
 
-// flowDaemon boots a daemon whose program carries the sparse flow-table
-// plane, bound to per-source flows with fast-expiring epochs.
+// flowDaemon boots a daemon whose program carries the flow table, bound to
+// per-source flows with fast-expiring epochs.
 func flowDaemon(t *testing.T) *daemon {
 	t.Helper()
 	d, err := newDaemon(daemonConfig{
@@ -318,6 +318,22 @@ func TestFlowsEndpoint(t *testing.T) {
 	}
 	if len(top.Flows) != 3 {
 		t.Fatalf("n=3 returned %d flows", len(top.Flows))
+	}
+}
+
+// TestMomentsEndpointFlowSlot: a flow slot's merged moments come from the
+// key-merged flow counts, not the counter array flow kinds never write.
+func TestMomentsEndpointFlowSlot(t *testing.T) {
+	d := flowDaemon(t)
+	playFlows(t, d, 300)
+	rec := httptest.NewRecorder()
+	d.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/moments?slot=0", nil))
+	var m struct{ N, Xsum uint64 }
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("/moments = %d: %v\n%s", rec.Code, err, rec.Body.String())
+	}
+	if m.N == 0 || m.Xsum == 0 {
+		t.Fatalf("flow slot's merged moments read zero: %+v", m)
 	}
 }
 

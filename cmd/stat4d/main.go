@@ -51,7 +51,7 @@ func main() {
 	flag.Float64Var(&cfg.H0Bits, "h0", 0, "entropy mode: alert when the mix drops below this many bits (0 disables)")
 	flag.Uint64Var(&cfg.CheckEvery, "check-every", 1024, "entropy mode: check cadence in observations (power of two)")
 	flag.UintVar(&cfg.SampleShift, "sample-shift", 6, "hh mode: recirculation probability 2^-shift")
-	flag.IntVar(&cfg.FlowTable, "flow-table", 0, "sparse flow-table buckets per slot (power of two, 0 disables the flow plane)")
+	flag.IntVar(&cfg.FlowTable, "flow-table", 0, "flow-table buckets per slot (power of two, 0 leaves the flow table out)")
 	flag.UintVar(&cfg.FlowEpochShift, "flow-epoch-shift", 23, "flow mode: expiry epoch exponent (2^shift ns)")
 	flag.Uint64Var(&cfg.FlowTTL, "flow-ttl", 4, "flow mode: epochs of silence before an entry is reclaimable")
 	flag.IntVar(&cfg.RingCap, "ring-cap", 256, "ingest ring capacity in batch descriptors")
@@ -101,7 +101,7 @@ type daemonConfig struct {
 	H0Bits      float64
 	CheckEvery  uint64
 	SampleShift uint
-	// FlowTable sizes the sparse flow-table plane in buckets per slot
+	// FlowTable sizes the flow table in buckets per slot
 	// (0 leaves it out of the program entirely, keeping the default sizing
 	// identical to the "entropy-hh" catalog entry).
 	FlowTable      int
@@ -136,8 +136,8 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	// The daemon's program carries every measure — the frequency family plus
 	// entropy and heavy hitters — so /bind can move between them at runtime
 	// without rebuilding; the "entropy-hh" registry entry keeps this sizing
-	// under the stage budget. -flow-table grows the program with the sparse
-	// flow-table plane, an explicitly chosen larger sizing.
+	// under the stage budget. -flow-table grows the program with the flow
+	// table, an explicitly chosen larger sizing.
 	opts := stat4p4.Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true}
 	if cfg.FlowTable > 0 {
 		if cfg.FlowTable < 4 || cfg.FlowTable&(cfg.FlowTable-1) != 0 {
@@ -303,37 +303,6 @@ func (d *daemon) mux() *http.ServeMux {
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, d.engine.MergedSnapshot())
 	})
-	mux.HandleFunc("/moments", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		m, err := d.engine.MergedMoments(slot)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, m)
-	})
-	mux.HandleFunc("/counters", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		n, err := intParam(r, "n", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		cells, err := d.engine.MergedCounters(slot, n)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, map[string]any{"slot": slot, "cells": cells})
-	})
 	mux.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
 		recent, total := d.engine.Alerts()
 		out := struct {
@@ -354,122 +323,29 @@ func (d *daemon) mux() *http.ServeMux {
 		}
 		writeJSON(w, out)
 	})
-	mux.HandleFunc("/entropy", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		var snap stat4p4.EntropySnapshot
-		d.engine.Do(func() {
-			snap, err = d.engine.Runtime().MergedEntropy(slot)
-		})
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, map[string]any{
-			"slot": slot, "total": snap.Total, "sum": snap.Sum,
-			"scaled_bits": snap.ScaledBits, "bits": snap.Bits,
-		})
-	})
-	mux.HandleFunc("/heavyhitters", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		var entries []stat4p4.HHEntry
-		var rejected uint64
-		d.engine.Do(func() {
-			sr := d.engine.Runtime()
-			entries, err = sr.MergedHeavyHitters(slot)
-			if err == nil {
-				rejected, err = sr.MergedHHRejected(slot)
-			}
-		})
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		type hh struct {
-			Key   string `json:"key"` // dotted quad of the (unshifted) key
-			Raw   uint64 `json:"raw_key"`
-			Count uint64 `json:"count"`
-		}
-		out := struct {
-			Slot     int    `json:"slot"`
-			Rejected uint64 `json:"rejected"`
-			Entries  []hh   `json:"entries"`
-		}{Slot: slot, Rejected: rejected}
-		for _, e := range entries {
-			out.Entries = append(out.Entries, hh{
-				Key: packet.IP4(e.Key).String(), Raw: e.Key, Count: e.Count,
-			})
-		}
-		writeJSON(w, out)
-	})
-	mux.HandleFunc("/flows", func(w http.ResponseWriter, r *http.Request) {
-		slot, err := intParam(r, "slot", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		n, err := intParam(r, "n", 0)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		var stats stat4p4.FlowStats
-		var entries []stat4p4.FlowEntry
-		d.engine.Do(func() {
-			sr := d.engine.Runtime()
-			stats, err = sr.MergedFlowStats(slot)
-			if err == nil {
-				entries, err = sr.MergedFlows(slot)
-			}
-		})
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if n > 0 && len(entries) > n {
-			entries = entries[:n]
-		}
-		type flow struct {
-			Key   string `json:"key"` // dotted quad of the key's low 32 bits
-			Raw   uint64 `json:"raw_key"`
-			Count uint64 `json:"count"`
-			Stamp uint64 `json:"stamp"`
-		}
-		out := struct {
-			Slot       int     `json:"slot"`
-			Capacity   uint64  `json:"capacity"`
-			Occupied   uint64  `json:"occupied"`
-			LoadFactor float64 `json:"load_factor"`
-			Admitted   uint64  `json:"admitted"`
-			Evicted    uint64  `json:"evicted"`
-			Rejected   uint64  `json:"rejected"`
-			Shed       uint64  `json:"shed"`
-			Flows      []flow  `json:"flows"`
-		}{
-			Slot: slot, Capacity: stats.Capacity, Occupied: stats.Occupied,
-			Admitted: stats.Admitted, Evicted: stats.Evicted,
-			Rejected: stats.Rejected, Shed: stats.Shed,
-		}
-		if stats.Capacity > 0 {
-			out.LoadFactor = float64(stats.Occupied) / float64(stats.Capacity)
-		}
-		for _, e := range entries {
-			out.Flows = append(out.Flows, flow{
-				Key: packet.IP4(uint32(e.Key)).String(), Raw: e.Key,
-				Count: e.Count, Stamp: e.Stamp,
-			})
-		}
-		writeJSON(w, out)
-	})
+	for _, v := range stat4p4.Views() {
+		mux.HandleFunc("/"+v.Name(), d.serveView(v))
+	}
 	mux.HandleFunc("/bind", d.handleBind)
 	return mux
+}
+
+// serveView answers one row of the view table (/moments, /counters, /entropy,
+// /heavyhitters, /flows) with the slot's merged read, between batches.
+func (d *daemon) serveView(v stat4p4.AnyView) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		slot, err := intParam(r, "slot", 0)
+		n, nerr := intParam(r, "n", 0)
+		var body any
+		if err = errors.Join(err, nerr); err == nil {
+			d.engine.Do(func() { body, err = v.Body(d.engine.Runtime(), slot, n) })
+		}
+		if err != nil {
+			httpErr(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, body)
+	}
 }
 
 // bindRequest is the /bind POST body: a track name (or unbind / reset) plus

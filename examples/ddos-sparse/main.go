@@ -65,8 +65,8 @@ func run(w io.Writer, rounds, attackPkts int) error {
 		ts++
 	}
 
-	m, _ := rt.ReadMoments(0)
-	st, err := rt.ReadFlowStats(0)
+	m, _ := stat4p4.Read(rt, stat4p4.Moments, 0)
+	st, err := stat4p4.Read(rt, stat4p4.FlowLedger, 0)
 	if err != nil {
 		return err
 	}

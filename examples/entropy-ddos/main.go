@@ -90,7 +90,7 @@ func run(w io.Writer, cfg entropyConfig) (runStats, error) {
 	node.InjectStream(traffic.Merge(web, flood), 1)
 	sim.Run()
 
-	snap, err := rt.ReadEntropy(0)
+	snap, err := stat4p4.Read(rt, stat4p4.Entropy, 0)
 	if err != nil {
 		return stats, err
 	}

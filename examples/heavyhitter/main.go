@@ -56,7 +56,7 @@ func (cfg hhConfig) stream() traffic.Stream {
 // (heaviest first), the deterministic ground-truth tally and the true top
 // talker.
 type runStats struct {
-	Candidates []stat4p4.HHEntry
+	Candidates []stat4p4.Entry
 	Tally      map[uint64]uint64
 	Total      uint64
 	TrueTop    uint64
@@ -95,23 +95,23 @@ func run(w io.Writer, cfg hhConfig) (runStats, error) {
 		}
 	}
 
-	entries, err := rt.ReadHeavyHitters(0)
+	hh, err := stat4p4.Read(rt, stat4p4.HeavyHitters, 0)
 	if err != nil {
 		return stats, err
 	}
-	stats.Candidates, stats.Tally, stats.Total, stats.TrueTop = entries, truth, total, top
+	stats.Candidates, stats.Tally, stats.Total, stats.TrueTop = hh.Entries, truth, total, top
 	sw := rt.Switch().Stats()
 	fmt.Fprintf(w, "%d packets, %d flows; %d recirculated (budget 2^-%d), %d candidates promoted\n",
-		total, len(truth), sw.Recirculated, cfg.SampleShift, len(entries))
-	if len(entries) == 0 {
+		total, len(truth), sw.Recirculated, cfg.SampleShift, len(hh.Entries))
+	if len(hh.Entries) == 0 {
 		fmt.Fprintln(w, "no heavy hitters surfaced — something is wrong")
 		return stats, nil
 	}
-	est := entries[0].Count << cfg.SampleShift
+	est := hh.Entries[0].Count << cfg.SampleShift
 	fmt.Fprintf(w, "top candidate %v with %d promotions (≈%d packets); true top talker %v sent %d\n",
-		packet.IP4(entries[0].Key), entries[0].Count, est, packet.IP4(top), truth[top])
+		packet.IP4(hh.Entries[0].Key), hh.Entries[0].Count, est, packet.IP4(top), truth[top])
 	fmt.Fprintf(w, "%d promotion digests pushed; identification correct: %v\n",
-		len(promotions), entries[0].Key == top)
+		len(promotions), hh.Entries[0].Key == top)
 	return stats, nil
 }
 

@@ -58,9 +58,9 @@ func main() {
 	node.InjectStream(traffic.Merge(balanced, skew), 1)
 	sim.Run()
 
-	counters, _ := rt.ReadCounters(0, 8)
+	counters, _ := stat4p4.Read(rt, stat4p4.Counters, 0)
 	fmt.Println("packets per server:")
-	for i, c := range counters {
+	for i, c := range counters[:len(servers)] {
 		fmt.Printf("  %v : %6d\n", servers[i], c)
 	}
 	if len(hot) == 0 {

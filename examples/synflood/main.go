@@ -74,7 +74,7 @@ func run(w io.Writer, cfg floodConfig) error {
 	node.InjectStream(traffic.Merge(web, flood), 1)
 	sim.Run()
 
-	m, _ := rt.ReadMoments(0)
+	m, _ := stat4p4.Read(rt, stat4p4.Moments, 0)
 	fmt.Fprintf(w, "SYN-rate window after the run: N=%d mean(NX)=%d sd=%d\n", m.N, m.Xsum, m.SD)
 	if len(alerts) == 0 {
 		fmt.Fprintln(w, "no flood detected — something is wrong")

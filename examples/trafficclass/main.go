@@ -46,8 +46,8 @@ func main() {
 		tcp, udp, median, sd, moves uint64
 	}
 	snap := func() snapshot {
-		counters, _ := rt.ReadCounters(0, 32)
-		sizes, _ := rt.ReadMoments(1)
+		counters, _ := stat4p4.Read(rt, stat4p4.Counters, 0)
+		sizes, _ := stat4p4.Read(rt, stat4p4.Moments, 1)
 		return snapshot{
 			tcp: counters[6], udp: counters[17],
 			median: sizes.Median, sd: sizes.SD, moves: sizes.MedianMoves,

@@ -31,7 +31,7 @@ var ErrShape = errors.New("controller: mismatched distribution shapes")
 
 // MergeDisjoint combines moments of distributions over disjoint populations
 // by concatenation.
-func MergeDisjoint(ms ...stat4p4.Moments) core.Moments {
+func MergeDisjoint(ms ...stat4p4.MomentsSnapshot) core.Moments {
 	var n, sum, sumsq uint64
 	for _, m := range ms {
 		n += m.N
@@ -60,24 +60,30 @@ func MergeShared(counterSets ...[]uint64) ([]uint64, core.Moments, error) {
 			merged[v] += f
 		}
 	}
+	return merged, countersMoments(merged), nil
+}
+
+// countersMoments recomputes N, Σx and Σx² from per-value counters — the
+// second half of the add-counters-then-recompute order that keeps Σ(f1+f2)²
+// exact.
+func countersMoments(counters []uint64) core.Moments {
 	var n, sum, sumsq uint64
-	for _, f := range merged {
-		if f == 0 {
-			continue
+	for _, f := range counters {
+		if f != 0 {
+			n++
 		}
-		n++
 		sum += f
 		sumsq += f * f
 	}
-	return merged, core.NewMoments(n, sum, sumsq), nil
+	return core.NewMoments(n, sum, sumsq)
 }
 
 // PullShared reads the same slot's counters from several runtimes and merges
 // them — the controller-side convenience for MergeShared.
-func PullShared(slot, size int, rts ...*stat4p4.Runtime) ([]uint64, core.Moments, error) {
+func PullShared(slot int, rts ...*stat4p4.Runtime) ([]uint64, core.Moments, error) {
 	sets := make([][]uint64, 0, len(rts))
 	for _, rt := range rts {
-		cs, err := rt.ReadCounters(slot, size)
+		cs, err := stat4p4.Read(rt, stat4p4.Counters, slot)
 		if err != nil {
 			return nil, core.Moments{}, err
 		}
@@ -150,16 +156,7 @@ func (a *Aggregator) Add(r Report) (bool, error) {
 // Σ(f1+f2)² exact.
 func (a *Aggregator) Merged() ([]uint64, core.Moments) {
 	out := append([]uint64(nil), a.merged...)
-	var n, sum, sumsq uint64
-	for _, f := range out {
-		if f == 0 {
-			continue
-		}
-		n++
-		sum += f
-		sumsq += f * f
-	}
-	return out, core.NewMoments(n, sum, sumsq)
+	return out, countersMoments(out)
 }
 
 // Accepted returns how many reports were folded in.

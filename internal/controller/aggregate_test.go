@@ -37,17 +37,17 @@ func TestMergeSharedEqualsSingleSwitch(t *testing.T) {
 		all.Switch().ProcessPacket(uint64(i), 1, f)
 	}
 
-	merged, m, err := PullShared(0, 64, a, b)
+	merged, m, err := PullShared(0, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := all.ReadCounters(0, 64)
+	want, _ := stat4p4.Read(all, stat4p4.Counters, 0)
 	for v := range want {
 		if merged[v] != want[v] {
 			t.Fatalf("merged[%d] = %d, single switch %d", v, merged[v], want[v])
 		}
 	}
-	wm, _ := all.ReadMoments(0)
+	wm, _ := stat4p4.Read(all, stat4p4.Moments, 0)
 	if m.N != wm.N || m.Sum != wm.Xsum || m.Sumsq != wm.Xsumsq {
 		t.Fatalf("merged moments (%d,%d,%d), single switch (%d,%d,%d)",
 			m.N, m.Sum, m.Sumsq, wm.N, wm.Xsum, wm.Xsumsq)
@@ -64,7 +64,7 @@ func TestMergeSharedEqualsSingleSwitch(t *testing.T) {
 func TestMergeDisjointEqualsConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var refAll core.Moments
-	var parts []stat4p4.Moments
+	var parts []stat4p4.MomentsSnapshot
 	for s := 0; s < 3; s++ {
 		var ref core.Moments
 		for i := 0; i < 100; i++ {
@@ -72,7 +72,7 @@ func TestMergeDisjointEqualsConcatenation(t *testing.T) {
 			ref.AddSample(x)
 			refAll.AddSample(x)
 		}
-		parts = append(parts, stat4p4.Moments{N: ref.N, Xsum: ref.Sum, Xsumsq: ref.Sumsq})
+		parts = append(parts, stat4p4.MomentsSnapshot{N: ref.N, Xsum: ref.Sum, Xsumsq: ref.Sumsq})
 	}
 	merged := MergeDisjoint(parts...)
 	if merged.N != refAll.N || merged.Sum != refAll.Sum || merged.Sumsq != refAll.Sumsq {
@@ -98,8 +98,8 @@ func TestMergeSharedIsNotMomentAddition(t *testing.T) {
 		t.Fatalf("merged Xsumsq = %d, want 16", m.Sumsq)
 	}
 	naive := MergeDisjoint(
-		stat4p4.Moments{N: 1, Xsum: 2, Xsumsq: 4},
-		stat4p4.Moments{N: 1, Xsum: 2, Xsumsq: 4},
+		stat4p4.MomentsSnapshot{N: 1, Xsum: 2, Xsumsq: 4},
+		stat4p4.MomentsSnapshot{N: 1, Xsum: 2, Xsumsq: 4},
 	)
 	if naive.Sumsq == m.Sumsq {
 		t.Fatal("moment addition accidentally matched counter merging; test is vacuous")

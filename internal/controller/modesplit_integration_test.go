@@ -44,7 +44,7 @@ func TestModeSplitEndToEnd(t *testing.T) {
 	send(20000)
 
 	// Controller analyses the snapshot.
-	hist, err := rt.ReadCounters(0, 128)
+	hist, err := stat4p4.Read(rt, stat4p4.Counters, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestModeSplitEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("bimodal size distribution not recognised")
 	}
-	joint, _ := rt.ReadMoments(0)
+	joint, _ := stat4p4.Read(rt, stat4p4.Moments, 0)
 
 	// Retune: stop the joint tracking, track each mode on its own slot.
 	if err := rt.Unbind(0, lenBind); err != nil {
@@ -66,8 +66,8 @@ func TestModeSplitEndToEnd(t *testing.T) {
 	}
 	send(20000)
 
-	lo, _ := rt.ReadMoments(1)
-	hi, _ := rt.ReadMoments(2)
+	lo, _ := stat4p4.Read(rt, stat4p4.Moments, 1)
+	hi, _ := stat4p4.Read(rt, stat4p4.Moments, 2)
 	if lo.Xsum == 0 || hi.Xsum == 0 {
 		t.Fatalf("a mode slot saw no traffic: lo=%+v hi=%+v", lo, hi)
 	}

@@ -89,7 +89,7 @@ func SchedName(m netem.SchedMode) string {
 // replayOut is what one simulator pass yields.
 type replayOut struct {
 	alerts     []Alert
-	candidates []stat4p4.HHEntry
+	candidates []stat4p4.Entry
 	warmupNs   uint64
 }
 
@@ -101,7 +101,7 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 	lib := stat4p4.Build(c.Config.Opts)
 
 	var (
-		binder Binder
+		target stat4p4.Target
 		sr     *stat4p4.ShardedRuntime
 		rt     *stat4p4.Runtime
 		err    error
@@ -112,15 +112,15 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 			return out, fmt.Errorf("detect: sharded runtime: %w", err)
 		}
 		defer sr.Close()
-		binder = sr
+		target = sr
 	} else {
 		rt, err = stat4p4.NewRuntime(lib)
 		if err != nil {
 			return out, fmt.Errorf("detect: runtime: %w", err)
 		}
-		binder = rt
+		target = rt
 	}
-	out.warmupNs, err = c.Config.Bind(binder, c.Scenario.EndNs)
+	out.warmupNs, err = c.Config.Bind(target, c.Scenario.EndNs)
 	if err != nil {
 		return out, fmt.Errorf("detect: bind %s: %w", c.Config.Name, err)
 	}
@@ -163,14 +163,11 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 	}
 
 	if c.Config.Track == TrackHH {
-		if sr != nil {
-			out.candidates, err = sr.MergedHeavyHitters(0)
-		} else {
-			out.candidates, err = rt.ReadHeavyHitters(0)
-		}
+		hh, err := stat4p4.Read(target, stat4p4.HeavyHitters, 0)
 		if err != nil {
 			return out, fmt.Errorf("detect: read candidates: %w", err)
 		}
+		out.candidates = hh.Entries
 	}
 	return out, nil
 }
@@ -306,7 +303,7 @@ func scoreHH(res *Result, c Cell, atk, ben replayOut, atkTally map[uint64]uint64
 // estimatedHeavy scales candidate counts back to packet estimates
 // (count · 2^sampleShift) and keeps the keys whose estimate clears the heavy
 // share of the true total.
-func estimatedHeavy(candidates []stat4p4.HHEntry, sampleShift uint, total uint64) map[uint64]bool {
+func estimatedHeavy(candidates []stat4p4.Entry, sampleShift uint, total uint64) map[uint64]bool {
 	set := make(map[uint64]bool)
 	if total == 0 {
 		return set

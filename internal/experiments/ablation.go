@@ -54,8 +54,8 @@ func StrictAccuracy(packets int, seed int64) []StrictAccuracyRow {
 		if i < packets/10 || i%100 != 0 {
 			continue
 		}
-		em, _ := exact.ReadMoments(0)
-		sm, _ := strict.ReadMoments(0)
+		em, _ := stat4p4.Read(exact, stat4p4.Moments, 0)
+		sm, _ := stat4p4.Read(strict, stat4p4.Moments, 0)
 		if em.Var > 0 {
 			varErrs = append(varErrs, math.Abs(float64(sm.Var)-float64(em.Var))/float64(em.Var))
 		}

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"stat4/internal/p4"
-	"stat4/internal/stat4p4"
 )
 
 // Stats is one consistent cut of the engine's health, taken between batches.
@@ -71,23 +70,6 @@ func (e *Engine) MergedSnapshot() *p4.Snapshot {
 	var snap *p4.Snapshot
 	e.Do(func() { snap = e.sr.MergedSnapshot() })
 	return snap
-}
-
-// MergedMoments reads a slot's merged moments between batches.
-func (e *Engine) MergedMoments(slot int) (stat4p4.Moments, error) {
-	var m stat4p4.Moments
-	var err error
-	e.Do(func() { m, err = e.sr.MergedMoments(slot) })
-	return m, err
-}
-
-// MergedCounters reads a slot's merged counter cells between batches — the
-// controller's drill-down view. n limits the cells returned (0 for all).
-func (e *Engine) MergedCounters(slot, n int) ([]uint64, error) {
-	var cells []uint64
-	var err error
-	e.Do(func() { cells, err = e.sr.MergedCounters(slot, n) })
-	return cells, err
 }
 
 // Alerts copies out the retained most-recent digests, oldest first, plus the

@@ -150,12 +150,10 @@ func New(sr *stat4p4.ShardedRuntime, cfg Config) *Engine {
 		// Scrapes run on the consumer (WriteProm goes through Do), so these
 		// callbacks may read merged flow-table state without racing a batch.
 		flowStat := func(pick func(stat4p4.FlowStats) uint64) func() uint64 {
-			return func() uint64 {
-				var sum uint64
+			return func() (sum uint64) {
 				for slot := 0; slot < lib.Opts.Slots; slot++ {
-					if fs, err := e.sr.MergedFlowStats(slot); err == nil {
-						sum += pick(fs)
-					}
+					fs, _ := stat4p4.Read(e.sr, stat4p4.FlowLedger, slot) // in range, on a flow-table program
+					sum += pick(fs)
 				}
 				return sum
 			}

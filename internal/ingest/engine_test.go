@@ -64,7 +64,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 	for i, f := range frames {
 		rt.Switch().ProcessFrame(uint64(i+1), 1, f)
 	}
-	want, err := rt.ReadMoments(0)
+	want, err := stat4p4.Read(rt, stat4p4.Moments, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 	if got := e.Frames(); got != uint64(len(frames)) {
 		t.Fatalf("consumed %d frames, want %d", got, len(frames))
 	}
-	got, err := e.MergedMoments(0)
+	got, err := stat4p4.Read(e.Runtime(), stat4p4.Moments, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

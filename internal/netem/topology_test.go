@@ -78,14 +78,14 @@ func TestTwoSwitchTopology(t *testing.T) {
 
 	// Both switches saw the same stream: their distributions agree, and
 	// the controller's shared merge doubles every counter.
-	ca, _ := a.ReadCounters(0, 64)
-	cb, _ := b.ReadCounters(0, 64)
+	ca, _ := stat4p4.Read(a, stat4p4.Counters, 0)
+	cb, _ := stat4p4.Read(b, stat4p4.Counters, 0)
 	for v := range ca {
 		if ca[v] != cb[v] {
 			t.Fatalf("switches disagree at value %d: %d vs %d", v, ca[v], cb[v])
 		}
 	}
-	merged, m, err := controller.PullShared(0, 64, a, b)
+	merged, m, err := controller.PullShared(0, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTwoSwitchTopology(t *testing.T) {
 			t.Fatalf("merged[%d] = %d, want %d", v, merged[v], 2*ca[v])
 		}
 	}
-	am, _ := a.ReadMoments(0)
+	am, _ := stat4p4.Read(a, stat4p4.Moments, 0)
 	if m.Sum != 2*am.Xsum {
 		t.Fatalf("merged Xsum %d, want twice %d", m.Sum, am.Xsum)
 	}

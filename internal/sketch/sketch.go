@@ -78,14 +78,14 @@ type pullSnapshot struct {
 }
 
 func (m *PullMonitor) snapshot() pullSnapshot {
-	cells, _ := m.RT.ReadCounters(m.Slot, m.Window)
-	moms, _ := m.RT.ReadMoments(m.Slot)
+	cells, _ := stat4p4.Read(m.RT, stat4p4.Counters, m.Slot)
+	moms, _ := stat4p4.Read(m.RT, stat4p4.Moments, m.Slot)
 	headReg, err := m.RT.Switch().Register(stat4p4.RegHead)
 	var head uint64
 	if err == nil {
 		head, _ = headReg.Read(m.Slot)
 	}
-	return pullSnapshot{cells: cells, head: head, n: moms.N}
+	return pullSnapshot{cells: cells[:m.Window], head: head, n: moms.N}
 }
 
 // analyze flags intervals completed since the previous pull that exceed the

@@ -50,8 +50,8 @@ func LoadAppConfig(r io.Reader) (*AppConfig, error) {
 	return &cfg, nil
 }
 
-// Target is what an app config installs into; *Runtime and *ShardedRuntime
-// both are one.
+// Target is what an app config installs into and Read reads back from;
+// *Runtime and *ShardedRuntime both are one.
 type Target interface {
 	Library() *Library
 	Bind(Binding) (p4.EntryID, error)

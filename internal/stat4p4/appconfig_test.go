@@ -55,7 +55,7 @@ func TestAppConfigApply(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sw.ProcessFrame(uint64(i), 1, packet.NewUDPFrame(1, packet.ParseIP4(10, 0, 3, 9), 5, 80, 10).Serialize())
 	}
-	counters, _ := rt.ReadCounters(1, 8)
+	counters := mustRead(t, rt, Counters, 1)
 	if counters[3] != 10 {
 		t.Fatalf("freq-dst binding: counters = %v", counters[:6])
 	}

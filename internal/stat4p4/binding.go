@@ -70,6 +70,15 @@ var (
 		size: func(o *Options) int { return o.FlowTableSize }}
 )
 
+// check refuses a program built without the feature — Lower's error and
+// Read's alike. A nil feature is part of every program.
+func (f *feature) check(o *Options) error {
+	if f != nil && !*f.on(o) {
+		return fmt.Errorf("stat4p4: library built without Options.%s", f.name)
+	}
+	return nil
+}
+
 // param validates one binding parameter against the program's sizing and
 // returns it as the action argument it becomes.
 type param func(o *Options, b *Binding) (uint64, error)
@@ -81,6 +90,7 @@ type kind struct {
 	name   string
 	action string
 	needs  *feature // nil: part of every program
+	view   AnyView  // the row the kind's slot is read back through
 	// noStrict marks a kind whose action needs runtime multiplication and
 	// is therefore not emitted for Strict targets.
 	noStrict bool
@@ -107,22 +117,22 @@ var (
 // kinds is the kind table, in the order the emitter lists the actions in
 // every binding table.
 var kinds = []kind{
-	{name: "freq-echo", action: "bind_freq_echo", params: freqTail, note: noteWeights},
-	{name: "freq-dst", action: "bind_freq_dst", params: freqShift, note: noteWeights},
-	{name: "freq-dport", action: "bind_freq_dport", params: freqShift, note: noteWeights},
-	{name: "freq-proto", action: "bind_freq_proto", params: freqTail, note: noteWeights},
-	{name: "freq-len", action: "bind_freq_len", params: freqShift, note: noteWeights},
-	{name: "window", action: "bind_window", params: winParams},
-	{name: "window-bytes", action: "bind_window_bytes", noStrict: true, params: winParams},
-	{name: "entropy-dst", action: "bind_ent_dst", needs: featEntropy, params: entParams, note: noteEntropy},
-	{name: "entropy-src", action: "bind_ent_src", needs: featEntropy, params: entParams, note: noteEntropy},
-	{name: "hh-dst", action: "bind_hh_dst", needs: featHH, params: hhParams},
-	{name: "hh-src", action: "bind_hh_src", needs: featHH, params: hhParams},
-	{name: "flow-dst", action: "bind_flow_dst", needs: featFlow, params: append([]param{pShift}, flowTail...)},
-	{name: "flow-src", action: "bind_flow_src", needs: featFlow, params: append([]param{pShift}, flowTail...)},
+	{name: "freq-echo", action: "bind_freq_echo", view: Moments, params: freqTail, note: noteWeights},
+	{name: "freq-dst", action: "bind_freq_dst", view: Moments, params: freqShift, note: noteWeights},
+	{name: "freq-dport", action: "bind_freq_dport", view: Moments, params: freqShift, note: noteWeights},
+	{name: "freq-proto", action: "bind_freq_proto", view: Moments, params: freqTail, note: noteWeights},
+	{name: "freq-len", action: "bind_freq_len", view: Moments, params: freqShift, note: noteWeights},
+	{name: "window", action: "bind_window", view: Moments, params: winParams},
+	{name: "window-bytes", action: "bind_window_bytes", view: Moments, noStrict: true, params: winParams},
+	{name: "entropy-dst", action: "bind_ent_dst", needs: featEntropy, view: Entropy, params: entParams, note: noteEntropy},
+	{name: "entropy-src", action: "bind_ent_src", needs: featEntropy, view: Entropy, params: entParams, note: noteEntropy},
+	{name: "hh-dst", action: "bind_hh_dst", needs: featHH, view: HeavyHitters, params: hhParams},
+	{name: "hh-src", action: "bind_hh_src", needs: featHH, view: HeavyHitters, params: hhParams},
+	{name: "flow-dst", action: "bind_flow_dst", needs: featFlow, view: Flows, params: append([]param{pShift}, flowTail...)},
+	{name: "flow-src", action: "bind_flow_src", needs: featFlow, view: Flows, params: append([]param{pShift}, flowTail...)},
 	// The pair key is src<<32|dst; the action keeps the shift position for a
 	// uniform layout and ignores it.
-	{name: "flow-pair", action: "bind_flow_pair", needs: featFlow, params: append([]param{pZero}, flowTail...)},
+	{name: "flow-pair", action: "bind_flow_pair", needs: featFlow, view: Flows, params: append([]param{pZero}, flowTail...)},
 }
 
 func findKind(name string) *kind {
@@ -265,6 +275,7 @@ type Lowered struct {
 	// Note is what CanonicalizeSnapshot must remember about the slot, nil
 	// when the kind leaves nothing to recompute.
 	Note *SlotBinding
+	kind *kind
 }
 
 // Lower checks a binding against the library's sizing and features and
@@ -278,8 +289,8 @@ func (l *Library) Lower(b Binding) (Lowered, error) {
 	if k.noStrict && o.Strict {
 		return Lowered{}, fmt.Errorf("%w: %s needs runtime multiplication", ErrStrict, k.name)
 	}
-	if k.needs != nil && !*k.needs.on(o) {
-		return Lowered{}, fmt.Errorf("stat4p4: library built without Options.%s", k.needs.name)
+	if err := k.needs.check(o); err != nil {
+		return Lowered{}, err
 	}
 	if b.Stage < 0 || b.Stage >= o.Stages {
 		return Lowered{}, fmt.Errorf("%w: %d of %d", ErrBadStage, b.Stage, o.Stages)
@@ -302,7 +313,7 @@ func (l *Library) Lower(b Binding) (Lowered, error) {
 	}
 	low := Lowered{
 		Table: l.BindTables[b.Stage], Keys: keys, Priority: b.Match.Priority,
-		Action: k.action, Args: args,
+		Action: k.action, Args: args, kind: k,
 	}
 	if k.note != nil {
 		n := k.note(&b)

@@ -124,10 +124,7 @@ func TestDifferentialFlow(t *testing.T) {
 	}
 	compareState(t, compiled, tree)
 
-	st, err := compiled.ReadFlowStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustRead(t, compiled, FlowLedger, 0)
 	if st.Evicted == 0 || st.Rejected == 0 || st.Shed == 0 {
 		t.Fatalf("test vacuous: ledger %+v lacks an eviction, rejection or shed", st)
 	}

@@ -208,42 +208,8 @@ func (l *Library) log2LeafPrefix(src, dst p4.FieldID) string {
 	return prefix
 }
 
-// EntropySnapshot is a control-plane view of one slot's entropy state.
-type EntropySnapshot struct {
-	// Total is T, the number of observations (the slot's Xsum).
-	Total uint64
-	// Sum is S = Σ f·log2fix(f), masked to the cell width.
-	Sum uint64
-	// ScaledBits is T·log2fix(T) − S = H·T·2^frac, the division-free form
-	// the in-switch check compares against h0·T.
-	ScaledBits uint64
-	// Bits is ScaledBits/(T·2^frac) — the Shannon entropy in bits, computed
-	// in floating point for display only; every decision path stays integer.
-	Bits float64
-}
-
-// ReadEntropy reads a slot's entropy registers and derives the scaled form
-// with the same intstat arithmetic the datapath uses.
-func (rt *Runtime) ReadEntropy(slot int) (EntropySnapshot, error) {
-	if !rt.lib.Opts.Entropy {
-		return EntropySnapshot{}, fmt.Errorf("stat4p4: library built without Options.Entropy")
-	}
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return EntropySnapshot{}, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	sumReg, err := rt.sw.Register(RegEntSum)
-	if err != nil {
-		return EntropySnapshot{}, err
-	}
-	xsumReg, err := rt.sw.Register(RegXsum)
-	if err != nil {
-		return EntropySnapshot{}, err
-	}
-	s, _ := sumReg.Read(slot)
-	t, _ := xsumReg.Read(slot)
-	return rt.lib.entropySnapshot(t, s), nil
-}
-
+// entropySnapshot derives the scaled form with the same intstat arithmetic
+// the datapath uses.
 func (l *Library) entropySnapshot(total, sum uint64) EntropySnapshot {
 	snap := EntropySnapshot{Total: total, Sum: sum}
 	if total == 0 {

@@ -61,20 +61,14 @@ func TestEntropyMatchesRederive(t *testing.T) {
 		}
 	}
 
-	snap, err := rt.ReadEntropy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := mustRead(t, rt, Entropy, 0)
 	if snap.Total != packets {
 		t.Fatalf("Total = %d, sent %d", snap.Total, packets)
 	}
 	if snap.Sum != ent.Sum() {
 		t.Fatalf("datapath S = %d, core.Entropy S = %d", snap.Sum, ent.Sum())
 	}
-	counters, err := rt.ReadCounters(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	counters := mustRead(t, rt, Counters, 0)
 	frac := rt.Library().Opts.EntropyFrac
 	var rederived uint64
 	for _, f := range counters {
@@ -145,11 +139,7 @@ func TestEntropyAlertFires(t *testing.T) {
 			t.Fatalf("alert at T = %d violates checkEvery = %d", d.Values[1], checkEvery)
 		}
 	}
-	snap, err := rt.ReadEntropy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Bits >= 4 {
+	if snap := mustRead(t, rt, Entropy, 0); snap.Bits >= 4 {
 		t.Fatalf("post-flood entropy %.3f bits, expected collapse below 4", snap.Bits)
 	}
 }
@@ -182,11 +172,7 @@ func TestDifferentialEntropy(t *testing.T) {
 	// replayBoth already compared (and consumed) the digest streams frame by
 	// frame; proving the final mix sits below the 5-bit threshold proves the
 	// last gated check fired, so the alert path was among what it compared.
-	snap, err := compiled.ReadEntropy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Bits >= 5 {
+	if snap := mustRead(t, compiled, Entropy, 0); snap.Bits >= 5 {
 		t.Fatalf("stream never collapsed below the 5-bit threshold (%.3f bits) — the alert path went uncompared", snap.Bits)
 	}
 }
@@ -232,15 +218,7 @@ func TestEntropyShardedCanonical(t *testing.T) {
 		// The merged entropy reading equals the serial one: the serial S is
 		// incremental, the merged S is rederived, and the two are the same
 		// number by the telescoping argument.
-		ms, err := sr.MergedEntropy(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := rt.ReadEntropy(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ms != ss {
+		if ms, ss := mustRead(t, sr, Entropy, 0), mustRead(t, rt, Entropy, 0); ms != ss {
 			t.Fatalf("width %d: merged entropy %+v, serial %+v", opts.CellWidth, ms, ss)
 		}
 		sr.Close()
@@ -284,10 +262,8 @@ func TestHeavyHitterPromotion(t *testing.T) {
 	if stats.Recirculated == 0 {
 		t.Fatal("no packets recirculated")
 	}
-	entries, err := rt.ReadHeavyHitters(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hh := mustRead(t, rt, HeavyHitters, 0)
+	entries := hh.Entries
 	if len(entries) == 0 {
 		t.Fatal("candidate table empty")
 	}
@@ -300,10 +276,7 @@ func TestHeavyHitterPromotion(t *testing.T) {
 		t.Fatalf("elephant promoted only %d times over 4000 packets at 2^-2", entries[0].Count)
 	}
 
-	rejected, err := rt.HHRejected(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rejected := hh.Rejected
 	var promoted uint64
 	for _, e := range entries {
 		promoted += e.Count
@@ -361,19 +334,15 @@ func TestDifferentialHeavyHitter(t *testing.T) {
 	if compiled.Switch().Stats().Recirculated == 0 {
 		t.Fatal("differential heavy-hitter stream never recirculated")
 	}
-	rej, err := compiled.HHRejected(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rej == 0 {
+	if mustRead(t, compiled, HeavyHitters, 0).Rejected == 0 {
 		t.Fatal("table never overflowed — the reject branch went uncompared")
 	}
 }
 
 // TestMergedHeavyHitters checks the controller-side merge: candidate tables
 // are replica-local, so the merged view unions by key and sums counts, the
-// merged snapshot zeroes the raw registers, and the elephant's merged count
-// equals the sum of its per-shard counts.
+// merged snapshot zeroes the raw registers, the elephant's merged count
+// equals the sum of its per-shard counts, and rejections sum.
 func TestMergedHeavyHitters(t *testing.T) {
 	lib := Build(hhOpts)
 	sr, err := NewShardedRuntime(lib, 2)
@@ -391,21 +360,22 @@ func TestMergedHeavyHitters(t *testing.T) {
 		frame := packet.NewUDPFrame(elephant, dst, 1000, 80, 0).Serialize()
 		sr.Sharded().ProcessFrame(uint64(i), 1, frame)
 	}
-
-	merged, err := sr.MergedHeavyHitters(0)
-	if err != nil {
-		t.Fatal(err)
+	// A tail of one-packet sources overflows both shards' tables.
+	for i := 0; i < 2000; i++ {
+		frame := packet.NewUDPFrame(packet.ParseIP4(198, 18, byte(i>>8), byte(i)), dst, 1000, 80, 0).Serialize()
+		sr.Sharded().ProcessFrame(uint64(3000+i), 1, frame)
 	}
+
+	hh := mustRead(t, sr, HeavyHitters, 0)
+	merged := hh.Entries
 	if len(merged) == 0 || merged[0].Key != uint64(elephant) {
 		t.Fatalf("merged candidates %v, want elephant %#x on top", merged, uint64(elephant))
 	}
-	var perShard uint64
+	var perShard, rejected uint64
 	for i := 0; i < sr.NumShards(); i++ {
-		entries, err := sr.ShardRuntime(i).ReadHeavyHitters(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
+		shard := mustRead(t, sr.ShardRuntime(i), HeavyHitters, 0)
+		rejected += shard.Rejected
+		for _, e := range shard.Entries {
 			if e.Key == uint64(elephant) {
 				perShard += e.Count
 			}
@@ -413,6 +383,9 @@ func TestMergedHeavyHitters(t *testing.T) {
 	}
 	if merged[0].Count != perShard {
 		t.Fatalf("merged count %d, per-shard sum %d", merged[0].Count, perShard)
+	}
+	if rejected == 0 || hh.Rejected != rejected {
+		t.Fatalf("merged rejections %d, per-shard sum %d", hh.Rejected, rejected)
 	}
 
 	// Replica-local registers are zero in the merged snapshot — the byte
@@ -460,14 +433,8 @@ func TestEntropyHHComposed(t *testing.T) {
 	}
 	compareState(t, compiled, tree)
 
-	snap, err := compiled.ReadEntropy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counters, err := compiled.ReadCounters(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := mustRead(t, compiled, Entropy, 0)
+	counters := mustRead(t, compiled, Counters, 0)
 	frac := compiled.Library().Opts.EntropyFrac
 	var rederived uint64
 	for _, f := range counters {
@@ -476,11 +443,7 @@ func TestEntropyHHComposed(t *testing.T) {
 	if snap.Sum != rederived {
 		t.Fatalf("composed program: incremental S = %d, rederived %d", snap.Sum, rederived)
 	}
-	entries, err := compiled.ReadHeavyHitters(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
+	if len(mustRead(t, compiled, HeavyHitters, 1).Entries) == 0 {
 		t.Fatal("composed program promoted no heavy hitters")
 	}
 }
@@ -496,11 +459,7 @@ func TestEntropyResetSlot(t *testing.T) {
 	if err := rt.ResetSlot(0); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := rt.ReadEntropy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Total != 0 || snap.Sum != 0 {
+	if snap := mustRead(t, rt, Entropy, 0); snap.Total != 0 || snap.Sum != 0 {
 		t.Fatalf("after reset: %+v", snap)
 	}
 	cells := rt.Switch().Snapshot().Registers[RegEntCell]
@@ -522,17 +481,16 @@ func TestEntropyResetSlot(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		hrt.Switch().ProcessFrame(uint64(i), 1, frame)
 	}
-	if entries, _ := hrt.ReadHeavyHitters(0); len(entries) == 0 {
+	if len(mustRead(t, hrt, HeavyHitters, 0).Entries) == 0 {
 		t.Fatal("sampleShift 0 promoted nothing")
 	}
 	if err := hrt.ResetSlot(0); err != nil {
 		t.Fatal(err)
 	}
-	if entries, _ := hrt.ReadHeavyHitters(0); len(entries) != 0 {
-		t.Fatalf("candidate table survived reset: %v", entries)
-	}
-	if rej, _ := hrt.HHRejected(0); rej != 0 {
-		t.Fatalf("reject counter survived reset: %d", rej)
+	if hh := mustRead(t, hrt, HeavyHitters, 0); len(hh.Entries) != 0 {
+		t.Fatalf("candidate table survived reset: %v", hh.Entries)
+	} else if hh.Rejected != 0 {
+		t.Fatalf("reject counter survived reset: %d", hh.Rejected)
 	}
 }
 

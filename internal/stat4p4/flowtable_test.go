@@ -42,10 +42,7 @@ func TestFlowCrossValidation(t *testing.T) {
 		ref.Touch(key, ts)
 	}
 
-	entries, err := rt.ReadFlows(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := mustRead(t, rt, Flows, 0).Entries
 	want := map[uint64]flowtable.Entry{}
 	ref.Each(func(e flowtable.Entry) { want[e.Key] = e })
 	if len(entries) != len(want) {
@@ -59,10 +56,7 @@ func TestFlowCrossValidation(t *testing.T) {
 		}
 	}
 
-	st, err := rt.ReadFlowStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustRead(t, rt, FlowLedger, 0)
 	hs := ref.Stats()
 	if st.Admitted != hs.Admitted || st.Evicted != hs.Evicted ||
 		st.Rejected != hs.Rejected || st.Shed != hs.Shed {
@@ -81,10 +75,7 @@ func TestFlowCrossValidation(t *testing.T) {
 
 	// The slot moments track exactly the occupied buckets (live and stale):
 	// N = buckets, Xsum = Σ counts, Xsumsq = Σ counts².
-	m, err := rt.ReadMoments(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustRead(t, rt, Moments, 0)
 	var n, xsum, xsumsq uint64
 	ref.Each(func(e flowtable.Entry) {
 		n++
@@ -157,14 +148,8 @@ func TestFlowNoExpiryMatchesDense(t *testing.T) {
 		t.Fatalf("timestamps end at %d, short of 2^40", ts)
 	}
 
-	dense, err := rt.ReadMoments(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow, err := rt.ReadMoments(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dense := mustRead(t, rt, Moments, 0)
+	flow := mustRead(t, rt, Moments, 1)
 	if dense.N != 41 || dense.SD == 0 {
 		t.Fatalf("test vacuous: dense moments %+v", dense)
 	}
@@ -172,10 +157,7 @@ func TestFlowNoExpiryMatchesDense(t *testing.T) {
 		flow.Var != dense.Var || flow.SD != dense.SD {
 		t.Fatalf("moments diverge:\nflow  %+v\ndense %+v", flow, dense)
 	}
-	st, err := rt.ReadFlowStats(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustRead(t, rt, FlowLedger, 1)
 	if st.Evicted != 0 || st.Rejected != 0 || st.Shed != 0 || st.Occupied != dense.N {
 		t.Fatalf("ledger %+v: want %d admissions and nothing else", st, dense.N)
 	}
@@ -238,14 +220,8 @@ func TestFlowShardedCanonicalEquivalence(t *testing.T) {
 			sr.Sharded().ProcessFrame(ts, 1, frame)
 		}
 
-		sst, err := rt.ReadFlowStats(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mst, err := sr.MergedFlowStats(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sst := mustRead(t, rt, FlowLedger, 1)
+		mst := mustRead(t, sr, FlowLedger, 1)
 		if sst.Evicted == 0 || mst.Evicted == 0 {
 			t.Fatalf("n=%d: test vacuous: no evictions in flight (serial %d, sharded %d)",
 				n, sst.Evicted, mst.Evicted)
@@ -266,14 +242,7 @@ func TestFlowShardedCanonicalEquivalence(t *testing.T) {
 		// The controller-side flow merge: every key is owned by one shard, so
 		// merged per-key counts at n=1 equal the serial table's exactly.
 		if n == 1 {
-			mf, err := sr.MergedFlows(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sf, err := rt.ReadFlows(1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mf, sf := mustRead(t, sr, Flows, 1).Entries, mustRead(t, rt, Flows, 1).Entries
 			if !reflect.DeepEqual(mf, sf) {
 				t.Fatalf("single-shard merged flows diverge from serial")
 			}
@@ -293,20 +262,16 @@ func TestFlowResetSlot(t *testing.T) {
 		sw.ProcessFrame(uint64(i)*100, 1,
 			packet.NewUDPFrame(packet.IP4(uint32(i%40)+1), 2, 5, 80, 10).Serialize())
 	}
-	if entries, _ := rt.ReadFlows(0); len(entries) == 0 {
+	if len(mustRead(t, rt, Flows, 0).Entries) == 0 {
 		t.Fatal("no flows tracked before reset")
 	}
 	if err := rt.ResetSlot(0); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := rt.ReadFlows(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
+	if entries := mustRead(t, rt, Flows, 0).Entries; len(entries) != 0 {
 		t.Fatalf("flows survive reset: %v", entries)
 	}
-	st, _ := rt.ReadFlowStats(0)
+	st := mustRead(t, rt, FlowLedger, 0)
 	if st.Admitted != 0 || st.Evicted != 0 || st.Rejected != 0 || st.Shed != 0 || st.Occupied != 0 {
 		t.Fatalf("ledger survives reset: %+v", st)
 	}
@@ -371,10 +336,7 @@ func TestFlowPairKey(t *testing.T) {
 		sw.ProcessFrame(uint64(i), 1, packet.NewUDPFrame(a, dst, 5, 80, 10).Serialize())
 	}
 	sw.ProcessFrame(11, 1, packet.NewUDPFrame(b, dst, 5, 80, 10).Serialize())
-	entries, err := rt.ReadFlows(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := mustRead(t, rt, Flows, 0).Entries
 	if len(entries) != 2 {
 		t.Fatalf("tracked %d flows, want 2 (%v)", len(entries), entries)
 	}

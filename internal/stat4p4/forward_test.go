@@ -96,7 +96,7 @@ func TestMalformedEchoIgnored(t *testing.T) {
 		Payload: []byte{0x01}, // one byte: too short for an echo request
 	}
 	out := sw.ProcessFrame(0, 1, bad.Serialize())
-	m, _ := rt.ReadMoments(0)
+	m := mustRead(t, rt, Moments, 0)
 	if m.N != 0 || m.Xsum != 0 {
 		t.Fatalf("malformed echo updated the distribution: %+v", m)
 	}

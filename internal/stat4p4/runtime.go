@@ -145,58 +145,6 @@ func (rt *Runtime) Unbind(stage int, id p4.EntryID) error {
 	return rt.sw.DeleteEntry(rt.lib.BindTables[stage], id)
 }
 
-// Moments is a control-plane snapshot of one distribution's measures.
-type Moments struct {
-	N, Xsum, Xsumsq uint64
-	Var, SD         uint64
-	Median          uint64
-	// MedianMoves is the marker's cumulative movement count; its
-	// per-interval difference is the percentile change rate the paper
-	// names as an anomaly signal.
-	MedianMoves uint64
-}
-
-// ReadMoments reads a distribution's scalar registers.
-func (rt *Runtime) ReadMoments(slot int) (Moments, error) {
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return Moments{}, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	cell := func(name string) uint64 {
-		reg, err := rt.sw.Register(name)
-		if err != nil {
-			return 0
-		}
-		v, _ := reg.Read(slot)
-		return v
-	}
-	return Moments{
-		N: cell(RegN), Xsum: cell(RegXsum), Xsumsq: cell(RegXsumsq),
-		Var: cell(RegVar), SD: cell(RegSD), Median: cell(RegMed),
-		MedianMoves: cell(RegMedMoves),
-	}, nil
-}
-
-// ReadCounters snapshots a distribution's counter cells — what a sketch-only
-// controller would pull. n limits how many cells are returned (≤ Size).
-func (rt *Runtime) ReadCounters(slot, n int) ([]uint64, error) {
-	if slot < 0 || slot >= rt.lib.Opts.Slots {
-		return nil, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	if n <= 0 || n > rt.lib.Opts.Size {
-		n = rt.lib.Opts.Size
-	}
-	reg, err := rt.sw.Register(RegCounters)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	base := slot * rt.lib.Opts.Size
-	for i := range out {
-		out[i], _ = reg.Read(base + i)
-	}
-	return out, nil
-}
-
 // ResetSlot zeroes everything the program keeps for a slot so it can be
 // rebound to a new value of interest. Every register the emitter declares is
 // slot-striped (Cells == Slots × stride), so the slot's state is one stripe

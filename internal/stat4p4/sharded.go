@@ -162,10 +162,12 @@ func (l *Library) CanonicalizeSnapshot(snap *p4.Snapshot, slots []SlotBinding) {
 // both rest on.
 type ShardedRuntime struct {
 	typedBinds
-	lib  *Library
-	ss   *p4.ShardedSwitch
-	rts  []*Runtime
-	freq map[int]SlotBinding
+	lib *Library
+	ss  *p4.ShardedSwitch
+	rts []*Runtime
+	// slots records what the last Bind put on each slot: FreqSlots' notes
+	// and the Moments view's merge rule both read it.
+	slots map[int]Lowered
 }
 
 // NewShardedRuntime instantiates n shards of the library's program.
@@ -174,7 +176,7 @@ func NewShardedRuntime(lib *Library, n int) (*ShardedRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr := &ShardedRuntime{lib: lib, ss: ss, freq: make(map[int]SlotBinding)}
+	sr := &ShardedRuntime{lib: lib, ss: ss, slots: make(map[int]Lowered)}
 	sr.bind = sr.Bind
 	for i := 0; i < n; i++ {
 		sr.rts = append(sr.rts, newRuntime(lib, ss.Shard(i)))
@@ -229,33 +231,18 @@ func (sr *ShardedRuntime) eachErr(f func(rt *Runtime) error) error {
 }
 
 // Bind lowers the binding once and inserts the resulting entry on every
-// shard, then records what CanonicalizeSnapshot must remember about the slot.
+// shard, then records it as the slot's binding, replacing whatever an earlier
+// Bind left there.
 func (sr *ShardedRuntime) Bind(b Binding) (p4.EntryID, error) {
 	low, err := sr.lib.Lower(b)
 	if err != nil {
 		return 0, err
 	}
 	id, err := sr.each(func(rt *Runtime) (p4.EntryID, error) { return rt.insert(low) })
-	if err == nil && low.Note != nil {
-		sr.freq[b.Slot] = *low.Note
+	if err == nil {
+		sr.slots[b.Slot] = low
 	}
 	return id, err
-}
-
-// MergedEntropy derives a slot's entropy from the counters summed across
-// shards — what a single switch tracking the union stream would report.
-func (sr *ShardedRuntime) MergedEntropy(slot int) (EntropySnapshot, error) {
-	counters, err := sr.MergedCounters(slot, 0)
-	if err != nil {
-		return EntropySnapshot{}, err
-	}
-	mask := sr.lib.cellMask()
-	var total, sum uint64
-	for _, f := range counters {
-		total += f
-		sum += (f * intstat.Log2Fixed(f, sr.lib.Opts.EntropyFrac)) & mask
-	}
-	return sr.lib.entropySnapshot(total&mask, sum&mask), nil
 }
 
 // AddRoute fans Runtime.AddRoute out to every shard.
@@ -284,72 +271,27 @@ func (sr *ShardedRuntime) ResetSlot(slot int) error {
 	if err := sr.eachErr(func(rt *Runtime) error { return rt.ResetSlot(slot) }); err != nil {
 		return err
 	}
-	delete(sr.freq, slot)
+	delete(sr.slots, slot)
 	return nil
 }
 
-// FreqSlots returns the recorded frequency-slot bindings in slot order — the
-// slot list MergedSnapshot canonicalises.
+// FreqSlots returns the notes of the slots whose binding left one, in slot
+// order — the slot list MergedSnapshot canonicalises.
 func (sr *ShardedRuntime) FreqSlots() []SlotBinding {
-	out := make([]SlotBinding, 0, len(sr.freq))
-	for _, sb := range sr.freq {
-		out = append(out, sb)
+	var out []SlotBinding
+	for _, low := range sr.slots {
+		if low.Note != nil {
+			out = append(out, *low.Note)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
 	return out
 }
 
-// MergedCounters sums a slot's counter cells across shards, masked to the
-// cell width — the distribution a single switch would hold. n limits how
-// many cells are returned (≤ Size, 0 for all).
-func (sr *ShardedRuntime) MergedCounters(slot, n int) ([]uint64, error) {
-	var out []uint64
-	mask := sr.lib.cellMask()
-	for i, rt := range sr.rts {
-		cells, err := rt.ReadCounters(slot, n)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if out == nil {
-			out = cells
-			continue
-		}
-		for j := range out {
-			out[j] = (out[j] + cells[j]) & mask
-		}
-	}
-	return out, nil
-}
-
-// MergedMoments reads a frequency slot's measures as a single switch would
-// hold them: counters summed across shards, moments and σ recomputed with
-// the emitted arithmetic, the marker re-derived from the merged counters.
-// MedianMoves is the one additive exception — it sums the shards' movement
-// counters, total marker work across the fleet rather than the path length
-// of any serial marker.
-func (sr *ShardedRuntime) MergedMoments(slot int) (Moments, error) {
-	counters, err := sr.MergedCounters(slot, 0)
-	if err != nil {
-		return Moments{}, err
-	}
-	pa, pb := uint64(1), uint64(1)
-	if sb, ok := sr.freq[slot]; ok {
-		pa, pb = sb.PA, sb.PB
-	}
-	s := sr.lib.recomputeSlot(counters, pa, pb)
-	m := Moments{
-		N: s.n, Xsum: s.xsum, Xsumsq: s.xsumsq,
-		Var: s.varv, SD: s.sd, Median: s.med,
-	}
-	mask := sr.lib.cellMask()
-	for i, rt := range sr.rts {
-		mm, err := rt.ReadMoments(slot)
-		if err != nil {
-			return Moments{}, fmt.Errorf("shard %d: %w", i, err)
-		}
-		m.MedianMoves = (m.MedianMoves + mm.MedianMoves) & mask
-	}
-	return m, nil
+// MergedFlows is the entries of Read(sr, Flows, slot).
+func (sr *ShardedRuntime) MergedFlows(slot int) ([]Entry, error) {
+	fs, err := Read(sr, Flows, slot)
+	return fs.Entries, err
 }
 
 // MergedSnapshot merges the shards' registers (MergeSum cells add,

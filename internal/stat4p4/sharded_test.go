@@ -145,55 +145,34 @@ func TestCanonicalizeMatchesDataPlane(t *testing.T) {
 }
 
 // TestMergedMomentsMatchesSerial reads the merged measures through the
-// Moments-level API and checks them against the serial switch's raw
+// Moments view and checks them against the serial switch's raw
 // registers (scalars exact) and the re-derived marker.
 func TestMergedMomentsMatchesSerial(t *testing.T) {
 	rt, sr := shardedPair(t, Options{Slots: 2, Size: 64, Stages: 2}, 4)
 	driveBoth(rt, sr, 21, 2500)
 
 	for _, sb := range sr.FreqSlots() {
-		got, err := sr.MergedMoments(sb.Slot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := rt.ReadMoments(sb.Slot)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, want := mustRead(t, sr, Moments, sb.Slot), mustRead(t, rt, Moments, sb.Slot)
 		if got.N != want.N || got.Xsum != want.Xsum || got.Xsumsq != want.Xsumsq ||
 			got.Var != want.Var || got.SD != want.SD {
 			t.Fatalf("slot %d: merged scalars %+v, serial %+v", sb.Slot, got, want)
 		}
-		counters, err := rt.ReadCounters(sb.Slot, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		counters := mustRead(t, rt, Counters, sb.Slot)
 		if idx, _, _, ok := core.RederiveMarker(counters, sb.PA, sb.PB); ok && got.Median != idx {
 			t.Fatalf("slot %d: merged median %d, re-derived serial %d", sb.Slot, got.Median, idx)
 		}
 		// Per-shard movement counts sum to the merged total.
 		var moves uint64
 		for i := 0; i < sr.NumShards(); i++ {
-			mm, err := sr.ShardRuntime(i).ReadMoments(sb.Slot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			moves += mm.MedianMoves
+			moves += mustRead(t, sr.ShardRuntime(i), Moments, sb.Slot).MedianMoves
 		}
 		if got.MedianMoves != moves {
 			t.Fatalf("slot %d: merged moves %d, shard sum %d", sb.Slot, got.MedianMoves, moves)
 		}
 	}
 
-	// MergedCounters must equal the serial distribution cell for cell.
-	mc, err := sr.MergedCounters(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := rt.ReadCounters(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Merged counters must equal the serial distribution cell for cell.
+	mc, sc := mustRead(t, sr, Counters, 0), mustRead(t, rt, Counters, 0)
 	if !reflect.DeepEqual(mc, sc) {
 		t.Fatalf("merged counters diverge from serial:\nmerged: %v\nserial: %v", mc, sc)
 	}

@@ -163,10 +163,7 @@ func TestWindowCrossValidation(t *testing.T) {
 		// next interval folds, so compare at a safe point: right after
 		// the boundary fold the switch moments equal the reference's).
 		if i > 0 {
-			m, err := rt.ReadMoments(0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := mustRead(t, rt, Moments, 0)
 			cm := ref.Moments()
 			if m.N != cm.N || m.Xsum != cm.Sum || m.Xsumsq != cm.Sumsq {
 				t.Fatalf("interval %d: switch (N=%d,sum=%d,sumsq=%d) core (%d,%d,%d)",
@@ -248,14 +245,11 @@ func TestDrillDownRebinding(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sw.ProcessFrame(uint64(20+i), 1, mk(packet.ParseIP4(10, 0, 7, 1)))
 	}
-	counters, err := rt.ReadCounters(1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	counters := mustRead(t, rt, Counters, 1)
 	if counters[5] != 10 || counters[7] != 3 {
 		t.Fatalf("per-/24 counters = %v", counters[:10])
 	}
-	m, _ := rt.ReadMoments(1)
+	m := mustRead(t, rt, Moments, 1)
 	if m.N != 2 || m.Xsum != 13 {
 		t.Fatalf("stage-1 moments N=%d sum=%d, want 2/13", m.N, m.Xsum)
 	}
@@ -275,7 +269,7 @@ func TestDrillDownRebinding(t *testing.T) {
 		sw.ProcessFrame(uint64(40+i), 1, mk(packet.ParseIP4(10, 0, 5, 9)))
 	}
 	sw.ProcessFrame(60, 1, mk(packet.ParseIP4(10, 0, 7, 1))) // outside the /24 now
-	counters, _ = rt.ReadCounters(1, 64)
+	counters = mustRead(t, rt, Counters, 1)
 	if counters[9] != 7 {
 		t.Fatalf("per-host counter = %d, want 7", counters[9])
 	}
@@ -298,13 +292,13 @@ func TestFreqOutOfRangeValuesSkipped(t *testing.T) {
 	sw := rt.Switch()
 	// Value 100 with size 8 → skipped.
 	sw.ProcessFrame(0, 1, packet.NewEchoFrame(packet.MAC{1}, packet.MAC{2}, 100).Serialize())
-	m, _ := rt.ReadMoments(0)
+	m := mustRead(t, rt, Moments, 0)
 	if m.N != 0 || m.Xsum != 0 {
 		t.Fatalf("out-of-range value counted: %+v", m)
 	}
 	// Value 5 → counted.
 	sw.ProcessFrame(1, 1, packet.NewEchoFrame(packet.MAC{1}, packet.MAC{2}, 5).Serialize())
-	m, _ = rt.ReadMoments(0)
+	m = mustRead(t, rt, Moments, 0)
 	if m.N != 1 || m.Xsum != 1 {
 		t.Fatalf("in-range value not counted: %+v", m)
 	}
@@ -328,7 +322,7 @@ func TestPercentile90InP4(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, _ := rt.ReadMoments(0)
+	m := mustRead(t, rt, Moments, 0)
 	if m.Median != p90.Value() {
 		t.Fatalf("switch marker %d, host marker %d", m.Median, p90.Value())
 	}
@@ -428,11 +422,11 @@ func TestTwoStagesIndependentDistributions(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sw.ProcessFrame(uint64(10+i), 1, udp)
 	}
-	counters, _ := rt.ReadCounters(1, 20)
+	counters := mustRead(t, rt, Counters, 1)
 	if counters[6] != 6 || counters[17] != 4 {
 		t.Fatalf("proto counters tcp=%d udp=%d, want 6/4", counters[6], counters[17])
 	}
-	m, _ := rt.ReadMoments(1)
+	m := mustRead(t, rt, Moments, 1)
 	if m.N != 2 || m.Xsum != 10 {
 		t.Fatalf("proto moments %+v", m)
 	}
@@ -538,7 +532,7 @@ func TestWindowBytesCrossValidation(t *testing.T) {
 			ref.Add(uint64(len(wire)))
 		}
 		if i > 0 {
-			m, _ := rt.ReadMoments(0)
+			m := mustRead(t, rt, Moments, 0)
 			cm := ref.Moments()
 			if m.N != cm.N || m.Xsum != cm.Sum || m.Xsumsq != cm.Sumsq {
 				t.Fatalf("interval %d: switch (N=%d,sum=%d,sumsq=%d) core (%d,%d,%d)",
@@ -580,7 +574,7 @@ func TestMedianChangeRate(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		send(int16(40 + rng.Intn(21)))
 	}
-	m, _ := rt.ReadMoments(0)
+	m := mustRead(t, rt, Moments, 0)
 	if m.MedianMoves != med.Moves() {
 		t.Fatalf("switch moves %d, host %d", m.MedianMoves, med.Moves())
 	}
@@ -593,7 +587,7 @@ func TestMedianChangeRate(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		send(int16(190 + rng.Intn(21)))
 	}
-	m, _ = rt.ReadMoments(0)
+	m = mustRead(t, rt, Moments, 0)
 	if m.MedianMoves != med.Moves() {
 		t.Fatalf("switch moves %d, host %d after shift", m.MedianMoves, med.Moves())
 	}

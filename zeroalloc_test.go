@@ -113,7 +113,7 @@ func TestProcessPacketZeroAllocFlow(t *testing.T) {
 		sw.ProcessPacket(ts, 1, pkts[i%len(pkts)])
 	}
 	ledger := func() stat4p4.FlowStats {
-		st, err := rt.ReadFlowStats(0)
+		st, err := stat4p4.Read(rt, stat4p4.FlowLedger, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
