@@ -28,10 +28,13 @@ loc:
 # plane against a data plane that runs shard 0 on ProcessBatch's caller and
 # shards 1…n−1 on the caller or their workers (rows alternating small and
 # forked batches), inline against forked results, and the worker join. A
-# race there is a matter of interleaving, so one pass proves little.
+# race there is a matter of interleaving, so one pass proves little. The
+# third repeats the daemon smoke, whose race-slowed consumption is where
+# unbuffered record writes used to exhaust the slab and shed frames.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=10 -run 'Concurren|ShardedClose|InlineMatchesFork' ./internal/p4
+	$(GO) test -race -count=5 -run 'TestDaemonSmoke$$' ./cmd/stat4d
 
 vet:
 	$(GO) vet ./...
@@ -56,7 +59,7 @@ golden:
 
 # bench regenerates BENCH_$(BENCHN).json: the E1–E6 experiment benchmarks, the
 # per-packet switch benches and the simulation-engine benches (scheduling,
-# dispatch, batched stream injection — wheel vs reference heap), with
+# dispatch, batched stream injection), with
 # allocation counts (-benchmem). Set BASELINE to a saved `go test -bench`
 # output to record before/after deltas in the JSON; raise BENCHCOUNT for
 # lower-variance numbers.
@@ -134,17 +137,17 @@ detect:
 # traces, the dominance audit and the benign false-alarm bounds enforced by
 # the test, plus the unit surface of the scorer.
 detect-smoke:
-	$(GO) test -run 'TestMatrixContract|TestRunDeterministic|TestSchedulerAgreement' -v ./internal/detect/
+	$(GO) test -run 'TestMatrixContract|TestRunDeterministic' -v ./internal/detect/
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
 # regressions in the parser round-trip, sqrt invariants, the compiled-plan
-# vs tree-walker equivalence, the wheel-vs-heap scheduler equivalence and the
-# binding-lowering boundary without stalling CI.
+# vs tree-walker equivalence, the timer wheel vs the reference heap engine
+# and the binding-lowering boundary without stalling CI.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSqrtApprox -fuzztime=$(FUZZTIME) ./internal/intstat/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/packet/
-	$(GO) test -run=^$$ -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) ./internal/stat4p4/
+	$(GO) test -run=^$$ -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/netem/
 	$(GO) test -run=^$$ -fuzz=FuzzRingFIFO -fuzztime=$(FUZZTIME) ./internal/ring/

@@ -154,46 +154,6 @@ func BenchmarkFlowTableEvict(b *testing.B) {
 	b.ReportMetric(float64(st.Evicted-pre.Evicted)/float64(st.Offered-pre.Offered), "evict-frac")
 }
 
-// BenchmarkFlowTableSharded adds the shard dispatch hash on top of the hit
-// path: one logical million-flow table partitioned over 1/4/8 shards, total
-// bucket budget held constant.
-func BenchmarkFlowTableSharded(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(benchShardName(shards), func(b *testing.B) {
-			cfg := flowtable.Config{Buckets: ftBenchBuckets / shards, EpochShift: 40, TTL: 4}
-			s := flowtable.NewSharded(cfg, shards)
-			keys := make([]uint64, 0, 1_000_000)
-			for i := 0; i < 1_000_000; i++ {
-				k := ftBenchKey(i)
-				if _, _, out := s.Touch(k, 1); out == flowtable.Admitted {
-					keys = append(keys, k)
-				}
-			}
-			keys = ftBenchThin(keys, 1<<16)
-			idx := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, _, out := s.Touch(keys[idx], 2)
-				benchSink += uint64(out)
-				if idx++; idx == len(keys) {
-					idx = 0
-				}
-			}
-		})
-	}
-}
-
-func benchShardName(n int) string {
-	switch n {
-	case 1:
-		return "shards=1"
-	case 4:
-		return "shards=4"
-	}
-	return "shards=8"
-}
-
 // BenchmarkFlowTableDenseBaseline is the comparison floor: a dense counter
 // array indexed by masked key — one unconditional increment, no keys, no
 // expiry, and no way to scale past its address space. The gap to

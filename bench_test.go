@@ -626,17 +626,6 @@ func BenchmarkShardScale(b *testing.B) {
 
 // --- The simulation engine --------------------------------------------------
 
-// schedBenchModes pairs each scheduler engine with its bench label; "heap" is
-// the reference baseline the wheel deltas in BENCH_3.json are measured
-// against.
-var schedBenchModes = []struct {
-	name string
-	mode netem.SchedMode
-}{
-	{"wheel", netem.SchedWheel},
-	{"heap", netem.SchedHeap},
-}
-
 // simBenchOffsets spreads consecutive timestamps across wheel levels (L0
 // neighbours, same-bucket ties, L1/L2 jumps) so the schedule path is not
 // measured on a single lucky slot pattern.
@@ -644,64 +633,55 @@ var simBenchOffsets = [8]uint64{1, 17, 300, 5_000, 9, 131_072, 40, 70_000}
 
 // BenchmarkSimSchedule measures scheduling one packet-arrival event into an
 // idle-but-warm simulator — the engine's insert cost, with dispatch drained
-// off the clock. Under the wheel this is a slab write plus a bucket append
-// (0 allocs); under the heap it is a closure, an interface box and a sift.
+// off the clock: a slab write plus a bucket append (0 allocs).
 func BenchmarkSimSchedule(b *testing.B) {
-	for _, m := range schedBenchModes {
-		b.Run("sched="+m.name, func(b *testing.B) {
-			rt, err := stat4p4.NewRuntime(stat4p4.Build(stat4p4.Options{Slots: 1, Size: 64, Stages: 1}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, 8, 2); err != nil {
-				b.Fatal(err)
-			}
-			sim := netem.NewSimSched(m.mode)
-			node := netem.NewSwitchNode(sim, rt.Switch(), 500)
-			node.OnDigest = func(uint64, p4.Digest) {}
-			node.Connect(0, 100, func(uint64, []byte) {})
-			pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.IP4(200), 5, 80, 10).Serialize())
-			ts := sim.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i&4095 == 4095 {
-					b.StopTimer()
-					sim.Run() // drain off the clock: this bench times inserts
-					ts = sim.Now()
-					b.StartTimer()
-				}
-				ts += simBenchOffsets[i&7]
-				node.Inject(ts, 1, traffic.Pkt{TsNs: ts, Frame: pkt})
-			}
-			b.StopTimer()
-			sim.Run()
-		})
+	rt, err := stat4p4.NewRuntime(stat4p4.Build(stat4p4.Options{Slots: 1, Size: 64, Stages: 1}))
+	if err != nil {
+		b.Fatal(err)
 	}
+	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, 8, 2); err != nil {
+		b.Fatal(err)
+	}
+	sim := netem.NewSim()
+	node := netem.NewSwitchNode(sim, rt.Switch(), 500)
+	node.OnDigest = func(uint64, p4.Digest) {}
+	node.Connect(0, 100, func(uint64, []byte) {})
+	pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.IP4(200), 5, 80, 10).Serialize())
+	ts := sim.Now()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&4095 == 4095 {
+			b.StopTimer()
+			sim.Run() // drain off the clock: this bench times inserts
+			ts = sim.Now()
+			b.StartTimer()
+		}
+		ts += simBenchOffsets[i&7]
+		node.Inject(ts, 1, traffic.Pkt{TsNs: ts, Frame: pkt})
+	}
+	b.StopTimer()
+	sim.Run()
 }
 
 // BenchmarkSimDispatch measures popping and running one due generic event
 // from a 4096-deep backlog — the engine's extract-min cost (scheduling
 // happens off the clock).
 func BenchmarkSimDispatch(b *testing.B) {
-	for _, m := range schedBenchModes {
-		b.Run("sched="+m.name, func(b *testing.B) {
-			sim := netem.NewSimSched(m.mode)
-			fn := func() {}
-			const batch = 4096
-			done := 0
-			b.ResetTimer()
-			for done < b.N {
-				b.StopTimer()
-				t := sim.Now()
-				for j := 0; j < batch; j++ {
-					t += simBenchOffsets[j&7]
-					sim.At(t, fn)
-				}
-				b.StartTimer()
-				sim.Run()
-				done += batch
-			}
-		})
+	sim := netem.NewSim()
+	fn := func() {}
+	const batch = 4096
+	done := 0
+	b.ResetTimer()
+	for done < b.N {
+		b.StopTimer()
+		t := sim.Now()
+		for j := 0; j < batch; j++ {
+			t += simBenchOffsets[j&7]
+			sim.At(t, fn)
+		}
+		b.StartTimer()
+		sim.Run()
+		done += batch
 	}
 }
 
@@ -730,9 +710,8 @@ func (o *offsetStream) Next() (traffic.Pkt, bool) {
 // forwarding. The switch monitors one target /16 while the bulk of the
 // traffic is background load that misses the stats table, so the event
 // engine — not the window update — dominates, which is what this benchmark
-// isolates (BenchmarkSwitch* price the datapath itself). The wheel-vs-heap
-// ratio here is the PR's headline number; shards>1 runs the same trace
-// through a sharded chassis node.
+// isolates (BenchmarkSwitch* price the datapath itself); shards>1 runs the
+// same trace through a sharded chassis node.
 func BenchmarkInjectStreamE2E(b *testing.B) {
 	type streamNode interface {
 		InjectStream(st traffic.Stream, port uint16)
@@ -748,53 +727,51 @@ func BenchmarkInjectStreamE2E(b *testing.B) {
 			Dests: dests, Rate: 5e8, End: 409_600, Seed: 7, Jitter: 0.2,
 		}}
 	}
-	for _, m := range schedBenchModes {
-		for _, shards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("sched=%s/shards=%d", m.name, shards), func(b *testing.B) {
-				sim := netem.NewSimSched(m.mode)
-				var node streamNode
-				if shards > 1 {
-					sr, err := stat4p4.NewShardedRuntime(lib, shards)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer sr.Close()
-					if _, err := sr.BindWindow(0, 0, stat4p4.DstIn(monitored), 10, 8, 2); err != nil {
-						b.Fatal(err)
-					}
-					n := netem.NewShardedSwitchNode(sim, sr.Sharded(), 500)
-					n.OnDigest = func(uint64, p4.Digest) {}
-					n.Connect(0, 200_000, func(uint64, []byte) {})
-					node = n
-				} else {
-					rt, err := stat4p4.NewRuntime(lib)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := rt.BindWindow(0, 0, stat4p4.DstIn(monitored), 10, 8, 2); err != nil {
-						b.Fatal(err)
-					}
-					n := netem.NewSwitchNode(sim, rt.Switch(), 500)
-					n.OnDigest = func(uint64, p4.Digest) {}
-					n.Connect(0, 200_000, func(uint64, []byte) {})
-					node = n
+	for _, shards := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			sim := netem.NewSim()
+			var node streamNode
+			if shards > 1 {
+				sr, err := stat4p4.NewShardedRuntime(lib, shards)
+				if err != nil {
+					b.Fatal(err)
 				}
-				// One untimed replay takes the frame pool, event slab and heap
-				// backing array to steady state.
-				warm := mkStream(sim.Now())
-				node.InjectStream(warm, 1)
+				defer sr.Close()
+				if _, err := sr.BindWindow(0, 0, stat4p4.DstIn(monitored), 10, 8, 2); err != nil {
+					b.Fatal(err)
+				}
+				n := netem.NewShardedSwitchNode(sim, sr.Sharded(), 500)
+				n.OnDigest = func(uint64, p4.Digest) {}
+				n.Connect(0, 200_000, func(uint64, []byte) {})
+				node = n
+			} else {
+				rt, err := stat4p4.NewRuntime(lib)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rt.BindWindow(0, 0, stat4p4.DstIn(monitored), 10, 8, 2); err != nil {
+					b.Fatal(err)
+				}
+				n := netem.NewSwitchNode(sim, rt.Switch(), 500)
+				n.OnDigest = func(uint64, p4.Digest) {}
+				n.Connect(0, 200_000, func(uint64, []byte) {})
+				node = n
+			}
+			// One untimed replay takes the frame pool and event slab to
+			// steady state.
+			warm := mkStream(sim.Now())
+			node.InjectStream(warm, 1)
+			sim.Run()
+			pkts := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := mkStream(sim.Now())
+				node.InjectStream(st, 1)
 				sim.Run()
-				pkts := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					st := mkStream(sim.Now())
-					node.InjectStream(st, 1)
-					sim.Run()
-					pkts += st.n
-				}
-				b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
-			})
-		}
+				pkts += st.n
+			}
+			b.ReportMetric(float64(pkts)/float64(b.N), "pkts/op")
+		})
 	}
 }
 

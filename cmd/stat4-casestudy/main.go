@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"stat4/internal/experiments"
-	"stat4/internal/netem"
 	"stat4/internal/telemetry"
 )
 
@@ -33,7 +32,6 @@ type options struct {
 	ctrlMs      uint64
 	sweep       bool
 	seed        int64
-	sched       string
 	metrics     bool
 	metricsOut  string
 }
@@ -49,7 +47,6 @@ func main() {
 	flag.Uint64Var(&opts.ctrlMs, "ctrl-delay-ms", 400, "one-way switch-controller latency")
 	flag.BoolVar(&opts.sweep, "sweep", false, "run the interval/window sweep instead")
 	flag.Int64Var(&opts.seed, "seed", 1, "base seed")
-	flag.StringVar(&opts.sched, "sched", "wheel", "simulator scheduler: wheel or heap (reference)")
 	flag.BoolVar(&opts.metrics, "metrics", false, "print the telemetry exposition after the runs")
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write the telemetry snapshot as JSON to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address during the runs")
@@ -69,15 +66,6 @@ func main() {
 }
 
 func run(w io.Writer, opts options) error {
-	switch opts.sched {
-	case "wheel":
-		netem.DefaultSched = netem.SchedWheel
-	case "heap":
-		netem.DefaultSched = netem.SchedHeap
-	default:
-		return fmt.Errorf("unknown -sched %q (want wheel or heap)", opts.sched)
-	}
-
 	var pipeline *telemetry.Pipeline
 	var reg *telemetry.Registry
 	if opts.metrics || opts.metricsOut != "" {

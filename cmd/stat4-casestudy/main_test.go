@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"stat4/internal/netem"
 )
 
 // TestRunSmoke drives the command end to end through run() with a
@@ -14,7 +12,6 @@ import (
 // rate) so the full pipeline — traffic, switch, controller drill-down,
 // summary printing, metrics snapshot — executes in well under a second.
 func TestRunSmoke(t *testing.T) {
-	defer func(prev netem.SchedMode) { netem.DefaultSched = prev }(netem.DefaultSched)
 	out := filepath.Join(t.TempDir(), "metrics.json")
 	var buf strings.Builder
 	err := run(&buf, options{
@@ -24,7 +21,6 @@ func TestRunSmoke(t *testing.T) {
 		perInterval: 60,
 		ctrlMs:      50,
 		seed:        5,
-		sched:       "wheel",
 		metricsOut:  out,
 	})
 	if err != nil {
@@ -42,14 +38,5 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if !strings.Contains(string(snap), "stat4_casestudy") {
 		t.Fatalf("metrics snapshot missing registry prefix: %s", snap)
-	}
-}
-
-// TestRunRejectsUnknownScheduler pins the -sched flag's error path.
-func TestRunRejectsUnknownScheduler(t *testing.T) {
-	defer func(prev netem.SchedMode) { netem.DefaultSched = prev }(netem.DefaultSched)
-	var buf strings.Builder
-	if err := run(&buf, options{runs: 1, sched: "fifo"}); err == nil {
-		t.Fatal("run accepted an unknown scheduler")
 	}
 }

@@ -1,6 +1,6 @@
 // Command stat4-detect runs the detection-quality matrix and emits the
-// DETECT_<n>.json trajectory artifact: every (scenario × config × shards ×
-// sched) cell of the internal/detect grid scored for time-to-detect,
+// DETECT_<n>.json trajectory artifact: every (scenario × config × shards)
+// cell of the internal/detect grid scored for time-to-detect,
 // precision/recall/F1, drill-down accuracy and benign-twin false alarms,
 // with baseline deltas and the pathological-dominance audit.
 //
@@ -82,8 +82,8 @@ func main() {
 
 	progress := func(i, n int, c detect.Cell) {
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "[%3d/%d] %s × %s × %d shards × %s\n",
-				i+1, n, c.Scenario.Name, c.Config.Name, c.Shards, detect.SchedName(c.Sched))
+			fmt.Fprintf(os.Stderr, "[%3d/%d] %s × %s × %d shards\n",
+				i+1, n, c.Scenario.Name, c.Config.Name, c.Shards)
 		}
 	}
 	results, err := detect.RunGrid(grid, progress)

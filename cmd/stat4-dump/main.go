@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,68 +22,83 @@ import (
 )
 
 func main() {
-	slots := flag.Int("slots", 2, "STAT_COUNTER_NUM: simultaneous distributions")
-	size := flag.Int("size", 128, "STAT_COUNTER_SIZE: cells per distribution")
-	stages := flag.Int("stages", 2, "binding stages")
-	echo := flag.Bool("echo", false, "include the echo application")
-	strict := flag.Bool("strict", false, "emit for the multiplication-free target")
-	reportOnly := flag.Bool("report-only", false, "print only the resource report")
-	flowTable := flag.Int("flow-table", 0, "include the flow-table mode with this many buckets (power of two >= 4; 0 disables)")
-	hh := flag.Bool("hh", false, "include the heavy-hitter promotion mode")
-	noVariance := flag.Bool("no-variance", false, "drop the variance/sqrt/alert logic (counting-only program)")
-	emitP4 := flag.Bool("p416", false, "emit P4-16 source for the v1model architecture instead of the IR listing")
-	resources := flag.Bool("resources", false, "print the stage placement against the target model instead of the listing")
-	target := flag.String("target", "", "target-model JSON for -resources (default: the built-in pisa-3pass model)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, writes the listing or report to
+// stdout, and returns the exit status — 2 on a usage or target error, 1 when
+// -resources finds the program does not fit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stat4-dump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	slots := fs.Int("slots", 2, "STAT_COUNTER_NUM: simultaneous distributions")
+	size := fs.Int("size", 128, "STAT_COUNTER_SIZE: cells per distribution")
+	stages := fs.Int("stages", 2, "binding stages")
+	echo := fs.Bool("echo", false, "include the echo application")
+	strict := fs.Bool("strict", false, "emit for the multiplication-free target")
+	reportOnly := fs.Bool("report-only", false, "print only the resource report")
+	flowTable := fs.Int("flow-table", 0, "include the flow-table mode with this many buckets (power of two >= 4; 0 disables)")
+	hh := fs.Bool("hh", false, "include the heavy-hitter promotion mode")
+	noVariance := fs.Bool("no-variance", false, "drop the variance/sqrt/alert logic (counting-only program)")
+	emitP4 := fs.Bool("p416", false, "emit P4-16 source for the v1model architecture instead of the IR listing")
+	resources := fs.Bool("resources", false, "print the stage placement against the target model instead of the listing")
+	target := fs.String("target", "", "target-model JSON for -resources (default: the built-in pisa-3pass model)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	opts := stat4p4.Options{Slots: *slots, Size: *size, Stages: *stages, Echo: *echo, Strict: *strict,
 		HeavyHitter: *hh, NoVariance: *noVariance}
 	if *flowTable > 0 {
 		if *flowTable < 4 || *flowTable&(*flowTable-1) != 0 {
-			fmt.Fprintf(os.Stderr, "flow-table buckets %d: need a power of two >= 4\n", *flowTable)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "flow-table buckets %d: need a power of two >= 4\n", *flowTable)
+			return 2
 		}
 		opts.FlowTable = true
 		opts.FlowTableSize = *flowTable
 	}
 	lib := stat4p4.Build(opts)
 	if *emitP4 {
-		fmt.Print(stat4p4.EmitP416(lib))
-		return
+		fmt.Fprint(stdout, stat4p4.EmitP416(lib))
+		return 0
 	}
 	if *resources {
 		tm := p4.DefaultTargetModel()
 		if *target != "" {
 			var err error
 			if tm, err = p4.LoadTargetModel(*target); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 		}
 		rep, err := p4.AllocateStages(lib.Prog, tm)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		fmt.Print(formatStageReport(rep))
+		fmt.Fprint(stdout, formatStageReport(rep))
 		if !rep.Fit {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if !*reportOnly {
-		fmt.Print(p4.Format(lib.Prog))
-		fmt.Println()
+		fmt.Fprint(stdout, p4.Format(lib.Prog))
+		fmt.Fprintln(stdout)
 	}
-	printResourceReport(p4.AnalyzeProgram(lib.Prog))
+	printResourceReport(stdout, p4.AnalyzeProgram(lib.Prog))
+	return 0
 }
 
-func printResourceReport(r p4.ResourceReport) {
-	fmt.Printf("resources: %d fields, %d actions, %d tables, %d registers\n",
+func printResourceReport(w io.Writer, r p4.ResourceReport) {
+	fmt.Fprintf(w, "resources: %d fields, %d actions, %d tables, %d registers\n",
 		r.NumFields, r.NumActions, r.NumTables, r.NumRegisters)
-	fmt.Printf("           %d register bytes + %d table bytes = %.1f KB\n",
+	fmt.Fprintf(w, "           %d register bytes + %d table bytes = %.1f KB\n",
 		r.RegisterBytes, r.TableBytes, float64(r.TotalBytes)/1024)
-	fmt.Printf("           match-rule dependencies: %d, longest dependency chain: %d\n",
+	fmt.Fprintf(w, "           match-rule dependencies: %d, longest dependency chain: %d\n",
 		r.MatchRuleDependencies, r.LongestDepChain)
 }
 

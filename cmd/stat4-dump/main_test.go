@@ -75,3 +75,22 @@ func TestFormatStageReportOverBudget(t *testing.T) {
 		t.Errorf("over-budget report lacks verdict or violations:\n%s", out)
 	}
 }
+
+// A flow table whose registers outgrow a whole stage's SRAM cannot fit:
+// -resources must say so and exit 1 rather than search for a stage forever.
+// The "flowtable" catalog shape at 1024 buckets fits and exits 0.
+func TestRunResourcesOversizedFlowTable(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-resources", "-flow-table", "131072"}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "[DOES NOT FIT]") ||
+		!strings.Contains(out.String(), `register "stat.ftkeys" needs 2097152 B of SRAM, over the 1048576 B per-stage budget`) {
+		t.Fatalf("report lacks the verdict or the SRAM violation:\n%s", out.String())
+	}
+	out.Reset()
+	catalog := []string{"-resources", "-slots", "1", "-size", "64", "-stages", "1", "-flow-table", "1024"}
+	if code := run(catalog, &out, &errOut); code != 0 {
+		t.Fatalf("catalog shape: exit %d, want 0:\n%s", code, out.String())
+	}
+}

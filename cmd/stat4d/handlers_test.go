@@ -374,6 +374,17 @@ func TestFlowMetricsExposition(t *testing.T) {
 			t.Fatalf("scrape is missing %s:\n%s", name, body)
 		}
 	}
+	// The daemon has no simulator, node or controller: the serial
+	// pipeline's series for them would always read zero, so none is served.
+	for _, name := range []string{
+		"frame_latency_ns", "ctrl_latency_ns", "digest_queue_depth",
+		"node_dropped_digests", "node_unrouted_frames",
+		"event_queue_depth", "controller_phase",
+	} {
+		if strings.Contains(body, name) {
+			t.Fatalf("scrape serves %s, which nothing in the daemon writes:\n%s", name, body)
+		}
+	}
 
 	// A daemon without the flow plane must not emit flow series.
 	plain := testDaemon(t, "none")

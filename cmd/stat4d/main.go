@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -441,6 +442,9 @@ func pushPcap(path, addr string) error {
 	}
 	defer f.Close()
 	r := packet.NewPcapReader(f)
+	// Buffered, so a record's header and frame share one write and records
+	// coalesce: the daemon flushes a slab block whenever its input drains.
+	w := bufio.NewWriter(conn)
 	var n uint64
 	for {
 		ts, frame, err := r.Next()
@@ -450,10 +454,13 @@ func pushPcap(path, addr string) error {
 		if err != nil {
 			return err
 		}
-		if err := ingest.WriteRecord(conn, ts, 1, frame); err != nil {
+		if err := ingest.WriteRecord(w, ts, 1, frame); err != nil {
 			return err
 		}
 		n++
+	}
+	if err := w.Flush(); err != nil {
+		return err
 	}
 	log.Printf("pushed %d frames to %s", n, addr)
 	return nil

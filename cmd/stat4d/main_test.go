@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"net"
@@ -118,19 +119,25 @@ func TestDaemonSmoke(t *testing.T) {
 		runtime.Gosched()
 	}
 
-	// Stream 200 records over TCP and 100 over the unix socket.
+	// Stream 200 records over TCP and 100 over the unix socket, buffered
+	// like stat4d -push: the daemon flushes a slab block whenever its input
+	// drains, so unbuffered record-at-a-time writes can cost a block each.
 	send := func(network, addr string, count int, port uint16) {
 		conn, err := net.Dial(network, addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
+		w := bufio.NewWriter(conn)
 		for i := 0; i < count; i++ {
 			dst := packet.ParseIP4(10, 0, byte(i%5), 7)
 			fr := packet.NewUDPFrame(packet.ParseIP4(192, 0, 2, 9), dst, 5, 80, 16).Serialize()
-			if err := ingest.WriteRecord(conn, uint64(1e6+i), port, fr); err != nil {
+			if err := ingest.WriteRecord(w, uint64(1e6+i), port, fr); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	send("tcp", tcpAddr, 200, 2)
@@ -139,7 +146,8 @@ func TestDaemonSmoke(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for d.engine.Frames() < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon consumed %d frames, want %d", d.engine.Frames(), want)
+			_, shed := d.engine.Shed()
+			t.Fatalf("daemon consumed %d frames and shed %d, want %d consumed", d.engine.Frames(), shed, want)
 		}
 		runtime.Gosched()
 	}

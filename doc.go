@@ -24,8 +24,8 @@
 //	internal/netem     discrete-event network simulator
 //	internal/telemetry integer-only observability built on the core statistics
 //	internal/controller the case-study drill-down controller
-//	internal/sketch    the pull-based (Figure 1b) baseline
-//	internal/experiments harnesses regenerating every table and figure
+//	internal/experiments harnesses regenerating every table and figure, and
+//	                   the pull-based (Figure 1b) baseline
 //	cmd/...            stat4-echo, stat4-casestudy, stat4-tables
 //	examples/...       quickstart, synflood, loadbalance, trafficclass
 //

@@ -22,12 +22,11 @@ const evalWindows = 32
 const defaultCtrlDelayNs = 1_000_000
 
 // Cell is one point of the quality matrix: a scenario replayed against a
-// detector configuration at a shard count under a scheduler engine.
+// detector configuration at a shard count.
 type Cell struct {
 	Scenario traffic.Scenario
 	Config   Config
 	Shards   int
-	Sched    netem.SchedMode
 	Seed     int64
 	// CtrlDelayNs is the digest delivery latency (0 → 1 ms).
 	CtrlDelayNs uint64
@@ -39,10 +38,13 @@ type Cell struct {
 // flagged-window fraction for the former and the misidentification rate
 // (1 − precision of the benign heavy set) for the latter.
 type Result struct {
-	Scenario     string `json:"scenario"`
-	Config       string `json:"config"`
-	Track        string `json:"track"`
-	Shards       int    `json:"shards"`
+	Scenario string `json:"scenario"`
+	Config   string `json:"config"`
+	Track    string `json:"track"`
+	Shards   int    `json:"shards"`
+	// Sched is always "wheel", the simulator's engine. It stays in the
+	// report and the cell key so earlier DETECT artifacts remain valid
+	// baselines.
 	Sched        string `json:"sched"`
 	Pathological bool   `json:"pathological,omitempty"`
 	HealthyTwin  string `json:"healthy_twin,omitempty"`
@@ -76,14 +78,6 @@ type Result struct {
 // Key identifies a cell across runs and baselines.
 func (r Result) Key() string {
 	return fmt.Sprintf("%s/%s/%d/%s", r.Scenario, r.Config, r.Shards, r.Sched)
-}
-
-// SchedName renders a scheduler mode for reports.
-func SchedName(m netem.SchedMode) string {
-	if m == netem.SchedHeap {
-		return "heap"
-	}
-	return "wheel"
 }
 
 // replayOut is what one simulator pass yields.
@@ -147,7 +141,7 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 		out.alerts = append(out.alerts, a)
 	}
 
-	sim := netem.NewSimSched(c.Sched)
+	sim := netem.NewSim()
 	if sr != nil {
 		node := netem.NewShardedSwitchNode(sim, sr.Sharded(), ctrl)
 		node.OnDigest = onDigest
@@ -179,7 +173,7 @@ func Run(c Cell) (Result, error) {
 		Config:       c.Config.Name,
 		Track:        string(c.Config.Track),
 		Shards:       c.Shards,
-		Sched:        SchedName(c.Sched),
+		Sched:        "wheel",
 		Pathological: c.Config.Pathological,
 		HealthyTwin:  c.Config.HealthyTwin,
 	}

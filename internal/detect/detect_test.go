@@ -4,19 +4,16 @@ import (
 	"encoding/json"
 	"testing"
 
-	"stat4/internal/netem"
 	"stat4/internal/traffic"
 )
 
 // testGrid is the CI quality matrix at smoke scale. -short drops the 4-shard
-// column and the heap cross-check cells, leaving the full scenario × config
-// product at one shard.
+// column, leaving the full scenario × config product at one shard.
 func testGrid(t *testing.T) Grid {
 	t.Helper()
 	g := DefaultGrid(0.25)
 	if testing.Short() {
 		g.Shards = []int{1}
-		g.HeapTrack = ""
 	}
 	return g
 }
@@ -88,7 +85,7 @@ func TestRunDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("entropy config missing")
 	}
-	cell := Cell{Scenario: sc, Config: cfg, Shards: 2, Sched: netem.SchedWheel, Seed: 1}
+	cell := Cell{Scenario: sc, Config: cfg, Shards: 2, Seed: 1}
 	a, err := Run(cell)
 	if err != nil {
 		t.Fatal(err)
@@ -130,33 +127,5 @@ func TestSeedChangesOutcome(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seeds 1 and 2 produced identical tallies: seed is ignored")
-	}
-}
-
-// TestSchedulerAgreement cross-checks the two netem engines on one entropy
-// cell: the wheel and the heap must order the same virtual-time events the
-// same way, so the scored results match exactly (modulo the sched label).
-func TestSchedulerAgreement(t *testing.T) {
-	sc, ok := traffic.FindScenario(traffic.Registry(0.25), "flash-crowd")
-	if !ok {
-		t.Fatal("flash-crowd missing from registry")
-	}
-	cfg, ok := FindConfig(Configs(), "entropy")
-	if !ok {
-		t.Fatal("entropy config missing")
-	}
-	wheel, err := Run(Cell{Scenario: sc, Config: cfg, Shards: 1, Sched: netem.SchedWheel, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, err := Run(Cell{Scenario: sc, Config: cfg, Shards: 1, Sched: netem.SchedHeap, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap.Sched = wheel.Sched
-	jw, _ := json.Marshal(wheel)
-	jh, _ := json.Marshal(heap)
-	if string(jw) != string(jh) {
-		t.Fatalf("wheel and heap engines disagree on the same cell:\nwheel: %s\nheap:  %s", jw, jh)
 	}
 }

@@ -3,27 +3,20 @@ package detect
 import (
 	"fmt"
 
-	"stat4/internal/netem"
 	"stat4/internal/traffic"
 )
 
-// Grid spans the quality matrix: every scenario × config × shard count on
-// the wheel engine, plus heap-engine cells for one track at the first shard
-// count as a scheduler cross-check.
+// Grid spans the quality matrix: every scenario × config × shard count.
 type Grid struct {
 	Scale     float64
 	Seed      int64
 	Scenarios []traffic.Scenario
 	Configs   []Config
 	Shards    []int
-	// HeapTrack adds sched=heap cells for this track's configs at
-	// Shards[0] (empty string → none).
-	HeapTrack Track
 }
 
 // DefaultGrid is the shipping matrix: the full scenario registry against the
-// full config registry at 1 and 4 shards, with heap cross-check cells on the
-// entropy track.
+// full config registry at 1 and 4 shards.
 func DefaultGrid(scale float64) Grid {
 	return Grid{
 		Scale:     scale,
@@ -31,7 +24,6 @@ func DefaultGrid(scale float64) Grid {
 		Scenarios: traffic.Registry(scale),
 		Configs:   Configs(),
 		Shards:    []int{1, 4},
-		HeapTrack: TrackEntropy,
 	}
 }
 
@@ -41,16 +33,7 @@ func (g Grid) Cells() []Cell {
 	for _, sc := range g.Scenarios {
 		for _, cfg := range g.Configs {
 			for _, sh := range g.Shards {
-				cells = append(cells, Cell{
-					Scenario: sc, Config: cfg, Shards: sh,
-					Sched: netem.SchedWheel, Seed: g.Seed,
-				})
-			}
-			if g.HeapTrack != "" && cfg.Track == g.HeapTrack && len(g.Shards) > 0 {
-				cells = append(cells, Cell{
-					Scenario: sc, Config: cfg, Shards: g.Shards[0],
-					Sched: netem.SchedHeap, Seed: g.Seed,
-				})
+				cells = append(cells, Cell{Scenario: sc, Config: cfg, Shards: sh, Seed: g.Seed})
 			}
 		}
 	}
@@ -68,8 +51,8 @@ func RunGrid(g Grid, progress func(i, n int, c Cell)) ([]Result, error) {
 		}
 		r, err := Run(c)
 		if err != nil {
-			return nil, fmt.Errorf("cell %s/%s/%d/%s: %w",
-				c.Scenario.Name, c.Config.Name, c.Shards, SchedName(c.Sched), err)
+			return nil, fmt.Errorf("cell %s/%s/%d: %w",
+				c.Scenario.Name, c.Config.Name, c.Shards, err)
 		}
 		results = append(results, r)
 	}
@@ -77,19 +60,19 @@ func RunGrid(g Grid, progress func(i, n int, c Cell)) ([]Result, error) {
 }
 
 // DominanceViolations checks the pathological contract on a result set:
-// on every wheel cell of a scenario the track is expected to catch, a
+// on every cell of a scenario the track is expected to catch, a
 // pathological config must score strictly below its healthy twin. Returns
 // one message per violated pairing (empty = contract holds).
 func DominanceViolations(results []Result) []string {
 	healthy := make(map[string]Result)
 	for _, r := range results {
-		if !r.Pathological && r.Sched == "wheel" {
+		if !r.Pathological {
 			healthy[r.Key()] = r
 		}
 	}
 	var violations []string
 	for _, r := range results {
-		if !r.Pathological || r.Sched != "wheel" || !r.Detectable {
+		if !r.Pathological || !r.Detectable {
 			continue
 		}
 		twinKey := fmt.Sprintf("%s/%s/%d/%s", r.Scenario, r.HealthyTwin, r.Shards, r.Sched)

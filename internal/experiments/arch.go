@@ -6,7 +6,6 @@ import (
 	"stat4/internal/netem"
 	"stat4/internal/p4"
 	"stat4/internal/packet"
-	"stat4/internal/sketch"
 	"stat4/internal/stat4p4"
 	"stat4/internal/traffic"
 )
@@ -176,7 +175,7 @@ func archRun(params ArchParams, period uint64, seed int64) (delayMs float64, det
 		return 0, false, 0, err
 	}
 	var detectAt uint64
-	mon := &sketch.PullMonitor{
+	mon := &PullMonitor{
 		Sim:       sim,
 		RT:        rt,
 		Slot:      0,

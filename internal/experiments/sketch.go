@@ -1,11 +1,12 @@
-// Package sketch implements the sketch-only monitoring architecture of
-// Figure 1b as a baseline: the data plane keeps only counters, and a
-// controller pulls register snapshots on a fixed period to run the anomaly
-// check itself. Pulling costs time proportional to the number of registers
-// ("reading thousands of registers takes several milliseconds") plus the
-// link delay, which is exactly the reactivity gap the paper's Section 1
-// argues motivates in-switch detection.
-package sketch
+package experiments
+
+// This file is the sketch-only monitoring architecture of Figure 1b, the
+// baseline ArchComparison runs against in-switch detection: the data plane
+// keeps only counters, and a controller pulls register snapshots on a fixed
+// period to run the anomaly check itself. Pulling costs time proportional to
+// the number of registers ("reading thousands of registers takes several
+// milliseconds") plus the link delay, which is exactly the reactivity gap
+// the paper's Section 1 argues motivates in-switch detection.
 
 import (
 	"math"

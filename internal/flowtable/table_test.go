@@ -247,44 +247,6 @@ func TestZeroAllocTouch(t *testing.T) {
 	}
 }
 
-// TestShardedMergeMatchesSerial: at low load factor (no rejections, no
-// expiry) the sharded table's merged per-key counts equal a serial table's —
-// the flow-level merge contract.
-func TestShardedMergeMatchesSerial(t *testing.T) {
-	cfg := Config{Buckets: 1 << 14, EpochShift: 40, TTL: 8}
-	serial := New(cfg)
-	for _, shards := range []int{2, 4, 8} {
-		sh := NewSharded(cfg, shards)
-		rng := rand.New(rand.NewSource(5))
-		serial.Reset()
-		for i := 0; i < 60000; i++ {
-			k := uint64(rng.Int63n(3000))
-			ts := uint64(i) * 700
-			serial.Touch(k, ts)
-			sh.Touch(k, ts)
-		}
-		if st := serial.Stats(); st.Rejected != 0 {
-			t.Fatalf("serial rejections at low load: %+v", st)
-		}
-		want := map[uint64]uint64{}
-		serial.Each(func(e Entry) { want[e.Key] = e.Count })
-		merged := sh.MergedEntries()
-		if len(merged) != len(want) {
-			t.Fatalf("%d shards: merged %d keys, serial %d", shards, len(merged), len(want))
-		}
-		for _, e := range merged {
-			if want[e.Key] != e.Count {
-				t.Fatalf("%d shards: key %d count %d, serial %d", shards, e.Key, e.Count, want[e.Key])
-			}
-		}
-		ms := sh.MergedStats()
-		ss := serial.Stats()
-		if ms.Offered != ss.Offered || ms.Hits != ss.Hits || ms.Admitted != ss.Admitted {
-			t.Fatalf("%d shards: ledger mismatch merged %+v serial %+v", shards, ms, ss)
-		}
-	}
-}
-
 // TestErrorVsDenseBaseline measures the flow-table's count error against a
 // dense exact baseline on a zipf population at the documented operating
 // point (load factor ≈ 0.5 at 2-left, no sampling), and pins the DESIGN.md

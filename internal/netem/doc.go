@@ -19,11 +19,13 @@
 // O(log n) sift of a binary heap. Event records are typed — packet arrival,
 // frame delivery, digest delivery, stream pump, generic func — and stored in
 // a flat slab with a free list, so scheduling a packet through a warm
-// simulator allocates nothing (pinned by the zero-alloc tests). The previous
-// container/heap engine is kept verbatim behind NewSimSched(SchedHeap) as
-// the differential reference: unit, property and fuzz tests require the two
-// engines to produce identical dispatch order (equal-time events run in
-// schedule order), identical clocks and byte-identical experiment results.
+// simulator allocates nothing (pinned by the zero-alloc tests). It is the
+// only engine. The original container/heap engine — one closure per event,
+// one event per packet, a fresh copy per delivered frame, digests drained
+// from the switch channel — survives as test code (ref_test.go), the
+// differential reference: unit, property and fuzz tests require the two to
+// produce identical dispatch order (equal-time events run in schedule
+// order), identical clocks, and identical digest traces and drill-down logs.
 //
 // # Frame-buffer lifetime
 //

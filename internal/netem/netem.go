@@ -1,30 +1,6 @@
 package netem
 
-import (
-	"container/heap"
-
-	"stat4/internal/telemetry"
-)
-
-// SchedMode selects the Sim's scheduling engine.
-type SchedMode uint8
-
-const (
-	// SchedWheel is the production engine: a hierarchical timer wheel over a
-	// slab of typed, closure-free event records. Scheduling and dispatching
-	// packet, frame and digest events allocates nothing at steady state.
-	SchedWheel SchedMode = iota
-	// SchedHeap is the original container/heap engine, kept bit-for-bit as
-	// the differential reference (the ExecTree of the event loop): one
-	// interface-boxed record and one closure per event, per delivered frame
-	// copy, per drained digest. Differential tests run both modes over the
-	// same inputs and require identical dispatch order and outputs.
-	SchedHeap
-)
-
-// DefaultSched is the mode NewSim uses. Differential tests flip it to run an
-// unmodified experiment under the reference engine.
-var DefaultSched = SchedWheel
+import "stat4/internal/telemetry"
 
 // Sim is the event loop. It is single-threaded: handlers run on the caller's
 // goroutine inside Run, and may schedule further events.
@@ -32,84 +8,42 @@ type Sim struct {
 	now   uint64
 	seq   uint64 // FIFO tie-break for equal timestamps
 	steps uint64
-	mode  SchedMode
 
 	// deadline is the bound of the RunUntil in progress (^uint64(0) outside
 	// one). The stream pump reads it so a batched run never processes a
 	// packet a bounded run was not allowed to reach.
 	deadline uint64
 
-	pending int // scheduled-but-not-dispatched events, either engine
+	pending int // scheduled-but-not-dispatched events
 
-	// SchedWheel state: the typed event slab (free-listed through event.next)
-	// and the timer wheel filing indices into it.
+	// The typed event slab (free-listed through event.next) and the timer
+	// wheel filing indices into it.
 	slab  []event
 	free  int32
 	wheel wheel
-
-	// SchedHeap state: the reference priority queue.
-	queue eventQueue
 
 	// Depth, when set, records the event-queue occupancy after each
 	// dispatched event — the simulator's own backlog observable.
 	Depth *telemetry.Hist
 }
 
-// heapEvent is the reference engine's record: the handler is a closure, so
-// every schedule allocates (the closure plus the interface boxing in
-// heap.Push). The wheel engine exists to delete exactly these costs.
-type heapEvent struct {
-	at  uint64
-	seq uint64
-	fn  func()
-}
-
-type eventQueue []heapEvent
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(heapEvent)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-
-// NewSim returns an empty simulation at time zero, using DefaultSched.
-func NewSim() *Sim { return NewSimSched(DefaultSched) }
-
-// NewSimSched returns an empty simulation at time zero with an explicit
-// scheduling engine.
-func NewSimSched(mode SchedMode) *Sim {
-	s := &Sim{mode: mode, deadline: ^uint64(0), free: -1}
+// NewSim returns an empty simulation at time zero.
+func NewSim() *Sim {
+	s := &Sim{deadline: ^uint64(0), free: -1}
 	s.wheel.reset()
 	return s
 }
-
-// Mode returns the scheduling engine this simulation runs on.
-func (s *Sim) Mode() SchedMode { return s.mode }
 
 // Now returns the current virtual time in nanoseconds.
 func (s *Sim) Now() uint64 { return s.now }
 
 // Steps returns how many events have run. A batched stream run counts one
-// step per packet, matching the per-packet events of the reference engine.
+// step per packet, as if every packet had been an event of its own.
 func (s *Sim) Steps() uint64 { return s.steps }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past runs
 // the handler at the current time (the event fires next).
 func (s *Sim) At(t uint64, fn func()) {
-	if s.mode == SchedHeap {
-		if t < s.now {
-			t = s.now
-		}
-		heap.Push(&s.queue, heapEvent{at: t, seq: s.seq, fn: fn})
-		s.seq++
-		s.pending++
-		return
-	}
 	idx := s.allocEvent()
 	e := &s.slab[idx]
 	e.kind = evFn
@@ -135,30 +69,10 @@ func (s *Sim) RunUntil(deadline uint64) {
 	}
 	prev := s.deadline
 	s.deadline = deadline
-	if s.mode == SchedHeap {
-		s.runHeap(deadline)
-	} else {
-		s.runWheel(deadline)
-	}
+	s.runWheel(deadline)
 	s.deadline = prev
 	if deadline != ^uint64(0) && s.now < deadline {
 		s.now = deadline
-	}
-}
-
-func (s *Sim) runHeap(deadline uint64) {
-	for len(s.queue) > 0 {
-		if s.queue[0].at > deadline {
-			break
-		}
-		e := heap.Pop(&s.queue).(heapEvent)
-		s.now = e.at
-		s.steps++
-		s.pending--
-		if s.Depth != nil {
-			s.Depth.Observe(uint64(s.pending))
-		}
-		e.fn()
 	}
 }
 

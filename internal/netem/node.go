@@ -22,10 +22,8 @@ type portLink struct {
 
 // nodeCore is the engine shared by SwitchNode and ShardedSwitchNode: packet
 // and stream injection, link routing with pooled frame buffers, and digest
-// forwarding onto the simulated control channel. Under SchedWheel it drives
-// the typed-event machinery (frame pool, batched stream pump, direct digest
-// sink); under SchedHeap it reproduces the original closure-per-event
-// engine, byte for byte, as the differential reference.
+// forwarding onto the simulated control channel, all as typed wheel events:
+// a frame pool, a batched stream pump and a direct digest sink.
 type nodeCore struct {
 	Sim *Sim
 
@@ -43,14 +41,14 @@ type nodeCore struct {
 	proc  pipeline
 	ports map[uint16]*portLink
 
-	// digests is the switch's channel. SchedHeap drains it on every route;
-	// SchedWheel only consults it while chanBacklog is set, to pick up
-	// digests emitted before the node (and its sink) existed.
+	// digests is the switch's channel. It is consulted only while
+	// chanBacklog is set, to pick up digests emitted before the node (and
+	// its sink) existed.
 	digests     <-chan p4.Digest
 	chanBacklog bool
 
 	// sinkBuf accumulates digests handed over synchronously by the switch's
-	// digest sink during Process* calls (SchedWheel only).
+	// digest sink during Process* calls.
 	sinkBuf []p4.Digest
 
 	// pool holds link-lifetime frame buffers: grabbed when a frame is
@@ -68,7 +66,7 @@ func (n *nodeCore) init(sim *Sim, proc pipeline, digests <-chan p4.Digest, ctrlD
 	n.ports = make(map[uint16]*portLink)
 	n.digests = digests
 	// Digests emitted before this node existed sit in the channel, not the
-	// sink; drain them on the first routes like the reference engine does.
+	// sink; drain them on the first route.
 	n.chanBacklog = len(digests) > 0
 }
 
@@ -96,12 +94,6 @@ func (n *nodeCore) UnroutedFrames() uint64 { return n.unroutedFrames }
 // Inject schedules one packet for processing at ts on the given ingress
 // port.
 func (n *nodeCore) Inject(ts uint64, port uint16, pkt traffic.Pkt) {
-	if n.Sim.mode == SchedHeap {
-		n.Sim.At(ts, func() {
-			n.route(n.proc.ProcessPacket(n.Sim.Now(), port, pkt.Frame))
-		})
-		return
-	}
 	n.Sim.schedulePacket(n, ts, port, pkt.Frame)
 }
 
@@ -113,30 +105,15 @@ func (n *nodeCore) InjectFrame(port uint16, data []byte) {
 }
 
 // InjectStream feeds a whole traffic stream through the switch lazily, so
-// streams of millions of packets don't materialise in memory. Under
-// SchedWheel one pump event carries the stream and processes runs of
-// packets in-line while no other event is due between them — the clock
-// still advances to every packet's timestamp, and a packet whose timestamp
-// ties another event keeps the order per-packet events would have had,
-// because the pump reschedules at exactly the instant (and with a later
-// sequence number than any event scheduled while processing) that the
-// reference engine would have scheduled that packet's own event.
+// streams of millions of packets don't materialise in memory. One pump
+// event carries the stream and processes runs of packets in-line while no
+// other event is due between them — the clock still advances to every
+// packet's timestamp, and a packet whose timestamp ties another event keeps
+// the order per-packet events would have had, because the pump reschedules
+// at exactly the instant (and with a later sequence number than any event
+// scheduled while processing) that an event-per-packet engine would have
+// scheduled that packet's own event.
 func (n *nodeCore) InjectStream(st traffic.Stream, port uint16) {
-	if n.Sim.mode == SchedHeap {
-		var pump func()
-		pump = func() {
-			p, ok := st.Next()
-			if !ok {
-				return
-			}
-			n.Sim.At(p.TsNs, func() {
-				n.route(n.proc.ProcessPacket(n.Sim.Now(), port, p.Frame))
-				pump()
-			})
-		}
-		pump()
-		return
-	}
 	p, ok := st.Next()
 	if !ok {
 		return
@@ -196,21 +173,9 @@ func (n *nodeCore) route(outs []p4.FrameOut) {
 			}
 			continue
 		}
-		if n.Sim.mode == SchedHeap {
-			// Reference engine: a fresh copy and a closure per delivery.
-			// out.Data aliases the switch's deparse buffer, which is reused
-			// on the next frame, while delivery happens link.delay later.
-			data := append([]byte(nil), out.Data...)
-			n.Sim.After(link.delay, func() {
-				now := n.Sim.Now()
-				if n.Metrics != nil {
-					n.Metrics.FrameLatency.Observe(now - processedAt)
-				}
-				link.deliver(now, data)
-			})
-			continue
-		}
-		// Same copy, into a pooled buffer that comes back after delivery.
+		// out.Data aliases the switch's deparse buffer, which is reused on
+		// the next frame, while delivery happens link.delay later: copy it
+		// into a pooled buffer that comes back after delivery.
 		n.Sim.scheduleFrame(n, link, processedAt, n.grabFrame(out.Data))
 	}
 }
@@ -219,10 +184,6 @@ func (n *nodeCore) route(outs []p4.FrameOut) {
 // control channel. Digests drained with no handler attached are counted,
 // not silently discarded (see the SwitchNode contract).
 func (n *nodeCore) drainDigests() {
-	if n.Sim.mode == SchedHeap {
-		n.drainDigestChannel()
-		return
-	}
 	if n.chanBacklog {
 		n.drainDigestChannel()
 		n.chanBacklog = false
@@ -249,8 +210,8 @@ func (n *nodeCore) drainDigests() {
 	}
 }
 
-// drainDigestChannel is the channel-backed drain: the only path under
-// SchedHeap, and the backlog catch-up under SchedWheel.
+// drainDigestChannel is the backlog catch-up: it drains digests the switch
+// queued in its channel before the node's sink was attached.
 func (n *nodeCore) drainDigestChannel() {
 	for {
 		if n.OnDigest == nil {
@@ -274,19 +235,7 @@ func (n *nodeCore) drainDigestChannel() {
 			if n.Metrics != nil {
 				n.Metrics.DigestQueue.Observe(q)
 			}
-			if n.Sim.mode == SchedHeap {
-				dg := d
-				drainedAt := n.Sim.Now()
-				n.Sim.After(n.CtrlDelay, func() {
-					now := n.Sim.Now()
-					if n.Metrics != nil {
-						n.Metrics.CtrlLatency.Observe(now - drainedAt)
-					}
-					n.OnDigest(now, dg)
-				})
-			} else {
-				n.Sim.scheduleDigest(n, n.Sim.Now(), d)
-			}
+			n.Sim.scheduleDigest(n, n.Sim.Now(), d)
 		default:
 			return
 		}

@@ -14,13 +14,12 @@ import (
 )
 
 // runSchedScript interprets a byte string as a deterministic sequence of
-// At/After/RunUntil operations against a fresh Sim of the given mode and
-// returns the dispatch trace (event id @ dispatch time), final clock and
-// step count. Every third handler schedules a child event, so the script
-// also exercises scheduling from inside handlers (including zero-delay
-// children that tie the current instant).
-func runSchedScript(mode SchedMode, data []byte) (trace []string, now, steps uint64) {
-	s := NewSimSched(mode)
+// At/After/RunUntil operations against a fresh simulator and returns the
+// dispatch trace (event id @ dispatch time), final clock and step count.
+// Every third handler schedules a child event, so the script also exercises
+// scheduling from inside handlers (including zero-delay children that tie
+// the current instant).
+func runSchedScript(s simulator, data []byte) (trace []string, now, steps uint64) {
 	id := 0
 	var rec func(i int) func()
 	rec = func(i int) func() {
@@ -63,27 +62,27 @@ func runSchedScript(mode SchedMode, data []byte) (trace []string, now, steps uin
 
 func diffSchedScript(t *testing.T, data []byte) {
 	t.Helper()
-	wTrace, wNow, wSteps := runSchedScript(SchedWheel, data)
-	hTrace, hNow, hSteps := runSchedScript(SchedHeap, data)
-	if len(wTrace) != len(hTrace) {
-		t.Fatalf("dispatch counts differ: wheel %d, heap %d", len(wTrace), len(hTrace))
+	wTrace, wNow, wSteps := runSchedScript(NewSim(), data)
+	rTrace, rNow, rSteps := runSchedScript(&refSim{}, data)
+	if len(wTrace) != len(rTrace) {
+		t.Fatalf("dispatch counts differ: wheel %d, reference %d", len(wTrace), len(rTrace))
 	}
 	for i := range wTrace {
-		if wTrace[i] != hTrace[i] {
-			t.Fatalf("dispatch %d differs: wheel %s, heap %s", i, wTrace[i], hTrace[i])
+		if wTrace[i] != rTrace[i] {
+			t.Fatalf("dispatch %d differs: wheel %s, reference %s", i, wTrace[i], rTrace[i])
 		}
 	}
-	if wNow != hNow {
-		t.Fatalf("final clock differs: wheel %d, heap %d", wNow, hNow)
+	if wNow != rNow {
+		t.Fatalf("final clock differs: wheel %d, reference %d", wNow, rNow)
 	}
-	if wSteps != hSteps {
-		t.Fatalf("steps differ: wheel %d, heap %d", wSteps, hSteps)
+	if wSteps != rSteps {
+		t.Fatalf("steps differ: wheel %d, reference %d", wSteps, rSteps)
 	}
 }
 
-// TestSchedulerEquivalenceRandom runs seeded random operation scripts under
-// both engines and requires identical dispatch order (including equal-time
-// FIFO), final clock and step counts.
+// TestSchedulerEquivalenceRandom runs seeded random operation scripts on the
+// wheel and the reference engine and requires identical dispatch order
+// (including equal-time FIFO), final clock and step counts.
 func TestSchedulerEquivalenceRandom(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -132,7 +131,7 @@ func TestSchedulerEquivalenceTargeted(t *testing.T) {
 // the wheel able to file later insertions that precede already-pending
 // far events. A cursor advanced too far would misfile them.
 func TestWheelCrossWindowInsertAfterBoundedRun(t *testing.T) {
-	s := NewSimSched(SchedWheel)
+	s := NewSim()
 	var got []uint64
 	add := func(at uint64) { s.At(at, func() { got = append(got, at) }) }
 	add(5)
@@ -154,9 +153,10 @@ func TestWheelCrossWindowInsertAfterBoundedRun(t *testing.T) {
 	}
 }
 
-// FuzzSchedulerEquivalence drives both engines with the same fuzzed
-// operation script and requires identical dispatch order and final clock —
-// the event-loop analogue of the compiled-datapath FuzzDifferential.
+// FuzzSchedulerEquivalence drives the wheel and the reference engine with the
+// same fuzzed operation script and requires identical dispatch order and
+// final clock — the event-loop analogue of the compiled-datapath
+// FuzzDifferential.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 2, 5, 0, 0, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, 1, 2, 0, 255, 255, 255, 255, 2, 2, 0, 0, 1, 0, 1})
@@ -172,13 +172,13 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	})
 }
 
-// buildStreamNode builds the end-to-end fixture of TestSwitchNodeEndToEnd
-// under an explicit scheduler mode and returns its full observable trace.
-func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
+// runStreamTrace runs the end-to-end fixture of TestSwitchNodeEndToEnd on the
+// production engine or the reference (ref) and returns its full observable
+// trace.
+func runStreamTrace(t *testing.T, ref bool, shards int) []string {
 	t.Helper()
 	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 64, Stages: 1})
 	const intShift = 10
-	sim := NewSimSched(mode)
 	var trace []string
 	onDigest := func(now uint64, d p4.Digest) {
 		trace = append(trace, fmt.Sprintf("digest@%d id=%d vals=%v", now, d.ID, d.Values))
@@ -192,6 +192,7 @@ func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
 	spike := &traffic.Spike{Dest: dest[0], Rate: 300e6, Start: 30 << intShift, End: 40 << intShift, Seed: 2, Jitter: 0.2}
 	st := traffic.Merge(load, spike)
 
+	var sw switchPipe
 	if shards > 1 {
 		sr, err := stat4p4.NewShardedRuntime(lib, shards)
 		if err != nil {
@@ -201,10 +202,7 @@ func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
 		if _, err := sr.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
 			t.Fatal(err)
 		}
-		node := NewShardedSwitchNode(sim, sr.Sharded(), 500)
-		node.OnDigest = onDigest
-		node.Connect(0, 100, deliver)
-		node.InjectStream(st, 1)
+		sw = sr.Sharded()
 	} else {
 		rt, err := stat4p4.NewRuntime(lib)
 		if err != nil {
@@ -213,11 +211,11 @@ func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
 		if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
 			t.Fatal(err)
 		}
-		node := NewSwitchNode(sim, rt.Switch(), 500)
-		node.OnDigest = onDigest
-		node.Connect(0, 100, deliver)
-		node.InjectStream(st, 1)
+		sw = rt.Switch()
 	}
+	sim, node := attach(ref, sw, 500, onDigest)
+	node.Connect(0, 100, deliver)
+	node.InjectStream(st, 1)
 	sim.Run()
 	trace = append(trace, fmt.Sprintf("end@%d steps=%d", sim.Now(), sim.Steps()))
 	return trace
@@ -229,14 +227,14 @@ func runStreamTrace(t *testing.T, mode SchedMode, shards int) []string {
 // step count — for the plain switch and a sharded node.
 func TestInjectStreamBatchedEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		wheel := runStreamTrace(t, SchedWheel, shards)
-		hp := runStreamTrace(t, SchedHeap, shards)
-		if len(wheel) != len(hp) {
-			t.Fatalf("shards=%d: trace lengths differ: wheel %d, heap %d", shards, len(wheel), len(hp))
+		wheel := runStreamTrace(t, false, shards)
+		ref := runStreamTrace(t, true, shards)
+		if len(wheel) != len(ref) {
+			t.Fatalf("shards=%d: trace lengths differ: wheel %d, reference %d", shards, len(wheel), len(ref))
 		}
 		for i := range wheel {
-			if wheel[i] != hp[i] {
-				t.Fatalf("shards=%d: trace %d differs:\nwheel: %s\nheap:  %s", shards, i, wheel[i], hp[i])
+			if wheel[i] != ref[i] {
+				t.Fatalf("shards=%d: trace %d differs:\nwheel:     %s\nreference: %s", shards, i, wheel[i], ref[i])
 			}
 		}
 	}
@@ -244,46 +242,59 @@ func TestInjectStreamBatchedEquivalence(t *testing.T) {
 
 // TestDigestQueueObservedBeforeReceive is the regression test for the
 // drain-time occupancy observable: the digest being popped still counts, so
-// draining a backlog of 3 must record samples {3,2,1} — never {2,1,0}.
+// draining a backlog of 3 must record samples {3,2,1} — never {2,1,0} — on
+// the production node's sink buffer, on its channel catch-up path, and on
+// the reference node's channel drain alike.
 func TestDigestQueueObservedBeforeReceive(t *testing.T) {
-	for _, mode := range []SchedMode{SchedWheel, SchedHeap} {
-		sim := NewSimSched(mode)
+	check := func(name string, q *telemetry.Hist) {
+		t.Helper()
+		if q.Count() != 3 {
+			t.Fatalf("%s: %d occupancy samples, want 3", name, q.Count())
+		}
+		if q.Max() != 3 || q.Min() != 1 {
+			t.Fatalf("%s: occupancy range [%d,%d], want [1,3] (popped digest must count)",
+				name, q.Min(), q.Max())
+		}
+		if q.Sum() != 6 {
+			t.Fatalf("%s: occupancy sum %d, want 3+2+1", name, q.Sum())
+		}
+	}
+	for _, backlog := range []bool{false, true} {
 		ch := make(chan p4.Digest, 8)
 		n := &SwitchNode{}
-		n.init(sim, nil, ch, 10)
-		n.Metrics = telemetry.NewNodeMetrics()
-		n.OnDigest = func(now uint64, d p4.Digest) {}
-
-		if mode == SchedHeap {
+		if backlog {
 			for i := 0; i < 3; i++ {
 				ch <- p4.Digest{ID: i}
 			}
-		} else {
+		}
+		n.init(NewSim(), nil, ch, 10)
+		n.Metrics = telemetry.NewNodeMetrics()
+		n.OnDigest = func(now uint64, d p4.Digest) {}
+		if !backlog {
 			for i := 0; i < 3; i++ {
 				n.digestSink(p4.Digest{ID: i})
 			}
 		}
 		n.drainDigests()
-
-		q := n.Metrics.DigestQueue
-		if q.Count() != 3 {
-			t.Fatalf("mode=%d: %d occupancy samples, want 3", mode, q.Count())
-		}
-		if q.Max() != 3 || q.Min() != 1 {
-			t.Fatalf("mode=%d: occupancy range [%d,%d], want [1,3] (popped digest must count)",
-				mode, q.Min(), q.Max())
-		}
-		if q.Sum() != 6 {
-			t.Fatalf("mode=%d: occupancy sum %d, want 3+2+1", mode, q.Sum())
-		}
+		check(fmt.Sprintf("wheel backlog=%v", backlog), n.Metrics.DigestQueue)
 	}
+
+	ch := make(chan p4.Digest, 8)
+	ref := newRefNode(&refSim{}, nil, ch, 10)
+	ref.Metrics = telemetry.NewNodeMetrics()
+	ref.OnDigest = func(now uint64, d p4.Digest) {}
+	for i := 0; i < 3; i++ {
+		ch <- p4.Digest{ID: i}
+	}
+	ref.drainDigests()
+	check("reference", ref.Metrics.DigestQueue)
 }
 
 // TestWheelDigestBacklogFromChannel covers the catch-up path: digests
 // emitted before the node (and its sink) existed sit in the switch channel
 // and must still reach the controller under the wheel engine.
 func TestWheelDigestBacklogFromChannel(t *testing.T) {
-	sim := NewSimSched(SchedWheel)
+	sim := NewSim()
 	ch := make(chan p4.Digest, 8)
 	ch <- p4.Digest{ID: 7}
 	n := &SwitchNode{}

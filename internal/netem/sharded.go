@@ -25,15 +25,12 @@ type ShardedSwitchNode struct {
 	SW *p4.ShardedSwitch
 }
 
-// NewShardedSwitchNode wires a sharded switch into a simulation. Under the
-// wheel engine it installs a fleet-level digest sink, bypassing the merged
-// mailbox channel; anything else reading sw.Digests() directly will no
-// longer see forwarded digests.
+// NewShardedSwitchNode wires a sharded switch into a simulation. It installs
+// a fleet-level digest sink, bypassing the merged mailbox channel; anything
+// else reading sw.Digests() directly will no longer see forwarded digests.
 func NewShardedSwitchNode(sim *Sim, sw *p4.ShardedSwitch, ctrlDelay uint64) *ShardedSwitchNode {
 	n := &ShardedSwitchNode{SW: sw}
 	n.init(sim, sw, sw.Digests(), ctrlDelay)
-	if sim.mode != SchedHeap {
-		sw.SetDigestSink(n.digestSink)
-	}
+	sw.SetDigestSink(n.digestSink)
 	return n
 }

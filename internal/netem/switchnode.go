@@ -21,15 +21,13 @@ type SwitchNode struct {
 	SW *p4.Switch
 }
 
-// NewSwitchNode wires a switch into a simulation. Under the wheel engine it
-// installs a digest sink on the switch, so digests skip the mailbox channel
-// and are forwarded as typed events; anything else reading sw.Digests()
-// directly will no longer see them.
+// NewSwitchNode wires a switch into a simulation. It installs a digest sink
+// on the switch, so digests skip the mailbox channel and are forwarded as
+// typed events; anything else reading sw.Digests() directly will no longer
+// see them.
 func NewSwitchNode(sim *Sim, sw *p4.Switch, ctrlDelay uint64) *SwitchNode {
 	n := &SwitchNode{SW: sw}
 	n.init(sim, sw, sw.Digests(), ctrlDelay)
-	if sim.mode != SchedHeap {
-		sw.SetDigestSink(n.digestSink)
-	}
+	sw.SetDigestSink(n.digestSink)
 	return n
 }

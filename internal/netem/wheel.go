@@ -16,7 +16,8 @@ import "math/bits"
 // event is a handful of word scans. Equal-timestamp events never separate:
 // they share every slot assignment at every level, and chains append at the
 // tail, so cascades and refiles preserve their insertion (seq) order — the
-// FIFO tie-break the heap scheduler gets from comparing seq explicitly.
+// FIFO tie-break the reference heap engine (ref_test.go) gets from
+// comparing seq explicitly.
 const (
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits

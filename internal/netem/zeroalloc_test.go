@@ -39,7 +39,7 @@ func (p *nullPipe) ProcessFrame(tsNs uint64, inPort uint16, data []byte) []p4.Fr
 // inject → process → frame delivery → digest delivery, all as wheel events,
 // and requires 0 allocs once the slab, pool and sink buffer are warm.
 func TestTypedEventSchedulingZeroAlloc(t *testing.T) {
-	sim := NewSimSched(SchedWheel)
+	sim := NewSim()
 	pipe := &nullPipe{}
 	n := &SwitchNode{}
 	n.init(sim, pipe, make(chan p4.Digest), 50)
@@ -74,7 +74,7 @@ func TestTypedEventSchedulingZeroAlloc(t *testing.T) {
 // generic At/After closure still allocates (the closure itself), which is
 // exactly why the hot paths use typed events instead.
 func TestGenericEventSchedulingZeroSlabGrowth(t *testing.T) {
-	sim := NewSimSched(SchedWheel)
+	sim := NewSim()
 	// Warm the slab with a burst, drain, and check the free list is reused:
 	// the slab high-water mark must not grow when the same depth recurs.
 	for i := 0; i < 256; i++ {

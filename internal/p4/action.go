@@ -194,28 +194,6 @@ type Cond struct {
 	B  Ref
 }
 
-// Eval evaluates the condition given resolved operand values.
-//
-//stat4:datapath
-func (c Cond) eval(a, b uint64) bool {
-	switch c.Op {
-	case CmpEq:
-		return a == b
-	case CmpNe:
-		return a != b
-	case CmpLt:
-		return a < b
-	case CmpLe:
-		return a <= b
-	case CmpGt:
-		return a > b
-	case CmpGe:
-		return a >= b
-	default:
-		return false
-	}
-}
-
 // Stmt is a control-flow statement: ApplyStmt, CallStmt or IfStmt.
 type Stmt interface{ stmt() }
 

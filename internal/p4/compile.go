@@ -6,10 +6,10 @@ package p4
 // resolves a name, walks the statement tree, switches on an operand kind or
 // touches a map. That mirrors a real pipeline, where the compiler fixes the
 // stage layout and the driver resolves action and register references at
-// rule-install time — per-packet work is dispatch over pre-bound state. The
-// tree-walking interpreter in switch.go is kept as the reference semantics
-// (ExecTree); differential tests replay the same streams through both and
-// demand identical behaviour.
+// rule-install time — per-packet work is dispatch over pre-bound state. It is
+// the only interpreter the switch runs. The tree-walking reference semantics
+// live in walker_test.go, where differential tests replay the same streams
+// through both and demand identical behaviour.
 //
 // The frame is one []uint64 per switch:
 //
@@ -254,7 +254,7 @@ func (l *lowerer) lowerStmts(stmts []Stmt) {
 			l.lowerAction(a, params)
 		case IfStmt:
 			bi := len(l.code)
-			br := uop{code: opJmp} // an unknown comparison is never true (Cond.eval)
+			br := uop{code: opJmp} // an unknown comparison is never true
 			if st.Cond.Op <= CmpGe {
 				br = uop{
 					code: opBrEq + OpCode(st.Cond.Op),

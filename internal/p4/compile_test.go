@@ -147,7 +147,6 @@ func TestCompiledPlanMatchesTreeWalker(t *testing.T) {
 	compiled := mustSwitch(t, prog, std)
 	prog2, std2 := buildKitchenSink()
 	tree := mustSwitch(t, prog2, std2)
-	tree.SetExecMode(ExecTree)
 	installKitchenSinkEntries(t, compiled)
 	installKitchenSinkEntries(t, tree)
 
@@ -163,7 +162,7 @@ func TestCompiledPlanMatchesTreeWalker(t *testing.T) {
 			savedPort = outC[0].Port
 			savedData = append(savedData, outC[0].Data...)
 		}
-		outT := tree.ProcessFrame(uint64(i)*100, port, frame)
+		outT := tree.processFrameTree(uint64(i)*100, port, frame)
 		if len(outC) != len(outT) {
 			t.Fatalf("frame %d: compiled emitted %d frames, tree %d", i, len(outC), len(outT))
 		}
@@ -421,34 +420,36 @@ func buildLoweringProgram() (*Program, StdFields) {
 	return p, std
 }
 
-// lowerRig drives one switch of the lowering program in one exec mode and
-// logs everything observable per frame.
+// lowerRig drives one switch of the lowering program through the compiled
+// plan or the tree walker and logs everything observable per frame.
 type lowerRig struct {
 	t    *testing.T
-	mode ExecMode
+	tree bool
 	sw   *Switch
 	ts   uint64
 	log  []string
 }
 
-func newLowerRig(t *testing.T, mode ExecMode) *lowerRig {
-	r := &lowerRig{t: t, mode: mode}
+func newLowerRig(t *testing.T, tree bool) *lowerRig {
+	r := &lowerRig{t: t, tree: tree}
 	r.sw = r.fresh()
 	return r
 }
 
-// fresh builds another switch instance of the same program and mode.
+// fresh builds another switch instance of the same program.
 func (r *lowerRig) fresh() *Switch {
 	prog, std := buildLoweringProgram()
-	sw := mustSwitch(r.t, prog, std)
-	sw.SetExecMode(r.mode)
-	return sw
+	return mustSwitch(r.t, prog, std)
 }
 
 // send processes one UDP frame to dst:dport on the rig's current switch.
 func (r *lowerRig) send(dst packet.IP4, dport uint16) {
 	frame := packet.NewUDPFrame(packet.ParseIP4(192, 0, 2, 1), dst, 1000, dport, 8).Serialize()
-	outs := r.sw.ProcessFrame(r.ts, 3, frame)
+	process := r.sw.ProcessFrame
+	if r.tree {
+		process = r.sw.processFrameTree
+	}
+	outs := process(r.ts, 3, frame)
 	r.ts++
 	line := fmt.Sprintf("outs=%d digests=%v", len(outs), drainDigests(r.sw))
 	for _, o := range outs {
@@ -571,7 +572,7 @@ func TestLoweringCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			compiled, tree := newLowerRig(t, ExecCompiled), newLowerRig(t, ExecTree)
+			compiled, tree := newLowerRig(t, false), newLowerRig(t, true)
 			tc.drive(compiled)
 			tc.drive(tree)
 			if !reflect.DeepEqual(compiled.log, tree.log) {

@@ -169,7 +169,7 @@ func TestTernaryPriority(t *testing.T) {
 		pkt, _ := packet.Parse(b)
 		ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
 		std.extract(ctx, 0, 0, pkt)
-		sw.execStmts(ctx, p.Control)
+		sw.execStmts(&treeCtx{Ctx: ctx}, p.Control)
 		return ctx.Get(mark)
 	}
 	if got = p4probe(frame443); got != 2 {
@@ -416,7 +416,7 @@ func TestArithmeticSemantics(t *testing.T) {
 	pkt, _ := packet.Parse(udpTo(1))
 	ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
 	std.extract(ctx, 0, 0, pkt)
-	sw.execStmts(ctx, p.Control)
+	sw.execStmts(&treeCtx{Ctx: ctx}, p.Control)
 	if ctx.Get(a) != 4 {
 		t.Fatalf("wrapping add = %d, want 4", ctx.Get(a))
 	}
@@ -444,7 +444,7 @@ func TestSatSubAndShifts(t *testing.T) {
 	pkt, _ := packet.Parse(udpTo(1))
 	ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
 	std.extract(ctx, 0, 0, pkt)
-	sw.execStmts(ctx, p.Control)
+	sw.execStmts(&treeCtx{Ctx: ctx}, p.Control)
 	if ctx.Get(a) != 2 {
 		t.Fatalf("op chain = %d, want 2", ctx.Get(a))
 	}
@@ -596,7 +596,7 @@ func TestIfElseBranching(t *testing.T) {
 		pkt, _ := packet.Parse(b)
 		ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
 		std.extract(ctx, 0, 0, pkt)
-		sw.execStmts(ctx, p.Control)
+		sw.execStmts(&treeCtx{Ctx: ctx}, p.Control)
 		return ctx.Get(x)
 	}
 	tcp := packet.NewTCPFrame(1, 2, 3, 4, 0).Serialize()
@@ -652,7 +652,7 @@ func TestHashOpSemantics(t *testing.T) {
 	pkt, _ := packet.Parse(udpTo(packet.ParseIP4(10, 1, 2, 3)))
 	ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
 	std.extract(ctx, 0, 0, pkt)
-	sw.execStmts(ctx, p.Control)
+	sw.execStmts(&treeCtx{Ctx: ctx}, p.Control)
 	want := HashValue(1, uint64(packet.ParseIP4(10, 1, 2, 3))) & 0xff
 	if got := ctx.Get(h); got != want {
 		t.Fatalf("hash op = %d, want %d", got, want)

@@ -80,17 +80,15 @@ func TestRecircPromotesSampledPackets(t *testing.T) {
 // counters — the recirc pass is covered by the same differential discipline
 // as the main control flow.
 func TestRecircTreeCompiledParity(t *testing.T) {
-	mk := func(mode ExecMode) *Switch {
+	mk := func() *Switch {
 		p, std := buildRecircProgram()
-		sw := mustSwitch(t, p, std)
-		sw.SetExecMode(mode)
-		return sw
+		return mustSwitch(t, p, std)
 	}
-	tree, comp := mk(ExecTree), mk(ExecCompiled)
+	tree, comp := mk(), mk()
 
 	for i := 0; i < 64; i++ {
 		f := udpTo(packet.ParseIP4(10, 0, byte(i*7), byte(i*13)))
-		tree.ProcessFrame(uint64(i), 1, f)
+		tree.processFrameTree(uint64(i), 1, f)
 		comp.ProcessFrame(uint64(i), 1, f)
 	}
 
@@ -131,16 +129,19 @@ func TestRecircRunsAtMostOnce(t *testing.T) {
 	p.Control = []Stmt{Call("want")}
 	p.SetRecirc(flag, []Stmt{Call("again")})
 
-	for _, mode := range []ExecMode{ExecCompiled, ExecTree} {
+	for _, tree := range []bool{false, true} {
 		sw := mustSwitch(t, p, std)
-		sw.SetExecMode(mode)
-		sw.ProcessFrame(0, 1, udpTo(packet.ParseIP4(10, 0, 0, 1)))
+		process := sw.ProcessFrame
+		if tree {
+			process = sw.processFrameTree
+		}
+		process(0, 1, udpTo(packet.ParseIP4(10, 0, 0, 1)))
 		reg, _ := sw.Register("trips")
 		if v, _ := reg.Read(0); v != 1 {
-			t.Fatalf("mode %v: trips = %d, want exactly 1", mode, v)
+			t.Fatalf("tree=%v: trips = %d, want exactly 1", tree, v)
 		}
 		if st := sw.Stats(); st.Recirculated != 1 {
-			t.Fatalf("mode %v: Recirculated = %d, want 1", mode, st.Recirculated)
+			t.Fatalf("tree=%v: Recirculated = %d, want 1", tree, st.Recirculated)
 		}
 	}
 }

@@ -28,29 +28,6 @@ func newRegister(def RegisterDef, lock *sync.Mutex) *Register {
 // Def returns the register's declaration.
 func (r *Register) Def() RegisterDef { return r.def }
 
-// read is the data-plane read, called under the pipeline lock. ok is false
-// out of bounds.
-//
-//stat4:datapath
-func (r *Register) read(idx uint64) (v uint64, ok bool) {
-	if idx >= uint64(len(r.cells)) {
-		return 0, false
-	}
-	return r.cells[idx], true
-}
-
-// write is the data-plane write, called under the pipeline lock. ok is false
-// out of bounds.
-//
-//stat4:datapath
-func (r *Register) write(idx, v uint64) bool {
-	if idx >= uint64(len(r.cells)) {
-		return false
-	}
-	r.cells[idx] = v & r.mask
-	return true
-}
-
 // Read is the control-plane read of a single cell.
 func (r *Register) Read(idx int) (uint64, error) {
 	r.lock.Lock()

@@ -1,7 +1,7 @@
 package p4
 
 // This file is the stage-budget analysis: a greedy allocator that places a
-// validated program's control flow (the Stmt tree the interpreters execute)
+// validated program's control flow (the Stmt tree the switch compiles)
 // onto the stages of a PISA target model and reports whether the program
 // fits. It is the whole-program
 // counterpart of AnalyzeProgram's dependency figures — instead of reporting
@@ -420,11 +420,20 @@ func (a *stageAlloc) violatef(format string, args ...interface{}) {
 // place finds the first stage ≥ earliest with room for the request, greedily
 // bumping past full stages, and consumes the resources there. Stages past
 // the model's depth are still allocated — with a violation recorded — so the
-// report shows the pipeline depth the program actually needs.
+// report shows the pipeline depth the program actually needs. State larger
+// than a whole stage's SRAM fits no stage, so bumping would never end: it is
+// charged to its earliest stage, with a violation.
 func (a *stageAlloc) place(earliest int, n need, what string) int {
 	s := earliest
-	for !a.fits(s, n) {
-		s++
+	if n.sram > a.tm.SRAMPerStageBytes {
+		if n.reg != "" {
+			what = fmt.Sprintf("register %q", n.reg)
+		}
+		a.violatef("%s needs %d B of SRAM, over the %d B per-stage budget", what, n.sram, a.tm.SRAMPerStageBytes)
+	} else {
+		for !a.fits(s, n) {
+			s++
+		}
 	}
 	if s >= a.tm.Stages {
 		a.violatef("%s needs stage %d of a %d-stage target", what, s+1, a.tm.Stages)

@@ -1,6 +1,7 @@
 package p4
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -222,6 +223,31 @@ func TestAllocateStagesOverBudget(t *testing.T) {
 	}
 	if len(rep.Violations) == 0 || !strings.Contains(rep.Violations[0], "calc") {
 		t.Fatalf("violations should name the overflowing action: %v", rep.Violations)
+	}
+}
+
+// A register larger than a whole stage's SRAM fits no stage. Placement must
+// still end: the register is charged to its earliest stage, with one
+// violation naming it, its size and the budget.
+func TestAllocateStagesRegisterOverStageSRAM(t *testing.T) {
+	tm := smallModel(4)
+	p := NewProgram("huge")
+	v := p.AddField("m.v", 64)
+	p.AddRegister("big", 2*tm.SRAMPerStageBytes/8, 64)
+	p.AddAction(NewAction("touch", 0, RegRead(v, "big", C(0))))
+	p.Control = []Stmt{Call("touch")}
+
+	rep := mustAllocate(t, p, tm)
+	if rep.Fit {
+		t.Fatal("a register at twice the stage SRAM cannot fit")
+	}
+	if rep.StagesUsed != 1 {
+		t.Fatalf("StagesUsed = %d, want 1 (charged to its earliest stage)", rep.StagesUsed)
+	}
+	want := fmt.Sprintf(`register "big" needs %d B of SRAM, over the %d B per-stage budget`,
+		2*tm.SRAMPerStageBytes, tm.SRAMPerStageBytes)
+	if len(rep.Violations) != 1 || rep.Violations[0] != want {
+		t.Fatalf("violations = %q, want [%q]", rep.Violations, want)
 	}
 }
 

@@ -82,7 +82,6 @@ func (forwardDeparser) Deparse(_ *Ctx, orig *packet.Packet, buf []byte) []byte {
 type Ctx struct {
 	fields []uint64
 	sw     *Switch
-	args   []uint64 // current action parameters, ExecTree only
 }
 
 // Get returns a field's current value.
@@ -141,19 +140,6 @@ type Observer interface {
 // costSampleEvery is the PacketCost sampling period (a power of two).
 const costSampleEvery = 64
 
-// ExecMode selects which interpreter the data plane runs.
-type ExecMode uint8
-
-const (
-	// ExecCompiled (the default) dispatches over the micro-op stream built by
-	// compile(): pre-resolved frame slots, no per-packet name lookups.
-	ExecCompiled ExecMode = iota
-	// ExecTree walks the program's statement tree, resolving tables and
-	// actions by name per packet — the reference semantics the compiled plan
-	// is differentially tested against.
-	ExecTree
-)
-
 // Switch interprets a validated Program. The Process* methods (the data
 // plane) must be called from one goroutine at a time, ordered by the
 // caller's synchronisation — for a shard of a ShardedSwitch, ProcessBatch's;
@@ -182,14 +168,12 @@ type Switch struct {
 	mu sync.Mutex // the pipeline lock
 
 	// The compiled program (see compile.go): the micro-op stream with its
-	// two entry points, and the frame its operands index. mode picks the
-	// stream or the reference tree walker. fieldMask caches
-	// widthMask(Fields[i].Width) for Ctx.Set and the tree walker.
+	// two entry points, and the frame its operands index. fieldMask caches
+	// widthMask(Fields[i].Width) for Ctx.Set and the lowering.
 	code             []uop
 	mainPC, recircPC uint32
 	frame            []uint64
 	argBase          uint32
-	mode             ExecMode
 	fieldMask        []uint64
 
 	ctr     Stats // guarded by mu
@@ -239,12 +223,8 @@ func NewSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
 // SetDeparser installs a custom deparser.
 func (sw *Switch) SetDeparser(d Deparser) { sw.deparser = d }
 
-// SetExecMode selects the interpreter. Call it before processing traffic;
-// it is not synchronised with the data plane.
-func (sw *Switch) SetExecMode(m ExecMode) { sw.mode = m }
-
 // SetObserver attaches data-plane instrumentation (nil detaches). Like
-// SetExecMode it must be called before processing traffic; it is not
+// SetDeparser it must be called before processing traffic; it is not
 // synchronised with the data plane. With no observer attached the hot path
 // pays exactly one nil check per packet. The observer's methods run under
 // the pipeline lock and must not call control-plane methods on this switch.
@@ -418,11 +398,7 @@ func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet, 
 	fields := ctx.fields
 	clear(fields)
 	sw.std.extract(ctx, tsNs, inPort, pkt)
-	if sw.mode == ExecTree {
-		sw.execStmts(ctx, sw.prog.Control)
-	} else {
-		sw.run(sw.mainPC)
-	}
+	sw.run(sw.mainPC)
 	// Recirculation: when the main pass raised the flag, the packet makes
 	// exactly one extra trip. The flag clears before the pass runs, so the
 	// pass cannot re-request it — the bound is structural, mirroring a
@@ -430,11 +406,7 @@ func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet, 
 	if sw.prog.hasRecirc && fields[sw.prog.RecircField] != 0 {
 		fields[sw.prog.RecircField] = 0
 		sw.ctr.Recirculated++
-		if sw.mode == ExecTree {
-			sw.execStmts(ctx, sw.prog.RecircControl)
-		} else {
-			sw.run(sw.recircPC)
-		}
+		sw.run(sw.recircPC)
 	}
 	if fields[sw.std.Drop] != 0 {
 		sw.ctr.Dropped++
@@ -450,174 +422,10 @@ func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet, 
 	return sw.outScratch[:]
 }
 
-// execStmts interprets a statement list: the ExecTree reference semantics.
-// The recursion into IfStmt branches and the iteration over the list walk
-// the program's fixed control-flow tree: its depth and size are set when the
-// program is emitted, so on the target this is the straight-line pipeline
-// itself, not runtime looping.
-//
-//stat4:datapath
-//stat4:exempt:boundedloop walks the compile-time control-flow tree of the emitted program
-func (sw *Switch) execStmts(ctx *Ctx, stmts []Stmt) {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case ApplyStmt:
-			t := sw.tables[st.Table]
-			// Key extraction: one fixed field copy per declared key, into
-			// the scratch compile() sized.
-			keys := sw.keyScratch[:len(t.def.Keys)]
-			for i, k := range t.def.Keys {
-				keys[i] = ctx.fields[k.Field]
-			}
-			e := t.lookup(keys)
-			if e != nil {
-				a, _ := sw.prog.action(e.Action)
-				sw.execAction(ctx, a, e.Args)
-			} else if t.def.DefaultAction != "" {
-				a, _ := sw.prog.action(t.def.DefaultAction)
-				sw.execAction(ctx, a, t.def.DefaultArgs)
-			}
-		case CallStmt:
-			a, _ := sw.prog.action(st.Action)
-			sw.execAction(ctx, a, st.Args)
-		case IfStmt:
-			if st.Cond.eval(sw.resolve(ctx, st.Cond.A), sw.resolve(ctx, st.Cond.B)) {
-				sw.execStmts(ctx, st.Then)
-			} else {
-				sw.execStmts(ctx, st.Else)
-			}
-		}
-	}
-}
-
-// resolve reads an operand for the tree walker: a constant, a metadata field,
-// or an action parameter.
-//
-//stat4:datapath
-func (sw *Switch) resolve(ctx *Ctx, r Ref) uint64 {
-	switch r.Kind {
-	case RefConst:
-		return r.Const
-	case RefField:
-		return ctx.fields[r.Field]
-	case RefParam:
-		return ctx.args[r.Param]
-	default:
-		return 0
-	}
-}
-
-// execAction runs one action body: a fixed op sequence with the entry's
-// arguments bound as parameters.
-//
-//stat4:datapath
-func (sw *Switch) execAction(ctx *Ctx, a *Action, args []uint64) {
-	saved := ctx.args
-	ctx.args = args
-	//stat4:exempt:boundedloop an action's op list is fixed when the program is emitted; each op is one pipeline primitive
-	for _, op := range a.Ops {
-		sw.execOp(ctx, op)
-	}
-	// Restored in straight line rather than by defer: the deferred closure
-	// captures ctx and allocates per action execution (allocfree), and
-	// execOp has no panic paths to unwind through.
-	ctx.args = saved
-}
-
-// setField writes a metadata field masked to its declared width.
-//
-//stat4:datapath
-func (sw *Switch) setField(ctx *Ctx, id FieldID, v uint64) {
-	ctx.fields[id] = v & sw.fieldMask[id]
-}
-
-// execOp interprets one primitive. Every case is work a single pipeline
-// stage can do: an ALU op, a register access, a hash-unit invocation, or a
-// digest push. The variable shifts in OpShl/OpShr are the simulator
-// modelling the op itself — emitted programs only ever use constant shift
-// operands (Program.Validate and stat4-lint both enforce it on the emitters).
-//
-//stat4:datapath
-func (sw *Switch) execOp(ctx *Ctx, op Op) {
-	switch op.Code {
-	case OpMov:
-		sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A))
-	case OpAdd:
-		sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A)+sw.resolve(ctx, op.B))
-	case OpSub:
-		sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A)-sw.resolve(ctx, op.B))
-	case OpMul:
-		sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A)*sw.resolve(ctx, op.B))
-	case OpSatAdd:
-		a, b := sw.resolve(ctx, op.A), sw.resolve(ctx, op.B)
-		max := sw.fieldMask[op.Dst.Field]
-		sum := a + b
-		if sum < a || sum > max {
-			sum = max
-		}
-		ctx.fields[op.Dst.Field] = sum
-	case OpSatSub:
-		a, b := sw.resolve(ctx, op.A), sw.resolve(ctx, op.B)
-		if b >= a {
-			sw.setField(ctx, op.Dst.Field, 0)
-		} else {
-			sw.setField(ctx, op.Dst.Field, a-b)
-		}
-	case OpAnd:
-		sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A)&sw.resolve(ctx, op.B))
-	case OpOr:
-		sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A)|sw.resolve(ctx, op.B))
-	case OpXor:
-		sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A)^sw.resolve(ctx, op.B))
-	case OpNot:
-		sw.setField(ctx, op.Dst.Field, ^sw.resolve(ctx, op.A))
-	case OpShl:
-		amt := sw.resolve(ctx, op.B)
-		if amt >= 64 {
-			sw.setField(ctx, op.Dst.Field, 0)
-		} else {
-			sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A)<<amt) //stat4:exempt:shiftconst simulates the shift primitive; emitted programs pass constant shift operands
-		}
-	case OpShr:
-		amt := sw.resolve(ctx, op.B)
-		if amt >= 64 {
-			sw.setField(ctx, op.Dst.Field, 0)
-		} else {
-			sw.setField(ctx, op.Dst.Field, sw.resolve(ctx, op.A)>>amt) //stat4:exempt:shiftconst simulates the shift primitive; emitted programs pass constant shift operands
-		}
-	case OpRegRead:
-		r := sw.regs[op.Reg]
-		v, ok := r.read(sw.resolve(ctx, op.A))
-		if !ok {
-			sw.ctr.RuntimeErrors++
-		}
-		sw.setField(ctx, op.Dst.Field, v)
-	case OpRegWrite:
-		r := sw.regs[op.Reg]
-		if !r.write(sw.resolve(ctx, op.A), sw.resolve(ctx, op.B)) {
-			sw.ctr.RuntimeErrors++
-		}
-	case OpHash:
-		sw.setField(ctx, op.Dst.Field, HashValue(op.HashID, sw.resolve(ctx, op.A))&op.B.Const)
-	case OpDigest:
-		//stat4:exempt:allocfree a digest hands its values to the control-plane mailbox; the allocation is the message itself, as in hardware's digest slot
-		d := Digest{ID: op.DigestID, Values: make([]uint64, len(op.Fields))}
-		//stat4:exempt:boundedloop a digest's field list is fixed when the program is emitted
-		for i, f := range op.Fields {
-			d.Values[i] = ctx.fields[f]
-		}
-		sw.sendDigest(d)
-	case OpSetEgress:
-		ctx.fields[sw.std.Egress] = sw.resolve(ctx, op.A) & sw.fieldMask[sw.std.Egress]
-	case OpDrop:
-		ctx.fields[sw.std.Drop] = 1
-	}
-}
-
 // sendDigest pushes an alert onto the bounded mailbox to the control plane,
-// counting (and reporting to the observer) the accept/drop outcome. Both
-// interpreters' OpDigest cases funnel through it so emit/drop accounting
-// cannot diverge between them.
+// counting (and reporting to the observer) the accept/drop outcome. The
+// tree-walking reference's OpDigest funnels through it too, so emit/drop
+// accounting cannot diverge between the two.
 //
 //stat4:datapath
 func (sw *Switch) sendDigest(d Digest) {

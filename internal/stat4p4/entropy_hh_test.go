@@ -1,7 +1,6 @@
 package stat4p4
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -144,39 +143,6 @@ func TestEntropyAlertFires(t *testing.T) {
 	}
 }
 
-// TestDifferentialEntropy replays a skew-then-flood stream through the
-// compiled plan and the tree walker with the collapse check armed, so the
-// log2 leaf actions, the contribution fold and the digest path are all
-// compared per frame.
-func TestDifferentialEntropy(t *testing.T) {
-	compiled, tree := differentialPair(t, entropyOpts)
-	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
-	for _, rt := range []*Runtime{compiled, tree} {
-		if _, err := rt.BindEntropyDst(0, 0, AllIPv4(), 0, dstBase, 256, uint64(5)<<16, 512); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 9500; i++ {
-		var low byte
-		if i < 1500 {
-			low = byte(rng.Intn(256))
-		} else {
-			low = byte(rng.Intn(4)) // collapsing phase: entropy digests fire
-		}
-		dst := packet.ParseIP4(10, 0, 0, low)
-		frame := packet.NewUDPFrame(packet.ParseIP4(192, 0, 2, 1), dst, 1000, 80, rng.Intn(16)).Serialize()
-		replayBoth(t, compiled, tree, uint64(i)*17, 1, frame)
-	}
-	compareState(t, compiled, tree)
-	// replayBoth already compared (and consumed) the digest streams frame by
-	// frame; proving the final mix sits below the 5-bit threshold proves the
-	// last gated check fired, so the alert path was among what it compared.
-	if snap := mustRead(t, compiled, Entropy, 0); snap.Bits >= 5 {
-		t.Fatalf("stream never collapsed below the 5-bit threshold (%.3f bits) — the alert path went uncompared", snap.Bits)
-	}
-}
-
 // TestEntropyShardedCanonical is the byte-identity theorem extended to the
 // entropy registers: after the same stream, the sharded deployment's merged
 // snapshot equals the canonicalised serial snapshot bit for bit — including
@@ -306,39 +272,6 @@ func TestHeavyHitterPromotion(t *testing.T) {
 	}
 }
 
-// TestDifferentialHeavyHitter compares the recirculation pass — probe, claim,
-// take, reject — between the compiled plan and the tree walker over a
-// zipf-ish mix heavy enough to exercise every branch.
-func TestDifferentialHeavyHitter(t *testing.T) {
-	compiled, tree := differentialPair(t, hhOpts)
-	for _, rt := range []*Runtime{compiled, tree} {
-		if _, err := rt.BindHeavyHitterSrc(0, 0, AllIPv4(), 0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(2718))
-	dst := packet.ParseIP4(10, 0, 0, 1)
-	for i := 0; i < 5000; i++ {
-		// Heavy head of 4 flows plus a long random tail that overflows the
-		// 16-bucket table and drives hh_reject.
-		var src packet.IP4
-		if rng.Intn(3) > 0 {
-			src = packet.ParseIP4(203, 0, 113, byte(rng.Intn(4)))
-		} else {
-			src = packet.ParseIP4(198, byte(rng.Intn(64)), byte(rng.Intn(256)), byte(rng.Intn(256)))
-		}
-		frame := packet.NewUDPFrame(src, dst, 1000, 80, 0).Serialize()
-		replayBoth(t, compiled, tree, uint64(i)*11, 1, frame)
-	}
-	compareState(t, compiled, tree)
-	if compiled.Switch().Stats().Recirculated == 0 {
-		t.Fatal("differential heavy-hitter stream never recirculated")
-	}
-	if mustRead(t, compiled, HeavyHitters, 0).Rejected == 0 {
-		t.Fatal("table never overflowed — the reject branch went uncompared")
-	}
-}
-
 // TestMergedHeavyHitters checks the controller-side merge: candidate tables
 // are replica-local, so the merged view unions by key and sums counts, the
 // merged snapshot zeroes the raw registers, the elephant's merged count
@@ -404,20 +337,22 @@ func TestMergedHeavyHitters(t *testing.T) {
 // one whose recirculation pass rides on the same stage budget. With a single
 // binding stage the two measures partition the traffic by match: entropy
 // over one destination prefix, heavy hitters over another, sharing the
-// packet loop, the metadata bus and the stage budget.
+// packet loop, the metadata bus and the stage budget. The compiled-vs-tree
+// half of this test lives in internal/p4 under the same name.
 func TestEntropyHHComposed(t *testing.T) {
 	opts := Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true}
-	compiled, tree := differentialPair(t, opts)
+	rt, err := NewRuntime(Build(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
 	entPfx := packet.Prefix{Addr: packet.ParseIP4(10, 0, 0, 0), Len: 24}
 	hhPfx := packet.Prefix{Addr: packet.ParseIP4(10, 0, 1, 0), Len: 24}
-	for _, rt := range []*Runtime{compiled, tree} {
-		if _, err := rt.BindEntropyDst(0, 0, DstIn(entPfx), 0, dstBase, 256, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.BindHeavyHitterSrc(0, 1, DstIn(hhPfx), 0, 1); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := rt.BindEntropyDst(0, 0, DstIn(entPfx), 0, dstBase, 256, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.BindHeavyHitterSrc(0, 1, DstIn(hhPfx), 0, 1); err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 4000; i++ {
@@ -429,13 +364,12 @@ func TestEntropyHHComposed(t *testing.T) {
 			dst = packet.ParseIP4(10, 0, 1, 1) // heavy-hitter slot
 		}
 		frame := packet.NewUDPFrame(src, dst, 1000, 80, 0).Serialize()
-		replayBoth(t, compiled, tree, uint64(i)*7, 1, frame)
+		rt.Switch().ProcessFrame(uint64(i)*7, 1, frame)
 	}
-	compareState(t, compiled, tree)
 
-	snap := mustRead(t, compiled, Entropy, 0)
-	counters := mustRead(t, compiled, Counters, 0)
-	frac := compiled.Library().Opts.EntropyFrac
+	snap := mustRead(t, rt, Entropy, 0)
+	counters := mustRead(t, rt, Counters, 0)
+	frac := rt.Library().Opts.EntropyFrac
 	var rederived uint64
 	for _, f := range counters {
 		rederived += f * intstat.Log2Fixed(f, frac)
@@ -443,7 +377,7 @@ func TestEntropyHHComposed(t *testing.T) {
 	if snap.Sum != rederived {
 		t.Fatalf("composed program: incremental S = %d, rederived %d", snap.Sum, rederived)
 	}
-	if len(mustRead(t, compiled, HeavyHitters, 1).Entries) == 0 {
+	if len(mustRead(t, rt, HeavyHitters, 1).Entries) == 0 {
 		t.Fatal("composed program promoted no heavy hitters")
 	}
 }
@@ -492,58 +426,4 @@ func TestEntropyResetSlot(t *testing.T) {
 	} else if hh.Rejected != 0 {
 		t.Fatalf("reject counter survived reset: %d", hh.Rejected)
 	}
-}
-
-// FuzzDifferentialEntropyHH lets the fuzzer script a stream through the
-// composed entropy + heavy-hitter program under both interpreters. Two bytes
-// per frame: a kind selector and a value steering the addresses.
-func FuzzDifferentialEntropyHH(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 1, 0, 1, 1, 9, 2, 200})
-	f.Add(bytes.Repeat([]byte{0, 7}, 60))
-	f.Add([]byte{1, 255, 2, 0, 0, 128})
-
-	opts := Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true}
-	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
-	entPfx := packet.Prefix{Addr: packet.ParseIP4(10, 0, 0, 0), Len: 24}
-	hhPfx := packet.Prefix{Addr: packet.ParseIP4(10, 0, 1, 0), Len: 24}
-	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) > 512 {
-			script = script[:512]
-		}
-		compiled, tree := differentialPair(t, opts)
-		for _, rt := range []*Runtime{compiled, tree} {
-			if _, err := rt.BindEntropyDst(0, 0, DstIn(entPfx), 0, dstBase, 256, uint64(6)<<16, 1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rt.BindHeavyHitterSrc(0, 1, DstIn(hhPfx), 0, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ts := uint64(0)
-		for i := 0; i+1 < len(script); i += 2 {
-			kind, v := script[i], script[i+1]
-			ts += uint64(v)*3 + 1
-			var frame []byte
-			switch kind % 4 {
-			case 0:
-				// Concentrated entropy traffic: few destination groups —
-				// drives the collapse check.
-				frame = packet.NewUDPFrame(packet.ParseIP4(203, 0, 113, v%4),
-					packet.ParseIP4(10, 0, 0, v%8), 1000, 80, 0).Serialize()
-			case 1:
-				// Dispersed entropy traffic: random groups — high entropy.
-				frame = packet.NewUDPFrame(packet.ParseIP4(198, v, byte(i), 1),
-					packet.ParseIP4(10, 0, 0, v), 1000, 80, int(v)%16).Serialize()
-			case 2:
-				// Heavy-hitter traffic: a hot head when v is small, a long
-				// tail otherwise — exercises claim, take and reject.
-				frame = packet.NewUDPFrame(packet.ParseIP4(203, 0, v%16, byte(i)%4),
-					packet.ParseIP4(10, 0, 1, 1), 1000, 80, 0).Serialize()
-			default:
-				frame = []byte{kind, v, 0xde, 0xad}
-			}
-			replayBoth(t, compiled, tree, ts, 1, frame)
-		}
-		compareState(t, compiled, tree)
-	})
 }

@@ -276,11 +276,11 @@ func (n *NodeMetrics) MergeFrom(o *NodeMetrics) error {
 	return nil
 }
 
-// ShardedPipeline bundles the recorders for a sharded switch→controller
-// pipeline: one switch observer per shard (each single-writer on its shard's
-// goroutine), a persistent merged fleet view, plus the shared node, queue
-// and phase recorders of the chassis. It is what the cmds wire up behind
-// -metrics -shards=N.
+// ShardedPipeline bundles the recorders for a sharded switch: one switch
+// observer per shard (each single-writer on its shard's goroutine) and a
+// persistent merged fleet view. It is what stat4d and stat4-replay -shards
+// wire up. It has no simulator, node or controller, so it carries none of
+// Pipeline's recorders for them.
 //
 // The merged histograms are rebuilt by Refresh, not kept live — merging is
 // a read-side aggregate (the controller-pull arrow), so call Refresh once
@@ -291,9 +291,6 @@ type ShardedPipeline struct {
 	Shards []*SwitchMetrics
 	// Merged is the fleet-wide switch view, valid after Refresh.
 	Merged *SwitchMetrics
-	Node   *NodeMetrics
-	Queue  *Hist
-	Phases *Timeline
 	// Ingest, when set before Register, adds the ingest plane's ring and
 	// slab series to the fleet totals.
 	Ingest *IngestMetrics
@@ -328,12 +325,7 @@ func orZero(fn func() uint64) func() uint64 {
 
 // NewShardedPipeline returns a bundle for n shards.
 func NewShardedPipeline(n int) *ShardedPipeline {
-	sp := &ShardedPipeline{
-		Merged: NewSwitchMetrics(0),
-		Node:   NewNodeMetrics(),
-		Queue:  NewHist(),
-		Phases: NewTimeline(64),
-	}
+	sp := &ShardedPipeline{Merged: NewSwitchMetrics(0)}
 	for i := 0; i < n; i++ {
 		sp.Shards = append(sp.Shards, NewSwitchMetrics(0))
 	}
@@ -377,13 +369,6 @@ func (sp *ShardedPipeline) Register(reg *Registry) {
 		sp.shardSum((*SwitchMetrics).Dropped))
 	reg.RegisterCounter("digests_delivered", "digests drained by consumers, all shards",
 		sp.shardSum((*SwitchMetrics).Delivered))
-	reg.RegisterHist("frame_latency_ns", "inject-to-deliver virtual latency", sp.Node.FrameLatency)
-	reg.RegisterHist("ctrl_latency_ns", "digest control-channel virtual latency", sp.Node.CtrlLatency)
-	reg.RegisterHist("digest_queue_depth", "digest channel occupancy at drain", sp.Node.DigestQueue)
-	reg.RegisterCounter("node_dropped_digests", "digests drained with no handler attached", sp.Node.DroppedDigests.Value)
-	reg.RegisterCounter("node_unrouted_frames", "frames emitted on unconnected ports", sp.Node.UnroutedFrames.Value)
-	reg.RegisterHist("event_queue_depth", "simulator event-queue depth per event", sp.Queue)
-	reg.RegisterTimeline("controller_phase", "drill-down phase transitions", sp.Phases)
 	if sp.Ingest != nil {
 		reg.RegisterGauge("ingest_ring_depth", "batch descriptors queued in the ingest ring", orZero(sp.Ingest.RingDepth))
 		reg.RegisterGauge("ingest_ring_capacity", "ingest ring descriptor capacity", orZero(sp.Ingest.RingCap))

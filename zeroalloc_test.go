@@ -208,9 +208,8 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 // wheel engine: scheduling the packet-arrival event, dispatching it through
 // the switch, and delivering the reply frame over a pooled link buffer must
 // add zero allocations on top of the (already zero-alloc) datapath. This is
-// the simulator-side guarantee the timer-wheel rework exists for — under the
-// reference heap scheduler the same cycle allocates a closure and a frame
-// copy per event.
+// the simulator-side guarantee the timer wheel exists for — a closure-per-
+// event engine would allocate a closure and a frame copy per event.
 func TestNetemInjectZeroAllocEcho(t *testing.T) {
 	rt, err := stat4p4.NewRuntime(stat4p4.Build(stat4p4.Options{Slots: 1, Size: 512, Stages: 1, Echo: true}))
 	if err != nil {
@@ -221,7 +220,7 @@ func TestNetemInjectZeroAllocEcho(t *testing.T) {
 	}
 	sw := rt.Switch()
 	obs := attachTelemetry(sw)
-	sim := netem.NewSimSched(netem.SchedWheel)
+	sim := netem.NewSim()
 	node := netem.NewSwitchNode(sim, sw, 500)
 	node.OnDigest = func(now uint64, d p4.Digest) {}
 	var delivered int
