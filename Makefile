@@ -141,13 +141,16 @@ detect-smoke:
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
 # regressions in the parser round-trip, sqrt invariants, the compiled-plan
-# vs tree-walker equivalence, the timer wheel vs the reference heap engine
-# and the binding-lowering boundary without stalling CI.
+# vs tree-walker equivalence (on the echo program and on the daemon's
+# entropy + heavy-hitter one, with control-plane churn between frames), the
+# timer wheel vs the reference heap engine and the binding-lowering boundary
+# without stalling CI.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSqrtApprox -fuzztime=$(FUZZTIME) ./internal/intstat/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -run=^$$ -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) ./internal/p4/
+	$(GO) test -run=^$$ -fuzz='^FuzzDifferentialEntropyHH$$' -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/netem/
 	$(GO) test -run=^$$ -fuzz=FuzzRingFIFO -fuzztime=$(FUZZTIME) ./internal/ring/

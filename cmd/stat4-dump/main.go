@@ -7,6 +7,7 @@
 //	stat4-dump -resources                  # stage placement against the target model
 //	stat4-dump -resources -target configs/lint-target.json
 //	stat4-dump -slots 1 -size 64 -stages 1 -flow-table 1024 -resources   # "flowtable" catalog shape
+//	stat4-dump -entropy -hh -slots 2 -size 256 -stages 1 -resources      # "entropy-hh", stat4d's program
 package main
 
 import (
@@ -39,6 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	reportOnly := fs.Bool("report-only", false, "print only the resource report")
 	flowTable := fs.Int("flow-table", 0, "include the flow-table mode with this many buckets (power of two >= 4; 0 disables)")
 	hh := fs.Bool("hh", false, "include the heavy-hitter promotion mode")
+	entropy := fs.Bool("entropy", false, "include the integer entropy measure")
 	noVariance := fs.Bool("no-variance", false, "drop the variance/sqrt/alert logic (counting-only program)")
 	emitP4 := fs.Bool("p416", false, "emit P4-16 source for the v1model architecture instead of the IR listing")
 	resources := fs.Bool("resources", false, "print the stage placement against the target model instead of the listing")
@@ -51,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := stat4p4.Options{Slots: *slots, Size: *size, Stages: *stages, Echo: *echo, Strict: *strict,
-		HeavyHitter: *hh, NoVariance: *noVariance}
+		HeavyHitter: *hh, Entropy: *entropy, NoVariance: *noVariance}
 	if *flowTable > 0 {
 		if *flowTable < 4 || *flowTable&(*flowTable-1) != 0 {
 			fmt.Fprintf(stderr, "flow-table buckets %d: need a power of two >= 4\n", *flowTable)

@@ -94,3 +94,32 @@ func TestRunResourcesOversizedFlowTable(t *testing.T) {
 		t.Fatalf("catalog shape: exit %d, want 0:\n%s", code, out.String())
 	}
 }
+
+// -entropy prints the daemon's program: the "entropy-hh" catalog entry that
+// stat4d runs places exactly as AllocateStages places it.
+func TestRunResourcesEntropyHH(t *testing.T) {
+	var want *p4.StageReport
+	for _, rp := range stat4p4.Registered() {
+		if rp.Name == "entropy-hh" {
+			rep, err := p4.AllocateStages(stat4p4.Build(rp.Opts).Prog, p4.DefaultTargetModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = rep
+		}
+	}
+	if want == nil {
+		t.Fatal("no entropy-hh in the catalog")
+	}
+	var out, errOut strings.Builder
+	args := []string{"-entropy", "-hh", "-slots", "2", "-size", "256", "-stages", "1", "-resources"}
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, want 0; stderr: %s\n%s", code, errOut.String(), out.String())
+	}
+	if got := out.String(); got != formatStageReport(want) {
+		t.Fatalf("-entropy -hh placement differs from the catalog's:\n%s\nwant\n%s", got, formatStageReport(want))
+	}
+	if !strings.Contains(out.String(), "stat.ent") {
+		t.Fatalf("entropy registers missing from the placement:\n%s", out.String())
+	}
+}

@@ -74,6 +74,16 @@ func DeclareStdFields(p *Program) StdFields {
 	}
 }
 
+// all lists the standard fields.
+func (s *StdFields) all() []FieldID {
+	return []FieldID{
+		s.InPort, s.TsNs, s.WireLen, s.Egress, s.Drop, s.EthType,
+		s.IPv4Valid, s.IPv4Src, s.IPv4Dst, s.IPv4Proto, s.IPv4Len,
+		s.TCPValid, s.TCPSport, s.TCPDport, s.TCPFlags, s.TCPSyn,
+		s.UDPValid, s.UDPSport, s.UDPDport, s.EchoValid, s.EchoValue,
+	}
+}
+
 // extract fills the standard fields from a decoded packet, the simulator's
 // fixed parse graph.
 func (s *StdFields) extract(ctx *Ctx, tsNs uint64, inPort uint16, pkt *packet.Packet) {

@@ -1,6 +1,9 @@
 package p4
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Snapshot is a copy of a switch's mutable state: every register array and
 // every table's installed entries. It supports checkpoint/restore of
@@ -38,7 +41,7 @@ func (t *table) copyEntries() []Entry {
 		c := *e
 		c.Match = append([]MatchValue(nil), e.Match...)
 		c.Args = append([]uint64(nil), e.Args...)
-		c.body = 0
+		c.traces, c.consts = nil, nil
 		out = append(out, c)
 	}
 	return out
@@ -83,18 +86,35 @@ func (sw *Switch) Restore(s *Snapshot) error {
 	}
 	for name, entries := range s.Entries {
 		t := sw.tables[name]
-		t.entries = t.entries[:0]
+		old := t.entries
+		t.entries = make([]*Entry, 0, len(entries))
 		maxID := EntryID(0)
 		for _, e := range entries {
 			c := e
 			c.Match = append([]MatchValue(nil), e.Match...)
 			c.Args = append([]uint64(nil), e.Args...)
-			// Rebind against this switch's micro-op stream: the snapshot
-			// may come from another instance.
-			c.body = t.bodies[c.Action]
+			// Compile against this switch's stream and pool — the snapshot
+			// may come from another instance — unless this switch already
+			// holds the same entry, whose traces stay.
+			c.traces, c.consts = nil, nil
+			for i, o := range old {
+				if o != nil && o.ID == c.ID && o.Action == c.Action && slices.Equal(o.Args, c.Args) {
+					c.traces, c.consts = o.traces, o.consts
+					old[i] = nil
+					break
+				}
+			}
+			if c.traces == nil {
+				c.traces, c.consts = sw.specialise(t, c.Action, c.Args)
+			}
 			t.entries = append(t.entries, &c)
 			if c.ID > maxID {
 				maxID = c.ID
+			}
+		}
+		for _, o := range old {
+			if o != nil {
+				sw.release(o.consts)
 			}
 		}
 		if t.nextID <= maxID {

@@ -78,7 +78,11 @@ func (forwardDeparser) Deparse(_ *Ctx, orig *packet.Packet, buf []byte) []byte {
 
 // Ctx is the per-packet execution context: the metadata field values (the
 // head of the switch's frame, see compile.go). It is handed to deparsers so
-// they can read what the program computed.
+// they can read what the program computed. After the pipeline only the
+// standard fields, the recirculation flag with everything the recirculation
+// pass reads, and the fields the program declares with SetDeparserReads hold
+// a defined value: table entries run specialised traces that drop stores
+// nothing reads later, so any other metadata field may hold anything.
 type Ctx struct {
 	fields []uint64
 	sw     *Switch
@@ -167,14 +171,22 @@ type Switch struct {
 
 	mu sync.Mutex // the pipeline lock
 
-	// The compiled program (see compile.go): the micro-op stream with its
-	// two entry points, and the frame its operands index. fieldMask caches
-	// widthMask(Fields[i].Width) for Ctx.Set and the lowering.
-	code             []uop
-	mainPC, recircPC uint32
-	frame            []uint64
-	argBase          uint32
-	fieldMask        []uint64
+	// The compiled program (see compile.go): the generic micro-op stream
+	// (the main pass starts at pc 0, the recirculation pass at recircPC), the
+	// frame its operands and the traces' index, with a reference count per
+	// pool slot and an index of the slots by value, and the program's shared
+	// specialisation plan (trace.go).
+	// fieldMask caches widthMask(Fields[i].Width) for Ctx.Set and the
+	// lowering.
+	code      []uop
+	recircPC  uint32
+	frame     []uint64
+	poolRefs  []uint32
+	poolIdx   map[uint64]uint32 // constant → its pool slot, while referenced
+	poolFree  []uint32          // pool slots no trace references
+	pinned    uint32            // the pool slots below it are the generic stream's
+	plan      *plan
+	fieldMask []uint64
 
 	ctr     Stats // guarded by mu
 	obs     Observer
@@ -214,7 +226,7 @@ func NewSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
 		sw.regs[rd.Name] = newRegister(rd, &sw.mu)
 	}
 	for _, td := range prog.Tables {
-		sw.tables[td.Name] = newTable(td, prog)
+		sw.tables[td.Name] = newTable(td, sw)
 	}
 	sw.compile()
 	return sw, nil
@@ -398,7 +410,7 @@ func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet, 
 	fields := ctx.fields
 	clear(fields)
 	sw.std.extract(ctx, tsNs, inPort, pkt)
-	sw.run(sw.mainPC)
+	sw.run(0)
 	// Recirculation: when the main pass raised the flag, the packet makes
 	// exactly one extra trip. The flag clears before the pass runs, so the
 	// pass cannot re-request it — the bound is structural, mirroring a

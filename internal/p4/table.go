@@ -3,6 +3,7 @@ package p4
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // MatchKind selects how a table key field is matched.
@@ -65,12 +66,14 @@ type Entry struct {
 	Action   string
 	Args     []uint64
 
-	// body is the pc of the action's lowered body in the owning switch's
-	// micro-op stream, bound when the entry is installed or modified — the
-	// rule-install-time resolution a real driver does, so the per-packet path
-	// never looks the name up. Restore rebinds it; copies handed out by
-	// Snapshot and TableEntries carry zero.
-	body uint32
+	// traces holds the entry's compiled traces in the owning switch, one per
+	// apply site of its table (trace.go), built when the entry is installed
+	// or modified — the rule-install-time binding a real driver does, so the
+	// per-packet path never looks the action up or copies an argument. consts
+	// are the pool slots they hold a reference on. Restore rebuilds them;
+	// copies handed out by Snapshot and TableEntries carry neither.
+	traces [][]uop
+	consts []uint32
 }
 
 // Errors returned by runtime table operations.
@@ -94,9 +97,10 @@ type table struct {
 	// scan is faithful to TCAM semantics and fast enough.
 	entries []*Entry
 
-	// bodies maps each bindable action to the pc of its lowered body,
-	// installed by compile(); insert/modify/Restore bind entries against it.
-	bodies map[string]uint32
+	// sw is the owning switch, which compiles the entries' traces; sites are
+	// the generic-stream pcs of the table's applies, in stream order.
+	sw    *Switch
+	sites []uint32
 
 	// keyWidth and keyMask cache each key field's declared width and its
 	// all-ones mask, so a match never chases the program's field table.
@@ -104,10 +108,10 @@ type table struct {
 	keyMask  []uint64
 }
 
-func newTable(def *TableDef, prog *Program) *table {
-	t := &table{def: def, prog: prog, nextID: 1}
+func newTable(def *TableDef, sw *Switch) *table {
+	t := &table{def: def, prog: sw.prog, nextID: 1, sw: sw}
 	for _, k := range def.Keys {
-		w := prog.Fields[k.Field].Width
+		w := sw.prog.Fields[k.Field].Width
 		t.keyWidth = append(t.keyWidth, w)
 		t.keyMask = append(t.keyMask, widthMask(w))
 	}
@@ -161,8 +165,8 @@ func (t *table) insert(match []MatchValue, prio int, action string, args []uint6
 		Priority: prio,
 		Action:   action,
 		Args:     append([]uint64(nil), args...),
-		body:     t.bodies[action],
 	}
+	e.traces, e.consts = t.sw.specialise(t, action, args)
 	t.nextID++
 	t.entries = append(t.entries, e)
 	return e.ID, nil
@@ -174,9 +178,14 @@ func (t *table) modify(id EntryID, action string, args []uint64) error {
 			if err := t.validateEntry(e.Match, action, args, e.Priority); err != nil {
 				return err
 			}
+			if action == e.Action && slices.Equal(args, e.Args) {
+				return nil // the installed traces already say this
+			}
+			traces, consts := t.sw.specialise(t, action, args)
+			t.sw.release(e.consts)
 			e.Action = action
 			e.Args = append([]uint64(nil), args...)
-			e.body = t.bodies[action]
+			e.traces, e.consts = traces, consts
 			return nil
 		}
 	}
@@ -186,6 +195,7 @@ func (t *table) modify(id EntryID, action string, args []uint64) error {
 func (t *table) remove(id EntryID) error {
 	for i, e := range t.entries {
 		if e.ID == id {
+			t.sw.release(e.consts)
 			t.entries = append(t.entries[:i], t.entries[i+1:]...)
 			return nil
 		}

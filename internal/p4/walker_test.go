@@ -13,8 +13,8 @@ import (
 // tables, the registers and the digest mailbox. Only tests link it.
 
 // treeCtx is the walker's per-packet context: the switch's field view plus
-// the parameters of the action running, which the compiled plan keeps in its
-// frame's argument window instead.
+// the parameters of the action running, which the compiled plan folds into
+// each entry's trace instead.
 type treeCtx struct {
 	*Ctx
 	args []uint64
