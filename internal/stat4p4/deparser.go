@@ -15,6 +15,14 @@ type EchoDeparser struct {
 	lib *Library
 }
 
+// echoReads lists every field Deparse reads; Build declares them with
+// SetDeparserReads, so they hold their values after the pipeline. A field
+// Deparse starts reading belongs here too.
+func (l *Library) echoReads() []p4.FieldID {
+	f := &l.f
+	return []p4.FieldID{f.repValid, f.n, f.xsum, f.xsumsq, f.sqin, f.sqout, f.med}
+}
+
 // Deparse implements p4.Deparser, appending the outgoing frame into the
 // switch's reusable buffer so the reply path allocates nothing.
 func (d EchoDeparser) Deparse(ctx *p4.Ctx, orig *packet.Packet, buf []byte) []byte {
