@@ -87,7 +87,7 @@ func BenchmarkEchoValidation(b *testing.B) {
 	if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), stat4p4.EchoBias-255, 512, 1, 1, 0); err != nil {
 		b.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	rng := rand.New(rand.NewSource(2))
 	frames := make([][]byte, 512)
 	for i := range frames {
@@ -166,7 +166,7 @@ func BenchmarkSwitchFreqUpdate(b *testing.B) {
 	if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
 		b.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.IP4(200), 5, 80, 10).Serialize())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -185,7 +185,7 @@ func BenchmarkSwitchWindowUpdate(b *testing.B) {
 	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, 100, 2); err != nil {
 		b.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.IP4(200), 5, 80, 10).Serialize())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -390,7 +390,7 @@ func BenchmarkAblationStrictVsMul(b *testing.B) {
 		if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, capacity, 2); err != nil {
 			b.Fatal(err)
 		}
-		sw := rt.Switch()
+		sw := rt.Sharded()
 		pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.IP4(9), 5, 80, 10).Serialize())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -447,7 +447,7 @@ func BenchmarkSwitchFlowUpdate(b *testing.B) {
 	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 63, 1, 0, 0); err != nil {
 		b.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.ParseIP4(203, 0, 113, 9), 5, 80, 10).Serialize())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -479,7 +479,7 @@ func BenchmarkSwitchEntropyUpdate(b *testing.B) {
 	if _, err := rt.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 0, 1024); err != nil {
 		b.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	pkts := make([]*packet.Packet, 64)
 	for i := range pkts {
 		pkts[i], _ = packet.Parse(packet.NewUDPFrame(1, packet.IP4(uint32(i*5%256)), 5, 80, 10).Serialize())
@@ -505,7 +505,7 @@ func BenchmarkSwitchHeavyHitterUpdate(b *testing.B) {
 			if _, err := rt.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, shift); err != nil {
 				b.Fatal(err)
 			}
-			sw := rt.Switch()
+			sw := rt.Sharded()
 			pkts := make([]*packet.Packet, 64)
 			for i := range pkts {
 				src := packet.ParseIP4(198, 18, byte(i/16), byte(i*7))
@@ -539,7 +539,7 @@ func shardedBenchBatch(n int) []p4.FrameIn {
 	return batch
 }
 
-func newShardedBench(b *testing.B, shards int) *stat4p4.ShardedRuntime {
+func newShardedBench(b *testing.B, shards int) *stat4p4.Runtime {
 	b.Helper()
 	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1})
 	sr, err := stat4p4.NewShardedRuntime(lib, shards)
@@ -643,7 +643,7 @@ func BenchmarkSimSchedule(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim := netem.NewSim()
-	node := netem.NewSwitchNode(sim, rt.Switch(), 500)
+	node := netem.NewSwitchNode(sim, rt.Sharded(), 500)
 	node.OnDigest = func(uint64, p4.Digest) {}
 	node.Connect(0, 100, func(uint64, []byte) {})
 	pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.IP4(200), 5, 80, 10).Serialize())
@@ -710,12 +710,9 @@ func (o *offsetStream) Next() (traffic.Pkt, bool) {
 // forwarding. The switch monitors one target /16 while the bulk of the
 // traffic is background load that misses the stats table, so the event
 // engine — not the window update — dominates, which is what this benchmark
-// isolates (BenchmarkSwitch* price the datapath itself); shards>1 runs the
-// same trace through a sharded chassis node.
+// isolates (BenchmarkSwitch* price the datapath itself), at 1, 4 and 8
+// shards.
 func BenchmarkInjectStreamE2E(b *testing.B) {
-	type streamNode interface {
-		InjectStream(st traffic.Stream, port uint16)
-	}
 	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 64, Stages: 1})
 	monitored := packet.NewPrefix(packet.ParseIP4(10, 9, 0, 0), 16)
 	dests := []packet.IP4{packet.ParseIP4(10, 9, 0, 1)}
@@ -730,33 +727,17 @@ func BenchmarkInjectStreamE2E(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			sim := netem.NewSim()
-			var node streamNode
-			if shards > 1 {
-				sr, err := stat4p4.NewShardedRuntime(lib, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sr.Close()
-				if _, err := sr.BindWindow(0, 0, stat4p4.DstIn(monitored), 10, 8, 2); err != nil {
-					b.Fatal(err)
-				}
-				n := netem.NewShardedSwitchNode(sim, sr.Sharded(), 500)
-				n.OnDigest = func(uint64, p4.Digest) {}
-				n.Connect(0, 200_000, func(uint64, []byte) {})
-				node = n
-			} else {
-				rt, err := stat4p4.NewRuntime(lib)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := rt.BindWindow(0, 0, stat4p4.DstIn(monitored), 10, 8, 2); err != nil {
-					b.Fatal(err)
-				}
-				n := netem.NewSwitchNode(sim, rt.Switch(), 500)
-				n.OnDigest = func(uint64, p4.Digest) {}
-				n.Connect(0, 200_000, func(uint64, []byte) {})
-				node = n
+			sr, err := stat4p4.NewShardedRuntime(lib, shards)
+			if err != nil {
+				b.Fatal(err)
 			}
+			defer sr.Close()
+			if _, err := sr.BindWindow(0, 0, stat4p4.DstIn(monitored), 10, 8, 2); err != nil {
+				b.Fatal(err)
+			}
+			node := netem.NewSwitchNode(sim, sr.Sharded(), 500)
+			node.OnDigest = func(uint64, p4.Digest) {}
+			node.Connect(0, 200_000, func(uint64, []byte) {})
 			// One untimed replay takes the frame pool and event slab to
 			// steady state.
 			warm := mkStream(sim.Now())

@@ -43,7 +43,7 @@ func main() {
 	host := core.NewFreqDist(domain)
 	med := host.TrackMedian()
 	rng := rand.New(rand.NewSource(*seed))
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	mismatches := 0
 
 	for i := 0; i < *packets; i++ {

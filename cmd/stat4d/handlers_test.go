@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -89,6 +90,18 @@ func TestBindRejectsMalformedJSON(t *testing.T) {
 	}
 	if msg := decodeError(t, rec); !strings.Contains(msg, "nope") {
 		t.Fatalf("error %q does not name the bad mode", msg)
+	}
+	// So is a base prefix with trailing junk: it is not an address.
+	for _, base := range []string{"10.0.0.1junk", "1.2.3.4.5", "10.0.0.0/+8"} {
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"mode":"dst24","base":%q}`, base)
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/bind", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST /bind %s = %d, want 400", body, rec.Code)
+		}
+		if msg := decodeError(t, rec); !strings.Contains(msg, base) {
+			t.Fatalf("error %q does not name the bad prefix", msg)
+		}
 	}
 }
 

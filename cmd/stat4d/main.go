@@ -118,7 +118,7 @@ type daemonConfig struct {
 // ingest engine in front of it, and the listeners feeding it.
 type daemon struct {
 	cfg    daemonConfig
-	rt     *stat4p4.ShardedRuntime
+	rt     *stat4p4.Runtime
 	engine *ingest.Engine
 
 	listeners []net.Listener
@@ -183,7 +183,7 @@ func (cfg daemonConfig) trackParams() stat4p4.TrackParams {
 
 // bindTrack installs the startup statistic. "none" starts unbound; /bind
 // takes it from there.
-func bindTrack(sr *stat4p4.ShardedRuntime, cfg daemonConfig) error {
+func bindTrack(sr *stat4p4.Runtime, cfg daemonConfig) error {
 	if cfg.Track == "none" {
 		return nil
 	}

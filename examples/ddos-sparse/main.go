@@ -33,7 +33,7 @@ func run(w io.Writer, rounds, attackPkts int) error {
 	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 63, 1, 0, 2); err != nil {
 		return err
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 
 	// 60 scattered destinations across the whole address space.
 	rng := rand.New(rand.NewSource(11))

@@ -69,7 +69,7 @@ func run(w io.Writer, cfg entropyConfig) (runStats, error) {
 	}
 
 	sim := netem.NewSim()
-	node := netem.NewSwitchNode(sim, rt.Switch(), 1e6 /* 1 ms to controller */)
+	node := netem.NewSwitchNode(sim, rt.Sharded(), 1e6 /* 1 ms to controller */)
 
 	var alerts []p4.Digest
 	node.OnDigest = func(now uint64, d p4.Digest) {

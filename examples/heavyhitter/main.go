@@ -75,7 +75,7 @@ func run(w io.Writer, cfg hhConfig) (runStats, error) {
 	}
 
 	sim := netem.NewSim()
-	node := netem.NewSwitchNode(sim, rt.Switch(), 1e6 /* 1 ms to controller */)
+	node := netem.NewSwitchNode(sim, rt.Sharded(), 1e6 /* 1 ms to controller */)
 
 	var promotions []p4.Digest
 	node.OnDigest = func(now uint64, d p4.Digest) {
@@ -100,7 +100,7 @@ func run(w io.Writer, cfg hhConfig) (runStats, error) {
 		return stats, err
 	}
 	stats.Candidates, stats.Tally, stats.Total, stats.TrueTop = hh.Entries, truth, total, top
-	sw := rt.Switch().Stats()
+	sw := rt.Sharded().Stats()
 	fmt.Fprintf(w, "%d packets, %d flows; %d recirculated (budget 2^-%d), %d candidates promoted\n",
 		total, len(truth), sw.Recirculated, cfg.SampleShift, len(hh.Entries))
 	if len(hh.Entries) == 0 {

@@ -36,7 +36,7 @@ func main() {
 	}
 
 	sim := netem.NewSim()
-	node := netem.NewSwitchNode(sim, rt.Switch(), 1e6)
+	node := netem.NewSwitchNode(sim, rt.Sharded(), 1e6)
 	// Ignore the first 100 ms while the distribution's moments settle.
 	const warmup = 1e8
 	var hot []uint64

@@ -54,7 +54,7 @@ func run(w io.Writer, cfg floodConfig) error {
 	}
 
 	sim := netem.NewSim()
-	node := netem.NewSwitchNode(sim, rt.Switch(), 1e6 /* 1 ms to controller */)
+	node := netem.NewSwitchNode(sim, rt.Sharded(), 1e6 /* 1 ms to controller */)
 
 	// Ignore alerts until the window has filled: with only a few stored
 	// intervals the variance estimate is noisy (the case-study controller

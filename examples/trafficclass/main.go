@@ -40,7 +40,7 @@ func main() {
 	if _, err := rt.BindFreqLen(1, 1, stat4p4.AllIPv4(), 6, 0, 64, 1, 1, 0); err != nil {
 		log.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 
 	type snapshot struct {
 		tcp, udp, median, sd, moves uint64

@@ -155,17 +155,6 @@ func Entropy(freq []uint64) float64 {
 	return math.Log2(float64(total)) - s/float64(total)
 }
 
-// NormalizedEntropy returns Entropy divided by its maximum log2(len(freq)),
-// the [0,1] detection signal of Ding et al.: 1 for a uniform spread, near 0
-// when the traffic concentrates on one value. Distributions with fewer than
-// two cells carry no spread information and return 0.
-func NormalizedEntropy(freq []uint64) float64 {
-	if len(freq) < 2 {
-		return 0
-	}
-	return Entropy(freq) / math.Log2(float64(len(freq)))
-}
-
 // SqrtError returns the relative error of an approximation a to the
 // fractional square root of y: |a − √y| / √y. It returns 0 when y is 0.
 func SqrtError(y, a uint64) float64 {

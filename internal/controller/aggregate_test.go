@@ -30,11 +30,11 @@ func TestMergeSharedEqualsSingleSwitch(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		f := packet.NewUDPFrame(1, packet.IP4(rng.Intn(64)), 5, 80, 10)
 		if rng.Intn(2) == 0 {
-			a.Switch().ProcessPacket(uint64(i), 1, f)
+			a.Sharded().ProcessPacket(uint64(i), 1, f)
 		} else {
-			b.Switch().ProcessPacket(uint64(i), 1, f)
+			b.Sharded().ProcessPacket(uint64(i), 1, f)
 		}
-		all.Switch().ProcessPacket(uint64(i), 1, f)
+		all.Sharded().ProcessPacket(uint64(i), 1, f)
 	}
 
 	merged, m, err := PullShared(0, a, b)

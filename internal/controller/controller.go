@@ -50,21 +50,9 @@ func (p Phase) String() string {
 	}
 }
 
-// Runtime is the slice of the stat4p4 runtime surface the drill-down state
-// machine drives. Both *stat4p4.Runtime (single switch) and
-// *stat4p4.ShardedRuntime (binds fanned to every shard) satisfy it, so one
-// controller works against either data plane.
-type Runtime interface {
-	BindFreqDst(stage, slot int, m stat4p4.Match, shift uint, base uint64, size int, pa, pb, k uint64) (p4.EntryID, error)
-	Unbind(stage int, id p4.EntryID) error
-	ResetSlot(slot int) error
-	AddDropRoute(prefix packet.Prefix) (p4.EntryID, error)
-	Library() *stat4p4.Library
-}
-
 // Config wires a DrillDown controller to a switch runtime.
 type Config struct {
-	RT    Runtime
+	RT    *stat4p4.Runtime
 	Sched Scheduler
 
 	// CtrlDelay is the one-way controller→switch latency; binding-table

@@ -160,12 +160,12 @@ func TestMitigation(t *testing.T) {
 		t.Fatalf("MitigatedAt = %d, want ≥ HostAt+CtrlDelay (%d)", r.MitigatedAt, r.HostAt+1000)
 	}
 	victim := packet.ParseIP4(10, 0, 3, 6)
-	if out := rt.Switch().ProcessFrame(r.MitigatedAt+1, 1,
+	if out := rt.Sharded().ProcessFrame(r.MitigatedAt+1, 1,
 		packet.NewUDPFrame(1, victim, 5, 80, 10).Serialize()); out != nil {
 		t.Fatal("victim traffic not blackholed")
 	}
 	other := packet.ParseIP4(10, 0, 3, 7)
-	if out := rt.Switch().ProcessFrame(r.MitigatedAt+2, 1,
+	if out := rt.Sharded().ProcessFrame(r.MitigatedAt+2, 1,
 		packet.NewUDPFrame(1, other, 5, 80, 10).Serialize()); len(out) != 1 {
 		t.Fatal("collateral damage: neighbour traffic dropped")
 	}

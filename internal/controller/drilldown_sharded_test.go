@@ -50,7 +50,7 @@ func TestDrillDownShardedTimeline(t *testing.T) {
 	}
 
 	sim := netem.NewSim()
-	node := netem.NewShardedSwitchNode(sim, sr.Sharded(), ctrlDelay)
+	node := netem.NewSwitchNode(sim, sr.Sharded(), ctrlDelay)
 	timeline := telemetry.NewTimeline(16)
 	dd := NewDrillDown(Config{
 		RT:            sr,

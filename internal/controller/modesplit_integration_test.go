@@ -23,7 +23,7 @@ func TestModeSplitEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 
 	// Two traffic classes: small control packets (~96-160B) and bulk data
 	// (~960-1120B).

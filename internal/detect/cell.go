@@ -94,27 +94,12 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 	var out replayOut
 	lib := stat4p4.Build(c.Config.Opts)
 
-	var (
-		target stat4p4.Target
-		sr     *stat4p4.ShardedRuntime
-		rt     *stat4p4.Runtime
-		err    error
-	)
-	if c.Shards > 1 {
-		sr, err = stat4p4.NewShardedRuntime(lib, c.Shards)
-		if err != nil {
-			return out, fmt.Errorf("detect: sharded runtime: %w", err)
-		}
-		defer sr.Close()
-		target = sr
-	} else {
-		rt, err = stat4p4.NewRuntime(lib)
-		if err != nil {
-			return out, fmt.Errorf("detect: runtime: %w", err)
-		}
-		target = rt
+	rt, err := stat4p4.NewShardedRuntime(lib, c.Shards)
+	if err != nil {
+		return out, fmt.Errorf("detect: runtime: %w", err)
 	}
-	out.warmupNs, err = c.Config.Bind(target, c.Scenario.EndNs)
+	defer rt.Close()
+	out.warmupNs, err = c.Config.Bind(rt, c.Scenario.EndNs)
 	if err != nil {
 		return out, fmt.Errorf("detect: bind %s: %w", c.Config.Name, err)
 	}
@@ -142,22 +127,16 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 	}
 
 	sim := netem.NewSim()
-	if sr != nil {
-		node := netem.NewShardedSwitchNode(sim, sr.Sharded(), ctrl)
-		node.OnDigest = onDigest
-		node.InjectStream(stream, 1)
-	} else {
-		node := netem.NewSwitchNode(sim, rt.Switch(), ctrl)
-		node.OnDigest = onDigest
-		node.InjectStream(stream, 1)
-	}
+	node := netem.NewSwitchNode(sim, rt.Sharded(), ctrl)
+	node.OnDigest = onDigest
+	node.InjectStream(stream, 1)
 	sim.Run()
 	if decodeErr != nil {
 		return out, fmt.Errorf("detect: %w", decodeErr)
 	}
 
 	if c.Config.Track == TrackHH {
-		hh, err := stat4p4.Read(target, stat4p4.HeavyHitters, 0)
+		hh, err := stat4p4.Read(rt, stat4p4.HeavyHitters, 0)
 		if err != nil {
 			return out, fmt.Errorf("detect: read candidates: %w", err)
 		}

@@ -3,7 +3,6 @@ package detect
 import (
 	"math/bits"
 
-	"stat4/internal/p4"
 	"stat4/internal/packet"
 	"stat4/internal/stat4p4"
 )
@@ -26,13 +25,6 @@ var alertKind = map[Track]string{
 	TrackEntropy: "entropy",
 	TrackHH:      "heavy-hitter",
 	TrackWindow:  "anomaly",
-}
-
-// Binder is the one stat4p4 runtime method a detector configuration binds
-// through. Both *stat4p4.Runtime and *stat4p4.ShardedRuntime satisfy it, so
-// one Config drives any shard count.
-type Binder interface {
-	Bind(stat4p4.Binding) (p4.EntryID, error)
 }
 
 // Config is one detector configuration in the quality matrix: program
@@ -60,13 +52,13 @@ type Config struct {
 
 // Bind applies the recipe and returns the warmup horizon before which alerts
 // are unscorable (the detector is still priming).
-func (c Config) Bind(b Binder, endNs uint64) (warmupNs uint64, err error) {
+func (c Config) Bind(rt *stat4p4.Runtime, endNs uint64) (warmupNs uint64, err error) {
 	bd := c.Binding
 	if c.Track == TrackWindow {
 		bd.IntervalShift = windowShift(endNs)
 		warmupNs = windowWarmup(endNs)
 	}
-	_, err = b.Bind(bd)
+	_, err = rt.Bind(bd)
 	return warmupNs, err
 }
 

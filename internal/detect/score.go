@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"sort"
-
 	"stat4/internal/traffic"
 )
 
@@ -184,15 +182,4 @@ func SetPRF(reported, truth map[uint64]bool) (p, r, f1 float64) {
 		}
 	}
 	return prf(tp, len(reported)-tp, len(truth)-tp)
-}
-
-// SortedKeys returns a set's keys in ascending order, for deterministic
-// reporting.
-func SortedKeys(set map[uint64]bool) []uint64 {
-	keys := make([]uint64, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

@@ -49,8 +49,8 @@ func StrictAccuracy(packets int, seed int64) []StrictAccuracyRow {
 	for i := 0; i < packets; i++ {
 		dst := packet.IP4(vs(rng))
 		f := packet.NewUDPFrame(1, dst, 5, 80, 10)
-		exact.Switch().ProcessPacket(uint64(i), 1, f)
-		strict.Switch().ProcessPacket(uint64(i), 1, f)
+		exact.Sharded().ProcessPacket(uint64(i), 1, f)
+		strict.Sharded().ProcessPacket(uint64(i), 1, f)
 		if i < packets/10 || i%100 != 0 {
 			continue
 		}
@@ -116,7 +116,7 @@ func strictSpikeRun(strict bool, seed int64) bool {
 	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, capacity, 2); err != nil {
 		panic(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	rng := rand.New(rand.NewSource(seed))
 	frame := packet.NewUDPFrame(1, packet.ParseIP4(10, 0, 0, 1), 5, 80, 10)
 	send := func(interval, count int) {

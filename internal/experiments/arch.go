@@ -152,7 +152,7 @@ func archSetup(params ArchParams, seed int64) (rt *stat4p4.Runtime, sim *netem.S
 		return
 	}
 	sim = netem.NewSim()
-	node = netem.NewSwitchNode(sim, rt.Switch(), params.LinkDelayNs)
+	node = netem.NewSwitchNode(sim, rt.Sharded(), params.LinkDelayNs)
 
 	fill := uint64(params.WindowSize+5) * intervalNs
 	onset = fill + intervalNs/3

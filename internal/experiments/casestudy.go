@@ -122,7 +122,7 @@ func CaseStudy(params CaseStudyParams) (CaseStudyResult, error) {
 	}
 
 	sim := netem.NewSim()
-	node := netem.NewSwitchNode(sim, rt.Switch(), params.CtrlDelay)
+	node := netem.NewSwitchNode(sim, rt.Sharded(), params.CtrlDelay)
 	var timeline *telemetry.Timeline
 	if params.Telemetry != nil {
 		rt.Switch().SetObserver(params.Telemetry.Switch)

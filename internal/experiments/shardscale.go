@@ -111,7 +111,7 @@ func shardScaleRun(params ShardScaleParams, shards int) (ShardScaleRow, error) {
 			break
 		}
 		sr.Sharded().ProcessPacket(p.TsNs, 1, p.Frame)
-		serial.Switch().ProcessPacket(p.TsNs, 1, p.Frame)
+		serial.Sharded().ProcessPacket(p.TsNs, 1, p.Frame)
 	}
 
 	row := ShardScaleRow{Shards: shards}

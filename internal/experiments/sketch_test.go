@@ -25,7 +25,7 @@ func TestPullMonitorDetectsSpike(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := netem.NewSim()
-	node := netem.NewSwitchNode(sim, rt.Switch(), 100)
+	node := netem.NewSwitchNode(sim, rt.Sharded(), 100)
 
 	onset := uint64(40) << intShift
 	end := uint64(80) << intShift
@@ -71,7 +71,7 @@ func TestPullMonitorQuietBeforeWindowFills(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := netem.NewSim()
-	node := netem.NewSwitchNode(sim, rt.Switch(), 100)
+	node := netem.NewSwitchNode(sim, rt.Sharded(), 100)
 	// Only 4 intervals of traffic: the window never fills.
 	dests := []packet.IP4{1}
 	load := &traffic.LoadBalanced{Dests: dests, Rate: 1e9, End: 4 << 15, Seed: 3}

@@ -62,7 +62,7 @@ const consumerSpins = 8
 // alert sink and starts the consumer), feed it through Producers, and Stop
 // it before closing the runtime.
 type Engine struct {
-	sr  *stat4p4.ShardedRuntime
+	sr  *stat4p4.Runtime
 	ss  *p4.ShardedSwitch
 	cfg Config
 
@@ -99,7 +99,7 @@ type Engine struct {
 // digest sink, so call New before any traffic and keep the runtime's
 // control-plane operations routed through Do from then on. The caller keeps
 // ownership of the runtime: Stop the engine first, then close the runtime.
-func New(sr *stat4p4.ShardedRuntime, cfg Config) *Engine {
+func New(sr *stat4p4.Runtime, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		sr:     sr,
@@ -175,7 +175,7 @@ func New(sr *stat4p4.ShardedRuntime, cfg Config) *Engine {
 
 // Runtime returns the underlying sharded runtime. Control-plane calls on it
 // must go through Do while the engine runs.
-func (e *Engine) Runtime() *stat4p4.ShardedRuntime { return e.sr }
+func (e *Engine) Runtime() *stat4p4.Runtime { return e.sr }
 
 // Frames returns how many frames the consumer has fed the datapath.
 func (e *Engine) Frames() uint64 { return e.frames.Load() }

@@ -21,7 +21,7 @@ import (
 )
 
 // newBoundRuntime builds a 1-slot dst24 frequency app over n shards.
-func newBoundRuntime(t testing.TB, shards int, k uint64) *stat4p4.ShardedRuntime {
+func newBoundRuntime(t testing.TB, shards int, k uint64) *stat4p4.Runtime {
 	t.Helper()
 	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1})
 	sr, err := stat4p4.NewShardedRuntime(lib, shards)
@@ -62,7 +62,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, f := range frames {
-		rt.Switch().ProcessFrame(uint64(i+1), 1, f)
+		rt.Sharded().ProcessFrame(uint64(i+1), 1, f)
 	}
 	want, err := stat4p4.Read(rt, stat4p4.Moments, 0)
 	if err != nil {

@@ -41,7 +41,7 @@ type event struct {
 	port uint16 // evPacket, evPump: ingress port
 
 	fn     func()         // evFn
-	node   *nodeCore      // evPacket, evFrame, evDigest, evPump
+	node   *SwitchNode    // evPacket, evFrame, evDigest, evPump
 	pkt    *packet.Packet // evPacket; evPump: the pending packet
 	link   *portLink      // evFrame
 	buf    []byte         // evFrame: pooled frame bytes
@@ -83,7 +83,7 @@ func (s *Sim) schedule(at uint64, idx int32) {
 }
 
 //stat4:reference host-side simulator hot path, not switch-implementable
-func (s *Sim) schedulePacket(n *nodeCore, ts uint64, port uint16, pkt *packet.Packet) {
+func (s *Sim) schedulePacket(n *SwitchNode, ts uint64, port uint16, pkt *packet.Packet) {
 	idx := s.allocEvent()
 	e := &s.slab[idx]
 	e.kind = evPacket
@@ -94,7 +94,7 @@ func (s *Sim) schedulePacket(n *nodeCore, ts uint64, port uint16, pkt *packet.Pa
 }
 
 //stat4:reference host-side simulator hot path, not switch-implementable
-func (s *Sim) scheduleFrame(n *nodeCore, link *portLink, processedAt uint64, buf []byte) {
+func (s *Sim) scheduleFrame(n *SwitchNode, link *portLink, processedAt uint64, buf []byte) {
 	idx := s.allocEvent()
 	e := &s.slab[idx]
 	e.kind = evFrame
@@ -106,7 +106,7 @@ func (s *Sim) scheduleFrame(n *nodeCore, link *portLink, processedAt uint64, buf
 }
 
 //stat4:reference host-side simulator hot path, not switch-implementable
-func (s *Sim) scheduleDigest(n *nodeCore, drainedAt uint64, d p4.Digest) {
+func (s *Sim) scheduleDigest(n *SwitchNode, drainedAt uint64, d p4.Digest) {
 	idx := s.allocEvent()
 	e := &s.slab[idx]
 	e.kind = evDigest
@@ -117,7 +117,7 @@ func (s *Sim) scheduleDigest(n *nodeCore, drainedAt uint64, d p4.Digest) {
 }
 
 //stat4:reference host-side simulator hot path, not switch-implementable
-func (s *Sim) schedulePump(n *nodeCore, st traffic.Stream, port uint16, p traffic.Pkt) {
+func (s *Sim) schedulePump(n *SwitchNode, st traffic.Stream, port uint16, p traffic.Pkt) {
 	idx := s.allocEvent()
 	e := &s.slab[idx]
 	e.kind = evPump
@@ -140,7 +140,7 @@ func (s *Sim) dispatch(idx int32) {
 		e.fn()
 	case evPacket:
 		n := e.node
-		n.route(n.proc.ProcessPacket(s.now, e.port, e.pkt))
+		n.route(n.SW.ProcessPacket(s.now, e.port, e.pkt))
 	case evFrame:
 		n := e.node
 		if n.Metrics != nil {

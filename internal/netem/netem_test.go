@@ -149,7 +149,7 @@ func TestSwitchNodeEndToEnd(t *testing.T) {
 	}
 
 	sim := NewSim()
-	node := NewSwitchNode(sim, rt.Switch(), 500)
+	node := NewSwitchNode(sim, rt.Sharded(), 500)
 
 	var digestTimes []uint64
 	var digestEmit []uint64
@@ -195,7 +195,7 @@ func TestSwitchNodeCountsUnroutedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewSim()
-	node := NewSwitchNode(sim, rt.Switch(), 0)
+	node := NewSwitchNode(sim, rt.Sharded(), 0)
 	node.Metrics = telemetry.NewNodeMetrics()
 	node.Inject(5, 1, traffic.Pkt{TsNs: 5, Frame: packet.NewUDPFrame(1, 2, 3, 4, 8)})
 	sim.Run() // must not panic
@@ -227,7 +227,7 @@ func TestSwitchNodeCountsDroppedDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewSim()
-	node := NewSwitchNode(sim, rt.Switch(), 500)
+	node := NewSwitchNode(sim, rt.Sharded(), 500)
 	node.Metrics = telemetry.NewNodeMetrics()
 	// No OnDigest handler: the same spike that reaches the controller in
 	// TestSwitchNodeEndToEnd must now show up as dropped digests.

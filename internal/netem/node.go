@@ -2,17 +2,9 @@ package netem
 
 import (
 	"stat4/internal/p4"
-	"stat4/internal/packet"
 	"stat4/internal/telemetry"
 	"stat4/internal/traffic"
 )
-
-// pipeline is the slice of the switch API a topology node drives: both
-// *p4.Switch and *p4.ShardedSwitch satisfy it.
-type pipeline interface {
-	ProcessPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) []p4.FrameOut
-	ProcessFrame(tsNs uint64, inPort uint16, data []byte) []p4.FrameOut
-}
 
 // portLink is one connected egress link.
 type portLink struct {
@@ -20,17 +12,35 @@ type portLink struct {
 	deliver func(now uint64, data []byte)
 }
 
-// nodeCore is the engine shared by SwitchNode and ShardedSwitchNode: packet
-// and stream injection, link routing with pooled frame buffers, and digest
-// forwarding onto the simulated control channel, all as typed wheel events:
+// SwitchNode runs a p4.ShardedSwitch — n ≥ 1 flow-hash shards of one
+// program, a single switch being n = 1 — inside the simulation: injected
+// packets are dispatched to their shard at their timestamps, output frames
+// are delivered to connected ports after their link delay, and digests from
+// every shard reach the controller handler after the control-channel delay —
+// the push arrow of Figure 1c. The engine is typed wheel events throughout:
 // a frame pool, a batched stream pump and a direct digest sink.
-type nodeCore struct {
+//
+// Attach-handler-before-inject contract: digests are drained from the switch
+// after every processed packet, so OnDigest (and any Connect receivers) must
+// be in place before the first Inject/InjectFrame/InjectStream call. Digests
+// drained while OnDigest is nil are dropped — counted by DroppedDigests and
+// the telemetry snapshot, never silently — and frames emitted on ports with
+// no connected link are likewise counted by UnroutedFrames.
+//
+// The simulator stays single-threaded: shard workers only run during
+// ProcessBatch, which this node never uses; each packet is processed
+// synchronously on its shard. Metrics here are chassis-level: one control
+// channel and one set of links serve all shards, so the node meters them as
+// a unit (per-shard datapath metrics attach to the shards' switch observers
+// instead). All shards share the port space, as pipelines share a chassis.
+type SwitchNode struct {
 	Sim *Sim
+	SW  *p4.ShardedSwitch
 
 	// CtrlDelay is the one-way switch→controller latency.
 	CtrlDelay uint64
 	// OnDigest receives each digest at its controller arrival time. Set it
-	// before injecting traffic (see the SwitchNode contract).
+	// before injecting traffic (see the contract above).
 	OnDigest func(now uint64, d p4.Digest)
 
 	// Metrics, when set, records the node's channel observables: frame
@@ -38,11 +48,10 @@ type nodeCore struct {
 	// occupancy at drain, and the drop counters.
 	Metrics *telemetry.NodeMetrics
 
-	proc  pipeline
 	ports map[uint16]*portLink
 
-	// digests is the switch's channel. It is consulted only while
-	// chanBacklog is set, to pick up digests emitted before the node (and
+	// digests is the switch's merged mailbox. It is consulted only while
+	// chanBacklog is set, to pick up digests forwarded before the node (and
 	// its sink) existed.
 	digests     <-chan p4.Digest
 	chanBacklog bool
@@ -59,10 +68,21 @@ type nodeCore struct {
 	unroutedFrames uint64
 }
 
-func (n *nodeCore) init(sim *Sim, proc pipeline, digests <-chan p4.Digest, ctrlDelay uint64) {
+// NewSwitchNode wires a switch into a simulation. It installs a fleet-level
+// digest sink on the switch, so digests skip the merged mailbox and are
+// forwarded as typed events; anything else reading sw.Digests() directly
+// will no longer see them.
+func NewSwitchNode(sim *Sim, sw *p4.ShardedSwitch, ctrlDelay uint64) *SwitchNode {
+	n := &SwitchNode{}
+	n.init(sim, sw, sw.Digests(), ctrlDelay)
+	sw.SetDigestSink(n.digestSink)
+	return n
+}
+
+func (n *SwitchNode) init(sim *Sim, sw *p4.ShardedSwitch, digests <-chan p4.Digest, ctrlDelay uint64) {
 	n.Sim = sim
+	n.SW = sw
 	n.CtrlDelay = ctrlDelay
-	n.proc = proc
 	n.ports = make(map[uint16]*portLink)
 	n.digests = digests
 	// Digests emitted before this node existed sit in the channel, not the
@@ -70,38 +90,38 @@ func (n *nodeCore) init(sim *Sim, proc pipeline, digests <-chan p4.Digest, ctrlD
 	n.chanBacklog = len(digests) > 0
 }
 
-// digestSink receives digests synchronously from the data-plane goroutine
+// digestSink receives digests synchronously from the switch's reduce
 // during Process* calls; route moves them onto the control channel after the
 // call returns.
-func (n *nodeCore) digestSink(d p4.Digest) { n.sinkBuf = append(n.sinkBuf, d) }
+func (n *SwitchNode) digestSink(d p4.Digest) { n.sinkBuf = append(n.sinkBuf, d) }
 
 // Connect attaches a receiver to an egress port over a link with the given
 // delay. Delivered frame bytes are only valid until deliver returns — the
 // buffer goes back to the node's pool (see the package doc).
-func (n *nodeCore) Connect(port uint16, delay uint64, deliver func(now uint64, data []byte)) {
+func (n *SwitchNode) Connect(port uint16, delay uint64, deliver func(now uint64, data []byte)) {
 	n.ports[port] = &portLink{delay: delay, deliver: deliver}
 }
 
 // DroppedDigests returns how many digests were drained while no OnDigest
 // handler was attached. A nonzero value almost always means a handler was
 // attached after traffic had already been injected.
-func (n *nodeCore) DroppedDigests() uint64 { return n.droppedDigests }
+func (n *SwitchNode) DroppedDigests() uint64 { return n.droppedDigests }
 
 // UnroutedFrames returns how many output frames were discarded because
 // their egress port had no connected link.
-func (n *nodeCore) UnroutedFrames() uint64 { return n.unroutedFrames }
+func (n *SwitchNode) UnroutedFrames() uint64 { return n.unroutedFrames }
 
 // Inject schedules one packet for processing at ts on the given ingress
 // port.
-func (n *nodeCore) Inject(ts uint64, port uint16, pkt traffic.Pkt) {
+func (n *SwitchNode) Inject(ts uint64, port uint16, pkt traffic.Pkt) {
 	n.Sim.schedulePacket(n, ts, port, pkt.Frame)
 }
 
 // InjectFrame processes raw frame bytes immediately (at the current virtual
 // time) on the given ingress port, routing outputs over connected links —
 // what a frame arriving on a wire from another node does.
-func (n *nodeCore) InjectFrame(port uint16, data []byte) {
-	n.route(n.proc.ProcessFrame(n.Sim.Now(), port, data))
+func (n *SwitchNode) InjectFrame(port uint16, data []byte) {
+	n.route(n.SW.ProcessFrame(n.Sim.Now(), port, data))
 }
 
 // InjectStream feeds a whole traffic stream through the switch lazily, so
@@ -113,7 +133,7 @@ func (n *nodeCore) InjectFrame(port uint16, data []byte) {
 // at exactly the instant (and with a later sequence number than any event
 // scheduled while processing) that an event-per-packet engine would have
 // scheduled that packet's own event.
-func (n *nodeCore) InjectStream(st traffic.Stream, port uint16) {
+func (n *SwitchNode) InjectStream(st traffic.Stream, port uint16) {
 	p, ok := st.Next()
 	if !ok {
 		return
@@ -124,10 +144,10 @@ func (n *nodeCore) InjectStream(st traffic.Stream, port uint16) {
 // pumpRun is the evPump handler: process the pending packet at the current
 // time, then keep pulling packets while the next one is due strictly before
 // every other pending event and within the active RunUntil deadline.
-func (n *nodeCore) pumpRun(st traffic.Stream, port uint16, p traffic.Pkt) {
+func (n *SwitchNode) pumpRun(st traffic.Stream, port uint16, p traffic.Pkt) {
 	s := n.Sim
 	for {
-		n.route(n.proc.ProcessPacket(s.now, port, p.Frame))
+		n.route(n.SW.ProcessPacket(s.now, port, p.Frame))
 		next, ok := st.Next()
 		if !ok {
 			return
@@ -149,7 +169,7 @@ func (n *nodeCore) pumpRun(st traffic.Stream, port uint16, p traffic.Pkt) {
 }
 
 // grabFrame copies frame bytes into a pooled link-lifetime buffer.
-func (n *nodeCore) grabFrame(data []byte) []byte {
+func (n *SwitchNode) grabFrame(data []byte) []byte {
 	var buf []byte
 	if k := len(n.pool); k > 0 {
 		buf = n.pool[k-1]
@@ -158,10 +178,10 @@ func (n *nodeCore) grabFrame(data []byte) []byte {
 	return append(buf[:0], data...)
 }
 
-func (n *nodeCore) releaseFrame(buf []byte) { n.pool = append(n.pool, buf) }
+func (n *SwitchNode) releaseFrame(buf []byte) { n.pool = append(n.pool, buf) }
 
 // route delivers switch outputs over connected links and forwards digests.
-func (n *nodeCore) route(outs []p4.FrameOut) {
+func (n *SwitchNode) route(outs []p4.FrameOut) {
 	n.drainDigests()
 	processedAt := n.Sim.Now()
 	for _, out := range outs {
@@ -183,7 +203,7 @@ func (n *nodeCore) route(outs []p4.FrameOut) {
 // drainDigests moves digests produced by the last packet onto the simulated
 // control channel. Digests drained with no handler attached are counted,
 // not silently discarded (see the SwitchNode contract).
-func (n *nodeCore) drainDigests() {
+func (n *SwitchNode) drainDigests() {
 	if n.chanBacklog {
 		n.drainDigestChannel()
 		n.chanBacklog = false
@@ -212,7 +232,7 @@ func (n *nodeCore) drainDigests() {
 
 // drainDigestChannel is the backlog catch-up: it drains digests the switch
 // queued in its channel before the node's sink was attached.
-func (n *nodeCore) drainDigestChannel() {
+func (n *SwitchNode) drainDigestChannel() {
 	for {
 		if n.OnDigest == nil {
 			select {

@@ -89,11 +89,11 @@ func (s *refSim) RunUntil(deadline uint64) {
 }
 
 // refNode is the reference switch node. It installs no digest sink: digests
-// stay in the switch's channel (the merged mailbox of a sharded switch) and
-// are drained after every processed packet.
+// stay in the switch's merged mailbox and are drained after every processed
+// packet.
 type refNode struct {
 	sim       *refSim
-	proc      pipeline
+	proc      *p4.ShardedSwitch
 	digests   <-chan p4.Digest
 	ports     map[uint16]*portLink
 	ctrlDelay uint64
@@ -101,7 +101,7 @@ type refNode struct {
 	Metrics   *telemetry.NodeMetrics
 }
 
-func newRefNode(sim *refSim, proc pipeline, digests <-chan p4.Digest, ctrlDelay uint64) *refNode {
+func newRefNode(sim *refSim, proc *p4.ShardedSwitch, digests <-chan p4.Digest, ctrlDelay uint64) *refNode {
 	return &refNode{sim: sim, proc: proc, digests: digests, ports: make(map[uint16]*portLink), ctrlDelay: ctrlDelay}
 }
 
@@ -161,13 +161,6 @@ func (n *refNode) drainDigests() {
 	}
 }
 
-// switchPipe is what a node wraps: *p4.Switch and *p4.ShardedSwitch both
-// satisfy it.
-type switchPipe interface {
-	pipeline
-	Digests() <-chan p4.Digest
-}
-
 // node is the injection surface the differential fixtures drive on either
 // engine.
 type node interface {
@@ -178,7 +171,7 @@ type node interface {
 // attach wires sw into a fresh simulator — the reference engine when ref is
 // set, the production one otherwise — with onDigest as the controller's
 // handler.
-func attach(ref bool, sw switchPipe, ctrlDelay uint64, onDigest func(now uint64, d p4.Digest)) (simulator, node) {
+func attach(ref bool, sw *p4.ShardedSwitch, ctrlDelay uint64, onDigest func(now uint64, d p4.Digest)) (simulator, node) {
 	if ref {
 		sim := &refSim{}
 		n := newRefNode(sim, sw, sw.Digests(), ctrlDelay)
@@ -186,14 +179,7 @@ func attach(ref bool, sw switchPipe, ctrlDelay uint64, onDigest func(now uint64,
 		return sim, n
 	}
 	sim := NewSim()
-	switch sw := sw.(type) {
-	case *p4.ShardedSwitch:
-		n := NewShardedSwitchNode(sim, sw, ctrlDelay)
-		n.OnDigest = onDigest
-		return sim, n
-	default:
-		n := NewSwitchNode(sim, sw.(*p4.Switch), ctrlDelay)
-		n.OnDigest = onDigest
-		return sim, n
-	}
+	n := NewSwitchNode(sim, sw, ctrlDelay)
+	n.OnDigest = onDigest
+	return sim, n
 }

@@ -40,7 +40,7 @@ func caseStudyTrace(t *testing.T, ref bool, shift uint, window int, perInterval 
 		t.Fatal(err)
 	}
 	var dd *controller.DrillDown
-	sim, node := attach(ref, rt.Switch(), ctrlDelay, func(now uint64, d p4.Digest) { dd.HandleDigest(now, d) })
+	sim, node := attach(ref, rt.Sharded(), ctrlDelay, func(now uint64, d p4.Digest) { dd.HandleDigest(now, d) })
 	dd = controller.NewDrillDown(controller.Config{
 		RT:            rt,
 		Sched:         sim,
@@ -111,27 +111,15 @@ func entropyDigestTrace(t *testing.T, ref bool, shards int, st traffic.Stream) [
 	lib := stat4p4.Build(stat4p4.Options{Slots: 1, Size: 256, Stages: 1, Entropy: true, DigestBuf: 8192})
 	bd := stat4p4.Binding{Kind: "entropy-dst", Match: stat4p4.AllIPv4(),
 		Base: uint64(packet.ParseIP4(10, 0, 0, 0)), Size: 256, H0: 4 << 16, CheckEvery: 1024}
-	var sw switchPipe
-	if shards > 1 {
-		sr, err := stat4p4.NewShardedRuntime(lib, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sr.Close()
-		if _, err := sr.Bind(bd); err != nil {
-			t.Fatal(err)
-		}
-		sw = sr.Sharded()
-	} else {
-		rt, err := stat4p4.NewRuntime(lib)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.Bind(bd); err != nil {
-			t.Fatal(err)
-		}
-		sw = rt.Switch()
+	sr, err := stat4p4.NewShardedRuntime(lib, shards)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer sr.Close()
+	if _, err := sr.Bind(bd); err != nil {
+		t.Fatal(err)
+	}
+	sw := sr.Sharded()
 	var trace []string
 	sim, node := attach(ref, sw, 1_000_000, func(now uint64, d p4.Digest) {
 		trace = append(trace, fmt.Sprintf("digest@%d id=%d vals=%v", now, d.ID, d.Values))

@@ -86,7 +86,7 @@ func TestRingStreamEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := NewSim()
-		node := NewSwitchNode(sim, rt.Switch(), 500)
+		node := NewSwitchNode(sim, rt.Sharded(), 500)
 		var delivered uint64
 		node.Connect(0, 100, func(now uint64, data []byte) { delivered++ })
 		node.InjectStream(st, 1)

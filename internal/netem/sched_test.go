@@ -192,27 +192,15 @@ func runStreamTrace(t *testing.T, ref bool, shards int) []string {
 	spike := &traffic.Spike{Dest: dest[0], Rate: 300e6, Start: 30 << intShift, End: 40 << intShift, Seed: 2, Jitter: 0.2}
 	st := traffic.Merge(load, spike)
 
-	var sw switchPipe
-	if shards > 1 {
-		sr, err := stat4p4.NewShardedRuntime(lib, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sr.Close()
-		if _, err := sr.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
-			t.Fatal(err)
-		}
-		sw = sr.Sharded()
-	} else {
-		rt, err := stat4p4.NewRuntime(lib)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
-			t.Fatal(err)
-		}
-		sw = rt.Switch()
+	sr, err := stat4p4.NewShardedRuntime(lib, shards)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer sr.Close()
+	if _, err := sr.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
+		t.Fatal(err)
+	}
+	sw := sr.Sharded()
 	sim, node := attach(ref, sw, 500, onDigest)
 	node.Connect(0, 100, deliver)
 	node.InjectStream(st, 1)

@@ -36,7 +36,7 @@ func TestShardedSwitchNodeEndToEnd(t *testing.T) {
 	}
 
 	sim := NewSim()
-	node := NewShardedSwitchNode(sim, sr.Sharded(), 500)
+	node := NewSwitchNode(sim, sr.Sharded(), 500)
 	node.Metrics = telemetry.NewNodeMetrics()
 
 	var digests int
@@ -61,7 +61,7 @@ func TestShardedSwitchNodeEndToEnd(t *testing.T) {
 		if !ok {
 			break
 		}
-		serial.Switch().ProcessPacket(p.TsNs, 1, p.Frame)
+		serial.Sharded().ProcessPacket(p.TsNs, 1, p.Frame)
 	}
 
 	if delivered == 0 {
@@ -109,7 +109,7 @@ func TestShardedSwitchNodeCountsDroppedDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewSim()
-	node := NewShardedSwitchNode(sim, sr.Sharded(), 500)
+	node := NewSwitchNode(sim, sr.Sharded(), 500)
 	node.Metrics = telemetry.NewNodeMetrics()
 	// No OnDigest handler; the spike's anomaly digests must surface as drops.
 	dest := []packet.IP4{packet.ParseIP4(10, 0, 0, 1)}

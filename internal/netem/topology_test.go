@@ -37,8 +37,8 @@ func TestTwoSwitchTopology(t *testing.T) {
 	}
 
 	sim := NewSim()
-	nodeA := NewSwitchNode(sim, a.Switch(), 1e6)
-	nodeB := NewSwitchNode(sim, b.Switch(), 1e6)
+	nodeA := NewSwitchNode(sim, a.Sharded(), 1e6)
+	nodeB := NewSwitchNode(sim, b.Sharded(), 1e6)
 
 	// Link A:2 → B with 2 ms latency.
 	const linkDelay = 2e6
@@ -120,7 +120,7 @@ func TestEchoOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := NewSim()
-	node := NewSwitchNode(sim, rt.Switch(), 1e6)
+	node := NewSwitchNode(sim, rt.Sharded(), 1e6)
 
 	host := core.NewFreqDist(domain)
 	med := host.TrackMedian()

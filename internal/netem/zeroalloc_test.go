@@ -2,8 +2,8 @@
 // scheduling and dispatching the typed event kinds — packet arrival, frame
 // delivery over a pooled buffer, digest delivery through the direct sink —
 // must not allocate. The top-level zeroalloc_test.go pins the same property
-// end to end through a real switch; this one isolates the simulator with a
-// stub pipeline so a regression points at netem, not the datapath.
+// end to end through the Stat4 program; this one drives a program that only
+// forwards, so a regression points at netem, not the datapath.
 package netem
 
 import (
@@ -14,25 +14,19 @@ import (
 	"stat4/internal/traffic"
 )
 
-// nullPipe is a pipeline stub: fixed outputs, an optional digest emitted
-// through the node's sink on every packet.
-type nullPipe struct {
-	outs []p4.FrameOut
-	emit func()
-}
-
-func (p *nullPipe) ProcessPacket(tsNs uint64, inPort uint16, pkt *packet.Packet) []p4.FrameOut {
-	if p.emit != nil {
-		p.emit()
+// forwardSwitch is the least datapath a node can drive: one shard whose
+// program sends every frame out of port 0.
+func forwardSwitch(t *testing.T) *p4.ShardedSwitch {
+	t.Helper()
+	p := p4.NewProgram("forward")
+	std := p4.DeclareStdFields(p)
+	p.AddAction(p4.NewAction("out", 0, p4.SetEgress(p4.C(0))))
+	p.Control = []p4.Stmt{p4.Call("out")}
+	ss, err := p4.NewShardedSwitch(p, std, 1, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p.outs
-}
-
-func (p *nullPipe) ProcessFrame(tsNs uint64, inPort uint16, data []byte) []p4.FrameOut {
-	if p.emit != nil {
-		p.emit()
-	}
-	return p.outs
+	return ss
 }
 
 // TestTypedEventSchedulingZeroAlloc drives one packet per iteration through
@@ -40,22 +34,19 @@ func (p *nullPipe) ProcessFrame(tsNs uint64, inPort uint16, data []byte) []p4.Fr
 // and requires 0 allocs once the slab, pool and sink buffer are warm.
 func TestTypedEventSchedulingZeroAlloc(t *testing.T) {
 	sim := NewSim()
-	pipe := &nullPipe{}
-	n := &SwitchNode{}
-	n.init(sim, pipe, make(chan p4.Digest), 50)
-	n.OnDigest = func(now uint64, d p4.Digest) {}
-	var delivered int
+	n := NewSwitchNode(sim, forwardSwitch(t), 50)
+	var delivered, digests int
+	n.OnDigest = func(now uint64, d p4.Digest) { digests++ }
 	n.Connect(0, 25, func(now uint64, data []byte) { delivered++ })
 
-	frame := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	// The digest is handed to the node's sink ahead of the packet, so the
+	// packet's route moves it onto the control channel.
 	vals := []uint64{42}
-	pipe.outs = []p4.FrameOut{{Port: 0, Data: frame}}
-	pipe.emit = func() { n.digestSink(p4.Digest{ID: 3, Values: vals}) }
-
-	pkt := &packet.Packet{}
+	pkt := packet.NewUDPFrame(1, 2, 5, 80, 10)
 	ts := uint64(0)
 	step := func() {
 		ts += 100
+		n.digestSink(p4.Digest{ID: 3, Values: vals})
 		n.Inject(ts, 1, traffic.Pkt{TsNs: ts, Frame: pkt})
 		sim.RunUntil(ts + 60)
 	}
@@ -65,8 +56,8 @@ func TestTypedEventSchedulingZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Errorf("packet+frame+digest event cycle: %.2f allocs, want 0", avg)
 	}
-	if delivered == 0 {
-		t.Fatal("no frames delivered")
+	if delivered == 0 || digests == 0 {
+		t.Fatalf("%d frames and %d digests delivered", delivered, digests)
 	}
 }
 

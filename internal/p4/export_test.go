@@ -1,8 +1,14 @@
 package p4
 
-// ProcessFrameTree runs one frame through sw on the tree-walking reference
-// interpreter, for the differential tests of package p4_test.
-var ProcessFrameTree = (*Switch).processFrameTree
+// ProcessFrameTree is ss.ProcessFrame on the tree-walking reference
+// interpreter, for the differential tests of package p4_test: the frame runs
+// on its shard and the digests it raised are forwarded.
+func ProcessFrameTree(ss *ShardedSwitch, tsNs uint64, inPort uint16, data []byte) []FrameOut {
+	i := ss.ShardOf(data)
+	outs := ss.shards[i].processFrameTree(tsNs, inPort, data)
+	ss.forwardDigests(i)
+	return outs
+}
 
 // EndFields returns the values the last packet left in the fields defined at
 // the end of the pipeline: the standard fields and the declared deparser

@@ -44,14 +44,14 @@ func differentialPair(t testing.TB, opts stat4p4.Options) (compiled, tree *stat4
 // both switches reuse their deparse buffers.
 func replayBoth(t testing.TB, compiled, tree *stat4p4.Runtime, ts uint64, port uint16, frame []byte) {
 	t.Helper()
-	outC := compiled.Switch().ProcessFrame(ts, port, frame)
+	outC := compiled.Sharded().ProcessFrame(ts, port, frame)
 	var savedPort uint16
 	var savedData []byte
 	if len(outC) > 0 {
 		savedPort = outC[0].Port
 		savedData = append(savedData, outC[0].Data...)
 	}
-	outT := p4.ProcessFrameTree(tree.Switch(), ts, port, frame)
+	outT := p4.ProcessFrameTree(tree.Sharded(), ts, port, frame)
 	if len(outC) != len(outT) {
 		t.Fatalf("ts %d: compiled emitted %d frames, tree %d", ts, len(outC), len(outT))
 	}
@@ -64,8 +64,8 @@ func replayBoth(t testing.TB, compiled, tree *stat4p4.Runtime, ts uint64, port u
 	if fc, ft := p4.EndFields(compiled.Switch()), p4.EndFields(tree.Switch()); !reflect.DeepEqual(fc, ft) {
 		t.Fatalf("ts %d: fields at the end of the pipeline differ: compiled %v, tree %v", ts, fc, ft)
 	}
-	dc := drainAnomalies(compiled.Switch())
-	dt := drainAnomalies(tree.Switch())
+	dc := drainAnomalies(compiled.Sharded())
+	dt := drainAnomalies(tree.Sharded())
 	if !reflect.DeepEqual(dc, dt) {
 		t.Fatalf("ts %d: digests differ: compiled %v, tree %v", ts, dc, dt)
 	}
@@ -168,7 +168,7 @@ func compareState(t testing.TB, compiled, tree *stat4p4.Runtime) {
 	}
 }
 
-func drainAnomalies(sw *p4.Switch) []p4.Digest {
+func drainAnomalies(sw *p4.ShardedSwitch) []p4.Digest {
 	var out []p4.Digest
 	for {
 		select {
@@ -180,9 +180,9 @@ func drainAnomalies(sw *p4.Switch) []p4.Digest {
 	}
 }
 
-func mustRead[T any](t testing.TB, tgt stat4p4.Target, v *stat4p4.View[T], slot int) T {
+func mustRead[T any](t testing.TB, rt *stat4p4.Runtime, v *stat4p4.View[T], slot int) T {
 	t.Helper()
-	got, err := stat4p4.Read(tgt, v, slot)
+	got, err := stat4p4.Read(rt, v, slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,14 +677,14 @@ func TestRebindStormConcurrentWithForkedBatches(t *testing.T) {
 	go func() { // the control plane: every shard rebound at each boundary
 		for i := range turn {
 			for s := 0; s < sr.NumShards(); s++ {
-				rebind(sr.ShardRuntime(s).Switch(), i)
+				rebind(sr.Sharded().Shard(s), i)
 			}
 			done <- struct{}{}
 		}
 	}()
 	hammer := func() {
 		for s := 0; s < sr.NumShards(); s++ {
-			sw := sr.ShardRuntime(s).Switch()
+			sw := sr.Sharded().Shard(s)
 			sw.Stats()
 			if _, err := sw.TableEntries(lib.BindTables[0]); err != nil {
 				t.Error(err)
@@ -714,7 +714,7 @@ func TestRebindStormConcurrentWithForkedBatches(t *testing.T) {
 	<-readers
 
 	for b := 0; b < batches; b++ {
-		serial.Switch().ProcessBatch(batch[b], nil)
+		serial.Sharded().ProcessBatch(batch[b], nil)
 		rebind(serial.Switch(), b)
 	}
 	merged := sr.Sharded().MergedSnapshot()

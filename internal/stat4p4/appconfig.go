@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"stat4/internal/p4"
-	"stat4/internal/packet"
 )
 
 // AppConfig is a declarative Stat4 application: the emitted program's sizing
@@ -50,15 +49,6 @@ func LoadAppConfig(r io.Reader) (*AppConfig, error) {
 	return &cfg, nil
 }
 
-// Target is what an app config installs into and Read reads back from;
-// *Runtime and *ShardedRuntime both are one.
-type Target interface {
-	Library() *Library
-	Bind(Binding) (p4.EntryID, error)
-	AddRoute(prefix packet.Prefix, port uint16) (p4.EntryID, error)
-	AddDropRoute(prefix packet.Prefix) (p4.EntryID, error)
-}
-
 // Apply builds the library, instantiates a runtime, and installs every route
 // and binding. It returns the runtime and the binding entry IDs in config
 // order.
@@ -77,16 +67,16 @@ func (cfg *AppConfig) Apply() (*Runtime, []p4.EntryID, error) {
 // Install installs every route and binding into a runtime of a library built
 // from cfg.Options, returning the binding entry IDs in config order. A
 // binding with no size covers the whole slot.
-func (cfg *AppConfig) Install(t Target) ([]p4.EntryID, error) {
+func (cfg *AppConfig) Install(rt *Runtime) ([]p4.EntryID, error) {
 	for _, r := range cfg.Routes {
-		pfx, err := packet.ParsePrefix(r.Prefix)
+		pfx, err := parsePrefix(r.Prefix)
 		if err != nil {
 			return nil, err
 		}
 		if r.Drop {
-			_, err = t.AddDropRoute(pfx)
+			_, err = rt.AddDropRoute(pfx)
 		} else {
-			_, err = t.AddRoute(pfx, r.Port)
+			_, err = rt.AddRoute(pfx, r.Port)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("stat4p4: route %q: %w", r.Prefix, err)
@@ -95,9 +85,9 @@ func (cfg *AppConfig) Install(t Target) ([]p4.EntryID, error) {
 	ids := make([]p4.EntryID, 0, len(cfg.Bindings))
 	for i, b := range cfg.Bindings {
 		if b.Size == 0 {
-			b.Size = t.Library().Opts.Size
+			b.Size = rt.lib.Opts.Size
 		}
-		id, err := t.Bind(b)
+		id, err := rt.Bind(b)
 		if err != nil {
 			return nil, fmt.Errorf("stat4p4: binding %d (%s): %w", i, b.Kind, err)
 		}

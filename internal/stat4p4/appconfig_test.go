@@ -39,7 +39,7 @@ func TestAppConfigApply(t *testing.T) {
 	if len(ids) != 2 {
 		t.Fatalf("ids = %v", ids)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 
 	// Routes work, including the blackhole.
 	out := sw.ProcessFrame(0, 1, packet.NewUDPFrame(1, packet.ParseIP4(10, 1, 1, 1), 5, 80, 10).Serialize())
@@ -59,7 +59,7 @@ func TestAppConfigApply(t *testing.T) {
 	if counters[3] != 10 {
 		t.Fatalf("freq-dst binding: counters = %v", counters[:6])
 	}
-	curReg, _ := sw.Register(RegCur)
+	curReg, _ := rt.Switch().Register(RegCur)
 	if cur, _ := curReg.Read(0); cur != 11 { // 10 + the first routed packet
 		t.Fatalf("window binding: cur = %d", cur)
 	}

@@ -11,9 +11,8 @@ import (
 // which distribution and how the value of interest is extracted; the kind
 // table says, per kind, which emitted action that is and how the parameters
 // pack into the action's positional arguments; Lower turns the one into the
-// other. Runtime.Bind, ShardedRuntime.Bind, the typed Bind* methods, app
-// configs, the daemons' tracks and the emitter's list of bindable actions all
-// read this table.
+// other. Runtime.Bind, the typed Bind* methods, app configs, the daemons'
+// tracks and the emitter's list of bindable actions all read this table.
 
 // Binding is one binding-table entry in declarative form. A kind reads only
 // its own parameters; the rest are ignored.

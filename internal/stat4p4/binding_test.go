@@ -73,36 +73,36 @@ func TestKindTableComplete(t *testing.T) {
 // sugarCases pairs every typed method with the Binding it must be sugar for.
 // Parameters are distinct values so a swapped field cannot go unnoticed.
 var sugarCases = []struct {
-	typed func(b typedBinds, m Match) (p4.EntryID, error)
+	typed func(b *Runtime, m Match) (p4.EntryID, error)
 	b     Binding
 }{
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindFreqEcho(1, 2, m, 7, 33, 3, 5, 2) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqEcho(1, 2, m, 7, 33, 3, 5, 2) },
 		Binding{Kind: "freq-echo", Stage: 1, Slot: 2, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindFreqDst(1, 2, m, 8, 7, 33, 3, 5, 2) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqDst(1, 2, m, 8, 7, 33, 3, 5, 2) },
 		Binding{Kind: "freq-dst", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindFreqDport(1, 2, m, 8, 7, 33, 3, 5, 2) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqDport(1, 2, m, 8, 7, 33, 3, 5, 2) },
 		Binding{Kind: "freq-dport", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindFreqProto(1, 2, m, 7, 33, 3, 5, 2) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqProto(1, 2, m, 7, 33, 3, 5, 2) },
 		Binding{Kind: "freq-proto", Stage: 1, Slot: 2, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindFreqLen(1, 2, m, 6, 7, 33, 3, 5, 2) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqLen(1, 2, m, 6, 7, 33, 3, 5, 2) },
 		Binding{Kind: "freq-len", Stage: 1, Slot: 2, Shift: 6, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindWindow(1, 2, m, 20, 33, 4) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindWindow(1, 2, m, 20, 33, 4) },
 		Binding{Kind: "window", Stage: 1, Slot: 2, IntervalShift: 20, Capacity: 33, K: 4}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindWindowBytes(1, 2, m, 20, 33, 4) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindWindowBytes(1, 2, m, 20, 33, 4) },
 		Binding{Kind: "window-bytes", Stage: 1, Slot: 2, IntervalShift: 20, Capacity: 33, K: 4}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindEntropyDst(1, 2, m, 8, 7, 33, 99, 16) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindEntropyDst(1, 2, m, 8, 7, 33, 99, 16) },
 		Binding{Kind: "entropy-dst", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, H0: 99, CheckEvery: 16}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindEntropySrc(1, 2, m, 8, 7, 33, 99, 16) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindEntropySrc(1, 2, m, 8, 7, 33, 99, 16) },
 		Binding{Kind: "entropy-src", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, H0: 99, CheckEvery: 16}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindHeavyHitterDst(1, 2, m, 8, 5) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindHeavyHitterDst(1, 2, m, 8, 5) },
 		Binding{Kind: "hh-dst", Stage: 1, Slot: 2, Shift: 8, SampleShift: 5}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindHeavyHitterSrc(1, 2, m, 8, 5) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindHeavyHitterSrc(1, 2, m, 8, 5) },
 		Binding{Kind: "hh-src", Stage: 1, Slot: 2, Shift: 8, SampleShift: 5}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindFlowDst(1, 2, m, 8, 21, 6, 5, 4) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFlowDst(1, 2, m, 8, 21, 6, 5, 4) },
 		Binding{Kind: "flow-dst", Stage: 1, Slot: 2, Shift: 8, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindFlowSrc(1, 2, m, 8, 21, 6, 5, 4) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFlowSrc(1, 2, m, 8, 21, 6, 5, 4) },
 		Binding{Kind: "flow-src", Stage: 1, Slot: 2, Shift: 8, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4}},
-	{func(b typedBinds, m Match) (p4.EntryID, error) { return b.BindFlowPair(1, 2, m, 21, 6, 5, 4) },
+	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFlowPair(1, 2, m, 21, 6, 5, 4) },
 		Binding{Kind: "flow-pair", Stage: 1, Slot: 2, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4}},
 }
 
@@ -122,8 +122,8 @@ func entryByID(t *testing.T, sw *p4.Switch, table string, id p4.EntryID) p4.Entr
 }
 
 // TestSugarIsBind: each typed method installs exactly the entry Bind of the
-// corresponding Binding installs — on a serial runtime, and on every shard of
-// a sharded one, which also records the same canonicalisation note.
+// corresponding Binding installs — on one shard, and on every shard of two,
+// which also record the same canonicalisation note.
 func TestSugarIsBind(t *testing.T) {
 	if len(sugarCases) != len(kinds) {
 		t.Fatalf("%d sugar cases for %d kinds", len(sugarCases), len(kinds))
@@ -140,7 +140,7 @@ func TestSugarIsBind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := c.typed(rt.typedBinds, m)
+		id, err := c.typed(rt, m)
 		if err != nil {
 			t.Fatalf("%s typed: %v", c.b.Kind, err)
 		}
@@ -153,9 +153,9 @@ func TestSugarIsBind(t *testing.T) {
 		}
 
 		notes := make([][]SlotBinding, 2)
-		for i, install := range []func(sr *ShardedRuntime) (p4.EntryID, error){
-			func(sr *ShardedRuntime) (p4.EntryID, error) { return c.typed(sr.typedBinds, m) },
-			func(sr *ShardedRuntime) (p4.EntryID, error) { return sr.Bind(c.b) },
+		for i, install := range []func(sr *Runtime) (p4.EntryID, error){
+			func(sr *Runtime) (p4.EntryID, error) { return c.typed(sr, m) },
+			func(sr *Runtime) (p4.EntryID, error) { return sr.Bind(c.b) },
 		} {
 			sr, err := NewShardedRuntime(lib, 2)
 			if err != nil {

@@ -32,7 +32,7 @@ func entropyRuntime(t testing.TB, opts Options, h0, checkEvery uint64) *Runtime 
 func sendDst(rt *Runtime, ts uint64, low byte) {
 	dst := packet.ParseIP4(10, 0, 0, low)
 	frame := packet.NewUDPFrame(packet.ParseIP4(192, 0, 2, 1), dst, 1000, 80, 0).Serialize()
-	rt.Switch().ProcessFrame(ts, 1, frame)
+	rt.Sharded().ProcessFrame(ts, 1, frame)
 }
 
 // TestEntropyMatchesRederive pins the incremental accumulator against every
@@ -109,7 +109,7 @@ func TestEntropyAlertFires(t *testing.T) {
 		sendDst(rt, ts, byte(i))
 		ts++
 	}
-	if digests := drainAnomalies(rt.Switch()); len(digests) != 0 {
+	if digests := drainAnomalies(rt.Sharded()); len(digests) != 0 {
 		t.Fatalf("uniform stream fired %d digests: %+v", len(digests), digests[0])
 	}
 
@@ -118,7 +118,7 @@ func TestEntropyAlertFires(t *testing.T) {
 		sendDst(rt, ts, 7)
 		ts++
 	}
-	digests := drainAnomalies(rt.Switch())
+	digests := drainAnomalies(rt.Sharded())
 	if len(digests) == 0 {
 		t.Fatal("collapse fired no digests")
 	}
@@ -214,7 +214,7 @@ func TestHeavyHitterPromotion(t *testing.T) {
 	ts := uint64(0)
 	send := func(src packet.IP4) {
 		frame := packet.NewUDPFrame(src, dst, 1000, 80, 0).Serialize()
-		rt.Switch().ProcessFrame(ts, 1, frame)
+		rt.Sharded().ProcessFrame(ts, 1, frame)
 		ts++
 	}
 	for i := 0; i < 4000; i++ {
@@ -255,7 +255,7 @@ func TestHeavyHitterPromotion(t *testing.T) {
 	// One DigestHeavyHitter per claimed bucket, and the elephant's key is
 	// among them.
 	var sawElephant bool
-	digests := drainAnomalies(rt.Switch())
+	digests := drainAnomalies(rt.Sharded())
 	for _, d := range digests {
 		if d.ID != DigestHeavyHitter {
 			t.Fatalf("digest ID %d, want DigestHeavyHitter", d.ID)
@@ -306,7 +306,7 @@ func TestMergedHeavyHitters(t *testing.T) {
 	}
 	var perShard, rejected uint64
 	for i := 0; i < sr.NumShards(); i++ {
-		shard := mustRead(t, sr.ShardRuntime(i), HeavyHitters, 0)
+		shard := mustReadShard(t, sr, HeavyHitters, i, 0)
 		rejected += shard.Rejected
 		for _, e := range shard.Entries {
 			if e.Key == uint64(elephant) {
@@ -364,7 +364,7 @@ func TestEntropyHHComposed(t *testing.T) {
 			dst = packet.ParseIP4(10, 0, 1, 1) // heavy-hitter slot
 		}
 		frame := packet.NewUDPFrame(src, dst, 1000, 80, 0).Serialize()
-		rt.Switch().ProcessFrame(uint64(i)*7, 1, frame)
+		rt.Sharded().ProcessFrame(uint64(i)*7, 1, frame)
 	}
 
 	snap := mustRead(t, rt, Entropy, 0)
@@ -413,7 +413,7 @@ func TestEntropyResetSlot(t *testing.T) {
 	src := packet.ParseIP4(203, 0, 113, 50)
 	frame := packet.NewUDPFrame(src, packet.ParseIP4(10, 0, 0, 1), 1000, 80, 0).Serialize()
 	for i := 0; i < 64; i++ {
-		hrt.Switch().ProcessFrame(uint64(i), 1, frame)
+		hrt.Sharded().ProcessFrame(uint64(i), 1, frame)
 	}
 	if len(mustRead(t, hrt, HeavyHitters, 0).Entries) == 0 {
 		t.Fatal("sampleShift 0 promoted nothing")

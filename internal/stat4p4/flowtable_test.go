@@ -29,7 +29,7 @@ func TestFlowCrossValidation(t *testing.T) {
 	ref := flowtable.New(flowtable.Config{
 		Buckets: size, EpochShift: epochShift, TTL: ttl, SampleShift: sampleShift,
 	})
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	rng := rand.New(rand.NewSource(9))
 
 	var ts uint64
@@ -96,7 +96,7 @@ func TestFlowHotFlowAlert(t *testing.T) {
 	if _, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, 30, 8, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	rng := rand.New(rand.NewSource(4))
 	hot := packet.ParseIP4(10, 9, 9, 9)
 	for i := 0; i < 4000; i++ {
@@ -132,7 +132,7 @@ func TestFlowNoExpiryMatchesDense(t *testing.T) {
 	if _, err := rt.BindFlowDst(1, 1, AllIPv4(), 0, 63, 1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	rng := rand.New(rand.NewSource(21))
 	const hot = 200
 	var ts uint64
@@ -216,7 +216,7 @@ func TestFlowShardedCanonicalEquivalence(t *testing.T) {
 			dst := packet.IP4(uint32(rng.Intn(256)) + 1)
 			frame := packet.NewUDPFrame(src, dst, 999, 80, 10).Serialize()
 			ts := uint64(i) * 300
-			rt.Switch().ProcessFrame(ts, 1, frame)
+			rt.Sharded().ProcessFrame(ts, 1, frame)
 			sr.Sharded().ProcessFrame(ts, 1, frame)
 		}
 
@@ -257,7 +257,7 @@ func TestFlowResetSlot(t *testing.T) {
 	if _, err := rt.BindFlowSrc(0, 0, AllIPv4(), 0, 20, 4, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	for i := 0; i < 500; i++ {
 		sw.ProcessFrame(uint64(i)*100, 1,
 			packet.NewUDPFrame(packet.IP4(uint32(i%40)+1), 2, 5, 80, 10).Serialize())
@@ -329,7 +329,7 @@ func TestFlowPairKey(t *testing.T) {
 	if _, err := rt.BindFlowPair(0, 0, AllIPv4(), 30, 8, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	a, b := packet.ParseIP4(1, 0, 0, 1), packet.ParseIP4(1, 0, 0, 2)
 	dst := packet.ParseIP4(10, 0, 0, 1)
 	for i := 0; i < 10; i++ {

@@ -8,7 +8,7 @@ import (
 
 func TestForwardingRoutes(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 8, Stages: 1})
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	if _, err := rt.AddRoute(packet.NewPrefix(packet.ParseIP4(10, 0, 0, 0), 8), 3); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestForwardingRoutes(t *testing.T) {
 // the controller blackholes the victim — "locally react to anomalies".
 func TestLocalReactionBlackhole(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 8, Stages: 1})
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	victim := packet.ParseIP4(10, 0, 1, 6)
 	if _, err := rt.AddRoute(packet.NewPrefix(packet.ParseIP4(10, 0, 0, 0), 8), 2); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestEchoOverridesForwarding(t *testing.T) {
 	if _, err := rt.AddRoute(packet.NewPrefix(0, 0), 9); err != nil {
 		t.Fatal(err)
 	}
-	out := rt.Switch().ProcessFrame(0, 5, packet.NewEchoFrame(packet.MAC{1}, packet.MAC{2}, 3).Serialize())
+	out := rt.Sharded().ProcessFrame(0, 5, packet.NewEchoFrame(packet.MAC{1}, packet.MAC{2}, 3).Serialize())
 	if len(out) != 1 || out[0].Port != 5 {
 		t.Fatalf("echo reply went to port %v, want ingress 5", out)
 	}
@@ -90,7 +90,7 @@ func TestMalformedEchoIgnored(t *testing.T) {
 	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), EchoBias, 512, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	bad := &packet.Packet{
 		Eth:     packet.Ethernet{Type: packet.EtherTypeEcho},
 		Payload: []byte{0x01}, // one byte: too short for an echo request

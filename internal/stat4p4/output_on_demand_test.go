@@ -114,7 +114,7 @@ func TestOutputOnDemandEquivalence(t *testing.T) {
 func checkOutputOnDemand(t *testing.T, opts Options, bind func(*Runtime) error, wantDigests bool, n int) {
 	const batchSize = 96
 	lib := Build(opts)
-	var srs [3]*ShardedRuntime
+	var srs [3]*Runtime
 	var digests [3][]p4.Digest
 	for j := range srs {
 		sr, err := NewShardedRuntime(lib, n)
@@ -125,10 +125,8 @@ func checkOutputOnDemand(t *testing.T, opts Options, bind func(*Runtime) error, 
 		if _, err := sr.AddDropRoute(packet.Prefix{Addr: packet.ParseIP4(10, 9, 0, 0), Len: 16}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if err := bind(sr.ShardRuntime(i)); err != nil {
-				t.Fatal(err)
-			}
+		if err := bind(sr); err != nil {
+			t.Fatal(err)
 		}
 		got := &digests[j]
 		sr.Sharded().SetDigestSink(func(d p4.Digest) { *got = append(*got, d) })

@@ -9,10 +9,10 @@ import (
 	"stat4/internal/packet"
 )
 
-// shardedPair builds a serial Runtime and an n-way ShardedRuntime over the
-// same library and applies the same bindings to both: packets-per-/24-host
+// shardedPair builds a one-shard Runtime and an n-shard one over the same
+// library and applies the same bindings to both: packets-per-/24-host
 // on stage 0, frame sizes on stage 1.
-func shardedPair(t *testing.T, opts Options, n int) (*Runtime, *ShardedRuntime) {
+func shardedPair(t *testing.T, opts Options, n int) (*Runtime, *Runtime) {
 	t.Helper()
 	lib := Build(opts)
 	rt, err := NewRuntime(lib)
@@ -46,7 +46,7 @@ func shardedPair(t *testing.T, opts Options, n int) (*Runtime, *ShardedRuntime) 
 
 // driveBoth replays the same pseudo-random UDP stream through the serial
 // switch and the sharded dispatcher.
-func driveBoth(rt *Runtime, sr *ShardedRuntime, seed int64, packets int) {
+func driveBoth(rt *Runtime, sr *Runtime, seed int64, packets int) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < packets; i++ {
 		src := packet.ParseIP4(192, 168, byte(rng.Intn(4)), byte(rng.Intn(32)))
@@ -54,7 +54,7 @@ func driveBoth(rt *Runtime, sr *ShardedRuntime, seed int64, packets int) {
 		sport := uint16(1024 + rng.Intn(64))
 		frame := packet.NewUDPFrame(src, dst, sport, 80, rng.Intn(22)).Serialize()
 		ts := uint64(i)
-		rt.Switch().ProcessFrame(ts, 1, frame)
+		rt.Sharded().ProcessFrame(ts, 1, frame)
 		sr.Sharded().ProcessFrame(ts, 1, frame)
 	}
 }
@@ -164,7 +164,7 @@ func TestMergedMomentsMatchesSerial(t *testing.T) {
 		// Per-shard movement counts sum to the merged total.
 		var moves uint64
 		for i := 0; i < sr.NumShards(); i++ {
-			moves += mustRead(t, sr.ShardRuntime(i), Moments, sb.Slot).MedianMoves
+			moves += mustReadShard(t, sr, Moments, i, sb.Slot).MedianMoves
 		}
 		if got.MedianMoves != moves {
 			t.Fatalf("slot %d: merged moves %d, shard sum %d", sb.Slot, got.MedianMoves, moves)

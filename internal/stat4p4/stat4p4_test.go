@@ -19,7 +19,7 @@ func mustRuntime(t *testing.T, opts Options) *Runtime {
 	return rt
 }
 
-func drainAnomalies(sw *p4.Switch) []p4.Digest {
+func drainAnomalies(sw *p4.ShardedSwitch) []p4.Digest {
 	var out []p4.Digest
 	for {
 		select {
@@ -77,7 +77,7 @@ func TestEchoCrossValidation(t *testing.T) {
 	host := core.NewFreqDist(domain)
 	med := host.TrackMedian()
 	rng := rand.New(rand.NewSource(42))
-	sw := rt.Switch()
+	sw := rt.Sharded()
 
 	for i := 0; i < packets; i++ {
 		v := int16(rng.Intn(511) - 255) // −255..255
@@ -129,7 +129,7 @@ func TestWindowCrossValidation(t *testing.T) {
 	if _, err := rt.BindWindow(0, 0, AllIPv4(), intShift, capacity, 2); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	ref := core.NewWindow(capacity)
 	rng := rand.New(rand.NewSource(9))
 	frame := packet.NewUDPFrame(1, packet.ParseIP4(10, 0, 0, 1), 5, 80, 10).Serialize()
@@ -185,7 +185,7 @@ func TestSpikeDetectedFirstInterval(t *testing.T) {
 	if _, err := rt.BindWindow(0, 0, AllIPv4(), intShift, 100, 2); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	frame := packet.NewUDPFrame(1, packet.ParseIP4(10, 1, 2, 3), 5, 80, 10).Serialize()
 	rng := rand.New(rand.NewSource(3))
 
@@ -225,7 +225,7 @@ func TestSpikeDetectedFirstInterval(t *testing.T) {
 // rebound to per-host tracking, all while traffic flows.
 func TestDrillDownRebinding(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 2, Size: 64, Stages: 2})
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	slash8 := packet.NewPrefix(packet.ParseIP4(10, 0, 0, 0), 8)
 
 	if _, err := rt.BindWindow(0, 0, DstIn(slash8), 10, 16, 2); err != nil {
@@ -289,7 +289,7 @@ func TestFreqOutOfRangeValuesSkipped(t *testing.T) {
 	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), EchoBias, 8, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	// Value 100 with size 8 → skipped.
 	sw.ProcessFrame(0, 1, packet.NewEchoFrame(packet.MAC{1}, packet.MAC{2}, 100).Serialize())
 	m := mustRead(t, rt, Moments, 0)
@@ -313,7 +313,7 @@ func TestPercentile90InP4(t *testing.T) {
 	}
 	host := core.NewFreqDist(domain)
 	p90 := host.TrackPercentile(9, 1)
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 20000; i++ {
 		v := int16(rng.Intn(domain))
@@ -380,7 +380,7 @@ func TestStrictWindowDetectsSpike(t *testing.T) {
 	if _, err := rt.BindWindow(0, 0, AllIPv4(), intShift, 16, 2); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	frame := packet.NewUDPFrame(1, packet.ParseIP4(10, 0, 0, 1), 5, 80, 10).Serialize()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 40; i++ {
@@ -407,7 +407,7 @@ func TestStrictWindowDetectsSpike(t *testing.T) {
 // from the same packet.
 func TestTwoStagesIndependentDistributions(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 2, Size: 64, Stages: 2})
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	if _, err := rt.BindWindow(0, 0, AllIPv4(), 10, 8, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestFreqImbalanceCheck(t *testing.T) {
 		uint64(packet.ParseIP4(10, 0, 0, 0))>>8, 64, 1, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	mk := func(subnet byte) []byte {
 		return packet.NewUDPFrame(1, packet.ParseIP4(10, 0, subnet, 9), 5, 80, 10).Serialize()
 	}
@@ -514,7 +514,7 @@ func TestWindowBytesCrossValidation(t *testing.T) {
 	if _, err := rt.BindWindowBytes(0, 0, AllIPv4(), intShift, capacity, 2); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	ref := core.NewWindow(capacity)
 	rng := rand.New(rand.NewSource(19))
 
@@ -561,7 +561,7 @@ func TestMedianChangeRate(t *testing.T) {
 	}
 	host := core.NewFreqDist(domain)
 	med := host.TrackMedian()
-	sw := rt.Switch()
+	sw := rt.Sharded()
 	rng := rand.New(rand.NewSource(51))
 
 	send := func(v int16) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"stat4/internal/p4"
-	"stat4/internal/packet"
 )
 
 // A track is a named preset over the kind table: the vocabulary stat4d
@@ -139,23 +138,23 @@ func (l *Library) TrackBinding(name string, p TrackParams) (Binding, error) {
 		SampleShift: p.SampleShift, EpochShift: p.EpochShift, TTL: p.TTL,
 	}
 	if t.based {
-		ip, err := ParseAddr(p.Base)
+		base, err := parsePrefix(p.Base)
 		if err != nil {
 			return Binding{}, err
 		}
-		b.Base = uint64(ip) >> 8
+		b.Base = uint64(base.Addr) >> 8
 	}
 	return b, nil
 }
 
-// BindTrack builds the track's binding for the target's library and installs
-// it.
-func BindTrack(t Target, name string, p TrackParams) (p4.EntryID, error) {
-	b, err := t.Library().TrackBinding(name, p)
+// BindTrack builds the track's binding for the runtime's library and
+// installs it.
+func BindTrack(rt *Runtime, name string, p TrackParams) (p4.EntryID, error) {
+	b, err := rt.lib.TrackBinding(name, p)
 	if err != nil {
 		return 0, err
 	}
-	return t.Bind(b)
+	return rt.Bind(b)
 }
 
 // EntropyH0 converts a collapse threshold in bits to the fixed-point form
@@ -165,13 +164,4 @@ func (l *Library) EntropyH0(bits float64) uint64 {
 		return 0
 	}
 	return uint64(bits * float64(uint64(1)<<l.Opts.EntropyFrac))
-}
-
-// ParseAddr parses a dotted-quad IPv4 address.
-func ParseAddr(s string) (packet.IP4, error) {
-	var a, b, c, d byte
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
-		return 0, fmt.Errorf("bad address %q: %v", s, err)
-	}
-	return packet.ParseIP4(a, b, c, d), nil
 }

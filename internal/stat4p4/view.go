@@ -12,18 +12,18 @@ import (
 
 // This file is the read half of the control plane, spelled once: the view
 // table, one row per read-back of tracked state. A row names the Options
-// feature it needs, reads one switch's registers for a slot, merges the
+// feature it needs, reads one shard's registers for a slot, merges the
 // shards' reads into what one switch holding the union stream would report,
 // and shapes the read as the stat4d answer served at the row's name. Read is
-// the one entry point, on a Runtime and a ShardedRuntime alike.
+// the one entry point, at any shard count.
 
 // View is one row of the view table, reading a T per slot.
 type View[T any] struct {
 	name  string
 	needs *feature // nil: part of every program
-	read  func(rt *Runtime, slot int) T
+	read  func(s shard, slot int) T
 	// merge combines the shards' reads of the slot.
-	merge func(sr *ShardedRuntime, slot int, shards []T) T
+	merge func(rt *Runtime, slot int, shards []T) T
 	// body shapes a read as the control plane's JSON answer (nil: the read
 	// as it is); n keeps the first n cells or entries (0: all).
 	body func(slot, n int, v T) any
@@ -34,46 +34,64 @@ type AnyView interface {
 	// Name is the row's name and the stat4d path it is served at.
 	Name() string
 	// Body reads the slot and shapes it as the control plane's answer.
-	Body(t Target, slot, n int) (any, error)
+	Body(rt *Runtime, slot, n int) (any, error)
 }
 
 func (v *View[T]) Name() string { return v.name }
 
-func (v *View[T]) Body(t Target, slot, n int) (any, error) {
-	got, err := Read(t, v, slot)
+func (v *View[T]) Body(rt *Runtime, slot, n int) (any, error) {
+	got, err := Read(rt, v, slot)
 	if err != nil || v.body == nil {
 		return got, err
 	}
 	return v.body(slot, n, got), nil
 }
 
-// Read answers one view for one slot: a Runtime's raw registers, or the
-// row's merge of a ShardedRuntime's shards. A program built without the
-// row's feature gets the error Lower gives; a slot out of range, ErrBadSlot.
-func Read[T any](t Target, v *View[T], slot int) (T, error) {
-	var zero T
-	o := &t.Library().Opts
-	if err := v.needs.check(o); err != nil {
+// Read answers one view for one slot: on one shard, the shard's own
+// registers; on more, the row's merge of every shard's read. A program built
+// without the row's feature gets the error Lower gives; a slot out of range,
+// ErrBadSlot.
+func Read[T any](rt *Runtime, v *View[T], slot int) (T, error) {
+	if err := v.check(rt, slot); err != nil {
+		var zero T
 		return zero, err
 	}
-	if slot < 0 || slot >= o.Slots {
-		return zero, fmt.Errorf("%w: %d", ErrBadSlot, slot)
+	if rt.NumShards() == 1 {
+		return v.read(rt.shard(0), slot), nil
 	}
-	switch rt := t.(type) {
-	case *Runtime:
-		return v.read(rt, slot), nil
-	case *ShardedRuntime:
-		return v.merged(rt, slot), nil
-	}
-	return zero, fmt.Errorf("stat4p4: %T has no registers to read", t)
+	return v.merged(rt, slot), nil
 }
 
-func (v *View[T]) merged(sr *ShardedRuntime, slot int) T {
-	shards := make([]T, len(sr.rts))
-	for i, rt := range sr.rts {
-		shards[i] = v.read(rt, slot)
+// ReadShard answers one view for one slot from one shard's registers alone.
+func ReadShard[T any](rt *Runtime, v *View[T], shard, slot int) (T, error) {
+	if err := v.check(rt, slot); err != nil {
+		var zero T
+		return zero, err
 	}
-	return v.merge(sr, slot, shards)
+	if shard < 0 || shard >= rt.NumShards() {
+		var zero T
+		return zero, fmt.Errorf("stat4p4: shard %d of %d", shard, rt.NumShards())
+	}
+	return v.read(rt.shard(shard), slot), nil
+}
+
+func (v *View[T]) check(rt *Runtime, slot int) error {
+	o := &rt.lib.Opts
+	if err := v.needs.check(o); err != nil {
+		return err
+	}
+	if slot < 0 || slot >= o.Slots {
+		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
+	}
+	return nil
+}
+
+func (v *View[T]) merged(rt *Runtime, slot int) T {
+	shards := make([]T, rt.NumShards())
+	for i := range shards {
+		shards[i] = v.read(rt.shard(i), slot)
+	}
+	return v.merge(rt, slot, shards)
 }
 
 // Views lists the view table, in the order stat4d serves it.
@@ -89,17 +107,17 @@ var (
 	// Counters is a slot's Size counter cells. Merged, they add, masked to
 	// the cell width.
 	Counters = &View[[]uint64]{name: "counters",
-		read: func(rt *Runtime, slot int) []uint64 {
-			out, reg := make([]uint64, rt.lib.Opts.Size), rt.reg(RegCounters)
+		read: func(s shard, slot int) []uint64 {
+			out, reg := make([]uint64, s.lib.Opts.Size), s.reg(RegCounters)
 			for i := range out {
 				out[i], _ = reg.Read(slot*len(out) + i)
 			}
 			return out
 		},
-		merge: func(sr *ShardedRuntime, _ int, shards [][]uint64) []uint64 {
+		merge: func(rt *Runtime, _ int, shards [][]uint64) []uint64 {
 			for _, cells := range shards[1:] {
 				for i, c := range cells {
-					shards[0][i] = (shards[0][i] + c) & sr.lib.cellMask()
+					shards[0][i] = (shards[0][i] + c) & rt.lib.cellMask()
 				}
 			}
 			return shards[0]
@@ -109,17 +127,17 @@ var (
 	// Entropy is a slot's entropy registers in the scaled form. Merged, S is
 	// rederived from the merged counters.
 	Entropy = &View[EntropySnapshot]{name: "entropy", needs: featEntropy,
-		read: func(rt *Runtime, slot int) EntropySnapshot {
-			return rt.lib.entropySnapshot(rt.cell(RegXsum, slot), rt.cell(RegEntSum, slot))
+		read: func(s shard, slot int) EntropySnapshot {
+			return s.lib.entropySnapshot(s.cell(RegXsum, slot), s.cell(RegEntSum, slot))
 		},
-		merge: func(sr *ShardedRuntime, slot int, _ []EntropySnapshot) EntropySnapshot {
-			mask := sr.lib.cellMask()
+		merge: func(rt *Runtime, slot int, _ []EntropySnapshot) EntropySnapshot {
+			mask := rt.lib.cellMask()
 			var total, sum uint64
-			for _, f := range Counters.merged(sr, slot) {
+			for _, f := range Counters.merged(rt, slot) {
 				total += f
-				sum += (f * intstat.Log2Fixed(f, sr.lib.Opts.EntropyFrac)) & mask
+				sum += (f * intstat.Log2Fixed(f, rt.lib.Opts.EntropyFrac)) & mask
 			}
-			return sr.lib.entropySnapshot(total&mask, sum&mask)
+			return rt.lib.entropySnapshot(total&mask, sum&mask)
 		},
 		body: func(slot, _ int, e EntropySnapshot) any {
 			return struct {
@@ -131,10 +149,10 @@ var (
 	// HeavyHitters is a slot's candidate table and rejected promotions.
 	// Merged, candidates add by key and rejections sum.
 	HeavyHitters = &View[HHSnapshot]{name: "heavyhitters", needs: featHH,
-		read: func(rt *Runtime, slot int) HHSnapshot {
-			return HHSnapshot{rt.cell(RegHHRej, slot), rt.table(slot, rt.lib.Opts.HHTableSize, RegHHKeys, RegHHCounts, "")}
+		read: func(s shard, slot int) HHSnapshot {
+			return HHSnapshot{s.cell(RegHHRej, slot), s.table(slot, s.lib.Opts.HHTableSize, RegHHKeys, RegHHCounts, "")}
 		},
-		merge: func(_ *ShardedRuntime, _ int, shards []HHSnapshot) (m HHSnapshot) {
+		merge: func(_ *Runtime, _ int, shards []HHSnapshot) (m HHSnapshot) {
 			for _, s := range shards {
 				m.Rejected += s.Rejected
 				m.Entries = append(m.Entries, s.Entries...)
@@ -152,15 +170,15 @@ var (
 	// Flows is a slot's flow-table ledger and occupied buckets. Merged,
 	// ledgers sum and flows add by key.
 	Flows = &View[FlowSnapshot]{name: "flows", needs: featFlow,
-		read: func(rt *Runtime, slot int) FlowSnapshot {
-			return FlowSnapshot{readFlowLedger(rt, slot), rt.table(slot, rt.lib.Opts.FlowTableSize, RegFTKeys, RegFTCnt, RegFTStamp)}
+		read: func(s shard, slot int) FlowSnapshot {
+			return FlowSnapshot{readFlowLedger(s, slot), s.table(slot, s.lib.Opts.FlowTableSize, RegFTKeys, RegFTCnt, RegFTStamp)}
 		},
-		merge: func(sr *ShardedRuntime, slot int, shards []FlowSnapshot) FlowSnapshot {
+		merge: func(rt *Runtime, slot int, shards []FlowSnapshot) FlowSnapshot {
 			var all []Entry
 			for _, s := range shards {
 				all = append(all, s.Entries...)
 			}
-			return FlowSnapshot{FlowLedger.merged(sr, slot), byKey(all)}
+			return FlowSnapshot{FlowLedger.merged(rt, slot), byKey(all)}
 		},
 		body: func(slot, n int, f FlowSnapshot) any {
 			f.Entries = head(f.Entries, n)
@@ -175,7 +193,7 @@ var (
 	// bucket walk, for readers on a clock (the flow_* scrape gauges); it has
 	// no path of its own. Merged, ledgers and capacities add.
 	FlowLedger = &View[FlowStats]{needs: featFlow, read: readFlowLedger,
-		merge: func(_ *ShardedRuntime, _ int, shards []FlowStats) (m FlowStats) {
+		merge: func(_ *Runtime, _ int, shards []FlowStats) (m FlowStats) {
 			for _, s := range shards {
 				m = FlowStats{m.Occupied + s.Occupied, m.Admitted + s.Admitted, m.Evicted + s.Evicted,
 					m.Rejected + s.Rejected, m.Shed + s.Shed, m.Capacity + s.Capacity}
@@ -274,27 +292,35 @@ func head[E any](list []E, n int) []E {
 	return list
 }
 
+// shard is one shard's registers, as a view row reads them.
+type shard struct {
+	lib *Library
+	sw  *p4.Switch
+}
+
+func (rt *Runtime) shard(i int) shard { return shard{rt.lib, rt.ss.Shard(i)} }
+
 // reg looks up a register; Read has refused a program without the row's.
-func (rt *Runtime) reg(name string) *p4.Register {
-	r, _ := rt.sw.Register(name)
+func (s shard) reg(name string) *p4.Register {
+	r, _ := s.sw.Register(name)
 	return r
 }
 
-func (rt *Runtime) cell(name string, i int) uint64 {
-	v, _ := rt.reg(name).Read(i)
+func (s shard) cell(name string, i int) uint64 {
+	v, _ := s.reg(name).Read(i)
 	return v
 }
 
 // table reads a slot's occupied buckets of a keyed table, heaviest first. A
 // bucket is occupied when its count — or, in a flow table, its stamp — is
 // non-zero; stamps is "" for a table without them.
-func (rt *Runtime) table(slot, size int, keys, counts, stamps string) []Entry {
-	k, c, s := rt.reg(keys), rt.reg(counts), rt.reg(stamps)
+func (s shard) table(slot, size int, keys, counts, stamps string) []Entry {
+	k, c, st := s.reg(keys), s.reg(counts), s.reg(stamps)
 	var out []Entry
 	for i := slot * size; i < (slot+1)*size; i++ {
 		var e Entry
-		if s != nil {
-			e.Stamp, _ = s.Read(i)
+		if st != nil {
+			e.Stamp, _ = st.Read(i)
 		}
 		if e.Count, _ = c.Read(i); e.Count != 0 || e.Stamp != 0 {
 			e.Key, _ = k.Read(i)
@@ -304,13 +330,13 @@ func (rt *Runtime) table(slot, size int, keys, counts, stamps string) []Entry {
 	return byKey(out)
 }
 
-func readMoments(rt *Runtime, slot int) MomentsSnapshot {
-	c := func(name string) uint64 { return rt.cell(name, slot) }
+func readMoments(s shard, slot int) MomentsSnapshot {
+	c := func(name string) uint64 { return s.cell(name, slot) }
 	return MomentsSnapshot{c(RegN), c(RegXsum), c(RegXsumsq), c(RegVar), c(RegSD), c(RegMed), c(RegMedMoves)}
 }
 
-func mergeMoments(sr *ShardedRuntime, slot int, shards []MomentsSnapshot) MomentsSnapshot {
-	low, ok := sr.slots[slot]
+func mergeMoments(rt *Runtime, slot int, shards []MomentsSnapshot) MomentsSnapshot {
+	low, ok := rt.slots[slot]
 	pa, pb := uint64(1), uint64(1)
 	if ok && low.Note != nil {
 		pa, pb = low.Note.PA, low.Note.PB
@@ -319,24 +345,24 @@ func mergeMoments(sr *ShardedRuntime, slot int, shards []MomentsSnapshot) Moment
 	if ok && low.kind.view == Flows {
 		// A flow kind counts into its flow table and keeps no marker.
 		var counts []uint64
-		for _, e := range Flows.merged(sr, slot).Entries {
+		for _, e := range Flows.merged(rt, slot).Entries {
 			counts = append(counts, e.Count)
 		}
-		s = sr.lib.recomputeSlot(counts, pa, pb)
+		s = rt.lib.recomputeSlot(counts, pa, pb)
 		s.med = 0
 	} else {
-		s = sr.lib.recomputeSlot(Counters.merged(sr, slot), pa, pb)
+		s = rt.lib.recomputeSlot(Counters.merged(rt, slot), pa, pb)
 	}
 	m := MomentsSnapshot{N: s.n, Xsum: s.xsum, Xsumsq: s.xsumsq, Var: s.varv, SD: s.sd, Median: s.med}
 	for _, sh := range shards {
-		m.MedianMoves = (m.MedianMoves + sh.MedianMoves) & sr.lib.cellMask()
+		m.MedianMoves = (m.MedianMoves + sh.MedianMoves) & rt.lib.cellMask()
 	}
 	return m
 }
 
 // readFlowLedger derives Occupied as claims minus reclaims, the conservation
 // half of the flowtable ledger invariant.
-func readFlowLedger(rt *Runtime, slot int) FlowStats {
-	adm, evt := rt.cell(RegFTAdm, slot), rt.cell(RegFTEvt, slot)
-	return FlowStats{adm - evt, adm, evt, rt.cell(RegFTRej, slot), rt.cell(RegFTShed, slot), uint64(rt.lib.Opts.FlowTableSize)}
+func readFlowLedger(s shard, slot int) FlowStats {
+	adm, evt := s.cell(RegFTAdm, slot), s.cell(RegFTEvt, slot)
+	return FlowStats{adm - evt, adm, evt, s.cell(RegFTRej, slot), s.cell(RegFTShed, slot), uint64(s.lib.Opts.FlowTableSize)}
 }

@@ -11,9 +11,19 @@ import (
 )
 
 // mustRead is Read with any error fatal.
-func mustRead[T any](t testing.TB, tgt Target, v *View[T], slot int) T {
+func mustRead[T any](t testing.TB, rt *Runtime, v *View[T], slot int) T {
 	t.Helper()
-	got, err := Read(tgt, v, slot)
+	got, err := Read(rt, v, slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// mustReadShard is ReadShard with any error fatal.
+func mustReadShard[T any](t testing.TB, rt *Runtime, v *View[T], shard, slot int) T {
+	t.Helper()
+	got, err := ReadShard(rt, v, shard, slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +41,7 @@ var viewsOpts = Options{Slots: 4, Size: 64, Stages: 4, Entropy: true,
 // trace through both. Key k is the frame src 192.168.0.k → dst 10.0.0.k on
 // fixed ports, so each key's packets land on one shard and every merge is
 // exact.
-func viewsPair(t *testing.T, n int) (*Runtime, *ShardedRuntime) {
+func viewsPair(t *testing.T, n int) (*Runtime, *Runtime) {
 	t.Helper()
 	lib := Build(viewsOpts)
 	rt, err := NewRuntime(lib)
@@ -51,7 +61,7 @@ func viewsPair(t *testing.T, n int) (*Runtime, *ShardedRuntime) {
 		{Kind: "flow-dst", Stage: 3, Slot: 3, EpochShift: 63, TTL: 1},
 	} {
 		b.Match = AllIPv4()
-		for _, tgt := range []Target{rt, sr} {
+		for _, tgt := range []*Runtime{rt, sr} {
 			if _, err := tgt.Bind(b); err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +71,7 @@ func viewsPair(t *testing.T, n int) (*Runtime, *ShardedRuntime) {
 	for i := 0; i < 5000; i++ {
 		k := byte(rng.Intn(1 + rng.Intn(40)))
 		frame := packet.NewUDPFrame(packet.ParseIP4(192, 168, 0, k), packet.ParseIP4(10, 0, 0, k), 1000, 80, 0).Serialize()
-		rt.Switch().ProcessFrame(uint64(i), 1, frame)
+		rt.Sharded().ProcessFrame(uint64(i), 1, frame)
 		sr.Sharded().ProcessFrame(uint64(i), 1, frame)
 	}
 	return rt, sr
@@ -71,8 +81,8 @@ func viewsPair(t *testing.T, n int) (*Runtime, *ShardedRuntime) {
 // the view table reads the same from the merged shards as from one serial
 // switch, at 1, 2 and 4 shards.
 func TestViewsMergeLikeSerial(t *testing.T) {
-	rows := map[string]func(t *testing.T, rt *Runtime, sr *ShardedRuntime, n int){
-		"moments": func(t *testing.T, rt *Runtime, sr *ShardedRuntime, _ int) {
+	rows := map[string]func(t *testing.T, rt *Runtime, sr *Runtime, n int){
+		"moments": func(t *testing.T, rt *Runtime, sr *Runtime, _ int) {
 			for _, slot := range []int{0, 3} { // dense and flow slots
 				s, m := mustRead(t, rt, Moments, slot), mustRead(t, sr, Moments, slot)
 				if s.N == 0 || m.N != s.N || m.Xsum != s.Xsum || m.Xsumsq != s.Xsumsq || m.Var != s.Var || m.SD != s.SD {
@@ -80,17 +90,17 @@ func TestViewsMergeLikeSerial(t *testing.T) {
 				}
 			}
 		},
-		"counters": func(t *testing.T, rt *Runtime, sr *ShardedRuntime, _ int) {
+		"counters": func(t *testing.T, rt *Runtime, sr *Runtime, _ int) {
 			if s, m := mustRead(t, rt, Counters, 0), mustRead(t, sr, Counters, 0); !reflect.DeepEqual(m, s) {
 				t.Fatalf("merged %v, serial %v", m, s)
 			}
 		},
-		"entropy": func(t *testing.T, rt *Runtime, sr *ShardedRuntime, _ int) {
+		"entropy": func(t *testing.T, rt *Runtime, sr *Runtime, _ int) {
 			if s, m := mustRead(t, rt, Entropy, 1), mustRead(t, sr, Entropy, 1); s.Total == 0 || m != s {
 				t.Fatalf("merged %+v, serial %+v", m, s)
 			}
 		},
-		"heavyhitters": func(t *testing.T, rt *Runtime, sr *ShardedRuntime, _ int) {
+		"heavyhitters": func(t *testing.T, rt *Runtime, sr *Runtime, _ int) {
 			s, m := mustRead(t, rt, HeavyHitters, 2), mustRead(t, sr, HeavyHitters, 2)
 			if len(s.Entries) == 0 || s.Rejected != 0 {
 				t.Fatalf("trace not exact: serial table %+v", s)
@@ -99,7 +109,7 @@ func TestViewsMergeLikeSerial(t *testing.T) {
 				t.Fatalf("merged %+v, serial %+v", m, s)
 			}
 		},
-		"flows": func(t *testing.T, rt *Runtime, sr *ShardedRuntime, n int) {
+		"flows": func(t *testing.T, rt *Runtime, sr *Runtime, n int) {
 			s, m := mustRead(t, rt, Flows, 3), mustRead(t, sr, Flows, 3)
 			if len(s.Entries) == 0 || s.Rejected != 0 {
 				t.Fatalf("trace not exact: serial ledger %+v", s.FlowStats)
@@ -132,7 +142,7 @@ func TestViewsMergeLikeSerial(t *testing.T) {
 // built without a row's feature answers with the same error Lower gives; and
 // a slot out of range is ErrBadSlot on both runtimes.
 func TestViewTable(t *testing.T) {
-	runtimes := func(opts Options) []Target {
+	runtimes := func(opts Options) []*Runtime {
 		rt, err := NewRuntime(Build(opts))
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +152,7 @@ func TestViewTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(sr.Close)
-		return []Target{rt, sr}
+		return []*Runtime{rt, sr}
 	}
 	plain, full := runtimes(Options{Slots: 2, Size: 64, Stages: 1}), runtimes(viewsOpts)
 
@@ -196,7 +206,7 @@ func TestFlowMergedMoments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	for _, tgt := range []Target{rt, sr} {
+	for _, tgt := range []*Runtime{rt, sr} {
 		if _, err := BindTrack(tgt, "flow", TrackParams{EpochShift: 63, TTL: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +218,7 @@ func TestFlowMergedMoments(t *testing.T) {
 			src = 40
 		}
 		frame := packet.NewUDPFrame(src, packet.ParseIP4(10, 0, 0, 1), 5, 80, 10).Serialize()
-		rt.Switch().ProcessFrame(uint64(i), 1, frame)
+		rt.Sharded().ProcessFrame(uint64(i), 1, frame)
 		sr.Sharded().ProcessFrame(uint64(i), 1, frame)
 	}
 	s, m := mustRead(t, rt, Moments, 0), mustRead(t, sr, Moments, 0)
@@ -247,5 +257,67 @@ func TestRebindReplacesSlotRecord(t *testing.T) {
 	}
 	if slots := sr.FreqSlots(); len(slots) != 0 {
 		t.Fatalf("FreqSlots after rebinding to a flow kind = %v", slots)
+	}
+}
+
+// readRule checks Read's rule on one view and slot: on one shard it is the
+// shard's own read, on more the view's merge of every shard's ReadShard.
+func readRule[T any](t *testing.T, rt *Runtime, v *View[T], slot int) {
+	t.Helper()
+	shards := make([]T, rt.NumShards())
+	for i := range shards {
+		shards[i] = mustReadShard(t, rt, v, i, slot)
+	}
+	want := shards[0]
+	if len(shards) > 1 {
+		want = v.merge(rt, slot, shards)
+	}
+	if got := mustRead(t, rt, v, slot); !reflect.DeepEqual(got, want) {
+		t.Fatalf("slot %d: Read %+v, want %+v", slot, got, want)
+	}
+}
+
+// TestReadOneShardIsRaw pins Read's rule for every row of the view table at
+// one and two shards. At one shard a slot's moments are its raw registers —
+// the data plane's own marker, not a re-derived one.
+func TestReadOneShardIsRaw(t *testing.T) {
+	rows := map[string]func(t *testing.T, rt *Runtime){
+		"moments": func(t *testing.T, rt *Runtime) {
+			readRule(t, rt, Moments, 0)
+			readRule(t, rt, Moments, 3)
+		},
+		"counters":     func(t *testing.T, rt *Runtime) { readRule(t, rt, Counters, 0) },
+		"entropy":      func(t *testing.T, rt *Runtime) { readRule(t, rt, Entropy, 1) },
+		"heavyhitters": func(t *testing.T, rt *Runtime) { readRule(t, rt, HeavyHitters, 2) },
+		"flows": func(t *testing.T, rt *Runtime) {
+			readRule(t, rt, Flows, 3)
+			readRule(t, rt, FlowLedger, 3)
+		},
+	}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			_, rt := viewsPair(t, n)
+			for _, v := range Views() {
+				check, ok := rows[v.Name()]
+				if !ok {
+					t.Fatalf("view %q has no read-rule check", v.Name())
+				}
+				t.Run(v.Name(), func(t *testing.T) { check(t, rt) })
+			}
+			if n != 1 {
+				return
+			}
+			m, raw := mustRead(t, rt, Moments, 0), make(map[string]uint64)
+			for _, name := range []string{RegN, RegXsum, RegXsumsq, RegVar, RegSD, RegMed, RegMedMoves} {
+				reg, err := rt.Switch().Register(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[name], _ = reg.Read(0)
+			}
+			if raw[RegN] == 0 || m != (MomentsSnapshot{raw[RegN], raw[RegXsum], raw[RegXsumsq], raw[RegVar], raw[RegSD], raw[RegMed], raw[RegMedMoves]}) {
+				t.Fatalf("one-shard moments %+v, registers %v", m, raw)
+			}
+		})
 	}
 }

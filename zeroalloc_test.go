@@ -46,8 +46,8 @@ func TestProcessPacketZeroAllocFreq(t *testing.T) {
 	if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
-	obs := attachTelemetry(sw)
+	sw := rt.Sharded()
+	obs := attachTelemetry(rt.Switch())
 	pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.IP4(200), 5, 80, 10).Serialize())
 	ts := uint64(0)
 	for i := 0; i < warmupPackets; i++ {
@@ -71,8 +71,8 @@ func TestProcessPacketZeroAllocWindow(t *testing.T) {
 	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, 100, 2); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
-	obs := attachTelemetry(sw)
+	sw := rt.Sharded()
+	obs := attachTelemetry(rt.Switch())
 	pkt, _ := packet.Parse(packet.NewUDPFrame(1, packet.IP4(200), 5, 80, 10).Serialize())
 	// Perfectly steady traffic: interval folds happen, anomaly digests don't.
 	ts := uint64(0)
@@ -101,8 +101,8 @@ func TestProcessPacketZeroAllocFlow(t *testing.T) {
 	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 0, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
-	obs := attachTelemetry(sw)
+	sw := rt.Sharded()
+	obs := attachTelemetry(rt.Switch())
 	pkts := make([]*packet.Packet, 6)
 	for i := range pkts {
 		pkts[i], _ = packet.Parse(packet.NewUDPFrame(1, packet.IP4(i+1), 5, 80, 10).Serialize())
@@ -152,8 +152,8 @@ func TestProcessFrameZeroAllocEcho(t *testing.T) {
 	if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), stat4p4.EchoBias-255, 512, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
-	obs := attachTelemetry(sw)
+	sw := rt.Sharded()
+	obs := attachTelemetry(rt.Switch())
 	frame := packet.NewEchoFrame(packet.MAC{1}, packet.MAC{2}, 42).Serialize()
 	ts := uint64(0)
 	for i := 0; i < warmupPackets; i++ {
@@ -181,8 +181,8 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 	if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
-	obs := attachTelemetry(sw)
+	sw := rt.Sharded()
+	obs := attachTelemetry(rt.Switch())
 	frame := packet.NewUDPFrame(1, packet.IP4(200), 5, 80, 10).Serialize()
 	batch := make([]p4.FrameIn, 64)
 	ts := uint64(0)
@@ -218,8 +218,8 @@ func TestNetemInjectZeroAllocEcho(t *testing.T) {
 	if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), stat4p4.EchoBias-255, 512, 1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	sw := rt.Switch()
-	obs := attachTelemetry(sw)
+	sw := rt.Sharded()
+	obs := attachTelemetry(rt.Switch())
 	sim := netem.NewSim()
 	node := netem.NewSwitchNode(sim, sw, 500)
 	node.OnDigest = func(now uint64, d p4.Digest) {}
