@@ -58,14 +58,14 @@ golden:
 	$(GO) test -run 'TestEmittedGolden|TestBuildDeterministic' -count=2 ./internal/stat4p4
 
 # bench regenerates BENCH_$(BENCHN).json: the E1–E6 experiment benchmarks, the
-# per-packet switch benches and the simulation-engine benches (scheduling,
-# dispatch, batched stream injection), with
+# per-packet switch benches, the simulation-engine benches (scheduling,
+# dispatch, batched stream injection) and the datapath set-up rows, with
 # allocation counts (-benchmem). Set BASELINE to a saved `go test -bench`
 # output to record before/after deltas in the JSON; raise BENCHCOUNT for
 # lower-variance numbers.
 BENCHN ?= 1
 BENCHCOUNT ?= 1
-BENCHFILTER ?= Benchmark(Table2|Table3|EchoValidation|CaseStudy|ResourceAnalysis|ArchComparison|Switch|Sharded|Sim|InjectStream|RingPush|IngestHandoff|Stat4dE2E|Log2Fixed|FlowTable)
+BENCHFILTER ?= Benchmark(Table2|Table3|EchoValidation|CaseStudy|ResourceAnalysis|ArchComparison|Switch|Sharded|Sim|InjectStream|RingPush|IngestHandoff|Stat4dE2E|Log2Fixed|FlowTable|Setup)
 bench:
 	$(GO) test -run=^$$ -bench '$(BENCHFILTER)' -benchmem -count=$(BENCHCOUNT) . | tee bench_latest.txt
 	$(GO) run ./cmd/stat4-bench $(if $(BASELINE),-baseline $(BASELINE)) -o BENCH_$(BENCHN).json bench_latest.txt
@@ -133,7 +133,8 @@ blast-pairs:
 #   make layout REV=HEAD~1
 LAYOUTSYMS = 'p4.(*Switch).run' 'p4.(*Switch).processPacket' 'p4.(*Switch).parseAndProcess' \
 	'p4.(*table).lookup' 'p4.(*ShardedSwitch).ProcessBatch' 'p4.FlowKey' \
-	'ingest.(*Engine).consume' 'ingest.(*Engine).ServeConn' 'ingest.(*Producer).add'
+	'ingest.(*Engine).consume' 'ingest.(*Engine).ServeConn' 'ingest.(*Producer).add' \
+	'ring.(*FrameIter).Next'
 layout:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/src"; git archive $(REV) | tar -x -C "$$tmp/src"; \
@@ -172,8 +173,8 @@ detect-smoke:
 # regressions in the parser round-trip, sqrt invariants, the compiled-plan
 # vs tree-walker equivalence (on the echo program and on the daemon's
 # entropy + heavy-hitter one, with control-plane churn between frames), the
-# timer wheel vs the reference heap engine, the binding-lowering boundary and
-# strict prefix parsing without stalling CI.
+# timer wheel vs the reference heap engine, slab ownership against a model,
+# the binding-lowering boundary and strict prefix parsing without stalling CI.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSqrtApprox -fuzztime=$(FUZZTIME) ./internal/intstat/
@@ -183,6 +184,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/netem/
 	$(GO) test -run=^$$ -fuzz=FuzzRingFIFO -fuzztime=$(FUZZTIME) ./internal/ring/
+	$(GO) test -run=^$$ -fuzz=FuzzSlab -fuzztime=$(FUZZTIME) ./internal/ring/
 	$(GO) test -run=^$$ -fuzz=FuzzFlowDeterminism -fuzztime=$(FUZZTIME) ./internal/flowtable/
 	$(GO) test -run=^$$ -fuzz=FuzzServeConn -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run=^$$ -fuzz=FuzzBinding -fuzztime=$(FUZZTIME) ./internal/stat4p4/

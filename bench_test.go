@@ -870,3 +870,33 @@ func BenchmarkStat4dE2E(b *testing.B) {
 		})
 	}
 }
+
+// --- Set-up -----------------------------------------------------------------
+
+// BenchmarkSetup measures constructing the daemon's datapath from stat4d's
+// emitted program: runtime/shards=N is NewShardedRuntime plus Close
+// (validate, instantiate and compile N shards, start their workers), engine
+// is ingest.New plus Stop on a one-shard runtime (ring, slab, telemetry, the
+// consumer goroutine). Program emission is outside both. With -benchmem the
+// B/op column shows what a construction commits up front: the engine's slab
+// blocks are allocated on first use, so an idle engine holds none of them.
+func BenchmarkSetup(b *testing.B) {
+	lib := stat4p4.Build(stat4p4.Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true})
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("runtime/shards=%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sr, err := stat4p4.NewShardedRuntime(lib, shards)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sr.Close()
+			}
+		})
+	}
+	b.Run("engine", func(b *testing.B) {
+		sr := newShardedBench(b, 1)
+		for i := 0; i < b.N; i++ {
+			ingest.New(sr, ingest.Config{}).Stop()
+		}
+	})
+}

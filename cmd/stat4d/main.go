@@ -57,7 +57,7 @@ func main() {
 	flag.Uint64Var(&cfg.FlowTTL, "flow-ttl", 4, "flow mode: epochs of silence before an entry is reclaimable")
 	flag.IntVar(&cfg.RingCap, "ring-cap", 256, "ingest ring capacity in batch descriptors")
 	flag.IntVar(&cfg.SlabBlocks, "slab-blocks", 256, "frame slab block count")
-	flag.IntVar(&cfg.BlockSize, "block-size", 32<<10, "frame slab block size in bytes")
+	flag.IntVar(&cfg.BlockSize, "block-size", 32<<10, "frame slab block size in bytes; a frame longer than this less the 14-byte record header is shed")
 	flag.IntVar(&cfg.Batch, "batch", 256, "frames per batch descriptor")
 	push := flag.String("push", "", "client mode: stream this pcap to -connect and exit")
 	connect := flag.String("connect", "", "client mode: daemon frame-stream address (host:port or unix path)")

@@ -15,8 +15,11 @@ import (
 type Config struct {
 	// RingCap is the batch-descriptor capacity of the MPSC ring.
 	RingCap int
-	// SlabBlocks and BlockSize shape the frame slab; a block must hold at
-	// least one maximum-size frame record.
+	// SlabBlocks and BlockSize shape the frame slab. A block gets its
+	// storage when it is first acquired, so SlabBlocks bounds memory rather
+	// than committing it. A frame longer than BlockSize − ring.FrameHdrLen
+	// fits no block: it is refused and counted as shed. The 32 KiB default
+	// therefore sheds the legal records between that and ring.MaxFrameLen.
 	SlabBlocks int
 	BlockSize  int
 	// BatchFrames caps how many frames a producer packs into one descriptor.

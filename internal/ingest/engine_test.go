@@ -166,6 +166,56 @@ func TestEngineServeConn(t *testing.T) {
 	}
 }
 
+// TestEngineShedsFrameLongerThanBlock pins the block contract Config states:
+// a legal record whose frame is longer than BlockSize − FrameHdrLen is read
+// whole, then refused by every block and counted as shed, and the ledger
+// still balances. Under the default 32 KiB block that is a 40 000-byte frame.
+func TestEngineShedsFrameLongerThanBlock(t *testing.T) {
+	sr := newBoundRuntime(t, 1, 0)
+	defer sr.Close()
+	e := New(sr, Config{})
+	frames := testFrames(2)
+	var wire bytes.Buffer
+	_ = WriteRecord(&wire, 1, 1, frames[0])
+	_ = WriteRecord(&wire, 2, 1, make([]byte, 40000))
+	_ = WriteRecord(&wire, 3, 1, frames[1])
+	n, err := e.ServeConn(&wire)
+	e.Stop()
+	if n != 3 || err != nil {
+		t.Fatalf("served %d records, error %v; want 3, nil", n, err)
+	}
+	if _, shed := e.Shed(); shed != 1 || e.Frames()+shed != n {
+		t.Fatalf("consumed %d + shed %d, want 2 + 1 of %d offered", e.Frames(), shed, n)
+	}
+}
+
+// TestEngineSetupAllocatesWhatItTouches bounds what constructing an engine
+// commits: New, one 256-frame batch and Stop allocate under 1 MiB of heap,
+// where a slab allocated up front is 8 MiB on its own. Timing cannot see
+// this reliably; the allocator's byte count can.
+func TestEngineSetupAllocatesWhatItTouches(t *testing.T) {
+	sr := newBoundRuntime(t, 1, 0)
+	defer sr.Close()
+	frames := testFrames(256)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := New(sr, Config{})
+	p := e.NewProducer()
+	for i, f := range frames {
+		p.AddWait(uint64(i+1), 1, f)
+	}
+	p.FlushWait()
+	for e.Frames() < uint64(len(frames)) {
+		runtime.Gosched()
+	}
+	p.Close()
+	e.Stop()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("New + one batch + Stop allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
 // TestEngineBackpressureSheds saturates a tiny ingest plane with the
 // consumer unable to keep up (it is blocked inside a Do) and checks the shed
 // ledger adds up — frames are never silently lost.

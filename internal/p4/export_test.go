@@ -26,3 +26,6 @@ func EndFields(sw *Switch) []uint64 {
 func CompiledSize(sw *Switch) (stream, pool int) {
 	return len(sw.code), len(sw.poolRefs)
 }
+
+// Validations returns how many times Validate has run on p.
+func Validations(p *Program) uint64 { return p.validations.Load() }

@@ -393,6 +393,56 @@ func TestValidateRejectsBrokenPrograms(t *testing.T) {
 	}
 }
 
+// TestProgramNameIndex pins the action and table name index: lookups
+// resolve to a name's first declaration, as a scan in declaration order
+// would, and a name declared twice (or one action declared twice) is still
+// an invalid program.
+func TestProgramNameIndex(t *testing.T) {
+	p := NewProgram("dup")
+	std := DeclareStdFields(p)
+	first, second := NewAction("a", 0), NewAction("a", 1)
+	p.AddAction(first)
+	p.AddAction(second)
+	t1 := &TableDef{Name: "t", Keys: []KeySpec{{Field: std.IPv4Dst, Kind: MatchExact}}, ActionNames: []string{"a"}, MaxEntries: 1}
+	t2 := &TableDef{Name: "t", Keys: []KeySpec{{Field: std.IPv4Src, Kind: MatchExact}}, ActionNames: []string{"a"}, MaxEntries: 2}
+	p.AddTable(t1)
+	p.AddTable(t2)
+	if a, ok := p.action("a"); !ok || a != first {
+		t.Fatalf("action(a) = %p, %v; want the first declaration %p", a, ok, first)
+	}
+	if tb, ok := p.table("t"); !ok || tb != t1 {
+		t.Fatalf("table(t) = %p, %v; want the first declaration %p", tb, ok, t1)
+	}
+	if _, ok := p.action("ghost"); ok {
+		t.Fatal("undeclared action resolved")
+	}
+	if err := p.Validate(); !errors.Is(err, ErrInvalidProgram) || !strings.Contains(err.Error(), `duplicate action "a"`) {
+		t.Fatalf("duplicate action: err = %v", err)
+	}
+
+	build := func(f func(p *Program, std StdFields)) error {
+		p := NewProgram("dup")
+		std := DeclareStdFields(p)
+		f(p, std)
+		return p.Validate()
+	}
+	if err := build(func(p *Program, std StdFields) {
+		a := NewAction("a", 0)
+		p.AddAction(a)
+		p.AddAction(a)
+	}); !errors.Is(err, ErrInvalidProgram) || !strings.Contains(err.Error(), `duplicate action "a"`) {
+		t.Fatalf("one action declared twice: err = %v", err)
+	}
+	if err := build(func(p *Program, std StdFields) {
+		p.AddAction(NewAction("a", 0))
+		for _, f := range []FieldID{std.IPv4Dst, std.IPv4Src} {
+			p.AddTable(&TableDef{Name: "t", Keys: []KeySpec{{Field: f, Kind: MatchExact}}, ActionNames: []string{"a"}, MaxEntries: 1})
+		}
+	}); !errors.Is(err, ErrInvalidProgram) || !strings.Contains(err.Error(), `duplicate table "t"`) {
+		t.Fatalf("duplicate table: err = %v", err)
+	}
+}
+
 func TestValidateAcceptsCounterProgram(t *testing.T) {
 	p, _ := buildCounterProgram()
 	if err := p.Validate(); err != nil {

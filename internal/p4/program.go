@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Width is a field or register cell width in bits (1..64).
@@ -135,6 +136,14 @@ type Program struct {
 	plan *plan
 
 	fieldByName map[string]FieldID
+	// actionByName and tableByName index the declared actions and tables by
+	// name; on a duplicate name the first declaration stays indexed (Validate
+	// rejects the program).
+	actionByName map[string]*Action
+	tableByName  map[string]*TableDef
+	// validations counts Validate calls, so tests can pin how often a
+	// construction path validates.
+	validations atomic.Uint64
 	// mergeExempt records declared exceptions to the mergelaw write
 	// discipline, keyed by "action\x00register" — see ExemptMergeWrite.
 	mergeExempt map[string]string
@@ -160,7 +169,13 @@ var (
 // NewProgram returns an empty program validated against TargetBMv2; set
 // Target before Validate to lint for stricter hardware.
 func NewProgram(name string) *Program {
-	return &Program{Name: name, Target: TargetBMv2, fieldByName: make(map[string]FieldID)}
+	return &Program{
+		Name:         name,
+		Target:       TargetBMv2,
+		fieldByName:  make(map[string]FieldID),
+		actionByName: make(map[string]*Action),
+		tableByName:  make(map[string]*TableDef),
+	}
 }
 
 // AddField declares a metadata field and returns its ID. Redeclaring a name
@@ -301,35 +316,33 @@ func (p *Program) HasRecirc() bool { return p.hasRecirc }
 // AddAction declares an action.
 func (p *Program) AddAction(a *Action) {
 	p.Actions = append(p.Actions, a)
+	if _, dup := p.actionByName[a.Name]; !dup {
+		p.actionByName[a.Name] = a
+	}
 }
 
 // AddTable declares a match-action table.
 func (p *Program) AddTable(t *TableDef) {
 	p.Tables = append(p.Tables, t)
+	if _, dup := p.tableByName[t.Name]; !dup {
+		p.tableByName[t.Name] = t
+	}
 }
 
-// action looks an action up by name. The scan is over the program's declared
-// actions, resolved per dispatch here but at compile time on a real target.
+// action looks an action up by name in the program's name index, which is
+// fixed once the program is built; a real target resolves the name at
+// compile time.
 //
 //stat4:datapath
 func (p *Program) action(name string) (*Action, bool) {
-	//stat4:exempt:boundedloop the action list is fixed when the program is emitted; a real target resolves the name at compile time
-	for _, a := range p.Actions {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
+	a, ok := p.actionByName[name]
+	return a, ok
 }
 
 // table looks a table definition up by name.
 func (p *Program) table(name string) (*TableDef, bool) {
-	for _, t := range p.Tables {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return nil, false
+	t, ok := p.tableByName[name]
+	return t, ok
 }
 
 // register looks a register definition up by name.
@@ -350,6 +363,7 @@ var ErrInvalidProgram = errors.New("p4: invalid program")
 // packet-dependent, and table default actions exist. NewSwitch calls it;
 // it is exported so tools can lint programs without instantiating state.
 func (p *Program) Validate() error {
+	p.validations.Add(1)
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidProgram, fmt.Sprintf(format, args...))
 	}
@@ -360,12 +374,17 @@ func (p *Program) Validate() error {
 		}
 		seenReg[r.Name] = true
 	}
+	// The name indexes hold one entry per distinct name, so only a program
+	// with a duplicate needs the seen sets that name it in declaration order.
 	seenAct := map[string]bool{}
+	dupAct := len(p.actionByName) < len(p.Actions)
 	for _, a := range p.Actions {
-		if seenAct[a.Name] {
-			return fail("duplicate action %q", a.Name)
+		if dupAct {
+			if seenAct[a.Name] {
+				return fail("duplicate action %q", a.Name)
+			}
+			seenAct[a.Name] = true
 		}
-		seenAct[a.Name] = true
 		for i, op := range a.Ops {
 			if err := p.validateOp(a, i, op); err != nil {
 				return err
@@ -373,11 +392,14 @@ func (p *Program) Validate() error {
 		}
 	}
 	seenTbl := map[string]bool{}
+	dupTbl := len(p.tableByName) < len(p.Tables)
 	for _, t := range p.Tables {
-		if seenTbl[t.Name] {
-			return fail("duplicate table %q", t.Name)
+		if dupTbl {
+			if seenTbl[t.Name] {
+				return fail("duplicate table %q", t.Name)
+			}
+			seenTbl[t.Name] = true
 		}
-		seenTbl[t.Name] = true
 		for _, k := range t.Keys {
 			if int(k.Field) >= len(p.Fields) || k.Field < 0 {
 				return fail("table %q keys on undeclared field %d", t.Name, k.Field)

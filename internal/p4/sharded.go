@@ -109,15 +109,31 @@ type shardOutBuf struct {
 	bytes []byte
 }
 
-// NewShardedSwitch builds n replicas of the program, each with its own
-// registers, tables and digest staging buffer, plus a merged digest mailbox
-// of the given capacity, and starts one worker goroutine for each shard but
-// the first (shard 0 runs on ProcessBatch's caller, so a 1-shard switch has
-// no goroutines at all). Call Close to stop the workers.
+// layoutPad is one 32-byte slot of code whose only job is layout. The
+// set-up code linked between (*Switch).run and FlowKey (Validate and this
+// file's constructor) changed size by an odd number of 32-byte slots, which
+// would move FlowKey, ProcessBatch, processPacket, table lookup and the
+// ingest consumer to the other half of their cache lines; layout alone has
+// moved the benchmark's pps by 7–17 %. ROADMAP item 1(d) retires it, with
+// ring's layoutPad and Runtime's blank packet.Prefix field.
+//
+//go:noinline
+func layoutPad() {}
+
+// NewShardedSwitch validates the program once and builds n replicas of it,
+// each with its own registers, tables and digest staging buffer, plus a
+// merged digest mailbox of the given capacity, and starts one worker
+// goroutine for each shard but the first (shard 0 runs on ProcessBatch's
+// caller, so a 1-shard switch has no goroutines at all). Call Close to stop
+// the workers.
 func NewShardedSwitch(prog *Program, std StdFields, n, digestBuf int) (*ShardedSwitch, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("p4: sharded switch with %d shards", n)
 	}
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	layoutPad()
 	if digestBuf <= 0 {
 		digestBuf = 1024
 	}
@@ -137,10 +153,7 @@ func NewShardedSwitch(prog *Program, std StdFields, n, digestBuf int) (*ShardedS
 	}
 	for i := range ss.shards {
 		// The shard's own mailbox goes unused: its sink stages every digest.
-		sw, err := NewSwitch(prog, std, 1)
-		if err != nil {
-			return nil, err
-		}
+		sw := newSwitch(prog, std, 1)
 		sw.SetDigestSink(func(d Digest) { ss.staged[i] = append(ss.staged[i], d) })
 		ss.shards[i] = sw
 		buf := &shardOutBuf{}

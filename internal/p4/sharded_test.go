@@ -3,6 +3,7 @@ package p4
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -185,6 +186,31 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 		if !reflect.DeepEqual(ss.Shard(i).Snapshot().Registers, replicas[i].Snapshot().Registers) {
 			t.Fatalf("shard %d registers differ from its serial replica", i)
 		}
+	}
+}
+
+// TestShardedSwitchValidatesOnce pins the sharded constructor's set-up
+// work: it validates the program once for all its shards, refuses an invalid
+// program before building any, and NewSwitch keeps validating on its own.
+func TestShardedSwitchValidatesOnce(t *testing.T) {
+	prog, std := buildShardableProgram()
+	ss, err := NewShardedSwitch(prog, std, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if n := Validations(prog); n != 1 {
+		t.Fatalf("a 4-shard switch validated its program %d times, want 1", n)
+	}
+
+	bad := NewProgram("bad")
+	badStd := DeclareStdFields(bad)
+	bad.Control = []Stmt{Apply("ghost")}
+	if _, err := NewShardedSwitch(bad, badStd, 4, 0); !errors.Is(err, ErrInvalidProgram) {
+		t.Fatalf("invalid program: err = %v, want ErrInvalidProgram", err)
+	}
+	if _, err := NewSwitch(prog, std, 0); err != nil || Validations(prog) != 2 {
+		t.Fatalf("NewSwitch: err = %v after %d validations, want nil after 2", err, Validations(prog))
 	}
 }
 

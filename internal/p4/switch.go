@@ -211,6 +211,11 @@ func NewSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
+	return newSwitch(prog, std, digestBuf), nil
+}
+
+// newSwitch is NewSwitch for a program its caller has already validated.
+func newSwitch(prog *Program, std StdFields, digestBuf int) *Switch {
 	if digestBuf <= 0 {
 		digestBuf = 1024
 	}
@@ -229,7 +234,7 @@ func NewSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
 		sw.tables[td.Name] = newTable(td, sw)
 	}
 	sw.compile()
-	return sw, nil
+	return sw
 }
 
 // SetDeparser installs a custom deparser.

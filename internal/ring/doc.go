@@ -1,7 +1,7 @@
 // Package ring is the lock-free ingest plane: bounded, power-of-two batch
 // rings (single-producer SPSC for the shard handoff, multi-producer MPSC for
-// daemon fan-in) carrying frame-batch descriptors over a pooled flat buffer
-// slab, plus the spin-then-park consumer glue.
+// daemon fan-in) carrying frame-batch descriptors over a pooled block slab,
+// plus the spin-then-park consumer glue.
 //
 // The design splits "which frames" from "the frame bytes". A producer
 // acquires a fixed-size block from a Slab, appends length-prefixed frame
@@ -9,8 +9,8 @@
 // count, sequence number — through a ring. The consumer walks the block with
 // a FrameIter and releases it when done. No descriptor or frame ever touches
 // a Go channel or the heap: pushing is an index CAS (MPSC) or a store
-// (SPSC), and the block bytes live in one flat allocation made at
-// construction.
+// (SPSC), and each block's bytes are allocated once, by the block's first
+// acquisition, and reused for the slab's life.
 //
 // Backpressure contract: TryPush never blocks. A full ring returns false and
 // the producer sheds the batch — releasing its block and counting the drop —

@@ -58,3 +58,108 @@ func FuzzRingFIFO(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSlab drives one slab through an arbitrary acquire/release schedule
+// against a model of who holds what. The first byte sets the block count;
+// each later byte is one step, chosen by its low two bits:
+//
+//	0: acquire — succeeds exactly when the model has a free block, with a
+//	   block nobody holds;
+//	1: release one held block, picked by the byte's high bits;
+//	2: release one and acquire — the LIFO free list hands the same block
+//	   back, and no storage is made for it;
+//	3: release one and acquire twice — a double-hold attempt on the freed
+//	   block: the second acquirer must get a different block or none.
+//
+// After every step no block is held twice, each held block still carries
+// its holder's mark in every byte of its BlockSize storage, the blocks with
+// storage are at most the distinct blocks ever acquired and at most
+// Blocks(), and InUse matches the model.
+func FuzzSlab(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0, 0, 1, 0})
+	f.Add([]byte{0, 0, 2, 3, 1, 0, 3})
+	f.Add([]byte{5, 0, 4, 0, 8, 3, 7, 2, 1, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		const size = 8
+		blocks := 1 + int(ops[0]%7)
+		s := NewSlab(blocks, size)
+		mark := map[uint32]byte{} // held block -> its holder's mark
+		ever := map[uint32]bool{}
+		var held []uint32
+		next := byte(0)
+		acquire := func(step int) (uint32, bool) {
+			idx, ok := s.TryAcquire()
+			if ok != (len(held) < blocks) {
+				t.Fatalf("step %d: acquire ok=%v with %d of %d blocks held", step, ok, len(held), blocks)
+			}
+			if !ok {
+				return 0, false
+			}
+			if _, dup := mark[idx]; dup {
+				t.Fatalf("step %d: block %d handed out while held", step, idx)
+			}
+			next++
+			b := s.Bytes(idx)
+			for j := range b {
+				b[j] = next
+			}
+			mark[idx], ever[idx] = next, true
+			held = append(held, idx)
+			return idx, true
+		}
+		release := func(sel byte) (uint32, bool) {
+			if len(held) == 0 {
+				return 0, false
+			}
+			i := int(sel) % len(held)
+			idx := held[i]
+			held = append(held[:i], held[i+1:]...)
+			delete(mark, idx)
+			s.Release(idx)
+			return idx, true
+		}
+		for step, op := range ops[1:] {
+			switch op & 3 {
+			case 0:
+				acquire(step)
+			case 1:
+				release(op >> 2)
+			case 2, 3:
+				freed, ok := release(op >> 2)
+				if !ok {
+					break
+				}
+				before := materialised(s)
+				if idx, _ := acquire(step); idx != freed {
+					t.Fatalf("step %d: released block %d, reacquired %d", step, freed, idx)
+				}
+				if n := materialised(s); n != before {
+					t.Fatalf("step %d: reacquiring block %d materialised %d blocks", step, freed, n-before)
+				}
+				if op&3 == 3 {
+					acquire(step) // must not hand out freed again
+				}
+			}
+			for idx, m := range mark {
+				b := s.Bytes(idx)
+				if len(b) != size || cap(b) != size {
+					t.Fatalf("step %d: block %d: len %d cap %d, want %d", step, idx, len(b), cap(b), size)
+				}
+				for _, v := range b {
+					if v != m {
+						t.Fatalf("step %d: held block %d overwritten (%d, want %d)", step, idx, v, m)
+					}
+				}
+			}
+			if n := materialised(s); n > len(ever) || n > s.Blocks() {
+				t.Fatalf("step %d: %d blocks materialised, %d ever acquired, %d in the slab", step, n, len(ever), s.Blocks())
+			}
+			if s.InUse() != uint64(len(held)) {
+				t.Fatalf("step %d: InUse() = %d, model holds %d", step, s.InUse(), len(held))
+			}
+		}
+	})
+}

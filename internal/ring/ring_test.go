@@ -280,6 +280,141 @@ func TestSlabConcurrent(t *testing.T) {
 	}
 }
 
+// materialised counts the slab blocks whose storage exists. It reads every
+// block's slot, so call it only while no other goroutine acquires.
+func materialised(s *Slab) int {
+	n := 0
+	for _, b := range s.blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSlabMaterialisesOnFirstAcquire pins when block storage comes into
+// being: a fresh slab holds none, acquiring k distinct blocks makes exactly
+// k, releasing and reacquiring them makes none, and every block is
+// BlockSize bytes long and wide that no other block shares.
+func TestSlabMaterialisesOnFirstAcquire(t *testing.T) {
+	const blocks, size, k = 8, 64, 5
+	s := NewSlab(blocks, size)
+	if n := materialised(s); n != 0 {
+		t.Fatalf("fresh slab holds %d blocks, want 0", n)
+	}
+	acquire := func() uint32 {
+		t.Helper()
+		idx, ok := s.TryAcquire()
+		if !ok {
+			t.Fatalf("acquire failed with %d of %d blocks in use", s.InUse(), blocks)
+		}
+		return idx
+	}
+	var held []uint32
+	for i := 0; i < k; i++ {
+		held = append(held, acquire())
+		if n := materialised(s); n != i+1 {
+			t.Fatalf("%d blocks acquired, %d materialised", i+1, n)
+		}
+	}
+	for _, idx := range held {
+		s.Release(idx)
+	}
+	held = held[:0]
+	for i := 0; i < k; i++ {
+		held = append(held, acquire())
+	}
+	if n := materialised(s); n != k {
+		t.Fatalf("reacquiring %d released blocks: %d materialised, want %d", k, n, k)
+	}
+	for len(held) < blocks {
+		held = append(held, acquire())
+	}
+	if n := materialised(s); n != blocks {
+		t.Fatalf("every block held: %d materialised, want %d", n, blocks)
+	}
+	// Fill each block whole with its own mark, then read every mark back:
+	// storage shared between two blocks would show the later mark.
+	for i, idx := range held {
+		b := s.Bytes(idx)
+		if len(b) != size || cap(b) != size {
+			t.Fatalf("block %d: len %d cap %d, want %d", idx, len(b), cap(b), size)
+		}
+		for j := range b {
+			b[j] = byte(i + 1)
+		}
+	}
+	for i, idx := range held {
+		for _, v := range s.Bytes(idx) {
+			if v != byte(i+1) {
+				t.Fatalf("block %d shares storage with the block marked %d", idx, v)
+			}
+		}
+	}
+}
+
+// TestSlabHandoffConcurrent hands blocks from producer goroutines through an
+// MPSC ring to a consumer that reads and releases them, the ingest plane's
+// ownership cycle: a block's storage, made by whichever producer first
+// acquired it, must reach the consumer and every later holder whole. Run
+// under the race detector it checks that the ring and the free list publish
+// the storage.
+func TestSlabHandoffConcurrent(t *testing.T) {
+	const (
+		producers = 3
+		rounds    = 2000
+		blocks    = 16
+		size      = 64
+	)
+	s := NewSlab(blocks, size)
+	q := NewMPSC(8)
+	var wg sync.WaitGroup
+	for pid := 0; pid < producers; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				idx, ok := s.TryAcquire()
+				for !ok {
+					runtime.Gosched()
+					idx, ok = s.TryAcquire()
+				}
+				b := s.Bytes(idx)
+				b[0] = byte(pid)
+				for j := 1; j < len(b); j++ {
+					b[j] = byte(r)
+				}
+				for !q.TryPush(Desc{Seq: uint64(pid), Block: idx, N: uint32(r)}) {
+					runtime.Gosched()
+				}
+			}
+		}(pid)
+	}
+	var d Desc
+	for got := 0; got < producers*rounds; {
+		if !q.TryPop(&d) {
+			runtime.Gosched()
+			continue
+		}
+		b := s.Bytes(d.Block)
+		if len(b) != size || cap(b) != size {
+			t.Fatalf("block %d: len %d cap %d, want %d", d.Block, len(b), cap(b), size)
+		}
+		if b[0] != byte(d.Seq) || !bytes.Equal(b[1:], bytes.Repeat([]byte{byte(d.N)}, size-1)) {
+			t.Fatalf("block %d from producer %d round %d arrived overwritten", d.Block, d.Seq, d.N)
+		}
+		s.Release(d.Block)
+		got++
+	}
+	wg.Wait()
+	if s.InUse() != 0 {
+		t.Fatalf("InUse() = %d after all releases, want 0", s.InUse())
+	}
+	if n := materialised(s); n > blocks {
+		t.Fatalf("%d blocks materialised, slab has %d", n, blocks)
+	}
+}
+
 // TestFrameRecordRoundTrip pins the record layout both ways, including the
 // capacity refusal and the malformed-length early stop.
 func TestFrameRecordRoundTrip(t *testing.T) {
@@ -353,4 +488,3 @@ func TestRingOpsZeroAlloc(t *testing.T) {
 		slab.Release(idx)
 	})
 }
-

@@ -6,14 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// Slab is the pooled flat buffer the rings' descriptors point into: nblocks
-// fixed-size blocks carved from one allocation, with a lock-free free list
-// (Treiber stack over block indices, ABA-guarded by a tag in the high bits
-// of the packed head word). Producers TryAcquire concurrently; whoever holds
-// a block Releases it — there are no other states.
+// Slab is the pool of fixed-size blocks the rings' descriptors point into,
+// with a lock-free free list (Treiber stack over block indices, ABA-guarded
+// by a tag in the high bits of the packed head word). Producers TryAcquire
+// concurrently; whoever holds a block Releases it — there are no other
+// states. A block's storage is allocated on its first acquisition, so a
+// slab commits memory only for the blocks its traffic has ever held at once.
 type Slab struct {
 	blockSize int
-	data      []byte
+	// blocks holds each block's storage, nil until the block is first
+	// acquired. Only the holder writes its slot (on that first acquisition);
+	// the ring push/pop or the free list's CAS that hands the block on
+	// publishes the slot to the next holder.
+	blocks [][]byte
 	// next holds the free-list links (idx+1, 0 terminates). Links are
 	// atomic because a CAS loser in TryAcquire may read a link the block's
 	// new holder is already rewriting for a Release; the stale value is
@@ -31,7 +36,7 @@ func NewSlab(nblocks, blockSize int) *Slab {
 	}
 	s := &Slab{
 		blockSize: blockSize,
-		data:      make([]byte, nblocks*blockSize),
+		blocks:    make([][]byte, nblocks),
 		next:      make([]atomic.Uint32, nblocks),
 	}
 	// Chain 0 -> 1 -> ... -> nblocks-1 and point the head at block 0.
@@ -39,6 +44,7 @@ func NewSlab(nblocks, blockSize int) *Slab {
 		s.next[i].Store(uint32(i + 2))
 	}
 	s.head.Store(1)
+	layoutPad()
 	return s
 }
 
@@ -61,9 +67,21 @@ func (s *Slab) TryAcquire() (uint32, bool) {
 		nxt := s.next[idx].Load()
 		if s.head.CompareAndSwap(h, (h>>32+1)<<32|uint64(nxt)) {
 			s.inUse.Add(1)
+			if s.blocks[idx] == nil {
+				s.materialise(idx)
+			}
 			return idx, true
 		}
 	}
+}
+
+// materialise allocates block idx's storage for its first holder. It stays
+// out of line: the acquire loop is the hot path, this is its cold branch.
+//
+//go:noinline
+//stat4:exempt:allocfree runs at most Blocks() times in a slab's life, once per block on its first acquisition; a reacquired block reuses its storage
+func (s *Slab) materialise(idx uint32) {
+	s.blocks[idx] = make([]byte, s.blockSize)
 }
 
 // Release pushes a block handle back on the free list. Only the current
@@ -83,22 +101,22 @@ func (s *Slab) Release(idx uint32) {
 	}
 }
 
-// Bytes returns block idx's full storage. The holder slices it as scratch;
-// batch producers normally go through AppendFrame on Bytes(idx)[:0]. The
-// slice's capacity ends with the block, so an append that does not fit is
-// refused instead of running into the next block.
+// Bytes returns block idx's full storage; only its holder may call it. The
+// holder slices it as scratch; batch producers normally go through
+// AppendFrame on Bytes(idx)[:0]. The slice's length and capacity are the
+// block size and no two blocks share storage, so an append that does not fit
+// is refused instead of running into another block.
 //
 //stat4:datapath
 func (s *Slab) Bytes(idx uint32) []byte {
-	off := int(idx) * s.blockSize
-	return s.data[off : off+s.blockSize : off+s.blockSize]
+	return s.blocks[idx]
 }
 
 // BlockSize returns the per-block capacity in bytes.
 func (s *Slab) BlockSize() int { return s.blockSize }
 
 // Blocks returns the block count.
-func (s *Slab) Blocks() int { return len(s.next) }
+func (s *Slab) Blocks() int { return len(s.blocks) }
 
 // InUse returns how many blocks are currently acquired — the occupancy
 // gauge next to the ring depth.
@@ -178,3 +196,14 @@ func (it *FrameIter) Next() (tsNs uint64, port uint16, frame []byte, ok bool) {
 // Remaining returns how many records Next has yet to yield (assuming none
 // are malformed).
 func (it *FrameIter) Remaining() uint32 { return it.n }
+
+// layoutPad is one 32-byte slot of code whose only job is layout. Package
+// p4 is linked after it, and the part of p4 ahead of (*Switch).run, its
+// lowering, shrank by an odd number of 32-byte slots when name lookups
+// became map reads. This slot keeps run at its offset in its cache line,
+// which `make layout` checks: layout alone has moved the benchmark's pps by
+// 7–17 %. ROADMAP item 1(d) retires it, with p4's layoutPad and Runtime's
+// blank packet.Prefix field.
+//
+//go:noinline
+func layoutPad() {}
