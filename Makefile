@@ -175,13 +175,17 @@ detect-smoke:
 # entropy + heavy-hitter one, with control-plane churn between frames), the
 # timer wheel vs the reference heap engine, slab ownership against a model,
 # the binding-lowering boundary and strict prefix parsing without stalling CI.
+# FuzzShardEquivalence gets 30s rather than FUZZTIME: each input replays a
+# whole packet sequence through a sharded and a serial switch and diffs the
+# merged snapshot, so single executions are slower than the other targets'.
+# CI's fuzz-smoke job runs this target, so the list is kept here only.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSqrtApprox -fuzztime=$(FUZZTIME) ./internal/intstat/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -run=^$$ -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) ./internal/p4/
 	$(GO) test -run=^$$ -fuzz='^FuzzDifferentialEntropyHH$$' -fuzztime=$(FUZZTIME) ./internal/p4/
-	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) ./internal/p4/
+	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=30s ./internal/p4/
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/netem/
 	$(GO) test -run=^$$ -fuzz=FuzzRingFIFO -fuzztime=$(FUZZTIME) ./internal/ring/
 	$(GO) test -run=^$$ -fuzz=FuzzSlab -fuzztime=$(FUZZTIME) ./internal/ring/

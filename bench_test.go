@@ -84,7 +84,8 @@ func BenchmarkEchoValidation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), stat4p4.EchoBias-255, 512, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-echo", Match: stat4p4.EchoOnly(),
+		Base: stat4p4.EchoBias - 255, Size: 512, PA: 1, PB: 1}); err != nil {
 		b.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -163,7 +164,8 @@ func BenchmarkSwitchFreqUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Size: 256, PA: 1, PB: 1}); err != nil {
 		b.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -182,7 +184,8 @@ func BenchmarkSwitchWindowUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, 100, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: 10, Capacity: 100, K: 2}); err != nil {
 		b.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -387,7 +390,8 @@ func BenchmarkAblationStrictVsMul(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, capacity, 2); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+			IntervalShift: 10, Capacity: capacity, K: 2}); err != nil {
 			b.Fatal(err)
 		}
 		sw := rt.Sharded()
@@ -444,7 +448,8 @@ func BenchmarkSwitchFlowUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 63, 1, 0, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "flow-dst", Match: stat4p4.AllIPv4(),
+		EpochShift: 63, TTL: 1}); err != nil {
 		b.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -476,7 +481,8 @@ func BenchmarkSwitchEntropyUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rt.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 0, 1024); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "entropy-dst", Match: stat4p4.AllIPv4(),
+		Size: 256, CheckEvery: 1024}); err != nil {
 		b.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -502,7 +508,8 @@ func BenchmarkSwitchHeavyHitterUpdate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := rt.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, shift); err != nil {
+			if _, err := rt.Bind(stat4p4.Binding{Kind: "hh-src", Match: stat4p4.AllIPv4(),
+				SampleShift: shift}); err != nil {
 				b.Fatal(err)
 			}
 			sw := rt.Sharded()
@@ -547,7 +554,8 @@ func newShardedBench(b *testing.B, shards int) *stat4p4.Runtime {
 		b.Fatal(err)
 	}
 	b.Cleanup(sr.Close)
-	if _, err := sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
+	if _, err := sr.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Size: 256, PA: 1, PB: 1}); err != nil {
 		b.Fatal(err)
 	}
 	return sr
@@ -639,7 +647,8 @@ func BenchmarkSimSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, 8, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: 10, Capacity: 8, K: 2}); err != nil {
 		b.Fatal(err)
 	}
 	sim := netem.NewSim()
@@ -732,7 +741,8 @@ func BenchmarkInjectStreamE2E(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer sr.Close()
-			if _, err := sr.BindWindow(0, 0, stat4p4.DstIn(monitored), 10, 8, 2); err != nil {
+			if _, err := sr.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.DstIn(monitored),
+				IntervalShift: 10, Capacity: 8, K: 2}); err != nil {
 				b.Fatal(err)
 			}
 			node := netem.NewSwitchNode(sim, sr.Sharded(), 500)

@@ -55,12 +55,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := stat4p4.Options{Slots: *slots, Size: *size, Stages: *stages, Echo: *echo, Strict: *strict,
 		HeavyHitter: *hh, Entropy: *entropy, NoVariance: *noVariance}
 	if *flowTable > 0 {
-		if *flowTable < 4 || *flowTable&(*flowTable-1) != 0 {
-			fmt.Fprintf(stderr, "flow-table buckets %d: need a power of two >= 4\n", *flowTable)
-			return 2
-		}
 		opts.FlowTable = true
 		opts.FlowTableSize = *flowTable
+	}
+	if err := opts.Check(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	lib := stat4p4.Build(opts)
 	if *emitP4 {

@@ -95,6 +95,19 @@ func TestRunResourcesOversizedFlowTable(t *testing.T) {
 	}
 }
 
+// A flow table the program cannot have is a usage error with the Options
+// check's own message.
+func TestRunBadFlowTable(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-flow-table", "3"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, errOut.String())
+	}
+	opts := stat4p4.Options{Slots: 2, Size: 128, Stages: 2, FlowTable: true, FlowTableSize: 3}
+	if want := opts.Check(); want == nil || errOut.String() != want.Error()+"\n" {
+		t.Fatalf("stderr %q, want %v", errOut.String(), want)
+	}
+}
+
 // -entropy prints the daemon's program: the "entropy-hh" catalog entry that
 // stat4d runs places exactly as AllocateStages places it.
 func TestRunResourcesEntropyHH(t *testing.T) {

@@ -36,7 +36,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), base, domain, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-echo", Match: stat4p4.EchoOnly(),
+		Base: base, Size: domain, PA: 1, PB: 1}); err != nil {
 		log.Fatal(err)
 	}
 

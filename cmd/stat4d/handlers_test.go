@@ -68,12 +68,13 @@ func TestBindRejectsNonPost(t *testing.T) {
 	}
 }
 
-// TestBindRejectsMalformedJSON pins the 400 path: a broken body is a clean
-// JSON error, not a daemon upset, and no binding is applied.
+// TestBindRejectsMalformedJSON pins the 400 path: a broken body — or a
+// threshold no entropy reaches — is a clean JSON error, not a daemon upset,
+// and no binding is applied.
 func TestBindRejectsMalformedJSON(t *testing.T) {
 	d := testDaemon(t, "none")
 	mux := d.mux()
-	for _, body := range []string{"{not json", `"a string"`, `{"mode": 7}`} {
+	for _, body := range []string{"{not json", `"a string"`, `{"mode": 7}`, `{"mode": "entropy", "h0_bits": 1e300}`} {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/bind", strings.NewReader(body))
 		mux.ServeHTTP(rec, req)

@@ -141,11 +141,11 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	// table, an explicitly chosen larger sizing.
 	opts := stat4p4.Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true}
 	if cfg.FlowTable > 0 {
-		if cfg.FlowTable < 4 || cfg.FlowTable&(cfg.FlowTable-1) != 0 {
-			return nil, fmt.Errorf("flow-table buckets %d: need a power of two >= 4", cfg.FlowTable)
-		}
 		opts.FlowTable = true
 		opts.FlowTableSize = cfg.FlowTable
+	}
+	if err := opts.Check(); err != nil {
+		return nil, err
 	}
 	lib := stat4p4.Build(opts)
 	sr, err := stat4p4.NewShardedRuntime(lib, cfg.Shards)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -265,6 +266,16 @@ func TestDaemonBadConfig(t *testing.T) {
 	}
 	if _, err := newDaemon(daemonConfig{Shards: 1, Track: "bogus"}); err == nil {
 		t.Fatal("bogus track accepted")
+	}
+	// A flow table the program cannot have fails with the Options check's
+	// own message.
+	opts := stat4p4.Options{Slots: 2, Size: 256, Stages: 1, FlowTable: true, FlowTableSize: 3}
+	want := opts.Check()
+	if _, err := newDaemon(daemonConfig{Shards: 1, Track: "none", FlowTable: 3}); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("flow-table 3: %v, want %v", err, want)
+	}
+	if _, err := newDaemon(daemonConfig{Shards: 1, Track: "entropy", H0Bits: math.Inf(1)}); err == nil {
+		t.Fatal("infinite entropy threshold accepted")
 	}
 }
 

@@ -30,7 +30,8 @@ func run(w io.Writer, rounds, attackPkts int) error {
 	}
 	// Full /32 keys (shift 0), no expiry, every key admitted (coin 2^-0),
 	// imbalance check at 2 sigma.
-	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 63, 1, 0, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "flow-dst", Match: stat4p4.AllIPv4(),
+		EpochShift: 63, TTL: 1, K: 2}); err != nil {
 		return err
 	}
 	sw := rt.Sharded()

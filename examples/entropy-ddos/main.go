@@ -64,7 +64,8 @@ func run(w io.Writer, cfg entropyConfig) (runStats, error) {
 	// log2(Groups) ≈ 7.6 bits), checking every CheckEvery-th packet.
 	h0 := uint64(4) << frac
 	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
-	if _, err := rt.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 0, dstBase, 256, h0, cfg.CheckEvery); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "entropy-dst", Match: stat4p4.AllIPv4(),
+		Base: dstBase, Size: 256, H0: h0, CheckEvery: cfg.CheckEvery}); err != nil {
 		return stats, err
 	}
 

@@ -70,7 +70,8 @@ func run(w io.Writer, cfg hhConfig) (runStats, error) {
 		return stats, err
 	}
 	// Full /32 source keys, one promotion pass per 2^SampleShift packets.
-	if _, err := rt.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, cfg.SampleShift); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "hh-src", Match: stat4p4.AllIPv4(),
+		SampleShift: cfg.SampleShift}); err != nil {
 		return stats, err
 	}
 

@@ -26,7 +26,8 @@ func main() {
 	// octet. k = 2 arms the in-switch imbalance check.
 	pool := packet.NewPrefix(packet.ParseIP4(10, 0, 9, 0), 29)
 	base := uint64(packet.ParseIP4(10, 0, 9, 0))
-	if _, err := rt.BindFreqDst(0, 0, stat4p4.DstIn(pool), 0, base, 8, 1, 1, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.DstIn(pool),
+		Base: base, Size: 8, PA: 1, PB: 1, K: 2}); err != nil {
 		log.Fatal(err)
 	}
 

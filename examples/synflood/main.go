@@ -49,7 +49,8 @@ func run(w io.Writer, cfg floodConfig) error {
 	// k = 3 sigma: SYN arrivals from short web flows are bursty, so the
 	// 2-sigma threshold of the smooth case study would false-alarm here.
 	server := packet.NewPrefix(packet.ParseIP4(10, 0, 1, 0), 24)
-	if _, err := rt.BindWindow(0, 0, stat4p4.SynTo(server), cfg.IntShift, cfg.Window, 3); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.SynTo(server),
+		IntervalShift: cfg.IntShift, Capacity: cfg.Window, K: 3}); err != nil {
 		return err
 	}
 

@@ -31,13 +31,15 @@ func main() {
 	// Slot 0: packets by IP protocol (TCP = 6, UDP = 17). The outlier
 	// check stays off (k = 0) — see the package comment for why it cannot
 	// work over two classes.
-	if _, err := rt.BindFreqProto(0, 0, stat4p4.AllIPv4(), 0, 64, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-proto", Match: stat4p4.AllIPv4(),
+		Size: 64, PA: 1, PB: 1}); err != nil {
 		log.Fatal(err)
 	}
 	// Slot 1: frame sizes in 64-byte buckets with a median marker — a
 	// finer-grained view of "packets by type" whose median shifts when the
 	// traffic mix changes.
-	if _, err := rt.BindFreqLen(1, 1, stat4p4.AllIPv4(), 6, 0, 64, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-len", Stage: 1, Slot: 1, Match: stat4p4.AllIPv4(),
+		Shift: 6, Size: 64, PA: 1, PB: 1}); err != nil {
 		log.Fatal(err)
 	}
 	sw := rt.Sharded()

@@ -20,7 +20,8 @@ func TestMergeSharedEqualsSingleSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 64, 1, 1, 0); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+			Size: 64, PA: 1, PB: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return rt

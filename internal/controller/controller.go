@@ -227,8 +227,8 @@ func (d *DrillDown) installSubnetBinding() {
 	d.subnetBase = uint64(d.cfg.Monitored.Addr) >> shift
 	d.bindAt = ^uint64(0) - d.cfg.Warmup
 	d.cfg.Sched.After(d.cfg.CtrlDelay, func() {
-		id, err := d.cfg.RT.BindFreqDst(d.cfg.DrillStage, d.cfg.DrillSlot, stat4p4.DstIn(d.cfg.Monitored),
-			shift, d.subnetBase, d.cfg.SubnetDomain, 1, 1, d.cfg.K)
+		id, err := d.cfg.RT.Bind(stat4p4.Binding{Kind: "freq-dst", Stage: d.cfg.DrillStage, Slot: d.cfg.DrillSlot, Match: stat4p4.DstIn(d.cfg.Monitored),
+			Shift: shift, Base: d.subnetBase, Size: d.cfg.SubnetDomain, PA: 1, PB: 1, K: d.cfg.K})
 		if err != nil {
 			d.logf("subnet binding failed: %v", err)
 			return
@@ -258,8 +258,8 @@ func (d *DrillDown) installHostBinding() {
 		if hostsDomain > d.cfg.RT.Library().Opts.Size {
 			hostsDomain = d.cfg.RT.Library().Opts.Size
 		}
-		id, err := d.cfg.RT.BindFreqDst(d.cfg.DrillStage, d.cfg.DrillSlot, stat4p4.DstIn(subnet),
-			0, d.hostBase, hostsDomain, 1, 1, d.cfg.K)
+		id, err := d.cfg.RT.Bind(stat4p4.Binding{Kind: "freq-dst", Stage: d.cfg.DrillStage, Slot: d.cfg.DrillSlot, Match: stat4p4.DstIn(subnet),
+			Base: d.hostBase, Size: hostsDomain, PA: 1, PB: 1, K: d.cfg.K})
 		if err != nil {
 			d.logf("host binding failed: %v", err)
 			return

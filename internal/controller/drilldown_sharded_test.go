@@ -45,7 +45,8 @@ func TestDrillDownShardedTimeline(t *testing.T) {
 	// holds only the subnets its flows cover, and with N populated cells
 	// the σ-band N·f > Xsum + k·σ is unsatisfiable for a single dominant
 	// cell unless k < √(N−1).
-	if _, err := sr.BindWindow(0, 0, stat4p4.DstIn(slash8), shift, window, 4); err != nil {
+	if _, err := sr.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.DstIn(slash8),
+		IntervalShift: shift, Capacity: window, K: 4}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,7 +19,8 @@ func TestModeSplitEndToEnd(t *testing.T) {
 	}
 	// Slot 0: frame sizes in 16-byte buckets across the full domain.
 	const shift = 4
-	lenBind, err := rt.BindFreqLen(0, 0, stat4p4.AllIPv4(), shift, 0, 128, 1, 1, 0)
+	lenBind, err := rt.Bind(stat4p4.Binding{Kind: "freq-len", Match: stat4p4.AllIPv4(),
+		Shift: shift, Size: 128, PA: 1, PB: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +59,12 @@ func TestModeSplitEndToEnd(t *testing.T) {
 	if err := rt.Unbind(0, lenBind); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqLen(0, 1, stat4p4.AllIPv4(), shift, modes[0].Base, modes[0].Size, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-len", Slot: 1, Match: stat4p4.AllIPv4(),
+		Shift: shift, Base: modes[0].Base, Size: modes[0].Size, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqLen(1, 2, stat4p4.AllIPv4(), shift, modes[1].Base, modes[1].Size, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-len", Stage: 1, Slot: 2, Match: stat4p4.AllIPv4(),
+		Shift: shift, Base: modes[1].Base, Size: modes[1].Size, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	send(20000)

@@ -36,7 +36,8 @@ func StrictAccuracy(packets int, seed int64) []StrictAccuracyRow {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 64, 1, 1, 0); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+			Size: 64, PA: 1, PB: 1}); err != nil {
 			panic(err)
 		}
 		return rt
@@ -113,7 +114,8 @@ func strictSpikeRun(strict bool, seed int64) bool {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, capacity, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: intShift, Capacity: capacity, K: 2}); err != nil {
 		panic(err)
 	}
 	sw := rt.Sharded()

@@ -148,7 +148,8 @@ func archSetup(params ArchParams, seed int64) (rt *stat4p4.Runtime, sim *netem.S
 		return
 	}
 	slash8 := packet.NewPrefix(packet.ParseIP4(10, 0, 0, 0), 8)
-	if _, err = rt.BindWindow(0, 0, stat4p4.DstIn(slash8), params.IntervalShift, params.WindowSize, 2); err != nil {
+	if _, err = rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.DstIn(slash8),
+		IntervalShift: params.IntervalShift, Capacity: params.WindowSize, K: 2}); err != nil {
 		return
 	}
 	sim = netem.NewSim()

@@ -97,10 +97,12 @@ func shardScaleRun(params ShardScaleParams, shards int) (ShardScaleRow, error) {
 		return ShardScaleRow{}, err
 	}
 	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
-	if _, err := sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, dstBase, 64, 1, 1, 0); err != nil {
+	if _, err := sr.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Base: dstBase, Size: 64, PA: 1, PB: 1}); err != nil {
 		return ShardScaleRow{}, err
 	}
-	if _, err := serial.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, dstBase, 64, 1, 1, 0); err != nil {
+	if _, err := serial.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Base: dstBase, Size: 64, PA: 1, PB: 1}); err != nil {
 		return ShardScaleRow{}, err
 	}
 

@@ -21,7 +21,8 @@ func TestPullMonitorDetectsSpike(t *testing.T) {
 	}
 	// Window bound with a huge k so the switch itself stays quiet: the
 	// sketch-only architecture keeps detection in the controller.
-	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, window, 1<<20); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: intShift, Capacity: window, K: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	sim := netem.NewSim()
@@ -67,7 +68,8 @@ func TestPullMonitorQuietBeforeWindowFills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 15, 16, 1<<20); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: 15, Capacity: 16, K: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	sim := netem.NewSim()

@@ -28,7 +28,8 @@ func newBoundRuntime(t testing.TB, shards int, k uint64) *stat4p4.Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 8, 0x0a0000, 256, 1, 1, k); err != nil {
+	if _, err := sr.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Shift: 8, Base: 0x0a0000, Size: 256, PA: 1, PB: 1, K: k}); err != nil {
 		sr.Close()
 		t.Fatal(err)
 	}
@@ -58,7 +59,8 @@ func TestEngineMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 8, 0x0a0000, 256, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Shift: 8, Base: 0x0a0000, Size: 256, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range frames {

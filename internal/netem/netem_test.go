@@ -144,7 +144,8 @@ func TestSwitchNodeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	const intShift = 10
-	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: intShift, Capacity: 8, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +224,8 @@ func TestSwitchNodeCountsDroppedDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	const intShift = 10
-	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: intShift, Capacity: 8, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sim := NewSim()

@@ -36,7 +36,8 @@ func caseStudyTrace(t *testing.T, ref bool, shift uint, window int, perInterval 
 		t.Fatal(err)
 	}
 	slash8 := packet.NewPrefix(packet.ParseIP4(10, 0, 0, 0), 8)
-	if _, err := rt.BindWindow(0, 0, stat4p4.DstIn(slash8), shift, window, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.DstIn(slash8),
+		IntervalShift: shift, Capacity: window, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var dd *controller.DrillDown

@@ -197,7 +197,8 @@ func runStreamTrace(t *testing.T, ref bool, shards int) []string {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if _, err := sr.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
+	if _, err := sr.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: intShift, Capacity: 8, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := sr.Sharded()

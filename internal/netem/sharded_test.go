@@ -28,10 +28,12 @@ func TestShardedSwitchNodeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
-	if _, err := sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, dstBase, 64, 1, 1, 0); err != nil {
+	if _, err := sr.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Base: dstBase, Size: 64, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := serial.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, dstBase, 64, 1, 1, 0); err != nil {
+	if _, err := serial.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Base: dstBase, Size: 64, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,7 +107,8 @@ func TestShardedSwitchNodeCountsDroppedDigests(t *testing.T) {
 	}
 	defer sr.Close()
 	const intShift = 10
-	if _, err := sr.BindWindow(0, 0, stat4p4.AllIPv4(), intShift, 8, 2); err != nil {
+	if _, err := sr.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: intShift, Capacity: 8, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sim := NewSim()

@@ -21,8 +21,8 @@ func TestTwoSwitchTopology(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0,
-			uint64(packet.ParseIP4(10, 0, 9, 0)), 64, 1, 1, 0); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+			Base: uint64(packet.ParseIP4(10, 0, 9, 0)), Size: 64, PA: 1, PB: 1}); err != nil {
 			t.Fatal(err)
 		}
 		return rt
@@ -116,7 +116,8 @@ func TestEchoOverNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), stat4p4.EchoBias-255, domain, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-echo", Match: stat4p4.EchoOnly(),
+		Base: stat4p4.EchoBias - 255, Size: domain, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sim := NewSim()

@@ -197,10 +197,12 @@ func TestDifferentialEchoWindow(t *testing.T) {
 	opts := stat4p4.Options{Slots: 2, Size: 512, Stages: 2, Echo: true}
 	compiled, tree := differentialPair(t, opts)
 	for _, rt := range []*stat4p4.Runtime{compiled, tree} {
-		if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), stat4p4.EchoBias-255, 512, 1, 1, 0); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-echo", Match: stat4p4.EchoOnly(),
+			Base: stat4p4.EchoBias - 255, Size: 512, PA: 1, PB: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.BindWindow(1, 1, stat4p4.AllIPv4(), 10, 16, 2); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Stage: 1, Slot: 1, Match: stat4p4.AllIPv4(),
+			IntervalShift: 10, Capacity: 16, K: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +232,8 @@ func TestDifferentialFlow(t *testing.T) {
 	opts := stat4p4.Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 256}
 	compiled, tree := differentialPair(t, opts)
 	for _, rt := range []*stat4p4.Runtime{compiled, tree} {
-		if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 12, 2, 2, 2); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "flow-dst", Match: stat4p4.AllIPv4(),
+			EpochShift: 12, TTL: 2, SampleShift: 2, K: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,10 +270,12 @@ func FuzzDifferential(f *testing.F) {
 
 	opts := stat4p4.Options{Slots: 2, Size: 512, Stages: 2, Echo: true}
 	echo := func(k uint64) stat4p4.Binding {
-		return stat4p4.Binding{Kind: "freq-echo", Match: stat4p4.EchoOnly(), Base: stat4p4.EchoBias - 255, Size: 512, PA: 1, PB: 1, K: k}
+		return stat4p4.Binding{Kind: "freq-echo", Match: stat4p4.EchoOnly(),
+			Base: stat4p4.EchoBias - 255, Size: 512, PA: 1, PB: 1, K: k}
 	}
 	window := func(shift uint, capacity int, k uint64) stat4p4.Binding {
-		return stat4p4.Binding{Kind: "window", Stage: 1, Slot: 1, Match: stat4p4.AllIPv4(), IntervalShift: shift, Capacity: capacity, K: k}
+		return stat4p4.Binding{Kind: "window", Stage: 1, Slot: 1, Match: stat4p4.AllIPv4(),
+			IntervalShift: shift, Capacity: capacity, K: k}
 	}
 	alts := [][]stat4p4.Binding{
 		{echo(0), echo(2), {Kind: "freq-proto", Match: stat4p4.AllIPv4(), Size: 512, PA: 2, PB: 1, K: 1}},
@@ -317,7 +322,8 @@ func TestDifferentialEntropy(t *testing.T) {
 	compiled, tree := differentialPair(t, entropyOpts)
 	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
 	for _, rt := range []*stat4p4.Runtime{compiled, tree} {
-		if _, err := rt.BindEntropyDst(0, 0, stat4p4.AllIPv4(), 0, dstBase, 256, uint64(5)<<16, 512); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "entropy-dst", Match: stat4p4.AllIPv4(),
+			Base: dstBase, Size: 256, H0: uint64(5) << 16, CheckEvery: 512}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +354,8 @@ func TestDifferentialEntropy(t *testing.T) {
 func TestDifferentialHeavyHitter(t *testing.T) {
 	compiled, tree := differentialPair(t, hhOpts)
 	for _, rt := range []*stat4p4.Runtime{compiled, tree} {
-		if _, err := rt.BindHeavyHitterSrc(0, 0, stat4p4.AllIPv4(), 0, 1); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "hh-src", Match: stat4p4.AllIPv4(),
+			SampleShift: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,10 +393,12 @@ func TestEntropyHHComposed(t *testing.T) {
 	entPfx := packet.Prefix{Addr: packet.ParseIP4(10, 0, 0, 0), Len: 24}
 	hhPfx := packet.Prefix{Addr: packet.ParseIP4(10, 0, 1, 0), Len: 24}
 	for _, rt := range []*stat4p4.Runtime{compiled, tree} {
-		if _, err := rt.BindEntropyDst(0, 0, stat4p4.DstIn(entPfx), 0, dstBase, 256, 0, 0); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "entropy-dst", Match: stat4p4.DstIn(entPfx),
+			Base: dstBase, Size: 256}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.BindHeavyHitterSrc(0, 1, stat4p4.DstIn(hhPfx), 0, 1); err != nil {
+		if _, err := rt.Bind(stat4p4.Binding{Kind: "hh-src", Slot: 1, Match: stat4p4.DstIn(hhPfx),
+			SampleShift: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

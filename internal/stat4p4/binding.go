@@ -11,8 +11,9 @@ import (
 // which distribution and how the value of interest is extracted; the kind
 // table says, per kind, which emitted action that is and how the parameters
 // pack into the action's positional arguments; Lower turns the one into the
-// other. Runtime.Bind, the typed Bind* methods, app configs, the daemons'
-// tracks and the emitter's list of bindable actions all read this table.
+// other. Runtime.Bind, app configs, the daemons' tracks and the emitter's
+// list of bindable actions all read this table; the measure table below says
+// what each optional measure adds to a program.
 
 // Binding is one binding-table entry in declarative form. A kind reads only
 // its own parameters; the rest are ignored.
@@ -54,26 +55,40 @@ type Binding struct {
 	TTL        uint64 `json:"ttl,omitempty"`
 }
 
-// feature is an optional part of the emitted program a kind may need.
-type feature struct {
-	name string                 // the Options field, for messages
-	on   func(o *Options) *bool // the field itself
-	size func(o *Options) int   // cells per slot of the feature's own table; nil → Options.Size
+// measure is one optional measure of the emitted program — entropy, heavy
+// hitters, the flow table — described once, in its own file. The options
+// check, the emitter, the canonical form, the digest decoder, the view table
+// and the track presets read the rows; no other file names a measure's
+// Options fields, kind value or registers.
+type measure struct {
+	name string                 // the Options switch, for messages
+	on   func(o *Options) *bool // the switch itself
+	size func(o *Options) int   // cells per slot of its own table; nil: Options.Size
+	// sizing fills in the measure's sizing defaults and refuses options it
+	// cannot be emitted with.
+	sizing  func(o *Options) error
+	kind    uint64                     // the m.kind value its bind actions set
+	declare func(l *Library)           // registers with merge kind and reason, actions
+	block   func(l *Library) []p4.Stmt // the per-packet fragment, run under m.kind == kind
+	// recomputed lists the MergeDerived registers rebuild recomputes in a
+	// canonical snapshot from a noted slot's counters.
+	recomputed []string
+	rebuild    func(l *Library, snap *p4.Snapshot, slot int)
+	// counts, when set, gives a slot bound to the measure's kinds its merged
+	// frequencies, kept instead of the counter array and with no marker.
+	counts func(rt *Runtime, slot int) []uint64
+	digest *digestLayout // its own alert; nil: anomaly digests only
+	views  []AnyView     // its rows of the view table
 }
 
-var (
-	featEntropy = &feature{name: "Entropy", on: func(o *Options) *bool { return &o.Entropy }}
-	featHH      = &feature{name: "HeavyHitter", on: func(o *Options) *bool { return &o.HeavyHitter },
-		size: func(o *Options) int { return o.HHTableSize }}
-	featFlow = &feature{name: "FlowTable", on: func(o *Options) *bool { return &o.FlowTable },
-		size: func(o *Options) int { return o.FlowTableSize }}
-)
+// measures is the measure table, in the order every reader walks it.
+var measures = []*measure{entropyMeasure, hhMeasure, flowMeasure}
 
-// check refuses a program built without the feature — Lower's error and
-// Read's alike. A nil feature is part of every program.
-func (f *feature) check(o *Options) error {
-	if f != nil && !*f.on(o) {
-		return fmt.Errorf("stat4p4: library built without Options.%s", f.name)
+// require refuses a program built without the measure — Lower's error and
+// Read's alike. A nil measure is part of every program.
+func (m *measure) require(o *Options) error {
+	if m != nil && !*m.on(o) {
+		return fmt.Errorf("stat4p4: library built without Options.%s", m.name)
 	}
 	return nil
 }
@@ -88,21 +103,20 @@ type param func(o *Options, b *Binding) (uint64, error)
 type kind struct {
 	name   string
 	action string
-	needs  *feature // nil: part of every program
+	needs  *measure // nil: part of every program
 	view   AnyView  // the row the kind's slot is read back through
 	// noStrict marks a kind whose action needs runtime multiplication and
 	// is therefore not emitted for Strict targets.
 	noStrict bool
 	params   []param
 	// note builds what CanonicalizeSnapshot must remember about the slot;
-	// nil when the kind leaves nothing to recompute.
+	// nil when the kind leaves nothing to recompute. Lower adds the kind's
+	// measure, whose recomputed registers the slot also needs rebuilt.
 	note func(b *Binding) SlotBinding
 }
 
 func noteWeights(b *Binding) SlotBinding { return SlotBinding{Slot: b.Slot, PA: b.PA, PB: b.PB} }
-func noteEntropy(b *Binding) SlotBinding {
-	return SlotBinding{Slot: b.Slot, PA: 1, PB: 1, Entropy: true}
-}
+func noteMedian(b *Binding) SlotBinding  { return SlotBinding{Slot: b.Slot, PA: 1, PB: 1} }
 
 var (
 	freqTail  = []param{pBase, pSize, pPA, pPB, pK}
@@ -123,15 +137,15 @@ var kinds = []kind{
 	{name: "freq-len", action: "bind_freq_len", view: Moments, params: freqShift, note: noteWeights},
 	{name: "window", action: "bind_window", view: Moments, params: winParams},
 	{name: "window-bytes", action: "bind_window_bytes", view: Moments, noStrict: true, params: winParams},
-	{name: "entropy-dst", action: "bind_ent_dst", needs: featEntropy, view: Entropy, params: entParams, note: noteEntropy},
-	{name: "entropy-src", action: "bind_ent_src", needs: featEntropy, view: Entropy, params: entParams, note: noteEntropy},
-	{name: "hh-dst", action: "bind_hh_dst", needs: featHH, view: HeavyHitters, params: hhParams},
-	{name: "hh-src", action: "bind_hh_src", needs: featHH, view: HeavyHitters, params: hhParams},
-	{name: "flow-dst", action: "bind_flow_dst", needs: featFlow, view: Flows, params: append([]param{pShift}, flowTail...)},
-	{name: "flow-src", action: "bind_flow_src", needs: featFlow, view: Flows, params: append([]param{pShift}, flowTail...)},
+	{name: "entropy-dst", action: "bind_ent_dst", needs: entropyMeasure, view: Entropy, params: entParams, note: noteMedian},
+	{name: "entropy-src", action: "bind_ent_src", needs: entropyMeasure, view: Entropy, params: entParams, note: noteMedian},
+	{name: "hh-dst", action: "bind_hh_dst", needs: hhMeasure, view: HeavyHitters, params: hhParams},
+	{name: "hh-src", action: "bind_hh_src", needs: hhMeasure, view: HeavyHitters, params: hhParams},
+	{name: "flow-dst", action: "bind_flow_dst", needs: flowMeasure, view: Flows, params: append([]param{pShift}, flowTail...)},
+	{name: "flow-src", action: "bind_flow_src", needs: flowMeasure, view: Flows, params: append([]param{pShift}, flowTail...)},
 	// The pair key is src<<32|dst; the action keeps the shift position for a
 	// uniform layout and ignores it.
-	{name: "flow-pair", action: "bind_flow_pair", needs: featFlow, view: Flows, params: append([]param{pZero}, flowTail...)},
+	{name: "flow-pair", action: "bind_flow_pair", needs: flowMeasure, view: Flows, params: append([]param{pZero}, flowTail...)},
 }
 
 func findKind(name string) *kind {
@@ -277,7 +291,7 @@ type Lowered struct {
 	kind *kind
 }
 
-// Lower checks a binding against the library's sizing and features and
+// Lower checks a binding against the library's sizing and measures and
 // resolves it to a table entry. It touches no switch.
 func (l *Library) Lower(b Binding) (Lowered, error) {
 	k := findKind(b.Kind)
@@ -288,7 +302,7 @@ func (l *Library) Lower(b Binding) (Lowered, error) {
 	if k.noStrict && o.Strict {
 		return Lowered{}, fmt.Errorf("%w: %s needs runtime multiplication", ErrStrict, k.name)
 	}
-	if err := k.needs.check(o); err != nil {
+	if err := k.needs.require(o); err != nil {
 		return Lowered{}, err
 	}
 	if b.Stage < 0 || b.Stage >= o.Stages {
@@ -316,6 +330,7 @@ func (l *Library) Lower(b Binding) (Lowered, error) {
 	}
 	if k.note != nil {
 		n := k.note(&b)
+		n.measure = k.needs
 		low.Note = &n
 	}
 	return low, nil

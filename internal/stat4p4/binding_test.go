@@ -2,6 +2,7 @@ package stat4p4
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,7 +28,8 @@ func actionParams(t *testing.T, lib *Library, name string) int {
 // TestKindTableComplete: in every registered program, the actions a binding
 // table offers are exactly the kind rows the program carries, in table order
 // and with bind_none where the emitter has always put it, and each row packs
-// as many arguments as its action declares parameters.
+// as many arguments as its action declares parameters. The measure rows the
+// kinds need are complete the same way (see below).
 func TestKindTableComplete(t *testing.T) {
 	progs := Registered()
 	progs = append(progs, RegisteredProgram{Name: "everything", Opts: everything})
@@ -61,6 +63,14 @@ func TestKindTableComplete(t *testing.T) {
 			}
 		}
 	}
+	if len(kindCases) != len(kinds) {
+		t.Errorf("%d kind cases for %d kinds", len(kindCases), len(kinds))
+	}
+	for i := range kindCases {
+		if i < len(kinds) && kindCases[i].Kind != kinds[i].name {
+			t.Errorf("kind case %d is %s, kind table says %s", i, kindCases[i].Kind, kinds[i].name)
+		}
+	}
 	seen := make(map[string]bool)
 	for _, k := range kinds {
 		if seen[k.name] || seen[k.action] {
@@ -68,42 +78,178 @@ func TestKindTableComplete(t *testing.T) {
 		}
 		seen[k.name], seen[k.action] = true, true
 	}
+
+	// The measure table: m.kind values are unique across the core and the
+	// rows; a track's options switch on exactly its kind's row; the
+	// recomputed list is the core's followed by each row that is on, in row
+	// order; and a row declares exactly the registers its views and rebuild
+	// read beyond the default program's.
+	kindValues := map[uint64]string{kindFreq: "freq", kindWindow: "window"}
+	for _, m := range measures {
+		if other, dup := kindValues[m.kind]; dup {
+			t.Errorf("measure %s takes kind value %d of %s", m.name, m.kind, other)
+		}
+		kindValues[m.kind] = m.name
+	}
+	for _, name := range Tracks() {
+		opts, err := TrackOptions(name, DefaultOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _ := findTrack(name)
+		for _, m := range measures {
+			if want := findKind(tr.kind).needs == m; *m.on(&opts) != want {
+				t.Errorf("track %s: Options.%s = %v, want %v", name, m.name, *m.on(&opts), want)
+			}
+		}
+	}
+	core := Build(DefaultOptions).RecomputedRegisters()
+	for _, rp := range Registered() {
+		want := append([]string{}, core...)
+		for _, m := range measures {
+			if *m.on(&rp.Opts) {
+				want = append(want, m.recomputed...)
+			}
+		}
+		if got := Build(rp.Opts).RecomputedRegisters(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recomputed %v, want %v", rp.Name, got, want)
+		}
+	}
+	off := declared(Build(DefaultOptions))
+	for _, m := range measures {
+		opts := DefaultOptions
+		*m.on(&opts) = true
+		own := make(map[string]bool)
+		for reg := range declared(Build(opts)) {
+			if !off[reg] {
+				own[reg] = true
+			}
+		}
+		read := rowReads(t, m)
+		for reg := range read {
+			if off[reg] {
+				delete(read, reg)
+			}
+		}
+		if len(own) == 0 || !reflect.DeepEqual(read, own) {
+			t.Errorf("measure %s: declares %v beyond the default program, its views and rebuild read %v", m.name, own, read)
+		}
+		for _, reg := range m.recomputed {
+			if !own[reg] {
+				t.Errorf("measure %s: recomputes %s, which it does not declare", m.name, reg)
+			}
+		}
+	}
 }
 
-// sugarCases pairs every typed method with the Binding it must be sugar for.
-// Parameters are distinct values so a swapped field cannot go unnoticed.
+func declared(lib *Library) map[string]bool {
+	out := make(map[string]bool)
+	for _, rd := range lib.Prog.Registers {
+		out[rd.Name] = true
+	}
+	return out
+}
+
+// rowReads finds the registers a measure's views and canonical rebuild read,
+// on viewsPair's program and traffic: each is a register whose absence
+// changes what one of them answers at some slot, or makes it fail. The views
+// read a one-shard deployment of the program's registers alone, less one,
+// holding the traffic's cells; the rebuild runs on a snapshot less one.
+func rowReads(t *testing.T, m *measure) map[string]bool {
+	t.Helper()
+	full, _ := viewsPair(t, 1)
+	lib, snap := full.lib, full.Switch().Snapshot()
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	read := make(map[string]bool)
+	for _, without := range lib.Prog.Registers {
+		prog := p4.NewProgram("registers")
+		std := p4.DeclareStdFields(prog)
+		for _, rd := range lib.Prog.Registers {
+			if rd.Name != without.Name {
+				prog.AddRegister(rd.Name, rd.Cells, rd.Width)
+			}
+		}
+		ss, err := p4.NewShardedSwitch(prog, std, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rd := range prog.Registers {
+			reg, _ := ss.Shard(0).Register(rd.Name)
+			for i, c := range snap.Registers[rd.Name] {
+				if err := reg.WriteCell(i, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		less := &Runtime{lib: lib, ss: ss}
+		for _, v := range m.views {
+			for slot := 0; slot < lib.Opts.Slots; slot++ {
+				want, _ := v.Body(full, slot, 0)
+				var got any
+				if panics(func() { got, _ = v.Body(less, slot, 0) }) || !reflect.DeepEqual(got, want) {
+					read[without.Name] = true
+				}
+			}
+		}
+		ss.Close()
+
+		if m.rebuild == nil {
+			continue
+		}
+		canonical := func(sb SlotBinding) bool {
+			regs := make(map[string][]uint64)
+			for name, cells := range snap.Registers {
+				if name != without.Name {
+					regs[name] = append([]uint64{}, cells...)
+				}
+			}
+			return panics(func() { lib.CanonicalizeSnapshot(&p4.Snapshot{Registers: regs}, []SlotBinding{sb}) })
+		}
+		for slot := 0; slot < lib.Opts.Slots; slot++ {
+			if canonical(SlotBinding{Slot: slot, PA: 1, PB: 1, measure: m}) && !canonical(SlotBinding{Slot: slot, PA: 1, PB: 1}) {
+				read[without.Name] = true
+			}
+		}
+	}
+	return read
+}
+
+// kindCases is one Binding per kind, in kind-table order, with distinct
+// parameter values so a swapped field cannot go unnoticed; FuzzBinding seeds
+// its corpus with them.
+var kindCases = []Binding{
+	{Kind: "freq-echo", Stage: 1, Slot: 2, Base: 7, Size: 33, PA: 3, PB: 5, K: 2},
+	{Kind: "freq-dst", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, PA: 3, PB: 5, K: 2},
+	{Kind: "freq-dport", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, PA: 3, PB: 5, K: 2},
+	{Kind: "freq-proto", Stage: 1, Slot: 2, Base: 7, Size: 33, PA: 3, PB: 5, K: 2},
+	{Kind: "freq-len", Stage: 1, Slot: 2, Shift: 6, Base: 7, Size: 33, PA: 3, PB: 5, K: 2},
+	{Kind: "window", Stage: 1, Slot: 2, IntervalShift: 20, Capacity: 33, K: 4},
+	{Kind: "window-bytes", Stage: 1, Slot: 2, IntervalShift: 20, Capacity: 33, K: 4},
+	{Kind: "entropy-dst", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, H0: 99, CheckEvery: 16},
+	{Kind: "entropy-src", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, H0: 99, CheckEvery: 16},
+	{Kind: "hh-dst", Stage: 1, Slot: 2, Shift: 8, SampleShift: 5},
+	{Kind: "hh-src", Stage: 1, Slot: 2, Shift: 8, SampleShift: 5},
+	{Kind: "flow-dst", Stage: 1, Slot: 2, Shift: 8, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4},
+	{Kind: "flow-src", Stage: 1, Slot: 2, Shift: 8, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4},
+	{Kind: "flow-pair", Stage: 1, Slot: 2, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4},
+}
+
+// sugarCases pairs each typed method left with the Binding it must be sugar
+// for.
 var sugarCases = []struct {
 	typed func(b *Runtime, m Match) (p4.EntryID, error)
 	b     Binding
 }{
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqEcho(1, 2, m, 7, 33, 3, 5, 2) },
-		Binding{Kind: "freq-echo", Stage: 1, Slot: 2, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
 	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqDst(1, 2, m, 8, 7, 33, 3, 5, 2) },
 		Binding{Kind: "freq-dst", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqDport(1, 2, m, 8, 7, 33, 3, 5, 2) },
-		Binding{Kind: "freq-dport", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqProto(1, 2, m, 7, 33, 3, 5, 2) },
-		Binding{Kind: "freq-proto", Stage: 1, Slot: 2, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFreqLen(1, 2, m, 6, 7, 33, 3, 5, 2) },
-		Binding{Kind: "freq-len", Stage: 1, Slot: 2, Shift: 6, Base: 7, Size: 33, PA: 3, PB: 5, K: 2}},
 	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindWindow(1, 2, m, 20, 33, 4) },
 		Binding{Kind: "window", Stage: 1, Slot: 2, IntervalShift: 20, Capacity: 33, K: 4}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindWindowBytes(1, 2, m, 20, 33, 4) },
-		Binding{Kind: "window-bytes", Stage: 1, Slot: 2, IntervalShift: 20, Capacity: 33, K: 4}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindEntropyDst(1, 2, m, 8, 7, 33, 99, 16) },
-		Binding{Kind: "entropy-dst", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, H0: 99, CheckEvery: 16}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindEntropySrc(1, 2, m, 8, 7, 33, 99, 16) },
-		Binding{Kind: "entropy-src", Stage: 1, Slot: 2, Shift: 8, Base: 7, Size: 33, H0: 99, CheckEvery: 16}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindHeavyHitterDst(1, 2, m, 8, 5) },
-		Binding{Kind: "hh-dst", Stage: 1, Slot: 2, Shift: 8, SampleShift: 5}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindHeavyHitterSrc(1, 2, m, 8, 5) },
-		Binding{Kind: "hh-src", Stage: 1, Slot: 2, Shift: 8, SampleShift: 5}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFlowDst(1, 2, m, 8, 21, 6, 5, 4) },
-		Binding{Kind: "flow-dst", Stage: 1, Slot: 2, Shift: 8, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4}},
 	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFlowSrc(1, 2, m, 8, 21, 6, 5, 4) },
 		Binding{Kind: "flow-src", Stage: 1, Slot: 2, Shift: 8, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4}},
-	{func(b *Runtime, m Match) (p4.EntryID, error) { return b.BindFlowPair(1, 2, m, 21, 6, 5, 4) },
-		Binding{Kind: "flow-pair", Stage: 1, Slot: 2, EpochShift: 21, TTL: 6, SampleShift: 5, K: 4}},
 }
 
 func entryByID(t *testing.T, sw *p4.Switch, table string, id p4.EntryID) p4.Entry {
@@ -125,9 +271,6 @@ func entryByID(t *testing.T, sw *p4.Switch, table string, id p4.EntryID) p4.Entr
 // corresponding Binding installs — on one shard, and on every shard of two,
 // which also record the same canonicalisation note.
 func TestSugarIsBind(t *testing.T) {
-	if len(sugarCases) != len(kinds) {
-		t.Fatalf("%d sugar cases for %d kinds", len(sugarCases), len(kinds))
-	}
 	lib := Build(everything)
 	m := Match{IPv4: true, DstPrefix: "10.1.0.0/16", SynOnly: true, Priority: 3}
 	for _, c := range sugarCases {
@@ -266,6 +409,28 @@ func TestTrackPresets(t *testing.T) {
 	if want := []uint64{0, 0, 8, 10<<16 | 7<<8, 128, 4 << 16, 1023}; err != nil || !reflect.DeepEqual(low.Args, want) {
 		t.Errorf("tuned entropy: %v %v, want %v", low.Args, err, want)
 	}
+	// A threshold is at most 64 bits, the most entropy any count of
+	// observations has; beyond it, infinite or NaN is refused rather than
+	// converted out of range. Zero or less disables the check.
+	for _, c := range []struct {
+		bits float64
+		h0   uint64
+		ok   bool
+	}{
+		{64, 64 << 16, true},
+		{0, 0, true},
+		{-3, 0, true},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+		{math.NaN(), 0, false},
+		{1e300, 0, false},
+		{64.5, 0, false},
+	} {
+		b, err := lib.TrackBinding("entropy", TrackParams{H0Bits: c.bits}.WithDefaults())
+		if (err == nil) != c.ok || b.H0 != c.h0 {
+			t.Errorf("h0 %v bits: H0 %#x, err %v; want %#x, accepted %v", c.bits, b.H0, err, c.h0, c.ok)
+		}
+	}
 	if _, err := lib.TrackBinding("dst24", TrackParams{Base: "ten.0.0.0"}); err == nil {
 		t.Error("malformed base accepted")
 	}
@@ -357,8 +522,8 @@ func TestDecodeDigest(t *testing.T) {
 // count the action takes and slot and stage in range, and inserts cleanly; a
 // refused binding inserts nothing.
 func FuzzBinding(f *testing.F) {
-	for _, c := range sugarCases {
-		js, _ := json.Marshal(c.b)
+	for _, b := range kindCases {
+		js, _ := json.Marshal(b)
 		f.Add(js)
 	}
 	f.Add([]byte(`{"kind":"window","match":{"dst_prefix":"10.0.0.0/8"},"interval_shift":23,"capacity":100,"k":2}`))

@@ -28,12 +28,13 @@ import (
 // differ from a raw serial register by the marker's usual one-step lag.
 
 // SlotBinding records the percentile weights a frequency slot was bound
-// with, the one piece of binding state canonicalisation needs. Entropy marks
-// slots whose contribution cells and sum must also be rebuilt.
+// with, the one piece of binding state canonicalisation needs, and the
+// measure of the slot's kind, whose recomputed registers the slot also needs
+// rebuilt (nil for the frequency family).
 type SlotBinding struct {
 	Slot    int
 	PA, PB  uint64
-	Entropy bool
+	measure *measure
 }
 
 // slotScalars is the canonical scalar block of one frequency slot.
@@ -130,20 +131,8 @@ func (l *Library) CanonicalizeSnapshot(snap *p4.Snapshot, slots []SlotBinding) {
 		set(RegLow, s.low)
 		set(RegHigh, s.high)
 		set(RegMedInit, s.medinit)
-		if l.Opts.Entropy && sb.Entropy {
-			// Rebuild the contribution cells and their sum with the emitted
-			// arithmetic: c = (f·log2fix(f)) & mask, S = Σc & mask. The
-			// incremental datapath telescopes to exactly this, so both sides
-			// of the differential land on identical bytes.
-			mask := l.cellMask()
-			ecells := snap.Registers[RegEntCell]
-			var sum uint64
-			for i, fv := range counters[base : base+l.Opts.Size] {
-				c := (fv * intstat.Log2Fixed(fv, l.Opts.EntropyFrac)) & mask
-				ecells[base+i] = c
-				sum += c
-			}
-			snap.Registers[RegEntSum][sb.Slot] = sum & mask
+		if m := sb.measure; m != nil && m.rebuild != nil && *m.on(&l.Opts) {
+			m.rebuild(l, snap, sb.Slot)
 		}
 	}
 }

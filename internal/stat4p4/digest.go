@@ -8,29 +8,35 @@ import (
 
 // Every digest the emitted program pushes has the shape
 // [slot, payload…, timestamp ns]; the ID selects the payload.
-const (
-	// DigestAnomaly is the digest ID of mean+kσ anomaly alerts. Payload:
-	// the offending value (interval count, counter, or flow key's count),
-	// N·x, and the threshold it exceeded.
-	DigestAnomaly = 1
-	// DigestEntropy is the digest ID of entropy-collapse alerts. Payload:
-	// total observations T, scaled entropy H·T, scaled threshold h0·T.
-	DigestEntropy = 2
-	// DigestHeavyHitter is the digest ID emitted when the recirculation pass
-	// promotes a new candidate flow into the heavy-hitter table. Payload:
-	// the flow key.
-	DigestHeavyHitter = 3
-)
 
-// digestLayouts mirrors the EmitDigest calls of actions.go, entropy.go and
-// heavyhitter.go: the alert kind and the payload field names per ID.
-var digestLayouts = map[int]struct {
+// DigestAnomaly is the digest ID of mean+kσ anomaly alerts. Payload: the
+// offending value (interval count, counter, or flow key's count), N·x, and
+// the threshold it exceeded. A measure row with an alert of its own carries
+// that digest's layout.
+const DigestAnomaly = 1
+
+// digestLayout mirrors one ID's EmitDigest calls: the alert kind and the
+// payload field names.
+type digestLayout struct {
+	id     int
 	kind   string
 	fields []string
-}{
-	DigestAnomaly:     {"anomaly", []string{"value", "n_times_x", "threshold"}},
-	DigestEntropy:     {"entropy", []string{"total", "scaled_entropy", "scaled_threshold"}},
-	DigestHeavyHitter: {"heavy-hitter", []string{"key"}},
+}
+
+var anomalyDigest = &digestLayout{DigestAnomaly, "anomaly", []string{"value", "n_times_x", "threshold"}}
+
+// digestLayoutOf finds the layout of an ID: the anomaly digest's, or a
+// measure row's.
+func digestLayoutOf(id int) *digestLayout {
+	if id == DigestAnomaly {
+		return anomalyDigest
+	}
+	for _, m := range measures {
+		if m.digest != nil && m.digest.id == id {
+			return m.digest
+		}
+	}
+	return nil
 }
 
 // Alert is a decoded digest. Fields names the payload values in wire order;
@@ -46,8 +52,8 @@ type Alert struct {
 // DecodeDigest names a digest's values by its ID's layout. An unknown ID or
 // a record shorter than its layout is an error, never an index panic.
 func DecodeDigest(d p4.Digest) (Alert, error) {
-	lay, ok := digestLayouts[d.ID]
-	if !ok {
+	lay := digestLayoutOf(d.ID)
+	if lay == nil {
 		return Alert{}, fmt.Errorf("stat4p4: unknown digest id %d", d.ID)
 	}
 	n := len(lay.fields)

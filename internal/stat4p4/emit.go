@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"stat4/internal/intstat"
 	"stat4/internal/p4"
 )
 
@@ -69,9 +68,9 @@ const EchoBias = p4.EchoBias
 const (
 	kindFreq   = 0
 	kindWindow = 1
-	// 2 is an unused hole (the retired hash-bucket mode): kindEntropy = 3,
-	// kindHH = 4 and kindFlow = 5, in their own files, keep their values so
-	// the emitted programs stay byte-identical.
+	// 2 is an unused hole (the retired hash-bucket mode). The measure rows
+	// take 3 and up, each in its own file, and keep their values so the
+	// emitted programs stay byte-identical.
 )
 
 // Options sizes the emitted program.
@@ -113,33 +112,24 @@ type Options struct {
 	// for dependency-chain analysis (the paper's 12-step figure covers
 	// only the circular-buffer override), not for deployment.
 	NoVariance bool
-	// Entropy adds the integer-only normalized-entropy measure: a per-cell
-	// contribution register c_i = f_i·log2fix(f_i) maintained alongside the
-	// counters, a per-slot scalar S = Σ c_i, and the bind_ent_* actions with
-	// a periodic collapse check H·T < h0·T evaluated without division. The
-	// fixed-point log2 runs as a nested-if MSB tree with constant-shift
-	// leaves (the Figure 2 idiom). Requires runtime multiplication, so it is
-	// incompatible with Strict.
+	// Entropy adds the integer-only entropy measure (entropy.go): per-cell
+	// contributions f·log2fix(f), their per-slot sum and a division-free
+	// collapse check. It needs runtime multiplication, so not with Strict.
 	Entropy bool
 	// EntropyFrac is the fixed-point fractional width of the entropy log2
-	// (default 16, max intstat.Log2MaxFrac). Thresholds are expressed in the
-	// same scale: h0 = bits·2^EntropyFrac.
+	// (default 16, max intstat.Log2MaxFrac); thresholds are in the same
+	// scale, h0 = bits·2^EntropyFrac.
 	EntropyFrac uint
-	// HeavyHitter adds the probabilistic-recirculation heavy-hitter path:
-	// the main pass hashes the flow key and recirculates with probability
-	// 2^-k (k per binding), and the single extra pass promotes the candidate
-	// into a small exact-count table with 2-way hash probing. Needs no
-	// runtime multiplication, so it composes with Strict.
+	// HeavyHitter adds the probabilistic-recirculation heavy-hitter path
+	// (heavyhitter.go). It needs no runtime multiplication, so it composes
+	// with Strict.
 	HeavyHitter bool
 	// HHTableSize is the candidate-table capacity per slot (default 16,
 	// power of two).
 	HHTableSize int
 	// FlowTable adds the flow-table addressing mode (flowtable.go), the
-	// Section 5 memory extension: a per-slot 2-left hash table of {key, epoch
-	// stamp, count} buckets with epoch-based lazy expiry and an optional 2^-k
-	// admission coin, the emitted twin of internal/flowtable. Eviction
-	// subtracts the dead flow's squared contribution from the moments, so the
-	// mode needs runtime multiplication and is incompatible with Strict.
+	// Section 5 memory extension. Its evictions need runtime multiplication,
+	// so not with Strict.
 	FlowTable bool
 	// FlowTableSize is the flow-table bucket count per slot (default 1024,
 	// power of two ≥ 4; half probed by each hash).
@@ -160,9 +150,8 @@ type Library struct {
 	// BindTables holds the binding table names, one per stage.
 	BindTables []string
 
-	f                 fields // scratch and reply field handles
-	declaredMulLeaves map[string]bool
-	declaredLogLeaves map[string]bool
+	f      fields          // scratch and reply field handles
+	leaves map[string]bool // the MSB trees' leaf-action prefixes declared so far
 }
 
 // fields collects every metadata field the emitted logic uses.
@@ -196,73 +185,57 @@ type fields struct {
 	ftgate, fts, fta1, fta2 p4.FieldID
 }
 
-// Build emits the Stat4 program. It panics on malformed options (sizes must
-// be positive; strict windows need a power-of-two capacity), since options
-// are compile-time configuration.
+// Check fills in the defaults of the sizing fields left at zero and reports
+// the first option the program cannot be emitted with: the core sizing, then
+// each measure that is on, in table order. Build panics on its error, since
+// options are compile-time configuration; a tool that takes its sizing from
+// the user checks first.
+func (o *Options) Check() error {
+	if o.Slots <= 0 || o.Size <= 0 || o.Stages <= 0 {
+		return fmt.Errorf("stat4p4: non-positive option in %+v", *o)
+	}
+	if o.Strict && o.StrictCapShift == 0 {
+		o.StrictCapShift = uint(bits.Len(uint(o.Size))) - 1
+	}
+	if o.CellWidth == 0 {
+		o.CellWidth = 64
+	}
+	if o.BindEntries <= 0 {
+		o.BindEntries = 64
+	}
+	if o.FwdEntries <= 0 {
+		o.FwdEntries = 64
+	}
+	for _, m := range measures {
+		if *m.on(o) {
+			if err := m.sizing(o); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Build emits the Stat4 program. It panics when Options.Check refuses the
+// options.
 func Build(opts Options) *Library {
-	if opts.Slots <= 0 || opts.Size <= 0 || opts.Stages <= 0 {
-		panic(fmt.Sprintf("stat4p4: non-positive option in %+v", opts))
-	}
-	if opts.Strict && opts.StrictCapShift == 0 {
-		opts.StrictCapShift = uint(bits.Len(uint(opts.Size))) - 1
-	}
-	if opts.CellWidth == 0 {
-		opts.CellWidth = 64
-	}
-	if opts.BindEntries <= 0 {
-		opts.BindEntries = 64
-	}
-	if opts.FwdEntries <= 0 {
-		opts.FwdEntries = 64
-	}
-	if opts.Entropy {
-		if opts.Strict {
-			panic("stat4p4: Entropy needs runtime multiplication; incompatible with Strict")
-		}
-		if opts.EntropyFrac == 0 {
-			opts.EntropyFrac = 16
-		}
-		if opts.EntropyFrac > intstat.Log2MaxFrac {
-			panic(fmt.Sprintf("stat4p4: EntropyFrac %d exceeds Log2MaxFrac %d", opts.EntropyFrac, intstat.Log2MaxFrac))
-		}
-	}
-	if opts.HeavyHitter {
-		if opts.HHTableSize == 0 {
-			opts.HHTableSize = 16
-		}
-		if opts.HHTableSize < 2 || opts.HHTableSize&(opts.HHTableSize-1) != 0 {
-			panic(fmt.Sprintf("stat4p4: HHTableSize must be a power of two ≥ 2, have %d", opts.HHTableSize))
-		}
-	}
-	if opts.FlowTable {
-		if opts.Strict {
-			panic("stat4p4: FlowTable eviction needs runtime multiplication (Xsumsq −= c²); incompatible with Strict")
-		}
-		if opts.FlowTableSize == 0 {
-			opts.FlowTableSize = 1024
-		}
-		if opts.FlowTableSize < 4 || opts.FlowTableSize&(opts.FlowTableSize-1) != 0 {
-			panic(fmt.Sprintf("stat4p4: FlowTableSize must be a power of two ≥ 4, have %d", opts.FlowTableSize))
-		}
+	if err := opts.Check(); err != nil {
+		panic(err)
 	}
 	prog := p4.NewProgram("stat4")
 	if opts.Strict {
 		prog.Target = p4.TargetStrict
 	}
 	std := p4.DeclareStdFields(prog)
-	lib := &Library{Prog: prog, Std: std, Opts: opts}
+	lib := &Library{Prog: prog, Std: std, Opts: opts, leaves: make(map[string]bool)}
 	lib.declareFields()
 	lib.declareRegisters()
 	lib.declareBindActions()
 	lib.declareUpdateActions()
-	if opts.Entropy {
-		lib.declareEntropy()
-	}
-	if opts.HeavyHitter {
-		lib.declareHeavyHitter()
-	}
-	if opts.FlowTable {
-		lib.declareFlowTable()
+	for _, m := range measures {
+		if *m.on(&opts) {
+			m.declare(lib)
+		}
 	}
 	lib.declareTables()
 	lib.buildControl()
@@ -399,7 +372,7 @@ func (l *Library) declareRegisters() {
 //	P0 slotBase = slot*Size (cell base in RegCounters/RegSquares)
 //	P1 slotID   = slot (indexes the scalar registers, carried into digests)
 //
-// frequency actions add: P2.. extraction parameters, then size, pa, pb.
+// frequency actions add: P2.. extraction parameters, then size, pa, pb, k.
 // the window action adds: P2 intervalShift, P3 capacity, P4 k.
 func (l *Library) declareBindActions() {
 	f := &l.f
@@ -411,54 +384,43 @@ func (l *Library) declareBindActions() {
 			p4.Mov(f.enable, p4.C(1)),
 		}
 	}
-	freqTail := func(sizeP, paP, pbP, kP int) []p4.Op {
-		return []p4.Op{
-			p4.Mov(f.kind, p4.C(kindFreq)),
-			p4.Mov(f.size, p4.P(sizeP)),
-			p4.Mov(f.pa, p4.P(paP)),
-			p4.Mov(f.pb, p4.P(pbP)),
-			p4.Mov(f.k, p4.P(kP)),
+
+	// bind_freq_<hdr>(slotBase, slot, [shift,] base, size, pa, pb, k):
+	// value = (header [>> shift]) − base. k ≥ 1 arms the outlier check at
+	// k·σ; k = 0 disables it. The base is subtracted with WRAPPING
+	// arithmetic: a value below the base wraps to a huge number, fails the
+	// val < size guard in the control flow, and the packet is skipped — it
+	// must not alias into counter 0. A shift selects the granularity (on
+	// ipv4.dst: 24 → /8 prefix index, 8 → /24 index, 0 → host); the echo
+	// test integer and the IP protocol are taken whole, and the frame length
+	// shifted makes the packet-size distribution.
+	for _, a := range []struct {
+		name    string
+		hdr     p4.FieldID
+		shifted bool
+	}{
+		{"bind_freq_echo", std.EchoValue, false},
+		{"bind_freq_dst", std.IPv4Dst, true},
+		{"bind_freq_dport", std.TCPDport, true},
+		{"bind_freq_proto", std.IPv4Proto, false},
+		{"bind_freq_len", std.WireLen, true},
+	} {
+		ops, p := common(), 2 // p: the base parameter
+		if a.shifted {
+			ops = append(ops, p4.Shr(f.t1, p4.F(a.hdr), p4.P(2)), p4.Sub(f.val, p4.F(f.t1), p4.P(3)))
+			p = 3
+		} else {
+			ops = append(ops, p4.Sub(f.val, p4.F(a.hdr), p4.P(2)))
 		}
+		ops = append(ops,
+			p4.Mov(f.kind, p4.C(kindFreq)),
+			p4.Mov(f.size, p4.P(p+1)),
+			p4.Mov(f.pa, p4.P(p+2)),
+			p4.Mov(f.pb, p4.P(p+3)),
+			p4.Mov(f.k, p4.P(p+4)),
+		)
+		l.Prog.AddAction(p4.NewAction(a.name, p+5, ops...))
 	}
-
-	// bind_freq_echo(slotBase, slot, base, size, pa, pb, k):
-	// value = echo.value − base. k ≥ 1 arms the outlier check at k·σ;
-	// k = 0 disables it.
-	l.Prog.AddAction(p4.NewAction("bind_freq_echo", 7, append(append(common(),
-		p4.Sub(f.val, p4.F(std.EchoValue), p4.P(2))),
-		freqTail(3, 4, 5, 6)...)...))
-
-	// Value extraction subtracts the base with WRAPPING arithmetic: a value
-	// below the base wraps to a huge number, fails the val < size guard in
-	// the control flow, and the packet is skipped — it must not alias into
-	// counter 0.
-	// bind_freq_dst(slotBase, slot, shift, base, size, pa, pb, k):
-	// value = (ipv4.dst >> shift) − base. shift selects the granularity
-	// (24 → /8 prefix index, 8 → /24 index, 0 → host), base aligns the
-	// result to the counter array.
-	l.Prog.AddAction(p4.NewAction("bind_freq_dst", 8, append(append(common(),
-		p4.Shr(f.t1, p4.F(std.IPv4Dst), p4.P(2)),
-		p4.Sub(f.val, p4.F(f.t1), p4.P(3))),
-		freqTail(4, 5, 6, 7)...)...))
-
-	// bind_freq_dport(slotBase, slot, shift, base, size, pa, pb, k).
-	l.Prog.AddAction(p4.NewAction("bind_freq_dport", 8, append(append(common(),
-		p4.Shr(f.t1, p4.F(std.TCPDport), p4.P(2)),
-		p4.Sub(f.val, p4.F(f.t1), p4.P(3))),
-		freqTail(4, 5, 6, 7)...)...))
-
-	// bind_freq_proto(slotBase, slot, base, size, pa, pb, k):
-	// value = ipv4.proto − base, the packets-by-type distribution.
-	l.Prog.AddAction(p4.NewAction("bind_freq_proto", 7, append(append(common(),
-		p4.Sub(f.val, p4.F(std.IPv4Proto), p4.P(2))),
-		freqTail(3, 4, 5, 6)...)...))
-
-	// bind_freq_len(slotBase, slot, shift, base, size, pa, pb, k):
-	// value = (wire_len >> shift) − base, a packet-size distribution.
-	l.Prog.AddAction(p4.NewAction("bind_freq_len", 8, append(append(common(),
-		p4.Shr(f.t1, p4.F(std.WireLen), p4.P(2)),
-		p4.Sub(f.val, p4.F(f.t1), p4.P(3))),
-		freqTail(4, 5, 6, 7)...)...))
 
 	// bind_window(slotBase, slot, intervalShift, capacity, k):
 	// packets-per-interval window; interval id = ts >> intervalShift.
@@ -588,16 +550,10 @@ func (l *Library) updateBlock() []p4.Stmt {
 		),
 		p4.If(eq(f.kind, kindWindow), l.windowBlock()...),
 	)
-	if l.Opts.Entropy {
-		stmts = append(stmts, p4.If(eq(f.kind, kindEntropy),
-			p4.If(flt(f.val, f.size), l.entropyBlock()...),
-		))
-	}
-	if l.Opts.HeavyHitter {
-		stmts = append(stmts, p4.If(eq(f.kind, kindHH), l.hhBlock()...))
-	}
-	if l.Opts.FlowTable {
-		stmts = append(stmts, p4.If(eq(f.kind, kindFlow), l.flowBlock()...))
+	for _, m := range measures {
+		if *m.on(&l.Opts) {
+			stmts = append(stmts, p4.If(eq(f.kind, m.kind), m.block(l)...))
+		}
 	}
 	if !l.Opts.NoVariance {
 		stmts = append(stmts,

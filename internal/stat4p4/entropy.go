@@ -1,7 +1,9 @@
 package stat4p4
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"stat4/internal/intstat"
 	"stat4/internal/p4"
@@ -39,6 +41,37 @@ const (
 )
 
 const kindEntropy = 3
+
+// DigestEntropy is the digest ID of entropy-collapse alerts. Payload: total
+// observations T, scaled entropy H·T, scaled threshold h0·T.
+const DigestEntropy = 2
+
+// entropyMeasure is the measure row of Options.Entropy.
+var entropyMeasure = &measure{
+	name: "Entropy",
+	on:   func(o *Options) *bool { return &o.Entropy },
+	sizing: func(o *Options) error {
+		if o.Strict {
+			return errors.New("stat4p4: Entropy needs runtime multiplication; incompatible with Strict")
+		}
+		if o.EntropyFrac == 0 {
+			o.EntropyFrac = 16
+		}
+		if o.EntropyFrac > intstat.Log2MaxFrac {
+			return fmt.Errorf("stat4p4: EntropyFrac %d exceeds Log2MaxFrac %d", o.EntropyFrac, intstat.Log2MaxFrac)
+		}
+		return nil
+	},
+	kind:    kindEntropy,
+	declare: (*Library).declareEntropy,
+	block:   (*Library).entropyBlock,
+	// Both registers are pure functions of the counters, rebuilt
+	// cell-for-cell after a merge.
+	recomputed: []string{RegEntCell, RegEntSum},
+	rebuild:    (*Library).rebuildEntropy,
+	digest:     &digestLayout{DigestEntropy, "entropy", []string{"total", "scaled_entropy", "scaled_threshold"}},
+	views:      []AnyView{Entropy},
+}
 
 // declareEntropy adds the entropy registers, binding actions and update
 // actions to the program.
@@ -118,9 +151,9 @@ func (l *Library) declareEntropy() {
 	)
 }
 
-// entropyBlock is the per-packet entropy update: the shared counter/moment
-// accumulation, the log2 tree on the fresh counter, the contribution fold,
-// and the periodic collapse check.
+// entropyBlock is the per-packet entropy update of an in-range value: the
+// shared counter/moment accumulation, the log2 tree on the fresh counter, the
+// contribution fold, and the periodic collapse check.
 func (l *Library) entropyBlock() []p4.Stmt {
 	f := &l.f
 	stmts := []p4.Stmt{
@@ -142,70 +175,106 @@ func (l *Library) entropyBlock() []p4.Stmt {
 			p4.If(eq(f.entg, 0), check...),
 		),
 	)
-	return stmts
+	return []p4.Stmt{p4.If(flt(f.val, f.size), stmts...)}
 }
 
-// log2Tree emits dst = intstat.Log2Fixed(src, EntropyFrac) as a nested-if
-// binary search on src's MSB with one constant-shift leaf per exponent —
-// bit-identical to the library function at every input, including the
-// src = 0 and src = 1 conventions.
+// log2Tree emits dst = intstat.Log2Fixed(src, EntropyFrac) as an MSB tree
+// with one constant-shift leaf per exponent, declaring the 64 leaves plus
+// the zero case for a (src, dst) pair on first use — bit-identical to the
+// library function at every input, including the src = 0 and src = 1
+// conventions. Leaf e computes (e << frac) | fraction-bits with the exact
+// Log2Fixed shift layout; at EntropyFrac ≤ Log2MaxFrac no uint64 exponent can
+// saturate, so the leaves need no sentinel branch.
 func (l *Library) log2Tree(src, dst p4.FieldID) []p4.Stmt {
-	prefix := l.log2LeafPrefix(src, dst)
+	prefix := fmt.Sprintf("lg_%d_%d", src, dst)
+	if !l.leaves[prefix] {
+		l.leaves[prefix] = true
+		fr := l.Opts.EntropyFrac
+		l.Prog.AddAction(p4.NewAction(prefix+"_zero", 0, p4.Mov(dst, p4.C(0))))
+		// e = 0 (src == 1): log2 is exactly 0 at every precision.
+		l.Prog.AddAction(p4.NewAction(prefix+"_0", 0, p4.Mov(dst, p4.C(0))))
+		for e := 1; e <= 63; e++ {
+			ops := []p4.Op{
+				// mantissa: clear the MSB.
+				p4.Xor(dst, p4.F(src), p4.C(1<<uint(e))),
+			}
+			// Align the mantissa to the fractional width; the aligned bits
+			// are strictly below the e << frac integer part, so Or combines
+			// exactly.
+			if uint(e) >= fr {
+				ops = append(ops, p4.Shr(dst, p4.F(dst), p4.C(uint64(uint(e)-fr))))
+			} else {
+				ops = append(ops, p4.Shl(dst, p4.F(dst), p4.C(uint64(fr-uint(e)))))
+			}
+			ops = append(ops, p4.Or(dst, p4.F(dst), p4.C(uint64(e)<<fr)))
+			l.Prog.AddAction(p4.NewAction(fmt.Sprintf("%s_%d", prefix, e), 0, ops...))
+		}
+	}
 	return []p4.Stmt{
 		p4.If(eq(src, 0),
 			p4.Call(prefix+"_zero"),
 		).WithElse(
-			l.log2Range(prefix, src, 0, 63),
+			msbTree(src, 0, 63, prefix),
 		),
 	}
 }
 
-func (l *Library) log2Range(prefix string, src p4.FieldID, lo, hi int) p4.Stmt {
-	if lo == hi {
-		return p4.Call(fmt.Sprintf("%s_%d", prefix, lo))
+// entropySum is S = Σc & mask with c = (f·log2fix(f)) & mask over a slot's
+// counters: the emitted arithmetic, to which the incremental datapath
+// telescopes, so a rebuilt slot lands on the bytes a serial switch holds.
+// Each c goes to cells when cells is not nil.
+func (l *Library) entropySum(counters, cells []uint64) uint64 {
+	mask := l.cellMask()
+	var sum uint64
+	for i, f := range counters {
+		c := (f * intstat.Log2Fixed(f, l.Opts.EntropyFrac)) & mask
+		if cells != nil {
+			cells[i] = c
+		}
+		sum += c
 	}
-	mid := (lo + hi + 1) / 2
-	return p4.IfStmt{
-		Cond: p4.Cond{A: p4.F(src), Op: p4.CmpGe, B: p4.C(1 << uint(mid))},
-		Then: []p4.Stmt{l.log2Range(prefix, src, mid, hi)},
-		Else: []p4.Stmt{l.log2Range(prefix, src, lo, mid-1)},
-	}
+	return sum & mask
 }
 
-// log2LeafPrefix names (and lazily declares) the 64 leaf actions plus the
-// zero case for one (src, dst) pair. Leaf e computes
-// (e << frac) | fraction-bits with the exact Log2Fixed shift layout; at
-// EntropyFrac ≤ Log2MaxFrac no uint64 exponent can saturate, so the leaves
-// need no sentinel branch.
-func (l *Library) log2LeafPrefix(src, dst p4.FieldID) string {
-	prefix := fmt.Sprintf("lg_%d_%d", src, dst)
-	if l.declaredLogLeaves == nil {
-		l.declaredLogLeaves = make(map[string]bool)
-	}
-	if l.declaredLogLeaves[prefix] {
-		return prefix
-	}
-	l.declaredLogLeaves[prefix] = true
-	fr := l.Opts.EntropyFrac
-	l.Prog.AddAction(p4.NewAction(prefix+"_zero", 0, p4.Mov(dst, p4.C(0))))
-	// e = 0 (src == 1): log2 is exactly 0 at every precision.
-	l.Prog.AddAction(p4.NewAction(prefix+"_0", 0, p4.Mov(dst, p4.C(0))))
-	for e := 1; e <= 63; e++ {
-		ops := []p4.Op{
-			// mantissa: clear the MSB.
-			p4.Xor(dst, p4.F(src), p4.C(1<<uint(e))),
+// rebuildEntropy recomputes a slot's contribution cells and their sum in a
+// canonical snapshot from the slot's counters.
+func (l *Library) rebuildEntropy(snap *p4.Snapshot, slot int) {
+	lo, hi := slot*l.Opts.Size, (slot+1)*l.Opts.Size
+	snap.Registers[RegEntSum][slot] = l.entropySum(snap.Registers[RegCounters][lo:hi], snap.Registers[RegEntCell][lo:hi])
+}
+
+// Entropy is a slot's entropy registers in the scaled form. Merged, S is
+// rederived from the merged counters.
+var Entropy = &View[EntropySnapshot]{name: "entropy",
+	read: func(s shard, slot int) EntropySnapshot {
+		return s.lib.entropySnapshot(s.cell(RegXsum, slot), s.cell(RegEntSum, slot))
+	},
+	merge: func(rt *Runtime, slot int, _ []EntropySnapshot) EntropySnapshot {
+		counters := Counters.merged(rt, slot)
+		var total uint64
+		for _, f := range counters {
+			total += f
 		}
-		// Align the mantissa to the fractional width; the aligned bits are
-		// strictly below the e << frac integer part, so Or combines exactly.
-		if uint(e) >= fr {
-			ops = append(ops, p4.Shr(dst, p4.F(dst), p4.C(uint64(uint(e)-fr))))
-		} else {
-			ops = append(ops, p4.Shl(dst, p4.F(dst), p4.C(uint64(fr-uint(e)))))
-		}
-		ops = append(ops, p4.Or(dst, p4.F(dst), p4.C(uint64(e)<<fr)))
-		l.Prog.AddAction(p4.NewAction(fmt.Sprintf("%s_%d", prefix, e), 0, ops...))
-	}
-	return prefix
+		return rt.lib.entropySnapshot(total&rt.lib.cellMask(), rt.lib.entropySum(counters, nil))
+	},
+	body: func(slot, _ int, e EntropySnapshot) any {
+		return struct {
+			Slot int `json:"slot"`
+			EntropySnapshot
+		}{slot, e}
+	}}
+
+// EntropySnapshot is one slot's entropy state: Total is T, the observations
+// (the slot's Xsum); Sum is S = Σ f·log2fix(f) masked to the cell width;
+// ScaledBits is T·log2fix(T) − S = H·T·2^frac, the division-free form the
+// in-switch check compares against h0·T; Bits is ScaledBits/(T·2^frac), the
+// entropy in bits in floating point for display only — every decision path
+// stays integer.
+type EntropySnapshot struct {
+	Total      uint64  `json:"total"`
+	Sum        uint64  `json:"sum"`
+	ScaledBits uint64  `json:"scaled_bits"`
+	Bits       float64 `json:"bits"`
 }
 
 // entropySnapshot derives the scaled form with the same intstat arithmetic
@@ -218,4 +287,20 @@ func (l *Library) entropySnapshot(total, sum uint64) EntropySnapshot {
 	snap.ScaledBits = intstat.SatSub(total*intstat.Log2Fixed(total, l.Opts.EntropyFrac), sum)
 	snap.Bits = float64(snap.ScaledBits) / (float64(total) * float64(uint64(1)<<l.Opts.EntropyFrac))
 	return snap
+}
+
+// entropyH0 converts a collapse threshold in bits to the fixed-point form the
+// in-switch check compares against; zero or less disables the check. No
+// count of observations has more than 64 bits of entropy, so a threshold
+// above that, infinite or NaN is refused, as is one whose fixed-point form
+// overflows 64 bits.
+func (l *Library) entropyH0(bits float64) (uint64, error) {
+	scaled := bits * float64(uint64(1)<<l.Opts.EntropyFrac)
+	if math.IsNaN(bits) || math.IsInf(bits, 0) || bits > 64 || scaled >= 1<<64 {
+		return 0, fmt.Errorf("stat4p4: entropy threshold %v bits out of range (max 64 at EntropyFrac %d)", bits, l.Opts.EntropyFrac)
+	}
+	if bits <= 0 {
+		return 0, nil
+	}
+	return uint64(scaled), nil
 }

@@ -23,7 +23,8 @@ func entropyRuntime(t testing.TB, opts Options, h0, checkEvery uint64) *Runtime 
 		t.Fatal(err)
 	}
 	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
-	if _, err := rt.BindEntropyDst(0, 0, AllIPv4(), 0, dstBase, opts.Size, h0, checkEvery); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "entropy-dst", Match: AllIPv4(),
+		Base: dstBase, Size: opts.Size, H0: h0, CheckEvery: checkEvery}); err != nil {
 		t.Fatal(err)
 	}
 	return rt
@@ -163,10 +164,10 @@ func TestEntropyShardedCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 		dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
-		if _, err := rt.BindEntropyDst(0, 0, AllIPv4(), 0, dstBase, 64, 0, 0); err != nil {
+		if _, err := rt.Bind(Binding{Kind: "entropy-dst", Match: AllIPv4(), Base: dstBase, Size: 64}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sr.BindEntropyDst(0, 0, AllIPv4(), 0, dstBase, 64, 0, 0); err != nil {
+		if _, err := sr.Bind(Binding{Kind: "entropy-dst", Match: AllIPv4(), Base: dstBase, Size: 64}); err != nil {
 			t.Fatal(err)
 		}
 		driveBoth(rt, sr, 314, 3000)
@@ -204,7 +205,7 @@ func TestHeavyHitterPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flow key = full source address (shift 0); recirculate 1 packet in 4.
-	if _, err := rt.BindHeavyHitterSrc(0, 0, AllIPv4(), 0, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "hh-src", Match: AllIPv4(), SampleShift: 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -283,7 +284,7 @@ func TestMergedHeavyHitters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if _, err := sr.BindHeavyHitterSrc(0, 0, AllIPv4(), 0, 1); err != nil {
+	if _, err := sr.Bind(Binding{Kind: "hh-src", Match: AllIPv4(), SampleShift: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,10 +349,11 @@ func TestEntropyHHComposed(t *testing.T) {
 	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
 	entPfx := packet.Prefix{Addr: packet.ParseIP4(10, 0, 0, 0), Len: 24}
 	hhPfx := packet.Prefix{Addr: packet.ParseIP4(10, 0, 1, 0), Len: 24}
-	if _, err := rt.BindEntropyDst(0, 0, DstIn(entPfx), 0, dstBase, 256, 0, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "entropy-dst", Match: DstIn(entPfx),
+		Base: dstBase, Size: 256}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindHeavyHitterSrc(0, 1, DstIn(hhPfx), 0, 1); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "hh-src", Slot: 1, Match: DstIn(hhPfx), SampleShift: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -407,7 +409,7 @@ func TestEntropyResetSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hrt.BindHeavyHitterSrc(0, 0, AllIPv4(), 0, 0); err != nil {
+	if _, err := hrt.Bind(Binding{Kind: "hh-src", Match: AllIPv4()}); err != nil {
 		t.Fatal(err)
 	}
 	src := packet.ParseIP4(203, 0, 113, 50)

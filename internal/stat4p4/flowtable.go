@@ -1,6 +1,11 @@
 package stat4p4
 
-import "stat4/internal/p4"
+import (
+	"errors"
+	"fmt"
+
+	"stat4/internal/p4"
+)
 
 // This file emits the flow-table addressing mode, the one answer to the
 // paper's Section 5 ("avoid reserving memory for non-observed values (e.g.,
@@ -49,6 +54,37 @@ const (
 )
 
 const kindFlow = 5
+
+// flowMeasure is the measure row of Options.FlowTable.
+var flowMeasure = &measure{
+	name: "FlowTable",
+	on:   func(o *Options) *bool { return &o.FlowTable },
+	size: func(o *Options) int { return o.FlowTableSize },
+	sizing: func(o *Options) error {
+		if o.Strict {
+			return errors.New("stat4p4: FlowTable eviction needs runtime multiplication (Xsumsq −= c²); incompatible with Strict")
+		}
+		if o.FlowTableSize == 0 {
+			o.FlowTableSize = 1024
+		}
+		if o.FlowTableSize < 4 || o.FlowTableSize&(o.FlowTableSize-1) != 0 {
+			return fmt.Errorf("stat4p4: FlowTableSize must be a power of two ≥ 4, have %d", o.FlowTableSize)
+		}
+		return nil
+	},
+	kind:    kindFlow,
+	declare: (*Library).declareFlowTable,
+	block:   (*Library).flowBlock,
+	// A flow slot counts into its flow table, never the counter array.
+	counts: func(rt *Runtime, slot int) []uint64 {
+		var counts []uint64
+		for _, e := range Flows.merged(rt, slot).Entries {
+			counts = append(counts, e.Count)
+		}
+		return counts
+	},
+	views: []AnyView{Flows, FlowLedger},
+}
 
 // Hash-family assignments, mirroring internal/flowtable: hash 0 is the
 // admission coin, hash 1 probes the left half, hash 2 the right.
@@ -320,4 +356,62 @@ func (l *Library) flowBlock() []p4.Stmt {
 		update = append(update, p4.If(ne(f.k, 0), p4.Call("freq_arm_check")))
 	}
 	return append(resolve, p4.If(eq(f.ok, 1), update...))
+}
+
+// Flows is a slot's flow-table ledger and occupied buckets. Merged, ledgers
+// sum and flows add by key.
+var Flows = &View[FlowSnapshot]{name: "flows",
+	read: func(s shard, slot int) FlowSnapshot {
+		return FlowSnapshot{readFlowLedger(s, slot), s.table(slot, s.lib.Opts.FlowTableSize, RegFTKeys, RegFTCnt, RegFTStamp)}
+	},
+	merge: func(rt *Runtime, slot int, shards []FlowSnapshot) FlowSnapshot {
+		var all []Entry
+		for _, s := range shards {
+			all = append(all, s.Entries...)
+		}
+		return FlowSnapshot{FlowLedger.merged(rt, slot), byKey(all)}
+	},
+	body: func(slot, n int, f FlowSnapshot) any {
+		f.Entries = head(f.Entries, n)
+		return struct {
+			Slot int `json:"slot"`
+			FlowSnapshot
+			LoadFactor float64 `json:"load_factor"`
+		}{slot, f, float64(f.Occupied) / float64(max(f.Capacity, 1))}
+	}}
+
+// FlowLedger is the ledger half of Flows alone, per-slot counters with no
+// bucket walk, for readers on a clock (the flow_* scrape gauges); it has no
+// name, so no path of its own. Merged, ledgers and capacities add.
+var FlowLedger = &View[FlowStats]{read: readFlowLedger,
+	merge: func(_ *Runtime, _ int, shards []FlowStats) (m FlowStats) {
+		for _, s := range shards {
+			m = FlowStats{m.Occupied + s.Occupied, m.Admitted + s.Admitted, m.Evicted + s.Evicted,
+				m.Rejected + s.Rejected, m.Shed + s.Shed, m.Capacity + s.Capacity}
+		}
+		return m
+	}}
+
+// FlowStats is the admission ledger of one slot's flow table. Occupied
+// counts buckets holding an entry, live or expired.
+type FlowStats struct {
+	Occupied uint64 `json:"occupied"`
+	Admitted uint64 `json:"admitted"`
+	Evicted  uint64 `json:"evicted"`
+	Rejected uint64 `json:"rejected"`
+	Shed     uint64 `json:"shed"`
+	Capacity uint64 `json:"capacity"`
+}
+
+// FlowSnapshot is a slot's ledger and occupied flow buckets, heaviest first.
+type FlowSnapshot struct {
+	FlowStats
+	Entries []Entry `json:"flows"`
+}
+
+// readFlowLedger derives Occupied as claims minus reclaims, the conservation
+// half of the flowtable ledger invariant.
+func readFlowLedger(s shard, slot int) FlowStats {
+	adm, evt := s.cell(RegFTAdm, slot), s.cell(RegFTEvt, slot)
+	return FlowStats{adm - evt, adm, evt, s.cell(RegFTRej, slot), s.cell(RegFTShed, slot), uint64(s.lib.Opts.FlowTableSize)}
 }

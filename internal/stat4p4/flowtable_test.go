@@ -23,7 +23,8 @@ func TestFlowCrossValidation(t *testing.T) {
 		sampleShift = 2
 	)
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: size})
-	if _, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, epochShift, ttl, sampleShift, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "flow-dst", Match: AllIPv4(),
+		EpochShift: epochShift, TTL: ttl, SampleShift: sampleShift}); err != nil {
 		t.Fatal(err)
 	}
 	ref := flowtable.New(flowtable.Config{
@@ -93,7 +94,8 @@ func TestFlowCrossValidation(t *testing.T) {
 // hot-flow detection over an effectively unbounded key domain.
 func TestFlowHotFlowAlert(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 128})
-	if _, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, 30, 8, 0, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "flow-dst", Match: AllIPv4(),
+		EpochShift: 30, TTL: 8, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -126,10 +128,12 @@ func TestFlowHotFlowAlert(t *testing.T) {
 // 2^40 ns so "never ages" is exercised, not assumed.
 func TestFlowNoExpiryMatchesDense(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 2, Size: 256, Stages: 2, FlowTable: true, FlowTableSize: 1024, DigestBuf: 1 << 16})
-	if _, err := rt.BindFreqDst(0, 0, AllIPv4(), 0, 0, 256, 1, 1, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-dst", Match: AllIPv4(),
+		Size: 256, PA: 1, PB: 1, K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFlowDst(1, 1, AllIPv4(), 0, 63, 1, 0, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "flow-dst", Stage: 1, Slot: 1, Match: AllIPv4(),
+		EpochShift: 63, TTL: 1, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -197,16 +201,18 @@ func TestFlowShardedCanonicalEquivalence(t *testing.T) {
 		t.Cleanup(sr.Close)
 		// A dense frequency track on stage 0 keeps the canonicalization
 		// recompute path busy alongside the flow table on stage 1.
-		if _, err := rt.BindFreqDst(0, 0, AllIPv4(), 0, 0, 64, 1, 1, 0); err != nil {
+		if _, err := rt.Bind(Binding{Kind: "freq-dst", Match: AllIPv4(), Size: 64, PA: 1, PB: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sr.BindFreqDst(0, 0, AllIPv4(), 0, 0, 64, 1, 1, 0); err != nil {
+		if _, err := sr.Bind(Binding{Kind: "freq-dst", Match: AllIPv4(), Size: 64, PA: 1, PB: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.BindFlowDst(1, 1, AllIPv4(), 0, 10, 1, 0, 0); err != nil {
+		if _, err := rt.Bind(Binding{Kind: "flow-dst", Stage: 1, Slot: 1, Match: AllIPv4(),
+			EpochShift: 10, TTL: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sr.BindFlowDst(1, 1, AllIPv4(), 0, 10, 1, 0, 0); err != nil {
+		if _, err := sr.Bind(Binding{Kind: "flow-dst", Stage: 1, Slot: 1, Match: AllIPv4(),
+			EpochShift: 10, TTL: 1}); err != nil {
 			t.Fatal(err)
 		}
 		// Tiny table + TTL 1 epoch + churning keys: constant evictions.
@@ -254,7 +260,7 @@ func TestFlowShardedCanonicalEquivalence(t *testing.T) {
 // the slot can be rebound.
 func TestFlowResetSlot(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 64})
-	if _, err := rt.BindFlowSrc(0, 0, AllIPv4(), 0, 20, 4, 0, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "flow-src", Match: AllIPv4(), EpochShift: 20, TTL: 4}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -280,29 +286,29 @@ func TestFlowResetSlot(t *testing.T) {
 // TestFlowBindValidation pins the option and parameter contracts.
 func TestFlowBindValidation(t *testing.T) {
 	plain := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1})
-	if _, err := plain.BindFlowDst(0, 0, AllIPv4(), 0, 20, 4, 0, 0); err == nil {
+	if _, err := plain.Bind(Binding{Kind: "flow-dst", Match: AllIPv4(), EpochShift: 20, TTL: 4}); err == nil {
 		t.Fatal("flow binding accepted without Options.FlowTable")
 	}
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 64})
 	for name, call := range map[string]func() error{
 		"ttl 0": func() error {
-			_, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, 20, 0, 0, 0)
+			_, err := rt.Bind(Binding{Kind: "flow-dst", Match: AllIPv4(), EpochShift: 20})
 			return err
 		},
 		"epoch shift 64": func() error {
-			_, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, 64, 4, 0, 0)
+			_, err := rt.Bind(Binding{Kind: "flow-dst", Match: AllIPv4(), EpochShift: 64, TTL: 4})
 			return err
 		},
 		"key shift 33": func() error {
-			_, err := rt.BindFlowSrc(0, 0, AllIPv4(), 33, 20, 4, 0, 0)
+			_, err := rt.Bind(Binding{Kind: "flow-src", Match: AllIPv4(), Shift: 33, EpochShift: 20, TTL: 4})
 			return err
 		},
 		"sample shift 33": func() error {
-			_, err := rt.BindFlowPair(0, 0, AllIPv4(), 20, 4, 33, 0)
+			_, err := rt.Bind(Binding{Kind: "flow-pair", Match: AllIPv4(), EpochShift: 20, TTL: 4, SampleShift: 33})
 			return err
 		},
 		"bad slot": func() error {
-			_, err := rt.BindFlowDst(0, 9, AllIPv4(), 0, 20, 4, 0, 0)
+			_, err := rt.Bind(Binding{Kind: "flow-dst", Slot: 9, Match: AllIPv4(), EpochShift: 20, TTL: 4})
 			return err
 		},
 	} {
@@ -326,7 +332,7 @@ func TestFlowBindValidation(t *testing.T) {
 // sources hitting one destination are distinct flows.
 func TestFlowPairKey(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 256})
-	if _, err := rt.BindFlowPair(0, 0, AllIPv4(), 30, 8, 0, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "flow-pair", Match: AllIPv4(), EpochShift: 30, TTL: 8}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()

@@ -71,7 +71,8 @@ func TestLocalReactionBlackhole(t *testing.T) {
 // even with routes installed.
 func TestEchoOverridesForwarding(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 512, Stages: 1, Echo: true})
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), EchoBias, 512, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+		Base: EchoBias, Size: 512, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.AddRoute(packet.NewPrefix(0, 0), 9); err != nil {
@@ -87,7 +88,8 @@ func TestEchoOverridesForwarding(t *testing.T) {
 // distribution updates and no reply marking happens.
 func TestMalformedEchoIgnored(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 512, Stages: 1, Echo: true})
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), EchoBias, 512, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+		Base: EchoBias, Size: 512, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()

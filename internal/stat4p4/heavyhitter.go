@@ -1,6 +1,10 @@
 package stat4p4
 
-import "stat4/internal/p4"
+import (
+	"fmt"
+
+	"stat4/internal/p4"
+)
 
 // This file emits the probabilistic-recirculation heavy-hitter path. The
 // main pass hashes the flow key folded with the ingress timestamp and
@@ -26,6 +30,32 @@ const (
 )
 
 const kindHH = 4
+
+// DigestHeavyHitter is the digest ID emitted when the recirculation pass
+// promotes a new candidate flow into the heavy-hitter table. Payload: the
+// flow key.
+const DigestHeavyHitter = 3
+
+// hhMeasure is the measure row of Options.HeavyHitter.
+var hhMeasure = &measure{
+	name: "HeavyHitter",
+	on:   func(o *Options) *bool { return &o.HeavyHitter },
+	size: func(o *Options) int { return o.HHTableSize },
+	sizing: func(o *Options) error {
+		if o.HHTableSize == 0 {
+			o.HHTableSize = 16
+		}
+		if o.HHTableSize < 2 || o.HHTableSize&(o.HHTableSize-1) != 0 {
+			return fmt.Errorf("stat4p4: HHTableSize must be a power of two ≥ 2, have %d", o.HHTableSize)
+		}
+		return nil
+	},
+	kind:    kindHH,
+	declare: (*Library).declareHeavyHitter,
+	block:   (*Library).hhBlock,
+	digest:  &digestLayout{DigestHeavyHitter, "heavy-hitter", []string{"key"}},
+	views:   []AnyView{HeavyHitters},
+}
 
 // declareHeavyHitter adds the heavy-hitter registers, binding actions, the
 // main-pass sampling block and the recirculation promotion pass.
@@ -163,4 +193,32 @@ func (l *Library) hhBlock() []p4.Stmt {
 	return []p4.Stmt{
 		p4.If(eq(l.f.hhgate, 0), p4.Call("hh_mark")),
 	}
+}
+
+// HeavyHitters is a slot's candidate table and rejected promotions. Merged,
+// candidates add by key and rejections sum.
+var HeavyHitters = &View[HHSnapshot]{name: "heavyhitters",
+	read: func(s shard, slot int) HHSnapshot {
+		return HHSnapshot{s.cell(RegHHRej, slot), s.table(slot, s.lib.Opts.HHTableSize, RegHHKeys, RegHHCounts, "")}
+	},
+	merge: func(_ *Runtime, _ int, shards []HHSnapshot) (m HHSnapshot) {
+		for _, s := range shards {
+			m.Rejected += s.Rejected
+			m.Entries = append(m.Entries, s.Entries...)
+		}
+		m.Entries = byKey(m.Entries)
+		return m
+	},
+	body: func(slot, _ int, h HHSnapshot) any {
+		return struct {
+			Slot int `json:"slot"`
+			HHSnapshot
+		}{slot, h}
+	}}
+
+// HHSnapshot is a slot's candidate table, heaviest first, and its count of
+// promotions rejected with both candidate buckets taken.
+type HHSnapshot struct {
+	Rejected uint64  `json:"rejected"`
+	Entries  []Entry `json:"entries"`
 }

@@ -21,39 +21,44 @@ var onDemandCases = []struct {
 	bind    func(rt *Runtime) error
 }{
 	{"freq", Options{Slots: 2, Size: 64, Stages: 2}, false, func(rt *Runtime) error {
-		if _, err := rt.BindFreqDst(0, 0, AllIPv4(), 0, uint64(packet.ParseIP4(10, 0, 0, 0)), 64, 1, 1, 1); err != nil {
+		if _, err := rt.Bind(Binding{Kind: "freq-dst", Match: AllIPv4(),
+			Base: uint64(packet.ParseIP4(10, 0, 0, 0)), Size: 64, PA: 1, PB: 1, K: 1}); err != nil {
 			return err
 		}
-		_, err := rt.BindFreqLen(1, 1, AllIPv4(), 0, 42, 32, 1, 1, 0)
+		_, err := rt.Bind(Binding{Kind: "freq-len", Stage: 1, Slot: 1, Match: AllIPv4(),
+			Base: 42, Size: 32, PA: 1, PB: 1})
 		return err
 	}},
 	{"window", Options{Slots: 1, Size: 64, Stages: 1}, true, func(rt *Runtime) error {
-		_, err := rt.BindWindow(0, 0, AllIPv4(), 8, 8, 1)
+		_, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(), IntervalShift: 8, Capacity: 8, K: 1})
 		return err
 	}},
 	// sparse: a hash-addressed frequency distribution — the flow binding
 	// that never expires an entry (epoch shift 63, TTL 1).
 	{"sparse", Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 64}, false, func(rt *Runtime) error {
-		_, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, 63, 1, 0, 2)
+		_, err := rt.Bind(Binding{Kind: "flow-dst", Match: AllIPv4(), EpochShift: 63, TTL: 1, K: 2})
 		return err
 	}},
 	{"entropy+hh", Options{Slots: 2, Size: 64, Stages: 1, Entropy: true, HeavyHitter: true}, true, func(rt *Runtime) error {
-		if _, err := rt.BindEntropyDst(0, 0, DstIn(packet.Prefix{Addr: packet.ParseIP4(10, 0, 0, 0), Len: 24}), 0,
-			uint64(packet.ParseIP4(10, 0, 0, 0)), 64, uint64(6)<<16, 1); err != nil {
+		if _, err := rt.Bind(Binding{Kind: "entropy-dst", Match: DstIn(packet.Prefix{Addr: packet.ParseIP4(10, 0, 0, 0), Len: 24}),
+			Base: uint64(packet.ParseIP4(10, 0, 0, 0)), Size: 64, H0: uint64(6) << 16, CheckEvery: 1}); err != nil {
 			return err
 		}
-		_, err := rt.BindHeavyHitterSrc(0, 1, DstIn(packet.Prefix{Addr: packet.ParseIP4(10, 0, 1, 0), Len: 24}), 0, 1)
+		_, err := rt.Bind(Binding{Kind: "hh-src", Slot: 1, Match: DstIn(packet.Prefix{Addr: packet.ParseIP4(10, 0, 1, 0), Len: 24}),
+			SampleShift: 1})
 		return err
 	}},
 	{"flow", Options{Slots: 1, Size: 64, Stages: 1, FlowTable: true, FlowTableSize: 64}, true, func(rt *Runtime) error {
-		_, err := rt.BindFlowDst(0, 0, AllIPv4(), 0, 10, 1, 0, 2)
+		_, err := rt.Bind(Binding{Kind: "flow-dst", Match: AllIPv4(), EpochShift: 10, TTL: 1, K: 2})
 		return err
 	}},
 	{"echo", Options{Slots: 2, Size: 512, Stages: 2, Echo: true}, true, func(rt *Runtime) error {
-		if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), EchoBias-255, 512, 1, 1, 0); err != nil {
+		if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+			Base: EchoBias - 255, Size: 512, PA: 1, PB: 1}); err != nil {
 			return err
 		}
-		_, err := rt.BindWindow(1, 1, AllIPv4(), 8, 8, 1)
+		_, err := rt.Bind(Binding{Kind: "window", Stage: 1, Slot: 1, Match: AllIPv4(),
+			IntervalShift: 8, Capacity: 8, K: 1})
 		return err
 	}},
 }

@@ -26,64 +26,48 @@ import (
 // real toolchain; this repository's simulator remains the executable
 // semantics (the module is offline, so the text is not run through p4c).
 func EmitP416(l *Library) string {
-	g := &p416{lib: l, prog: l.Prog}
+	std := l.Std
+	g := &p416{lib: l, prog: l.Prog, std: map[p4.FieldID]string{
+		std.InPort:    "(bit<16>)standard_metadata.ingress_port",
+		std.TsNs:      "meta.ts_ns", // widened from the 48-bit intrinsic in the preamble
+		std.WireLen:   "standard_metadata.packet_length",
+		std.Egress:    "standard_metadata.egress_spec",
+		std.Drop:      "meta.do_drop",
+		std.EthType:   "hdr.ethernet.etherType",
+		std.IPv4Valid: "meta.ipv4_valid",
+		std.IPv4Src:   "hdr.ipv4.srcAddr",
+		std.IPv4Dst:   "hdr.ipv4.dstAddr",
+		std.IPv4Proto: "hdr.ipv4.protocol",
+		std.IPv4Len:   "hdr.ipv4.totalLen",
+		std.TCPValid:  "meta.tcp_valid",
+		std.TCPSport:  "hdr.tcp.srcPort",
+		std.TCPDport:  "hdr.tcp.dstPort",
+		std.TCPFlags:  "hdr.tcp.flags",
+		std.TCPSyn:    "meta.tcp_syn",
+		std.UDPValid:  "meta.udp_valid",
+		std.UDPSport:  "hdr.udp.srcPort",
+		std.UDPDport:  "hdr.udp.dstPort",
+		std.EchoValid: "meta.echo_valid",
+		std.EchoValue: "meta.echo_value",
+	}}
 	return g.emit()
 }
 
 type p416 struct {
 	lib  *Library
 	prog *p4.Program
+	std  map[p4.FieldID]string // the standard fields' expressions
 	b    strings.Builder
 }
 
 func (g *p416) pf(format string, args ...any) { fmt.Fprintf(&g.b, format, args...) }
 
-// fieldExpr maps a FieldID to its P4-16 expression.
+// fieldExpr maps a FieldID to its P4-16 expression: a standard field's
+// header, intrinsic or preamble expression, any other field's metadata_t
+// member.
 func (g *p416) fieldExpr(id p4.FieldID) string {
-	std := g.lib.Std
-	switch id {
-	case std.InPort:
-		return "(bit<16>)standard_metadata.ingress_port"
-	case std.TsNs:
-		return "meta.ts_ns" // widened from the 48-bit intrinsic in the preamble
-	case std.WireLen:
-		return "standard_metadata.packet_length"
-	case std.Egress:
-		return "standard_metadata.egress_spec"
-	case std.Drop:
-		return "meta.do_drop"
-	case std.EthType:
-		return "hdr.ethernet.etherType"
-	case std.IPv4Valid:
-		return "meta.ipv4_valid"
-	case std.IPv4Src:
-		return "hdr.ipv4.srcAddr"
-	case std.IPv4Dst:
-		return "hdr.ipv4.dstAddr"
-	case std.IPv4Proto:
-		return "hdr.ipv4.protocol"
-	case std.IPv4Len:
-		return "hdr.ipv4.totalLen"
-	case std.TCPValid:
-		return "meta.tcp_valid"
-	case std.TCPSport:
-		return "hdr.tcp.srcPort"
-	case std.TCPDport:
-		return "hdr.tcp.dstPort"
-	case std.TCPFlags:
-		return "hdr.tcp.flags"
-	case std.TCPSyn:
-		return "meta.tcp_syn"
-	case std.UDPValid:
-		return "meta.udp_valid"
-	case std.UDPSport:
-		return "hdr.udp.srcPort"
-	case std.UDPDport:
-		return "hdr.udp.dstPort"
-	case std.EchoValid:
-		return "meta.echo_valid"
-	case std.EchoValue:
-		return "meta.echo_value"
+	if e, ok := g.std[id]; ok {
+		return e
 	}
 	return "meta." + sanitize(g.prog.Fields[id].Name)
 }
@@ -91,17 +75,9 @@ func (g *p416) fieldExpr(id p4.FieldID) string {
 // metaFields lists the fields that live in metadata_t (everything that is
 // not mapped onto a header or intrinsic), plus the derived preamble fields.
 func (g *p416) metaFields() []p4.FieldID {
-	std := g.lib.Std
-	mapped := map[p4.FieldID]bool{
-		std.InPort: true, std.WireLen: true, std.Egress: true,
-		std.EthType: true, std.IPv4Src: true, std.IPv4Dst: true,
-		std.IPv4Proto: true, std.IPv4Len: true, std.TCPSport: true,
-		std.TCPDport: true, std.TCPFlags: true, std.UDPSport: true,
-		std.UDPDport: true,
-	}
 	var out []p4.FieldID
 	for i := range g.prog.Fields {
-		if !mapped[p4.FieldID(i)] {
+		if strings.HasPrefix(g.fieldExpr(p4.FieldID(i)), "meta.") {
 			out = append(out, p4.FieldID(i))
 		}
 	}
@@ -189,29 +165,10 @@ struct headers_t {
 func (g *p416) metadata() {
 	g.pf("struct metadata_t {\n")
 	g.pf("    bit<64> ts_ns;\n")
-	std := g.lib.Std
 	for _, id := range g.metaFields() {
-		f := g.prog.Fields[id]
-		name := sanitize(f.Name)
-		switch id {
-		case std.TsNs:
-			continue // declared above
-		case std.Drop:
-			name = "do_drop"
-		case std.IPv4Valid:
-			name = "ipv4_valid"
-		case std.TCPValid:
-			name = "tcp_valid"
-		case std.TCPSyn:
-			name = "tcp_syn"
-		case std.UDPValid:
-			name = "udp_valid"
-		case std.EchoValid:
-			name = "echo_valid"
-		case std.EchoValue:
-			name = "echo_value"
+		if id != g.lib.Std.TsNs { // declared above
+			g.pf("    bit<%d> %s;\n", g.prog.Fields[id].Width, strings.TrimPrefix(g.fieldExpr(id), "meta."))
 		}
-		g.pf("    bit<%d> %s;\n", f.Width, name)
 	}
 	g.pf("}\n\n")
 }

@@ -53,20 +53,20 @@ func Registered() []RegisteredProgram {
 
 // RecomputedRegisters lists the MergeDerived registers CanonicalizeSnapshot
 // recomputes from the merged counters — the per-slot scalar block of a
-// frequency slot. Every other MergeDerived register must carry a MergeWhy
-// note explaining why zero-after-merge is the whole contract (window state
-// merges through the shared-clock core.Window path; flow-table buckets are
-// replica-local and merged by key). The mergelaw analyzer checks exactly this
-// partition.
+// frequency slot, then what each measure that is on rebuilds. Every other
+// MergeDerived register must carry a MergeWhy note explaining why
+// zero-after-merge is the whole contract (window state merges through the
+// shared-clock core.Window path; flow-table buckets are replica-local and
+// merged by key). The mergelaw analyzer checks exactly this partition.
 func (l *Library) RecomputedRegisters() []string {
 	out := []string{
 		RegN, RegXsum, RegXsumsq, RegVar, RegSD,
 		RegMed, RegLow, RegHigh, RegMedInit,
 	}
-	if l.Opts.Entropy {
-		// The entropy contribution cells and their per-slot sum are pure
-		// functions of the counters, rebuilt cell-for-cell after a merge.
-		out = append(out, RegEntCell, RegEntSum)
+	for _, m := range measures {
+		if *m.on(&l.Opts) {
+			out = append(out, m.recomputed...)
+		}
 	}
 	return out
 }

@@ -26,18 +26,22 @@ func shardedPair(t *testing.T, opts Options, n int) (*Runtime, *Runtime) {
 	t.Cleanup(sr.Close)
 
 	dstBase := uint64(packet.ParseIP4(10, 0, 0, 0))
-	if _, err := rt.BindFreqDst(0, 0, AllIPv4(), 0, dstBase, 64, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-dst", Match: AllIPv4(),
+		Base: dstBase, Size: 64, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sr.BindFreqDst(0, 0, AllIPv4(), 0, dstBase, 64, 1, 1, 0); err != nil {
+	if _, err := sr.Bind(Binding{Kind: "freq-dst", Match: AllIPv4(),
+		Base: dstBase, Size: 64, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if opts.Stages > 1 {
 		// Wire length = 14 + 20 + 8 + payload, payloads below 22 bytes.
-		if _, err := rt.BindFreqLen(1, 1, AllIPv4(), 0, 42, 32, 1, 1, 0); err != nil {
+		if _, err := rt.Bind(Binding{Kind: "freq-len", Stage: 1, Slot: 1, Match: AllIPv4(),
+			Base: 42, Size: 32, PA: 1, PB: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sr.BindFreqLen(1, 1, AllIPv4(), 0, 42, 32, 1, 1, 0); err != nil {
+		if _, err := sr.Bind(Binding{Kind: "freq-len", Stage: 1, Slot: 1, Match: AllIPv4(),
+			Base: 42, Size: 32, PA: 1, PB: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,14 +196,16 @@ func TestShardedRuntimeFanOut(t *testing.T) {
 	if got := sr.NumShards(); got != 3 {
 		t.Fatalf("NumShards = %d", got)
 	}
-	id, err := sr.BindFreqDst(0, 0, AllIPv4(), 0, uint64(packet.ParseIP4(10, 0, 0, 0)), 64, 1, 1, 0)
+	id, err := sr.Bind(Binding{Kind: "freq-dst", Match: AllIPv4(),
+		Base: uint64(packet.ParseIP4(10, 0, 0, 0)), Size: 64, PA: 1, PB: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slots := sr.FreqSlots(); len(slots) != 1 || slots[0] != (SlotBinding{Slot: 0, PA: 1, PB: 1}) {
 		t.Fatalf("FreqSlots = %v", slots)
 	}
-	if _, err := sr.BindFreqDst(0, 99, AllIPv4(), 0, 0, 64, 1, 1, 0); err == nil {
+	if _, err := sr.Bind(Binding{Kind: "freq-dst", Slot: 99, Match: AllIPv4(),
+		Size: 64, PA: 1, PB: 1}); err == nil {
 		t.Fatal("bad slot accepted")
 	}
 	if err := sr.Unbind(0, id); err != nil {

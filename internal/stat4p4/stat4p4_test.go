@@ -70,7 +70,8 @@ func TestEchoCrossValidation(t *testing.T) {
 		packets = 10000
 	)
 	rt := mustRuntime(t, Options{Slots: 1, Size: domain, Stages: 1, Echo: true})
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), base, domain, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+		Base: base, Size: domain, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +127,8 @@ func TestWindowCrossValidation(t *testing.T) {
 		intervals = 300
 	)
 	rt := mustRuntime(t, Options{Slots: 1, Size: 128, Stages: 1})
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), intShift, capacity, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: intShift, Capacity: capacity, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -182,7 +184,8 @@ func TestWindowCrossValidation(t *testing.T) {
 func TestSpikeDetectedFirstInterval(t *testing.T) {
 	const intShift = 20 // ~1 ms intervals
 	rt := mustRuntime(t, Options{Slots: 1, Size: 128, Stages: 1})
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), intShift, 100, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: intShift, Capacity: 100, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -228,11 +231,13 @@ func TestDrillDownRebinding(t *testing.T) {
 	sw := rt.Sharded()
 	slash8 := packet.NewPrefix(packet.ParseIP4(10, 0, 0, 0), 8)
 
-	if _, err := rt.BindWindow(0, 0, DstIn(slash8), 10, 16, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: DstIn(slash8),
+		IntervalShift: 10, Capacity: 16, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Stage 1: packets per /24 inside 10.0.0.0/16 (shift 8, base 10.0<<8).
-	id, err := rt.BindFreqDst(1, 1, DstIn(slash8), 8, uint64(packet.ParseIP4(10, 0, 0, 0))>>8, 64, 1, 1, 0)
+	id, err := rt.Bind(Binding{Kind: "freq-dst", Stage: 1, Slot: 1, Match: DstIn(slash8),
+		Shift: 8, Base: uint64(packet.ParseIP4(10, 0, 0, 0)) >> 8, Size: 64, PA: 1, PB: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +267,8 @@ func TestDrillDownRebinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	slash24 := packet.NewPrefix(packet.ParseIP4(10, 0, 5, 0), 24)
-	if _, err := rt.BindFreqDst(1, 1, DstIn(slash24), 0, uint64(packet.ParseIP4(10, 0, 5, 0)), 64, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-dst", Stage: 1, Slot: 1, Match: DstIn(slash24),
+		Base: uint64(packet.ParseIP4(10, 0, 5, 0)), Size: 64, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
@@ -286,7 +292,8 @@ func TestDrillDownRebinding(t *testing.T) {
 // state untouched.
 func TestFreqOutOfRangeValuesSkipped(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, Echo: true})
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), EchoBias, 8, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+		Base: EchoBias, Size: 8, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -308,7 +315,8 @@ func TestFreqOutOfRangeValuesSkipped(t *testing.T) {
 func TestPercentile90InP4(t *testing.T) {
 	const domain = 256
 	rt := mustRuntime(t, Options{Slots: 1, Size: domain, Stages: 1, Echo: true})
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), EchoBias, domain, 9, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+		Base: EchoBias, Size: domain, PA: 9, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	host := core.NewFreqDist(domain)
@@ -335,38 +343,47 @@ func TestPercentile90InP4(t *testing.T) {
 
 func TestBindValidation(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 2, Size: 64, Stages: 1})
-	if _, err := rt.BindFreqEcho(0, 5, EchoOnly(), 0, 8, 1, 1, 0); !errors.Is(err, ErrBadSlot) {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Slot: 5, Match: EchoOnly(),
+		Size: 8, PA: 1, PB: 1}); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("bad slot: %v", err)
 	}
-	if _, err := rt.BindFreqEcho(2, 0, EchoOnly(), 0, 8, 1, 1, 0); !errors.Is(err, ErrBadStage) {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Stage: 2, Match: EchoOnly(),
+		Size: 8, PA: 1, PB: 1}); !errors.Is(err, ErrBadStage) {
 		t.Fatalf("bad stage: %v", err)
 	}
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), 0, 100, 1, 1, 0); !errors.Is(err, ErrBadSize) {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+		Size: 100, PA: 1, PB: 1}); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("bad size: %v", err)
 	}
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), 0, 8, 0, 1, 0); err == nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(), Size: 8, PB: 1}); err == nil {
 		t.Fatal("zero weight accepted")
 	}
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), 80, 16, 2); err == nil {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: 80, Capacity: 16, K: 2}); err == nil {
 		t.Fatal("huge interval shift accepted")
 	}
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), 10, 1000, 2); !errors.Is(err, ErrBadSize) {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: 10, Capacity: 1000, K: 2}); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("bad capacity: %v", err)
 	}
 }
 
 func TestStrictBindValidation(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, Strict: true, StrictCapShift: 4})
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), 0, 8, 9, 1, 0); !errors.Is(err, ErrStrict) {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+		Size: 8, PA: 9, PB: 1}); !errors.Is(err, ErrStrict) {
 		t.Fatalf("strict percentile weights: %v", err)
 	}
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), 10, 8, 2); !errors.Is(err, ErrStrict) {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: 10, Capacity: 8, K: 2}); !errors.Is(err, ErrStrict) {
 		t.Fatalf("strict capacity: %v", err)
 	}
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), 10, 16, 3); !errors.Is(err, ErrStrict) {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: 10, Capacity: 16, K: 3}); !errors.Is(err, ErrStrict) {
 		t.Fatalf("strict k: %v", err)
 	}
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), 10, 16, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: 10, Capacity: 16, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -377,7 +394,8 @@ func TestStrictBindValidation(t *testing.T) {
 func TestStrictWindowDetectsSpike(t *testing.T) {
 	const intShift = 10
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, Strict: true, StrictCapShift: 4})
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), intShift, 16, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: intShift, Capacity: 16, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -408,10 +426,12 @@ func TestStrictWindowDetectsSpike(t *testing.T) {
 func TestTwoStagesIndependentDistributions(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 2, Size: 64, Stages: 2})
 	sw := rt.Sharded()
-	if _, err := rt.BindWindow(0, 0, AllIPv4(), 10, 8, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "window", Match: AllIPv4(),
+		IntervalShift: 10, Capacity: 8, K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqProto(1, 1, AllIPv4(), 0, 64, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-proto", Stage: 1, Slot: 1, Match: AllIPv4(),
+		Size: 64, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	tcp := packet.NewTCPFrame(1, 2, 3, 4, packet.FlagSYN).Serialize()
@@ -472,8 +492,8 @@ func TestFreqImbalanceCheck(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1})
 	// Track packets per /24 inside 10.0.0.0/16 with the outlier check on.
 	slash16 := packet.NewPrefix(packet.ParseIP4(10, 0, 0, 0), 16)
-	if _, err := rt.BindFreqDst(0, 0, DstIn(slash16), 8,
-		uint64(packet.ParseIP4(10, 0, 0, 0))>>8, 64, 1, 1, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-dst", Match: DstIn(slash16),
+		Shift: 8, Base: uint64(packet.ParseIP4(10, 0, 0, 0)) >> 8, Size: 64, PA: 1, PB: 1, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -511,7 +531,8 @@ func TestWindowBytesCrossValidation(t *testing.T) {
 		intervals = 60
 	)
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1})
-	if _, err := rt.BindWindowBytes(0, 0, AllIPv4(), intShift, capacity, 2); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "window-bytes", Match: AllIPv4(),
+		IntervalShift: intShift, Capacity: capacity, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -544,7 +565,8 @@ func TestWindowBytesCrossValidation(t *testing.T) {
 
 func TestWindowBytesRejectedOnStrict(t *testing.T) {
 	rt := mustRuntime(t, Options{Slots: 1, Size: 64, Stages: 1, Strict: true, StrictCapShift: 4})
-	if _, err := rt.BindWindowBytes(0, 0, AllIPv4(), 10, 16, 2); !errors.Is(err, ErrStrict) {
+	if _, err := rt.Bind(Binding{Kind: "window-bytes", Match: AllIPv4(),
+		IntervalShift: 10, Capacity: 16, K: 2}); !errors.Is(err, ErrStrict) {
 		t.Fatalf("byte window on strict target: err = %v, want ErrStrict", err)
 	}
 }
@@ -556,7 +578,8 @@ func TestWindowBytesRejectedOnStrict(t *testing.T) {
 func TestMedianChangeRate(t *testing.T) {
 	const domain = 256
 	rt := mustRuntime(t, Options{Slots: 1, Size: domain, Stages: 1, Echo: true})
-	if _, err := rt.BindFreqEcho(0, 0, EchoOnly(), EchoBias, domain, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(Binding{Kind: "freq-echo", Match: EchoOnly(),
+		Base: EchoBias, Size: domain, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	host := core.NewFreqDist(domain)

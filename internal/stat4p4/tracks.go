@@ -109,15 +109,15 @@ func findTrack(name string) (*track, error) {
 	return nil, fmt.Errorf("unknown track %q", name)
 }
 
-// TrackOptions returns base with the program feature the track needs
+// TrackOptions returns base with the measure the track's kind needs
 // switched on, so a tool compiles in only the measure it was asked for.
 func TrackOptions(name string, base Options) (Options, error) {
 	t, err := findTrack(name)
 	if err != nil {
 		return base, err
 	}
-	if f := findKind(t.kind).needs; f != nil {
-		*f.on(&base) = true
+	if m := findKind(t.kind).needs; m != nil {
+		*m.on(&base) = true
 	}
 	return base, nil
 }
@@ -130,11 +130,15 @@ func (l *Library) TrackBinding(name string, p TrackParams) (Binding, error) {
 	if err != nil {
 		return Binding{}, err
 	}
+	h0, err := l.entropyH0(p.H0Bits)
+	if err != nil {
+		return Binding{}, err
+	}
 	b := Binding{
 		Kind: t.kind, Stage: p.Stage, Slot: p.Slot, Match: AllIPv4(),
 		IntervalShift: p.IntervalShift, Capacity: p.Window,
 		Shift: t.shift, Size: p.Size, PA: p.PA, PB: p.PB, K: p.K,
-		H0: l.EntropyH0(p.H0Bits), CheckEvery: p.CheckEvery,
+		H0: h0, CheckEvery: p.CheckEvery,
 		SampleShift: p.SampleShift, EpochShift: p.EpochShift, TTL: p.TTL,
 	}
 	if t.based {
@@ -155,13 +159,4 @@ func BindTrack(rt *Runtime, name string, p TrackParams) (p4.EntryID, error) {
 		return 0, err
 	}
 	return rt.Bind(b)
-}
-
-// EntropyH0 converts a collapse threshold in bits to the fixed-point form
-// the in-switch check compares against (0 or less disables the check).
-func (l *Library) EntropyH0(bits float64) uint64 {
-	if bits <= 0 {
-		return 0
-	}
-	return uint64(bits * float64(uint64(1)<<l.Opts.EntropyFrac))
 }

@@ -6,32 +6,33 @@ import (
 	"stat4/internal/p4"
 )
 
-// sqrtTree emits the Figure 2 approximate square root as a nested-if binary
-// search on the MSB of m.sqin, with one leaf action per exponent. At leaf e
-// every shift amount is a compile-time constant, which is how the "sequence
-// of ifs" sidesteps the no-packet-dependent-shift restriction. The emitted
-// computation matches intstat.SqrtApprox bit for bit.
+// msbTree emits a nested-if binary search on the MSB of src over [lo, hi]
+// whose leaf e calls the action leaf_e. At leaf e every shift amount is a
+// compile-time constant, which is how the Figure 2 "sequence of ifs"
+// sidesteps the no-packet-dependent-shift restriction; the square root, the
+// strict multiply and the entropy log2 are all such trees.
+func msbTree(src p4.FieldID, lo, hi int, leaf string) p4.Stmt {
+	if lo == hi {
+		return p4.Call(fmt.Sprintf("%s_%d", leaf, lo))
+	}
+	mid := (lo + hi + 1) / 2
+	return p4.IfStmt{
+		Cond: p4.Cond{A: p4.F(src), Op: p4.CmpGe, B: p4.C(1 << uint(mid))},
+		Then: []p4.Stmt{msbTree(src, mid, hi, leaf)},
+		Else: []p4.Stmt{msbTree(src, lo, mid-1, leaf)},
+	}
+}
+
+// sqrtTree emits the Figure 2 approximate square root of m.sqin, one leaf
+// action per exponent, matching intstat.SqrtApprox bit for bit.
 func (l *Library) sqrtTree() []p4.Stmt {
 	f := &l.f
 	return []p4.Stmt{
 		p4.If(eq(f.sqin, 0),
 			p4.Call("sqrt_zero"),
 		).WithElse(
-			l.sqrtRange(0, 63),
+			msbTree(f.sqin, 0, 63, "sqrt_leaf"),
 		),
-	}
-}
-
-// sqrtRange emits the binary search over MSB positions [lo, hi].
-func (l *Library) sqrtRange(lo, hi int) p4.Stmt {
-	if lo == hi {
-		return p4.Call(fmt.Sprintf("sqrt_leaf_%d", lo))
-	}
-	mid := (lo + hi + 1) / 2
-	return p4.IfStmt{
-		Cond: p4.Cond{A: p4.F(l.f.sqin), Op: p4.CmpGe, B: p4.C(1 << uint(mid))},
-		Then: []p4.Stmt{l.sqrtRange(mid, hi)},
-		Else: []p4.Stmt{l.sqrtRange(lo, mid-1)},
 	}
 }
 
@@ -68,39 +69,17 @@ func (l *Library) declareSqrtActions() {
 }
 
 // mulShiftTree emits dst = a << msb(b): the one-term shift approximation of
-// a·b used in Strict mode, again as a nested-if search with constant-shift
-// leaves. The caller guards b != 0.
+// a·b used in Strict mode, with constant-shift leaves. The caller guards
+// b != 0.
 func (l *Library) mulShiftTree(a, b, dst p4.FieldID) []p4.Stmt {
-	prefix := l.mulLeafPrefix(a, dst)
-	return []p4.Stmt{l.mulRange(prefix, b, 0, 63)}
-}
-
-func (l *Library) mulRange(prefix string, b p4.FieldID, lo, hi int) p4.Stmt {
-	if lo == hi {
-		return p4.Call(fmt.Sprintf("%s_%d", prefix, lo))
-	}
-	mid := (lo + hi + 1) / 2
-	return p4.IfStmt{
-		Cond: p4.Cond{A: p4.F(b), Op: p4.CmpGe, B: p4.C(1 << uint(mid))},
-		Then: []p4.Stmt{l.mulRange(prefix, b, mid, hi)},
-		Else: []p4.Stmt{l.mulRange(prefix, b, lo, mid-1)},
-	}
-}
-
-// mulLeafPrefix names (and lazily declares) the 64 leaf actions shifting
-// field a into dst.
-func (l *Library) mulLeafPrefix(a, dst p4.FieldID) string {
 	prefix := fmt.Sprintf("ms_%d_%d", a, dst)
-	if l.declaredMulLeaves == nil {
-		l.declaredMulLeaves = make(map[string]bool)
-	}
-	if !l.declaredMulLeaves[prefix] {
-		l.declaredMulLeaves[prefix] = true
+	if !l.leaves[prefix] {
+		l.leaves[prefix] = true
 		for e := 0; e <= 63; e++ {
 			l.Prog.AddAction(p4.NewAction(fmt.Sprintf("%s_%d", prefix, e), 0,
 				p4.Shl(dst, p4.F(a), p4.C(uint64(e))),
 			))
 		}
 	}
-	return prefix
+	return []p4.Stmt{msbTree(b, 0, 63, prefix)}
 }

@@ -5,23 +5,22 @@ import (
 	"fmt"
 	"sort"
 
-	"stat4/internal/intstat"
 	"stat4/internal/p4"
 	"stat4/internal/packet"
 )
 
 // This file is the read half of the control plane, spelled once: the view
-// table, one row per read-back of tracked state. A row names the Options
-// feature it needs, reads one shard's registers for a slot, merges the
-// shards' reads into what one switch holding the union stream would report,
-// and shapes the read as the stat4d answer served at the row's name. Read is
+// table, one row per read-back of tracked state. A row reads one shard's
+// registers for a slot, merges the shards' reads into what one switch holding
+// the union stream would report, and shapes the read as the stat4d answer
+// served at the row's name. The core rows are here; a measure's rows are in
+// its own file, listed by its measure row, which is what they need. Read is
 // the one entry point, at any shard count.
 
 // View is one row of the view table, reading a T per slot.
 type View[T any] struct {
-	name  string
-	needs *feature // nil: part of every program
-	read  func(s shard, slot int) T
+	name string
+	read func(s shard, slot int) T
 	// merge combines the shards' reads of the slot.
 	merge func(rt *Runtime, slot int, shards []T) T
 	// body shapes a read as the control plane's JSON answer (nil: the read
@@ -49,7 +48,7 @@ func (v *View[T]) Body(rt *Runtime, slot, n int) (any, error) {
 
 // Read answers one view for one slot: on one shard, the shard's own
 // registers; on more, the row's merge of every shard's read. A program built
-// without the row's feature gets the error Lower gives; a slot out of range,
+// without the row's measure gets the error Lower gives; a slot out of range,
 // ErrBadSlot.
 func Read[T any](rt *Runtime, v *View[T], slot int) (T, error) {
 	if err := v.check(rt, slot); err != nil {
@@ -77,7 +76,7 @@ func ReadShard[T any](rt *Runtime, v *View[T], shard, slot int) (T, error) {
 
 func (v *View[T]) check(rt *Runtime, slot int) error {
 	o := &rt.lib.Opts
-	if err := v.needs.check(o); err != nil {
+	if err := needs(v).require(o); err != nil {
 		return err
 	}
 	if slot < 0 || slot >= o.Slots {
@@ -94,14 +93,38 @@ func (v *View[T]) merged(rt *Runtime, slot int) T {
 	return v.merge(rt, slot, shards)
 }
 
-// Views lists the view table, in the order stat4d serves it.
-func Views() []AnyView { return []AnyView{Moments, Counters, Entropy, HeavyHitters, Flows} }
+// needs is the measure whose row lists the view; nil for a core view.
+func needs(v AnyView) *measure {
+	for _, m := range measures {
+		for _, w := range m.views {
+			if w == v {
+				return m
+			}
+		}
+	}
+	return nil
+}
+
+// Views lists the view table, in the order stat4d serves it: the core rows,
+// then each measure's named rows in table order.
+func Views() []AnyView {
+	out := []AnyView{Moments, Counters}
+	for _, m := range measures {
+		for _, v := range m.views {
+			if v.Name() != "" {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
 
 var (
 	// Moments is a slot's scalar block. Merged, it is recomputed with the
 	// emitted arithmetic from the slot's merged counts — the counter array,
-	// or the key-merged flow counts of a slot bound to a flow kind — and the
-	// marker is re-derived; MedianMoves sums the shards' movements.
+	// or the counts of the measure of a kind that keeps its own (the flow
+	// table's, merged by key) — and the marker is re-derived; MedianMoves
+	// sums the shards' movements.
 	Moments = &View[MomentsSnapshot]{name: "moments", read: readMoments, merge: mergeMoments}
 
 	// Counters is a slot's Size counter cells. Merged, they add, masked to
@@ -123,83 +146,6 @@ var (
 			return shards[0]
 		},
 		body: func(slot, n int, cells []uint64) any { return map[string]any{"slot": slot, "cells": head(cells, n)} }}
-
-	// Entropy is a slot's entropy registers in the scaled form. Merged, S is
-	// rederived from the merged counters.
-	Entropy = &View[EntropySnapshot]{name: "entropy", needs: featEntropy,
-		read: func(s shard, slot int) EntropySnapshot {
-			return s.lib.entropySnapshot(s.cell(RegXsum, slot), s.cell(RegEntSum, slot))
-		},
-		merge: func(rt *Runtime, slot int, _ []EntropySnapshot) EntropySnapshot {
-			mask := rt.lib.cellMask()
-			var total, sum uint64
-			for _, f := range Counters.merged(rt, slot) {
-				total += f
-				sum += (f * intstat.Log2Fixed(f, rt.lib.Opts.EntropyFrac)) & mask
-			}
-			return rt.lib.entropySnapshot(total&mask, sum&mask)
-		},
-		body: func(slot, _ int, e EntropySnapshot) any {
-			return struct {
-				Slot int `json:"slot"`
-				EntropySnapshot
-			}{slot, e}
-		}}
-
-	// HeavyHitters is a slot's candidate table and rejected promotions.
-	// Merged, candidates add by key and rejections sum.
-	HeavyHitters = &View[HHSnapshot]{name: "heavyhitters", needs: featHH,
-		read: func(s shard, slot int) HHSnapshot {
-			return HHSnapshot{s.cell(RegHHRej, slot), s.table(slot, s.lib.Opts.HHTableSize, RegHHKeys, RegHHCounts, "")}
-		},
-		merge: func(_ *Runtime, _ int, shards []HHSnapshot) (m HHSnapshot) {
-			for _, s := range shards {
-				m.Rejected += s.Rejected
-				m.Entries = append(m.Entries, s.Entries...)
-			}
-			m.Entries = byKey(m.Entries)
-			return m
-		},
-		body: func(slot, _ int, h HHSnapshot) any {
-			return struct {
-				Slot int `json:"slot"`
-				HHSnapshot
-			}{slot, h}
-		}}
-
-	// Flows is a slot's flow-table ledger and occupied buckets. Merged,
-	// ledgers sum and flows add by key.
-	Flows = &View[FlowSnapshot]{name: "flows", needs: featFlow,
-		read: func(s shard, slot int) FlowSnapshot {
-			return FlowSnapshot{readFlowLedger(s, slot), s.table(slot, s.lib.Opts.FlowTableSize, RegFTKeys, RegFTCnt, RegFTStamp)}
-		},
-		merge: func(rt *Runtime, slot int, shards []FlowSnapshot) FlowSnapshot {
-			var all []Entry
-			for _, s := range shards {
-				all = append(all, s.Entries...)
-			}
-			return FlowSnapshot{FlowLedger.merged(rt, slot), byKey(all)}
-		},
-		body: func(slot, n int, f FlowSnapshot) any {
-			f.Entries = head(f.Entries, n)
-			return struct {
-				Slot int `json:"slot"`
-				FlowSnapshot
-				LoadFactor float64 `json:"load_factor"`
-			}{slot, f, float64(f.Occupied) / float64(max(f.Capacity, 1))}
-		}}
-
-	// FlowLedger is the ledger half of Flows alone, per-slot counters with no
-	// bucket walk, for readers on a clock (the flow_* scrape gauges); it has
-	// no path of its own. Merged, ledgers and capacities add.
-	FlowLedger = &View[FlowStats]{needs: featFlow, read: readFlowLedger,
-		merge: func(_ *Runtime, _ int, shards []FlowStats) (m FlowStats) {
-			for _, s := range shards {
-				m = FlowStats{m.Occupied + s.Occupied, m.Admitted + s.Admitted, m.Evicted + s.Evicted,
-					m.Rejected + s.Rejected, m.Shed + s.Shed, m.Capacity + s.Capacity}
-			}
-			return m
-		}}
 )
 
 // MomentsSnapshot is a control-plane snapshot of one distribution's measures.
@@ -209,43 +155,6 @@ type MomentsSnapshot struct {
 	// per-interval difference is the percentile change rate the paper
 	// names as an anomaly signal.
 	MedianMoves uint64
-}
-
-// EntropySnapshot is one slot's entropy state: Total is T, the observations
-// (the slot's Xsum); Sum is S = Σ f·log2fix(f) masked to the cell width;
-// ScaledBits is T·log2fix(T) − S = H·T·2^frac, the division-free form the
-// in-switch check compares against h0·T; Bits is ScaledBits/(T·2^frac), the
-// entropy in bits in floating point for display only — every decision path
-// stays integer.
-type EntropySnapshot struct {
-	Total      uint64  `json:"total"`
-	Sum        uint64  `json:"sum"`
-	ScaledBits uint64  `json:"scaled_bits"`
-	Bits       float64 `json:"bits"`
-}
-
-// HHSnapshot is a slot's candidate table, heaviest first, and its count of
-// promotions rejected with both candidate buckets taken.
-type HHSnapshot struct {
-	Rejected uint64  `json:"rejected"`
-	Entries  []Entry `json:"entries"`
-}
-
-// FlowStats is the admission ledger of one slot's flow table. Occupied
-// counts buckets holding an entry, live or expired.
-type FlowStats struct {
-	Occupied uint64 `json:"occupied"`
-	Admitted uint64 `json:"admitted"`
-	Evicted  uint64 `json:"evicted"`
-	Rejected uint64 `json:"rejected"`
-	Shed     uint64 `json:"shed"`
-	Capacity uint64 `json:"capacity"`
-}
-
-// FlowSnapshot is a slot's ledger and occupied flow buckets, heaviest first.
-type FlowSnapshot struct {
-	FlowStats
-	Entries []Entry `json:"flows"`
 }
 
 // Entry is one occupied bucket of a heavy-hitter candidate table or a flow
@@ -342,13 +251,8 @@ func mergeMoments(rt *Runtime, slot int, shards []MomentsSnapshot) MomentsSnapsh
 		pa, pb = low.Note.PA, low.Note.PB
 	}
 	var s slotScalars
-	if ok && low.kind.view == Flows {
-		// A flow kind counts into its flow table and keeps no marker.
-		var counts []uint64
-		for _, e := range Flows.merged(rt, slot).Entries {
-			counts = append(counts, e.Count)
-		}
-		s = rt.lib.recomputeSlot(counts, pa, pb)
+	if ok && low.kind.needs != nil && low.kind.needs.counts != nil {
+		s = rt.lib.recomputeSlot(low.kind.needs.counts(rt, slot), pa, pb)
 		s.med = 0
 	} else {
 		s = rt.lib.recomputeSlot(Counters.merged(rt, slot), pa, pb)
@@ -358,11 +262,4 @@ func mergeMoments(rt *Runtime, slot int, shards []MomentsSnapshot) MomentsSnapsh
 		m.MedianMoves = (m.MedianMoves + sh.MedianMoves) & rt.lib.cellMask()
 	}
 	return m
-}
-
-// readFlowLedger derives Occupied as claims minus reclaims, the conservation
-// half of the flowtable ledger invariant.
-func readFlowLedger(s shard, slot int) FlowStats {
-	adm, evt := s.cell(RegFTAdm, slot), s.cell(RegFTEvt, slot)
-	return FlowStats{adm - evt, adm, evt, s.cell(RegFTRej, slot), s.cell(RegFTShed, slot), uint64(s.lib.Opts.FlowTableSize)}
 }

@@ -138,8 +138,8 @@ func TestViewsMergeLikeSerial(t *testing.T) {
 }
 
 // TestViewTable pins the table's contracts: every binding kind is read back
-// through exactly one row, which needs the kind's own feature; a program
-// built without a row's feature answers with the same error Lower gives; and
+// through exactly one row, which needs the kind's own measure; a program
+// built without a row's measure answers with the same error Lower gives; and
 // a slot out of range is ErrBadSlot on both runtimes.
 func TestViewTable(t *testing.T) {
 	runtimes := func(opts Options) []*Runtime {
@@ -156,8 +156,25 @@ func TestViewTable(t *testing.T) {
 	}
 	plain, full := runtimes(Options{Slots: 2, Size: 64, Stages: 1}), runtimes(viewsOpts)
 
-	// needs is each row's feature, as the kinds read back through it say.
-	needs := map[AnyView]*feature{Counters: nil, FlowLedger: featFlow}
+	// Every kind's and view's measure is nil or a row of the measure table;
+	// every kind is read back through exactly one served row, which needs
+	// the kind's own measure; and every row but Counters and the unserved
+	// FlowLedger is some kind's.
+	isRow := func(m *measure) bool {
+		for _, r := range measures {
+			if r == m {
+				return true
+			}
+		}
+		return m == nil
+	}
+	name := func(m *measure) string {
+		if m == nil {
+			return "no measure"
+		}
+		return m.name
+	}
+	readBack := map[AnyView]bool{Counters: true, FlowLedger: true}
 	for i := range kinds {
 		k := &kinds[i]
 		found := 0
@@ -166,18 +183,18 @@ func TestViewTable(t *testing.T) {
 				found++
 			}
 		}
-		if f, seen := needs[k.view]; found != 1 || seen && f != k.needs {
-			t.Errorf("kind %s: read back through %d rows, or a row shared by kinds of another feature", k.name, found)
+		if !isRow(k.needs) || found != 1 || needs(k.view) != k.needs {
+			t.Errorf("kind %s: needs %s, read back through %d rows needing %s", k.name, name(k.needs), found, name(needs(k.view)))
 		}
-		needs[k.view] = k.needs
+		readBack[k.view] = true
 	}
 	for _, v := range append(Views(), FlowLedger) {
-		f, ok := needs[v]
-		if !ok {
-			t.Fatalf("row %s: no kind reads back through it", v.Name())
+		m := needs(v)
+		if !isRow(m) || !readBack[v] {
+			t.Fatalf("row %s: needs %s; read back by a kind: %v", v.Name(), name(m), readBack[v])
 		}
 		for _, tgt := range append(plain, full...) {
-			want := f.check(&tgt.Library().Opts) // the missing-option error, or nil
+			want := m.require(&tgt.Library().Opts) // the missing-option error, or nil
 			_, err := v.Body(tgt, 0, 0)
 			if (err == nil) != (want == nil) || want != nil && err.Error() != want.Error() {
 				t.Errorf("%T %s slot 0: %v, want %v", tgt, v.Name(), err, want)
@@ -239,7 +256,8 @@ func TestRebindReplacesSlotRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	id, err := sr.BindFreqDst(0, 0, AllIPv4(), 0, uint64(packet.ParseIP4(10, 0, 0, 0)), 64, 1, 1, 0)
+	id, err := sr.Bind(Binding{Kind: "freq-dst", Match: AllIPv4(),
+		Base: uint64(packet.ParseIP4(10, 0, 0, 0)), Size: 64, PA: 1, PB: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +270,7 @@ func TestRebindReplacesSlotRecord(t *testing.T) {
 	if err := sr.Unbind(0, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sr.BindFlowDst(0, 0, AllIPv4(), 0, 63, 1, 0, 0); err != nil {
+	if _, err := sr.Bind(Binding{Kind: "flow-dst", Match: AllIPv4(), EpochShift: 63, TTL: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if slots := sr.FreqSlots(); len(slots) != 0 {

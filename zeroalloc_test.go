@@ -43,7 +43,8 @@ func TestProcessPacketZeroAllocFreq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Size: 256, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -68,7 +69,8 @@ func TestProcessPacketZeroAllocWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindWindow(0, 0, stat4p4.AllIPv4(), 10, 100, 2); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "window", Match: stat4p4.AllIPv4(),
+		IntervalShift: 10, Capacity: 100, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -98,7 +100,7 @@ func TestProcessPacketZeroAllocFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFlowDst(0, 0, stat4p4.AllIPv4(), 0, 0, 1, 0, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "flow-dst", Match: stat4p4.AllIPv4(), TTL: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -149,7 +151,8 @@ func TestProcessFrameZeroAllocEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), stat4p4.EchoBias-255, 512, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-echo", Match: stat4p4.EchoOnly(),
+		Base: stat4p4.EchoBias - 255, Size: 512, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -178,7 +181,8 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+		Size: 256, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -215,7 +219,8 @@ func TestNetemInjectZeroAllocEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.BindFreqEcho(0, 0, stat4p4.EchoOnly(), stat4p4.EchoBias-255, 512, 1, 1, 0); err != nil {
+	if _, err := rt.Bind(stat4p4.Binding{Kind: "freq-echo", Match: stat4p4.EchoOnly(),
+		Base: stat4p4.EchoBias - 255, Size: 512, PA: 1, PB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sw := rt.Sharded()
@@ -274,7 +279,8 @@ func TestShardedProcessBatchZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sr.Close()
-		if _, err := sr.BindFreqDst(0, 0, stat4p4.AllIPv4(), 0, 0, 256, 1, 1, 0); err != nil {
+		if _, err := sr.Bind(stat4p4.Binding{Kind: "freq-dst", Match: stat4p4.AllIPv4(),
+			Size: 256, PA: 1, PB: 1}); err != nil {
 			t.Fatal(err)
 		}
 		ss := sr.Sharded()
