@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race vet lint golden bench blast blast-compare blast-pairs layout detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
+.PHONY: all build test loc fmt race vet lint golden bench blast blast-compare blast-pairs layout detect detect-smoke fuzz-smoke metrics-smoke stat4d-smoke check clean
 
 all: build
 
@@ -38,6 +38,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when gofmt would rewrite any Go file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # lint runs the switch-feasibility gate both ways: the standalone whole-module
 # driver (authoritative: the datapath closure crosses package boundaries) and
@@ -209,7 +213,7 @@ metrics-smoke:
 stat4d-smoke:
 	$(GO) test -run 'TestDaemonSmoke|TestPushClientRoundTrip|Endpoint|FlowMetricsExposition' -v ./cmd/stat4d
 
-check: build vet lint golden race detect-smoke fuzz-smoke metrics-smoke stat4d-smoke
+check: build fmt vet lint golden race detect-smoke fuzz-smoke metrics-smoke stat4d-smoke
 
 clean:
 	rm -rf bin

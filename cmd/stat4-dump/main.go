@@ -1,16 +1,20 @@
-// Command stat4-dump prints the emitted Stat4 P4 program as a readable
+// Command stat4-dump prints an emitted Stat4 P4 program as a readable
 // pseudo-P4 listing together with its resource report — useful for
-// inspecting what the emitter actually generates.
+// inspecting what the emitter actually generates: a registered catalog row
+// (stat4p4.Registered) or the options of an app config.
 //
-//	stat4-dump -slots 8 -size 256 -stages 2
-//	stat4-dump -strict -report-only
-//	stat4-dump -resources                  # stage placement against the target model
+//	stat4-dump                                   # the "default" row: 8 slots x 256 cells, two stages
+//	stat4-dump -program strict -report-only
+//	stat4-dump -resources                        # stage placement against the target model
 //	stat4-dump -resources -target configs/lint-target.json
-//	stat4-dump -slots 1 -size 64 -stages 1 -flow-table 1024 -resources   # "flowtable" catalog shape
-//	stat4-dump -entropy -hh -slots 2 -size 256 -stages 1 -resources      # "entropy-hh", stat4d's program
+//	stat4-dump -program flowtable -resources
+//	stat4-dump -program entropy-hh -resources    # stat4d's program
+//	stat4-dump -config configs/ddos-sparse.json -p416
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,21 +31,14 @@ func main() {
 }
 
 // run is the command: it parses args, writes the listing or report to
-// stdout, and returns the exit status — 2 on a usage or target error, 1 when
-// -resources finds the program does not fit.
+// stdout, and returns the exit status — 2 on a usage, config or target
+// error, 1 when -resources finds the program does not fit.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("stat4-dump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	slots := fs.Int("slots", 2, "STAT_COUNTER_NUM: simultaneous distributions")
-	size := fs.Int("size", 128, "STAT_COUNTER_SIZE: cells per distribution")
-	stages := fs.Int("stages", 2, "binding stages")
-	echo := fs.Bool("echo", false, "include the echo application")
-	strict := fs.Bool("strict", false, "emit for the multiplication-free target")
+	program := fs.String("program", "", `catalog row to build (stat4p4.Registered; default "default")`)
+	config := fs.String("config", "", "build the options of this JSON app config instead of a catalog row")
 	reportOnly := fs.Bool("report-only", false, "print only the resource report")
-	flowTable := fs.Int("flow-table", 0, "include the flow-table mode with this many buckets (power of two >= 4; 0 disables)")
-	hh := fs.Bool("hh", false, "include the heavy-hitter promotion mode")
-	entropy := fs.Bool("entropy", false, "include the integer entropy measure")
-	noVariance := fs.Bool("no-variance", false, "drop the variance/sqrt/alert logic (counting-only program)")
 	emitP4 := fs.Bool("p416", false, "emit P4-16 source for the v1model architecture instead of the IR listing")
 	resources := fs.Bool("resources", false, "print the stage placement against the target model instead of the listing")
 	target := fs.String("target", "", "target-model JSON for -resources (default: the built-in pisa-3pass model)")
@@ -52,13 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	opts := stat4p4.Options{Slots: *slots, Size: *size, Stages: *stages, Echo: *echo, Strict: *strict,
-		HeavyHitter: *hh, Entropy: *entropy, NoVariance: *noVariance}
-	if *flowTable > 0 {
-		opts.FlowTable = true
-		opts.FlowTableSize = *flowTable
+	opts, err := options(*program, *config)
+	if err == nil {
+		err = opts.Check()
 	}
-	if err := opts.Check(); err != nil {
+	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -70,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *resources {
 		tm := p4.DefaultTargetModel()
 		if *target != "" {
-			var err error
 			if tm, err = p4.LoadTargetModel(*target); err != nil {
 				fmt.Fprintln(stderr, err)
 				return 2
@@ -93,6 +87,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	printResourceReport(stdout, p4.AnalyzeProgram(lib.Prog))
 	return 0
+}
+
+// options is the sizing to build: the app config's when a path is given,
+// the named catalog row's otherwise.
+func options(program, config string) (stat4p4.Options, error) {
+	if config == "" {
+		var names []string
+		for _, rp := range stat4p4.Registered() {
+			if rp.Name == cmp.Or(program, "default") {
+				return rp.Opts, nil
+			}
+			names = append(names, rp.Name)
+		}
+		return stat4p4.Options{}, fmt.Errorf("stat4-dump: unknown program %q (have %s)", program, strings.Join(names, ", "))
+	}
+	if program != "" {
+		return stat4p4.Options{}, errors.New("stat4-dump: -program and -config are exclusive")
+	}
+	data, err := os.ReadFile(config)
+	if err != nil {
+		return stat4p4.Options{}, err
+	}
+	cfg, err := stat4p4.LoadAppConfig(bytes.NewReader(data))
+	if err != nil {
+		return stat4p4.Options{}, err
+	}
+	return cfg.Options, nil
 }
 
 func printResourceReport(w io.Writer, r p4.ResourceReport) {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -76,12 +79,24 @@ func TestFormatStageReportOverBudget(t *testing.T) {
 	}
 }
 
+// writeConfig writes an app config with these options and one binding.
+func writeConfig(t *testing.T, options string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "app.json")
+	cfg := `{"options": ` + options + `, "bindings": [{"kind": "window", "capacity": 8}]}`
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // A flow table whose registers outgrow a whole stage's SRAM cannot fit:
 // -resources must say so and exit 1 rather than search for a stage forever.
-// The "flowtable" catalog shape at 1024 buckets fits and exits 0.
+// The "flowtable" catalog row at 1024 buckets fits and exits 0.
 func TestRunResourcesOversizedFlowTable(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-resources", "-flow-table", "131072"}, &out, &errOut); code != 1 {
+	cfg := writeConfig(t, `{"Slots": 2, "Size": 128, "Stages": 2, "FlowTable": true, "FlowTableSize": 131072}`)
+	if code := run([]string{"-resources", "-config", cfg}, &out, &errOut); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "[DOES NOT FIT]") ||
@@ -89,9 +104,8 @@ func TestRunResourcesOversizedFlowTable(t *testing.T) {
 		t.Fatalf("report lacks the verdict or the SRAM violation:\n%s", out.String())
 	}
 	out.Reset()
-	catalog := []string{"-resources", "-slots", "1", "-size", "64", "-stages", "1", "-flow-table", "1024"}
-	if code := run(catalog, &out, &errOut); code != 0 {
-		t.Fatalf("catalog shape: exit %d, want 0:\n%s", code, out.String())
+	if code := run([]string{"-resources", "-program", "flowtable"}, &out, &errOut); code != 0 {
+		t.Fatalf("catalog row: exit %d, want 0:\n%s", code, out.String())
 	}
 }
 
@@ -99,7 +113,8 @@ func TestRunResourcesOversizedFlowTable(t *testing.T) {
 // check's own message.
 func TestRunBadFlowTable(t *testing.T) {
 	var out, errOut strings.Builder
-	if code := run([]string{"-flow-table", "3"}, &out, &errOut); code != 2 {
+	cfg := writeConfig(t, `{"Slots": 2, "Size": 128, "Stages": 2, "FlowTable": true, "FlowTableSize": 3}`)
+	if code := run([]string{"-config", cfg}, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d, want 2; stderr: %s", code, errOut.String())
 	}
 	opts := stat4p4.Options{Slots: 2, Size: 128, Stages: 2, FlowTable: true, FlowTableSize: 3}
@@ -108,8 +123,57 @@ func TestRunBadFlowTable(t *testing.T) {
 	}
 }
 
-// -entropy prints the daemon's program: the "entropy-hh" catalog entry that
-// stat4d runs places exactly as AllocateStages places it.
+// An unknown row, -program with -config, and a config that does not load
+// are usage errors.
+func TestRunUsageErrors(t *testing.T) {
+	cfg := writeConfig(t, `{"Slots": 1, "Size": 64, "Stages": 1}`)
+	for _, args := range [][]string{
+		{"-program", "bogus"},
+		{"-program", "default", "-config", cfg},
+		{"-config", filepath.Join(t.TempDir(), "missing.json")},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 || errOut.Len() == 0 {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and a message", args, code, errOut.String())
+		}
+	}
+}
+
+// Every catalog row prints through -program exactly what its options build:
+// the listing with the resource report, the P4-16 text and the placement.
+func TestRunEveryProgram(t *testing.T) {
+	for _, rp := range stat4p4.Registered() {
+		lib := stat4p4.Build(rp.Opts)
+		var listing strings.Builder
+		fmt.Fprint(&listing, p4.Format(lib.Prog))
+		fmt.Fprintln(&listing)
+		printResourceReport(&listing, p4.AnalyzeProgram(lib.Prog))
+		rep, err := p4.AllocateStages(lib.Prog, p4.DefaultTargetModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			flag, want string
+		}{
+			{"", listing.String()},
+			{"-p416", stat4p4.EmitP416(lib)},
+			{"-resources", formatStageReport(rep)},
+		} {
+			args := []string{"-program", rp.Name}
+			if c.flag != "" {
+				args = append(args, c.flag)
+			}
+			var out, errOut strings.Builder
+			if code := run(args, &out, &errOut); code != 0 || out.String() != c.want {
+				t.Errorf("%v: exit %d (stderr %q); output differs from Build(%+v)", args, code, errOut.String(), rp.Opts)
+			}
+		}
+	}
+}
+
+// -program entropy-hh prints the daemon's program: the catalog row stat4d
+// runs places exactly as AllocateStages places it, entropy registers
+// included.
 func TestRunResourcesEntropyHH(t *testing.T) {
 	var want *p4.StageReport
 	for _, rp := range stat4p4.Registered() {
@@ -125,12 +189,11 @@ func TestRunResourcesEntropyHH(t *testing.T) {
 		t.Fatal("no entropy-hh in the catalog")
 	}
 	var out, errOut strings.Builder
-	args := []string{"-entropy", "-hh", "-slots", "2", "-size", "256", "-stages", "1", "-resources"}
-	if code := run(args, &out, &errOut); code != 0 {
+	if code := run([]string{"-program", "entropy-hh", "-resources"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, want 0; stderr: %s\n%s", code, errOut.String(), out.String())
 	}
 	if got := out.String(); got != formatStageReport(want) {
-		t.Fatalf("-entropy -hh placement differs from the catalog's:\n%s\nwant\n%s", got, formatStageReport(want))
+		t.Fatalf("placement differs from the catalog's:\n%s\nwant\n%s", got, formatStageReport(want))
 	}
 	if !strings.Contains(out.String(), "stat.ent") {
 		t.Fatalf("entropy registers missing from the placement:\n%s", out.String())

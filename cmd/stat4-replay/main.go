@@ -125,6 +125,7 @@ func (rm *replayMetrics) attach(ss *p4.ShardedSwitch) {
 	}
 	rm.sp.Register(rm.reg)
 	rm.reg.RegisterCounter("pkts_in", "frames handed to the pipelines", func() uint64 { return ss.Stats().PktsIn })
+	rm.reg.RegisterCounter("digests_dropped", "digests lost to a full merged mailbox", func() uint64 { return ss.Stats().DigestDrops })
 	rm.reg.RegisterCounter("pkts_out", "frames emitted by the pipelines", func() uint64 { return ss.Stats().PktsOut })
 	rm.reg.RegisterCounter("parse_errors", "frames rejected by the parsers", func() uint64 { return ss.Stats().ParseErrors })
 }
@@ -195,7 +196,7 @@ func (tc trackConfig) options() (stat4p4.Options, error) {
 	if tc.App != nil {
 		return tc.App.Options, nil
 	}
-	return stat4p4.TrackOptions(tc.Track, stat4p4.Options{Slots: 1, Size: 256, Stages: 1})
+	return stat4p4.TrackOptions(tc.Track, stat4p4.TrackBase)
 }
 
 // install applies the app config or the track's binding to a runtime.

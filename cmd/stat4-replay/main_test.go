@@ -128,3 +128,39 @@ func TestReplayShardsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestsDroppedExported: with a one-digest mailbox and a binding that
+// alerts on every observation, a 256-frame batch loses digests in the merged
+// mailbox. The exported digests_dropped is exactly the switch's count of
+// them, and not zero.
+func TestDigestsDroppedExported(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.pcap")
+	if err := recordTrace(trace, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	// Entropy over the capture's /24 destinations, checked on every
+	// observation against a 64-bit threshold no mix reaches.
+	app, err := stat4p4.LoadAppConfig(strings.NewReader(`{
+		"options": {"Slots": 1, "Size": 256, "Stages": 1, "Entropy": true, "DigestBuf": 1},
+		"bindings": [{"kind": "entropy-dst", "match": {"ipv4": true}, "shift": 8, "base": 655360,
+			"size": 256, "h0": 4194304, "check_every": 1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := newReplayMetrics(1)
+	rt, _, err := replay(trace, trackConfig{Track: "config", App: app}, 1, rm)
+	if rt != nil {
+		defer rt.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := rm.reg.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	drops := rt.Sharded().Stats().DigestDrops
+	if want := fmt.Sprintf("stat4_replay_digests_dropped %d\n", drops); drops == 0 || !strings.Contains(b.String(), want) {
+		t.Fatalf("switch dropped %d digests; exposition lacks %q:\n%s", drops, want, b.String())
+	}
+}

@@ -136,7 +136,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 	// The daemon's program carries every measure — the frequency family plus
 	// entropy and heavy hitters — so /bind can move between them at runtime
-	// without rebuilding; the "entropy-hh" registry entry keeps this sizing
+	// without rebuilding; it is the "entropy-hh" catalog row, which keeps it
 	// under the stage budget. -flow-table grows the program with the flow
 	// table, an explicitly chosen larger sizing.
 	opts := stat4p4.Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true}

@@ -353,3 +353,22 @@ func TestTrackFlagsInstallTheSameEntries(t *testing.T) {
 		d.shutdown()
 	}
 }
+
+// The daemon's program without -flow-table is the "entropy-hh" catalog row,
+// the sizing the stage-budget and merge-law gates run over.
+func TestDaemonProgramIsCatalogRow(t *testing.T) {
+	d, err := newDaemon(daemonConfig{Shards: 1, Track: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.shutdown()
+	for _, rp := range stat4p4.Registered() {
+		if rp.Name == "entropy-hh" {
+			if err := rp.Opts.Check(); err != nil || d.rt.Library().Opts != rp.Opts {
+				t.Fatalf("stat4d builds %+v, the entropy-hh row is %+v (%v)", d.rt.Library().Opts, rp.Opts, err)
+			}
+			return
+		}
+	}
+	t.Fatal("no entropy-hh row in the catalog")
+}

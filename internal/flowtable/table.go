@@ -138,7 +138,7 @@ func (t *Table) Buckets() int { return len(t.keys) }
 //stat4:datapath
 func (t *Table) probes(key uint64) (left, right uint64) {
 	left = (p4.HashValue(hashLeft, key) >> 32) & t.halfMask
-	right = t.half + ((p4.HashValue(hashRight, key)>>32)&t.halfMask)
+	right = t.half + ((p4.HashValue(hashRight, key) >> 32) & t.halfMask)
 	return left, right
 }
 

@@ -24,8 +24,6 @@ type Config struct {
 	BlockSize  int
 	// BatchFrames caps how many frames a producer packs into one descriptor.
 	BatchFrames int
-	// Prefix names the telemetry registry (default "stat4d").
-	Prefix string
 	// AlertKeep bounds the retained most-recent alerts.
 	AlertKeep int
 }
@@ -42,9 +40,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchFrames <= 0 {
 		c.BatchFrames = 256
-	}
-	if c.Prefix == "" {
-		c.Prefix = "stat4d"
 	}
 	if c.AlertKeep <= 0 {
 		c.AlertKeep = 128
@@ -118,7 +113,7 @@ func New(sr *stat4p4.Runtime, cfg Config) *Engine {
 		held:   make([]uint32, 0, cfg.SlabBlocks/2+1),
 		alerts: make([]p4.Digest, 0, cfg.AlertKeep),
 		sp:     telemetry.NewShardedPipeline(sr.NumShards()),
-		reg:    telemetry.NewRegistry(cfg.Prefix),
+		reg:    telemetry.NewRegistry("stat4d"),
 	}
 	for i := 0; i < e.ss.NumShards(); i++ {
 		e.ss.Shard(i).SetObserver(e.sp.Shards[i])
@@ -146,6 +141,7 @@ func New(sr *stat4p4.Runtime, cfg Config) *Engine {
 	e.reg.RegisterCounter("ingest_batches", "batch descriptors consumed from the ring", e.batches.Load)
 	e.reg.RegisterCounter("alerts_total", "anomaly digests received by the fleet sink", func() uint64 { return e.alertTotal })
 	e.reg.RegisterCounter("pkts_in", "frames handed to the shard pipelines", func() uint64 { return e.ss.Stats().PktsIn })
+	e.reg.RegisterCounter("digests_dropped", "digests lost to a full merged mailbox", func() uint64 { return e.ss.Stats().DigestDrops })
 	e.reg.RegisterCounter("pkts_out", "frames emitted by the shard pipelines", func() uint64 { return e.ss.Stats().PktsOut })
 	e.reg.RegisterCounter("parse_errors", "frames rejected by the shard parsers", func() uint64 { return e.ss.Stats().ParseErrors })
 	e.reg.RegisterCounter("recirculated", "heavy-hitter promotion passes taken through the pipelines", func() uint64 { return e.ss.Stats().Recirculated })

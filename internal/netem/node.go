@@ -20,12 +20,15 @@ type portLink struct {
 // the push arrow of Figure 1c. The engine is typed wheel events throughout:
 // a frame pool, a batched stream pump and a direct digest sink.
 //
-// Attach-handler-before-inject contract: digests are drained from the switch
-// after every processed packet, so OnDigest (and any Connect receivers) must
-// be in place before the first Inject/InjectFrame/InjectStream call. Digests
-// drained while OnDigest is nil are dropped — counted by DroppedDigests and
-// the telemetry snapshot, never silently — and frames emitted on ports with
-// no connected link are likewise counted by UnroutedFrames.
+// Attach-handler-before-inject contract: create the node before the switch
+// processes any traffic — digests forwarded earlier sit in the switch's
+// merged mailbox, which the node never reads. Digests are drained from the
+// switch after every processed packet, so OnDigest (and any Connect
+// receivers) must be in place before the first Inject/InjectFrame/
+// InjectStream call. Digests drained while OnDigest is nil are dropped —
+// counted by DroppedDigests and the telemetry snapshot, never silently — and
+// frames emitted on ports with no connected link are likewise counted by
+// UnroutedFrames.
 //
 // The simulator stays single-threaded: shard workers only run during
 // ProcessBatch, which this node never uses; each packet is processed
@@ -50,12 +53,6 @@ type SwitchNode struct {
 
 	ports map[uint16]*portLink
 
-	// digests is the switch's merged mailbox. It is consulted only while
-	// chanBacklog is set, to pick up digests forwarded before the node (and
-	// its sink) existed.
-	digests     <-chan p4.Digest
-	chanBacklog bool
-
 	// sinkBuf accumulates digests handed over synchronously by the switch's
 	// digest sink during Process* calls.
 	sinkBuf []p4.Digest
@@ -73,21 +70,9 @@ type SwitchNode struct {
 // forwarded as typed events; anything else reading sw.Digests() directly
 // will no longer see them.
 func NewSwitchNode(sim *Sim, sw *p4.ShardedSwitch, ctrlDelay uint64) *SwitchNode {
-	n := &SwitchNode{}
-	n.init(sim, sw, sw.Digests(), ctrlDelay)
+	n := &SwitchNode{Sim: sim, SW: sw, CtrlDelay: ctrlDelay, ports: make(map[uint16]*portLink)}
 	sw.SetDigestSink(n.digestSink)
 	return n
-}
-
-func (n *SwitchNode) init(sim *Sim, sw *p4.ShardedSwitch, digests <-chan p4.Digest, ctrlDelay uint64) {
-	n.Sim = sim
-	n.SW = sw
-	n.CtrlDelay = ctrlDelay
-	n.ports = make(map[uint16]*portLink)
-	n.digests = digests
-	// Digests emitted before this node existed sit in the channel, not the
-	// sink; drain them on the first route.
-	n.chanBacklog = len(digests) > 0
 }
 
 // digestSink receives digests synchronously from the switch's reduce
@@ -204,10 +189,6 @@ func (n *SwitchNode) route(outs []p4.FrameOut) {
 // control channel. Digests drained with no handler attached are counted,
 // not silently discarded (see the SwitchNode contract).
 func (n *SwitchNode) drainDigests() {
-	if n.chanBacklog {
-		n.drainDigestChannel()
-		n.chanBacklog = false
-	}
 	buf := n.sinkBuf
 	if len(buf) == 0 {
 		return
@@ -227,37 +208,5 @@ func (n *SwitchNode) drainDigests() {
 			n.Metrics.DigestQueue.Observe(uint64(len(buf) - i))
 		}
 		n.Sim.scheduleDigest(n, drainedAt, d)
-	}
-}
-
-// drainDigestChannel is the backlog catch-up: it drains digests the switch
-// queued in its channel before the node's sink was attached.
-func (n *SwitchNode) drainDigestChannel() {
-	for {
-		if n.OnDigest == nil {
-			select {
-			case <-n.digests:
-				n.droppedDigests++
-				if n.Metrics != nil {
-					n.Metrics.DroppedDigests.Inc()
-				}
-				continue
-			default:
-				return
-			}
-		}
-		// Occupancy before the receive: the digest being popped counts. (The
-		// simulation is single-threaded, so nothing enqueues between the len
-		// and the receive.)
-		q := uint64(len(n.digests))
-		select {
-		case d := <-n.digests:
-			if n.Metrics != nil {
-				n.Metrics.DigestQueue.Observe(q)
-			}
-			n.Sim.scheduleDigest(n, n.Sim.Now(), d)
-		default:
-			return
-		}
 	}
 }

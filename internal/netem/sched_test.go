@@ -232,8 +232,8 @@ func TestInjectStreamBatchedEquivalence(t *testing.T) {
 // TestDigestQueueObservedBeforeReceive is the regression test for the
 // drain-time occupancy observable: the digest being popped still counts, so
 // draining a backlog of 3 must record samples {3,2,1} — never {2,1,0} — on
-// the production node's sink buffer, on its channel catch-up path, and on
-// the reference node's channel drain alike.
+// the production node's sink buffer and on the reference node's channel
+// drain alike.
 func TestDigestQueueObservedBeforeReceive(t *testing.T) {
 	check := func(name string, q *telemetry.Hist) {
 		t.Helper()
@@ -248,25 +248,14 @@ func TestDigestQueueObservedBeforeReceive(t *testing.T) {
 			t.Fatalf("%s: occupancy sum %d, want 3+2+1", name, q.Sum())
 		}
 	}
-	for _, backlog := range []bool{false, true} {
-		ch := make(chan p4.Digest, 8)
-		n := &SwitchNode{}
-		if backlog {
-			for i := 0; i < 3; i++ {
-				ch <- p4.Digest{ID: i}
-			}
-		}
-		n.init(NewSim(), nil, ch, 10)
-		n.Metrics = telemetry.NewNodeMetrics()
-		n.OnDigest = func(now uint64, d p4.Digest) {}
-		if !backlog {
-			for i := 0; i < 3; i++ {
-				n.digestSink(p4.Digest{ID: i})
-			}
-		}
-		n.drainDigests()
-		check(fmt.Sprintf("wheel backlog=%v", backlog), n.Metrics.DigestQueue)
+	n := &SwitchNode{Sim: NewSim(), CtrlDelay: 10}
+	n.Metrics = telemetry.NewNodeMetrics()
+	n.OnDigest = func(now uint64, d p4.Digest) {}
+	for i := 0; i < 3; i++ {
+		n.digestSink(p4.Digest{ID: i})
 	}
+	n.drainDigests()
+	check("wheel", n.Metrics.DigestQueue)
 
 	ch := make(chan p4.Digest, 8)
 	ref := newRefNode(&refSim{}, nil, ch, 10)
@@ -277,22 +266,4 @@ func TestDigestQueueObservedBeforeReceive(t *testing.T) {
 	}
 	ref.drainDigests()
 	check("reference", ref.Metrics.DigestQueue)
-}
-
-// TestWheelDigestBacklogFromChannel covers the catch-up path: digests
-// emitted before the node (and its sink) existed sit in the switch channel
-// and must still reach the controller under the wheel engine.
-func TestWheelDigestBacklogFromChannel(t *testing.T) {
-	sim := NewSim()
-	ch := make(chan p4.Digest, 8)
-	ch <- p4.Digest{ID: 7}
-	n := &SwitchNode{}
-	n.init(sim, nil, ch, 10)
-	var got []int
-	n.OnDigest = func(now uint64, d p4.Digest) { got = append(got, d.ID) }
-	n.drainDigests()
-	sim.Run()
-	if len(got) != 1 || got[0] != 7 {
-		t.Fatalf("backlogged digest not delivered: %v", got)
-	}
 }

@@ -57,9 +57,10 @@ type Binding struct {
 
 // measure is one optional measure of the emitted program — entropy, heavy
 // hitters, the flow table — described once, in its own file. The options
-// check, the emitter, the canonical form, the digest decoder, the view table
-// and the track presets read the rows; no other file names a measure's
-// Options fields, kind value or registers.
+// check, the kind table, the emitter's field list, the canonical form, the
+// digest decoder, the view table and the track presets read the rows; no
+// other file names a measure's kinds, parameters, scratch fields, track
+// presets, kind value or registers.
 type measure struct {
 	name string                 // the Options switch, for messages
 	on   func(o *Options) *bool // the switch itself
@@ -79,7 +80,18 @@ type measure struct {
 	counts func(rt *Runtime, slot int) []uint64
 	digest *digestLayout // its own alert; nil: anomaly digests only
 	views  []AnyView     // its rows of the view table
+	kinds  []kind        // its rows of the kind table
+	tracks []track       // its track presets
+	// scratch declares its private metadata through field; every program
+	// declares it, on or off.
+	scratch func(field fieldFunc)
+	// trackBinding fills in its parameters of every track's binding.
+	trackBinding func(l *Library, p TrackParams, b *Binding) error
 }
+
+// fieldFunc declares a field (Program.AddField) or finds a declared one
+// (Library.field), so a measure spells its scratch once for both.
+type fieldFunc = func(name string, w p4.Width) p4.FieldID
 
 // measures is the measure table, in the order every reader walks it.
 var measures = []*measure{entropyMeasure, hhMeasure, flowMeasure}
@@ -103,7 +115,7 @@ type param func(o *Options, b *Binding) (uint64, error)
 type kind struct {
 	name   string
 	action string
-	needs  *measure // nil: part of every program
+	needs  *measure // the row that lists the kind; nil: part of every program
 	view   AnyView  // the row the kind's slot is read back through
 	// noStrict marks a kind whose action needs runtime multiplication and
 	// is therefore not emitted for Strict targets.
@@ -116,19 +128,16 @@ type kind struct {
 }
 
 func noteWeights(b *Binding) SlotBinding { return SlotBinding{Slot: b.Slot, PA: b.PA, PB: b.PB} }
-func noteMedian(b *Binding) SlotBinding  { return SlotBinding{Slot: b.Slot, PA: 1, PB: 1} }
 
 var (
 	freqTail  = []param{pBase, pSize, pPA, pPB, pK}
 	freqShift = append([]param{pShift}, freqTail...)
 	winParams = []param{pIntervalShift, pCapacity, pWindowK}
-	entParams = []param{pShift, pBase, pSize, pH0, pCheckMask}
-	hhParams  = []param{pShift, pSampleMask}
-	flowTail  = []param{pEpochShift, pTTL, pSampleMask, pPlainK}
 )
 
 // kinds is the kind table, in the order the emitter lists the actions in
-// every binding table.
+// every binding table: the kinds every program carries, then (init) each
+// measure row's.
 var kinds = []kind{
 	{name: "freq-echo", action: "bind_freq_echo", view: Moments, params: freqTail, note: noteWeights},
 	{name: "freq-dst", action: "bind_freq_dst", view: Moments, params: freqShift, note: noteWeights},
@@ -137,15 +146,18 @@ var kinds = []kind{
 	{name: "freq-len", action: "bind_freq_len", view: Moments, params: freqShift, note: noteWeights},
 	{name: "window", action: "bind_window", view: Moments, params: winParams},
 	{name: "window-bytes", action: "bind_window_bytes", view: Moments, noStrict: true, params: winParams},
-	{name: "entropy-dst", action: "bind_ent_dst", needs: entropyMeasure, view: Entropy, params: entParams, note: noteMedian},
-	{name: "entropy-src", action: "bind_ent_src", needs: entropyMeasure, view: Entropy, params: entParams, note: noteMedian},
-	{name: "hh-dst", action: "bind_hh_dst", needs: hhMeasure, view: HeavyHitters, params: hhParams},
-	{name: "hh-src", action: "bind_hh_src", needs: hhMeasure, view: HeavyHitters, params: hhParams},
-	{name: "flow-dst", action: "bind_flow_dst", needs: flowMeasure, view: Flows, params: append([]param{pShift}, flowTail...)},
-	{name: "flow-src", action: "bind_flow_src", needs: flowMeasure, view: Flows, params: append([]param{pShift}, flowTail...)},
-	// The pair key is src<<32|dst; the action keeps the shift position for a
-	// uniform layout and ignores it.
-	{name: "flow-pair", action: "bind_flow_pair", needs: flowMeasure, view: Flows, params: append([]param{pZero}, flowTail...)},
+}
+
+// init appends each measure row's kinds, which need it, and track presets to
+// the core tables, in measure order.
+func init() {
+	for _, m := range measures {
+		for _, k := range m.kinds {
+			k.needs = m
+			kinds = append(kinds, k)
+		}
+		tracks = append(tracks, m.tracks...)
+	}
 }
 
 func findKind(name string) *kind {
@@ -175,10 +187,7 @@ func rangeErr(what string, v, max uint) error {
 	return fmt.Errorf("stat4p4: %s %d out of range (max %d)", what, v, max)
 }
 
-func pZero(*Options, *Binding) (uint64, error)       { return 0, nil }
-func pBase(_ *Options, b *Binding) (uint64, error)   { return b.Base, nil }
-func pH0(_ *Options, b *Binding) (uint64, error)     { return b.H0, nil }
-func pPlainK(_ *Options, b *Binding) (uint64, error) { return b.K, nil }
+func pBase(_ *Options, b *Binding) (uint64, error) { return b.Base, nil }
 
 // pShift bounds every header extraction alike: the widest extracted field is
 // 32 bits, so a larger shift can only be a mistake.
@@ -241,19 +250,6 @@ func pWindowK(o *Options, b *Binding) (uint64, error) {
 	return b.K, nil
 }
 
-// pCheckMask turns the check cadence into the mask the action gates on:
-// the check runs when T & (checkEvery−1) == 0.
-func pCheckMask(_ *Options, b *Binding) (uint64, error) {
-	every := b.CheckEvery
-	if every == 0 {
-		every = 1
-	}
-	if every&(every-1) != 0 {
-		return 0, fmt.Errorf("stat4p4: checkEvery %d is not a power of two", every)
-	}
-	return every - 1, nil
-}
-
 // pSampleMask turns the coin exponent into the mask the action compares the
 // hash's high word against: 2^k − 1.
 func pSampleMask(_ *Options, b *Binding) (uint64, error) {
@@ -261,20 +257,6 @@ func pSampleMask(_ *Options, b *Binding) (uint64, error) {
 		return 0, rangeErr("sample shift", b.SampleShift, 32)
 	}
 	return uint64(1)<<b.SampleShift - 1, nil
-}
-
-func pEpochShift(_ *Options, b *Binding) (uint64, error) {
-	if b.EpochShift >= 64 {
-		return 0, rangeErr("epoch shift", b.EpochShift, 63)
-	}
-	return uint64(b.EpochShift), nil
-}
-
-func pTTL(_ *Options, b *Binding) (uint64, error) {
-	if b.TTL == 0 {
-		return 0, fmt.Errorf("stat4p4: flow TTL must be ≥ 1 epoch")
-	}
-	return b.TTL, nil
 }
 
 // Lowered is a Binding resolved against one library: the table entry to

@@ -78,6 +78,46 @@ func TestKindTableComplete(t *testing.T) {
 		}
 		seen[k.name], seen[k.action] = true, true
 	}
+	// The kind table and the track presets keep their order: the core rows,
+	// then each measure row's, in measure order. The binding tables'
+	// bindable-action order and every tool's track list follow it.
+	var names []string
+	for _, k := range kinds {
+		names = append(names, k.name)
+	}
+	if want := []string{"freq-echo", "freq-dst", "freq-dport", "freq-proto", "freq-len", "window", "window-bytes",
+		"entropy-dst", "entropy-src", "hh-dst", "hh-src", "flow-dst", "flow-src", "flow-pair"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("kind table %v, want %v", names, want)
+	}
+	if got, want := Tracks(), []string{"window", "dst24", "proto", "len", "entropy", "hh", "flow"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("tracks %v, want %v", got, want)
+	}
+	// A kind that needs a measure comes from that row's list and no other's,
+	// and every row's kind is in the table.
+	for _, k := range kinds {
+		for _, m := range measures {
+			listed := false
+			for _, mk := range m.kinds {
+				listed = listed || mk.name == k.name
+			}
+			if listed != (k.needs == m) {
+				t.Errorf("kind %s needs %v, but row %s lists it: %v", k.name, k.needs, m.name, listed)
+			}
+		}
+	}
+	// Each row's scratch is declared whether the row is on or off, at the
+	// tail of the field list in row order.
+	bare := Build(Options{Slots: 1, Size: 16, Stages: 1}).Prog.Fields
+	var tail []p4.FieldDef
+	for _, m := range measures {
+		m.scratch(func(name string, w p4.Width) p4.FieldID {
+			tail = append(tail, p4.FieldDef{Name: name, Width: w})
+			return 0
+		})
+	}
+	if len(tail) == 0 || len(bare) < len(tail) || !reflect.DeepEqual(bare[len(bare)-len(tail):], tail) {
+		t.Errorf("the measure-less program's fields end %v, the rows' scratch is %v", bare[max(len(bare)-len(tail), 0):], tail)
+	}
 
 	// The measure table: m.kind values are unique across the core and the
 	// rows; a track's options switch on exactly its kind's row; the

@@ -154,7 +154,9 @@ type Library struct {
 	leaves map[string]bool // the MSB trees' leaf-action prefixes declared so far
 }
 
-// fields collects every metadata field the emitted logic uses.
+// fields collects the metadata fields the core logic uses, and the probe
+// scratch (h1 … ok, t1, t2) the heavy-hitter and flow-table measures share.
+// A measure's private scratch is declared by its row (measure.scratch).
 type fields struct {
 	enable, kind, base, slotid          p4.FieldID
 	val, size, pa, pb, k, cap, curint   p4.FieldID
@@ -168,21 +170,6 @@ type fields struct {
 	delta, dsq                          p4.FieldID
 	doSqrt, doCheck                     p4.FieldID
 	repValid                            p4.FieldID
-
-	// Entropy-mode scratch (entropy.go).
-	lf, lt, ec, ecold, es p4.FieldID
-	h0, entchk, entg      p4.FieldID
-	enta, entb, ht        p4.FieldID
-	// Heavy-hitter scratch (heavyhitter.go). The hh* fields carry the flow
-	// key and table coordinates across the recirculation trip, so no later
-	// binding stage may reuse them.
-	hhkey, hhbase, hhslot, hhgate p4.FieldID
-	recirc                        p4.FieldID
-
-	// Flow-table scratch (flowtable.go): admission-coin gate, the stamp a
-	// touch writes (epoch + 1) and the two candidate-bucket ages. Consumed
-	// within the binding stage, like the probe scratch (h1 … ok) above.
-	ftgate, fts, fta1, fta2 p4.FieldID
 }
 
 // Check fills in the defaults of the sizing fields left at zero and reports
@@ -246,85 +233,39 @@ func Build(opts Options) *Library {
 }
 
 func (l *Library) declareFields() {
-	p := l.Prog
-	w64 := func(name string) p4.FieldID { return p.AddField(name, 64) }
-	f := &l.f
-	f.enable = p.AddField("m.enable", 1)
-	f.kind = p.AddField("m.kind", 3)
-	f.base = w64("m.base")
-	f.slotid = w64("m.slotid")
-	f.val = w64("m.val")
-	f.size = w64("m.size")
-	f.pa = w64("m.pa")
-	f.pb = w64("m.pb")
-	f.k = w64("m.k")
-	f.cap = w64("m.cap")
-	f.curint = w64("m.curint")
-	f.idx = w64("m.idx")
-	f.f = w64("m.f")
-	f.n = w64("m.n")
-	f.xsum = w64("m.xsum")
-	f.xsumsq = w64("m.xsumsq")
-	f.sd = w64("m.sd")
-	f.nss = w64("m.nss")
-	f.ss = w64("m.ss")
-	f.sqin = w64("m.sqin")
-	f.sqout = w64("m.sqout")
-	f.t1 = w64("m.t1")
-	f.t2 = w64("m.t2")
-	f.med = w64("m.med")
-	f.low = w64("m.low")
-	f.high = w64("m.high")
-	f.minit = w64("m.minit")
-	f.fmed = w64("m.fmed")
-	f.lhs = w64("m.lhs")
-	f.rhs = w64("m.rhs")
-	f.lhs2 = w64("m.lhs2")
-	f.rhs2 = w64("m.rhs2")
-	f.init = w64("m.init")
-	f.last = w64("m.last")
-	f.cur = w64("m.cur")
-	f.cursq = w64("m.cursq")
-	f.head = w64("m.head")
-	f.old = w64("m.old")
-	f.oldsq = w64("m.oldsq")
-	f.nx = w64("m.nx")
-	f.ksd = w64("m.ksd")
-	f.thr = w64("m.thr")
-	f.alertval = w64("m.alertval")
-	f.fnew = w64("m.fnew")
-	f.h1 = w64("m.h1")
-	f.h2 = w64("m.h2")
-	f.k1 = w64("m.k1")
-	f.u1 = w64("m.u1")
-	f.k2 = w64("m.k2")
-	f.u2 = w64("m.u2")
-	f.ok = p.AddField("m.ok", 1)
-	f.delta = w64("m.delta")
-	f.dsq = w64("m.dsq")
-	f.doSqrt = p.AddField("m.do_sqrt", 1)
-	f.doCheck = p.AddField("m.do_check", 1)
-	f.repValid = p.AddField("m.rep_valid", 1)
-	f.lf = w64("m.lf")
-	f.lt = w64("m.lt")
-	f.ec = w64("m.ec")
-	f.ecold = w64("m.ec_old")
-	f.es = w64("m.es")
-	f.h0 = w64("m.h0")
-	f.entchk = w64("m.entchk")
-	f.entg = w64("m.entg")
-	f.enta = w64("m.enta")
-	f.entb = w64("m.entb")
-	f.ht = w64("m.ht")
-	f.hhkey = w64("m.hhkey")
-	f.hhbase = w64("m.hhbase")
-	f.hhslot = w64("m.hhslot")
-	f.hhgate = w64("m.hhgate")
-	f.recirc = p.AddField("m.recirc", 1)
-	f.ftgate = w64("m.ftgate")
-	f.fts = w64("m.fts")
-	f.fta1 = w64("m.fta1")
-	f.fta2 = w64("m.fta2")
+	l.f = coreFields(l.Prog.AddField)
+	for _, m := range measures {
+		m.scratch(l.Prog.AddField)
+	}
+}
+
+// coreFields declares the core fields through f, a row of the struct per
+// line and in its order: the order the goldens pin.
+func coreFields(f fieldFunc) fields {
+	w := func(name string) p4.FieldID { return f(name, 64) }
+	return fields{
+		enable: f("m.enable", 1), kind: f("m.kind", 3), base: w("m.base"), slotid: w("m.slotid"),
+		val: w("m.val"), size: w("m.size"), pa: w("m.pa"), pb: w("m.pb"), k: w("m.k"), cap: w("m.cap"), curint: w("m.curint"),
+		idx: w("m.idx"), f: w("m.f"), n: w("m.n"), xsum: w("m.xsum"), xsumsq: w("m.xsumsq"), sd: w("m.sd"),
+		nss: w("m.nss"), ss: w("m.ss"), sqin: w("m.sqin"), sqout: w("m.sqout"), t1: w("m.t1"), t2: w("m.t2"),
+		med: w("m.med"), low: w("m.low"), high: w("m.high"), minit: w("m.minit"), fmed: w("m.fmed"),
+		lhs: w("m.lhs"), rhs: w("m.rhs"), lhs2: w("m.lhs2"), rhs2: w("m.rhs2"),
+		init: w("m.init"), last: w("m.last"), cur: w("m.cur"), cursq: w("m.cursq"), head: w("m.head"), old: w("m.old"),
+		oldsq: w("m.oldsq"), nx: w("m.nx"), ksd: w("m.ksd"), thr: w("m.thr"), alertval: w("m.alertval"), fnew: w("m.fnew"),
+		h1: w("m.h1"), h2: w("m.h2"), k1: w("m.k1"), u1: w("m.u1"), k2: w("m.k2"), u2: w("m.u2"), ok: f("m.ok", 1),
+		delta: w("m.delta"), dsq: w("m.dsq"),
+		doSqrt: f("m.do_sqrt", 1), doCheck: f("m.do_check", 1),
+		repValid: f("m.rep_valid", 1),
+	}
+}
+
+// field is a declared field's ID: how a measure reaches its row's scratch.
+func (l *Library) field(name string, _ p4.Width) p4.FieldID {
+	id, ok := l.Prog.FieldByName(name)
+	if !ok {
+		panic(fmt.Sprintf("stat4p4: field %q not declared", name))
+	}
+	return id
 }
 
 func (l *Library) declareRegisters() {

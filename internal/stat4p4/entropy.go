@@ -71,12 +71,49 @@ var entropyMeasure = &measure{
 	rebuild:    (*Library).rebuildEntropy,
 	digest:     &digestLayout{DigestEntropy, "entropy", []string{"total", "scaled_entropy", "scaled_threshold"}},
 	views:      []AnyView{Entropy},
+	kinds: []kind{
+		{name: "entropy-dst", action: "bind_ent_dst", view: Entropy, params: []param{pShift, pBase, pSize, pH0, pCheckMask}, note: noteMedian},
+		{name: "entropy-src", action: "bind_ent_src", view: Entropy, params: []param{pShift, pBase, pSize, pH0, pCheckMask}, note: noteMedian},
+	},
+	scratch: func(f fieldFunc) { entFields(f) },
+	tracks:  []track{{name: "entropy", kind: "entropy-dst", shift: 8, based: true}},
+	// Every track carries the threshold, converted and range-checked.
+	trackBinding: func(l *Library, p TrackParams, b *Binding) (err error) {
+		b.H0, err = l.entropyH0(p.H0Bits)
+		b.CheckEvery = p.CheckEvery
+		return err
+	},
+}
+
+func noteMedian(b *Binding) SlotBinding          { return SlotBinding{Slot: b.Slot, PA: 1, PB: 1} }
+func pH0(_ *Options, b *Binding) (uint64, error) { return b.H0, nil }
+
+// pCheckMask turns the check cadence into the mask the action gates on:
+// the check runs when T & (checkEvery−1) == 0.
+func pCheckMask(_ *Options, b *Binding) (uint64, error) {
+	every := b.CheckEvery
+	if every == 0 {
+		every = 1
+	}
+	if every&(every-1) != 0 {
+		return 0, fmt.Errorf("stat4p4: checkEvery %d is not a power of two", every)
+	}
+	return every - 1, nil
+}
+
+// entScratch is the row's scratch: the log2 outputs, the contribution fold
+// and the collapse check's operands.
+type entScratch struct{ lf, lt, ec, ecold, es, h0, entchk, entg, enta, entb, ht p4.FieldID }
+
+func entFields(f fieldFunc) entScratch {
+	return entScratch{f("m.lf", 64), f("m.lt", 64), f("m.ec", 64), f("m.ec_old", 64), f("m.es", 64), f("m.h0", 64),
+		f("m.entchk", 64), f("m.entg", 64), f("m.enta", 64), f("m.entb", 64), f("m.ht", 64)}
 }
 
 // declareEntropy adds the entropy registers, binding actions and update
 // actions to the program.
 func (l *Library) declareEntropy() {
-	f := &l.f
+	f, s := &l.f, entFields(l.field)
 	std := l.Std
 	cells := l.Opts.Slots * l.Opts.Size
 	w := l.Opts.CellWidth
@@ -96,8 +133,8 @@ func (l *Library) declareEntropy() {
 	}
 	entTail := []p4.Op{
 		p4.Mov(f.size, p4.P(4)),
-		p4.Mov(f.h0, p4.P(5)),
-		p4.Mov(f.entchk, p4.P(6)),
+		p4.Mov(s.h0, p4.P(5)),
+		p4.Mov(s.entchk, p4.P(6)),
 	}
 	// bind_ent_dst(slotBase, slot, shift, base, size, h0, chkmask):
 	// value = (ipv4.dst >> shift) − base, wrapping like the freq binds so
@@ -126,28 +163,28 @@ func (l *Library) declareEntropy() {
 	// register stores, so the incremental S telescopes to the rederived one
 	// at any cell width, not just 64.
 	add("ent_store",
-		p4.RegRead(f.ecold, RegEntCell, p4.F(f.idx)),
-		p4.Mul(f.ec, p4.F(f.fnew), p4.F(f.lf)),
-		p4.And(f.ec, p4.F(f.ec), p4.C(l.cellMask())),
-		p4.RegWrite(RegEntCell, p4.F(f.idx), p4.F(f.ec)),
-		p4.RegRead(f.es, RegEntSum, slot),
-		p4.Add(f.es, p4.F(f.es), p4.F(f.ec)),
-		p4.Sub(f.es, p4.F(f.es), p4.F(f.ecold)),
-		p4.RegWrite(RegEntSum, slot, p4.F(f.es)),
+		p4.RegRead(s.ecold, RegEntCell, p4.F(f.idx)),
+		p4.Mul(s.ec, p4.F(f.fnew), p4.F(s.lf)),
+		p4.And(s.ec, p4.F(s.ec), p4.C(l.cellMask())),
+		p4.RegWrite(RegEntCell, p4.F(f.idx), p4.F(s.ec)),
+		p4.RegRead(s.es, RegEntSum, slot),
+		p4.Add(s.es, p4.F(s.es), p4.F(s.ec)),
+		p4.Sub(s.es, p4.F(s.es), p4.F(s.ecold)),
+		p4.RegWrite(RegEntSum, slot, p4.F(s.es)),
 	)
 	// ent_chkgate: the check runs when T & chkmask == 0.
 	add("ent_chkgate",
-		p4.And(f.entg, p4.F(f.xsum), p4.F(f.entchk)),
+		p4.And(s.entg, p4.F(f.xsum), p4.F(s.entchk)),
 	)
 	// ent_thr: enta = T·log2fix(T), ht = enta − S (the scaled H·T, clamped),
 	// entb = h0·T.
 	add("ent_thr",
-		p4.Mul(f.enta, p4.F(f.xsum), p4.F(f.lt)),
-		p4.SatSub(f.ht, p4.F(f.enta), p4.F(f.es)),
-		p4.Mul(f.entb, p4.F(f.h0), p4.F(f.xsum)),
+		p4.Mul(s.enta, p4.F(f.xsum), p4.F(s.lt)),
+		p4.SatSub(s.ht, p4.F(s.enta), p4.F(s.es)),
+		p4.Mul(s.entb, p4.F(s.h0), p4.F(f.xsum)),
 	)
 	add("ent_alert",
-		p4.EmitDigest(DigestEntropy, f.slotid, f.xsum, f.ht, f.entb, std.TsNs),
+		p4.EmitDigest(DigestEntropy, f.slotid, f.xsum, s.ht, s.entb, std.TsNs),
 	)
 }
 
@@ -155,24 +192,24 @@ func (l *Library) declareEntropy() {
 // shared counter/moment accumulation, the log2 tree on the fresh counter, the
 // contribution fold, and the periodic collapse check.
 func (l *Library) entropyBlock() []p4.Stmt {
-	f := &l.f
+	f, s := &l.f, entFields(l.field)
 	stmts := []p4.Stmt{
 		p4.Call("freq_load"),
 		p4.If(eq(f.f, 0), p4.Call("freq_incr_n")),
 		p4.Call("freq_accum"),
 	}
-	stmts = append(stmts, l.log2Tree(f.fnew, f.lf)...)
+	stmts = append(stmts, l.log2Tree(f.fnew, s.lf)...)
 	stmts = append(stmts, p4.Call("ent_store"))
 
-	check := l.log2Tree(f.xsum, f.lt)
+	check := l.log2Tree(f.xsum, s.lt)
 	check = append(check,
 		p4.Call("ent_thr"),
-		p4.If(flt(f.ht, f.entb), p4.Call("ent_alert")),
+		p4.If(flt(s.ht, s.entb), p4.Call("ent_alert")),
 	)
 	stmts = append(stmts,
-		p4.If(ne(f.h0, 0),
+		p4.If(ne(s.h0, 0),
 			p4.Call("ent_chkgate"),
-			p4.If(eq(f.entg, 0), check...),
+			p4.If(eq(s.entg, 0), check...),
 		),
 	)
 	return []p4.Stmt{p4.If(flt(f.val, f.size), stmts...)}

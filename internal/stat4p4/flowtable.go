@@ -84,6 +84,40 @@ var flowMeasure = &measure{
 		return counts
 	},
 	views: []AnyView{Flows, FlowLedger},
+	kinds: []kind{
+		{name: "flow-dst", action: "bind_flow_dst", view: Flows, params: []param{pShift, pEpochShift, pTTL, pSampleMask, pPlainK}},
+		{name: "flow-src", action: "bind_flow_src", view: Flows, params: []param{pShift, pEpochShift, pTTL, pSampleMask, pPlainK}},
+		// The pair key is src<<32|dst; the action keeps the shift position
+		// for a uniform layout and ignores it.
+		{name: "flow-pair", action: "bind_flow_pair", view: Flows, params: []param{pZero, pEpochShift, pTTL, pSampleMask, pPlainK}},
+	},
+	scratch: func(f fieldFunc) { ftFields(f) },
+	tracks:  []track{{name: "flow", kind: "flow-src"}},
+}
+
+func pZero(*Options, *Binding) (uint64, error)       { return 0, nil }
+func pPlainK(_ *Options, b *Binding) (uint64, error) { return b.K, nil }
+
+func pEpochShift(_ *Options, b *Binding) (uint64, error) {
+	if b.EpochShift >= 64 {
+		return 0, rangeErr("epoch shift", b.EpochShift, 63)
+	}
+	return uint64(b.EpochShift), nil
+}
+
+func pTTL(_ *Options, b *Binding) (uint64, error) {
+	if b.TTL == 0 {
+		return 0, fmt.Errorf("stat4p4: flow TTL must be ≥ 1 epoch")
+	}
+	return b.TTL, nil
+}
+
+// ftScratch is the row's scratch: the admission-coin gate, the stamp a touch
+// writes (epoch + 1) and the two candidate-bucket ages.
+type ftScratch struct{ ftgate, fts, fta1, fta2 p4.FieldID }
+
+func ftFields(f fieldFunc) ftScratch {
+	return ftScratch{f("m.ftgate", 64), f("m.fts", 64), f("m.fta1", 64), f("m.fta2", 64)}
 }
 
 // Hash-family assignments, mirroring internal/flowtable: hash 0 is the
@@ -97,7 +131,7 @@ const (
 // declareFlowTable adds the flow-table registers, binding actions, probe and
 // resolution actions to the program.
 func (l *Library) declareFlowTable() {
-	f := &l.f
+	f, s := &l.f, ftFields(l.field)
 	std := l.Std
 	size := l.Opts.FlowTableSize
 	cells := l.Opts.Slots * size
@@ -142,10 +176,10 @@ func (l *Library) declareFlowTable() {
 	tail := []p4.Op{
 		p4.Shr(f.curint, p4.F(std.TsNs), p4.P(3)),
 		p4.Mov(f.cap, p4.P(4)),
-		p4.Add(f.ftgate, p4.F(f.val), p4.F(std.TsNs)),
-		p4.Hash(f.ftgate, ftHashCoin, p4.F(f.ftgate), ^uint64(0)),
-		p4.Shr(f.ftgate, p4.F(f.ftgate), p4.C(32)),
-		p4.And(f.ftgate, p4.F(f.ftgate), p4.P(5)),
+		p4.Add(s.ftgate, p4.F(f.val), p4.F(std.TsNs)),
+		p4.Hash(s.ftgate, ftHashCoin, p4.F(s.ftgate), ^uint64(0)),
+		p4.Shr(s.ftgate, p4.F(s.ftgate), p4.C(32)),
+		p4.And(s.ftgate, p4.F(s.ftgate), p4.P(5)),
 		p4.Mov(f.k, p4.P(6)),
 	}
 	l.Prog.AddAction(p4.NewAction("bind_flow_dst", 7, append(append(append([]p4.Op{}, common...),
@@ -188,18 +222,18 @@ func (l *Library) declareFlowTable() {
 		p4.RegRead(f.u1, RegFTStamp, p4.F(f.h1)),
 		p4.RegRead(f.k2, RegFTKeys, p4.F(f.h2)),
 		p4.RegRead(f.u2, RegFTStamp, p4.F(f.h2)),
-		p4.Add(f.fts, p4.F(f.curint), p4.C(1)),
-		p4.Sub(f.fta1, p4.F(f.fts), p4.F(f.u1)),
-		p4.Sub(f.fta2, p4.F(f.fts), p4.F(f.u2)),
+		p4.Add(s.fts, p4.F(f.curint), p4.C(1)),
+		p4.Sub(s.fta1, p4.F(s.fts), p4.F(f.u1)),
+		p4.Sub(s.fta2, p4.F(s.fts), p4.F(f.u2)),
 	)
 	// flow_sel1/2: the key owns this live bucket — refresh the stamp.
 	add("flow_sel1",
-		p4.RegWrite(RegFTStamp, p4.F(f.h1), p4.F(f.fts)),
+		p4.RegWrite(RegFTStamp, p4.F(f.h1), p4.F(s.fts)),
 		p4.Mov(f.idx, p4.F(f.h1)),
 		p4.Mov(f.ok, p4.C(1)),
 	)
 	add("flow_sel2",
-		p4.RegWrite(RegFTStamp, p4.F(f.h2), p4.F(f.fts)),
+		p4.RegWrite(RegFTStamp, p4.F(f.h2), p4.F(s.fts)),
 		p4.Mov(f.idx, p4.F(f.h2)),
 		p4.Mov(f.ok, p4.C(1)),
 	)
@@ -232,7 +266,7 @@ func (l *Library) declareFlowTable() {
 	claim := func(name string, h p4.FieldID) {
 		add(name,
 			p4.RegWrite(RegFTKeys, p4.F(h), p4.F(f.val)),
-			p4.RegWrite(RegFTStamp, p4.F(h), p4.F(f.fts)),
+			p4.RegWrite(RegFTStamp, p4.F(h), p4.F(s.fts)),
 			p4.RegRead(f.t2, RegFTAdm, slot),
 			p4.Add(f.t2, p4.F(f.t2), p4.C(1)),
 			p4.RegWrite(RegFTAdm, slot, p4.F(f.t2)),
@@ -279,7 +313,7 @@ func (l *Library) declareFlowTable() {
 // empty-left, empty-right, expired-left, expired-right, reject — then runs
 // the shared moment/variance/check pipeline on the resolved index.
 func (l *Library) flowBlock() []p4.Stmt {
-	f := &l.f
+	f, s := &l.f, ftFields(l.field)
 	eqf := func(a, b p4.FieldID) p4.Cond { return p4.Cond{A: p4.F(a), Op: p4.CmpEq, B: p4.F(b)} }
 	fge := func(a, b p4.FieldID) p4.Cond { return p4.Cond{A: p4.F(a), Op: p4.CmpGe, B: p4.F(b)} }
 	// general: the key owns no bucket (or only an empty-keyed one) — the
@@ -288,18 +322,18 @@ func (l *Library) flowBlock() []p4.Stmt {
 	// skeleton duplicates.
 	general := func() []p4.Stmt {
 		return []p4.Stmt{
-			p4.If(eq(f.ftgate, 0),
+			p4.If(eq(s.ftgate, 0),
 				p4.If(eq(f.u1, 0),
 					p4.Call("flow_claim1"),
 				).WithElse(
 					p4.If(eq(f.u2, 0),
 						p4.Call("flow_claim2"),
 					).WithElse(
-						p4.If(fge(f.fta1, f.cap),
+						p4.If(fge(s.fta1, f.cap),
 							p4.Call("flow_evict1"),
 							p4.Call("flow_claim1"),
 						).WithElse(
-							p4.If(fge(f.fta2, f.cap),
+							p4.If(fge(s.fta2, f.cap),
 								p4.Call("flow_evict2"),
 								p4.Call("flow_claim2"),
 							).WithElse(
@@ -317,7 +351,7 @@ func (l *Library) flowBlock() []p4.Stmt {
 	// coin-gated: an expired flow re-admits like a new one).
 	selfStale := func(evict, claim string) []p4.Stmt {
 		return []p4.Stmt{
-			p4.If(eq(f.ftgate, 0),
+			p4.If(eq(s.ftgate, 0),
 				p4.Call(evict),
 				p4.Call(claim),
 			).WithElse(
@@ -336,12 +370,12 @@ func (l *Library) flowBlock() []p4.Stmt {
 		p4.Call("flow_probe"),
 		p4.If(eqf(f.k1, f.val),
 			p4.If(ne(f.u1, 0),
-				ownBucket(f.fta1, "flow_sel1", "flow_evict1", "flow_claim1"),
+				ownBucket(s.fta1, "flow_sel1", "flow_evict1", "flow_claim1"),
 			).WithElse(general()...),
 		).WithElse(
 			p4.If(eqf(f.k2, f.val),
 				p4.If(ne(f.u2, 0),
-					ownBucket(f.fta2, "flow_sel2", "flow_evict2", "flow_claim2"),
+					ownBucket(s.fta2, "flow_sel2", "flow_evict2", "flow_claim2"),
 				).WithElse(general()...),
 			).WithElse(general()...),
 		),

@@ -86,6 +86,11 @@ var emittedGolden = map[string]emitted{
 	"entropy-hh":   {0x98d00d36be3cba0a, 0x7c13a762ecdc6b7f, 33, 13072, 33, actBase + actEnt + actHH},
 	"flowtable":    {0xd42989dde11ff304, 0xfd8ed6935ec6b462, 31, 25752, 42, actBase + actFlow},
 	"flowtable-hh": {0xce33140e82345c69, 0x3d2c18dd9ec60f0f, 28, 205632, 24, actBase + actHH + actFlow},
+	"loadbalance":  {0xb2d1f66163298f86, 0x90034927f78f0aaa, 25, 376, 33, actBase},
+	"trafficclass": {0x4c924a5d89bd8ce3, 0x5df660335b3fa1ce, 34, 2288, 40, actBase},
+	"detect-hh":    {0x1c35f92a20b1e005, 0x7eea93c18da4d25, 33, 3200, 33, actBase + actHH},
+	"replay-hh":    {0xc81fa4f7742e2bdd, 0xedcba0c27b74d67f, 33, 4480, 33, actBase + actHH},
+	"replay-flow":  {0x390adfe73c96f7e4, 0x5e0089d5f93def42, 31, 28824, 42, actBase + actFlow},
 }
 
 // TestEmittedGolden pins the emitted program of every registered

@@ -55,12 +55,26 @@ var hhMeasure = &measure{
 	block:   (*Library).hhBlock,
 	digest:  &digestLayout{DigestHeavyHitter, "heavy-hitter", []string{"key"}},
 	views:   []AnyView{HeavyHitters},
+	kinds: []kind{
+		{name: "hh-dst", action: "bind_hh_dst", view: HeavyHitters, params: []param{pShift, pSampleMask}},
+		{name: "hh-src", action: "bind_hh_src", view: HeavyHitters, params: []param{pShift, pSampleMask}},
+	},
+	scratch: func(f fieldFunc) { hhFields(f) },
+	tracks:  []track{{name: "hh", kind: "hh-src"}},
+}
+
+// hhScratch is the row's scratch: the flow key and table coordinates ride the
+// recirculation trip, so no later binding stage may reuse them.
+type hhScratch struct{ hhkey, hhbase, hhslot, hhgate, recirc p4.FieldID }
+
+func hhFields(f fieldFunc) hhScratch {
+	return hhScratch{f("m.hhkey", 64), f("m.hhbase", 64), f("m.hhslot", 64), f("m.hhgate", 64), f("m.recirc", 1)}
 }
 
 // declareHeavyHitter adds the heavy-hitter registers, binding actions, the
 // main-pass sampling block and the recirculation promotion pass.
 func (l *Library) declareHeavyHitter() {
-	f := &l.f
+	f, s := &l.f, hhFields(l.field)
 	std := l.Std
 	cells := l.Opts.Slots * l.Opts.HHTableSize
 	w := l.Opts.CellWidth
@@ -82,8 +96,8 @@ func (l *Library) declareHeavyHitter() {
 	// mode: they must survive every later binding stage to reach the
 	// recirculation pass intact.
 	common := []p4.Op{
-		p4.Mov(f.hhbase, p4.P(0)),
-		p4.Mov(f.hhslot, p4.P(1)),
+		p4.Mov(s.hhbase, p4.P(0)),
+		p4.Mov(s.hhslot, p4.P(1)),
 		p4.Mov(f.enable, p4.C(1)),
 		p4.Mov(f.kind, p4.C(kindHH)),
 	}
@@ -97,19 +111,19 @@ func (l *Library) declareHeavyHitter() {
 	// masking.
 	gate := func() []p4.Op {
 		return []p4.Op{
-			p4.Add(f.hhgate, p4.F(f.hhkey), p4.F(std.TsNs)),
-			p4.Hash(f.hhgate, 0, p4.F(f.hhgate), ^uint64(0)),
-			p4.Shr(f.hhgate, p4.F(f.hhgate), p4.C(32)),
-			p4.And(f.hhgate, p4.F(f.hhgate), p4.P(3)),
+			p4.Add(s.hhgate, p4.F(s.hhkey), p4.F(std.TsNs)),
+			p4.Hash(s.hhgate, 0, p4.F(s.hhgate), ^uint64(0)),
+			p4.Shr(s.hhgate, p4.F(s.hhgate), p4.C(32)),
+			p4.And(s.hhgate, p4.F(s.hhgate), p4.P(3)),
 		}
 	}
 	l.Prog.AddAction(p4.NewAction("bind_hh_src", 4, append(append(append([]p4.Op{}, common...),
-		p4.Shr(f.hhkey, p4.F(std.IPv4Src), p4.P(2))),
+		p4.Shr(s.hhkey, p4.F(std.IPv4Src), p4.P(2))),
 		gate()...)...))
 	// bind_hh_dst(hhBase, slot, shift, sampleMask): per-destination heavy
 	// hitters — the elephant-sink view.
 	l.Prog.AddAction(p4.NewAction("bind_hh_dst", 4, append(append(append([]p4.Op{}, common...),
-		p4.Shr(f.hhkey, p4.F(std.IPv4Dst), p4.P(2))),
+		p4.Shr(s.hhkey, p4.F(std.IPv4Dst), p4.P(2))),
 		gate()...)...))
 
 	add := func(name string, ops ...p4.Op) {
@@ -117,7 +131,7 @@ func (l *Library) declareHeavyHitter() {
 	}
 
 	// hh_mark: request the single extra pass.
-	add("hh_mark", p4.Mov(f.recirc, p4.C(1)))
+	add("hh_mark", p4.Mov(s.recirc, p4.C(1)))
 
 	// --- recirculation pass actions --------------------------------------
 
@@ -126,56 +140,56 @@ func (l *Library) declareHeavyHitter() {
 	// (claims write count 1 first, so an occupied bucket is never zero).
 	// Hash functions 1 and 2 are distinct from the sampling hash 0.
 	add("hh_probe",
-		p4.Hash(f.h1, 1, p4.F(f.hhkey), ^uint64(0)),
+		p4.Hash(f.h1, 1, p4.F(s.hhkey), ^uint64(0)),
 		p4.Shr(f.h1, p4.F(f.h1), p4.C(32)),
 		p4.And(f.h1, p4.F(f.h1), p4.C(tmask)),
-		p4.Add(f.h1, p4.F(f.hhbase), p4.F(f.h1)),
-		p4.Hash(f.h2, 2, p4.F(f.hhkey), ^uint64(0)),
+		p4.Add(f.h1, p4.F(s.hhbase), p4.F(f.h1)),
+		p4.Hash(f.h2, 2, p4.F(s.hhkey), ^uint64(0)),
 		p4.Shr(f.h2, p4.F(f.h2), p4.C(32)),
 		p4.And(f.h2, p4.F(f.h2), p4.C(tmask)),
-		p4.Add(f.h2, p4.F(f.hhbase), p4.F(f.h2)),
+		p4.Add(f.h2, p4.F(s.hhbase), p4.F(f.h2)),
 		p4.RegRead(f.k1, RegHHKeys, p4.F(f.h1)),
 		p4.RegRead(f.u1, RegHHCounts, p4.F(f.h1)),
 		p4.RegRead(f.k2, RegHHKeys, p4.F(f.h2)),
 		p4.RegRead(f.u2, RegHHCounts, p4.F(f.h2)),
 	)
 	add("hh_claim1",
-		p4.RegWrite(RegHHKeys, p4.F(f.h1), p4.F(f.hhkey)),
+		p4.RegWrite(RegHHKeys, p4.F(f.h1), p4.F(s.hhkey)),
 		p4.RegWrite(RegHHCounts, p4.F(f.h1), p4.C(1)),
-		p4.EmitDigest(DigestHeavyHitter, f.hhslot, f.hhkey, std.TsNs),
+		p4.EmitDigest(DigestHeavyHitter, s.hhslot, s.hhkey, std.TsNs),
 	)
 	add("hh_take1",
 		p4.Add(f.u1, p4.F(f.u1), p4.C(1)),
 		p4.RegWrite(RegHHCounts, p4.F(f.h1), p4.F(f.u1)),
 	)
 	add("hh_claim2",
-		p4.RegWrite(RegHHKeys, p4.F(f.h2), p4.F(f.hhkey)),
+		p4.RegWrite(RegHHKeys, p4.F(f.h2), p4.F(s.hhkey)),
 		p4.RegWrite(RegHHCounts, p4.F(f.h2), p4.C(1)),
-		p4.EmitDigest(DigestHeavyHitter, f.hhslot, f.hhkey, std.TsNs),
+		p4.EmitDigest(DigestHeavyHitter, s.hhslot, s.hhkey, std.TsNs),
 	)
 	add("hh_take2",
 		p4.Add(f.u2, p4.F(f.u2), p4.C(1)),
 		p4.RegWrite(RegHHCounts, p4.F(f.h2), p4.F(f.u2)),
 	)
 	add("hh_reject",
-		p4.RegRead(f.t2, RegHHRej, p4.F(f.hhslot)),
+		p4.RegRead(f.t2, RegHHRej, p4.F(s.hhslot)),
 		p4.Add(f.t2, p4.F(f.t2), p4.C(1)),
-		p4.RegWrite(RegHHRej, p4.F(f.hhslot), p4.F(f.t2)),
+		p4.RegWrite(RegHHRej, p4.F(s.hhslot), p4.F(f.t2)),
 	)
 
 	eqf := func(a, b p4.FieldID) p4.Cond { return p4.Cond{A: p4.F(a), Op: p4.CmpEq, B: p4.F(b)} }
-	l.Prog.SetRecirc(f.recirc, []p4.Stmt{
+	l.Prog.SetRecirc(s.recirc, []p4.Stmt{
 		p4.Call("hh_probe"),
 		p4.If(eq(f.u1, 0),
 			p4.Call("hh_claim1"),
 		).WithElse(
-			p4.If(eqf(f.k1, f.hhkey),
+			p4.If(eqf(f.k1, s.hhkey),
 				p4.Call("hh_take1"),
 			).WithElse(
 				p4.If(eq(f.u2, 0),
 					p4.Call("hh_claim2"),
 				).WithElse(
-					p4.If(eqf(f.k2, f.hhkey),
+					p4.If(eqf(f.k2, s.hhkey),
 						p4.Call("hh_take2"),
 					).WithElse(
 						p4.Call("hh_reject"),
@@ -191,7 +205,7 @@ func (l *Library) declareHeavyHitter() {
 // and requests the promotion pass.
 func (l *Library) hhBlock() []p4.Stmt {
 	return []p4.Stmt{
-		p4.If(eq(l.f.hhgate, 0), p4.Call("hh_mark")),
+		p4.If(eq(hhFields(l.field).hhgate, 0), p4.Call("hh_mark")),
 	}
 }
 

@@ -1,5 +1,7 @@
 package stat4p4
 
+import "slices"
+
 // The registered-program catalog: every library configuration and example
 // sizing the repo ships is listed here, so whole-program gates — the
 // stage-budget allocation in internal/p4/stagealloc.go, the merge-law checks
@@ -17,9 +19,10 @@ type RegisteredProgram struct {
 
 // Registered returns the catalog, in a stable order: the library's own
 // configuration axes first, then the example/application sizings shipped in
-// configs/ and cmd/.
+// configs/, examples/, internal/detect and cmd/, then the programs
+// stat4-replay compiles for its tracks that no earlier row already is.
 func Registered() []RegisteredProgram {
-	return []RegisteredProgram{
+	rows := []RegisteredProgram{
 		{Name: "default", Opts: DefaultOptions,
 			Note: "DefaultOptions: 8 slots x 256 cells, two binding stages"},
 		{Name: "echo", Opts: Options{Slots: 1, Size: 512, Stages: 1, Echo: true},
@@ -36,8 +39,6 @@ func Registered() []RegisteredProgram {
 			Note: "configs/ddos-sparse.json"},
 		{Name: "synflood", Opts: Options{Slots: 1, Size: 64, Stages: 1},
 			Note: "configs/synflood.json"},
-		{Name: "replay", Opts: Options{Slots: 1, Size: 256, Stages: 1},
-			Note: "cmd/stat4-replay sizing"},
 		{Name: "entropy", Opts: Options{Slots: 1, Size: 256, Stages: 1, Entropy: true},
 			Note: "integer entropy over a 256-value distribution (examples/entropy-ddos)"},
 		{Name: "heavyhitter", Opts: Options{Slots: 1, Size: 64, Stages: 1, HeavyHitter: true},
@@ -48,7 +49,25 @@ func Registered() []RegisteredProgram {
 			Note: "flow-table state plane: 1024 2-left buckets of {key, stamp, count} per slot"},
 		{Name: "flowtable-hh", Opts: Options{Slots: 2, Size: 256, Stages: 1, FlowTable: true, FlowTableSize: 4096, HeavyHitter: true, NoVariance: true},
 			Note: "flow table composed with heavy hitters (counting only, NoVariance): churn-tolerant per-flow counts plus elephant promotion in one program"},
+		{Name: "loadbalance", Opts: Options{Slots: 1, Size: 16, Stages: 1},
+			Note: "examples/loadbalance"},
+		{Name: "trafficclass", Opts: Options{Slots: 2, Size: 64, Stages: 2},
+			Note: "examples/trafficclass"},
+		{Name: "detect-hh", Opts: Options{Slots: 1, Size: 64, Stages: 1, HeavyHitter: true, HHTableSize: 128},
+			Note: "internal/detect heavy-hitter config: a 128-entry candidate table"},
 	}
+	for _, name := range Tracks() {
+		opts, _ := TrackOptions(name, TrackBase) // a listed track
+		if slices.ContainsFunc(rows, func(r RegisteredProgram) bool { return r.Opts == opts }) {
+			continue
+		}
+		row := RegisteredProgram{Name: "replay", Opts: opts, Note: "cmd/stat4-replay sizing"}
+		if opts != TrackBase {
+			row.Name, row.Note = "replay-"+name, "cmd/stat4-replay -track "+name
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // RecomputedRegisters lists the MergeDerived registers CanonicalizeSnapshot

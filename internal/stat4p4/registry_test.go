@@ -1,8 +1,12 @@
 package stat4p4_test
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"stat4/internal/detect"
 	"stat4/internal/lint"
 	"stat4/internal/p4"
 	"stat4/internal/stat4p4"
@@ -51,6 +55,53 @@ func TestRegisteredCatalogWellFormed(t *testing.T) {
 			if rd.Cells%rp.Opts.Slots != 0 {
 				t.Errorf("%s: register %s has %d cells, not a multiple of %d slots", rp.Name, rd.Name, rd.Cells, rp.Opts.Slots)
 			}
+		}
+	}
+}
+
+// The catalog copies its application rows from where they ship: each app
+// config in configs/ loads to its same-named row's options, and each healthy
+// internal/detect config compiles a catalog program (its DigestBuf sizes the
+// mailbox, not the program).
+func TestRegisteredMatchesSources(t *testing.T) {
+	rows := make(map[string]stat4p4.Options)
+	for _, rp := range stat4p4.Registered() {
+		rows[rp.Name] = rp.Opts
+	}
+	paths, err := filepath.Glob("../../configs/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no configs: %v", err)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := stat4p4.LoadAppConfig(f)
+		f.Close()
+		row, isRow := rows[name]
+		switch {
+		case err != nil && isRow:
+			t.Errorf("%s: row of a file that is no app config: %v", name, err)
+		case err == nil && !isRow:
+			t.Errorf("%s: app config with no catalog row", name)
+		case err == nil && row != cfg.Options:
+			t.Errorf("%s: row %+v, file %+v", name, row, cfg.Options)
+		}
+	}
+	for _, c := range detect.Configs() {
+		if c.Pathological {
+			continue
+		}
+		opts := c.Opts
+		opts.DigestBuf = 0
+		found := false
+		for _, o := range rows {
+			found = found || o == opts
+		}
+		if !found {
+			t.Errorf("detect config %s: %+v is no catalog row", c.Name, opts)
 		}
 	}
 }

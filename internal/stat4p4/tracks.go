@@ -81,14 +81,13 @@ type track struct {
 	based bool
 }
 
+// tracks is the preset table: the core presets, then (init, binding.go)
+// each measure row's.
 var tracks = []track{
 	{name: "window", kind: "window"},
 	{name: "dst24", kind: "freq-dst", shift: 8, based: true},
 	{name: "proto", kind: "freq-proto"},
 	{name: "len", kind: "freq-len", shift: 6},
-	{name: "entropy", kind: "entropy-dst", shift: 8, based: true},
-	{name: "hh", kind: "hh-src"},
-	{name: "flow", kind: "flow-src"},
 }
 
 // Tracks lists the track names in table order.
@@ -108,6 +107,10 @@ func findTrack(name string) (*track, error) {
 	}
 	return nil, fmt.Errorf("unknown track %q", name)
 }
+
+// TrackBase is the sizing a one-track tool (stat4-replay -track) compiles
+// its track over: one slot of 256 cells, one binding stage.
+var TrackBase = Options{Slots: 1, Size: 256, Stages: 1}
 
 // TrackOptions returns base with the measure the track's kind needs
 // switched on, so a tool compiles in only the measure it was asked for.
@@ -130,16 +133,18 @@ func (l *Library) TrackBinding(name string, p TrackParams) (Binding, error) {
 	if err != nil {
 		return Binding{}, err
 	}
-	h0, err := l.entropyH0(p.H0Bits)
-	if err != nil {
-		return Binding{}, err
-	}
 	b := Binding{
 		Kind: t.kind, Stage: p.Stage, Slot: p.Slot, Match: AllIPv4(),
 		IntervalShift: p.IntervalShift, Capacity: p.Window,
 		Shift: t.shift, Size: p.Size, PA: p.PA, PB: p.PB, K: p.K,
-		H0: h0, CheckEvery: p.CheckEvery,
 		SampleShift: p.SampleShift, EpochShift: p.EpochShift, TTL: p.TTL,
+	}
+	for _, m := range measures {
+		if m.trackBinding != nil {
+			if err := m.trackBinding(l, p, &b); err != nil {
+				return Binding{}, err
+			}
+		}
 	}
 	if t.based {
 		base, err := parsePrefix(p.Base)

@@ -359,14 +359,15 @@ func (sp *ShardedPipeline) shardSum(read func(*SwitchMetrics) uint64) func() uin
 // Register adds the merged fleet view under the standard pipeline names and
 // each shard's observer under a shardN_ prefix, so one snapshot shows both
 // the chassis totals and the per-shard split. Merged histograms render
-// whatever the last Refresh built; counters render live sums.
+// whatever the last Refresh built; counters render live sums. A shard stages
+// its digests for the sharded switch, so no shard drops one: the only loss
+// is the merged mailbox's, which the switch counts in Stats().DigestDrops
+// and the caller exports beside its other switch counters.
 func (sp *ShardedPipeline) Register(reg *Registry) {
 	reg.RegisterHist("packet_cost_ns", "per-packet processing cost (deparse only when frames are emitted), all shards, sampled 1-in-64", sp.Merged.Cost)
 	reg.RegisterHist("digest_wait_ns", "digest emit-to-drain wall-clock wait, all shards", sp.Merged.DigestWait)
 	reg.RegisterCounter("digests_emitted", "digests accepted by the channels, all shards",
 		sp.shardSum((*SwitchMetrics).Emitted))
-	reg.RegisterCounter("digests_dropped", "digests lost to full channels, all shards",
-		sp.shardSum((*SwitchMetrics).Dropped))
 	reg.RegisterCounter("digests_delivered", "digests drained by consumers, all shards",
 		sp.shardSum((*SwitchMetrics).Delivered))
 	if sp.Ingest != nil {
@@ -380,6 +381,5 @@ func (sp *ShardedPipeline) Register(reg *Registry) {
 		prefix := fmt.Sprintf("shard%d_", i)
 		reg.RegisterHist(prefix+"packet_cost_ns", fmt.Sprintf("shard %d per-packet processing cost (deparse only when frames are emitted), sampled 1-in-64", i), s.Cost)
 		reg.RegisterCounter(prefix+"digests_emitted", fmt.Sprintf("shard %d digests accepted by the channel", i), s.Emitted)
-		reg.RegisterCounter(prefix+"digests_dropped", fmt.Sprintf("shard %d digests lost to a full channel", i), s.Dropped)
 	}
 }
