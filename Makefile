@@ -49,7 +49,10 @@ fmt:
 # modes also run the program-level gates — stagebudget (every registered
 # emitted program must fit the pisa-3pass target model) and mergelaw (declared
 # merge kinds, additive-only MergeSum writes) — standalone always, vettool on
-# the stat4p4 package's unit.
+# the stat4p4 package's unit. The standalone run also builds the roots (every
+# main package and the root test binary, inlining off, into a temporary
+# directory) for the reachable pass: a function no binary links must be
+# deleted, moved under _test.go, or exempted with a reason.
 lint:
 	$(GO) run ./cmd/stat4-lint ./...
 	$(GO) build -o $(CURDIR)/bin/stat4-lint ./cmd/stat4-lint

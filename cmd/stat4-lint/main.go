@@ -6,7 +6,9 @@
 // top of the source analyzers, the program-level passes gate every
 // registered Stat4 program: stagebudget places its control flow onto a PISA
 // target model's stages, and mergelaw checks the cross-replica merge
-// discipline of its registers. See internal/lint for the analyzers.
+// discipline of its registers. The standalone run also builds every binary of
+// the module and reports each function none of them links (reachable). See
+// internal/lint for the analyzers.
 //
 // Standalone (whole-module, authoritative):
 //
@@ -84,7 +86,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	diags := lint.Run(mod, lint.Analyzers())
+	linked, err := lint.Link(mod.Dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	diags := lint.Run(mod, append(lint.Analyzers(), lint.Reachable(linked)))
 	if *programs {
 		diags = append(diags, lint.RunPrograms(registeredCases(), tm)...)
 	}

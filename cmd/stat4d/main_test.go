@@ -342,9 +342,9 @@ func TestTrackFlagsInstallTheSameEntries(t *testing.T) {
 			t.Fatalf("%s: %v", track, err)
 		}
 		for s := 0; s < d.rt.NumShards(); s++ {
-			es, err := d.rt.Sharded().Shard(s).TableEntries("bind0")
-			if err != nil || len(es) != 1 {
-				t.Fatalf("%s shard %d: %d entries, err %v", track, s, len(es), err)
+			es := d.rt.Sharded().Shard(s).Snapshot().Entries["bind0"]
+			if len(es) != 1 {
+				t.Fatalf("%s shard %d: %d entries", track, s, len(es))
 			}
 			if es[0].Action != want.action || !reflect.DeepEqual(es[0].Args, want.args) {
 				t.Errorf("%s shard %d: installed %s%v, want %s%v", track, s, es[0].Action, es[0].Args, want.action, want.args)

@@ -1,7 +1,6 @@
 // Package baseline provides the floating-point reference statistics that the
-// paper's host-side validation computes "in software": Welford's online
-// mean/variance, exact percentiles over frequency data, and the fractional
-// square root. None of it is implementable on a P4 target; it exists to
+// paper's host-side validation computes "in software": exact moments,
+// percentiles over frequency data, entropy and the fractional square root. None of it is implementable on a P4 target; it exists to
 // quantify the error of the integer algorithms in internal/intstat and
 // internal/core (Tables 2 and 3) and to validate the echo application
 // (Figure 5).
@@ -12,43 +11,10 @@ import (
 	"sort"
 )
 
-// Welford accumulates mean and variance online with Welford's algorithm
-// (Welford 1962, the paper's reference [26] for why prior online algorithms
-// need division).
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add folds one sample into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples seen.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance Σ(x−x̄)²/n (0 with fewer than two
-// samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // Moments computes N, Xsum and Xsumsq of a sample slice exactly, the values
 // the echo host compares against the switch registers.
+//
+//stat4:exempt:reachable (a) test reference: the exact moments core's Moments, Window and SampleDist tests check the integer code against
 func Moments(xs []uint64) (n, sum, sumsq uint64) {
 	n = uint64(len(xs))
 	for _, x := range xs {
@@ -56,13 +22,6 @@ func Moments(xs []uint64) (n, sum, sumsq uint64) {
 		sumsq += x * x
 	}
 	return n, sum, sumsq
-}
-
-// ScaledVariance returns the variance of NX, N·Xsumsq − Xsum², computed in
-// float64 to avoid overflow concerns in test oracles.
-func ScaledVariance(xs []uint64) float64 {
-	n, sum, sumsq := Moments(xs)
-	return float64(n)*float64(sumsq) - float64(sum)*float64(sum)
 }
 
 // ExactMedian returns the exact median value of a frequency distribution:
@@ -138,6 +97,8 @@ func MaxOf(xs []float64) float64 {
 // H = log2(T) − (1/T)·Σ f·log2(f) with T = Σ f. It returns 0 for an empty
 // distribution. This is the float64 ground truth for core.Entropy's
 // fixed-point accumulator.
+//
+//stat4:exempt:reachable (a) test reference: core's and stat4p4's entropy tests check the fixed-point entropy against it
 func Entropy(freq []uint64) float64 {
 	var total uint64
 	for _, f := range freq {
@@ -153,16 +114,6 @@ func Entropy(freq []uint64) float64 {
 		}
 	}
 	return math.Log2(float64(total)) - s/float64(total)
-}
-
-// SqrtError returns the relative error of an approximation a to the
-// fractional square root of y: |a − √y| / √y. It returns 0 when y is 0.
-func SqrtError(y, a uint64) float64 {
-	if y == 0 {
-		return 0
-	}
-	t := math.Sqrt(float64(y))
-	return math.Abs(float64(a)-t) / t
 }
 
 // SqrtErrorVsInput returns the absolute error of the approximation against

@@ -117,6 +117,3 @@ func (e *P2Quantile) Value() float64 {
 	}
 	return e.q[2]
 }
-
-// N returns the number of observations folded so far.
-func (e *P2Quantile) N() int { return e.n }

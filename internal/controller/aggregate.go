@@ -31,6 +31,8 @@ var ErrShape = errors.New("controller: mismatched distribution shapes")
 
 // MergeDisjoint combines moments of distributions over disjoint populations
 // by concatenation.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func MergeDisjoint(ms ...stat4p4.MomentsSnapshot) core.Moments {
 	var n, sum, sumsq uint64
 	for _, m := range ms {
@@ -43,6 +45,8 @@ func MergeDisjoint(ms ...stat4p4.MomentsSnapshot) core.Moments {
 
 // MergeShared combines same-domain frequency counter arrays by per-value
 // addition and returns the merged counters with their recomputed moments.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func MergeShared(counterSets ...[]uint64) ([]uint64, core.Moments, error) {
 	if len(counterSets) == 0 {
 		return nil, core.Moments{}, fmt.Errorf("%w: no inputs", ErrShape)
@@ -66,6 +70,8 @@ func MergeShared(counterSets ...[]uint64) ([]uint64, core.Moments, error) {
 // countersMoments recomputes N, Σx and Σx² from per-value counters — the
 // second half of the add-counters-then-recompute order that keeps Σ(f1+f2)²
 // exact.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func countersMoments(counters []uint64) core.Moments {
 	var n, sum, sumsq uint64
 	for _, f := range counters {
@@ -80,6 +86,8 @@ func countersMoments(counters []uint64) core.Moments {
 
 // PullShared reads the same slot's counters from several runtimes and merges
 // them — the controller-side convenience for MergeShared.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func PullShared(slot int, rts ...*stat4p4.Runtime) ([]uint64, core.Moments, error) {
 	sets := make([][]uint64, 0, len(rts))
 	for _, rt := range rts {
@@ -122,6 +130,8 @@ type Aggregator struct {
 
 // NewAggregator returns an empty aggregator over counter arrays of the given
 // cell count.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func NewAggregator(size int) *Aggregator {
 	return &Aggregator{
 		size:   size,
@@ -133,6 +143,8 @@ func NewAggregator(size int) *Aggregator {
 // Add folds one report in. It returns false with no state change when the
 // (switch, epoch) pair was already accepted, and an error when the report's
 // shape does not match the aggregator's domain.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func (a *Aggregator) Add(r Report) (bool, error) {
 	if len(r.Counters) != a.size {
 		return false, fmt.Errorf("%w: report from %q epoch %d has %d cells, want %d",
@@ -154,13 +166,19 @@ func (a *Aggregator) Add(r Report) (bool, error) {
 // Merged returns the combined counters and their recomputed moments —
 // per-value addition first, moments second, the MergeShared order that keeps
 // Σ(f1+f2)² exact.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func (a *Aggregator) Merged() ([]uint64, core.Moments) {
 	out := append([]uint64(nil), a.merged...)
 	return out, countersMoments(out)
 }
 
 // Accepted returns how many reports were folded in.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func (a *Aggregator) Accepted() uint64 { return a.accepted }
 
 // Duplicates returns how many retransmitted reports were ignored.
+//
+//stat4:exempt:reachable (b) paper concept: the network-wide aggregation of Section 5
 func (a *Aggregator) Duplicates() uint64 { return a.dupes }

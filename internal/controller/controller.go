@@ -34,22 +34,6 @@ const (
 	PhaseDone                      // destination pinpointed
 )
 
-// String names the phase.
-func (p Phase) String() string {
-	switch p {
-	case PhaseMonitoring:
-		return "monitoring"
-	case PhaseLocateSubnet:
-		return "locate-subnet"
-	case PhaseLocateHost:
-		return "locate-host"
-	case PhaseDone:
-		return "done"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
-
 // Config wires a DrillDown controller to a switch runtime.
 type Config struct {
 	RT    *stat4p4.Runtime

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"testing"
 
 	"stat4/internal/netem"
@@ -54,7 +55,7 @@ func TestDrillDownStateMachine(t *testing.T) {
 	if dd.Phase() != PhaseLocateSubnet {
 		t.Fatalf("phase = %v after spike alert", dd.Phase())
 	}
-	if n, _ := rt.Switch().EntryCount("bind1"); n != 1 {
+	if n := len(rt.Switch().Snapshot().Entries["bind1"]); n != 1 {
 		t.Fatalf("drill binding entries = %d", n)
 	}
 	r := dd.Result()
@@ -171,5 +172,21 @@ func TestMitigation(t *testing.T) {
 	}
 	if len(dd.Log) != 4 {
 		t.Fatalf("log: %v", dd.Log)
+	}
+}
+
+// String names the phase in test failures.
+func (p Phase) String() string {
+	switch p {
+	case PhaseMonitoring:
+		return "monitoring"
+	case PhaseLocateSubnet:
+		return "locate-subnet"
+	case PhaseLocateHost:
+		return "locate-host"
+	case PhaseDone:
+		return "done"
+	default:
+		return fmt.Sprintf("Phase(%d)", int(p))
 	}
 }

@@ -27,6 +27,8 @@ type ModePlan struct {
 // [t,len). It returns the split and the fraction of the histogram's variance
 // the split explains (0..1); a fraction near 1 with balanced masses means
 // clearly bimodal.
+//
+//stat4:exempt:reachable (b) paper concept: the mode split of Section 5
 func SplitThreshold(hist []uint64) (split int, explained float64) {
 	var total, weighted uint64
 	for v, f := range hist {
@@ -72,6 +74,8 @@ func SplitThreshold(hist []uint64) (split int, explained float64) {
 // non-trivial modes: the best two-class split must explain at least
 // minExplained of the variance (Otsu's criterion; 0 picks a default of 0.8)
 // and both sides must hold at least 10% of the mass.
+//
+//stat4:exempt:reachable (b) paper concept: the mode split of Section 5
 func IsBimodal(hist []uint64, minExplained float64) bool {
 	if minExplained <= 0 {
 		minExplained = 0.8
@@ -104,6 +108,8 @@ func IsBimodal(hist []uint64, minExplained float64) bool {
 // Each plan's range is padded by 25% of the mode's width (clamped to the
 // snapshot) so the follow-up distributions can see the mode drift before
 // values fall outside their domain.
+//
+//stat4:exempt:reachable (b) paper concept: the mode split of Section 5
 func PlanModeSplit(hist []uint64, base uint64) (modes [2]ModePlan, ok bool) {
 	if !IsBimodal(hist, 0) {
 		return modes, false
@@ -123,6 +129,9 @@ type bounds struct {
 	mass   uint64
 }
 
+// modeBounds finds the span of hist's nonzero mass.
+//
+//stat4:exempt:reachable (b) paper concept: the mode split of Section 5
 func modeBounds(hist []uint64) bounds {
 	b := bounds{lo: -1}
 	for v, f := range hist {
@@ -141,6 +150,10 @@ func modeBounds(hist []uint64) bounds {
 	return b
 }
 
+// planFor widens a mode's span by a quarter on each side, clamped to the
+// histogram, and places it at base.
+//
+//stat4:exempt:reachable (b) paper concept: the mode split of Section 5
 func planFor(b bounds, base uint64, histLen int) ModePlan {
 	pad := int(math.Ceil(float64(b.hi-b.lo+1) * 0.25))
 	lo := b.lo - pad

@@ -18,9 +18,9 @@ import "stat4/internal/intstat"
 //
 //	H·T = T·L(T) − S
 //
-// so "entropy below h0" is the multiply-and-compare T·L(T) − S < h0·T
-// (ScaledBits / Below), and the normalization by log2(domain) folds into h0
-// at configuration time.
+// so "entropy below h0" is the multiply-and-compare T·L(T) − S < h0·T that
+// the emitted program makes, and the normalization by log2(domain) folds
+// into h0 at configuration time.
 //
 // All arithmetic wraps mod 2^64, like the register accumulators it models;
 // an incremental S therefore always equals a from-scratch recompute over the
@@ -34,6 +34,8 @@ type Entropy struct {
 // distribution and returns it. Subsequent Observe calls maintain the
 // accumulator; counters already present are folded in immediately. frac must
 // not exceed intstat.Log2MaxFrac.
+//
+//stat4:exempt:reachable (a) test reference: core's and stat4p4's entropy tests attach the reference tracker with it
 func (d *FreqDist) TrackEntropy(frac uint) *Entropy {
 	if frac > intstat.Log2MaxFrac {
 		panic("core: entropy fraction exceeds Log2MaxFrac")
@@ -44,14 +46,10 @@ func (d *FreqDist) TrackEntropy(frac uint) *Entropy {
 	return e
 }
 
-// Entropy returns the registered entropy tracker, or nil.
-func (d *FreqDist) Entropy() *Entropy { return d.ent }
-
-// Frac returns the fractional width of the fixed-point logs.
-func (e *Entropy) Frac() uint { return e.frac }
-
 // Sum returns the raw accumulator S = Σ f·Log2Fixed(f, frac). It is the
 // value the emitted program keeps in its entropy register.
+//
+//stat4:exempt:reachable (a) test reference: core's and stat4p4's entropy tests compare the accumulator through it
 func (e *Entropy) Sum() uint64 { return e.sum }
 
 // observe accounts one counter stepping to fNew (= old count + 1).
@@ -60,30 +58,6 @@ func (e *Entropy) Sum() uint64 { return e.sum }
 func (e *Entropy) observe(fNew uint64) {
 	e.sum += fNew*intstat.Log2Fixed(fNew, e.frac) -
 		(fNew-1)*intstat.Log2Fixed(fNew-1, e.frac)
-}
-
-// ScaledBits returns H·T in fixed point: T·L(T) − S for T total
-// observations. Because Log2Fixed is monotone and every f_v ≤ T, the
-// difference is non-negative whenever the accumulator has not wrapped. A
-// concentrated distribution (all mass on one value) gives exactly 0; a
-// uniform one approaches T·log2(domain)·2^frac.
-//
-//stat4:datapath
-func (e *Entropy) ScaledBits(total uint64) uint64 {
-	return total*intstat.Log2Fixed(total, e.frac) - e.sum
-}
-
-// Below reports whether the entropy is below h0, a threshold in the same
-// fixed point as Log2Fixed(·, frac): H < h0 ⇔ T·L(T) − S < h0·T. This is
-// the anomaly predicate — low entropy means the traffic has concentrated.
-// An empty distribution (total == 0) is never below.
-//
-//stat4:datapath
-func (e *Entropy) Below(total, h0 uint64) bool {
-	if total == 0 {
-		return false
-	}
-	return e.ScaledBits(total) < h0*total
 }
 
 // Reset zeroes the accumulator.

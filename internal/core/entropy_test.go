@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"stat4/internal/baseline"
+	"stat4/internal/intstat"
 )
 
 // entropyBits converts the tracker state to float bits for comparison:
@@ -113,34 +114,6 @@ func TestEntropyMergeExact(t *testing.T) {
 	}
 }
 
-// TestEntropyBelow pins the detection predicate: a uniform spread is not
-// "below" a mid-range threshold, a concentrated distribution is.
-func TestEntropyBelow(t *testing.T) {
-	const frac = 16
-	uniform := NewFreqDist(64)
-	ue := uniform.TrackEntropy(frac)
-	conc := NewFreqDist(64)
-	ce := conc.TrackEntropy(frac)
-	for i := 0; i < 64*20; i++ {
-		uniform.Observe(uint64(i % 64))
-		conc.Observe(3)
-	}
-	// Threshold: 3 bits (half of log2(64)), in Log2Fixed fixed point.
-	h0 := uint64(3) << frac
-	ut := uniform.Moments().Sum
-	ct := conc.Moments().Sum
-	if ue.Below(ut, h0) {
-		t.Errorf("uniform distribution flagged below 3 bits (H ≈ %.3f)", entropyBits(ue, ut))
-	}
-	if !ce.Below(ct, h0) {
-		t.Errorf("concentrated distribution not flagged below 3 bits (H ≈ %.3f)", entropyBits(ce, ct))
-	}
-	var empty Entropy
-	if empty.Below(0, h0) {
-		t.Error("empty distribution must never be below")
-	}
-}
-
 // TestEntropyErrorTable sweeps fractional widths and bounds the worst
 // absolute entropy error vs the float64 baseline over a family of zipf-ish
 // mixes; the committed numbers live in DESIGN.md. The error is dominated by
@@ -204,3 +177,16 @@ func TestTrackEntropyFoldsExisting(t *testing.T) {
 		t.Fatal("Reset did not clear the entropy accumulator")
 	}
 }
+
+// ScaledBits returns H·T in fixed point: T·L(T) − S for T total
+// observations. Because Log2Fixed is monotone and every f_v ≤ T, the
+// difference is non-negative whenever the accumulator has not wrapped. A
+// concentrated distribution (all mass on one value) gives exactly 0; a
+// uniform one approaches T·log2(domain)·2^frac. The emitted program compares
+// it against h0·T; the tests read the tracker's entropy through it.
+func (e *Entropy) ScaledBits(total uint64) uint64 {
+	return total*intstat.Log2Fixed(total, e.frac) - e.sum
+}
+
+// Frac returns the fractional width of the fixed-point logs.
+func (e *Entropy) Frac() uint { return e.frac }

@@ -85,19 +85,6 @@ func (d *FreqDist) Observe(v uint64) error {
 	return nil
 }
 
-// Step advances every registered percentile marker by at most one slot
-// without recording a value. The paper notes that packets not carrying
-// values of interest still contribute to moving the median; switch
-// applications call Step for such packets.
-//
-//stat4:datapath
-func (d *FreqDist) Step() {
-	//stat4:exempt:boundedloop markers are registered at configuration time; the emitted program unrolls one stage per marker
-	for _, p := range d.pct {
-		p.step(d)
-	}
-}
-
 // Reset zeroes all counters, moments and registered percentile markers.
 func (d *FreqDist) Reset() {
 	for i := range d.freq {
@@ -145,15 +132,6 @@ type Percentile struct {
 // Value returns the marker's current position. Before any observation it
 // returns 0.
 func (p *Percentile) Value() uint64 { return p.idx }
-
-// Initialized reports whether the marker has seen at least one value.
-func (p *Percentile) Initialized() bool { return p.inited }
-
-// LowCount returns the combined frequency of values below the marker.
-func (p *Percentile) LowCount() uint64 { return p.low }
-
-// HighCount returns the combined frequency of values above the marker.
-func (p *Percentile) HighCount() uint64 { return p.high }
 
 // Moves returns how many single-slot movements the marker has made. The
 // paper points at percentile change rates as an anomaly signal ("we can

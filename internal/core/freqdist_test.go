@@ -352,3 +352,21 @@ func TestMedianBurstRecovery(t *testing.T) {
 		t.Fatalf("marker did not re-seed after Reset: inited=%v value=%d", med.Initialized(), med.Value())
 	}
 }
+
+// Step advances every registered percentile marker by at most one slot
+// without recording a value: the paper notes that packets not carrying
+// values of interest still move the median.
+func (d *FreqDist) Step() {
+	for _, p := range d.pct {
+		p.step(d)
+	}
+}
+
+// Initialized reports whether the marker has seen at least one value.
+func (p *Percentile) Initialized() bool { return p.inited }
+
+// LowCount returns the combined frequency of values below the marker.
+func (p *Percentile) LowCount() uint64 { return p.low }
+
+// HighCount returns the combined frequency of values above the marker.
+func (p *Percentile) HighCount() uint64 { return p.high }

@@ -87,6 +87,7 @@ func (d *FreqDist) MergeFrom(o *FreqDist) error {
 // returns ErrShapeMismatch when d lacks the free cells to hold o's samples.
 //
 //stat4:reference merging runs controller-side, once per interval, not per packet
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2 (SampleDist)
 func (d *SampleDist) MergeFrom(o *SampleDist) error {
 	if d.n+o.n > len(d.cells) {
 		return fmt.Errorf("%w: %d+%d samples exceed capacity %d", ErrShapeMismatch, d.n, o.n, len(d.cells))
@@ -94,48 +95,6 @@ func (d *SampleDist) MergeFrom(o *SampleDist) error {
 	copy(d.cells[d.n:], o.cells[:o.n])
 	d.n += o.n
 	d.m.MergeFrom(&o.m)
-	return nil
-}
-
-// MergeFrom folds another window into w cell-wise: per-interval counters
-// add, the squared shadow is recomputed as the square of each merged cell,
-// and the moments are rebuilt from the merged cells. This models K pipelines
-// that tick in lockstep, each seeing a share of the traffic: the merged
-// window is exactly the window a single pipeline would hold had it seen all
-// the traffic.
-//
-// The model only holds when the windows are aligned — same capacity, same
-// head, same fill level. Shards driven by a shared clock (one Tick fan-out
-// per interval) satisfy this by construction; windows ticked independently
-// do not, and merging them returns ErrShapeMismatch rather than silently
-// adding counters from different time intervals.
-//
-//stat4:reference merging runs controller-side, once per interval, not per packet
-func (w *Window) MergeFrom(o *Window) error {
-	if len(w.cells) != len(o.cells) {
-		return fmt.Errorf("%w: Window capacities %d and %d", ErrShapeMismatch, len(w.cells), len(o.cells))
-	}
-	if w.head != o.head || w.filled != o.filled {
-		return fmt.Errorf("%w: Window alignment (head %d/%d, filled %d/%d)", ErrShapeMismatch, w.head, o.head, w.filled, o.filled)
-	}
-	w.m.Sum, w.m.Sumsq = 0, 0
-	for i := range w.cells {
-		c := w.cells[i] + o.cells[i]
-		w.cells[i] = c
-		w.sq[i] = c * c
-	}
-	for i := 0; i < w.filled; i++ {
-		// Folded cells are the filled window positions behind the head.
-		j := w.head - 1 - i
-		if j < 0 {
-			j += len(w.cells)
-		}
-		w.m.Sum += w.cells[j]
-		w.m.Sumsq += w.sq[j]
-	}
-	w.cursq += 2*w.cur*o.cur + o.cur*o.cur
-	w.cur += o.cur
-	w.m.dirty = true
 	return nil
 }
 

@@ -356,74 +356,3 @@ func TestSampleDistMergeCapacity(t *testing.T) {
 		t.Fatal("failed merge mutated the destination")
 	}
 }
-
-// --- Window --------------------------------------------------------------
-
-// TestWindowMergeMatchesSerial drives K windows in tick lockstep (the
-// shared-clock contract) with per-interval deltas dealt across shards, and
-// checks the merged window equals the single window that saw every delta.
-func TestWindowMergeMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		capacity := 1 + rng.Intn(8)
-		k := 1 + rng.Intn(4)
-		intervals := rng.Intn(3 * capacity)
-		serial := NewWindow(capacity)
-		shards := make([]*Window, k)
-		for i := range shards {
-			shards[i] = NewWindow(capacity)
-		}
-		for iv := 0; iv < intervals; iv++ {
-			adds := rng.Intn(20)
-			for a := 0; a < adds; a++ {
-				delta := uint64(rng.Intn(100))
-				serial.Add(delta)
-				shards[rng.Intn(k)].Add(delta)
-			}
-			serial.Tick()
-			for _, s := range shards {
-				s.Tick()
-			}
-		}
-		// Leave some in-progress traffic un-ticked too.
-		for a := 0; a < rng.Intn(10); a++ {
-			delta := uint64(rng.Intn(100))
-			serial.Add(delta)
-			shards[rng.Intn(k)].Add(delta)
-		}
-
-		merged := shards[0]
-		for _, s := range shards[1:] {
-			if err := merged.MergeFrom(s); err != nil {
-				t.Fatalf("trial %d: merge: %v", trial, err)
-			}
-		}
-		if merged.Filled() != serial.Filled() || merged.Current() != serial.Current() {
-			t.Fatalf("trial %d: filled/current mismatch", trial)
-		}
-		for i := range serial.Cells() {
-			if merged.Cells()[i] != serial.Cells()[i] {
-				t.Fatalf("trial %d: cell %d = %d, serial %d", trial, i, merged.Cells()[i], serial.Cells()[i])
-			}
-		}
-		if !momentsEqual(merged.Moments(), serial.Moments()) {
-			t.Fatalf("trial %d: moments %+v, serial %+v", trial, merged.Moments(), serial.Moments())
-		}
-		if merged.Moments().Variance() != serial.Moments().Variance() {
-			t.Fatalf("trial %d: variance mismatch", trial)
-		}
-	}
-}
-
-func TestWindowMergeMisaligned(t *testing.T) {
-	a, b := NewWindow(4), NewWindow(4)
-	a.Add(1)
-	a.Tick() // a: head 1, filled 1; b: head 0, filled 0
-	if err := a.MergeFrom(b); err == nil {
-		t.Fatal("expected alignment error for differing head/filled")
-	}
-	c := NewWindow(8)
-	if err := a.MergeFrom(c); err == nil {
-		t.Fatal("expected capacity mismatch error")
-	}
-}

@@ -44,6 +44,8 @@ type Moments struct {
 // (for example, values read back from switch registers or merged across
 // switches). The derived measures are marked stale so the first read
 // computes them.
+//
+//stat4:exempt:reachable (b) paper concept: the controller's Section 5 aggregation builds merged moments with it
 func NewMoments(n, sum, sumsq uint64) Moments {
 	return Moments{N: n, Sum: sum, Sumsq: sumsq, dirty: true}
 }
@@ -56,18 +58,6 @@ func (m *Moments) AddSample(x uint64) {
 	m.N++
 	m.Sum += x
 	m.Sumsq += x * x
-	m.dirty = true
-}
-
-// RemoveSample evicts a value from the moments, used when a circular time
-// window overwrites its oldest counter. N is left unchanged by Window (the
-// window stays full); callers that shrink the population decrement N
-// themselves.
-//
-//stat4:datapath
-func (m *Moments) RemoveSample(x uint64) {
-	m.Sum = intstat.SatSub(m.Sum, x)
-	m.Sumsq = intstat.SatSub(m.Sumsq, x*x)
 	m.dirty = true
 }
 
@@ -160,25 +150,6 @@ func (m *Moments) IsOutlierAbove(x, k uint64) bool {
 		return false
 	}
 	return lo > thrLo
-}
-
-// IsOutlierBelow reports whether x sits more than k standard deviations below
-// the mean: N·x + k·σ(NX) < Xsum.
-//
-//stat4:datapath
-func (m *Moments) IsOutlierBelow(x, k uint64) bool {
-	hi, lo := bits.Mul64(m.N, x)
-	if hi != 0 {
-		return false
-	}
-	thrHi, thrLo := bits.Mul64(k, m.StdDev())
-	var carry uint64
-	thrLo, carry = bits.Add64(thrLo, lo, 0)
-	thrHi += carry
-	if thrHi != 0 {
-		return false
-	}
-	return thrLo < m.Sum
 }
 
 // Reset clears the moments to the empty distribution.

@@ -26,19 +26,24 @@ func TestMomentsAddSample(t *testing.T) {
 
 // TestVarianceMatchesDefinition property: N·Xsumsq − Xsum² equals N² times
 // the population variance of X (the paper's scaled-variance identity),
-// checked against Welford in float space.
+// checked against the definition Σ(x − x̄)²/N in float space.
 func TestVarianceMatchesDefinition(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		var m Moments
-		var w baseline.Welford
+		var mean float64
 		for _, r := range raw {
 			m.AddSample(uint64(r))
-			w.Add(float64(r))
+			mean += float64(r)
 		}
-		want := float64(len(raw)) * float64(len(raw)) * w.Variance()
+		mean /= float64(len(raw))
+		var sq float64
+		for _, r := range raw {
+			sq += (float64(r) - mean) * (float64(r) - mean)
+		}
+		want := float64(len(raw)) * sq
 		got := float64(m.Variance())
 		// Integer vs float rounding only; tolerance proportional to scale.
 		return math.Abs(got-want) <= 1e-6*math.Max(1, want)
@@ -133,10 +138,6 @@ func TestOutlierAgainstFloat(t *testing.T) {
 				t.Fatalf("IsOutlierAbove(%d) = %v, float says %v (N=%d Sum=%d sd=%d)",
 					probe, got, want, m.N, m.Sum, m.StdDev())
 			}
-			wantLow := float64(m.N)*float64(probe)+2*float64(m.StdDev()) < float64(m.Sum)
-			if got := m.IsOutlierBelow(probe, 2); got != wantLow {
-				t.Fatalf("IsOutlierBelow(%d) = %v, float says %v", probe, got, wantLow)
-			}
 		}
 	}
 }
@@ -189,22 +190,6 @@ func TestAddFrequencyIdentity(t *testing.T) {
 	if m.N != distinct || m.Sum != total || m.Sumsq != sumsq {
 		t.Fatalf("frequency moments (%d,%d,%d), want (%d,%d,%d)",
 			m.N, m.Sum, m.Sumsq, distinct, total, sumsq)
-	}
-}
-
-func TestRemoveSampleInverse(t *testing.T) {
-	var m Moments
-	m.AddSample(10)
-	m.AddSample(20)
-	m.AddSample(30)
-	m.RemoveSample(20)
-	m.N-- // caller-managed population shrink
-	var want Moments
-	want.AddSample(10)
-	want.AddSample(30)
-	if m.N != want.N || m.Sum != want.Sum || m.Sumsq != want.Sumsq {
-		t.Fatalf("after removal (%d,%d,%d), want (%d,%d,%d)",
-			m.N, m.Sum, m.Sumsq, want.N, want.Sum, want.Sumsq)
 	}
 }
 

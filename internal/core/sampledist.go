@@ -20,6 +20,8 @@ type SampleDist struct {
 
 // NewSampleDist returns a sample distribution with the given number of
 // counter cells.
+//
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2
 func NewSampleDist(capacity int) *SampleDist {
 	if capacity <= 0 {
 		panic("core: non-positive SampleDist capacity")
@@ -28,21 +30,30 @@ func NewSampleDist(capacity int) *SampleDist {
 }
 
 // Capacity returns the total number of counter cells.
+//
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2
 func (d *SampleDist) Capacity() int { return len(d.cells) }
 
 // Len returns the number of stored samples.
+//
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2
 func (d *SampleDist) Len() int { return d.n }
 
 // Moments returns the distribution's scaled moments.
+//
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2
 func (d *SampleDist) Moments() *Moments { return &d.m }
 
 // Samples returns the stored sample values (read-only for callers).
+//
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2
 func (d *SampleDist) Samples() []uint64 { return d.cells[:d.n] }
 
 // Observe stores a new sample and folds it into the moments. It returns
 // ErrFull when every cell is occupied.
 //
 //stat4:datapath
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2
 func (d *SampleDist) Observe(x uint64) error {
 	if d.n == len(d.cells) {
 		// Bare sentinel: wrapping would allocate per rejected observation.
@@ -59,6 +70,7 @@ func (d *SampleDist) Observe(x uint64) error {
 // subnet) grow while remaining a sample-mode distribution over keys.
 //
 //stat4:datapath
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2
 func (d *SampleDist) AddAt(i int, delta uint64) error {
 	if i < 0 || i >= d.n {
 		return ErrOutOfRange
@@ -72,6 +84,8 @@ func (d *SampleDist) AddAt(i int, delta uint64) error {
 }
 
 // Reset clears all samples and moments.
+//
+//stat4:exempt:reachable (b) paper concept: the sample mode of Section 2
 func (d *SampleDist) Reset() {
 	for i := range d.cells[:d.n] {
 		d.cells[i] = 0

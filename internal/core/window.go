@@ -37,22 +37,11 @@ func NewWindow(intervals int) *Window {
 	}
 }
 
-// Capacity returns the number of intervals the window holds.
-func (w *Window) Capacity() int { return len(w.cells) }
-
-// Filled returns how many intervals have been folded so far, saturating at
-// Capacity.
-func (w *Window) Filled() int { return w.filled }
-
-// Current returns the accumulator of the in-progress interval.
-func (w *Window) Current() uint64 { return w.cur }
-
 // Moments returns the moments over the folded intervals. The in-progress
 // interval is not included until Tick folds it.
+//
+//stat4:exempt:reachable (a) test reference: stat4p4's window cross-validation and core's window tests read the reference moments through it
 func (w *Window) Moments() *Moments { return &w.m }
-
-// Cells returns the backing counter array (read-only for callers).
-func (w *Window) Cells() []uint64 { return w.cells }
 
 // Add increments the current interval's counter by delta (for example, 1 per
 // packet, or the packet length in bytes). The squared shadow advances with
@@ -96,17 +85,6 @@ func (w *Window) Tick() (completed uint64, evicted bool) {
 	}
 	w.cur, w.cursq = 0, 0
 	return completed, evicted
-}
-
-// Outlier reports whether the just-completed interval value v is more than k
-// standard deviations above the window's mean, the case-study detection
-// check. Callers typically invoke it with the value returned by Tick,
-// against the moments as they stood before folding — use CheckThenTick for
-// that exact sequencing.
-//
-//stat4:datapath
-func (w *Window) Outlier(v, k uint64) bool {
-	return w.m.IsOutlierAbove(v, k)
 }
 
 // CheckThenTick runs the detection check against the stored distribution and

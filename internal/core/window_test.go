@@ -139,11 +139,17 @@ func TestWindowAccessors(t *testing.T) {
 	if w.Current() != 5 {
 		t.Fatalf("Current = %d", w.Current())
 	}
-	w.Tick()
-	w.Add(3)
-	w.Tick()
-	// Outlier mirrors Moments.IsOutlierAbove on the folded cells.
-	if w.Outlier(4, 2) != w.Moments().IsOutlierAbove(4, 2) {
-		t.Fatal("Outlier disagrees with moments")
-	}
 }
+
+// Capacity returns the number of intervals the window holds.
+func (w *Window) Capacity() int { return len(w.cells) }
+
+// Filled returns how many intervals have been folded so far, saturating at
+// Capacity.
+func (w *Window) Filled() int { return w.filled }
+
+// Current returns the accumulator of the in-progress interval.
+func (w *Window) Current() uint64 { return w.cur }
+
+// Cells returns the backing counter array (read-only for callers).
+func (w *Window) Cells() []uint64 { return w.cells }

@@ -355,7 +355,4 @@ func TestShardScale(t *testing.T) {
 	if rows[2].ModeledSpeedup <= 1 {
 		t.Fatalf("4-shard speedup = %v, want > 1", rows[2].ModeledSpeedup)
 	}
-	if s := FormatShardScale(rows); !strings.Contains(s, "speedup") {
-		t.Fatalf("format: %q", s)
-	}
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"stat4/internal/packet"
 	"stat4/internal/stat4p4"
 	"stat4/internal/traffic"
@@ -141,15 +138,4 @@ func shardScaleRun(params ShardScaleParams, shards int) (ShardScaleRow, error) {
 		}
 	}
 	return row, nil
-}
-
-// FormatShardScale renders the sweep as a text table.
-func FormatShardScale(rows []ShardScaleRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-7s %-9s %-10s %-9s %s\n", "shards", "packets", "max-shard", "speedup", "equivalent")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-7d %-9d %-10d %-9.2f %v\n",
-			r.Shards, r.Packets, r.MaxShardPackets, r.ModeledSpeedup, r.Equivalent)
-	}
-	return b.String()
 }

@@ -48,23 +48,6 @@ const (
 	Shed
 )
 
-// String names the outcome for test and log output.
-func (o Outcome) String() string {
-	switch o {
-	case Hit:
-		return "hit"
-	case Admitted:
-		return "admitted"
-	case Evicted:
-		return "evicted"
-	case Rejected:
-		return "rejected"
-	case Shed:
-		return "shed"
-	}
-	return "unknown"
-}
-
 // Stats is the admission ledger. Two invariants hold after any Touch
 // sequence (and are enforced by the property tests):
 //
@@ -127,9 +110,6 @@ func New(cfg Config) *Table {
 		coinMask: uint64(1)<<cfg.SampleShift - 1,
 	}
 }
-
-// Buckets returns the table capacity.
-func (t *Table) Buckets() int { return len(t.keys) }
 
 // probes returns the key's two candidate buckets: left half by hash 1,
 // right half by hash 2, high words masked — the exact indexes the emitted
@@ -256,6 +236,8 @@ func (t *Table) Lookup(key, ts uint64) (count uint64, ok bool) {
 
 // Occupied returns the number of buckets holding an entry, live or expired
 // (expired entries are capacity pending lazy reclamation, not free space).
+//
+//stat4:exempt:reachable (a) test reference: stat4p4's flow cross-validation and flowtable's ledger tests read the native table through it
 func (t *Table) Occupied() int { return int(t.occupied) }
 
 // Live counts the entries still fresh at ts — a control-plane scan.
@@ -283,21 +265,14 @@ type Entry struct {
 
 // Each calls fn for every occupied bucket (live or expired), in bucket
 // order. Control-plane only.
+//
+//stat4:exempt:reachable (a) test reference: stat4p4's flow cross-validation and flowtable's ledger tests read the native table through it
 func (t *Table) Each(fn func(e Entry)) {
 	for i, s := range t.stamps {
 		if s != 0 {
 			fn(Entry{Key: t.keys[i], Count: t.counts[i], Stamp: s})
 		}
 	}
-}
-
-// Reset clears all buckets and the ledger.
-func (t *Table) Reset() {
-	for i := range t.keys {
-		t.keys[i], t.stamps[i], t.counts[i] = 0, 0, 0
-	}
-	t.occupied = 0
-	t.stats = Stats{}
 }
 
 // MemoryCells returns the register-model footprint: a key, a stamp and a

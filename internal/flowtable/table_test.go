@@ -301,3 +301,23 @@ func TestErrorVsDenseBaseline(t *testing.T) {
 	}
 	checkLedger(t, tab)
 }
+
+// String names the outcome for test and log output.
+func (o Outcome) String() string {
+	switch o {
+	case Hit:
+		return "hit"
+	case Admitted:
+		return "admitted"
+	case Evicted:
+		return "evicted"
+	case Rejected:
+		return "rejected"
+	case Shed:
+		return "shed"
+	}
+	return "unknown"
+}
+
+// Buckets returns the table capacity.
+func (t *Table) Buckets() int { return len(t.keys) }

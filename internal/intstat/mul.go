@@ -13,6 +13,7 @@ package intstat
 // exemptions below record.
 //
 //stat4:datapath
+//stat4:exempt:reachable (b) paper concept: the shift-and-add multiplication the paper points to (Ding et al.) for targets that cannot multiply; no emitted program uses it yet
 func MulShift(a, b uint64, terms int) uint64 {
 	if a == 0 || b == 0 {
 		return 0
@@ -32,16 +33,10 @@ func MulShift(a, b uint64, terms int) uint64 {
 // y = 2^e + r  ⇒  y² ≈ y·2^e + y·2^f where f is the position of r's MSB.
 //
 //stat4:datapath
+//stat4:exempt:reachable (b) paper concept: squaring by the same shift-and-add multiplication; no emitted program uses it yet
 func SquareApprox(y uint64) uint64 {
 	return MulShift(y, y, 2)
 }
-
-// SquareExact returns y², wrapping on overflow like a P4 register would.
-// Multiplying two runtime values is only available on AllowMul targets; this
-// is the reference the approximation error tables compare against.
-//
-//stat4:reference exact product used only to quantify MulShift error
-func SquareExact(y uint64) uint64 { return y * y }
 
 // IncSumsq returns the adjustment to Xsumsq when a frequency counter moves
 // from x to x+1: (x+1)² − x² = 2x + 1. This is the identity that lets Stat4
@@ -49,26 +44,6 @@ func SquareExact(y uint64) uint64 { return y * y }
 //
 //stat4:datapath
 func IncSumsq(x uint64) uint64 { return 2*x + 1 }
-
-// SatAdd returns a+b saturating at the maximum value representable in
-// `width` bits. Stat4 registers use saturation for the moment accumulators so
-// that an overflowing distribution reads as "huge", not as a small wrapped
-// value that would mask an anomaly.
-//
-//stat4:datapath
-func SatAdd(a, b uint64, width uint) uint64 {
-	max := Mask(width)
-	if a > max {
-		a = max
-	}
-	if b > max {
-		b = max
-	}
-	if a > max-b {
-		return max
-	}
-	return a + b
-}
 
 // SatSub returns a−b saturating at zero.
 //

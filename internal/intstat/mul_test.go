@@ -69,26 +69,6 @@ func TestIncSumsqIdentity(t *testing.T) {
 	}
 }
 
-func TestSatAdd(t *testing.T) {
-	cases := []struct {
-		a, b  uint64
-		width uint
-		want  uint64
-	}{
-		{1, 2, 8, 3},
-		{250, 10, 8, 255},
-		{255, 255, 8, 255},
-		{1 << 40, 1 << 40, 32, 1<<32 - 1},
-		{^uint64(0), 1, 64, ^uint64(0)},
-		{^uint64(0) - 1, 1, 64, ^uint64(0)},
-	}
-	for _, c := range cases {
-		if got := SatAdd(c.a, c.b, c.width); got != c.want {
-			t.Errorf("SatAdd(%d,%d,%d) = %d, want %d", c.a, c.b, c.width, got, c.want)
-		}
-	}
-}
-
 func TestSatSub(t *testing.T) {
 	if got := SatSub(5, 3); got != 2 {
 		t.Errorf("SatSub(5,3) = %d", got)
@@ -104,11 +84,5 @@ func TestSatSub(t *testing.T) {
 func TestMask(t *testing.T) {
 	if Mask(8) != 255 || Mask(1) != 1 || Mask(64) != ^uint64(0) || Mask(65) != ^uint64(0) {
 		t.Fatal("Mask wrong")
-	}
-}
-
-func TestSquareExact(t *testing.T) {
-	if SquareExact(12) != 144 {
-		t.Fatal("SquareExact wrong")
 	}
 }

@@ -129,6 +129,10 @@ func (d *directives) parseOne(fset *token.FileSet, c *ast.Comment, body string, 
 			d.errorf(fset, c.Pos(), "the directive check cannot be exempted")
 			return
 		}
+		if strings.TrimSpace(body[len(verb):]) == "" {
+			d.errorf(fset, c.Pos(), "//stat4:exempt:%s needs a reason: //stat4:exempt:%s <reason>", name, name)
+			return
+		}
 		if decl != nil {
 			// In a function's doc comment: exempts the whole function
 			// from that analyzer.
@@ -188,6 +192,8 @@ func typeText(e ast.Expr) string {
 	case *ast.StarExpr:
 		return "*" + typeText(t.X)
 	case *ast.IndexExpr:
+		return typeText(t.X)
+	case *ast.IndexListExpr:
 		return typeText(t.X)
 	default:
 		return "?"

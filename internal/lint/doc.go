@@ -21,15 +21,20 @@
 //     compile time; a switch has no per-packet allocator)
 //   - directive:   the //stat4: directives themselves are well-formed
 //
-// One analyzer reasons module-wide rather than per function (via the
+// Two analyzers reason module-wide rather than per function (via the
 // Analyzer.ModuleFunc hook):
 //
 //   - atomicsafe:  a variable accessed through sync/atomic anywhere must be
 //     accessed atomically everywhere, and typed sync/atomic values must
 //     never be copied — a half-disciplined cell races under sharding
+//   - reachable:   every function in a non-test file is linked by a binary
+//     of the module (Link builds every main package and the root package's
+//     test binary with inlining off and reads their symbols back; Reachable
+//     reports the rest). It needs the whole program, so only the standalone
+//     driver runs it.
 //
 // Two further passes analyze compiled Stat4 programs instead of Go source
-// (ProgramAnalyzers / RunPrograms; no //stat4: directive applies to them —
+// (RunPrograms; no //stat4: directive applies to them —
 // their exemptions live on the p4.Program API):
 //
 //   - stagebudget: p4.AllocateStages must place the program's control flow
@@ -44,7 +49,8 @@
 // from the datapath closure is itself an error. Individual constructs that
 // are feasible on the target but not expressible as straight-line Go (for
 // example a loop over compile-time configuration that the P4 program
-// unrolls) carry a //stat4:exempt:<analyzer> directive with a justification.
+// unrolls) carry a //stat4:exempt:<analyzer> directive with a justification,
+// which the directive check requires.
 //
 // The package has no dependencies outside the standard library: packages are
 // loaded with `go list -export -deps -json`, module sources are type-checked

@@ -1,8 +1,9 @@
-// Package linttest is an analysistest-style harness for the stat4 lint
-// suite: it loads hermetic fixture packages from a testdata/src tree, runs
-// the analyzers, and compares the reported diagnostics against // want
-// "regex" comments placed on the offending lines.
-package linttest
+package lint_test
+
+// The analysistest-style harness of the lint suite: it loads hermetic fixture
+// packages from a testdata/src tree, runs the analyzers, and compares the
+// reported diagnostics against // want "regex" comments placed on the
+// offending lines.
 
 import (
 	"fmt"
@@ -21,14 +22,14 @@ import (
 	"stat4/internal/lint"
 )
 
-// Run type-checks the fixture package at srcRoot/path (resolving its imports
+// runFixture type-checks the fixture package at srcRoot/path (resolving its imports
 // inside srcRoot, so fixtures are hermetic), runs the analyzer suite and
 // compares the diagnostics against // want "regex" comments. Each regex must
 // match the "analyzer: message" string of exactly one diagnostic reported on
 // the comment's line, and every diagnostic must be wanted.
-func Run(t *testing.T, srcRoot, path string, analyzers []*lint.Analyzer) {
+func runFixture(t *testing.T, srcRoot, path string, analyzers []*lint.Analyzer) {
 	t.Helper()
-	mod, err := Load(srcRoot, path)
+	mod, err := loadFixture(srcRoot, path)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", path, err)
 	}
@@ -36,22 +37,22 @@ func Run(t *testing.T, srcRoot, path string, analyzers []*lint.Analyzer) {
 	checkExpectations(t, mod, diags)
 }
 
-// Diagnostics loads the fixture and returns the raw diagnostics, for tests
+// fixtureDiagnostics loads the fixture and returns the raw diagnostics, for tests
 // that assert on them directly.
-func Diagnostics(t *testing.T, srcRoot, path string, analyzers []*lint.Analyzer) []lint.Diagnostic {
+func fixtureDiagnostics(t *testing.T, srcRoot, path string, analyzers []*lint.Analyzer) []lint.Diagnostic {
 	t.Helper()
-	mod, err := Load(srcRoot, path)
+	mod, err := loadFixture(srcRoot, path)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", path, err)
 	}
 	return lint.Run(mod, analyzers)
 }
 
-// Load builds a lint.Module from fixture sources rooted at srcRoot. Fixture
+// loadFixture builds a lint.Module from fixture sources rooted at srcRoot. Fixture
 // packages may import each other by srcRoot-relative path; imports outside
 // the fixture tree are errors, which keeps fixtures hermetic and the harness
 // free of compiled export data.
-func Load(srcRoot, path string) (*lint.Module, error) {
+func loadFixture(srcRoot, path string) (*lint.Module, error) {
 	fset := token.NewFileSet()
 	mod := &lint.Module{Fset: fset}
 	cache := make(map[string]*lint.Package)
@@ -122,17 +123,19 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// expectation is one // want comment: the regexes expected to match
-// diagnostics on its line.
+// expectation is one want comment: the regexes expected to match
+// diagnostics on its line. It is spelled // want "regex", or /* want
+// "regex" */ on a line whose diagnostic a line comment reports (a
+// directive's).
 type expectation struct {
 	file     string
 	line     int
 	patterns []*regexp.Regexp
 }
 
-var wantRe = regexp.MustCompile(`//\s*want\b(.*)$`)
+var wantRe = regexp.MustCompile(`(?://|/\*)\s*want\b(.*?)(?:\*/)?$`)
 
-// parseWants extracts // want expectations from every fixture file.
+// parseWants extracts want expectations from every fixture file.
 func parseWants(mod *lint.Module) ([]expectation, error) {
 	var out []expectation
 	for _, pkg := range mod.Pkgs {

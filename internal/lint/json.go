@@ -1,7 +1,5 @@
 package lint
 
-import "go/token"
-
 // JSONDiagnostic is the stable machine-readable form of a Diagnostic, the
 // schema cmd/stat4-lint -json emits. Editor integrations and CI annotators
 // parse this; field names are part of the tool's interface.
@@ -21,16 +19,6 @@ func (d Diagnostic) JSON() JSONDiagnostic {
 		Column:   d.Pos.Column,
 		Analyzer: d.Analyzer,
 		Message:  d.Message,
-	}
-}
-
-// Diagnostic converts the wire form back; the byte offset within the file is
-// not part of the schema and comes back zero.
-func (j JSONDiagnostic) Diagnostic() Diagnostic {
-	return Diagnostic{
-		Pos:      token.Position{Filename: j.File, Line: j.Line, Column: j.Column},
-		Analyzer: j.Analyzer,
-		Message:  j.Message,
 	}
 }
 

@@ -38,9 +38,10 @@ func Analyzers() []*Analyzer {
 }
 
 // AnalyzerNames returns the set of analyzer names valid in
-// //stat4:exempt:<name> directives.
+// //stat4:exempt:<name> directives: the suite plus the standalone-only
+// reachable pass.
 func AnalyzerNames() map[string]bool {
-	m := make(map[string]bool)
+	m := map[string]bool{reachableName: true}
 	for _, a := range Analyzers() {
 		m[a.Name] = true
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"stat4/internal/lint"
-	"stat4/internal/lint/linttest"
 )
 
 // Each fixture package under testdata/src declares its expected diagnostics
@@ -14,45 +13,45 @@ import (
 // are covered too.
 
 func TestNoDivide(t *testing.T) {
-	linttest.Run(t, "testdata/src", "nodivide", lint.Analyzers())
+	runFixture(t, "testdata/src", "nodivide", lint.Analyzers())
 }
 
 func TestNoFloat(t *testing.T) {
-	linttest.Run(t, "testdata/src", "nofloat", lint.Analyzers())
+	runFixture(t, "testdata/src", "nofloat", lint.Analyzers())
 }
 
 func TestBoundedLoop(t *testing.T) {
-	linttest.Run(t, "testdata/src", "boundedloop", lint.Analyzers())
+	runFixture(t, "testdata/src", "boundedloop", lint.Analyzers())
 }
 
 func TestNoMapRange(t *testing.T) {
-	linttest.Run(t, "testdata/src", "nomaprange", lint.Analyzers())
+	runFixture(t, "testdata/src", "nomaprange", lint.Analyzers())
 }
 
 func TestShiftConst(t *testing.T) {
-	linttest.Run(t, "testdata/src", "shiftconst", lint.Analyzers())
+	runFixture(t, "testdata/src", "shiftconst", lint.Analyzers())
 }
 
 func TestAllocFree(t *testing.T) {
-	linttest.Run(t, "testdata/src", "allocfree", lint.Analyzers())
+	runFixture(t, "testdata/src", "allocfree", lint.Analyzers())
 }
 
 func TestAtomicSafe(t *testing.T) {
-	linttest.Run(t, "testdata/src", "atomicsafe", lint.Analyzers())
+	runFixture(t, "testdata/src", "atomicsafe", lint.Analyzers())
 }
 
 func TestDirectiveValidation(t *testing.T) {
-	linttest.Run(t, "testdata/src", "directive", lint.Analyzers())
+	runFixture(t, "testdata/src", "directive", lint.Analyzers())
 }
 
 func TestClosureCrossesPackages(t *testing.T) {
-	linttest.Run(t, "testdata/src", "closure", lint.Analyzers())
+	runFixture(t, "testdata/src", "closure", lint.Analyzers())
 }
 
 // TestDiagnosticOrder pins that diagnostics come out sorted by position, so
 // tool output and CI logs are stable run to run.
 func TestDiagnosticOrder(t *testing.T) {
-	diags := linttest.Diagnostics(t, "testdata/src", "boundedloop", lint.Analyzers())
+	diags := fixtureDiagnostics(t, "testdata/src", "boundedloop", lint.Analyzers())
 	if len(diags) < 2 {
 		t.Fatalf("expected several diagnostics, got %d", len(diags))
 	}
@@ -68,7 +67,7 @@ func TestDiagnosticOrder(t *testing.T) {
 // marshal → unmarshal → Diagnostic with its position, analyzer and message
 // intact (only the byte offset, which is not part of the schema, is lost).
 func TestJSONRoundTrip(t *testing.T) {
-	diags := linttest.Diagnostics(t, "testdata/src", "allocfree", lint.Analyzers())
+	diags := fixtureDiagnostics(t, "testdata/src", "allocfree", lint.Analyzers())
 	if len(diags) == 0 {
 		t.Fatal("allocfree fixture produced no diagnostics to round-trip")
 	}
@@ -98,7 +97,7 @@ func TestJSONRoundTrip(t *testing.T) {
 // silently invalidates every //stat4:exempt:<name> comment in the tree, so a
 // rename must be deliberate.
 func TestAnalyzerNamesStable(t *testing.T) {
-	want := []string{"nodivide", "nofloat", "boundedloop", "nomaprange", "shiftconst", "allocfree", "atomicsafe", "directive"}
+	want := []string{"nodivide", "nofloat", "boundedloop", "nomaprange", "shiftconst", "allocfree", "atomicsafe", "directive", "reachable"}
 	names := lint.AnalyzerNames()
 	if len(names) != len(want) {
 		t.Fatalf("analyzer set changed: got %v", names)

@@ -11,7 +11,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 )
@@ -30,6 +29,9 @@ type Package struct {
 type Module struct {
 	Fset *token.FileSet
 	Pkgs []*Package // dependency order: callees before callers
+	// Dir is the module root, where Link builds the roots ("" for
+	// modules not loaded by LoadModule).
+	Dir string
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -53,17 +55,13 @@ func LoadModule(dir string, patterns ...string) (*Module, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	out, err := goCmd(dir, append([]string{"list", "-deps", "-export", "-json"}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list failed: %v\n%s", err, stderr.String())
+		return nil, err
 	}
 
 	var sourcePkgs []*listedPackage
+	mod := &Module{Fset: token.NewFileSet()}
 	exports := make(map[string]string) // import path -> export data file
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
@@ -81,14 +79,14 @@ func LoadModule(dir string, patterns ...string) (*Module, error) {
 			// emits dependencies before dependents, so processing in
 			// order sees every callee before its callers.
 			sourcePkgs = append(sourcePkgs, &p)
+			mod.Dir = p.Module.Dir
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 	}
 
-	fset := token.NewFileSet()
-	mod := &Module{Fset: fset}
+	fset := mod.Fset
 	byPath := make(map[string]*Package)
 	imp := &moduleImporter{
 		source: byPath,
@@ -157,20 +155,6 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return p.Types, nil
 	}
 	return m.binary.Import(path)
-}
-
-// inModule reports whether obj is declared in one of the module's
-// source-loaded packages.
-func (mod *Module) inModule(pkg *types.Package) bool {
-	if pkg == nil {
-		return false
-	}
-	for _, p := range mod.Pkgs {
-		if p.Types == pkg {
-			return true
-		}
-	}
-	return false
 }
 
 // fileOf returns the *ast.File containing pos within pkg, or nil.

@@ -33,12 +33,6 @@ var MergeLaw = &Analyzer{
 	Doc:  "register state must declare and obey its cross-replica merge kind",
 }
 
-// ProgramAnalyzers lists the program-level passes, for display alongside
-// Analyzers().
-func ProgramAnalyzers() []*Analyzer {
-	return []*Analyzer{StageBudget, MergeLaw}
-}
-
 // ProgramCase is one registered program under the program-level passes.
 type ProgramCase struct {
 	// Name labels diagnostics (the pseudo-file is program:<Name>).

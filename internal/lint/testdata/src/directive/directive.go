@@ -26,6 +26,15 @@ func unknownAnalyzer() {}
 //stat4:exempt:directive reason // want "the directive check cannot be exempted"
 func exemptTheValidator() {}
 
+/* want "needs a reason" */ //stat4:exempt:nodivide
+func exemptWithoutReason(a, b uint64) uint64 {
+	return a / b
+}
+
+func lineExemptWithoutReason(a, b uint64) uint64 {
+	return a / b /* want "needs a reason" */ //stat4:exempt:nodivide
+}
+
 // Conflicted carries both annotations, which is contradictory.
 //
 //stat4:datapath

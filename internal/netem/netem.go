@@ -37,10 +37,6 @@ func NewSim() *Sim {
 // Now returns the current virtual time in nanoseconds.
 func (s *Sim) Now() uint64 { return s.now }
 
-// Steps returns how many events have run. A batched stream run counts one
-// step per packet, as if every packet had been an event of its own.
-func (s *Sim) Steps() uint64 { return s.steps }
-
 // At schedules fn at absolute virtual time t. Scheduling in the past runs
 // the handler at the current time (the event fires next).
 func (s *Sim) At(t uint64, fn func()) {

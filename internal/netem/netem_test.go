@@ -247,3 +247,16 @@ func TestSwitchNodeCountsDroppedDigests(t *testing.T) {
 			node.Metrics.DroppedDigests.Value(), node.DroppedDigests())
 	}
 }
+
+// Steps returns how many events have run. A batched stream run counts one
+// step per packet, as if every packet had been an event of its own.
+func (s *Sim) Steps() uint64 { return s.steps }
+
+// DroppedDigests returns how many digests were drained while no OnDigest
+// handler was attached. A nonzero value almost always means a handler was
+// attached after traffic had already been injected.
+func (n *SwitchNode) DroppedDigests() uint64 { return n.droppedDigests }
+
+// UnroutedFrames returns how many output frames were discarded because
+// their egress port had no connected link.
+func (n *SwitchNode) UnroutedFrames() uint64 { return n.unroutedFrames }

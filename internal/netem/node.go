@@ -87,26 +87,10 @@ func (n *SwitchNode) Connect(port uint16, delay uint64, deliver func(now uint64,
 	n.ports[port] = &portLink{delay: delay, deliver: deliver}
 }
 
-// DroppedDigests returns how many digests were drained while no OnDigest
-// handler was attached. A nonzero value almost always means a handler was
-// attached after traffic had already been injected.
-func (n *SwitchNode) DroppedDigests() uint64 { return n.droppedDigests }
-
-// UnroutedFrames returns how many output frames were discarded because
-// their egress port had no connected link.
-func (n *SwitchNode) UnroutedFrames() uint64 { return n.unroutedFrames }
-
 // Inject schedules one packet for processing at ts on the given ingress
 // port.
 func (n *SwitchNode) Inject(ts uint64, port uint16, pkt traffic.Pkt) {
 	n.Sim.schedulePacket(n, ts, port, pkt.Frame)
-}
-
-// InjectFrame processes raw frame bytes immediately (at the current virtual
-// time) on the given ingress port, routing outputs over connected links —
-// what a frame arriving on a wire from another node does.
-func (n *SwitchNode) InjectFrame(port uint16, data []byte) {
-	n.route(n.SW.ProcessFrame(n.Sim.Now(), port, data))
 }
 
 // InjectStream feeds a whole traffic stream through the switch lazily, so

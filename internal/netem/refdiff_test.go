@@ -19,7 +19,8 @@ import (
 // drill-down controller retuning the binding tables through the simulator,
 // load-balanced traffic plus a spike at a seeded onset — on the production
 // engine or the reference, and returns the controller's log, its result,
-// its final phase and the simulator's final clock and step count.
+// whether it pinpointed the target, and the simulator's final clock and step
+// count.
 func caseStudyTrace(t *testing.T, ref bool, shift uint, window int, perInterval float64, ctrlDelay uint64, seed int64) []string {
 	t.Helper()
 	intervalNs := uint64(1) << shift
@@ -64,7 +65,7 @@ func caseStudyTrace(t *testing.T, ref bool, shift uint, window int, perInterval 
 	trace := append([]string(nil), dd.Log...)
 	return append(trace,
 		fmt.Sprintf("result %+v", dd.Result()),
-		fmt.Sprintf("phase %v, target %v", dd.Phase(), target),
+		fmt.Sprintf("done %v, target %v", dd.Phase() == controller.PhaseDone, target),
 		fmt.Sprintf("end@%d steps=%d", sim.Now(), sim.Steps()))
 }
 
@@ -96,7 +97,7 @@ func TestCaseStudyDrillDownMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(wheel, ref) {
 			t.Fatalf("run %d: drill-down differs across engines\nwheel:     %q\nreference: %q", i, wheel, ref)
 		}
-		if !strings.HasPrefix(wheel[len(wheel)-2], "phase done") {
+		if !strings.HasPrefix(wheel[len(wheel)-2], "done true") {
 			t.Fatalf("run %d: drill-down never pinpointed the target: %q", i, wheel)
 		}
 	}

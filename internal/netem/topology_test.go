@@ -176,3 +176,10 @@ func TestEchoOverNetwork(t *testing.T) {
 		t.Fatalf("received %d of %d replies", received, packets)
 	}
 }
+
+// InjectFrame processes raw frame bytes immediately (at the current virtual
+// time) on the given ingress port, routing outputs over connected links —
+// what a frame arriving on a wire from another node does.
+func (n *SwitchNode) InjectFrame(port uint16, data []byte) {
+	n.route(n.SW.ProcessFrame(n.Sim.Now(), port, data))
+}

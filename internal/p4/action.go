@@ -110,9 +110,6 @@ func Sub(dst FieldID, a, b Ref) Op { return Op{Code: OpSub, Dst: F(dst), A: a, B
 // approximations of internal/intstat.
 func Mul(dst FieldID, a, b Ref) Op { return Op{Code: OpMul, Dst: F(dst), A: a, B: b} }
 
-// SatAdd builds dst ← a + b saturating at the field's maximum.
-func SatAdd(dst FieldID, a, b Ref) Op { return Op{Code: OpSatAdd, Dst: F(dst), A: a, B: b} }
-
 // SatSub builds dst ← a − b saturating at zero.
 func SatSub(dst FieldID, a, b Ref) Op { return Op{Code: OpSatSub, Dst: F(dst), A: a, B: b} }
 
@@ -124,9 +121,6 @@ func Or(dst FieldID, a, b Ref) Op { return Op{Code: OpOr, Dst: F(dst), A: a, B: 
 
 // Xor builds dst ← a ^ b.
 func Xor(dst FieldID, a, b Ref) Op { return Op{Code: OpXor, Dst: F(dst), A: a, B: b} }
-
-// Not builds dst ← ^a.
-func Not(dst FieldID, a Ref) Op { return Op{Code: OpNot, Dst: F(dst), A: a} }
 
 // Shl builds dst ← a << amount.
 func Shl(dst FieldID, a, amount Ref) Op { return Op{Code: OpShl, Dst: F(dst), A: a, B: amount} }

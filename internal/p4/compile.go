@@ -1,6 +1,6 @@
 package p4
 
-// This file is the compile step and the compiled data plane: NewSwitch lowers
+// This file is the compile step and the compiled data plane: newSwitch lowers
 // the validated Program once into a single stream of compact micro-ops over
 // one flat frame, so the per-packet path is one dispatch loop that never
 // resolves a name, walks the statement tree, switches on an operand kind or
@@ -225,7 +225,7 @@ type lowerer struct {
 }
 
 // compile lowers the program and sizes the per-packet scratch, then installs
-// each table default's trace. Called once from NewSwitch, after registers and
+// each table default's trace. Called once from newSwitch, after registers and
 // tables exist and the program has validated; everything the per-packet path
 // needs is resolved here.
 func (sw *Switch) compile() {

@@ -202,73 +202,6 @@ func drainDigests(sw *Switch) []Digest {
 	}
 }
 
-// TestModifyRebindsCompiledAction checks the rule-install-time resolution:
-// after ModifyEntry the compiled path must run the new action.
-func TestModifyRebindsCompiledAction(t *testing.T) {
-	prog, std := buildCounterProgram()
-	sw := mustSwitch(t, prog, std)
-	id, err := sw.InsertEntry("bind",
-		[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 5, 0)), PrefixLen: 24}},
-		0, "count_at", []uint64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.ProcessFrame(0, 1, udpTo(packet.ParseIP4(10, 0, 5, 1)))
-	if err := sw.ModifyEntry("bind", id, "count_at", []uint64{7}); err != nil {
-		t.Fatal(err)
-	}
-	sw.ProcessFrame(1, 1, udpTo(packet.ParseIP4(10, 0, 5, 1)))
-	if err := sw.ModifyEntry("bind", id, "noop", nil); err != nil {
-		t.Fatal(err)
-	}
-	sw.ProcessFrame(2, 1, udpTo(packet.ParseIP4(10, 0, 5, 1)))
-
-	reg, err := sw.Register("counters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := reg.Read(3); v != 1 {
-		t.Fatalf("cell 3 = %d, want 1", v)
-	}
-	if v, _ := reg.Read(7); v != 1 {
-		t.Fatalf("cell 7 = %d, want 1 (modify must rebind the compiled action)", v)
-	}
-}
-
-// TestRestoreRebindsCompiledActions checks that a snapshot restored into a
-// different switch instance runs against that instance's registers.
-func TestRestoreRebindsCompiledActions(t *testing.T) {
-	prog, std := buildCounterProgram()
-	src := mustSwitch(t, prog, std)
-	if _, err := src.InsertEntry("bind",
-		[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 5, 0)), PrefixLen: 24}},
-		0, "count_at", []uint64{4}); err != nil {
-		t.Fatal(err)
-	}
-
-	prog2, std2 := buildCounterProgram()
-	dst := mustSwitch(t, prog2, std2)
-	if err := dst.Restore(src.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	dst.ProcessFrame(0, 1, udpTo(packet.ParseIP4(10, 0, 5, 1)))
-
-	reg, err := dst.Register("counters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := reg.Read(4); v != 1 {
-		t.Fatalf("restored entry did not count on the destination switch: cell 4 = %d", v)
-	}
-	srcReg, err := src.Register("counters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := srcReg.Read(4); v != 0 {
-		t.Fatalf("restored entry wrote the source switch's register: cell 4 = %d", v)
-	}
-}
-
 // TestLowerStmtsTargets pins the lowering shape: the generic stream is the
 // main pass then the recirculation pass, each ending in opHalt, with
 // forward-only targets inside its own pass and every apply and register op
@@ -466,19 +399,12 @@ type lowerRig struct {
 }
 
 func newLowerRig(t *testing.T, tree bool) *lowerRig {
-	r := &lowerRig{t: t, tree: tree}
-	r.sw = r.fresh()
-	return r
+	prog, std := buildLoweringProgram()
+	return &lowerRig{t: t, tree: tree, sw: mustSwitch(t, prog, std)}
 }
 
 // newLowerRigOn drives an existing switch of the lowering program.
 func newLowerRigOn(t *testing.T, sw *Switch) *lowerRig { return &lowerRig{t: t, sw: sw} }
-
-// fresh builds another switch instance of the same program.
-func (r *lowerRig) fresh() *Switch {
-	prog, std := buildLoweringProgram()
-	return mustSwitch(r.t, prog, std)
-}
 
 // send processes one UDP frame to dst:dport on the rig's current switch.
 func (r *lowerRig) send(dst packet.IP4, dport uint16) {
@@ -505,12 +431,56 @@ func (r *lowerRig) insert(dst packet.IP4, prefix int, action string, args ...uin
 	return id
 }
 
+func (r *lowerRig) delete(id EntryID) {
+	r.t.Helper()
+	if err := r.sw.DeleteEntry("bind", id); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
 func (r *lowerRig) cells() []uint64 {
 	reg, err := r.sw.Register("counters")
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	return reg.Snapshot()
+}
+
+// TestModifyRebindsCompiledAction checks the rule-install-time resolution:
+// after a rebind (a delete and an insert of the same match) the compiled
+// path must run the new action.
+func TestModifyRebindsCompiledAction(t *testing.T) {
+	prog, std := buildCounterProgram()
+	sw := mustSwitch(t, prog, std)
+	match := []MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 5, 0)), PrefixLen: 24}}
+	id, err := sw.InsertEntry("bind", match, 0, "count_at", []uint64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.ProcessFrame(0, 1, udpTo(packet.ParseIP4(10, 0, 5, 1)))
+	for i, rebind := range []struct {
+		action string
+		args   []uint64
+	}{{"count_at", []uint64{7}}, {"noop", nil}} {
+		if err := sw.DeleteEntry("bind", id); err != nil {
+			t.Fatal(err)
+		}
+		if id, err = sw.InsertEntry("bind", match, 0, rebind.action, rebind.args); err != nil {
+			t.Fatal(err)
+		}
+		sw.ProcessFrame(uint64(i+1), 1, udpTo(packet.ParseIP4(10, 0, 5, 1)))
+	}
+
+	reg, err := sw.Register("counters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := reg.Read(3); v != 1 {
+		t.Fatalf("cell 3 = %d, want 1", v)
+	}
+	if v, _ := reg.Read(7); v != 1 {
+		t.Fatalf("cell 7 = %d, want 1 (a rebind must run the new action)", v)
+	}
 }
 
 // TestLoweringCases replays scenarios that stress the lowering — argument
@@ -555,23 +525,20 @@ func TestLoweringCases(t *testing.T) {
 			want: map[int]uint64{11: 2, 30: 5, 2: 3, 3: 21},
 		},
 		{
-			// Args, then the action itself, change between packets; a stale
-			// trace would hit the old cell.
-			name: "ModifyEntry between packets",
+			// The entry is rebound between packets, delete then insert, to
+			// new args and then a new action; a stale trace would hit the
+			// old cell.
+			name: "rebind between packets",
 			drive: func(r *lowerRig) {
 				id := r.insert(packet.ParseIP4(10, 0, 5, 0), 24, "count_at", 40)
 				r.send(hit, 80)
-				if err := r.sw.ModifyEntry("bind", id, "count_at", []uint64{41}); err != nil {
-					r.t.Fatal(err)
-				}
+				r.delete(id)
+				id = r.insert(packet.ParseIP4(10, 0, 5, 0), 24, "count_at", 41)
 				r.send(hit, 80)
-				if err := r.sw.ModifyEntry("bind", id, "add_at", []uint64{42, 100}); err != nil {
-					r.t.Fatal(err)
-				}
+				r.delete(id)
+				id = r.insert(packet.ParseIP4(10, 0, 5, 0), 24, "add_at", 42, 100)
 				r.send(hit, 80)
-				if err := r.sw.DeleteEntry("bind", id); err != nil {
-					r.t.Fatal(err)
-				}
+				r.delete(id)
 				r.send(hit, 80)
 			},
 			want: map[int]uint64{40: 1, 41: 1, 42: 100, 11: 1, 2: 4, 3: 28},
@@ -586,26 +553,6 @@ func TestLoweringCases(t *testing.T) {
 				r.send(miss, 7)
 			},
 			want: map[int]uint64{20: 2, 11: 3, 2: 3, 3: 21},
-		},
-		{
-			// A snapshot restored into another instance must run against
-			// that instance's registers and stream.
-			name: "Restore across switch instances",
-			drive: func(r *lowerRig) {
-				r.insert(packet.ParseIP4(10, 0, 5, 0), 24, "add_at", 50, 3)
-				r.send(hit, 80)
-				snap := r.sw.Snapshot()
-				src := r.sw
-				r.sw = r.fresh()
-				if err := r.sw.Restore(snap); err != nil {
-					r.t.Fatal(err)
-				}
-				r.send(hit, 80)
-				if v, _ := src.regs["counters"].Read(50); v != 3 {
-					r.t.Fatalf("source switch cell 50 = %d after the restored instance ran, want 3", v)
-				}
-			},
-			want: map[int]uint64{50: 6, 2: 2, 3: 14},
 		},
 	}
 	for _, tc := range cases {
@@ -663,15 +610,15 @@ func TestConstPoolDedup(t *testing.T) {
 }
 
 // TestSetDeparserReadsAfterNewSwitch pins that a late declaration fails
-// loudly: the liveness every switch of the program shares was computed at
-// the first NewSwitch, without it.
+// loudly: the liveness every switch of the program shares was computed when
+// the first switch was built, without it.
 func TestSetDeparserReadsAfterNewSwitch(t *testing.T) {
 	prog, std := buildKitchenSink()
 	prog.SetDeparserReads(std.InPort)
 	mustSwitch(t, prog, std)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetDeparserReads after NewSwitch did not panic")
+			t.Fatal("SetDeparserReads after the first switch did not panic")
 		}
 	}()
 	prog.SetDeparserReads(std.WireLen)

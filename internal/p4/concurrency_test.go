@@ -88,18 +88,15 @@ func controlPlane(t *testing.T, sw *Switch) []func() {
 				t.Error(err)
 				return
 			}
-			if err := sw.ModifyEntry("bind", id, "count_at", []uint64{3}); err != nil {
-				t.Error(err)
-			}
 			if err := sw.DeleteEntry("bind", id); err != nil {
 				t.Error(err)
 			}
-		},
-		func() {
-			if _, err := sw.TableEntries("bind"); err != nil {
+			if id, err = sw.InsertEntry("bind",
+				[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 3, 0)), PrefixLen: 24}}, 0, "count_at", []uint64{3}); err != nil {
 				t.Error(err)
+				return
 			}
-			if _, err := sw.EntryCount("bind"); err != nil {
+			if err := sw.DeleteEntry("bind", id); err != nil {
 				t.Error(err)
 			}
 		},

@@ -1,5 +1,35 @@
 package p4
 
+// Test-only API: constructors and accessors that only the tests of package
+// p4 and p4_test call, so no binary links them.
+
+// buildSwitch validates prog and builds one switch over it, the way
+// NewShardedSwitch builds each shard.
+func buildSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	return newSwitch(prog, std, digestBuf), nil
+}
+
+// Digests returns the channel carrying the switch's data-plane alerts.
+func (sw *Switch) Digests() <-chan Digest { return sw.digests }
+
+// Snapshot is the control-plane bulk read, returning a copy of all cells.
+func (r *Register) Snapshot() []uint64 {
+	r.lock.Lock()
+	defer r.lock.Unlock()
+	return append([]uint64(nil), r.cells...)
+}
+
+// SatAdd builds dst ← a + b saturating at the field's maximum. No emitted
+// program uses OpSatAdd; the tests cover the op.
+func SatAdd(dst FieldID, a, b Ref) Op { return Op{Code: OpSatAdd, Dst: F(dst), A: a, B: b} }
+
+// Not builds dst ← ^a. No emitted program uses OpNot; the tests cover the
+// op.
+func Not(dst FieldID, a Ref) Op { return Op{Code: OpNot, Dst: F(dst), A: a} }
+
 // ProcessFrameTree is ss.ProcessFrame on the tree-walking reference
 // interpreter, for the differential tests of package p4_test: the frame runs
 // on its shard and the digests it raised are forwarded.

@@ -45,7 +45,7 @@ func buildCounterProgram() (*Program, StdFields) {
 
 func mustSwitch(t *testing.T, p *Program, std StdFields) *Switch {
 	t.Helper()
-	sw, err := NewSwitch(p, std, 0)
+	sw, err := buildSwitch(p, std, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,13 @@ func TestRuntimeEntryLifecycle(t *testing.T) {
 	}
 	sw.ProcessFrame(0, 1, udpTo(packet.ParseIP4(10, 0, 1, 5)))
 
-	// Drill-down style modification: same match, new argument.
-	if err := sw.ModifyEntry("bind", id, "count_at", []uint64{2}); err != nil {
+	// Drill-down style rebind: same match, new argument.
+	if err := sw.DeleteEntry("bind", id); err != nil {
+		t.Fatal(err)
+	}
+	if id, err = sw.InsertEntry("bind",
+		[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 1, 0)), PrefixLen: 24}},
+		0, "count_at", []uint64{2}); err != nil {
 		t.Fatal(err)
 	}
 	sw.ProcessFrame(1, 1, udpTo(packet.ParseIP4(10, 0, 1, 5)))
@@ -215,8 +220,8 @@ func TestRuntimeEntryLifecycle(t *testing.T) {
 	if err := sw.DeleteEntry("bind", id); !errors.Is(err, ErrNoSuchEntry) {
 		t.Fatalf("double delete err = %v", err)
 	}
-	if n, _ := sw.EntryCount("bind"); n != 0 {
-		t.Fatalf("EntryCount = %d", n)
+	if n := len(sw.Snapshot().Entries["bind"]); n != 0 {
+		t.Fatalf("%d entries left", n)
 	}
 }
 
@@ -306,7 +311,7 @@ func TestDigestOverflowDrops(t *testing.T) {
 	std := DeclareStdFields(p)
 	p.AddAction(NewAction("alert", 0, EmitDigest(1, std.WireLen)))
 	p.Control = []Stmt{Call("alert")}
-	sw, err := NewSwitch(p, std, 2)
+	sw, err := buildSwitch(p, std, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -821,17 +826,5 @@ func TestProgramAccessors(t *testing.T) {
 	def := RegisterDef{Name: "r", Cells: 10, Width: 12}
 	if def.Bytes() != 20 { // 12 bits rounds to 2 bytes
 		t.Fatalf("Bytes = %d", def.Bytes())
-	}
-}
-
-func TestSwitchAccessors(t *testing.T) {
-	p, std := buildCounterProgram()
-	sw := mustSwitch(t, p, std)
-	if sw.Program() != p {
-		t.Fatal("Program accessor broken")
-	}
-	reg, _ := sw.Register("counters")
-	if reg.Def().Name != "counters" || reg.Def().Cells != 64 {
-		t.Fatalf("Def = %+v", reg.Def())
 	}
 }

@@ -104,7 +104,7 @@ func (r RegisterDef) Bytes() int {
 
 // Program is a complete data-plane program: declarations plus the ingress
 // control flow. Build one with NewProgram and the Add helpers, then hand it
-// to NewSwitch, which validates it.
+// to NewShardedSwitch, which validates it.
 type Program struct {
 	Name      string
 	Target    Target
@@ -132,7 +132,7 @@ type Program struct {
 	// see SetDeparserReads.
 	deparserReads []FieldID
 	// plan is the specialisation plan switches share (trace.go), computed
-	// by the first NewSwitch; guarded by planMu.
+	// by the first newSwitch; guarded by planMu.
 	plan *plan
 
 	fieldByName map[string]FieldID
@@ -299,7 +299,7 @@ func (p *Program) SetRecirc(flag FieldID, stmts []Stmt) {
 // reads, they are what the switch keeps defined at the end of the pipeline
 // (see Ctx): a store to any other field that nothing reads later may be
 // dropped. Like the Add helpers it is called by trusted program builders at
-// startup; a call after the first NewSwitch, whose liveness did not see it,
+// startup; a call after the first newSwitch, whose liveness did not see it,
 // panics.
 func (p *Program) SetDeparserReads(fields ...FieldID) {
 	planMu.Lock()
@@ -309,9 +309,6 @@ func (p *Program) SetDeparserReads(fields ...FieldID) {
 	}
 	p.deparserReads = append([]FieldID(nil), fields...)
 }
-
-// HasRecirc reports whether the program declares a recirculation pass.
-func (p *Program) HasRecirc() bool { return p.hasRecirc }
 
 // AddAction declares an action.
 func (p *Program) AddAction(a *Action) {
@@ -360,8 +357,9 @@ var ErrInvalidProgram = errors.New("p4: invalid program")
 
 // Validate checks the program is well formed and P4-legal: every reference
 // resolves, opcode operands have the right kinds, shift amounts are not
-// packet-dependent, and table default actions exist. NewSwitch calls it;
-// it is exported so tools can lint programs without instantiating state.
+// packet-dependent, and table default actions exist. NewShardedSwitch calls
+// it once for all its shards; it is exported so tools can lint programs
+// without instantiating state.
 func (p *Program) Validate() error {
 	p.validations.Add(1)
 	fail := func(format string, args ...any) error {

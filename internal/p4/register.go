@@ -25,9 +25,6 @@ func newRegister(def RegisterDef, lock *sync.Mutex) *Register {
 	return &Register{def: def, mask: widthMask(def.Width), lock: lock, cells: make([]uint64, def.Cells)}
 }
 
-// Def returns the register's declaration.
-func (r *Register) Def() RegisterDef { return r.def }
-
 // Read is the control-plane read of a single cell.
 func (r *Register) Read(idx int) (uint64, error) {
 	r.lock.Lock()
@@ -36,14 +33,6 @@ func (r *Register) Read(idx int) (uint64, error) {
 		return 0, fmt.Errorf("p4: register %q index %d of %d", r.def.Name, idx, len(r.cells))
 	}
 	return r.cells[idx], nil
-}
-
-// Snapshot is the control-plane bulk read, returning a copy of all cells —
-// what a sketch-pulling controller fetches.
-func (r *Register) Snapshot() []uint64 {
-	r.lock.Lock()
-	defer r.lock.Unlock()
-	return append([]uint64(nil), r.cells...)
 }
 
 // WriteCell is the control-plane write, used to seed state at startup.

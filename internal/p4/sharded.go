@@ -248,9 +248,6 @@ func (ss *ShardedSwitch) ForkFrames() int { return ss.forkFrames }
 // sharded switch: replacing it cuts the shard off from the merged mailbox.
 func (ss *ShardedSwitch) Shard(i int) *Switch { return ss.shards[i] }
 
-// Program returns the replicated program.
-func (ss *ShardedSwitch) Program() *Program { return ss.prog }
-
 // Digests returns the merged alert mailbox. ProcessBatch forwards each
 // shard's digests into it in shard-index order after the concurrent phase;
 // the serial Process* paths forward eagerly.

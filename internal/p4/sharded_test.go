@@ -105,7 +105,7 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 	// mailbox — holds a whole batch's digests (the program alerts on most
 	// frames), so no side drops what another keeps.
 	digestBuf := 2 * batchSize
-	serial, err := NewSwitch(prog, std, digestBuf)
+	serial, err := buildSwitch(prog, std, digestBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 	defer ss.Close()
 	replicas := make([]*Switch, n)
 	for i := range replicas {
-		if replicas[i], err = NewSwitch(prog, std, digestBuf); err != nil {
+		if replicas[i], err = buildSwitch(prog, std, digestBuf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,8 +190,8 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 }
 
 // TestShardedSwitchValidatesOnce pins the sharded constructor's set-up
-// work: it validates the program once for all its shards, refuses an invalid
-// program before building any, and NewSwitch keeps validating on its own.
+// work: it validates the program once for all its shards and refuses an
+// invalid program before building any.
 func TestShardedSwitchValidatesOnce(t *testing.T) {
 	prog, std := buildShardableProgram()
 	ss, err := NewShardedSwitch(prog, std, 4, 0)
@@ -208,9 +208,6 @@ func TestShardedSwitchValidatesOnce(t *testing.T) {
 	bad.Control = []Stmt{Apply("ghost")}
 	if _, err := NewShardedSwitch(bad, badStd, 4, 0); !errors.Is(err, ErrInvalidProgram) {
 		t.Fatalf("invalid program: err = %v, want ErrInvalidProgram", err)
-	}
-	if _, err := NewSwitch(prog, std, 0); err != nil || Validations(prog) != 2 {
-		t.Fatalf("NewSwitch: err = %v after %d validations, want nil after 2", err, Validations(prog))
 	}
 }
 
@@ -330,7 +327,7 @@ func TestShardedDigestsBoundOnlyByMergedMailbox(t *testing.T) {
 
 	want := 0
 	for i := 0; i < n; i++ {
-		replica, err := NewSwitch(prog, std, 2*len(frames))
+		replica, err := buildSwitch(prog, std, 2*len(frames))
 		if err != nil {
 			t.Fatal(err)
 		}

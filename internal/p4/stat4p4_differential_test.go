@@ -109,45 +109,22 @@ func (cp *churnPair) bind(b stat4p4.Binding) p4.EntryID {
 	return ids[0]
 }
 
-// op applies control-plane op k%3 with argument v to both runtimes: 0
-// rebinds an entry with ModifyEntry, 1 deletes one and inserts it again, 2
-// restores a snapshot of each runtime into a fresh switch.
+// op applies control-plane op k%2 with argument v to both runtimes, each
+// through Unbind and Bind: 0 rebinds an entry to another of its alternative
+// bindings, 1 deletes one and inserts it again unchanged.
 func (cp *churnPair) op(k, v byte) {
 	cp.t.Helper()
 	e := int(v) % len(cp.ids)
-	switch k % 3 {
-	case 0:
+	if k%2 == 0 {
 		cp.state[e] = (cp.state[e] + 1 + int(v)/len(cp.ids)) % len(cp.alts[e])
-		b := cp.alts[e][cp.state[e]]
-		for _, rt := range cp.rt {
-			low, err := rt.Library().Lower(b)
-			if err != nil {
-				cp.t.Fatal(err)
-			}
-			if err := rt.Switch().ModifyEntry(low.Table, cp.ids[e], low.Action, low.Args); err != nil {
-				cp.t.Fatal(err)
-			}
-		}
-	case 1:
-		b := cp.alts[e][cp.state[e]]
-		for _, rt := range cp.rt {
-			if err := rt.Unbind(b.Stage, cp.ids[e]); err != nil {
-				cp.t.Fatal(err)
-			}
-		}
-		cp.ids[e] = cp.bind(b)
-	default:
-		for i, rt := range cp.rt {
-			fresh, err := stat4p4.NewRuntime(rt.Library())
-			if err != nil {
-				cp.t.Fatal(err)
-			}
-			if err := fresh.Switch().Restore(rt.Switch().Snapshot()); err != nil {
-				cp.t.Fatal(err)
-			}
-			cp.rt[i] = fresh
+	}
+	b := cp.alts[e][cp.state[e]]
+	for _, rt := range cp.rt {
+		if err := rt.Unbind(b.Stage, cp.ids[e]); err != nil {
+			cp.t.Fatal(err)
 		}
 	}
+	cp.ids[e] = cp.bind(b)
 }
 
 func (cp *churnPair) frame(ts uint64, port uint16, frame []byte) {
@@ -258,8 +235,7 @@ func TestDifferentialFlow(t *testing.T) {
 // step: kind selector + value) and replays it through both interpreters,
 // checking outputs per frame and state at the end. Selectors 4–7 are control
 // plane instead (see churnPair.op): entries rebound to other kinds and
-// arguments, deleted and inserted again, and the state restored into fresh
-// switches, so rule install is fuzzed too. `make fuzz-smoke` gives it a 10s
+// arguments, or deleted and inserted again, so rule install is fuzzed too. `make fuzz-smoke` gives it a 10s
 // budget.
 func FuzzDifferential(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 200, 2, 17, 3, 3, 4, 0})
@@ -291,7 +267,7 @@ func FuzzDifferential(f *testing.F) {
 		for i := 0; i+1 < len(script); i += 2 {
 			kind, v := script[i], script[i+1]
 			if kind%8 >= 4 {
-				cp.op(kind%8-4, v) // kind%8 == 7 restores into fresh switches
+				cp.op(kind%8-4, v)
 				continue
 			}
 			ts += uint64(v) * 13
@@ -575,9 +551,10 @@ func TestDifferentialRegistry(t *testing.T) {
 }
 
 // TestModifyChurnBounded rebinds one entry of the daemon's program 10 000
-// times, alternating kinds and arguments: each ModifyEntry gives the old
-// traces' pool constants back, so the stream and the pool stay the size the
-// first rebind left them. The survivor must still match the tree walker.
+// times through Unbind and Bind, alternating kinds and arguments: each
+// delete gives the old traces' pool constants back, so the stream and the
+// pool stay the size the first rebind left them. The survivor must still
+// match the tree walker.
 func TestModifyChurnBounded(t *testing.T) {
 	n := 10000
 	if testing.Short() {
@@ -596,20 +573,19 @@ func TestModifyChurnBounded(t *testing.T) {
 		b.IntervalShift = uint(8 + i%5)
 		return b
 	}
-	modify := func(rt *stat4p4.Runtime, b stat4p4.Binding) {
+	rebind := func(b stat4p4.Binding) {
 		t.Helper()
-		low, err := lib.Lower(b)
-		if err != nil {
+		if err := compiled.Unbind(b.Stage, id); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Switch().ModifyEntry(low.Table, id, low.Action, low.Args); err != nil {
+		if id, err = compiled.Bind(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	modify(compiled, binding(0))
+	rebind(binding(0))
 	stream, pool := p4.CompiledSize(compiled.Switch())
 	for i := 1; i < n; i++ {
-		modify(compiled, binding(i))
+		rebind(binding(i))
 	}
 	if s, p := p4.CompiledSize(compiled.Switch()); s > stream || p > pool {
 		t.Fatalf("after %d rebinds the stream is %d ops and the pool %d constants, after the first %d and %d", n, s, p, stream, pool)
@@ -628,10 +604,10 @@ func TestModifyChurnBounded(t *testing.T) {
 }
 
 // TestRebindStormConcurrentWithForkedBatches rebinds the daemon program's
-// entry on every shard between forked batches — from a goroutine other than
-// ProcessBatch's caller, while the shard workers that run the next batch read
-// the rebuilt traces — and reads every shard's control plane during the
-// batches. The merged snapshot must equal a serial replay that applied the
+// entry on every shard between forked batches, through Unbind and Bind — from
+// a goroutine other than ProcessBatch's caller, while the shard workers that
+// run the next batch read the rebuilt traces — and reads every shard's
+// control plane during the batches. The merged snapshot must equal a serial replay that applied the
 // same rebinds at the same batch boundaries. Run with -race.
 func TestRebindStormConcurrentWithForkedBatches(t *testing.T) {
 	opts := stat4p4.Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true}
@@ -650,18 +626,19 @@ func TestRebindStormConcurrentWithForkedBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := serial.Bind(kinds[0]); err != nil {
+	serialID, err := serial.Bind(kinds[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	rebind := func(sw *p4.Switch, i int) {
+	rebind := func(rt *stat4p4.Runtime, id *p4.EntryID, i int) {
 		b := kinds[i%2]
 		b.Base += uint64(i % 3) // other arguments too, not only the other kind
-		low, err := lib.Lower(b)
-		if err != nil {
+		if err := rt.Unbind(b.Stage, *id); err != nil {
 			t.Error(err)
 			return
 		}
-		if err := sw.ModifyEntry(low.Table, id, low.Action, low.Args); err != nil {
+		var err error
+		if *id, err = rt.Bind(b); err != nil {
 			t.Error(err)
 		}
 	}
@@ -685,9 +662,7 @@ func TestRebindStormConcurrentWithForkedBatches(t *testing.T) {
 	turn, done := make(chan int), make(chan struct{})
 	go func() { // the control plane: every shard rebound at each boundary
 		for i := range turn {
-			for s := 0; s < sr.NumShards(); s++ {
-				rebind(sr.Sharded().Shard(s), i)
-			}
+			rebind(sr, &id, i)
 			done <- struct{}{}
 		}
 	}()
@@ -695,9 +670,7 @@ func TestRebindStormConcurrentWithForkedBatches(t *testing.T) {
 		for s := 0; s < sr.NumShards(); s++ {
 			sw := sr.Sharded().Shard(s)
 			sw.Stats()
-			if _, err := sw.TableEntries(lib.BindTables[0]); err != nil {
-				t.Error(err)
-			}
+			sw.Snapshot()
 		}
 	}
 	stop := make(chan struct{})
@@ -724,7 +697,7 @@ func TestRebindStormConcurrentWithForkedBatches(t *testing.T) {
 
 	for b := 0; b < batches; b++ {
 		serial.Sharded().ProcessBatch(batch[b], nil)
-		rebind(serial.Switch(), b)
+		rebind(serial, &serialID, b)
 	}
 	merged := sr.Sharded().MergedSnapshot()
 	want := serial.Switch().Snapshot()

@@ -153,8 +153,8 @@ const costSampleEvery = 64
 // One mutex, the pipeline lock, guards all mutable state: registers, table
 // entries and counters. The data plane takes it once per ProcessFrame or
 // ProcessPacket and once per batch in ProcessBatch; every control-plane
-// accessor (Register.Read/Snapshot/WriteCell, the entry methods, Stats,
-// Snapshot, Restore, TableEntries) takes it too, so a control-plane call
+// accessor (Register.Read/WriteCell, the entry methods, Stats, Snapshot)
+// takes it too, so a control-plane call
 // lands between two packets or two batches. Nothing the data plane touches
 // per register access or table match is atomic or locked. The price is that
 // code the data plane calls back — a digest sink, an Observer, a Deparser,
@@ -204,17 +204,10 @@ type Switch struct {
 	outScratch [1]FrameOut
 }
 
-// NewSwitch validates the program, instantiates its state and compiles the
-// micro-op stream. The digest channel is buffered with the given capacity (a
-// bounded mailbox to the controller; 0 picks a default of 1024).
-func NewSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	return newSwitch(prog, std, digestBuf), nil
-}
-
-// newSwitch is NewSwitch for a program its caller has already validated.
+// newSwitch instantiates the state of a program its caller has already
+// validated and compiles the micro-op stream. The digest channel is buffered
+// with the given capacity (a bounded mailbox to the controller; 0 picks a
+// default of 1024). NewShardedSwitch builds its shards with it.
 func newSwitch(prog *Program, std StdFields, digestBuf int) *Switch {
 	if digestBuf <= 0 {
 		digestBuf = 1024
@@ -247,9 +240,6 @@ func (sw *Switch) SetDeparser(d Deparser) { sw.deparser = d }
 // the pipeline lock and must not call control-plane methods on this switch.
 func (sw *Switch) SetObserver(o Observer) { sw.obs, sw.obsTick = o, 0 }
 
-// Digests returns the channel carrying data-plane alerts.
-func (sw *Switch) Digests() <-chan Digest { return sw.digests }
-
 // SetDigestSink installs a direct digest receiver: with a sink attached,
 // sendDigest calls it synchronously from the data-plane goroutine instead of
 // going through the buffered channel, so a caller that drains digests after
@@ -262,9 +252,6 @@ func (sw *Switch) Digests() <-chan Digest { return sw.digests }
 // lock: it must not call control-plane methods on this switch (buffer the
 // digest and act on it after the Process* call returns).
 func (sw *Switch) SetDigestSink(sink func(Digest)) { sw.sink = sink }
-
-// Program returns the interpreted program.
-func (sw *Switch) Program() *Program { return sw.prog }
 
 // Register returns a register array by name for control-plane access.
 func (sw *Switch) Register(name string) (*Register, error) {
@@ -286,19 +273,6 @@ func (sw *Switch) InsertEntry(tbl string, match []MatchValue, prio int, action s
 	return t.insert(match, prio, action, args)
 }
 
-// ModifyEntry rebinds an entry's action and arguments in place, the paper's
-// drill-down refinement ("the controller modifies the previously added
-// entry").
-func (sw *Switch) ModifyEntry(tbl string, id EntryID, action string, args []uint64) error {
-	t, ok := sw.tables[tbl]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return t.modify(id, action, args)
-}
-
 // DeleteEntry removes an entry.
 func (sw *Switch) DeleteEntry(tbl string, id EntryID) error {
 	t, ok := sw.tables[tbl]
@@ -308,17 +282,6 @@ func (sw *Switch) DeleteEntry(tbl string, id EntryID) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return t.remove(id)
-}
-
-// EntryCount returns the number of installed entries in a table.
-func (sw *Switch) EntryCount(tbl string) (int, error) {
-	t, ok := sw.tables[tbl]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return len(t.entries), nil
 }
 
 // Stats returns a snapshot of the switch counters.

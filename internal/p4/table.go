@@ -3,7 +3,6 @@ package p4
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // MatchKind selects how a table key field is matched.
@@ -68,10 +67,10 @@ type Entry struct {
 
 	// traces holds the entry's compiled traces in the owning switch, one per
 	// apply site of its table (trace.go), built when the entry is installed
-	// or modified — the rule-install-time binding a real driver does, so the
-	// per-packet path never looks the action up or copies an argument. consts
-	// are the pool slots they hold a reference on. Restore rebuilds them;
-	// copies handed out by Snapshot and TableEntries carry neither.
+	// — the rule-install-time binding a real driver does, so the per-packet
+	// path never looks the action up or copies an argument. consts are the
+	// pool slots they hold a reference on. Copies handed out by Snapshot
+	// carry neither.
 	traces [][]uop
 	consts []uint32
 }
@@ -170,26 +169,6 @@ func (t *table) insert(match []MatchValue, prio int, action string, args []uint6
 	t.nextID++
 	t.entries = append(t.entries, e)
 	return e.ID, nil
-}
-
-func (t *table) modify(id EntryID, action string, args []uint64) error {
-	for _, e := range t.entries {
-		if e.ID == id {
-			if err := t.validateEntry(e.Match, action, args, e.Priority); err != nil {
-				return err
-			}
-			if action == e.Action && slices.Equal(args, e.Args) {
-				return nil // the installed traces already say this
-			}
-			traces, consts := t.sw.specialise(t, action, args)
-			t.sw.release(e.consts)
-			e.Action = action
-			e.Args = append([]uint64(nil), args...)
-			e.traces, e.consts = traces, consts
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: id %d in %q", ErrNoSuchEntry, id, t.def.Name)
 }
 
 func (t *table) remove(id EntryID) error {

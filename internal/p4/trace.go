@@ -6,7 +6,7 @@ import (
 )
 
 // This file specialises table entries at rule-install time. An entry's
-// action and arguments are constant from InsertEntry until ModifyEntry, so
+// action and arguments are constant from InsertEntry until DeleteEntry, so
 // the switch compiles, per apply site of the entry's table, one trace:
 //
 //   - the bound action's body, its arguments as pool constants;
@@ -16,7 +16,7 @@ import (
 //     identities ×1, +0 and shift by 0, dead-store elimination and the
 //     removal of jumps to the next op.
 //
-// A hit (or a miss into the table's default, whose trace NewSwitch builds)
+// A hit (or a miss into the table's default, whose trace newSwitch builds)
 // enters the trace at its first op; the trace exits into the generic stream
 // at a pc after its apply, or halts. Internal targets are strictly forward,
 // so a packet's walk stays bounded (see run). Observable behaviour is the
@@ -46,7 +46,7 @@ type plan struct {
 	live []uint64
 }
 
-// planMu guards Program.plan; plans are built at NewSwitch, never per packet.
+// planMu guards Program.plan; plans are built at newSwitch, never per packet.
 var planMu sync.Mutex
 
 // planFor returns the program's plan, computing it from sw's freshly lowered

@@ -43,11 +43,6 @@ func UnmarshalEchoRequest(b []byte) (EchoRequest, error) {
 	return EchoRequest{Value: int16(binary.BigEndian.Uint16(b))}, nil
 }
 
-// MarshalEchoReply encodes the reply payload.
-func MarshalEchoReply(r EchoReply) []byte {
-	return AppendEchoReply(make([]byte, 0, echoReplyLen), r)
-}
-
 // AppendEchoReply appends the encoded reply payload to dst, allocating only
 // when dst lacks capacity — the echo deparser's per-packet path.
 func AppendEchoReply(dst []byte, r EchoReply) []byte {

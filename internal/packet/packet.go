@@ -353,16 +353,6 @@ func ipv4Checksum(h []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// VerifyIPv4Checksum recomputes the header checksum of a serialized frame's
-// IPv4 header and compares it to the stored value.
-func VerifyIPv4Checksum(frame []byte) bool {
-	if len(frame) < ethLen+ipv4Len {
-		return false
-	}
-	h := frame[ethLen : ethLen+ipv4Len]
-	return ipv4Checksum(h) == binary.BigEndian.Uint16(h[10:12])
-}
-
 // ParsePrefix parses CIDR notation ("10.0.0.0/8"). A bare address parses as
 // a /32.
 func ParsePrefix(s string) (Prefix, error) {

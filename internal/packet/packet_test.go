@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -121,7 +122,7 @@ func TestEchoRoundTrip(t *testing.T) {
 
 func TestEchoReplyRoundTrip(t *testing.T) {
 	in := EchoReply{N: 1, Xsum: 2, Xsumsq: 4, Var: 0, SD: 0, Median: 7}
-	out, err := UnmarshalEchoReply(MarshalEchoReply(in))
+	out, err := UnmarshalEchoReply(AppendEchoReply(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,4 +229,14 @@ func TestParsePrefix(t *testing.T) {
 			t.Errorf("ParsePrefix(%q) accepted", bad)
 		}
 	}
+}
+
+// VerifyIPv4Checksum recomputes the header checksum of a serialized frame's
+// IPv4 header and compares it to the stored value.
+func VerifyIPv4Checksum(frame []byte) bool {
+	if len(frame) < ethLen+ipv4Len {
+		return false
+	}
+	h := frame[ethLen : ethLen+ipv4Len]
+	return ipv4Checksum(h) == binary.BigEndian.Uint16(h[10:12])
 }

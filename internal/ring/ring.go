@@ -88,9 +88,6 @@ func (r *SPSC) TryPop(d *Desc) bool {
 //stat4:datapath
 func (r *SPSC) Len() int { return int(r.tail.Load() - r.head.Load()) }
 
-// Cap returns the (rounded-up) capacity.
-func (r *SPSC) Cap() int { return len(r.slots) }
-
 // mpscSlot pairs a descriptor with its Vyukov sequence word. The sequence
 // both hands a claimed slot from producer to consumer and detects full/empty
 // without a shared count: seq == pos means free for the push at pos, seq ==

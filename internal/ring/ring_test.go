@@ -488,3 +488,9 @@ func TestRingOpsZeroAlloc(t *testing.T) {
 		slab.Release(idx)
 	})
 }
+
+// Cap returns the (rounded-up) capacity.
+func (r *SPSC) Cap() int { return len(r.slots) }
+
+// Blocks returns the block count.
+func (s *Slab) Blocks() int { return len(s.blocks) }

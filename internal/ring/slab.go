@@ -115,9 +115,6 @@ func (s *Slab) Bytes(idx uint32) []byte {
 // BlockSize returns the per-block capacity in bytes.
 func (s *Slab) BlockSize() int { return s.blockSize }
 
-// Blocks returns the block count.
-func (s *Slab) Blocks() int { return len(s.blocks) }
-
 // InUse returns how many blocks are currently acquired — the occupancy
 // gauge next to the ring depth.
 func (s *Slab) InUse() uint64 {
@@ -192,10 +189,6 @@ func (it *FrameIter) Next() (tsNs uint64, port uint16, frame []byte, ok bool) {
 	it.n--
 	return tsNs, port, frame, true
 }
-
-// Remaining returns how many records Next has yet to yield (assuming none
-// are malformed).
-func (it *FrameIter) Remaining() uint32 { return it.n }
 
 // layoutPad is one 32-byte slot of code whose only job is layout. Package
 // p4 is linked after it, and the part of p4 ahead of (*Switch).run, its

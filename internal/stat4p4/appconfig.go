@@ -49,21 +49,6 @@ func LoadAppConfig(r io.Reader) (*AppConfig, error) {
 	return &cfg, nil
 }
 
-// Apply builds the library, instantiates a runtime, and installs every route
-// and binding. It returns the runtime and the binding entry IDs in config
-// order.
-func (cfg *AppConfig) Apply() (*Runtime, []p4.EntryID, error) {
-	rt, err := NewRuntime(Build(cfg.Options))
-	if err != nil {
-		return nil, nil, err
-	}
-	ids, err := cfg.Install(rt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rt, ids, nil
-}
-
 // Install installs every route and binding into a runtime of a library built
 // from cfg.Options, returning the binding entry IDs in config order. A
 // binding with no size covers the whole slot.

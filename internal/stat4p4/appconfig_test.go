@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"stat4/internal/p4"
 	"stat4/internal/packet"
 )
 
@@ -27,12 +28,23 @@ const caseStudyJSON = `{
   ]
 }`
 
+// install builds cfg's library, instantiates a runtime of it and installs
+// cfg there, as stat4-replay does with its -config.
+func install(cfg *AppConfig) (*Runtime, []p4.EntryID, error) {
+	rt, err := NewRuntime(Build(cfg.Options))
+	if err != nil {
+		return nil, nil, err
+	}
+	ids, err := cfg.Install(rt)
+	return rt, ids, err
+}
+
 func TestAppConfigApply(t *testing.T) {
 	cfg, err := LoadAppConfig(strings.NewReader(caseStudyJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, ids, err := cfg.Apply()
+	rt, ids, err := install(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +100,8 @@ func TestAppConfigAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ids, err := cfg.Apply(); err != nil || len(ids) != 9 {
-		t.Fatalf("Apply: %v (ids %v)", err, ids)
+	if _, ids, err := install(cfg); err != nil || len(ids) != 9 {
+		t.Fatalf("install: %v (ids %v)", err, ids)
 	}
 }
 
@@ -124,7 +136,7 @@ func TestAppConfigErrors(t *testing.T) {
 			t.Errorf("%s: load failed early: %v", name, err)
 			continue
 		}
-		if _, _, err := cfg.Apply(); err == nil {
+		if _, _, err := install(cfg); err == nil {
 			t.Errorf("%s: applied", name)
 		}
 	}

@@ -235,12 +235,6 @@ func (rt *Runtime) route(prefix packet.Prefix, action string, args []uint64) (p4
 	})
 }
 
-// DelRoute removes a forwarding entry.
-func (rt *Runtime) DelRoute(id p4.EntryID) error {
-	_, err := rt.each(func(sw *p4.Switch) (p4.EntryID, error) { return 0, sw.DeleteEntry(FwdTable, id) })
-	return err
-}
-
 // Unbind removes a binding entry.
 func (rt *Runtime) Unbind(stage int, id p4.EntryID) error {
 	if stage < 0 || stage >= rt.lib.Opts.Stages {

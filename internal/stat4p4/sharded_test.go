@@ -211,11 +211,7 @@ func TestShardedRuntimeFanOut(t *testing.T) {
 	if err := sr.Unbind(0, id); err != nil {
 		t.Fatal(err)
 	}
-	rid, err := sr.AddRoute(packet.Prefix{Addr: packet.ParseIP4(10, 0, 0, 0), Len: 8}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.DelRoute(rid); err != nil {
+	if _, err := sr.AddRoute(packet.Prefix{Addr: packet.ParseIP4(10, 0, 0, 0), Len: 8}, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := sr.ResetSlot(0); err != nil {

@@ -108,10 +108,6 @@ func (h *Hist) P99Moves() uint64 { return h.p99.Moves() }
 // ran, making the lazy-σ design observable in the snapshot itself.
 func (h *Hist) LogMoments() *core.Moments { return &h.logm }
 
-// Dist exposes the underlying frequency distribution (read-only for
-// callers), mainly for tests that cross-check the marker arithmetic.
-func (h *Hist) Dist() *core.FreqDist { return h.dist }
-
 // Reset clears the histogram, its markers and moments.
 func (h *Hist) Reset() {
 	h.dist.Reset()

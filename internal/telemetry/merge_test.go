@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"stat4/internal/core"
 )
 
 // TestHistMergeMatchesSerial shards a sample stream over K histograms,
@@ -181,3 +183,7 @@ func TestShardedPipelineIngestSeries(t *testing.T) {
 		t.Fatalf("gauge[0] = %+v, want ingest_ring_depth 9", snap.Gauges[0])
 	}
 }
+
+// Dist exposes the underlying frequency distribution (read-only for
+// callers), mainly for tests that cross-check the marker arithmetic.
+func (h *Hist) Dist() *core.FreqDist { return h.dist }

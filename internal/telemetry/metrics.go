@@ -260,22 +260,6 @@ func (m *SwitchMetrics) MergeFrom(o *SwitchMetrics) error {
 	return nil
 }
 
-// MergeFrom folds another node's channel observables into this one.
-func (n *NodeMetrics) MergeFrom(o *NodeMetrics) error {
-	if err := n.FrameLatency.MergeFrom(o.FrameLatency); err != nil {
-		return err
-	}
-	if err := n.CtrlLatency.MergeFrom(o.CtrlLatency); err != nil {
-		return err
-	}
-	if err := n.DigestQueue.MergeFrom(o.DigestQueue); err != nil {
-		return err
-	}
-	n.DroppedDigests.Add(o.DroppedDigests.Value())
-	n.UnroutedFrames.Add(o.UnroutedFrames.Value())
-	return nil
-}
-
 // ShardedPipeline bundles the recorders for a sharded switch: one switch
 // observer per shard (each single-writer on its shard's goroutine) and a
 // persistent merged fleet view. It is what stat4d and stat4-replay -shards

@@ -236,6 +236,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 // other non-empty line is `name[{label="value",...}] integer-value` with a
 // valid metric name. It returns the number of samples on success. The
 // metrics-smoke gate runs a replay with -metrics through this.
+//
+//stat4:exempt:reachable (a) test reference: the exposition checker the tests of telemetry, ingest, stat4d and stat4-replay hold WriteProm output to
 func ValidateExposition(data string) (int, error) {
 	samples := 0
 	for ln, line := range strings.Split(data, "\n") {

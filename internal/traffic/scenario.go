@@ -20,9 +20,6 @@ type TimeWindow struct {
 	EndNs   uint64 `json:"end_ns"`
 }
 
-// Contains reports whether ts falls inside the window.
-func (w TimeWindow) Contains(ts uint64) bool { return ts >= w.StartNs && ts < w.EndNs }
-
 // Truth is a scenario's machine-readable ground truth on the virtual clock.
 type Truth struct {
 	// Attacks are the intervals during which the anomaly is active.

@@ -257,19 +257,3 @@ func (m *merger) Next() (Pkt, bool) {
 	m.heads[best], m.live[best] = m.streams[best].Next()
 	return out, true
 }
-
-// Collect drains a stream into a slice, stopping after max events (max ≤ 0
-// means no limit). Intended for tests and small experiments.
-func Collect(s Stream, max int) []Pkt {
-	var out []Pkt
-	for {
-		p, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, p)
-		if max > 0 && len(out) >= max {
-			return out
-		}
-	}
-}
