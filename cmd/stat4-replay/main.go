@@ -11,6 +11,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,15 +34,7 @@ func main() {
 	log.SetPrefix("stat4-replay: ")
 	record := flag.String("record", "", "write a synthetic case-study capture to this file and exit")
 	seconds := flag.Float64("seconds", 2, "capture length for -record")
-	tc := trackConfig{TrackParams: stat4p4.TrackDefaults}
-	flag.StringVar(&tc.Track, "track", "window", "statistic to bind: "+strings.Join(stat4p4.Tracks(), " | "))
-	flag.UintVar(&tc.IntervalShift, "interval-shift", tc.IntervalShift, "window interval exponent (2^shift ns)")
-	flag.IntVar(&tc.Window, "window", tc.Window, "window length in intervals")
-	flag.Uint64Var(&tc.K, "k", 2, "sigma multiplier for the anomaly check (0 disables for freq modes)")
-	flag.StringVar(&tc.Base, "base-prefix", tc.Base, "dst24/entropy modes: /16 whose /24 subnets are indexed")
-	flag.Float64Var(&tc.H0Bits, "h0", 0, "entropy mode: alert when the mix drops below this many bits (0 disables)")
-	flag.Uint64Var(&tc.CheckEvery, "check-every", 1024, "entropy mode: check cadence in observations (power of two)")
-	sampleShift := flag.Uint("sample-shift", 6, "hh mode: recirculation probability 2^-shift")
+	tc := trackFlags(flag.CommandLine)
 	configPath := flag.String("config", "", "JSON app config (overrides -track and friends)")
 	shards := flag.Int("shards", 1, "replicate the datapath over N flow-hash shards (RSS-style dispatch)")
 	metrics := flag.Bool("metrics", false, "print the telemetry exposition after the replay")
@@ -69,10 +62,6 @@ func main() {
 	if *shards < 1 {
 		log.Fatal("-shards must be at least 1")
 	}
-	if tc.Track == "hh" {
-		// -sample-shift is the hh coin; the flow track admits every flow.
-		tc.SampleShift = *sampleShift
-	}
 	if *configPath != "" {
 		cf, err := os.Open(*configPath)
 		if err != nil {
@@ -90,7 +79,7 @@ func main() {
 	if *metrics || *metricsOut != "" {
 		rm = newReplayMetrics(*shards)
 	}
-	rt, _, err := replay(flag.Arg(0), tc, *shards, rm)
+	rt, _, err := replay(flag.Arg(0), *tc, *shards, rm)
 	if rt != nil {
 		rt.Close()
 	}
@@ -102,9 +91,24 @@ func main() {
 	}
 }
 
+// trackFlags defines the track flags on fs, to be read into the returned
+// trackConfig when fs is parsed.
+func trackFlags(fs *flag.FlagSet) *trackConfig {
+	tc := &trackConfig{TrackParams: stat4p4.TrackDefaults}
+	fs.StringVar(&tc.Track, "track", "window", "statistic to bind: "+strings.Join(stat4p4.Tracks(), " | "))
+	fs.UintVar(&tc.IntervalShift, "interval-shift", tc.IntervalShift, "window interval exponent (2^shift ns)")
+	fs.IntVar(&tc.Window, "window", tc.Window, "window length in intervals")
+	fs.Uint64Var(&tc.K, "k", 2, "sigma multiplier for the anomaly check (0 disables for freq modes)")
+	fs.StringVar(&tc.Base, "base-prefix", tc.Base, "dst24/entropy modes: /16 whose /24 subnets are indexed")
+	fs.Float64Var(&tc.H0Bits, "h0", 0, "entropy mode: alert when the mix drops below this many bits (0 disables)")
+	fs.Uint64Var(&tc.CheckEvery, "check-every", 1024, "entropy mode: check cadence in observations (power of two)")
+	fs.UintVar(&tc.SampleShift, "sample-shift", 6, "hh mode: recirculation probability 2^-shift")
+	return tc
+}
+
 // replayMetrics is the telemetry wiring of a replay: one switch observer per
 // shard (single-writer: whichever goroutine runs the shard), the merged
-// fleet view, and the fleet counters — the per-shard + merged split in one
+// fleet view, and the runtime's series — the per-shard + merged split in one
 // registry.
 type replayMetrics struct {
 	sp  *telemetry.ShardedPipeline
@@ -118,16 +122,14 @@ func newReplayMetrics(shards int) *replayMetrics {
 	}
 }
 
-// attach installs one observer per shard and exposes the fleet counters.
-func (rm *replayMetrics) attach(ss *p4.ShardedSwitch) {
-	for i := 0; i < ss.NumShards(); i++ {
-		ss.Shard(i).SetObserver(rm.sp.Shards[i])
+// attach installs one observer per shard and exposes the fleet view and
+// the runtime's series.
+func (rm *replayMetrics) attach(rt *stat4p4.Runtime) {
+	for i := 0; i < rt.NumShards(); i++ {
+		rt.Sharded().Shard(i).SetObserver(rm.sp.Shards[i])
 	}
 	rm.sp.Register(rm.reg)
-	rm.reg.RegisterCounter("pkts_in", "frames handed to the pipelines", func() uint64 { return ss.Stats().PktsIn })
-	rm.reg.RegisterCounter("digests_dropped", "digests lost to a full merged mailbox", func() uint64 { return ss.Stats().DigestDrops })
-	rm.reg.RegisterCounter("pkts_out", "frames emitted by the pipelines", func() uint64 { return ss.Stats().PktsOut })
-	rm.reg.RegisterCounter("parse_errors", "frames rejected by the parsers", func() uint64 { return ss.Stats().ParseErrors })
+	stat4p4.RegisterMetrics(rt, rm.reg)
 }
 
 // emit refreshes the merged view and prints the Prometheus exposition
@@ -183,7 +185,7 @@ func recordTrace(path string, seconds float64) error {
 }
 
 // trackConfig is what a replay binds and reports: a -track with its
-// parameters, or an app config.
+// parameters, SampleShift the -sample-shift flag, or an app config.
 type trackConfig struct {
 	Track string // "config" when App is set
 	stat4p4.TrackParams
@@ -204,6 +206,7 @@ func (tc trackConfig) install(rt *stat4p4.Runtime) (err error) {
 	if tc.App != nil {
 		_, err = tc.App.Install(rt)
 	} else {
+		tc.SampleShift = stat4p4.FlagSampleShift(tc.Track, tc.SampleShift)
 		_, err = stat4p4.BindTrack(rt, tc.Track, tc.TrackParams)
 	}
 	return err
@@ -225,14 +228,8 @@ func feed(path string, ss *p4.ShardedSwitch, onDigest func(p4.Digest)) (frames i
 	flush := func() {
 		ss.ProcessBatch(batch, nil)
 		batch = batch[:0]
-		for {
-			select {
-			case d := <-ss.Digests():
-				onDigest(d)
-				continue
-			default:
-			}
-			return
+		for len(ss.Digests()) > 0 {
+			onDigest(<-ss.Digests())
 		}
 	}
 	for {
@@ -276,7 +273,7 @@ func replay(path string, tc trackConfig, shards int, rm *replayMetrics) (*stat4p
 	}
 	ss := rt.Sharded()
 	if rm != nil {
-		rm.attach(ss)
+		rm.attach(rt)
 	}
 	var alerts []p4.Digest
 	frames, seconds, err := feed(path, ss, func(d p4.Digest) {
@@ -292,11 +289,8 @@ func replay(path string, tc trackConfig, shards int, rm *replayMetrics) (*stat4p
 	}
 
 	st := ss.Stats()
-	fmt.Printf("replayed %d frames spanning %.3fs (%d parse errors)", frames, seconds, st.ParseErrors)
-	if tc.Track == "hh" {
-		fmt.Printf(", %d recirculations", st.Recirculated)
-	}
-	fmt.Println()
+	fmt.Printf("replayed %d frames spanning %.3fs (%d parse errors, %d recirculations)\n",
+		frames, seconds, st.ParseErrors, st.Recirculated)
 	if shards > 1 {
 		fmt.Printf("over %d shards\n", shards)
 		var maxShard uint64
@@ -311,71 +305,48 @@ func replay(path string, tc trackConfig, shards int, rm *replayMetrics) (*stat4p
 		fmt.Printf("modeled multi-pipeline speedup: %.2fx (total/busiest shard, one pipeline per shard; not this run's wall clock)\n",
 			float64(st.PktsIn)/float64(max(maxShard, 1)))
 	}
-	if err := report(rt, tc); err != nil {
+	if err := report(os.Stdout, rt, tc.Track); err != nil {
 		return rt, nil, err
 	}
 	printDigests(alerts)
 	return rt, alerts, nil
 }
 
-// report prints slot 0's end-of-run measure for the track: one shard's
-// registers, or the merged view of several. A window is clock-driven per
-// shard and has no merged form, so on several shards each shard's is
-// printed.
-func report(rt *stat4p4.Runtime, tc trackConfig) error {
-	label := ""
-	if rt.NumShards() > 1 {
-		label = " (merged)"
-		if tc.Track == "window" {
-			for i := 0; i < rt.NumShards(); i++ {
-				m, err := stat4p4.ReadShard(rt, stat4p4.Moments, i, 0)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("  shard %d window: N=%d Xsum=%d var=%d sd=%d\n", i, m.N, m.Xsum, m.Var, m.SD)
-			}
-			return nil
+// report prints slot 0's end-of-run answer: the body of the view row its
+// kind reads back through, as stat4d serves it at /<row>?slot=0&n=10 — one
+// shard's registers, or the merge of several. A kind whose merged read is
+// not its answer (a window, clock-driven per shard) prints each shard's.
+func report(w io.Writer, rt *stat4p4.Runtime, track string) error {
+	v, merged := rt.SlotView(0)
+	answer := func(label string, body any, err error) error {
+		if err != nil {
+			return err
 		}
+		js, err := json.Marshal(body)
+		if err == nil {
+			_, err = fmt.Fprintf(w, "%s /%s: %s\n", label, v.Name(), js)
+		}
+		return err
 	}
-	switch tc.Track {
-	case "entropy":
-		es, err := stat4p4.Read(rt, stat4p4.Entropy, 0)
-		if err != nil {
+	if rt.NumShards() == 1 || merged {
+		label := fmt.Sprintf("tracked %q", track)
+		if rt.NumShards() > 1 {
+			label += " (merged)"
+		}
+		body, err := v.Body(rt, 0, reportEntries)
+		return answer(label, body, err)
+	}
+	for i := 0; i < rt.NumShards(); i++ {
+		body, err := v.ShardBody(rt, i, 0, reportEntries)
+		if err := answer(fmt.Sprintf("  shard %d", i), body, err); err != nil {
 			return err
 		}
-		fmt.Printf("tracked \"entropy\"%s: T=%d S=%d → %.4f bits\n", label, es.Total, es.Sum, es.Bits)
-	case "hh":
-		hh, err := stat4p4.Read(rt, stat4p4.HeavyHitters, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tracked \"hh\"%s: %d candidates promoted, %d recirculations rejected (table full)\n",
-			label, len(hh.Entries), hh.Rejected)
-		for i, e := range hh.Entries {
-			if i == 10 {
-				fmt.Printf("  ... %d more\n", len(hh.Entries)-10)
-				break
-			}
-			fmt.Printf("  %v: %d promotions (≈%d packets at 2^-%d sampling)\n",
-				packet.IP4(e.Key), e.Count, e.Count<<tc.SampleShift, tc.SampleShift)
-		}
-	case "flow":
-		st, err := stat4p4.Read(rt, stat4p4.FlowLedger, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tracked \"flow\"%s: %d of %d buckets occupied; %d admitted, %d evicted, %d rejected, %d shed\n",
-			label, st.Occupied, st.Capacity, st.Admitted, st.Evicted, st.Rejected, st.Shed)
-	default:
-		mo, err := stat4p4.Read(rt, stat4p4.Moments, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("tracked %q%s: N=%d Xsum=%d Xsumsq=%d var=%d sd=%d median-marker=%d\n",
-			tc.Track, label, mo.N, mo.Xsum, mo.Xsumsq, mo.Var, mo.SD, mo.Median)
 	}
 	return nil
 }
+
+// reportEntries is how many cells or entries an answer keeps.
+const reportEntries = 10
 
 // printDigests renders the drained digests by their decoded layout.
 func printDigests(alerts []p4.Digest) {

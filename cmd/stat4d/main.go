@@ -152,9 +152,11 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bindTrack(sr, cfg); err != nil {
-		sr.Close()
-		return nil, err
+	if cfg.Track != "none" { // "none" starts unbound; /bind takes it from there
+		if _, err := stat4p4.BindTrack(sr, cfg.Track, cfg.trackParams()); err != nil {
+			sr.Close()
+			return nil, err
+		}
 	}
 	e := ingest.New(sr, ingest.Config{
 		RingCap:     cfg.RingCap,
@@ -173,22 +175,8 @@ func (cfg daemonConfig) trackParams() stat4p4.TrackParams {
 	p.IntervalShift, p.Window, p.K = cfg.Shift, cfg.Window, cfg.K
 	p.Base, p.H0Bits, p.CheckEvery = cfg.BasePrefix, cfg.H0Bits, cfg.CheckEvery
 	p.EpochShift, p.TTL = cfg.FlowEpochShift, cfg.FlowTTL
-	if cfg.Track == "hh" {
-		// -sample-shift is the hh coin; a flow track's admission coin is
-		// only set through /bind.
-		p.SampleShift = cfg.SampleShift
-	}
+	p.SampleShift = stat4p4.FlagSampleShift(cfg.Track, cfg.SampleShift)
 	return p
-}
-
-// bindTrack installs the startup statistic. "none" starts unbound; /bind
-// takes it from there.
-func bindTrack(sr *stat4p4.Runtime, cfg daemonConfig) error {
-	if cfg.Track == "none" {
-		return nil
-	}
-	_, err := stat4p4.BindTrack(sr, cfg.Track, cfg.trackParams())
-	return err
 }
 
 // start opens the listeners and plays the startup capture. It returns once
@@ -331,8 +319,7 @@ func (d *daemon) mux() *http.ServeMux {
 	return mux
 }
 
-// serveView answers one row of the view table (/moments, /counters, /entropy,
-// /heavyhitters, /flows) with the slot's merged read, between batches.
+// serveView answers a view row at /<name>: the slot's merged read, between batches.
 func (d *daemon) serveView(v stat4p4.AnyView) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		slot, err := intParam(r, "slot", 0)

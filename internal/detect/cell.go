@@ -108,7 +108,7 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 	if ctrl == 0 {
 		ctrl = defaultCtrlDelayNs
 	}
-	want := alertKind[c.Config.Track]
+	want := stat4p4.AlertKind(c.Config.Binding.Kind)
 	var decodeErr error
 	onDigest := func(now uint64, d p4.Digest) {
 		dec, err := stat4p4.DecodeDigest(d)
@@ -119,11 +119,8 @@ func replay(c Cell, stream traffic.Stream) (replayOut, error) {
 		if dec.Kind != want {
 			return
 		}
-		a := Alert{TsNs: now}
-		if c.Config.Track == TrackHH {
-			a.Key = dec.Values[0]
-		}
-		out.alerts = append(out.alerts, a)
+		key, _ := dec.Value("key") // a heavy hitter's culprit
+		out.alerts = append(out.alerts, Alert{TsNs: now, Key: key})
 	}
 
 	sim := netem.NewSim()

@@ -20,13 +20,6 @@ const (
 	TrackWindow Track = "window"
 )
 
-// alertKind is the stat4p4.DecodeDigest kind each track's detector raises.
-var alertKind = map[Track]string{
-	TrackEntropy: "entropy",
-	TrackHH:      "heavy-hitter",
-	TrackWindow:  "anomaly",
-}
-
 // Config is one detector configuration in the quality matrix: program
 // options plus a binding recipe. Pathological configs are deliberately
 // broken variants of a healthy twin — the dominance assertion requires each

@@ -129,45 +129,18 @@ func New(sr *stat4p4.Runtime, cfg Config) *Engine {
 		}
 		e.alertNext = (e.alertNext + 1) % cap(e.alerts)
 	})
-	e.sp.Ingest = &telemetry.IngestMetrics{
-		RingDepth:   func() uint64 { return uint64(e.ring.Len()) },
-		RingCap:     func() uint64 { return uint64(e.ring.Cap()) },
-		BlocksInUse: e.slab.InUse,
-		ShedBatches: e.shedBatches.Load,
-		ShedFrames:  e.shedFrames.Load,
-	}
 	e.sp.Register(e.reg)
+	e.reg.RegisterGauge("ingest_ring_depth", "batch descriptors queued in the ingest ring", func() uint64 { return uint64(e.ring.Len()) })
+	e.reg.RegisterGauge("ingest_ring_capacity", "ingest ring descriptor capacity", func() uint64 { return uint64(e.ring.Cap()) })
+	e.reg.RegisterGauge("ingest_blocks_in_use", "frame slab blocks owned by in-flight batches", e.slab.InUse)
+	e.reg.RegisterCounter("ingest_shed_batches", "batches shed against a full ingest ring", e.shedBatches.Load)
+	e.reg.RegisterCounter("ingest_shed_frames", "frames lost with shed batches", e.shedFrames.Load)
 	e.reg.RegisterCounter("ingest_frames", "frames consumed from the ring", e.frames.Load)
 	e.reg.RegisterCounter("ingest_batches", "batch descriptors consumed from the ring", e.batches.Load)
 	e.reg.RegisterCounter("alerts_total", "anomaly digests received by the fleet sink", func() uint64 { return e.alertTotal })
-	e.reg.RegisterCounter("pkts_in", "frames handed to the shard pipelines", func() uint64 { return e.ss.Stats().PktsIn })
-	e.reg.RegisterCounter("digests_dropped", "digests lost to a full merged mailbox", func() uint64 { return e.ss.Stats().DigestDrops })
-	e.reg.RegisterCounter("pkts_out", "frames emitted by the shard pipelines", func() uint64 { return e.ss.Stats().PktsOut })
-	e.reg.RegisterCounter("parse_errors", "frames rejected by the shard parsers", func() uint64 { return e.ss.Stats().ParseErrors })
-	e.reg.RegisterCounter("recirculated", "heavy-hitter promotion passes taken through the pipelines", func() uint64 { return e.ss.Stats().Recirculated })
-	if lib := sr.Library(); lib.Opts.FlowTable {
-		// Scrapes run on the consumer (WriteProm goes through Do), so these
-		// callbacks may read merged flow-table state without racing a batch.
-		flowStat := func(pick func(stat4p4.FlowStats) uint64) func() uint64 {
-			return func() (sum uint64) {
-				for slot := 0; slot < lib.Opts.Slots; slot++ {
-					fs, _ := stat4p4.Read(e.sr, stat4p4.FlowLedger, slot) // in range, on a flow-table program
-					sum += pick(fs)
-				}
-				return sum
-			}
-		}
-		e.reg.RegisterGauge("flow_occupied", "occupied flow-table buckets across slots and shards",
-			flowStat(func(fs stat4p4.FlowStats) uint64 { return fs.Occupied }))
-		e.reg.RegisterCounter("flow_admitted_total", "flows admitted into the flow table",
-			flowStat(func(fs stat4p4.FlowStats) uint64 { return fs.Admitted }))
-		e.reg.RegisterCounter("flow_evicted_total", "stale flow-table entries reclaimed by eviction",
-			flowStat(func(fs stat4p4.FlowStats) uint64 { return fs.Evicted }))
-		e.reg.RegisterCounter("flow_rejected_total", "flow arrivals dropped with every candidate bucket live",
-			flowStat(func(fs stat4p4.FlowStats) uint64 { return fs.Rejected }))
-		e.reg.RegisterCounter("flow_shed_total", "flow arrivals shed by the sampling front-end",
-			flowStat(func(fs stat4p4.FlowStats) uint64 { return fs.Shed }))
-	}
+	// Scrapes run on the consumer (WriteProm goes through Do), so the
+	// runtime's series read merged state without racing a batch.
+	stat4p4.RegisterMetrics(sr, e.reg)
 	go e.run()
 	return e
 }

@@ -375,9 +375,13 @@ func TestEngineExposition(t *testing.T) {
 	if _, err := telemetry.ValidateExposition(out); err != nil {
 		t.Fatal(err)
 	}
+	// Depth-style series render as gauges, shed totals as counters.
 	for _, want := range []string{
-		"stat4d_ingest_ring_depth",
-		"stat4d_ingest_shed_batches 0",
+		"# TYPE stat4d_ingest_ring_depth gauge\nstat4d_ingest_ring_depth 0",
+		"# TYPE stat4d_ingest_ring_capacity gauge\nstat4d_ingest_ring_capacity 256",
+		"# TYPE stat4d_ingest_blocks_in_use gauge\nstat4d_ingest_blocks_in_use 0",
+		"# TYPE stat4d_ingest_shed_batches counter\nstat4d_ingest_shed_batches 0",
+		"# TYPE stat4d_ingest_shed_frames counter\nstat4d_ingest_shed_frames 0",
 		"stat4d_ingest_frames 4100",
 		"stat4d_pkts_in 4100",
 		"stat4d_shard0_packet_cost_ns_count",

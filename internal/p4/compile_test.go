@@ -617,8 +617,9 @@ func TestSetDeparserReadsAfterNewSwitch(t *testing.T) {
 	prog.SetDeparserReads(std.InPort)
 	mustSwitch(t, prog, std)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("SetDeparserReads after the first switch did not panic")
+		want := fmt.Sprintf("p4: SetDeparserReads on program %q after NewShardedSwitch", prog.Name)
+		if got := recover(); got != want {
+			t.Fatalf("SetDeparserReads after the first switch: recovered %v, want %q", got, want)
 		}
 	}()
 	prog.SetDeparserReads(std.WireLen)

@@ -305,7 +305,7 @@ func (p *Program) SetDeparserReads(fields ...FieldID) {
 	planMu.Lock()
 	defer planMu.Unlock()
 	if p.plan != nil {
-		panic(fmt.Sprintf("p4: SetDeparserReads on program %q after NewSwitch", p.Name))
+		panic(fmt.Sprintf("p4: SetDeparserReads on program %q after NewShardedSwitch", p.Name))
 	}
 	p.deparserReads = append([]FieldID(nil), fields...)
 }

@@ -120,6 +120,9 @@ type kind struct {
 	// noStrict marks a kind whose action needs runtime multiplication and
 	// is therefore not emitted for Strict targets.
 	noStrict bool
+	// perShard marks a kind whose slot state is clock-driven per shard (a
+	// window), so the view's merged read is not the slot's answer.
+	perShard bool
 	params   []param
 	// note builds what CanonicalizeSnapshot must remember about the slot;
 	// nil when the kind leaves nothing to recompute. Lower adds the kind's
@@ -135,29 +138,33 @@ var (
 	winParams = []param{pIntervalShift, pCapacity, pWindowK}
 )
 
-// kinds is the kind table, in the order the emitter lists the actions in
-// every binding table: the kinds every program carries, then (init) each
-// measure row's.
-var kinds = []kind{
+// coreKinds are the kinds every program carries.
+var coreKinds = []kind{
 	{name: "freq-echo", action: "bind_freq_echo", view: Moments, params: freqTail, note: noteWeights},
 	{name: "freq-dst", action: "bind_freq_dst", view: Moments, params: freqShift, note: noteWeights},
 	{name: "freq-dport", action: "bind_freq_dport", view: Moments, params: freqShift, note: noteWeights},
 	{name: "freq-proto", action: "bind_freq_proto", view: Moments, params: freqTail, note: noteWeights},
 	{name: "freq-len", action: "bind_freq_len", view: Moments, params: freqShift, note: noteWeights},
-	{name: "window", action: "bind_window", view: Moments, params: winParams},
-	{name: "window-bytes", action: "bind_window_bytes", view: Moments, noStrict: true, params: winParams},
+	{name: "window", action: "bind_window", view: Moments, perShard: true, params: winParams},
+	{name: "window-bytes", action: "bind_window_bytes", view: Moments, noStrict: true, perShard: true, params: winParams},
 }
 
-// init appends each measure row's kinds, which need it, and track presets to
-// the core tables, in measure order.
-func init() {
+// kinds is the kind table, in the order the emitter lists the actions in
+// every binding table, and tracks the preset table (tracks.go).
+var kinds, tracks = assemble()
+
+// assemble builds the kind and preset tables: the core rows, then each
+// measure row's kinds, which need it, and presets, in measure order.
+func assemble() (ks []kind, ts []track) {
+	ks, ts = append(ks, coreKinds...), append(ts, coreTracks...)
 	for _, m := range measures {
 		for _, k := range m.kinds {
 			k.needs = m
-			kinds = append(kinds, k)
+			ks = append(ks, k)
 		}
-		tracks = append(tracks, m.tracks...)
+		ts = append(ts, m.tracks...)
 	}
+	return ks, ts
 }
 
 func findKind(name string) *kind {

@@ -2,6 +2,7 @@ package stat4p4
 
 import (
 	"fmt"
+	"slices"
 
 	"stat4/internal/p4"
 )
@@ -39,14 +40,31 @@ func digestLayoutOf(id int) *digestLayout {
 	return nil
 }
 
+// AlertKind is the Alert.Kind a binding of the kind raises: its measure's
+// own digest's, else the anomaly digest's.
+func AlertKind(kind string) string {
+	if k := findKind(kind); k != nil && k.needs != nil && k.needs.digest != nil {
+		return k.needs.digest.kind
+	}
+	return anomalyDigest.kind
+}
+
 // Alert is a decoded digest. Fields names the payload values in wire order;
 // Values aliases the digest's own storage.
 type Alert struct {
-	Kind   string // "anomaly", "entropy" or "heavy-hitter"
+	Kind   string // the layout's: "anomaly", or a measure row's digest kind
 	Slot   uint64
 	TsNs   uint64
 	Fields []string
 	Values []uint64
+}
+
+// Value is the payload value named field, if the layout has one.
+func (a Alert) Value(field string) (uint64, bool) {
+	if i := slices.Index(a.Fields, field); i >= 0 {
+		return a.Values[i], true
+	}
+	return 0, false
 }
 
 // DecodeDigest names a digest's values by its ID's layout. An unknown ID or

@@ -415,8 +415,9 @@ var Flows = &View[FlowSnapshot]{name: "flows",
 	}}
 
 // FlowLedger is the ledger half of Flows alone, per-slot counters with no
-// bucket walk, for readers on a clock (the flow_* scrape gauges); it has no
-// name, so no path of its own. Merged, ledgers and capacities add.
+// bucket walk, for readers on a clock: its metrics are the flow_* scrape
+// series. It has no name, so no path of its own. Merged, ledgers and
+// capacities add.
 var FlowLedger = &View[FlowStats]{read: readFlowLedger,
 	merge: func(_ *Runtime, _ int, shards []FlowStats) (m FlowStats) {
 		for _, s := range shards {
@@ -424,6 +425,13 @@ var FlowLedger = &View[FlowStats]{read: readFlowLedger,
 				m.Rejected + s.Rejected, m.Shed + s.Shed, m.Capacity + s.Capacity}
 		}
 		return m
+	},
+	metrics: []metric[FlowStats]{
+		{"flow_occupied", "occupied flow-table buckets across slots and shards", true, func(fs FlowStats) uint64 { return fs.Occupied }},
+		{"flow_admitted_total", "flows admitted into the flow table", false, func(fs FlowStats) uint64 { return fs.Admitted }},
+		{"flow_evicted_total", "stale flow-table entries reclaimed by eviction", false, func(fs FlowStats) uint64 { return fs.Evicted }},
+		{"flow_rejected_total", "flow arrivals dropped with every candidate bucket live", false, func(fs FlowStats) uint64 { return fs.Rejected }},
+		{"flow_shed_total", "flow arrivals shed by the sampling front-end", false, func(fs FlowStats) uint64 { return fs.Shed }},
 	}}
 
 // FlowStats is the admission ledger of one slot's flow table. Occupied

@@ -60,7 +60,7 @@ var hhMeasure = &measure{
 		{name: "hh-src", action: "bind_hh_src", view: HeavyHitters, params: []param{pShift, pSampleMask}},
 	},
 	scratch: func(f fieldFunc) { hhFields(f) },
-	tracks:  []track{{name: "hh", kind: "hh-src"}},
+	tracks:  []track{{name: "hh", kind: "hh-src", sampled: true}},
 }
 
 // hhScratch is the row's scratch: the flow key and table coordinates ride the
@@ -223,7 +223,8 @@ var HeavyHitters = &View[HHSnapshot]{name: "heavyhitters",
 		m.Entries = byKey(m.Entries)
 		return m
 	},
-	body: func(slot, _ int, h HHSnapshot) any {
+	body: func(slot, n int, h HHSnapshot) any {
+		h.Entries = head(h.Entries, n)
 		return struct {
 			Slot int `json:"slot"`
 			HHSnapshot

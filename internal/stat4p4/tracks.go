@@ -73,17 +73,18 @@ func (p TrackParams) WithDefaults() TrackParams {
 
 // track is one row of the preset table. shift is the track's fixed
 // extraction granularity; based tracks index the /24 subnets of
-// TrackParams.Base.
+// TrackParams.Base; a sampled track's coin is the commands' -sample-shift.
 type track struct {
-	name  string
-	kind  string
-	shift uint
-	based bool
+	name    string
+	kind    string
+	shift   uint
+	based   bool
+	sampled bool
 }
 
-// tracks is the preset table: the core presets, then (init, binding.go)
-// each measure row's.
-var tracks = []track{
+// coreTracks are the presets over the core kinds; assemble (binding.go)
+// adds each measure row's.
+var coreTracks = []track{
 	{name: "window", kind: "window"},
 	{name: "dst24", kind: "freq-dst", shift: 8, based: true},
 	{name: "proto", kind: "freq-proto"},
@@ -106,6 +107,15 @@ func findTrack(name string) (*track, error) {
 		}
 	}
 	return nil, fmt.Errorf("unknown track %q", name)
+}
+
+// FlagSampleShift is the coin a command's -sample-shift flag gives the named
+// track: the flag's value for a sampled track (hh's), else 0.
+func FlagSampleShift(track string, flag uint) uint {
+	if t, err := findTrack(track); err == nil && t.sampled {
+		return flag
+	}
+	return 0
 }
 
 // TrackBase is the sizing a one-track tool (stat4-replay -track) compiles

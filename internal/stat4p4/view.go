@@ -3,6 +3,7 @@ package stat4p4
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"stat4/internal/p4"
@@ -26,6 +27,15 @@ type View[T any] struct {
 	// body shapes a read as the control plane's JSON answer (nil: the read
 	// as it is); n keeps the first n cells or entries (0: all).
 	body func(slot, n int, v T) any
+	// metrics are the row's scrape series: one field of the read summed
+	// over the program's slots, a running total or (gauge) a level.
+	metrics []metric[T]
+}
+
+type metric[T any] struct {
+	name, help string
+	gauge      bool
+	field      func(T) uint64
 }
 
 // AnyView is a view with its value type erased — what the table holds.
@@ -34,16 +44,81 @@ type AnyView interface {
 	Name() string
 	// Body reads the slot and shapes it as the control plane's answer.
 	Body(rt *Runtime, slot, n int) (any, error)
+	// ShardBody is Body from one shard's registers alone.
+	ShardBody(rt *Runtime, shard, slot, n int) (any, error)
+	register(rt *Runtime, reg registry)
 }
 
 func (v *View[T]) Name() string { return v.name }
 
 func (v *View[T]) Body(rt *Runtime, slot, n int) (any, error) {
 	got, err := Read(rt, v, slot)
+	return v.shape(slot, n, got, err)
+}
+
+func (v *View[T]) ShardBody(rt *Runtime, shard, slot, n int) (any, error) {
+	got, err := ReadShard(rt, v, shard, slot)
+	return v.shape(slot, n, got, err)
+}
+
+func (v *View[T]) shape(slot, n int, got T, err error) (any, error) {
 	if err != nil || v.body == nil {
 		return got, err
 	}
 	return v.body(slot, n, got), nil
+}
+
+// registry is where RegisterMetrics puts the series: a telemetry.Registry.
+type registry interface {
+	RegisterCounter(name, help string, fn func() uint64)
+	RegisterGauge(name, help string, fn func() uint64)
+}
+
+func (v *View[T]) register(rt *Runtime, reg registry) {
+	for _, m := range v.metrics {
+		sum := func() (sum uint64) {
+			for slot := 0; slot < rt.lib.Opts.Slots; slot++ {
+				got, _ := Read(rt, v, slot) // in range, on a program with the row's measure
+				sum += m.field(got)
+			}
+			return sum
+		}
+		if m.gauge {
+			reg.RegisterGauge(m.name, m.help, sum)
+		} else {
+			reg.RegisterCounter(m.name, m.help, sum)
+		}
+	}
+}
+
+// RegisterMetrics registers the runtime's scrape series: the data plane's
+// counters, then the metrics of the view rows of the measures its program
+// carries. Each reads on every scrape; a scrape must not race a batch.
+func RegisterMetrics(rt *Runtime, reg registry) {
+	ss := rt.ss
+	reg.RegisterCounter("pkts_in", "frames handed to the shard pipelines", func() uint64 { return ss.Stats().PktsIn })
+	reg.RegisterCounter("digests_dropped", "digests lost to a full merged mailbox", func() uint64 { return ss.Stats().DigestDrops })
+	reg.RegisterCounter("pkts_out", "frames emitted by the shard pipelines", func() uint64 { return ss.Stats().PktsOut })
+	reg.RegisterCounter("parse_errors", "frames rejected by the shard parsers", func() uint64 { return ss.Stats().ParseErrors })
+	reg.RegisterCounter("recirculated", "packets that took the recirculation pass", func() uint64 { return ss.Stats().Recirculated })
+	for _, m := range measures {
+		if *m.on(&rt.lib.Opts) {
+			for _, v := range m.views {
+				v.register(rt, reg)
+			}
+		}
+	}
+}
+
+// SlotView is the row the kind bound on slot reads back through (Moments
+// when nothing is), and whether its merged read is the slot's answer; when
+// it is not (a clock-driven window), each shard's read is.
+func (rt *Runtime) SlotView(slot int) (v AnyView, merged bool) {
+	low, ok := rt.slots[slot]
+	if !ok {
+		return Moments, true
+	}
+	return low.kind.view, !low.kind.perShard
 }
 
 // Read answers one view for one slot: on one shard, the shard's own
@@ -52,8 +127,7 @@ func (v *View[T]) Body(rt *Runtime, slot, n int) (any, error) {
 // ErrBadSlot.
 func Read[T any](rt *Runtime, v *View[T], slot int) (T, error) {
 	if err := v.check(rt, slot); err != nil {
-		var zero T
-		return zero, err
+		return *new(T), err
 	}
 	if rt.NumShards() == 1 {
 		return v.read(rt.shard(0), slot), nil
@@ -64,12 +138,10 @@ func Read[T any](rt *Runtime, v *View[T], slot int) (T, error) {
 // ReadShard answers one view for one slot from one shard's registers alone.
 func ReadShard[T any](rt *Runtime, v *View[T], shard, slot int) (T, error) {
 	if err := v.check(rt, slot); err != nil {
-		var zero T
-		return zero, err
+		return *new(T), err
 	}
 	if shard < 0 || shard >= rt.NumShards() {
-		var zero T
-		return zero, fmt.Errorf("stat4p4: shard %d of %d", shard, rt.NumShards())
+		return *new(T), fmt.Errorf("stat4p4: shard %d of %d", shard, rt.NumShards())
 	}
 	return v.read(rt.shard(shard), slot), nil
 }
@@ -96,10 +168,8 @@ func (v *View[T]) merged(rt *Runtime, slot int) T {
 // needs is the measure whose row lists the view; nil for a core view.
 func needs(v AnyView) *measure {
 	for _, m := range measures {
-		for _, w := range m.views {
-			if w == v {
-				return m
-			}
+		if slices.Contains(m.views, v) {
+			return m
 		}
 	}
 	return nil

@@ -136,21 +136,20 @@ func TestShardedPipelineRegister(t *testing.T) {
 	}
 }
 
-// TestShardedPipelineIngestSeries pins the ingest plane's export: depth-style
-// readers render as TYPE gauge, shed totals as counters, nil readers as zero,
-// and the whole exposition still validates.
+// TestShardedPipelineIngestSeries pins the ingest plane's export as an
+// ingest engine lays it out: lazy depth-style readers registered next to a
+// sharded pipeline render as TYPE gauge, shed totals as counters, and the
+// whole exposition still validates.
 func TestShardedPipelineIngestSeries(t *testing.T) {
 	sp := NewShardedPipeline(1)
-	depth := uint64(3)
-	sp.Ingest = &IngestMetrics{
-		RingDepth:   func() uint64 { return depth },
-		RingCap:     func() uint64 { return 64 },
-		BlocksInUse: func() uint64 { return 2 },
-		ShedBatches: func() uint64 { return 5 },
-		// ShedFrames deliberately nil: it must render as 0, not panic.
-	}
 	reg := NewRegistry("stat4d")
 	sp.Register(reg)
+	depth := uint64(3)
+	reg.RegisterGauge("ingest_ring_depth", "batch descriptors queued in the ingest ring", func() uint64 { return depth })
+	reg.RegisterGauge("ingest_ring_capacity", "ingest ring descriptor capacity", func() uint64 { return 64 })
+	reg.RegisterGauge("ingest_blocks_in_use", "frame slab blocks owned by in-flight batches", func() uint64 { return 2 })
+	reg.RegisterCounter("ingest_shed_batches", "batches shed against a full ingest ring", func() uint64 { return 5 })
+	reg.RegisterCounter("ingest_shed_frames", "frames lost with shed batches", func() uint64 { return 0 })
 
 	var sb strings.Builder
 	if err := reg.WriteProm(&sb); err != nil {
@@ -163,6 +162,7 @@ func TestShardedPipelineIngestSeries(t *testing.T) {
 		"# TYPE stat4d_ingest_blocks_in_use gauge\nstat4d_ingest_blocks_in_use 2",
 		"# TYPE stat4d_ingest_shed_batches counter\nstat4d_ingest_shed_batches 5",
 		"# TYPE stat4d_ingest_shed_frames counter\nstat4d_ingest_shed_frames 0",
+		"stat4d_shard0_packet_cost_ns_count",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

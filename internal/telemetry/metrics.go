@@ -275,36 +275,6 @@ type ShardedPipeline struct {
 	Shards []*SwitchMetrics
 	// Merged is the fleet-wide switch view, valid after Refresh.
 	Merged *SwitchMetrics
-	// Ingest, when set before Register, adds the ingest plane's ring and
-	// slab series to the fleet totals.
-	Ingest *IngestMetrics
-}
-
-// IngestMetrics exposes an ingest plane (the stat4d ring between the stream
-// readers and the sharded datapath) as lazy readers, so the daemon registers
-// live occupancy gauges and shed totals without this package importing the
-// ring implementation. Depth-style readers render as gauges — they go down
-// as well as up — and shed totals as counters. Nil readers render as zero.
-type IngestMetrics struct {
-	// RingDepth reads the batch descriptors currently queued; RingCap the
-	// ring's capacity — together the backpressure headroom.
-	RingDepth func() uint64
-	RingCap   func() uint64
-	// BlocksInUse reads the slab blocks currently owned by in-flight batches.
-	BlocksInUse func() uint64
-	// ShedBatches/ShedFrames total the work producers dropped against a full
-	// ring or an exhausted slab — the Lean-Algorithms posture: shed at the
-	// edge, count what was shed, never block the datapath.
-	ShedBatches func() uint64
-	ShedFrames  func() uint64
-}
-
-// orZero guards a lazy reader that may be left nil.
-func orZero(fn func() uint64) func() uint64 {
-	if fn == nil {
-		return func() uint64 { return 0 }
-	}
-	return fn
 }
 
 // NewShardedPipeline returns a bundle for n shards.
@@ -354,13 +324,6 @@ func (sp *ShardedPipeline) Register(reg *Registry) {
 		sp.shardSum((*SwitchMetrics).Emitted))
 	reg.RegisterCounter("digests_delivered", "digests drained by consumers, all shards",
 		sp.shardSum((*SwitchMetrics).Delivered))
-	if sp.Ingest != nil {
-		reg.RegisterGauge("ingest_ring_depth", "batch descriptors queued in the ingest ring", orZero(sp.Ingest.RingDepth))
-		reg.RegisterGauge("ingest_ring_capacity", "ingest ring descriptor capacity", orZero(sp.Ingest.RingCap))
-		reg.RegisterGauge("ingest_blocks_in_use", "frame slab blocks owned by in-flight batches", orZero(sp.Ingest.BlocksInUse))
-		reg.RegisterCounter("ingest_shed_batches", "batches shed against a full ingest ring", orZero(sp.Ingest.ShedBatches))
-		reg.RegisterCounter("ingest_shed_frames", "frames lost with shed batches", orZero(sp.Ingest.ShedFrames))
-	}
 	for i, s := range sp.Shards {
 		prefix := fmt.Sprintf("shard%d_", i)
 		reg.RegisterHist(prefix+"packet_cost_ns", fmt.Sprintf("shard %d per-packet processing cost (deparse only when frames are emitted), sampled 1-in-64", i), s.Cost)
