@@ -135,6 +135,38 @@ func TestReplayShardsAgree(t *testing.T) {
 	}
 }
 
+// TestReplayWindowShardsAgree replays one recorded capture on the window
+// track at one shard and at two and requires the same merged moments, the
+// marker included: a window keeps no median marker, so its merge must not
+// derive one.
+func TestReplayWindowShardsAgree(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.pcap")
+	if err := recordTrace(trace, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	var moments []stat4p4.MomentsSnapshot
+	for _, shards := range []int{1, 2} {
+		rt, _, err := replay(trace, trackConfig{Track: "window", TrackParams: stat4p4.TrackDefaults}, shards, nil)
+		if rt != nil {
+			defer rt.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := stat4p4.Read(rt, stat4p4.Moments, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moments = append(moments, m)
+	}
+	if moments[0].N == 0 {
+		t.Fatalf("test vacuous: one-shard moments %+v", moments[0])
+	}
+	if moments[0] != moments[1] {
+		t.Fatalf("one shard %+v, two shards merged %+v", moments[0], moments[1])
+	}
+}
+
 // TestDigestsDroppedExported: with a one-digest mailbox and a binding that
 // alerts on every observation, a 256-frame batch loses digests in the merged
 // mailbox. The exported digests_dropped is exactly the switch's count of

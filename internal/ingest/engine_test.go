@@ -535,7 +535,6 @@ func (o *batchStarts) PacketCost(uint64) {
 	}
 }
 func (o *batchStarts) DigestEmitted() {}
-func (o *batchStarts) DigestDropped() {}
 
 // alertingFrames is testFrames' balanced mix for the first 40 % of count,
 // then one destination going hot — the case-study recipe, under which a k=2

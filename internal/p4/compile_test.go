@@ -89,7 +89,7 @@ func buildKitchenSink() (*Program, StdFields) {
 	return p, std
 }
 
-func installKitchenSinkEntries(t *testing.T, sw *Switch) {
+func installKitchenSinkEntries(t *testing.T, sw *ShardedSwitch) {
 	t.Helper()
 	inserts := []struct {
 		tbl    string
@@ -162,7 +162,7 @@ func TestCompiledPlanMatchesTreeWalker(t *testing.T) {
 			savedPort = outC[0].Port
 			savedData = append(savedData, outC[0].Data...)
 		}
-		outT := tree.processFrameTree(uint64(i)*100, port, frame)
+		outT := ProcessFrameTree(tree, uint64(i)*100, port, frame)
 		if len(outC) != len(outT) {
 			t.Fatalf("frame %d: compiled emitted %d frames, tree %d", i, len(outC), len(outT))
 		}
@@ -184,13 +184,13 @@ func TestCompiledPlanMatchesTreeWalker(t *testing.T) {
 	if sc, st := compiled.Stats(), tree.Stats(); sc != st {
 		t.Fatalf("stats differ: compiled %+v, tree %+v", sc, st)
 	}
-	snapC, snapT := compiled.Snapshot(), tree.Snapshot()
+	snapC, snapT := compiled.Shard(0).Snapshot(), tree.Shard(0).Snapshot()
 	if !reflect.DeepEqual(snapC.Registers, snapT.Registers) {
 		t.Fatalf("register state differs: compiled %v, tree %v", snapC.Registers, snapT.Registers)
 	}
 }
 
-func drainDigests(sw *Switch) []Digest {
+func drainDigests(sw *ShardedSwitch) []Digest {
 	var out []Digest
 	for {
 		select {
@@ -211,12 +211,13 @@ func drainDigests(sw *Switch) []Digest {
 func TestLowerStmtsTargets(t *testing.T) {
 	for _, build := range []func() (*Program, StdFields){buildKitchenSink, buildLoweringProgram} {
 		prog, std := build()
-		sw := mustSwitch(t, prog, std)
+		ss := mustSwitch(t, prog, std)
 		if prog.Name == "kitchen-sink" {
-			installKitchenSinkEntries(t, sw)
+			installKitchenSinkEntries(t, ss)
 		} else {
-			newLowerRigOn(t, sw).insert(packet.ParseIP4(10, 0, 5, 0), 24, "add_at", 30, 5)
+			newLowerRigOn(t, ss).insert(packet.ParseIP4(10, 0, 5, 0), 24, "add_at", 30, 5)
 		}
+		sw := ss.Shard(0)
 		code := sw.code
 		if sw.recircPC == 0 || int(sw.recircPC) >= len(code) {
 			t.Fatalf("%s: recirculation pass at %d in a %d-op stream", prog.Name, sw.recircPC, len(code))
@@ -393,7 +394,7 @@ func buildLoweringProgram() (*Program, StdFields) {
 type lowerRig struct {
 	t    *testing.T
 	tree bool
-	sw   *Switch
+	sw   *ShardedSwitch
 	ts   uint64
 	log  []string
 }
@@ -404,16 +405,17 @@ func newLowerRig(t *testing.T, tree bool) *lowerRig {
 }
 
 // newLowerRigOn drives an existing switch of the lowering program.
-func newLowerRigOn(t *testing.T, sw *Switch) *lowerRig { return &lowerRig{t: t, sw: sw} }
+func newLowerRigOn(t *testing.T, sw *ShardedSwitch) *lowerRig { return &lowerRig{t: t, sw: sw} }
 
 // send processes one UDP frame to dst:dport on the rig's current switch.
 func (r *lowerRig) send(dst packet.IP4, dport uint16) {
 	frame := packet.NewUDPFrame(packet.ParseIP4(192, 0, 2, 1), dst, 1000, dport, 8).Serialize()
-	process := r.sw.ProcessFrame
+	var outs []FrameOut
 	if r.tree {
-		process = r.sw.processFrameTree
+		outs = ProcessFrameTree(r.sw, r.ts, 3, frame)
+	} else {
+		outs = r.sw.ProcessFrame(r.ts, 3, frame)
 	}
-	outs := process(r.ts, 3, frame)
 	r.ts++
 	line := fmt.Sprintf("outs=%d digests=%v", len(outs), drainDigests(r.sw))
 	for _, o := range outs {
@@ -439,7 +441,7 @@ func (r *lowerRig) delete(id EntryID) {
 }
 
 func (r *lowerRig) cells() []uint64 {
-	reg, err := r.sw.Register("counters")
+	reg, err := r.sw.Shard(0).Register("counters")
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -471,7 +473,7 @@ func TestModifyRebindsCompiledAction(t *testing.T) {
 		sw.ProcessFrame(uint64(i+1), 1, udpTo(packet.ParseIP4(10, 0, 5, 1)))
 	}
 
-	reg, err := sw.Register("counters")
+	reg, err := sw.Shard(0).Register("counters")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +568,7 @@ func TestLoweringCases(t *testing.T) {
 			if sc, st := compiled.sw.Stats(), tree.sw.Stats(); sc != st {
 				t.Fatalf("stats differ: compiled %+v, tree %+v", sc, st)
 			}
-			if sc, st := compiled.sw.Snapshot(), tree.sw.Snapshot(); !reflect.DeepEqual(sc, st) {
+			if sc, st := compiled.sw.Shard(0).Snapshot(), tree.sw.Shard(0).Snapshot(); !reflect.DeepEqual(sc, st) {
 				t.Fatalf("state differs:\ncompiled %+v\ntree     %+v", sc, st)
 			}
 			for i, v := range compiled.cells() {
@@ -586,7 +588,7 @@ func TestConstPoolDedup(t *testing.T) {
 	sw := mustSwitch(t, prog, std)
 	newLowerRigOn(t, sw).insert(packet.ParseIP4(10, 0, 5, 0), 24, "add_at", 3, 30)
 	nF := len(prog.Fields)
-	got := append([]uint64(nil), sw.frame[nF:]...)
+	got := append([]uint64(nil), sw.Shard(0).frame[nF:]...)
 	seen := make(map[uint64]bool)
 	for _, g := range got {
 		if seen[g] {
@@ -604,8 +606,8 @@ func TestConstPoolDedup(t *testing.T) {
 	// Processing never writes the pool: a packet leaves it as compiled.
 	sw.ProcessFrame(0, 1, udpTo(packet.ParseIP4(10, 0, 5, 1)))
 	sw.ProcessFrame(1, 1, udpTo(packet.ParseIP4(10, 0, 0, 1)))
-	if !reflect.DeepEqual(got, append([]uint64(nil), sw.frame[nF:]...)) {
-		t.Fatalf("constant pool changed by a packet: %v → %v", got, sw.frame[nF:])
+	if !reflect.DeepEqual(got, append([]uint64(nil), sw.Shard(0).frame[nF:]...)) {
+		t.Fatalf("constant pool changed by a packet: %v → %v", got, sw.Shard(0).frame[nF:])
 	}
 }
 

@@ -51,7 +51,7 @@ func contractBatch(n int) []FrameIn {
 }
 
 // bindSlash8 installs the counter program's standing entry: 10/8 → cell 1.
-func bindSlash8(t *testing.T, sw *Switch) {
+func bindSlash8(t *testing.T, sw *ShardedSwitch) {
 	t.Helper()
 	if _, err := sw.InsertEntry("bind",
 		[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 0, 0)), PrefixLen: 8}}, 0, "count_at", []uint64{1}); err != nil {
@@ -59,11 +59,12 @@ func bindSlash8(t *testing.T, sw *Switch) {
 	}
 }
 
-// controlPlane is every control-plane accessor of one counter-program
-// switch, one hammer loop each. The entry churn moves 10.0.3/24 between
-// cells 2 and 3, so whatever was installed when a frame matched, it counted
-// in exactly one of cells 1..3; WriteCell stays away from them.
-func controlPlane(t *testing.T, sw *Switch) []func() {
+// controlPlane is every control-plane accessor of one shard of a
+// counter-program switch, one hammer loop each, plus entry churn through the
+// sharded switch. The churn moves 10.0.3/24 between cells 2 and 3, so
+// whatever was installed when a frame matched, it counted in exactly one of
+// cells 1..3; WriteCell stays away from them.
+func controlPlane(t *testing.T, ss *ShardedSwitch, sw *Switch) []func() {
 	t.Helper()
 	reg, err := sw.Register("counters")
 	if err != nil {
@@ -82,21 +83,21 @@ func controlPlane(t *testing.T, sw *Switch) []func() {
 			}
 		},
 		func() {
-			id, err := sw.InsertEntry("bind",
+			id, err := ss.InsertEntry("bind",
 				[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 3, 0)), PrefixLen: 24}}, 0, "count_at", []uint64{2})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := sw.DeleteEntry("bind", id); err != nil {
+			if err := ss.DeleteEntry("bind", id); err != nil {
 				t.Error(err)
 			}
-			if id, err = sw.InsertEntry("bind",
+			if id, err = ss.InsertEntry("bind",
 				[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 3, 0)), PrefixLen: 24}}, 0, "count_at", []uint64{3}); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := sw.DeleteEntry("bind", id); err != nil {
+			if err := ss.DeleteEntry("bind", id); err != nil {
 				t.Error(err)
 			}
 		},
@@ -137,11 +138,11 @@ func TestControlPlaneConcurrentWithDataPlane(t *testing.T) {
 				sw.ProcessBatch(batch, func(FrameOut) { emitted++ })
 			}
 		},
-		controlPlane(t, sw)...,
+		controlPlane(t, sw, sw.Shard(0))...,
 	)
 
 	st := sw.Stats()
-	checkContractLedger(t, st, sw.Snapshot().Registers["counters"], batches, batches*perBatch)
+	checkContractLedger(t, st, sw.Shard(0).Snapshot().Registers["counters"], batches, batches*perBatch)
 	if emitted != st.PktsOut {
 		t.Fatalf("emitted %d frames, PktsOut %d", emitted, st.PktsOut)
 	}
@@ -189,16 +190,14 @@ func TestControlPlaneConcurrentWithCallerShard(t *testing.T) {
 			if tc.forkFrames >= 0 {
 				ss.forkFrames = tc.forkFrames
 			}
-			for i := 0; i < tc.shards; i++ {
-				bindSlash8(t, ss.Shard(i))
-			}
+			bindSlash8(t, ss)
 
 			const batches, small, large = 200, 64, 128
 			sizes := [2][]FrameIn{contractBatch(small), contractBatch(large)}
 			var emitted uint64
-			control := append(controlPlane(t, ss.Shard(0)), func() { ss.MergedSnapshot() })
+			control := append(controlPlane(t, ss, ss.Shard(0)), func() { ss.MergedSnapshot() })
 			if tc.shards > 1 {
-				control = append(control, controlPlane(t, ss.Shard(tc.shards-1))...)
+				control = append(control, controlPlane(t, ss, ss.Shard(tc.shards-1))...)
 			}
 			hammer(t,
 				func() {

@@ -3,18 +3,6 @@ package p4
 // Test-only API: constructors and accessors that only the tests of package
 // p4 and p4_test call, so no binary links them.
 
-// buildSwitch validates prog and builds one switch over it, the way
-// NewShardedSwitch builds each shard.
-func buildSwitch(prog *Program, std StdFields, digestBuf int) (*Switch, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	return newSwitch(prog, std, digestBuf), nil
-}
-
-// Digests returns the channel carrying the switch's data-plane alerts.
-func (sw *Switch) Digests() <-chan Digest { return sw.digests }
-
 // Snapshot is the control-plane bulk read, returning a copy of all cells.
 func (r *Register) Snapshot() []uint64 {
 	r.lock.Lock()

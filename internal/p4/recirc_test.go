@@ -54,7 +54,7 @@ func TestRecircPromotesSampledPackets(t *testing.T) {
 	sw.ProcessFrame(3, 1, udpTo(packet.ParseIP4(10, 0, 0, 5)))
 	sw.ProcessFrame(4, 1, udpTo(packet.ParseIP4(10, 0, 0, 6)))
 
-	reg, err := sw.Register("promoted")
+	reg, err := sw.Shard(0).Register("promoted")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRecircPromotesSampledPackets(t *testing.T) {
 // counters — the recirc pass is covered by the same differential discipline
 // as the main control flow.
 func TestRecircTreeCompiledParity(t *testing.T) {
-	mk := func() *Switch {
+	mk := func() *ShardedSwitch {
 		p, std := buildRecircProgram()
 		return mustSwitch(t, p, std)
 	}
@@ -88,12 +88,12 @@ func TestRecircTreeCompiledParity(t *testing.T) {
 
 	for i := 0; i < 64; i++ {
 		f := udpTo(packet.ParseIP4(10, 0, byte(i*7), byte(i*13)))
-		tree.processFrameTree(uint64(i), 1, f)
+		ProcessFrameTree(tree, uint64(i), 1, f)
 		comp.ProcessFrame(uint64(i), 1, f)
 	}
 
-	tr, _ := tree.Register("promoted")
-	cr, _ := comp.Register("promoted")
+	tr, _ := tree.Shard(0).Register("promoted")
+	cr, _ := comp.Shard(0).Register("promoted")
 	for cell := 0; cell < 16; cell++ {
 		tv, _ := tr.Read(cell)
 		cv, _ := cr.Read(cell)
@@ -131,12 +131,13 @@ func TestRecircRunsAtMostOnce(t *testing.T) {
 
 	for _, tree := range []bool{false, true} {
 		sw := mustSwitch(t, p, std)
-		process := sw.ProcessFrame
+		frame := udpTo(packet.ParseIP4(10, 0, 0, 1))
 		if tree {
-			process = sw.processFrameTree
+			ProcessFrameTree(sw, 0, 1, frame)
+		} else {
+			sw.ProcessFrame(0, 1, frame)
 		}
-		process(0, 1, udpTo(packet.ParseIP4(10, 0, 0, 1)))
-		reg, _ := sw.Register("trips")
+		reg, _ := sw.Shard(0).Register("trips")
 		if v, _ := reg.Read(0); v != 1 {
 			t.Fatalf("tree=%v: trips = %d, want exactly 1", tree, v)
 		}

@@ -32,6 +32,9 @@ import (
 // interleaved in arrival order, the one observable difference from a single
 // switch.
 //
+// The sharded switch owns the control plane's table writes: InsertEntry
+// validates an entry once, numbers it in one ID space per table and installs
+// it on every shard, so the shards are replicas with identical tables.
 // Register state stays sharded; MergedSnapshot combines it on demand the way
 // a controller combines reports from independent switches: MergeSum
 // registers add cell-wise, MergeDerived registers are zeroed for downstream
@@ -40,6 +43,11 @@ type ShardedSwitch struct {
 	prog    *Program
 	shards  []*Switch
 	digests chan Digest
+
+	// ctl serialises table writes; lastID is each table's last assigned
+	// entry ID, guarded by ctl.
+	ctl    sync.Mutex
+	lastID map[string]EntryID
 
 	// forkFrames is ForkFrames, or 0 at one shard; only tests change it.
 	forkFrames int
@@ -109,19 +117,8 @@ type shardOutBuf struct {
 	bytes []byte
 }
 
-// layoutPad is one 32-byte slot of code whose only job is layout. The
-// set-up code linked between (*Switch).run and FlowKey (Validate and this
-// file's constructor) changed size by an odd number of 32-byte slots, which
-// would move FlowKey, ProcessBatch, processPacket, table lookup and the
-// ingest consumer to the other half of their cache lines; layout alone has
-// moved the benchmark's pps by 7–17 %. ROADMAP item 1(d) retires it, with
-// ring's layoutPad and Runtime's blank packet.Prefix field.
-//
-//go:noinline
-func layoutPad() {}
-
 // NewShardedSwitch validates the program once and builds n replicas of it,
-// each with its own registers, tables and digest staging buffer, plus a
+// each with its own registers, tables and digest staging sink, plus a
 // merged digest mailbox of the given capacity, and starts one worker
 // goroutine for each shard but the first (shard 0 runs on ProcessBatch's
 // caller, so a 1-shard switch has no goroutines at all). Call Close to stop
@@ -133,7 +130,6 @@ func NewShardedSwitch(prog *Program, std StdFields, n, digestBuf int) (*ShardedS
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	layoutPad()
 	if digestBuf <= 0 {
 		digestBuf = 1024
 	}
@@ -141,6 +137,7 @@ func NewShardedSwitch(prog *Program, std StdFields, n, digestBuf int) (*ShardedS
 		prog:    prog,
 		shards:  make([]*Switch, n),
 		digests: make(chan Digest, digestBuf),
+		lastID:  make(map[string]EntryID, len(prog.Tables)),
 		parts:   make([][]FrameIn, n),
 		outs:    make([]*shardOutBuf, n),
 		staged:  make([][]Digest, n),
@@ -152,9 +149,7 @@ func NewShardedSwitch(prog *Program, std StdFields, n, digestBuf int) (*ShardedS
 		ss.forkFrames = ForkFrames
 	}
 	for i := range ss.shards {
-		// The shard's own mailbox goes unused: its sink stages every digest.
-		sw := newSwitch(prog, std, 1)
-		sw.SetDigestSink(func(d Digest) { ss.staged[i] = append(ss.staged[i], d) })
+		sw := newSwitch(prog, std, func(d Digest) { ss.staged[i] = append(ss.staged[i], d) })
 		ss.shards[i] = sw
 		buf := &shardOutBuf{}
 		ss.outs[i] = buf
@@ -241,11 +236,11 @@ func (ss *ShardedSwitch) NumShards() int { return len(ss.shards) }
 // that picks its batch size (ingest.Engine) reads it here.
 func (ss *ShardedSwitch) ForkFrames() int { return ss.forkFrames }
 
-// Shard returns replica i, for per-shard control-plane work (binding table
-// entries, attaching observers, reading registers). The control plane must
-// drive every shard identically for MergedSnapshot's entry view (taken from
-// shard 0) to be representative. The replica's digest sink belongs to the
-// sharded switch: replacing it cuts the shard off from the merged mailbox.
+// Shard returns replica i, for per-shard work (attaching observers, reading
+// and writing registers). Its tables are written only through the sharded
+// switch, so it holds the same entries under the same IDs as every other
+// shard. The replica's digest sink belongs to the sharded switch: replacing
+// it cuts the shard off from the merged mailbox.
 func (ss *ShardedSwitch) Shard(i int) *Switch { return ss.shards[i] }
 
 // Digests returns the merged alert mailbox. ProcessBatch forwards each
@@ -446,7 +441,7 @@ func (ss *ShardedSwitch) ProcessBatch(batch []FrameIn, emit func(FrameOut)) {
 
 // forwardDigests hands shard i's staged digests, in the order it raised
 // them, to the sink or, without blocking, to the merged mailbox; digests lost
-// to a full merged mailbox are counted like a Switch counts drops on its own.
+// to a full merged mailbox are counted.
 func (ss *ShardedSwitch) forwardDigests(i int) {
 	staged := ss.staged[i]
 	for _, d := range staged {
@@ -475,10 +470,9 @@ func (ss *ShardedSwitch) Stats() Stats {
 		total.Dropped += s.Dropped
 		total.ParseErrors += s.ParseErrors
 		total.RuntimeErrors += s.RuntimeErrors
-		total.DigestDrops += s.DigestDrops
 		total.Recirculated += s.Recirculated
 	}
-	total.DigestDrops += ss.digestDrops.Load()
+	total.DigestDrops = ss.digestDrops.Load()
 	return total
 }
 
@@ -487,8 +481,8 @@ func (ss *ShardedSwitch) Stats() Stats {
 // (masked to the declared width), MergeDerived registers read as zero —
 // their values are replica-local derivations that consumers recompute from
 // the merged sums (stat4p4.CanonicalizeSnapshot does exactly that for
-// emitted Stat4 programs). Table entries are shard 0's, under the contract
-// that the control plane drives all shards identically.
+// emitted Stat4 programs). Table entries are shard 0's, which are every
+// shard's: only InsertEntry and DeleteEntry write them, on all shards alike.
 func (ss *ShardedSwitch) MergedSnapshot() *Snapshot {
 	snap := ss.shards[0].Snapshot()
 	for name, cells := range snap.Registers {
@@ -512,4 +506,63 @@ func (ss *ShardedSwitch) MergedSnapshot() *Snapshot {
 		sw.mu.Unlock()
 	}
 	return snap
+}
+
+// InsertEntry installs a table entry on every shard and returns its ID. The
+// entry is validated once and numbered once, in its table's ID space, which
+// counts from 1; a refused entry touches no shard and uses up no ID. Each
+// shard folds the entry's traces under its own pipeline lock.
+func (ss *ShardedSwitch) InsertEntry(tbl string, match []MatchValue, prio int, action string, args []uint64) (EntryID, error) {
+	ss.ctl.Lock()
+	defer ss.ctl.Unlock()
+	t, ok := ss.shards[0].tables[tbl]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
+	}
+	if err := t.validateEntry(match, action, args, prio); err != nil {
+		return 0, err
+	}
+	if len(t.entries) >= t.def.MaxEntries {
+		return 0, fmt.Errorf("%w: %q at capacity %d", ErrTableFull, tbl, t.def.MaxEntries)
+	}
+	ss.lastID[tbl]++
+	e := Entry{
+		ID:       ss.lastID[tbl],
+		Match:    append([]MatchValue(nil), match...),
+		Priority: prio,
+		Action:   action,
+		Args:     append([]uint64(nil), args...),
+	}
+	for _, sw := range ss.shards {
+		sw.tables[tbl].insert(e)
+	}
+	return e.ID, nil
+}
+
+// DeleteEntry removes an entry from every shard. Refused (no such table or
+// entry), it touches no shard.
+func (ss *ShardedSwitch) DeleteEntry(tbl string, id EntryID) error {
+	ss.ctl.Lock()
+	defer ss.ctl.Unlock()
+	t, ok := ss.shards[0].tables[tbl]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
+	}
+	i := t.find(id)
+	if i < 0 {
+		return fmt.Errorf("%w: id %d in %q", ErrNoSuchEntry, id, tbl)
+	}
+	for _, sw := range ss.shards {
+		sw.tables[tbl].remove(i)
+	}
+	return nil
+}
+
+// SetDeparser installs one deparser on every shard; it must hold no state
+// of its own, since the shards run it concurrently. Like SetObserver it must
+// be called before processing traffic.
+func (ss *ShardedSwitch) SetDeparser(d Deparser) {
+	for _, sw := range ss.shards {
+		sw.deparser = d
+	}
 }

@@ -96,11 +96,9 @@ func BenchmarkShardedBreakEven(b *testing.B) {
 				}
 				defer ss.Close()
 				ss.forkFrames = row.forkFrames
-				for i := 0; i < row.shards; i++ {
-					if _, err := ss.Shard(i).InsertEntry("bind",
-						[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 0, 0)), PrefixLen: 8}}, 0, "count", nil); err != nil {
-						b.Fatal(err)
-					}
+				if _, err := ss.InsertEntry("bind",
+					[]MatchValue{{Value: uint64(packet.ParseIP4(10, 0, 0, 0)), PrefixLen: 8}}, 0, "count", nil); err != nil {
+					b.Fatal(err)
 				}
 				batch := frames[:size]
 				ss.ProcessBatch(batch, nil)

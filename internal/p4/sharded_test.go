@@ -59,18 +59,6 @@ func collectOuts(dst *[]savedOut) func(FrameOut) {
 	}
 }
 
-func drainDigestChan(ch <-chan Digest) []Digest {
-	var ds []Digest
-	for {
-		select {
-		case d := <-ch:
-			ds = append(ds, d)
-		default:
-			return ds
-		}
-	}
-}
-
 // framesFromBytes decodes a fuzz byte string into a deterministic sequence
 // of UDP frames (7 bytes each: dst octets, source low octet, ports).
 func framesFromBytes(data []byte) []FrameIn {
@@ -89,7 +77,7 @@ func framesFromBytes(data []byte) []FrameIn {
 // checkShardEquivalence is the differential harness shared by the table
 // tests and FuzzShardEquivalence: it replays the same frame sequence through
 //
-//	(a) one serial switch (the reference),
+//	(a) one serial (one-shard) switch, the reference,
 //	(b) a ShardedSwitch with n shards, batched, and
 //	(c) n independent serial switches, each fed shard i's partition —
 //	    the definition of what the concurrent fan-out must reproduce,
@@ -101,11 +89,10 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 	t.Helper()
 	prog, std := buildShardableProgram()
 
-	// Every mailbox — the serial switches' own and the sharded one's merged
-	// mailbox — holds a whole batch's digests (the program alerts on most
-	// frames), so no side drops what another keeps.
+	// Every merged mailbox holds a whole batch's digests (the program
+	// alerts on most frames), so no side drops what another keeps.
 	digestBuf := 2 * batchSize
-	serial, err := buildSwitch(prog, std, digestBuf)
+	serial, err := NewShardedSwitch(prog, std, 1, digestBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +101,9 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	replicas := make([]*Switch, n)
+	replicas := make([]*ShardedSwitch, n)
 	for i := range replicas {
-		if replicas[i], err = buildSwitch(prog, std, digestBuf); err != nil {
+		if replicas[i], err = NewShardedSwitch(prog, std, 1, digestBuf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,11 +117,11 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 
 		var serialOuts []savedOut
 		serial.ProcessBatch(batch, collectOuts(&serialOuts))
-		drainDigestChan(serial.Digests())
+		drainDigests(serial)
 
 		var shardedOuts []savedOut
 		ss.ProcessBatch(batch, collectOuts(&shardedOuts))
-		shardedDigests := drainDigestChan(ss.Digests())
+		shardedDigests := drainDigests(ss)
 
 		// Reference reduction: each shard's partition replayed serially on
 		// its own replica, results concatenated in shard-index order.
@@ -147,7 +134,7 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 				}
 				replicas[i].ProcessBatch([]FrameIn{f}, collectOuts(&wantOuts))
 			}
-			wantDigests = append(wantDigests, drainDigestChan(replicas[i].Digests())...)
+			wantDigests = append(wantDigests, drainDigests(replicas[i])...)
 		}
 
 		if len(shardedOuts) != len(wantOuts) {
@@ -172,7 +159,7 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 	}
 
 	merged := ss.MergedSnapshot()
-	want := serial.Snapshot()
+	want := serial.Shard(0).Snapshot()
 	if !reflect.DeepEqual(merged.Registers, want.Registers) {
 		t.Fatalf("merged registers differ from serial:\nmerged %v\nserial %v", merged.Registers, want.Registers)
 	}
@@ -183,7 +170,7 @@ func checkShardEquivalence(t *testing.T, frames []FrameIn, n, batchSize int) {
 	// Per-shard state must equal the matching replica's, proving the
 	// concurrent fan-out added nothing over serial per-partition execution.
 	for i := 0; i < n; i++ {
-		if !reflect.DeepEqual(ss.Shard(i).Snapshot().Registers, replicas[i].Snapshot().Registers) {
+		if !reflect.DeepEqual(ss.Shard(i).Snapshot().Registers, replicas[i].Shard(0).Snapshot().Registers) {
 			t.Fatalf("shard %d registers differ from its serial replica", i)
 		}
 	}
@@ -280,7 +267,7 @@ func TestShardedInlineMatchesFork(t *testing.T) {
 						emit = collectOuts(&outs[i])
 					}
 					ss.ProcessBatch(frames[:size], emit)
-					digests[i] = drainDigestChan(ss.Digests())
+					digests[i] = drainDigests(ss)
 				}
 				if !reflect.DeepEqual(outs[0], outs[1]) {
 					t.Fatalf("%d shards, %d frames, emit %v: inline emitted %d frames, fork %d, or they differ",
@@ -327,7 +314,7 @@ func TestShardedDigestsBoundOnlyByMergedMailbox(t *testing.T) {
 
 	want := 0
 	for i := 0; i < n; i++ {
-		replica, err := buildSwitch(prog, std, 2*len(frames))
+		replica, err := NewShardedSwitch(prog, std, 1, 2*len(frames))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +326,7 @@ func TestShardedDigestsBoundOnlyByMergedMailbox(t *testing.T) {
 		want += len(replica.Digests())
 	}
 	if want <= 2*1024 {
-		t.Fatalf("%d digests: too few to overflow a default shard mailbox", want)
+		t.Fatalf("%d digests: too few to overflow a 1024-digest mailbox per shard", want)
 	}
 	for _, forkFrames := range []int{len(frames) + 1, 0} {
 		for _, sinked := range []bool{true, false} {
@@ -454,12 +441,12 @@ func TestShardedProcessFrameAndPacket(t *testing.T) {
 			t.Fatalf("frame %d: serial-dispatch output differs", i)
 		}
 	}
-	drainDigestChan(ss.Digests())
-	drainDigestChan(serial.Digests())
+	drainDigests(ss)
+	drainDigests(serial)
 	if ss.Stats().PktsIn != 500 || ss.Stats().PktsIn != serial.Stats().PktsIn {
 		t.Fatalf("sharded stats %+v, serial %+v", ss.Stats(), serial.Stats())
 	}
-	if !reflect.DeepEqual(ss.MergedSnapshot().Registers, serial.Snapshot().Registers) {
+	if !reflect.DeepEqual(ss.MergedSnapshot().Registers, serial.Shard(0).Snapshot().Registers) {
 		t.Fatal("merged registers differ from serial after serial-dispatch traffic")
 	}
 }
@@ -559,5 +546,94 @@ func TestShardedCloseJoinsWorkers(t *testing.T) {
 			}()
 			ss.ProcessBatch(frames[:1], nil)
 		}()
+	}
+}
+
+// TestOneEntryIDSpace runs one script of inserts and deletes on the kitchen
+// sink's two tables, refused operations included, at 1, 2 and 3 shards.
+// After every step each shard holds shard 0's entries, whose IDs rise per
+// table from 1; a refused operation changes no shard and uses up no ID.
+func TestOneEntryIDSpace(t *testing.T) {
+	dst := func(b byte) []MatchValue {
+		return []MatchValue{{Value: uint64(packet.ParseIP4(10, b, 0, 0)), PrefixLen: 16}}
+	}
+	arp := []MatchValue{{Value: 0x0806, Mask: 0xffff}, {}}
+	script := []struct {
+		name   string
+		tbl    string
+		del    EntryID // non-zero: delete this entry instead of inserting
+		match  []MatchValue
+		prio   int
+		action string
+		args   []uint64
+		want   EntryID // the inserted entry's ID
+		err    error   // the refusal
+	}{
+		{name: "bind", tbl: "bind", match: dst(1), action: "count_at", args: []uint64{1, 1}, want: 1},
+		{name: "classify", tbl: "classify", match: arp, prio: 1, action: "alert", want: 1},
+		{name: "wrong arity", tbl: "bind", match: dst(2), action: "count_at", args: []uint64{1}, err: ErrBadEntry},
+		{name: "unknown table", tbl: "ghost", match: dst(2), action: "noop", err: ErrNoSuchTable},
+		{name: "unbindable action", tbl: "bind", match: dst(2), action: "deny", err: ErrNoSuchAction},
+		{name: "second bind", tbl: "bind", match: dst(2), action: "noop", want: 2},
+		{name: "bind full", tbl: "bind", match: dst(3), action: "noop", err: ErrTableFull},
+		{name: "delete first bind", tbl: "bind", del: 1},
+		{name: "delete it again", tbl: "bind", del: 1, err: ErrNoSuchEntry},
+		{name: "unknown ID", tbl: "classify", del: 9, err: ErrNoSuchEntry},
+		{name: "delete in unknown table", tbl: "ghost", del: 1, err: ErrNoSuchTable},
+		{name: "third bind", tbl: "bind", match: dst(3), action: "count_at", args: []uint64{2, 1}, want: 3},
+		{name: "second classify", tbl: "classify", match: arp, prio: 2, action: "deny", want: 2},
+		{name: "classify full", tbl: "classify", match: arp, action: "noop", err: ErrTableFull},
+		{name: "delete second classify", tbl: "classify", del: 2},
+		{name: "third classify", tbl: "classify", match: arp, action: "noop", want: 3},
+	}
+	for _, n := range []int{1, 2, 3} {
+		prog, std := buildKitchenSink()
+		for _, tb := range prog.Tables {
+			tb.MaxEntries = 2
+		}
+		ss, err := NewShardedSwitch(prog, std, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := func() []map[string][]Entry {
+			var out []map[string][]Entry
+			for i := 0; i < n; i++ {
+				out = append(out, ss.Shard(i).Snapshot().Entries)
+			}
+			return out
+		}
+		for _, st := range script {
+			before := entries()
+			var id EntryID
+			if st.del != 0 {
+				err = ss.DeleteEntry(st.tbl, st.del)
+			} else {
+				id, err = ss.InsertEntry(st.tbl, st.match, st.prio, st.action, st.args)
+			}
+			after := entries()
+			switch {
+			case st.err != nil && !errors.Is(err, st.err):
+				t.Fatalf("%d shards, %s: err = %v, want %v", n, st.name, err, st.err)
+			case st.err != nil && !reflect.DeepEqual(after, before):
+				t.Fatalf("%d shards, %s: a refused operation changed the tables", n, st.name)
+			case st.err == nil && err != nil:
+				t.Fatalf("%d shards, %s: %v", n, st.name, err)
+			case id != st.want:
+				t.Fatalf("%d shards, %s: inserted as entry %d, want %d", n, st.name, id, st.want)
+			}
+			for i := 1; i < n; i++ {
+				if !reflect.DeepEqual(after[i], after[0]) {
+					t.Fatalf("%d shards, %s: shard %d holds %v, shard 0 %v", n, st.name, i, after[i], after[0])
+				}
+			}
+			for tbl, es := range after[0] {
+				for j := 1; j < len(es); j++ {
+					if es[j].ID <= es[j-1].ID {
+						t.Fatalf("%d shards, %s: %s IDs out of order: %v", n, st.name, tbl, es)
+					}
+				}
+			}
+		}
+		ss.Close()
 	}
 }

@@ -110,8 +110,9 @@ type Stats struct {
 	// RuntimeErrors counts data-plane faults the simulator tolerates but
 	// records: out-of-bounds register accesses.
 	RuntimeErrors uint64
-	// DigestDrops counts digests lost because the channel to the control
-	// plane was full.
+	// DigestDrops counts digests lost because a sharded switch's merged
+	// mailbox was full. A shard stages every digest it raises, so only
+	// ShardedSwitch.Stats reports any.
 	DigestDrops uint64
 	// Recirculated counts packets that took the program's recirculation
 	// pass — the extra pipeline trips a deployment pays for, so a reader can
@@ -135,10 +136,9 @@ type Observer interface {
 	// execute, and deparse only when the frame is emitted (not under
 	// ProcessBatch with a nil emit). Digest events are exact.
 	PacketCost(ns uint64)
-	// DigestEmitted reports a digest accepted by the channel.
+	// DigestEmitted reports a digest the switch raised and handed to its
+	// sink.
 	DigestEmitted()
-	// DigestDropped reports a digest lost to a full channel.
-	DigestDropped()
 }
 
 // costSampleEvery is the PacketCost sampling period (a power of two).
@@ -147,14 +147,15 @@ const costSampleEvery = 64
 // Switch interprets a validated Program. The Process* methods (the data
 // plane) must be called from one goroutine at a time, ordered by the
 // caller's synchronisation — for a shard of a ShardedSwitch, ProcessBatch's;
-// table and register control-plane methods may be called concurrently with
-// them. Output frames alias internal scratch buffers — see FrameOut.
+// register control-plane methods may be called concurrently with them. Its
+// tables are written only through its ShardedSwitch. Output frames alias
+// internal scratch buffers — see FrameOut.
 //
 // One mutex, the pipeline lock, guards all mutable state: registers, table
 // entries and counters. The data plane takes it once per ProcessFrame or
 // ProcessPacket and once per batch in ProcessBatch; every control-plane
-// accessor (Register.Read/WriteCell, the entry methods, Stats, Snapshot)
-// takes it too, so a control-plane call
+// accessor (Register.Read/WriteCell, the sharded switch's entry methods,
+// Stats, Snapshot) takes it too, so a control-plane call
 // lands between two packets or two batches. Nothing the data plane touches
 // per register access or table match is atomic or locked. The price is that
 // code the data plane calls back — a digest sink, an Observer, a Deparser,
@@ -165,7 +166,6 @@ type Switch struct {
 	std      StdFields
 	regs     map[string]*Register
 	tables   map[string]*table
-	digests  chan Digest
 	sink     func(Digest)
 	deparser Deparser
 
@@ -205,19 +205,15 @@ type Switch struct {
 }
 
 // newSwitch instantiates the state of a program its caller has already
-// validated and compiles the micro-op stream. The digest channel is buffered
-// with the given capacity (a bounded mailbox to the controller; 0 picks a
-// default of 1024). NewShardedSwitch builds its shards with it.
-func newSwitch(prog *Program, std StdFields, digestBuf int) *Switch {
-	if digestBuf <= 0 {
-		digestBuf = 1024
-	}
+// validated, with sink as its digest receiver, and compiles the micro-op
+// stream. NewShardedSwitch builds its shards with it.
+func newSwitch(prog *Program, std StdFields, sink func(Digest)) *Switch {
 	sw := &Switch{
 		prog:     prog,
 		std:      std,
 		regs:     make(map[string]*Register, len(prog.Registers)),
 		tables:   make(map[string]*table, len(prog.Tables)),
-		digests:  make(chan Digest, digestBuf),
+		sink:     sink,
 		deparser: forwardDeparser{},
 	}
 	for _, rd := range prog.Registers {
@@ -230,25 +226,20 @@ func newSwitch(prog *Program, std StdFields, digestBuf int) *Switch {
 	return sw
 }
 
-// SetDeparser installs a custom deparser.
-func (sw *Switch) SetDeparser(d Deparser) { sw.deparser = d }
-
 // SetObserver attaches data-plane instrumentation (nil detaches). Like
-// SetDeparser it must be called before processing traffic; it is not
-// synchronised with the data plane. With no observer attached the hot path
-// pays exactly one nil check per packet. The observer's methods run under
-// the pipeline lock and must not call control-plane methods on this switch.
+// ShardedSwitch.SetDeparser it must be called before processing traffic; it
+// is not synchronised with the data plane. With no observer attached the hot
+// path pays exactly one nil check per packet. The observer's methods run
+// under the pipeline lock and must not call control-plane methods on this
+// switch.
 func (sw *Switch) SetObserver(o Observer) { sw.obs, sw.obsTick = o, 0 }
 
-// SetDigestSink installs a direct digest receiver: with a sink attached,
-// sendDigest calls it synchronously from the data-plane goroutine instead of
-// going through the buffered channel, so a caller that drains digests after
-// every Process* call (the discrete-event network does) pays no channel
-// operations on the hot path. A sink never drops: the bounded-mailbox
-// semantics belong to the channel, which a sink replaces. Like SetObserver it
-// must be installed before processing traffic; digests emitted before the
-// sink was attached stay in the channel and must be drained from there. nil
-// detaches and restores the channel path. The sink runs under the pipeline
+// SetDigestSink replaces the switch's digest receiver, which sendDigest
+// calls synchronously from the data-plane goroutine for every digest raised.
+// A shard's receiver is the staging sink its ShardedSwitch installed, so
+// replacing it cuts the shard off from the merged mailbox: its digests reach
+// the new sink only. sink must be non-nil. Like SetObserver it must be
+// installed before processing traffic. The sink runs under the pipeline
 // lock: it must not call control-plane methods on this switch (buffer the
 // digest and act on it after the Process* call returns).
 func (sw *Switch) SetDigestSink(sink func(Digest)) { sw.sink = sink }
@@ -260,28 +251,6 @@ func (sw *Switch) Register(name string) (*Register, error) {
 		return nil, fmt.Errorf("p4: no register %q", name)
 	}
 	return r, nil
-}
-
-// InsertEntry installs a table entry at runtime and returns its ID.
-func (sw *Switch) InsertEntry(tbl string, match []MatchValue, prio int, action string, args []uint64) (EntryID, error) {
-	t, ok := sw.tables[tbl]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return t.insert(match, prio, action, args)
-}
-
-// DeleteEntry removes an entry.
-func (sw *Switch) DeleteEntry(tbl string, id EntryID) error {
-	t, ok := sw.tables[tbl]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return t.remove(id)
 }
 
 // Stats returns a snapshot of the switch counters.
@@ -402,29 +371,14 @@ func (sw *Switch) processPacket(tsNs uint64, inPort uint16, pkt *packet.Packet, 
 	return sw.outScratch[:]
 }
 
-// sendDigest pushes an alert onto the bounded mailbox to the control plane,
-// counting (and reporting to the observer) the accept/drop outcome. The
-// tree-walking reference's OpDigest funnels through it too, so emit/drop
-// accounting cannot diverge between the two.
+// sendDigest hands an alert to the switch's sink and reports it to the
+// observer. The tree-walking reference's OpDigest funnels through it too, so
+// digest accounting cannot diverge between the two.
 //
 //stat4:datapath
 func (sw *Switch) sendDigest(d Digest) {
-	if sw.sink != nil {
-		sw.sink(d)
-		if sw.obs != nil {
-			sw.obs.DigestEmitted()
-		}
-		return
-	}
-	select {
-	case sw.digests <- d:
-		if sw.obs != nil {
-			sw.obs.DigestEmitted()
-		}
-	default:
-		sw.ctr.DigestDrops++
-		if sw.obs != nil {
-			sw.obs.DigestDropped()
-		}
+	sw.sink(d)
+	if sw.obs != nil {
+		sw.obs.DigestEmitted()
 	}
 }

@@ -85,11 +85,12 @@ var (
 )
 
 // table is the runtime state of a TableDef inside a Switch. It has no lock of
-// its own: every method runs with the owning switch's pipeline lock held.
+// its own: lookup runs with the owning switch's pipeline lock held, insert
+// and remove take it, and only the sharded switch's entry methods, which
+// validate and number entries for every shard, call them.
 type table struct {
-	def    *TableDef
-	prog   *Program
-	nextID EntryID
+	def  *TableDef
+	prog *Program
 	// entries in insertion order; lookup scans and picks the best match
 	// (longest prefix for LPM, highest priority for ternary, first for
 	// exact). Table sizes in the Stat4 programs are tens of entries, so a
@@ -108,7 +109,7 @@ type table struct {
 }
 
 func newTable(def *TableDef, sw *Switch) *table {
-	t := &table{def: def, prog: sw.prog, nextID: 1, sw: sw}
+	t := &table{def: def, prog: sw.prog, sw: sw}
 	for _, k := range def.Keys {
 		w := sw.prog.Fields[k.Field].Width
 		t.keyWidth = append(t.keyWidth, w)
@@ -151,35 +152,31 @@ func (t *table) validateEntry(match []MatchValue, action string, args []uint64, 
 	return nil
 }
 
-func (t *table) insert(match []MatchValue, prio int, action string, args []uint64) (EntryID, error) {
-	if err := t.validateEntry(match, action, args, prio); err != nil {
-		return 0, err
-	}
-	if len(t.entries) >= t.def.MaxEntries {
-		return 0, fmt.Errorf("%w: %q at capacity %d", ErrTableFull, t.def.Name, t.def.MaxEntries)
-	}
-	e := &Entry{
-		ID:       t.nextID,
-		Match:    append([]MatchValue(nil), match...),
-		Priority: prio,
-		Action:   action,
-		Args:     append([]uint64(nil), args...),
-	}
-	e.traces, e.consts = t.sw.specialise(t, action, args)
-	t.nextID++
-	t.entries = append(t.entries, e)
-	return e.ID, nil
+// insert installs a validated, numbered entry under the pipeline lock,
+// folding its traces on the owning switch.
+func (t *table) insert(e Entry) {
+	t.sw.mu.Lock()
+	defer t.sw.mu.Unlock()
+	e.traces, e.consts = t.sw.specialise(t, e.Action, e.Args)
+	t.entries = append(t.entries, &e)
 }
 
-func (t *table) remove(id EntryID) error {
+// find returns the position of the entry with the given ID, or -1.
+func (t *table) find(id EntryID) int {
 	for i, e := range t.entries {
 		if e.ID == id {
-			t.sw.release(e.consts)
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			return nil
+			return i
 		}
 	}
-	return fmt.Errorf("%w: id %d in %q", ErrNoSuchEntry, id, t.def.Name)
+	return -1
+}
+
+// remove deletes the entry at position i under the pipeline lock.
+func (t *table) remove(i int) {
+	t.sw.mu.Lock()
+	defer t.sw.mu.Unlock()
+	t.sw.release(t.entries[i].consts)
+	t.entries = append(t.entries[:i], t.entries[i+1:]...)
 }
 
 // lookup returns the best-matching entry for the key values, or nil on miss.

@@ -195,8 +195,8 @@ func (it *FrameIter) Next() (tsNs uint64, port uint16, frame []byte, ok bool) {
 // lowering, shrank by an odd number of 32-byte slots when name lookups
 // became map reads. This slot keeps run at its offset in its cache line,
 // which `make layout` checks: layout alone has moved the benchmark's pps by
-// 7–17 %. ROADMAP item 1(d) retires it, with p4's layoutPad and Runtime's
-// blank packet.Prefix field.
+// 7–17 %. ROADMAP item 1(d) retires it, with Runtime's blank
+// packet.Prefix field.
 //
 //go:noinline
 func layoutPad() {}

@@ -2,6 +2,7 @@ package stat4p4
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -559,8 +560,11 @@ func TestDecodeDigest(t *testing.T) {
 // FuzzBinding throws arbitrary bytes at the JSON face of a Binding and at
 // Lower, against every registered program: decoding and lowering never
 // panic; a lowered entry names an action its table offers, with the argument
-// count the action takes and slot and stage in range, and inserts cleanly; a
-// refused binding inserts nothing.
+// count the action takes and slot and stage in range, and inserts exactly one
+// entry; a refused binding inserts nothing. What a Bind inserted is read off
+// the entry-ID space, which copies no register: each bind table numbers its
+// entries from 1, an accepted Bind returns its table's next ID, and every
+// table's next ID is unused until a Bind returns it.
 func FuzzBinding(f *testing.F) {
 	for _, b := range kindCases {
 		js, _ := json.Marshal(b)
@@ -572,8 +576,9 @@ func FuzzBinding(f *testing.F) {
 	f.Add([]byte(`{"kind":"flow-dst","match":{"ipv4":true},"epoch_shift":63,"ttl":1,"k":2}`)) // never expires
 	f.Add([]byte(`{"kind":"sparse-dst","match":{"ipv4":true},"k":2}`))                        // a retired kind: refused like any unknown one
 	type target struct {
-		lib *Library
-		rt  *Runtime
+		lib  *Library
+		rt   *Runtime
+		next []p4.EntryID // each stage's bind-table next entry ID
 	}
 	var targets []target
 	for _, rp := range append(Registered(), RegisteredProgram{Name: "everything", Opts: everything}) {
@@ -584,7 +589,11 @@ func FuzzBinding(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		targets = append(targets, target{lib, rt})
+		next := make([]p4.EntryID, opts.Stages)
+		for i := range next {
+			next[i] = 1
+		}
+		targets = append(targets, target{lib, rt, next})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b Binding
@@ -592,31 +601,32 @@ func FuzzBinding(f *testing.F) {
 			return
 		}
 		for _, tg := range targets {
-			lib, sw := tg.lib, tg.rt.Switch()
-			// Every accepted binding is unbound again below, so the bind
-			// tables are empty between inputs and one read after Bind
-			// tells what it inserted.
-			inserted := func() (n int) {
-				entries := sw.Snapshot().Entries
-				for _, tbl := range lib.BindTables {
-					n += len(entries[tbl])
+			lib := tg.lib
+			// unused fails unless every bind table's next ID is free.
+			unused := func(after string) {
+				for stage, id := range tg.next {
+					if err := tg.rt.Unbind(stage, id); !errors.Is(err, p4.ErrNoSuchEntry) {
+						t.Fatalf("%s %+v: stage %d holds entry %d (Unbind err %v)", after, b, stage, id, err)
+					}
 				}
-				return n
 			}
 			low, lerr := lib.Lower(b)
 			id, berr := tg.rt.Bind(b)
 			if lerr != nil {
-				if berr == nil || inserted() != 0 {
-					t.Fatalf("Lower refused %+v (%v) but Bind inserted (err %v)", b, lerr, berr)
+				if berr == nil {
+					t.Fatalf("Lower refused %+v (%v) but Bind inserted entry %d", b, lerr, id)
 				}
+				unused("refused")
 				continue
-			}
-			if berr != nil || inserted() != 1 {
-				t.Fatalf("Lower accepted %+v but Bind failed: %v", b, berr)
 			}
 			if b.Stage < 0 || b.Stage >= lib.Opts.Stages || b.Slot < 0 || b.Slot >= lib.Opts.Slots {
 				t.Fatalf("out-of-range stage/slot lowered: %+v", b)
 			}
+			if berr != nil || id != tg.next[b.Stage] {
+				t.Fatalf("Lower accepted %+v but Bind gave entry %d (%v), want entry %d", b, id, berr, tg.next[b.Stage])
+			}
+			tg.next[b.Stage]++
+			unused("accepted")
 			if low.Table != lib.BindTables[b.Stage] || low.Args[1] != uint64(b.Slot) {
 				t.Fatalf("%+v lowered onto %s slot %d", b, low.Table, low.Args[1])
 			}
@@ -634,6 +644,9 @@ func FuzzBinding(f *testing.F) {
 			}
 			if err := tg.rt.Unbind(b.Stage, id); err != nil {
 				t.Fatal(err)
+			}
+			if err := tg.rt.Unbind(b.Stage, id); !errors.Is(err, p4.ErrNoSuchEntry) {
+				t.Fatalf("%+v: second Unbind of entry %d: %v", b, id, err)
 			}
 		}
 	})

@@ -14,11 +14,9 @@ import (
 // program: n ≥ 1 replicas ("shards") behind p4.ShardedSwitch's flow-hash
 // dispatcher, a single switch being n = 1. It installs and retunes
 // binding-table entries, reads the tracked distributions out of the
-// registers, and exposes the digest stream. Every control operation is
-// applied to every shard, so the shards stay configured identically — the
-// contract MergedSnapshot's entry view and the dispatcher's correctness both
-// rest on. All methods are safe to call while the data plane processes
-// packets.
+// registers, and exposes the digest stream. Table writes go through the
+// sharded switch, which installs every entry on every shard under one ID.
+// All methods are safe to call while the data plane processes packets.
 type Runtime struct {
 	lib *Library
 	ss  *p4.ShardedSwitch
@@ -43,16 +41,14 @@ type ShardedRuntime = Runtime
 func NewRuntime(lib *Library) (*Runtime, error) { return NewShardedRuntime(lib, 1) }
 
 // NewShardedRuntime instantiates n shards of the library's program,
-// installing the echo deparser on each when the library was built with Echo.
+// installing the echo deparser when the library was built with Echo.
 func NewShardedRuntime(lib *Library, n int) (*Runtime, error) {
 	ss, err := p4.NewShardedSwitch(lib.Prog, lib.Std, n, lib.Opts.DigestBuf)
 	if err != nil {
 		return nil, err
 	}
 	if lib.Opts.Echo {
-		for i := 0; i < n; i++ {
-			ss.Shard(i).SetDeparser(EchoDeparser{lib: lib})
-		}
+		ss.SetDeparser(EchoDeparser{lib: lib})
 	}
 	return &Runtime{lib: lib, ss: ss, slots: make(map[int]Lowered)}, nil
 }
@@ -180,26 +176,6 @@ var (
 	ErrStrict   = errors.New("stat4p4: parameter not representable in strict mode")
 )
 
-// each applies one control-plane operation to every shard, asserting the
-// shards hand back the same entry ID — they must, since they are driven
-// identically from birth; a divergence means the identical-configuration
-// contract was broken and sharded state can no longer be trusted.
-func (rt *Runtime) each(f func(sw *p4.Switch) (p4.EntryID, error)) (p4.EntryID, error) {
-	var id p4.EntryID
-	for i := 0; i < rt.ss.NumShards(); i++ {
-		got, err := f(rt.ss.Shard(i))
-		if err != nil {
-			return 0, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if i == 0 {
-			id = got
-		} else if got != id {
-			return 0, fmt.Errorf("stat4p4: shard %d assigned entry %d, shard 0 assigned %d — shards configured divergently", i, got, id)
-		}
-	}
-	return id, nil
-}
-
 // Bind lowers the binding once and inserts the resulting entry on every
 // shard, then records it as the slot's binding, replacing whatever an
 // earlier Bind left there.
@@ -208,9 +184,7 @@ func (rt *Runtime) Bind(b Binding) (p4.EntryID, error) {
 	if err != nil {
 		return 0, err
 	}
-	id, err := rt.each(func(sw *p4.Switch) (p4.EntryID, error) {
-		return sw.InsertEntry(low.Table, low.Keys, low.Priority, low.Action, low.Args)
-	})
+	id, err := rt.ss.InsertEntry(low.Table, low.Keys, low.Priority, low.Action, low.Args)
 	if err == nil {
 		rt.slots[b.Slot] = low
 	}
@@ -230,9 +204,7 @@ func (rt *Runtime) AddDropRoute(prefix packet.Prefix) (p4.EntryID, error) {
 }
 
 func (rt *Runtime) route(prefix packet.Prefix, action string, args []uint64) (p4.EntryID, error) {
-	return rt.each(func(sw *p4.Switch) (p4.EntryID, error) {
-		return sw.InsertEntry(FwdTable, []p4.MatchValue{{Value: uint64(prefix.Addr), PrefixLen: prefix.Len}}, 0, action, args)
-	})
+	return rt.ss.InsertEntry(FwdTable, []p4.MatchValue{{Value: uint64(prefix.Addr), PrefixLen: prefix.Len}}, 0, action, args)
 }
 
 // Unbind removes a binding entry.
@@ -240,39 +212,33 @@ func (rt *Runtime) Unbind(stage int, id p4.EntryID) error {
 	if stage < 0 || stage >= rt.lib.Opts.Stages {
 		return fmt.Errorf("%w: %d", ErrBadStage, stage)
 	}
-	_, err := rt.each(func(sw *p4.Switch) (p4.EntryID, error) {
-		return 0, sw.DeleteEntry(rt.lib.BindTables[stage], id)
-	})
-	return err
+	return rt.ss.DeleteEntry(rt.lib.BindTables[stage], id)
 }
 
 // ResetSlot zeroes everything the program keeps for a slot so it can be
 // rebound to a new value of interest, and forgets the slot's recorded
 // binding. Every register the emitter declares is slot-striped (Cells ==
-// Slots × stride), so the slot's state is one stripe of each.
+// Slots × stride), so the slot's state is one stripe of each, on every shard.
 func (rt *Runtime) ResetSlot(slot int) error {
 	if slot < 0 || slot >= rt.lib.Opts.Slots {
 		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
 	}
-	_, err := rt.each(func(sw *p4.Switch) (p4.EntryID, error) {
+	for s := 0; s < rt.ss.NumShards(); s++ {
 		for _, rd := range rt.lib.Prog.Registers {
-			reg, err := sw.Register(rd.Name)
+			reg, err := rt.ss.Shard(s).Register(rd.Name)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			stride := rd.Cells / rt.lib.Opts.Slots
 			for i := slot * stride; i < (slot+1)*stride; i++ {
 				if err := reg.WriteCell(i, 0); err != nil {
-					return 0, err
+					return err
 				}
 			}
 		}
-		return 0, nil
-	})
-	if err == nil {
-		delete(rt.slots, slot)
 	}
-	return err
+	delete(rt.slots, slot)
+	return nil
 }
 
 // FreqSlots returns the notes of the slots whose binding left one, in slot

@@ -327,6 +327,10 @@ func mergeMoments(rt *Runtime, slot int, shards []MomentsSnapshot) MomentsSnapsh
 	} else {
 		s = rt.lib.recomputeSlot(Counters.merged(rt, slot), pa, pb)
 	}
+	// Only a kind that notes the marker's weights keeps a marker to merge.
+	if !ok || low.kind.note == nil {
+		s.med = 0
+	}
 	m := MomentsSnapshot{N: s.n, Xsum: s.xsum, Xsumsq: s.xsumsq, Var: s.varv, SD: s.sd, Median: s.med}
 	for _, sh := range shards {
 		m.MedianMoves = (m.MedianMoves + sh.MedianMoves) & rt.lib.cellMask()

@@ -11,7 +11,7 @@
 // The layer exists because the paper's argument (Figure 1c) makes detection
 // quality a function of what the switch→controller channel delivers and
 // when; the repo needs to observe its own digest pipeline — per-packet
-// processing cost, digest emit/drop/delivery, control-channel latency,
+// processing cost, digest emit and delivery, control-channel latency,
 // event-queue occupancy, drill-down phase transitions — without perturbing
 // it. Recording is allocation-free after construction (the zero-alloc tests
 // pin 0 allocs/packet with recording enabled) and all recorded and exposed

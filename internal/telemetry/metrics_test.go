@@ -95,20 +95,9 @@ func TestSwitchMetricsRingOverwrite(t *testing.T) {
 	}
 }
 
-func TestSwitchMetricsDropped(t *testing.T) {
-	m := NewSwitchMetrics(0) // default capacity
-	m.PacketCost(123)
-	m.DigestDropped()
-	if m.Cost.Count() != 1 || m.Cost.Sum() != 123 {
-		t.Fatalf("cost hist %d/%d", m.Cost.Count(), m.Cost.Sum())
-	}
-	if m.Dropped() != 1 {
-		t.Fatalf("dropped = %d", m.Dropped())
-	}
-}
-
 // TestPipelineRegister wires a full bundle into a registry and checks the
-// exposition it produces parses under the package's own validator.
+// exposition it produces parses under the package's own validator. It has no
+// digest drop series: a switch hands every digest it raises to its sink.
 func TestPipelineRegister(t *testing.T) {
 	p := NewPipeline()
 	p.Switch.PacketCost(1000)
@@ -142,5 +131,8 @@ func TestPipelineRegister(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, b.String())
 		}
+	}
+	if strings.Contains(b.String(), "digests_dropped") {
+		t.Fatalf("pipeline exports a digest drop series:\n%s", b.String())
 	}
 }
