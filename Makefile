@@ -23,7 +23,8 @@ loc:
 # race uses -short: instrumentation slows the minutes-long virtual-time
 # experiment sweeps past the test timeout, and they are single-threaded
 # anyway — the concurrency surface (controller, registers, tables, netem)
-# is fully exercised by the short suite.
+# is fully exercised by the short suite. Race builds keep register cells on
+# the heap (internal/p4 vmem_heap.go), the only memory the detector sees.
 # The second line repeats the lock-and-fork-join contract tests: control
 # plane against a data plane that runs shard 0 on ProcessBatch's caller and
 # shards 1…n−1 on the caller or their workers (rows alternating small and

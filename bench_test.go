@@ -885,24 +885,32 @@ func BenchmarkStat4dE2E(b *testing.B) {
 
 // BenchmarkSetup measures constructing the daemon's datapath from stat4d's
 // emitted program: runtime/shards=N is NewShardedRuntime plus Close
-// (validate, instantiate and compile N shards, start their workers), engine
-// is ingest.New plus Stop on a one-shard runtime (ring, slab, telemetry, the
-// consumer goroutine). Program emission is outside both. With -benchmem the
-// B/op column shows what a construction commits up front: the engine's slab
-// blocks are allocated on first use, so an idle engine holds none of them.
+// (validate, instantiate and compile N shards, start their workers),
+// runtime/flow the same at one shard for `stat4d -flow-table 1048576`'s
+// program (48 MiB of flow-table registers), engine is ingest.New plus Stop on
+// a one-shard runtime (ring, slab, telemetry, the consumer goroutine).
+// Program emission is outside all of them. With -benchmem the B/op column
+// shows what a construction commits up front: the engine's slab blocks are
+// allocated on first use, so an idle engine holds none of them, and register
+// cells are mapped demand-zero off the heap (Linux, non-race builds).
 func BenchmarkSetup(b *testing.B) {
-	lib := stat4p4.Build(stat4p4.Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true})
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("runtime/shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sr, err := stat4p4.NewShardedRuntime(lib, shards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sr.Close()
+	opts := stat4p4.Options{Slots: 2, Size: 256, Stages: 1, Entropy: true, HeavyHitter: true}
+	lib := stat4p4.Build(opts)
+	newRuntime := func(b *testing.B, lib *stat4p4.Library, shards int) {
+		for i := 0; i < b.N; i++ {
+			sr, err := stat4p4.NewShardedRuntime(lib, shards)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			sr.Close()
+		}
 	}
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("runtime/shards=%d", shards), func(b *testing.B) { newRuntime(b, lib, shards) })
+	}
+	opts.FlowTable, opts.FlowTableSize = true, 1<<20
+	flowLib := stat4p4.Build(opts)
+	b.Run("runtime/flow", func(b *testing.B) { newRuntime(b, flowLib, 1) })
 	b.Run("engine", func(b *testing.B) {
 		sr := newShardedBench(b, 1)
 		for i := 0; i < b.N; i++ {

@@ -121,33 +121,6 @@ func checkContractLedger(t *testing.T, st Stats, counters []uint64, batches, fra
 	}
 }
 
-// TestControlPlaneConcurrentWithDataPlane is the documented contract under
-// the single pipeline lock: every control-plane accessor may run while
-// another goroutine sits in ProcessBatch. Run with -race.
-func TestControlPlaneConcurrentWithDataPlane(t *testing.T) {
-	prog, std := buildCounterProgram()
-	sw := mustSwitch(t, prog, std)
-	bindSlash8(t, sw)
-
-	const batches, perBatch = 200, 64
-	batch := contractBatch(perBatch)
-	var emitted uint64
-	hammer(t,
-		func() {
-			for i := 0; i < batches; i++ {
-				sw.ProcessBatch(batch, func(FrameOut) { emitted++ })
-			}
-		},
-		controlPlane(t, sw, sw.Shard(0))...,
-	)
-
-	st := sw.Stats()
-	checkContractLedger(t, st, sw.Shard(0).Snapshot().Registers["counters"], batches, batches*perBatch)
-	if emitted != st.PktsOut {
-		t.Fatalf("emitted %d frames, PktsOut %d", emitted, st.PktsOut)
-	}
-}
-
 // forkRows are the ways a multi-shard ProcessBatch may run the batches of the
 // concurrency tests, by the switch's fork threshold: its own (the tests'
 // batches are all below ForkFrames, so every partition runs on the caller),
@@ -168,7 +141,9 @@ var forkRows = []struct {
 // others for a batch below the fork threshold: the control plane may hammer
 // shard 0 and the last shard — and take merged snapshots across all shards —
 // while it does, with batches of 64 and 128 frames alternating and the output
-// taken on every other batch. At one shard the caller is the whole data plane.
+// taken on every other batch. At one shard the caller is the whole data
+// plane: that row is the plain pipeline-lock contract, every control-plane
+// accessor against a goroutine sitting in ProcessBatch.
 func TestControlPlaneConcurrentWithCallerShard(t *testing.T) {
 	type row struct {
 		name       string

@@ -3,6 +3,7 @@ package p4
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Register is the runtime state of a register array. Cells are masked to the
@@ -19,11 +20,15 @@ type Register struct {
 	mask  uint64      // widthMask(def.Width), applied on every write
 	lock  *sync.Mutex // the owning switch's pipeline lock
 	cells []uint64
+	mem   *cellMap // the mapping cells lie in, shared by the switch's registers; nil on the heap
 }
 
-func newRegister(def RegisterDef, lock *sync.Mutex) *Register {
-	return &Register{def: def, mask: widthMask(def.Width), lock: lock, cells: make([]uint64, def.Cells)}
-}
+// alignCells rounds a register's cell count up to whole 64-byte cache
+// lines, so that no register shares a line with its neighbour.
+func alignCells(n int) int { return (n + 7) &^ 7 }
+
+// mappedBytes is the size of every register mapping not yet unmapped.
+var mappedBytes atomic.Int64
 
 // Read is the control-plane read of a single cell.
 func (r *Register) Read(idx int) (uint64, error) {

@@ -484,12 +484,7 @@ func (ss *ShardedSwitch) Stats() Stats {
 // emitted Stat4 programs). Table entries are shard 0's, which are every
 // shard's: only InsertEntry and DeleteEntry write them, on all shards alike.
 func (ss *ShardedSwitch) MergedSnapshot() *Snapshot {
-	snap := ss.shards[0].Snapshot()
-	for name, cells := range snap.Registers {
-		if ss.shards[0].regs[name].def.Merge == MergeDerived {
-			clear(cells)
-		}
-	}
+	snap := ss.shards[0].snapshot(true)
 	// One pipeline-lock acquisition per further shard: each shard's
 	// contribution is a cut between two of its batches.
 	for _, sw := range ss.shards[1:] {

@@ -12,7 +12,11 @@ type Snapshot struct {
 // Snapshot captures the switch's current state. It is safe to call while the
 // data plane runs: it takes the pipeline lock, so the whole snapshot is one
 // cut between two packets (or two batches, under ProcessBatch).
-func (sw *Switch) Snapshot() *Snapshot {
+func (sw *Switch) Snapshot() *Snapshot { return sw.snapshot(false) }
+
+// snapshot is Snapshot, with the MergeDerived registers left zero rather
+// than copied when zeroDerived is set — what a merged snapshot reports.
+func (sw *Switch) snapshot(zeroDerived bool) *Snapshot {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	s := &Snapshot{
@@ -20,7 +24,11 @@ func (sw *Switch) Snapshot() *Snapshot {
 		Entries:   make(map[string][]Entry, len(sw.tables)),
 	}
 	for name, r := range sw.regs {
-		s.Registers[name] = append([]uint64(nil), r.cells...)
+		if zeroDerived && r.def.Merge == MergeDerived {
+			s.Registers[name] = make([]uint64, len(r.cells))
+		} else {
+			s.Registers[name] = append([]uint64(nil), r.cells...)
+		}
 	}
 	for name, t := range sw.tables {
 		s.Entries[name] = t.copyEntries()

@@ -211,13 +211,25 @@ func newSwitch(prog *Program, std StdFields, sink func(Digest)) *Switch {
 	sw := &Switch{
 		prog:     prog,
 		std:      std,
-		regs:     make(map[string]*Register, len(prog.Registers)),
 		tables:   make(map[string]*table, len(prog.Tables)),
 		sink:     sink,
 		deparser: forwardDeparser{},
 	}
+	// The registers' cells are cache-line-aligned sub-slices of one zeroed
+	// block: a demand-zero mapping (mapCells) where the build has one, else
+	// the heap.
+	n := 0
 	for _, rd := range prog.Registers {
-		sw.regs[rd.Name] = newRegister(rd, &sw.mu)
+		n += alignCells(rd.Cells)
+	}
+	block, mem := mapCells(n)
+	if block == nil {
+		block = make([]uint64, n)
+	}
+	sw.regs = make(map[string]*Register, len(prog.Registers))
+	for _, rd := range prog.Registers {
+		sw.regs[rd.Name] = &Register{def: rd, mask: widthMask(rd.Width), lock: &sw.mu, cells: block[:rd.Cells:rd.Cells], mem: mem}
+		block = block[alignCells(rd.Cells):]
 	}
 	for _, td := range prog.Tables {
 		sw.tables[td.Name] = newTable(td, sw)
