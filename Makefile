@@ -13,10 +13,11 @@ build:
 test:
 	$(GO) test ./...
 
-# loc prints non-test Go lines per package and in total, bench/ excluded —
-# the arithmetic ROADMAP.md's code-diet acceptance is stated in.
+# loc prints non-test Go lines per package and in total, bench/ and test
+# fixtures (testdata/) excluded — the arithmetic ROADMAP.md's code-diet
+# acceptance is stated in.
 loc:
-	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | \
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | grep -v '/testdata/' | \
 		xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = (n > 1) ? substr($$2, 1, length($$2) - length(p[n]) - 1) : "."; l[d] += $$1; t += $$1 } \
 		END { for (d in l) printf "%6d %s\n", l[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 

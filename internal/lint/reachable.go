@@ -72,22 +72,52 @@ func Link(dir string) (Linked, error) {
 // recorded, so (*T).M.func1 marks T.M. Package main is keyed by binary,
 // since every command shares that symbol prefix.
 func (l Linked) add(bin, sym string) {
+	pkg, parts := splitSymbol(bin, sym)
+	key := pkg
+	for _, part := range parts {
+		key += "." + part
+		l[key] = true
+	}
+}
+
+// linkedAs reports whether the symbol a //go:linkname directive names is
+// linked, keyed as add keys it.
+func (l Linked) linkedAs(sym string) bool {
+	pkg, parts := splitSymbol("", sym)
+	return len(parts) > 0 && l[pkg+"."+strings.Join(parts, ".")]
+}
+
+// splitSymbol splits a symbol of binary bin into its package, as Linked
+// keys it, and the dotted parts after that, with type arguments, pointer
+// receivers' parentheses and method-value suffixes removed. A symbol with no
+// package has no parts.
+func splitSymbol(bin, sym string) (pkg string, parts []string) {
 	sym = stripBrackets(sym)
 	slash := strings.LastIndex(sym, "/")
 	dot := strings.Index(sym[slash+1:], ".")
 	if dot < 0 {
-		return
+		return "", nil
 	}
 	pkg, rest := sym[:slash+1+dot], sym[slash+2+dot:]
 	if pkg == "main" {
 		pkg = "main:" + bin
 	}
 	rest = strings.NewReplacer("(*", "", ")", "", "-fm", "").Replace(rest)
-	key := pkg
-	for _, part := range strings.Split(rest, ".") {
-		key += "." + part
-		l[key] = true
+	return pkg, strings.Split(rest, ".")
+}
+
+// linknames maps each local name a file's //go:linkname directives bind to
+// the symbol it names.
+func linknames(file *ast.File) map[string]string {
+	out := make(map[string]string)
+	for _, cg := range file.Comments {
+		for _, c := range cg.List {
+			if f := strings.Fields(c.Text); len(f) == 3 && f[0] == "//go:linkname" {
+				out[f[1]] = f[2]
+			}
+		}
 	}
+	return out
 }
 
 // stripBrackets removes every bracketed (type-argument) span from sym.
@@ -125,8 +155,11 @@ func declKey(pkg *Package, decl *ast.FuncDecl) string {
 // Reachable is the pass that reports every function and method declared in
 // a non-test file of the module that no root binary links (see Link). A
 // method with an empty body is no finding: it marks a sealed interface, and
-// the linker drops it. It needs the whole program built, so only the
-// standalone driver runs it.
+// the linker drops it. A bodyless function that a //go:linkname directive
+// links to another symbol (runtime.mallocgc, say) is linked when that symbol
+// is: a binary holds it under the target's name, not the declaring
+// package's. It needs the whole program built, so only the standalone
+// driver runs it.
 func Reachable(linked Linked) *Analyzer {
 	return &Analyzer{
 		Name: reachableName,
@@ -134,12 +167,16 @@ func Reachable(linked Linked) *Analyzer {
 		ModuleFunc: func(pass *ModulePass) {
 			for _, pkg := range pass.Mod.Pkgs {
 				for _, file := range pkg.Files {
+					links := linknames(file)
 					for _, d := range file.Decls {
 						decl, ok := d.(*ast.FuncDecl)
 						if !ok || decl.Name.Name == "_" || linked[declKey(pkg, decl)] {
 							continue
 						}
 						if decl.Recv != nil && decl.Body != nil && len(decl.Body.List) == 0 {
+							continue
+						}
+						if target, ok := links[decl.Name.Name]; ok && decl.Body == nil && linked.linkedAs(target) {
 							continue
 						}
 						pass.Reportf(pkg, decl.Name.Pos(),

@@ -14,9 +14,11 @@ import (
 // reaches package lib through an interface call, a method value, a
 // package-variable initialiser, init, a method on a generic type and fmt
 // calling a String method; the root package's test binary reaches Bench.
-// None of those may report. A function only its package's test calls must
-// report, unless it carries an exemption, and an empty marker method never
-// reports.
+// None of those may report, nor may a bodyless //go:linkname declaration of
+// a runtime function the command calls. A function only its package's test
+// calls must report, unless it carries an exemption, and so must a
+// linkname declaration whose target no binary links; an empty marker method
+// never reports.
 func TestReachable(t *testing.T) {
 	dir := t.TempDir()
 	err := filepath.WalkDir("testdata/reachable", func(path string, d fs.DirEntry, err error) error {

@@ -17,5 +17,5 @@ func main() {
 	next := lib.Counter{}.Next // a method value
 	var b lib.Box[int]
 	b.Put(3)
-	fmt.Println(s.Area(), next(), fromVar, b.Get(), lib.Color(1)) // Color's String through fmt
+	fmt.Println(s.Area(), next(), fromVar, b.Get(), lib.Color(1), lib.Now() > 0) // Color's String through fmt
 }

@@ -3,7 +3,7 @@ package lib
 import "testing"
 
 func TestOnlyTested(t *testing.T) {
-	if OnlyTested() != 7 || ExemptTested() != 8 {
-		t.Fatal("OnlyTested or ExemptTested")
+	if OnlyTested() != 7 || ExemptTested() != 8 || alias() != 9 {
+		t.Fatal("OnlyTested, ExemptTested or alias")
 	}
 }

@@ -1,5 +1,7 @@
 package p4
 
+import "fmt"
+
 // Test-only API: constructors and accessors that only the tests of package
 // p4 and p4_test call, so no binary links them.
 
@@ -8,6 +10,18 @@ func (r *Register) Snapshot() []uint64 {
 	r.lock.Lock()
 	defer r.lock.Unlock()
 	return append([]uint64(nil), r.cells...)
+}
+
+// WriteCell is the control-plane write of a single cell, which the tests
+// seed state with; the binaries write cells only through ShardedSwitch.SetStripe.
+func (r *Register) WriteCell(idx int, v uint64) error {
+	r.lock.Lock()
+	defer r.lock.Unlock()
+	if idx < 0 || idx >= len(r.cells) {
+		return fmt.Errorf("p4: register %q index %d of %d", r.def.Name, idx, len(r.cells))
+	}
+	r.cells[idx] = v & r.mask
+	return nil
 }
 
 // SatAdd builds dst ← a + b saturating at the field's maximum. No emitted

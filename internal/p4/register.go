@@ -39,14 +39,3 @@ func (r *Register) Read(idx int) (uint64, error) {
 	}
 	return r.cells[idx], nil
 }
-
-// WriteCell is the control-plane write, used to seed state at startup.
-func (r *Register) WriteCell(idx int, v uint64) error {
-	r.lock.Lock()
-	defer r.lock.Unlock()
-	if idx < 0 || idx >= len(r.cells) {
-		return fmt.Errorf("p4: register %q index %d of %d", r.def.Name, idx, len(r.cells))
-	}
-	r.cells[idx] = v & r.mask
-	return nil
-}

@@ -488,17 +488,7 @@ func (ss *ShardedSwitch) MergedSnapshot() *Snapshot {
 	// One pipeline-lock acquisition per further shard: each shard's
 	// contribution is a cut between two of its batches.
 	for _, sw := range ss.shards[1:] {
-		sw.mu.Lock()
-		for name, cells := range snap.Registers {
-			other := sw.regs[name]
-			if other.def.Merge == MergeDerived {
-				continue
-			}
-			for i := range cells {
-				cells[i] = (cells[i] + other.cells[i]) & other.mask
-			}
-		}
-		sw.mu.Unlock()
+		sw.addRegisters(snap.Registers)
 	}
 	return snap
 }

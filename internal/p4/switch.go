@@ -154,8 +154,8 @@ const costSampleEvery = 64
 // One mutex, the pipeline lock, guards all mutable state: registers, table
 // entries and counters. The data plane takes it once per ProcessFrame or
 // ProcessPacket and once per batch in ProcessBatch; every control-plane
-// accessor (Register.Read/WriteCell, the sharded switch's entry methods,
-// Stats, Snapshot) takes it too, so a control-plane call
+// accessor (Register.Read, the sharded switch's entry methods and
+// SetStripe, Stats, Snapshot) takes it too, so a control-plane call
 // lands between two packets or two batches. Nothing the data plane touches
 // per register access or table match is atomic or locked. The price is that
 // code the data plane calls back — a digest sink, an Observer, a Deparser,

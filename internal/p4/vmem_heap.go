@@ -6,5 +6,8 @@ package p4
 // builds, whose detector watches only heap memory (see vmem_mmap.go).
 type cellMap struct{}
 
-// mapCells maps nothing here: newRegisters allocates the cells on the heap.
+// mapCells maps nothing here: newSwitch allocates the cells on the heap.
 func mapCells(int) ([]uint64, *cellMap) { return nil, nil }
+
+// snapshotCells allocates a snapshot's cells as one zeroed heap slice.
+func snapshotCells(n int) []uint64 { return make([]uint64, n) }

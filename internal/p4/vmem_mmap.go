@@ -47,3 +47,38 @@ func (m *cellMap) unmap() {
 	syscall.Syscall(syscall.SYS_MUNMAP, m.addr, m.size, 0)
 	mappedBytes.Add(-int64(m.size))
 }
+
+// mallocgc is the runtime's allocator. Its source keeps the signature fixed
+// because widely used packages link to it like this; a nil type with
+// needzero false asks for pointer-free memory nobody clears first.
+//
+//go:linkname mallocgc runtime.mallocgc
+func mallocgc(size uintptr, typ unsafe.Pointer, needzero bool) unsafe.Pointer
+
+// snapshotCells returns n cells that read zero: one pointer-free block the
+// garbage collector owns, so that it stays alive while any slice into it is
+// reachable (a snapshot's Registers may outlive the Snapshot). The runtime
+// does not pre-zero it; instead madvise(MADV_DONTNEED) drops its whole pages,
+// which then read as the kernel's zero page and become resident only where
+// they are written, and only the partial pages at its two ends are cleared
+// by hand.
+func snapshotCells(n int) []uint64 {
+	if n == 0 {
+		return nil
+	}
+	p := mallocgc(uintptr(n)*8, nil, false)
+	cells := unsafe.Slice((*uint64)(p), n)
+	page := uintptr(syscall.Getpagesize())
+	base := uintptr(p)
+	lo := (base + page - 1) &^ (page - 1)
+	hi := (base + uintptr(n)*8) &^ (page - 1)
+	if lo < hi {
+		if _, _, errno := syscall.Syscall(syscall.SYS_MADVISE, lo, hi-lo, syscall.MADV_DONTNEED); errno == 0 {
+			clear(cells[:(lo-base)/8])
+			clear(cells[(hi-base)/8:])
+			return cells
+		}
+	}
+	clear(cells)
+	return cells
+}

@@ -191,11 +191,12 @@ func declared(lib *Library) map[string]bool {
 	return out
 }
 
-// rowReads finds the registers a measure's views and canonical rebuild read,
-// on viewsPair's program and traffic: each is a register whose absence
-// changes what one of them answers at some slot, or makes it fail. The views
-// read a one-shard deployment of the program's registers alone, less one,
-// holding the traffic's cells; the rebuild runs on a snapshot less one.
+// rowReads finds the registers a measure's views and canonical rebuild read:
+// each is a register whose absence changes what one of them answers at some
+// slot, or makes it fail. The views read one-shard deployments of the
+// program's registers alone, every cell holding the same non-zero value (so
+// every bucket reads occupied), one with all of them and one less one each;
+// the rebuild runs on a snapshot of viewsPair's traffic, less one.
 func rowReads(t *testing.T, m *measure) map[string]bool {
 	t.Helper()
 	full, _ := viewsPair(t, 1)
@@ -205,12 +206,11 @@ func rowReads(t *testing.T, m *measure) map[string]bool {
 		f()
 		return false
 	}
-	read := make(map[string]bool)
-	for _, without := range lib.Prog.Registers {
+	deploy := func(without string) *Runtime {
 		prog := p4.NewProgram("registers")
 		std := p4.DeclareStdFields(prog)
 		for _, rd := range lib.Prog.Registers {
-			if rd.Name != without.Name {
+			if rd.Name != without {
 				prog.AddRegister(rd.Name, rd.Cells, rd.Width)
 			}
 		}
@@ -218,25 +218,25 @@ func rowReads(t *testing.T, m *measure) map[string]bool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rd := range prog.Registers {
-			reg, _ := ss.Shard(0).Register(rd.Name)
-			for i, c := range snap.Registers[rd.Name] {
-				if err := reg.WriteCell(i, c); err != nil {
-					t.Fatal(err)
-				}
-			}
+		t.Cleanup(ss.Close)
+		if err := ss.SetStripe(0, 1, 3); err != nil {
+			t.Fatal(err)
 		}
-		less := &Runtime{lib: lib, ss: ss}
+		return &Runtime{lib: lib, ss: ss}
+	}
+	all := deploy("")
+	read := make(map[string]bool)
+	for _, without := range lib.Prog.Registers {
+		less := deploy(without.Name)
 		for _, v := range m.views {
 			for slot := 0; slot < lib.Opts.Slots; slot++ {
-				want, _ := v.Body(full, slot, 0)
+				want, _ := v.Body(all, slot, 0)
 				var got any
 				if panics(func() { got, _ = v.Body(less, slot, 0) }) || !reflect.DeepEqual(got, want) {
 					read[without.Name] = true
 				}
 			}
 		}
-		ss.Close()
 
 		if m.rebuild == nil {
 			continue
@@ -500,13 +500,8 @@ func TestResetSlotZeroesEveryStripe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rd := range lib.Prog.Registers {
-			reg, _ := rt.Switch().Register(rd.Name)
-			for i := 0; i < rd.Cells; i++ {
-				if err := reg.WriteCell(i, sentinel); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if err := rt.Sharded().SetStripe(0, 1, sentinel); err != nil {
+			t.Fatal(err)
 		}
 		slot := lib.Opts.Slots - 1
 		if err := rt.ResetSlot(slot); err != nil {

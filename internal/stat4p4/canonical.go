@@ -113,10 +113,18 @@ func (l *Library) CanonicalizeSnapshot(snap *p4.Snapshot, slots []SlotBinding) {
 			continue
 		}
 		cells := snap.Registers[rd.Name]
-		for i := range cells {
-			cells[i] = 0
+		for i, c := range cells {
+			if c != 0 { // a store would make a zero page resident
+				cells[i] = 0
+			}
 		}
 	}
+	l.recompute(snap, slots)
+}
+
+// recompute is CanonicalizeSnapshot on a snapshot whose MergeDerived
+// registers already read zero, as a merged snapshot's do.
+func (l *Library) recompute(snap *p4.Snapshot, slots []SlotBinding) {
 	counters := snap.Registers[RegCounters]
 	for _, sb := range slots {
 		base := sb.Slot * l.Opts.Size

@@ -223,19 +223,8 @@ func (rt *Runtime) ResetSlot(slot int) error {
 	if slot < 0 || slot >= rt.lib.Opts.Slots {
 		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
 	}
-	for s := 0; s < rt.ss.NumShards(); s++ {
-		for _, rd := range rt.lib.Prog.Registers {
-			reg, err := rt.ss.Shard(s).Register(rd.Name)
-			if err != nil {
-				return err
-			}
-			stride := rd.Cells / rt.lib.Opts.Slots
-			for i := slot * stride; i < (slot+1)*stride; i++ {
-				if err := reg.WriteCell(i, 0); err != nil {
-					return err
-				}
-			}
-		}
+	if err := rt.ss.SetStripe(slot, rt.lib.Opts.Slots, 0); err != nil {
+		return err
 	}
 	delete(rt.slots, slot)
 	return nil
@@ -261,12 +250,13 @@ func (rt *Runtime) MergedFlows(slot int) ([]Entry, error) {
 }
 
 // MergedSnapshot merges the shards' registers (MergeSum cells add,
-// MergeDerived cells zero) and canonicalises the result over the recorded
+// MergeDerived cells zero, so CanonicalizeSnapshot's zeroing pass is
+// skipped) and canonicalises the result over the recorded
 // frequency slots. At any shard count the result is byte-identical to
 // CanonicalizeSnapshot applied to a one-shard runtime that processed the
 // same packets, which is exactly what the sharded differential tests assert.
 func (rt *Runtime) MergedSnapshot() *p4.Snapshot {
 	snap := rt.ss.MergedSnapshot()
-	rt.lib.CanonicalizeSnapshot(snap, rt.FreqSlots())
+	rt.lib.recompute(snap, rt.FreqSlots())
 	return snap
 }
