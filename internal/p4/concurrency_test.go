@@ -63,7 +63,8 @@ func bindSlash8(t *testing.T, sw *ShardedSwitch) {
 // counter-program switch, one hammer loop each, plus entry churn through the
 // sharded switch. The churn moves 10.0.3/24 between cells 2 and 3, so
 // whatever was installed when a frame matched, it counted in exactly one of
-// cells 1..3; WriteCell stays away from them.
+// cells 1..3; WriteCell and the stripe reset (cells 56..63, on every shard)
+// stay away from them.
 func controlPlane(t *testing.T, ss *ShardedSwitch, sw *Switch) []func() {
 	t.Helper()
 	reg, err := sw.Register("counters")
@@ -79,6 +80,9 @@ func controlPlane(t *testing.T, ss *ShardedSwitch, sw *Switch) []func() {
 			}
 			reg.Snapshot()
 			if err := reg.WriteCell(63, 5); err != nil {
+				t.Error(err)
+			}
+			if err := ss.SetStripe(7, 8, 0); err != nil {
 				t.Error(err)
 			}
 		},
